@@ -12,105 +12,26 @@ from .engine import (
     direct_apply,
     rel_sup_error,
 )
-from .geometry import (
-    BisectionStack,
-    BoxRegion,
-    DyadicKey,
-    InvalidProcessCountError,
-    NoParentError,
-    StackExhaustedError,
-    bit_reverse,
-    box_of,
-    center_of,
-    child_index,
-    children,
-    init_bisection_stacks,
-    key_for_point,
-    keys_in_region,
-    level_keys,
-    parent,
-    pop_push,
-    region_of,
-    stage_schedule,
-    stage_split,
-    team_mask,
-)
-from .lowrank import (
-    InterpolativeDecomposition,
-    RankOverflowError,
-    TranslationOperatorID,
-    build_id,
-    build_translation_id,
-    equivalent_sources,
-    pivoted_qr,
-)
-from .parallel import (
-    ParallelResult,
-    ledger_report,
-    modeled_time,
-    simulate_parallel,
-    sum_scatter,
-)
-from .phases import (
-    PhaseEvaluator,
-    get_phase,
-    kernel_matrix,
-    phase_fourier,
-    phase_gen_radon,
-    phase_hyp_radon,
-    register_phase,
-)
+from .parallel import ParallelResult, ledger_report, modeled_time, simulate_parallel
+from .phases import PhaseEvaluator, get_phase, register_phase
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllZeroReferenceError",
-    "BisectionStack",
-    "BoxRegion",
     "CostLedger",
     "CostParams",
-    "DyadicKey",
-    "InterpolativeDecomposition",
-    "InvalidProcessCountError",
-    "NoParentError",
     "ParallelResult",
     "PhaseEvaluator",
     "PotentialField",
-    "RankOverflowError",
     "SourceSet",
-    "StackExhaustedError",
-    "TranslationOperatorID",
-    "bit_reverse",
-    "box_of",
-    "build_id",
-    "build_translation_id",
     "butterfly_apply",
-    "center_of",
-    "child_index",
-    "children",
     "direct_apply",
-    "equivalent_sources",
     "get_phase",
-    "init_bisection_stacks",
-    "kernel_matrix",
-    "key_for_point",
-    "keys_in_region",
     "ledger_report",
-    "level_keys",
     "modeled_time",
-    "parent",
-    "phase_fourier",
-    "phase_gen_radon",
-    "phase_hyp_radon",
-    "pivoted_qr",
-    "pop_push",
-    "region_of",
     "register_phase",
     "rel_sup_error",
     "simulate_parallel",
-    "stage_schedule",
-    "stage_split",
-    "sum_scatter",
-    "team_mask",
     "__version__",
 ]

@@ -16,7 +16,7 @@ at a box center makes the remaining factor smooth enough to interpolate:
 Column weights are equivalent point sources at the grid nodes of B: the
 induced approximation is f(x) ~= sum_t K(x, b_t) delta_t, which is what
 makes the merge step a pure re-expansion of point masses. Half the stages
-run on the column side, then one O(r^2) switch per block moves to the row
+run on the column side, then one O(r^2) switch per pair moves to the row
 side, where splitting target boxes is again a re-interpolation.
 
 Grid conventions: first-kind Chebyshev nodes mapped affinely to each box
@@ -29,20 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .costs import CostLedger
-from .geometry import BoxRegion, DyadicKey, box_of, center_of, child_index, children, parent
+from .geometry import BoxRegion, DyadicKey, box_of, center_of, child_index
 from .phases import PhaseEvaluator, kernel_matrix
-
-COLUMN = "column"
-ROW = "row"
-
-
-class SideMismatchError(ValueError):
-    """Raised when an operation receives a weight block of the wrong side."""
 
 
 @dataclass(frozen=True)
@@ -57,16 +50,6 @@ class ChebGrid:
     @property
     def rank(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class WeightBlock:
-    """Expansion weights for one (target box, source box) pair."""
-
-    target: DyadicKey
-    source: DyadicKey
-    values: np.ndarray  # (r,) complex128
-    side: str  # COLUMN or ROW
 
 
 @lru_cache(maxsize=None)
@@ -126,11 +109,6 @@ def lagrange_matrix(grid: ChebGrid, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def lagrange_eval(grid: ChebGrid, t: int, y: Sequence[float]) -> float:
-    """Single tensor basis function L_t at a single point."""
-    return float(lagrange_matrix(grid, np.asarray(y, dtype=float)[None, :])[0, t])
-
-
 @lru_cache(maxsize=None)
 def _unit_box(d: int) -> BoxRegion:
     return BoxRegion((0.0,) * d, (1.0,) * d)
@@ -166,21 +144,6 @@ def _child_matrices(q: int, d: int) -> np.ndarray:
     return out
 
 
-def _apply_dimwise(mats1d: np.ndarray, n: int, values: np.ndarray, q: int, d: int, transpose: bool) -> np.ndarray:
-    """Contract the tensor-product matrix for child n dimension by dimension.
-
-    Equals _child_matrices(q, d)[n] @ values (or its transpose applied) in
-    O(d * q^(d+1)) instead of O(q^(2d)).
-    """
-    tensor = values.reshape((q,) * d, order="F")
-    for k in range(d):
-        m = mats1d[(n >> k) & 1]
-        if transpose:
-            m = m.T
-        tensor = np.moveaxis(np.tensordot(m, tensor, axes=([1], [k])), 0, k)
-    return tensor.reshape(-1, order="F")
-
-
 def _phase_at(phase: PhaseEvaluator, pts: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Phi(pts[i], point) for a fixed second argument."""
     rep = np.broadcast_to(point, pts.shape)
@@ -194,7 +157,7 @@ def _phase_from(phase: PhaseEvaluator, point: np.ndarray, pts: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# Weight-block operations
+# Weight operations: each pair's weights are a plain (q^d,) complex vector
 # ---------------------------------------------------------------------------
 
 
@@ -205,7 +168,7 @@ def init_source_weights(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
-) -> WeightBlock:
+) -> np.ndarray:
     """Column weights of the pair (X, B) from the raw sources inside B.
 
     The demodulation center is the center of the whole target domain, since
@@ -216,22 +179,21 @@ def init_source_weights(
     strengths = np.asarray(strengths, dtype=complex)
     grid = cheb_grid(q, box_of(b))
     r = grid.rank
-    root = DyadicKey(0, (0,) * d)
-    x_root = center_of(root)
     if positions.shape[0] == 0:
-        return WeightBlock(root, b, np.zeros(r, dtype=complex), COLUMN)
+        return np.zeros(r, dtype=complex)
     lo = np.asarray(box_of(b).lower)
     hi = lo + np.asarray(box_of(b).width)
     inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
     if not np.all((positions >= lo) & inside_hi):
         raise ValueError("source position outside its box")
+    x_root = center_of(DyadicKey(0, (0,) * d))
     mod = np.exp(1j * _phase_from(phase, x_root, positions))
     moments = lagrange_matrix(grid, positions).T @ (mod * strengths)
     demod = np.exp(-1j * _phase_from(phase, x_root, grid.points))
     n = positions.shape[0]
     if ledger is not None:
         ledger.add_flops(2 * n * r + n + r)
-    return WeightBlock(root, b, demod * moments, COLUMN)
+    return demod * moments
 
 
 def _column_contribution(
@@ -242,7 +204,6 @@ def _column_contribution(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
-    fast: bool = False,
 ) -> np.ndarray:
     """One child's share of the column translation into the pair (A_c, B_p).
 
@@ -250,22 +211,15 @@ def _column_contribution(
     nodes and re-expanded on the parent source box with the new target
     center's demodulation.
     """
-    d = a_c.dim
-    r = q**d
+    r = q**a_c.dim
     xc = center_of(a_c)
     child_grid = cheb_grid(q, box_of(b_child))
     parent_grid = cheb_grid(q, box_of(b_p))
     v = np.exp(1j * _phase_from(phase, xc, child_grid.points)) * values
-    n = child_index(b_child)
-    if fast:
-        w = _apply_dimwise(_child_matrices_1d(q), n, v, q, d, transpose=False)
-        mat_flops = 2 * d * q ** (d + 1)
-    else:
-        w = _child_matrices(q, d)[n] @ v
-        mat_flops = 2 * r * r
+    w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
     out = np.exp(-1j * _phase_from(phase, xc, parent_grid.points)) * w
     if ledger is not None:
-        ledger.add_flops(mat_flops + 3 * r)
+        ledger.add_flops(2 * r * r + 3 * r)
     return out
 
 
@@ -277,7 +231,6 @@ def _row_contribution(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
-    fast: bool = False,
 ) -> np.ndarray:
     """One child's share of the row translation into the pair (A_c, B_p).
 
@@ -285,140 +238,60 @@ def _row_contribution(
     of A = parent(A_c); they are interpolated to the finer grid on A_c and
     re-centered from the child source box onto its parent.
     """
-    d = a_c.dim
-    r = q**d
-    c = child_index(a_c)
+    r = q**a_c.dim
     new_grid = cheb_grid(q, box_of(a_c))
-    if fast:
-        w = _apply_dimwise(_child_matrices_1d(q), c, values, q, d, transpose=True)
-        mat_flops = 2 * d * q ** (d + 1)
-    else:
-        w = _child_matrices(q, d)[c].T @ values
-        mat_flops = 2 * r * r
+    w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
     ph_old = _phase_at(phase, new_grid.points, center_of(b_child))
     ph_new = _phase_at(phase, new_grid.points, center_of(b_p))
     out = np.exp(1j * (ph_old - ph_new)) * w
     if ledger is not None:
-        ledger.add_flops(mat_flops + 3 * r)
+        ledger.add_flops(2 * r * r + 3 * r)
     return out
 
 
-def _check_children(parent_pair: tuple[DyadicKey, DyadicKey], blocks: Sequence[WeightBlock], side: str) -> None:
-    a_c, b_p = parent_pair
-    expect_a = parent(a_c)
-    expect_bs = children(b_p)
-    if len(blocks) != len(expect_bs):
-        raise ValueError(f"expected {len(expect_bs)} child blocks, got {len(blocks)}")
-    for blk, b_n in zip(blocks, expect_bs):
-        if blk.side != side:
-            raise SideMismatchError(f"expected {side}-side block, got {blk.side}")
-        if blk.target != expect_a or blk.source != b_n:
-            raise ValueError(f"child block ({blk.target}, {blk.source}) inconsistent with pair ({a_c}, {b_p})")
-
-
-def translate_column(
-    parent_pair: tuple[DyadicKey, DyadicKey],
-    child_blocks: Sequence[WeightBlock],
-    phase: PhaseEvaluator,
-    ledger: Optional[CostLedger] = None,
-    fast: bool = False,
-) -> WeightBlock:
-    """Column weights of (A_c, B_p) from the 2^d child pairs (A, B_n)."""
-    _check_children(parent_pair, child_blocks, COLUMN)
-    a_c, b_p = parent_pair
-    d = a_c.dim
-    q = round(len(child_blocks[0].values) ** (1.0 / d)) if d > 1 else len(child_blocks[0].values)
-    out = np.zeros(q**d, dtype=complex)
-    for blk in child_blocks:
-        out += _column_contribution(a_c, b_p, blk.source, blk.values, phase, q, ledger, fast)
-    return WeightBlock(a_c, b_p, out, COLUMN)
-
-
-def translate_row(
-    parent_pair: tuple[DyadicKey, DyadicKey],
-    child_blocks: Sequence[WeightBlock],
-    phase: PhaseEvaluator,
-    ledger: Optional[CostLedger] = None,
-    fast: bool = False,
-) -> WeightBlock:
-    """Row weights of (A_c, B_p) from the 2^d child pairs (A, B_n)."""
-    _check_children(parent_pair, child_blocks, ROW)
-    a_c, b_p = parent_pair
-    d = a_c.dim
-    q = round(len(child_blocks[0].values) ** (1.0 / d)) if d > 1 else len(child_blocks[0].values)
-    out = np.zeros(q**d, dtype=complex)
-    for blk in child_blocks:
-        out += _row_contribution(a_c, b_p, blk.source, blk.values, phase, q, ledger, fast)
-    return WeightBlock(a_c, b_p, out, ROW)
-
-
 def middle_switch(
-    block: WeightBlock,
+    a: DyadicKey,
+    b: DyadicKey,
+    values: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
-) -> WeightBlock:
-    """Convert one block from column to row representation in O(r^2).
+) -> np.ndarray:
+    """Column weights of the pair (A, B) to row weights, in O(r^2).
 
     Evaluates the column expansion (equivalent sources at the grid of B) at
     the target grid of A, then demodulates by the phase at B's center.
     """
-    if block.side != COLUMN:
-        raise SideMismatchError(f"middle_switch needs a column-side block, got {block.side}")
-    a_grid = cheb_grid(q, box_of(block.target))
-    b_grid = cheb_grid(q, box_of(block.source))
+    a_grid = cheb_grid(q, box_of(a))
+    b_grid = cheb_grid(q, box_of(b))
     kmat = kernel_matrix(phase, a_grid.points, b_grid.points)
-    sampled = kmat @ block.values
-    demod = np.exp(-1j * _phase_at(phase, a_grid.points, center_of(block.source)))
+    sampled = kmat @ values
+    demod = np.exp(-1j * _phase_at(phase, a_grid.points, center_of(b)))
     r = a_grid.rank
     if ledger is not None:
         ledger.add_flops(2 * r * r + 2 * r)
-    return WeightBlock(block.target, block.source, demod * sampled, ROW)
-
-
-def evaluate_potential(
-    block: WeightBlock,
-    x: Sequence[float],
-    phase: PhaseEvaluator,
-    q: int,
-) -> complex:
-    """Potential at a single point from a final row-side block (B = Y)."""
-    out = evaluate_block(block, np.asarray(x, dtype=float)[None, :], phase, q, check_inside=True)
-    return complex(out[0])
+    return demod * sampled
 
 
 def evaluate_block(
-    block: WeightBlock,
+    a: DyadicKey,
+    b: DyadicKey,
+    values: np.ndarray,
     pts: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     check_inside: bool = False,
 ) -> np.ndarray:
-    """Row-side evaluation f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
-    if block.side != ROW:
-        raise SideMismatchError(f"evaluation needs a row-side block, got {block.side}")
+    """Row weights of the pair (A, B) evaluated at points of A:
+    f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    box = box_of(block.target)
+    box = box_of(a)
     if check_inside:
         lo = np.asarray(box.lower)
         hi = lo + np.asarray(box.width)
         inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
         if not np.all((pts >= lo) & inside_hi):
-            raise ValueError("evaluation point outside the block's target box")
+            raise ValueError("evaluation point outside the pair's target box")
     grid = cheb_grid(q, box)
-    vals = lagrange_matrix(grid, pts) @ block.values
-    return np.exp(1j * _phase_at(phase, pts, center_of(block.source))) * vals
-
-
-def evaluate_column_block(
-    block: WeightBlock,
-    pts: np.ndarray,
-    phase: PhaseEvaluator,
-    q: int,
-) -> np.ndarray:
-    """Column-side evaluation f(x) = sum_t K(x, b_t) delta_t (diagnostics)."""
-    if block.side != COLUMN:
-        raise SideMismatchError(f"expected a column-side block, got {block.side}")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    grid = cheb_grid(q, box_of(block.source))
-    return kernel_matrix(phase, pts, grid.points) @ block.values
+    vals = lagrange_matrix(grid, pts) @ values
+    return np.exp(1j * _phase_at(phase, pts, center_of(b))) * vals

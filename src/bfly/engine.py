@@ -18,6 +18,7 @@ what makes its p = 1 run bit-identical to the sequential engine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -31,8 +32,6 @@ from .geometry import (
     box_of,
     child_index,
     children,
-    key_for_point,
-    keys_in_region,
     level_keys,
     parent,
 )
@@ -58,6 +57,10 @@ class SourceSet:
         self.strengths = np.asarray(self.strengths, dtype=complex).reshape(-1)
         if self.positions.shape[0] != self.strengths.shape[0]:
             raise ValueError("positions and strengths disagree on the source count")
+        if not np.all(np.isfinite(self.positions)):
+            raise ValueError("source positions must be finite")
+        if not np.all(np.isfinite(self.strengths)):
+            raise ValueError("source strengths must be finite")
         if self.positions.size and (self.positions.min() < 0.0 or self.positions.max() > 1.0):
             raise ValueError("source positions must lie in the unit cube")
 
@@ -104,12 +107,11 @@ class ChebEngine:
 
     name = "cheb"
 
-    def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int, fast: bool = False):
+    def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int):
         self.phase = phase
         self.d = d
         self.N = N
         self.q = q
-        self.fast = fast
         self.L = N.bit_length() - 1
         self.switch_level = math.ceil(self.L / 2)
         self.r = q**d
@@ -129,10 +131,9 @@ class ChebEngine:
             if idx is None or src is None:
                 out[(root, key)] = np.zeros(self.r, dtype=complex)
             else:
-                blk = cheb.init_source_weights(
+                out[(root, key)] = cheb.init_source_weights(
                     key, src.positions[idx], src.strengths[idx], self.phase, self.q, ledger
                 )
-                out[(root, key)] = blk.values
         return out
 
     def pre_stage(self, level: int, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
@@ -143,8 +144,7 @@ class ChebEngine:
     def _switch_all(self, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
         out: Dict[Pair, np.ndarray] = {}
         for (a, b) in sorted(blocks.keys(), key=_pair_order):
-            blk = cheb.WeightBlock(a, b, blocks[(a, b)], cheb.COLUMN)
-            out[(a, b)] = cheb.middle_switch(blk, self.phase, self.q, ledger).values
+            out[(a, b)] = cheb.middle_switch(a, b, blocks[(a, b)], self.phase, self.q, ledger)
         return out
 
     def contribution(
@@ -152,8 +152,8 @@ class ChebEngine:
         values: np.ndarray, ledger: CostLedger,
     ) -> np.ndarray:
         if level < self.switch_level:
-            return cheb._column_contribution(a_c, b_p, b, values, self.phase, self.q, ledger, self.fast)
-        return cheb._row_contribution(a_c, b_p, b, values, self.phase, self.q, ledger, self.fast)
+            return cheb._column_contribution(a_c, b_p, b, values, self.phase, self.q, ledger)
+        return cheb._row_contribution(a_c, b_p, b, values, self.phase, self.q, ledger)
 
     def out_len(self, level: int, a_c: DyadicKey, b_p: DyadicKey) -> int:
         return self.r
@@ -167,8 +167,8 @@ class ChebEngine:
         return blocks
 
     def make_field(self, blocks: Dict[Pair, np.ndarray]) -> "PotentialField":
-        final = {a: cheb.WeightBlock(a, b, v, cheb.ROW) for (a, b), v in blocks.items()}
-        return PotentialField(self.phase, self.d, self.N, "cheb", self.q, cheb_blocks=final)
+        weights = {a: v for (a, b), v in blocks.items()}
+        return PotentialField(self.phase, self.d, self.N, "cheb", self.q, weights)
 
 
 class IdEngine:
@@ -190,7 +190,6 @@ class IdEngine:
         N: int,
         tol: float,
         rows_per_dim: int = 4,
-        rmax: Optional[int] = None,
         sources: Optional[SourceSet] = None,
     ):
         self.phase = phase
@@ -198,7 +197,6 @@ class IdEngine:
         self.N = N
         self.tol = tol
         self.rows_per_dim = rows_per_dim
-        self.rmax = rmax
         self.L = N.bit_length() - 1
         self.precompute_flops = 0
         self._row_pts: Dict[DyadicKey, np.ndarray] = {}
@@ -216,8 +214,6 @@ class IdEngine:
     def _targets_in(self, a: DyadicKey) -> np.ndarray:
         shift = self.L - a.level
         ranges = [range(c << shift, (c + 1) << shift) for c in a.coords]
-        import itertools
-
         pts = [self._row_pts[DyadicKey(self.L, coords)] for coords in itertools.product(*ranges)]
         return np.vstack(pts)
 
@@ -243,7 +239,7 @@ class IdEngine:
             else:
                 pos = src.positions[idx]
                 M = self._sampler(all_targets, pos)
-                dec = build_id(M, self.tol, self.rmax)
+                dec = build_id(M, self.tol)
                 dec.points = pos[dec.column_indices]
                 self.precompute_flops += 4 * M.shape[0] * M.shape[1] * max(1, dec.rank)
             self._stage0[b] = (dec.interp_matrix, idx if idx is not None else np.arange(0))
@@ -255,9 +251,7 @@ class IdEngine:
                 for ac in level_keys(self.d, level + 1):
                     a = parent(ac)
                     child_ids = [ids[(a, bn)] for bn in bs]
-                    op = build_translation_id(
-                        child_ids, self._targets_in(ac), self._sampler, self.tol, self.rmax
-                    )
+                    op = build_translation_id(child_ids, self._targets_in(ac), self._sampler, self.tol)
                     self._ops[(level, ac, bp)] = op
                     rows = self._targets_in(ac).shape[0]
                     self.precompute_flops += 4 * rows * op.matrix.shape[1] * max(1, op.matrix.shape[0])
@@ -306,8 +300,9 @@ class IdEngine:
         return blocks
 
     def make_field(self, blocks: Dict[Pair, np.ndarray]) -> "PotentialField":
-        skeletons = {a: (self._final_ids[a].points, v) for (a, b), v in blocks.items()}
-        return PotentialField(self.phase, self.d, self.N, "id", None, skeletons=skeletons)
+        weights = {a: v for (a, b), v in blocks.items()}
+        points = {a: self._final_ids[a].points for a in weights}
+        return PotentialField(self.phase, self.d, self.N, "id", None, weights, points)
 
 
 @dataclass
@@ -320,24 +315,23 @@ class PotentialField:
     N: int
     backend: str
     q: Optional[int]
-    cheb_blocks: Dict[DyadicKey, cheb.WeightBlock] = field(default_factory=dict)
-    skeletons: Dict[DyadicKey, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    weights: Dict[DyadicKey, np.ndarray]  # final weights per target leaf box
+    skeleton_points: Dict[DyadicKey, np.ndarray] = field(default_factory=dict)  # id only
     ledger: Optional[CostLedger] = None
 
     def weight_vector(self, key: DyadicKey) -> np.ndarray:
         """Final weights of one target leaf box (backend-specific length)."""
-        if self.backend == "cheb":
-            return self.cheb_blocks[key].values
-        return self.skeletons[key][1]
+        return self.weights[key]
 
     def target_keys(self):
-        return sorted(
-            self.cheb_blocks.keys() if self.backend == "cheb" else self.skeletons.keys(),
-            key=lambda k: k.coords,
-        )
+        return sorted(self.weights, key=lambda k: k.coords)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.d:
+            raise ValueError(f"evaluation points have dimension {points.shape[1]}, field has {self.d}")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("evaluation points must be finite")
         if points.size and (points.min() < 0.0 or points.max() > 1.0):
             raise ValueError("evaluation points must lie in the unit cube")
         out = np.zeros(points.shape[0], dtype=complex)
@@ -347,19 +341,18 @@ class PotentialField:
         top = 1 << level
         idx = np.minimum((points * top).astype(int), top - 1)
         flat = np.zeros(points.shape[0], dtype=np.int64)
-        for k in range(points.shape[1] - 1, -1, -1):
+        for k in range(self.d - 1, -1, -1):
             flat = flat * top + idx[:, k]
+        root = DyadicKey(0, (0,) * self.d)
         for f in np.unique(flat):
             sel = np.nonzero(flat == f)[0]
-            coords = tuple(int((f // top**k) % top) for k in range(points.shape[1]))
+            coords = tuple(int((f // top**k) % top) for k in range(self.d))
             key = DyadicKey(level, coords)
+            w = self.weights[key]
             if self.backend == "cheb":
-                blk = self.cheb_blocks[key]
-                out[sel] = cheb.evaluate_block(blk, points[sel], self.phase, self.q)
-            else:
-                pts_s, w = self.skeletons[key]
-                if w.shape[0]:
-                    out[sel] = kernel_matrix(self.phase, points[sel], pts_s) @ w
+                out[sel] = cheb.evaluate_block(key, root, w, points[sel], self.phase, self.q)
+            elif w.shape[0]:
+                out[sel] = kernel_matrix(self.phase, points[sel], self.skeleton_points[key]) @ w
         return out
 
 
@@ -403,8 +396,6 @@ def make_engine(
     backend: str = "cheb",
     tol: float = 1e-7,
     rows_per_dim: int = 4,
-    rmax: Optional[int] = None,
-    fast_translate: bool = False,
     sources: Optional[SourceSet] = None,
 ):
     if N < 1 or (N & (N - 1)) != 0:
@@ -412,12 +403,12 @@ def make_engine(
     if phase.dim is not None and phase.dim != d:
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
     if backend == "cheb":
-        eng = ChebEngine(phase, d, N, q, fast_translate)
+        eng = ChebEngine(phase, d, N, q)
         if sources is not None:
             eng.set_sources(sources)
         return eng
     if backend == "id":
-        return IdEngine(phase, d, N, tol, rows_per_dim, rmax, sources)
+        return IdEngine(phase, d, N, tol, rows_per_dim, sources)
     raise ValueError(f"unknown backend '{backend}'")
 
 
@@ -429,13 +420,11 @@ def butterfly_apply(
     backend: str = "cheb",
     tol: float = 1e-7,
     rows_per_dim: int = 4,
-    rmax: Optional[int] = None,
-    fast_translate: bool = False,
     params: Optional[CostParams] = None,
 ) -> PotentialField:
     """Sequential butterfly evaluation; returns a field with a flop ledger."""
     d = sources.dim
-    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, rmax, fast_translate, sources)
+    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
     ledger = CostLedger(params if params is not None else CostParams())
     leaf_keys = list(level_keys(d, eng.L))
     blocks = eng.init_blocks(leaf_keys, ledger)

@@ -101,15 +101,6 @@ def level_keys(d: int, level: int) -> Iterator[DyadicKey]:
         yield DyadicKey(level, coords)
 
 
-def key_for_point(point: np.ndarray, level: int) -> DyadicKey:
-    """Leaf box of a point; faces resolve to the larger coordinate, 1.0 folds in."""
-    top = 1 << level
-    idx = np.minimum(np.floor(np.asarray(point, dtype=float) * top).astype(int), top - 1)
-    if np.any(idx < 0):
-        raise ValueError(f"point {point} outside the unit cube")
-    return DyadicKey(level, tuple(int(i) for i in idx))
-
-
 # ---------------------------------------------------------------------------
 # Bisection stacks
 # ---------------------------------------------------------------------------
@@ -180,48 +171,10 @@ def region_coords(stack: BisectionStack, rank: int, d: int, level: int) -> list[
     return out
 
 
-def region_of(stack: BisectionStack, rank: int, d: int) -> BoxRegion:
-    """Geometric region a rank owns under a bisection stack."""
-    lower = [0.0] * d
-    width = [1.0] * d
-    for dim, bit in stack:
-        width[dim] /= 2.0
-        if (rank >> bit) & 1:
-            lower[dim] += width[dim]
-    return BoxRegion(tuple(lower), tuple(width))
-
-
 def keys_in_region(stack: BisectionStack, rank: int, d: int, level: int) -> list[DyadicKey]:
     """Level-`level` boxes in a rank's region, canonical coordinate order."""
     ranges = region_coords(stack, rank, d, level)
     return [DyadicKey(level, coords) for coords in itertools.product(*(range(a, b) for a, b in ranges))]
-
-
-def team_mask(q: int, a: int, b: int, p: int) -> frozenset[int]:
-    """Ranks agreeing with q on every bit outside the half-open range [a, b)."""
-    logp = p.bit_length() - 1
-    if p < 1 or (p & (p - 1)) != 0:
-        raise InvalidProcessCountError(f"p={p} is not a power of two")
-    free = [j for j in range(a, b) if j < logp]
-    base = q
-    for j in free:
-        base &= ~(1 << j)
-    members = []
-    for combo in range(1 << len(free)):
-        m = base
-        for i, j in enumerate(free):
-            if (combo >> i) & 1:
-                m |= 1 << j
-        members.append(m)
-    return frozenset(members)
-
-
-def bit_reverse(q: int, nbits: int) -> int:
-    """Reverse the low `nbits` bits of q."""
-    out = 0
-    for j in range(nbits):
-        out = (out << 1) | ((q >> j) & 1)
-    return out
 
 
 def stage_split(N: int, d: int, p: int) -> tuple[int, int, int]:

@@ -4,7 +4,7 @@ An interpolative decomposition (ID) of a matrix M picks r actual columns
 K_hat = M[:, J] and an interpolation matrix Z with M ~= K_hat @ Z, where Z
 restricted to the selected columns is exactly the identity. Built on a
 column-pivoted QR: with M * Pi = Q [R_L R_R], truncated at the first
-diagonal entry satisfying |R[r, r]| <= tol * |R[0, 0]| (or at rmax),
+diagonal entry satisfying |R[r, r]| <= tol * |R[0, 0]|,
 
     Z = [I | pinv(R_L) @ R_R] * Pi^H.
 
@@ -27,19 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-
-
-class RankOverflowError(RuntimeError):
-    """Recompression hit the rank cap before reaching the tolerance."""
-
-    def __init__(self, rmax: int, residual: float):
-        super().__init__(f"rank cap {rmax} reached with relative residual {residual:.3e}")
-        self.rmax = rmax
-        self.residual = residual
-
-
-class DimensionMismatchError(ValueError):
-    """Weight vector length does not match the decomposition's column count."""
 
 
 @dataclass
@@ -66,45 +53,12 @@ class TranslationOperatorID:
     points: np.ndarray  # (r_new, d) selected source points
 
 
-def _truncation_rank(diag: np.ndarray, tol: float, limit: int) -> tuple[int, float]:
-    """First r with |R[r, r]| <= tol * |R[0, 0]|, capped; plus the relative
-    residual |R[r, r]| / |R[0, 0]| left behind when the cap bites."""
+def _truncation_rank(diag: np.ndarray, tol: float) -> int:
+    """First r with |R[r, r]| <= tol * |R[0, 0]|, or the full length."""
     if diag.size == 0 or diag[0] == 0.0:
-        return 0, 0.0
+        return 0
     below = np.nonzero(diag <= tol * diag[0])[0]
-    r = int(below[0]) if below.size else int(diag.size)
-    if r > limit:
-        return limit, float(diag[limit] / diag[0])
-    return r, 0.0
-
-
-def pivoted_qr(
-    M: np.ndarray,
-    tol: float,
-    rmax: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Truncated Businger-Golub QR: returns (Q, R_L, R_R, perm, r).
-
-    Truncation keeps the leading r columns where r is the first index with
-    |R[r, r]| <= tol * |R[0, 0]|, capped at rmax. Factoring fully and then
-    truncating matches stopping the elimination early, because pivot choices
-    never look ahead.
-    """
-    M = np.ascontiguousarray(M)
-    m, n = M.shape
-    if m == 0 or n == 0:
-        return (
-            np.zeros((m, 0), dtype=complex),
-            np.zeros((0, 0), dtype=complex),
-            np.zeros((0, n), dtype=complex),
-            np.arange(n),
-            0,
-        )
-    Q, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    limit = min(m, n) if rmax is None else min(rmax, m, n)
-    r, _ = _truncation_rank(diag, tol, limit)
-    return Q[:, :r], R[:r, :r], R[:r, r:], perm, r
+    return int(below[0]) if below.size else int(diag.size)
 
 
 def _solve_clamped(r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
@@ -123,37 +77,23 @@ def _solve_clamped(r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(clamped, r_right, lower=False)
 
 
-def _build_id_checked(
-    M: np.ndarray, tol: float, rmax: Optional[int]
-) -> tuple[InterpolativeDecomposition, float]:
-    """build_id plus the relative residual a rank cap left uncompressed."""
+def build_id(M: np.ndarray, tol: float) -> InterpolativeDecomposition:
+    """Interpolative decomposition M ~= M[:, J] @ Z with exact identity at J.
+
+    Factoring fully and then truncating matches stopping the pivoted
+    elimination early, because pivot choices never look ahead.
+    """
     M = np.asarray(M, dtype=complex)
     m, n = M.shape
     if m == 0 or n == 0:
-        return InterpolativeDecomposition(np.arange(0), np.zeros((0, n), dtype=complex), n), 0.0
-    Q, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    limit = min(m, n) if rmax is None else min(rmax, m, n)
-    r, leftover = _truncation_rank(diag, tol, limit)
+        return InterpolativeDecomposition(np.arange(0), np.zeros((0, n), dtype=complex), n)
+    _, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    r = _truncation_rank(np.abs(np.diag(R)), tol)
     T = _solve_clamped(R[:r, :r], R[:r, r:])
     Z = np.zeros((r, n), dtype=complex)
     Z[np.arange(r), perm[:r]] = 1.0
     Z[:, perm[r:]] = T
-    return InterpolativeDecomposition(perm[:r].copy(), Z, n), leftover
-
-
-def build_id(M: np.ndarray, tol: float, rmax: Optional[int] = None) -> InterpolativeDecomposition:
-    """Interpolative decomposition M ~= M[:, J] @ Z with exact identity at J."""
-    decomp, _ = _build_id_checked(M, tol, rmax)
-    return decomp
-
-
-def equivalent_sources(decomp: InterpolativeDecomposition, g: np.ndarray) -> np.ndarray:
-    """Strengths of the skeleton's equivalent point sources: g_hat = Z @ g."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (decomp.n_cols,):
-        raise DimensionMismatchError(f"expected {decomp.n_cols} strengths, got shape {g.shape}")
-    return decomp.interp_matrix @ g
+    return InterpolativeDecomposition(perm[:r].copy(), Z, n)
 
 
 KernelSampler = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -164,7 +104,6 @@ def build_translation_id(
     target_points: np.ndarray,
     kernel_sampler: KernelSampler,
     tol: float,
-    rmax: Optional[int] = None,
 ) -> TranslationOperatorID:
     """Recompress stacked child skeletons against a finer target box's rows.
 
@@ -193,9 +132,7 @@ def build_translation_id(
         )
     stacked = np.vstack([p for p in pts if p.shape[0]])
     M = kernel_sampler(np.atleast_2d(target_points), stacked)
-    decomp, leftover = _build_id_checked(M, tol, rmax)
-    if leftover > 0.0:
-        raise RankOverflowError(int(rmax), leftover)
+    decomp = build_id(M, tol)
     return TranslationOperatorID(
         decomp.interp_matrix,
         tuple(slices),

@@ -102,8 +102,6 @@ def simulate_parallel(
     backend: str = "cheb",
     tol: float = 1e-7,
     rows_per_dim: int = 4,
-    rmax: Optional[int] = None,
-    fast_translate: bool = False,
     params: Optional[CostParams] = None,
     threads: int = 1,
     trace: Optional[List[str]] = None,
@@ -117,7 +115,7 @@ def simulate_parallel(
     """
     d = sources.dim
     schedule = stage_schedule(N, d, p)
-    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, rmax, fast_translate, sources)
+    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
     L = eng.L
     pairs_per_rank = (N**d) // p
     cost_params = params if params is not None else CostParams()

@@ -14,7 +14,6 @@ import numpy as np
 from bfly.cli import main
 from bfly.engine import SourceSet, butterfly_apply, direct_apply, rel_sup_error
 from bfly.geometry import (
-    bit_reverse,
     init_bisection_stacks,
     keys_in_region,
     level_keys,
@@ -25,6 +24,11 @@ from bfly.geometry import (
 from bfly.lowrank import build_id
 from bfly.parallel import simulate_parallel
 from bfly.phases import get_phase
+
+
+def bit_reverse(k: int, nbits: int) -> int:
+    """k with its low nbits bits in reverse order."""
+    return int(format(k, f"0{nbits}b")[::-1], 2)
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -1,5 +1,6 @@
-"""Chebyshev grids, Lagrange interpolation, and the four weight-block
-operations, checked against direct kernel summation."""
+"""Chebyshev grids, Lagrange interpolation, and the weight operations
+(initialization, per-child translations, middle switch, evaluation),
+checked against direct kernel summation."""
 
 from __future__ import annotations
 
@@ -7,21 +8,16 @@ import numpy as np
 import pytest
 
 from bfly.chebyshev import (
-    COLUMN,
-    ROW,
     ChebGrid,
-    SideMismatchError,
-    WeightBlock,
+    _child_matrices,
+    _child_matrices_1d,
+    _column_contribution,
+    _row_contribution,
     cheb_grid,
     evaluate_block,
-    evaluate_column_block,
-    evaluate_potential,
     init_source_weights,
-    lagrange_eval,
     lagrange_matrix,
     middle_switch,
-    translate_column,
-    translate_row,
 )
 from bfly.costs import CostLedger, CostParams
 from bfly.geometry import BoxRegion, DyadicKey, box_of, center_of, children
@@ -33,6 +29,33 @@ UNIT1 = BoxRegion((0.0,), (1.0,))
 
 def ledger():
     return CostLedger(CostParams())
+
+
+def column_potential(b, values, pts, phase, q):
+    """Column weights of a pair with source box b as equivalent point sources
+    at b's grid: f(x) = sum_t K(x, b_t) delta_t."""
+    return kernel_matrix(phase, pts, cheb_grid(q, box_of(b)).points) @ values
+
+
+def translate(contribution, a_c, b_p, child_values, phase, q, led=None):
+    """Weights of (A_c, B_p) as the engine builds them: the sum of one
+    contribution per child pair (parent(A_c), B_n), in child order."""
+    out = np.zeros(q**a_c.dim, dtype=complex)
+    for b_n, v in zip(children(b_p), child_values):
+        out += contribution(a_c, b_p, b_n, v, phase, q, led)
+    return out
+
+
+def lagrange_eval(grid: ChebGrid, t: int, y) -> float:
+    """L_t(y) from the product formula, one factor per dimension."""
+    q = grid.q
+    out = 1.0
+    for k, yk in enumerate(y):
+        nodes = np.asarray(grid.nodes1d[k])
+        i = (t // q**k) % q
+        others = np.delete(nodes, i)
+        out *= float(np.prod((yk - others) / (nodes[i] - others)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +140,11 @@ def test_polynomial_reproduction():
 
 
 def test_lagrange_eval_matches_matrix():
-    g = cheb_grid(4, UNIT1)
-    y = [0.3]
-    row = lagrange_matrix(g, np.array([y]))
-    for t in range(4):
-        assert lagrange_eval(g, t, y) == pytest.approx(row[0, t], abs=1e-15)
+    # the barycentric form agrees with the textbook product formula
+    for g, y in ((cheb_grid(4, UNIT1), [0.3]), (cheb_grid(3, BoxRegion((0.0, 0.5), (0.5, 0.5))), [0.1, 0.7])):
+        row = lagrange_matrix(g, np.array([y]))
+        for t in range(g.rank):
+            assert lagrange_eval(g, t, y) == pytest.approx(row[0, t], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +153,20 @@ def test_lagrange_eval_matches_matrix():
 
 
 def test_init_empty_box_gives_zero_block():
-    blk = init_source_weights(
+    w = init_source_weights(
         DyadicKey(2, (3,)), np.zeros((0, 1)), np.zeros(0, dtype=complex), FLAT, 4
     )
-    assert blk.side == COLUMN
-    assert blk.target == DyadicKey(0, (0,))
-    assert blk.source == DyadicKey(2, (3,))
-    assert np.array_equal(blk.values, np.zeros(4, dtype=complex))
+    assert np.array_equal(w, np.zeros(4, dtype=complex))
 
 
 def test_init_node_source_flat_phase_one_hot():
     b = DyadicKey(2, (1,))
     grid = cheb_grid(4, box_of(b))
     g = 2.0 - 1.0j
-    blk = init_source_weights(b, grid.points[[2]], np.array([g]), FLAT, 4)
+    w = init_source_weights(b, grid.points[[2]], np.array([g]), FLAT, 4)
     expect = np.zeros(4, dtype=complex)
     expect[2] = g
-    assert np.array_equal(blk.values, expect)
+    assert np.array_equal(w, expect)
 
 
 def test_init_column_weights_reproduce_direct_sum():
@@ -158,10 +178,10 @@ def test_init_column_weights_reproduce_direct_sum():
     lo = 5.0 / 16.0
     pos = rng.uniform(lo, lo + 1.0 / 16.0, size=(8, 1))
     g = rng.normal(size=8) + 1j * rng.normal(size=8)
-    blk = init_source_weights(b, pos, g, phase, 8)
+    w = init_source_weights(b, pos, g, phase, 8)
     x = rng.uniform(size=(30, 1))
     direct = kernel_matrix(phase, x, pos) @ g
-    approx = evaluate_column_block(blk, x, phase, 8)
+    approx = column_potential(b, w, x, phase, 8)
     rel = np.max(np.abs(approx - direct)) / np.max(np.abs(direct))
     assert rel <= 1e-6
 
@@ -186,21 +206,11 @@ def test_init_flop_count():
 # ---------------------------------------------------------------------------
 
 
-def column_children(a_c, b_p, values_list):
-    a = DyadicKey(a_c.level - 1, tuple(c // 2 for c in a_c.coords))
-    return [
-        WeightBlock(a, b_n, v, COLUMN)
-        for b_n, v in zip(children(b_p), values_list)
-    ]
-
-
 def test_translate_column_zero_in_zero_out():
     a_c = DyadicKey(1, (1,))
     b_p = DyadicKey(1, (0,))
-    blocks = column_children(a_c, b_p, [np.zeros(4, dtype=complex)] * 2)
-    out = translate_column((a_c, b_p), blocks, get_phase("fourier"))
-    assert out.target == a_c and out.source == b_p and out.side == COLUMN
-    assert np.allclose(out.values, 0.0)
+    out = translate(_column_contribution, a_c, b_p, [np.zeros(4, dtype=complex)] * 2, get_phase("fourier"), 4)
+    assert np.allclose(out, 0.0)
 
 
 def test_translate_column_conserves_mass_flat_phase():
@@ -210,24 +220,10 @@ def test_translate_column_conserves_mass_flat_phase():
     a_c = DyadicKey(1, (0,))
     b_p = DyadicKey(1, (1,))
     vals = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(2)]
-    out = translate_column((a_c, b_p), column_children(a_c, b_p, vals), FLAT)
-    assert np.sum(out.values) == pytest.approx(
+    out = translate(_column_contribution, a_c, b_p, vals, FLAT, 5)
+    assert np.sum(out) == pytest.approx(
         np.sum(vals[0]) + np.sum(vals[1]), abs=1e-12
     )
-
-
-def test_translate_column_validates_children():
-    a_c = DyadicKey(1, (1,))
-    b_p = DyadicKey(1, (0,))
-    good = column_children(a_c, b_p, [np.ones(4, dtype=complex)] * 2)
-    with pytest.raises(ValueError):
-        translate_column((a_c, b_p), good[:1], FLAT)
-    swapped = [good[1], good[0]]
-    with pytest.raises(ValueError):
-        translate_column((a_c, b_p), swapped, FLAT)
-    rowside = [WeightBlock(b.target, b.source, b.values, ROW) for b in good]
-    with pytest.raises(SideMismatchError):
-        translate_column((a_c, b_p), rowside, FLAT)
 
 
 def test_translate_column_flop_count():
@@ -235,8 +231,7 @@ def test_translate_column_flop_count():
     a_c = DyadicKey(1, (1,))
     b_p = DyadicKey(1, (0,))
     q = 8
-    blocks = column_children(a_c, b_p, [np.ones(q, dtype=complex)] * 2)
-    translate_column((a_c, b_p), blocks, get_phase("fourier"), led)
+    translate(_column_contribution, a_c, b_p, [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
     assert led.flops == 2 * (2 * q * q + 3 * q)
 
 
@@ -248,21 +243,13 @@ def test_translate_column_matches_direct_resum():
     q = 8
     a_c = DyadicKey(1, (0,))
     b_p = DyadicKey(3, (6,))
-    a = DyadicKey(0, (0,))
-    vals = []
     child_keys = children(b_p)
-    for _ in child_keys:
-        vals.append(rng.normal(size=q) + 1j * rng.normal(size=q))
-    blocks = [
-        WeightBlock(a, b_n, v, COLUMN) for b_n, v in zip(child_keys, vals)
-    ]
-    out = translate_column((a_c, b_p), blocks, phase)
+    vals = [rng.normal(size=q) + 1j * rng.normal(size=q) for _ in child_keys]
+    out = translate(_column_contribution, a_c, b_p, vals, phase, q)
     lo = a_c.coords[0] / 2.0
     x = rng.uniform(lo, lo + 0.5, size=(25, 1))
-    f_children = sum(
-        evaluate_column_block(blk, x, phase, q) for blk in blocks
-    )
-    f_parent = evaluate_column_block(out, x, phase, q)
+    f_children = sum(column_potential(b_n, v, x, phase, q) for b_n, v in zip(child_keys, vals))
+    f_parent = column_potential(b_p, out, x, phase, q)
     rel = np.max(np.abs(f_parent - f_children)) / np.max(np.abs(f_children))
     assert rel <= 1e-6
 
@@ -281,36 +268,25 @@ def make_column_block(a, b, pos, g, phase, q):
     demod = np.exp(
         -1j * phase(np.broadcast_to(xa, grid.points.shape), grid.points)
     )
-    return WeightBlock(a, b, demod * moments, COLUMN)
+    return demod * moments
 
 
 def test_middle_switch_zero():
-    blk = WeightBlock(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), COLUMN)
-    out = middle_switch(blk, get_phase("fourier"), 3)
-    assert out.side == ROW
-    assert np.allclose(out.values, 0.0)
+    out = middle_switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), get_phase("fourier"), 3)
+    assert np.allclose(out, 0.0)
 
 
 def test_middle_switch_rank_one_is_identity():
     # with one node per dimension the kernel sample and the demodulation are
     # both taken at the same centers and cancel exactly
-    blk = WeightBlock(
-        DyadicKey(1, (1,)), DyadicKey(1, (0,)), np.array([1.5 - 0.5j]), COLUMN
-    )
-    out = middle_switch(blk, get_phase("fourier"), 1)
-    assert np.allclose(out.values, blk.values, atol=1e-15)
-
-
-def test_middle_switch_requires_column():
-    blk = WeightBlock(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), ROW)
-    with pytest.raises(SideMismatchError):
-        middle_switch(blk, get_phase("fourier"), 3)
+    w = np.array([1.5 - 0.5j])
+    out = middle_switch(DyadicKey(1, (1,)), DyadicKey(1, (0,)), w, get_phase("fourier"), 1)
+    assert np.allclose(out, w, atol=1e-15)
 
 
 def test_middle_switch_flop_count():
     led = ledger()
-    blk = WeightBlock(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.ones(4, dtype=complex), COLUMN)
-    middle_switch(blk, get_phase("fourier"), 4, led)
+    middle_switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.ones(4, dtype=complex), get_phase("fourier"), 4, led)
     assert led.flops == 2 * 16 + 2 * 4
 
 
@@ -324,12 +300,12 @@ def test_switch_preserves_potential():
     b = DyadicKey(2, (2,))
     pos = rng.uniform(0.5, 0.75, size=(12, 1))
     g = rng.normal(size=12) + 1j * rng.normal(size=12)
-    blk = make_column_block(a, b, pos, g, phase, q)
+    col = make_column_block(a, b, pos, g, phase, q)
     x = rng.uniform(0.25, 0.5, size=(20, 1))
     direct = kernel_matrix(phase, x, pos) @ g
-    f_col = evaluate_column_block(blk, x, phase, q)
-    row = middle_switch(blk, phase, q)
-    f_row = evaluate_block(row, x, phase, q)
+    f_col = column_potential(b, col, x, phase, q)
+    row = middle_switch(a, b, col, phase, q)
+    f_row = evaluate_block(a, b, row, x, phase, q)
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(f_col - direct)) / scale <= 1e-6
     assert np.max(np.abs(f_row - direct)) / scale <= 1e-6
@@ -353,27 +329,10 @@ def test_translate_row_polynomial_reproduction():
     def p(y):
         return y**4 - 0.3 * y**2 + 0.1
 
-    child_keys = children(b_p)
-    blocks = [
-        WeightBlock(a, child_keys[0], p(root_nodes).astype(complex), ROW),
-        WeightBlock(a, child_keys[1], np.zeros(q, dtype=complex), ROW),
-    ]
-    out = translate_row((a_c, b_p), blocks, FLAT)
+    vals = [p(root_nodes).astype(complex), np.zeros(q, dtype=complex)]
+    out = translate(_row_contribution, a_c, b_p, vals, FLAT, q)
     fine_nodes = cheb_grid(q, box_of(a_c)).points[:, 0]
-    assert out.side == ROW
-    assert np.allclose(out.values, p(fine_nodes), atol=1e-12)
-
-
-def test_translate_row_requires_row_side():
-    a_c = DyadicKey(1, (0,))
-    b_p = DyadicKey(1, (1,))
-    a = DyadicKey(0, (0,))
-    blocks = [
-        WeightBlock(a, b_n, np.zeros(3, dtype=complex), COLUMN)
-        for b_n in children(b_p)
-    ]
-    with pytest.raises(SideMismatchError):
-        translate_row((a_c, b_p), blocks, FLAT)
+    assert np.allclose(out, p(fine_nodes), atol=1e-12)
 
 
 def test_evaluate_at_grid_node_closed_form():
@@ -383,73 +342,29 @@ def test_evaluate_at_grid_node_closed_form():
     b = DyadicKey(1, (0,))
     vals = np.zeros(q, dtype=complex)
     vals[2] = 1.0
-    blk = WeightBlock(a, b, vals, ROW)
     node = cheb_grid(q, box_of(a)).points[2]
-    got = evaluate_potential(blk, node, phase, q)
+    got = evaluate_block(a, b, vals, node[None, :], phase, q, check_inside=True)[0]
     yb = np.asarray(center_of(b))
     expect = np.exp(1j * phase(node[None, :], yb[None, :])[0])
     assert got == pytest.approx(expect, abs=1e-14)
 
 
 def test_evaluate_outside_box_raises():
-    blk = WeightBlock(
-        DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), ROW
-    )
+    a, b = DyadicKey(1, (0,)), DyadicKey(1, (1,))
     with pytest.raises(ValueError):
-        evaluate_potential(blk, [0.9], get_phase("fourier"), 3)
+        evaluate_block(a, b, np.zeros(3, dtype=complex), np.array([[0.9]]), get_phase("fourier"), 3, check_inside=True)
 
 
-def test_evaluate_block_side_checks():
-    col = WeightBlock(DyadicKey(0, (0,)), DyadicKey(0, (0,)), np.zeros(2, dtype=complex), COLUMN)
-    row = WeightBlock(DyadicKey(0, (0,)), DyadicKey(0, (0,)), np.zeros(2, dtype=complex), ROW)
-    pts = np.array([[0.5]])
-    with pytest.raises(SideMismatchError):
-        evaluate_block(col, pts, FLAT, 2)
-    with pytest.raises(SideMismatchError):
-        evaluate_column_block(row, pts, FLAT, 2)
-
-
-# ---------------------------------------------------------------------------
-# fast tensor-contraction path
-# ---------------------------------------------------------------------------
-
-
-def test_fast_translation_matches_dense_2d():
+def test_child_matrices_match_dimwise_contraction():
+    # the dense re-interpolation matrix of child n is the tensor product of
+    # the 1-d half-interval matrices, with dimension 0 fastest in the flat index
     rng = np.random.default_rng(61)
-    phase = get_phase("hyp-radon")
-    q = 4
-    a_c = DyadicKey(1, (1, 0))
-    b_p = DyadicKey(1, (0, 1))
-    a = DyadicKey(0, (0, 0))
-    child_keys = children(b_p)
-    vals = [
-        rng.normal(size=q * q) + 1j * rng.normal(size=q * q)
-        for _ in child_keys
-    ]
-    for side, translate in ((COLUMN, translate_column), (ROW, translate_row)):
-        blocks = [
-            WeightBlock(a, b_n, v, side) for b_n, v in zip(child_keys, vals)
-        ]
-        dense = translate((a_c, b_p), blocks, phase, fast=False)
-        fast = translate((a_c, b_p), blocks, phase, fast=True)
-        scale = np.max(np.abs(dense.values))
-        assert np.max(np.abs(dense.values - fast.values)) / scale <= 1e-13
-
-
-def test_fast_path_counts_fewer_flops():
-    rng = np.random.default_rng(67)
-    phase = get_phase("hyp-radon")
-    q = 4
-    a_c = DyadicKey(1, (0, 0))
-    b_p = DyadicKey(1, (1, 1))
-    a = DyadicKey(0, (0, 0))
-    blocks = [
-        WeightBlock(a, b_n, rng.normal(size=16) + 0j, COLUMN)
-        for b_n in children(b_p)
-    ]
-    led_dense, led_fast = ledger(), ledger()
-    translate_column((a_c, b_p), blocks, phase, led_dense, fast=False)
-    translate_column((a_c, b_p), blocks, phase, led_fast, fast=True)
-    assert led_dense.flops == 4 * (2 * 16 * 16 + 3 * 16)
-    assert led_fast.flops == 4 * (2 * 2 * 4**3 + 3 * 16)
-    assert led_fast.flops < led_dense.flops
+    q, d = 4, 2
+    m1 = _child_matrices_1d(q)
+    for n in range(1 << d):
+        v = rng.normal(size=q**d) + 1j * rng.normal(size=q**d)
+        tensor = v.reshape((q,) * d, order="F")
+        for k in range(d):
+            tensor = np.moveaxis(np.tensordot(m1[(n >> k) & 1], tensor, axes=([1], [k])), 0, k)
+        dense = _child_matrices(q, d)[n] @ v
+        assert np.max(np.abs(dense - tensor.reshape(-1, order="F"))) <= 1e-13 * np.max(np.abs(dense))

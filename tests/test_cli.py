@@ -4,11 +4,14 @@ exit codes, and byte-level determinism."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import bfly
 from bfly.cli import main
 
 BASE = ["--dim", "1", "--log2n", "2", "--sources", "32", "--targets", "10"]
@@ -160,6 +163,17 @@ def test_sources_file_errors(tmp_path, capsys):
     assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", str(tmp_path / "missing.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "row", ["nan,1,0", "inf,1,0", "0.5,inf,0", "0.5,1,nan", "0.5,-inf,inf"]
+)
+def test_sources_file_non_finite(tmp_path, capsys, row):
+    path = tmp_path / "s.csv"
+    path.write_text(f"y0,re,im\n0.25,1,0\n{row}\n")
+    assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_zero_sources_and_targets_warn(tmp_path, capsys):
     code, text = run_to_file(tmp_path, ["verify", "--dim", "1", "--log2n", "2", "--sources", "0"])
     assert code == 0
@@ -287,10 +301,13 @@ def test_bad_threads_env(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "sub.csv"
+    # the child interpreter imports the same bfly as this one, installed or not
+    search = [str(pathlib.Path(bfly.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "bfly.cli", "verify", "--dim", "1", "--log2n", "2",
          "--sources", "16", "--targets", "5", "--output", str(out)],
         capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("error,")

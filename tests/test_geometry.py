@@ -1,33 +1,29 @@
-"""Dyadic keys, bisection stacks, teams, and stage bookkeeping."""
+"""Dyadic keys, bisection stacks, rank regions, and stage bookkeeping."""
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
 
+from bfly.engine import SourceSet
 from bfly.geometry import (
     BisectionStack,
     DyadicKey,
     InvalidProcessCountError,
     NoParentError,
     StackExhaustedError,
-    bit_reverse,
     box_of,
     center_of,
     child_index,
     children,
     init_bisection_stacks,
-    key_for_point,
     keys_in_region,
     level_keys,
     parent,
     pop_push,
-    region_of,
+    region_coords,
     stage_schedule,
     stage_split,
-    team_mask,
 )
 
 
@@ -88,10 +84,11 @@ def test_box_geometry():
 
 
 def test_key_for_point_half_open_and_top_fold():
-    assert key_for_point(np.array([0.25]), 2) == DyadicKey(2, (1,))
-    assert key_for_point(np.array([1.0, 0.0]), 3) == DyadicKey(3, (7, 0))
+    # a point's leaf box, as the engine bins sources
+    assert list(SourceSet(np.array([[0.25]]), [1.0]).bin_by_leaf(2)) == [DyadicKey(2, (1,))]
+    assert list(SourceSet(np.array([[1.0, 0.0]]), [1.0]).bin_by_leaf(3)) == [DyadicKey(3, (7, 0))]
     with pytest.raises(ValueError):
-        key_for_point(np.array([-0.1]), 2)
+        SourceSet(np.array([[-0.1]]), [1.0])
 
 
 def test_init_stacks_1d():
@@ -128,14 +125,15 @@ def test_pop_push_drains_to_full_domain():
     dx, dy = pop_push(dx, dy, 4)
     assert len(dy) == 0
     for rank in range(16):
-        region = region_of(dy, rank, 2)
-        assert region.lower == (0.0, 0.0) and region.width == (1.0, 1.0)
+        assert region_coords(dy, rank, 2, 0) == [(0, 1), (0, 1)]
+        assert len(keys_in_region(dy, rank, 2, 2)) == 16
 
 
 def test_region_of_rank5_1d():
     _, dy = init_bisection_stacks(1, 8)
-    region = region_of(dy, 5, 1)
-    assert region.lower == (5 / 8,) and region.width == (1 / 8,)
+    assert region_coords(dy, 5, 1, 3) == [(5, 6)]
+    assert region_coords(dy, 5, 1, 5) == [(20, 24)]
+    assert keys_in_region(dy, 5, 1, 3) == [DyadicKey(3, (5,))]
 
 
 def test_region_partition_property():
@@ -157,28 +155,15 @@ def test_keys_in_region_canonical_order():
     assert all(box_of(k).lower[0] < 0.5 <= box_of(k).lower[1] for k in keys)
 
 
-def test_team_mask_examples():
-    assert team_mask(5, 2, 2, 8) == frozenset({5})
-    assert team_mask(2, 1, 3, 8) == frozenset({0, 2, 4, 6})
-    assert team_mask(5, 0, 3, 8) == frozenset(range(8))
-
-
-def test_team_mask_partition():
-    p = 16
-    for a, b in [(0, 2), (1, 3), (2, 4)]:
-        masks = {team_mask(q, a, b, p) for q in range(p)}
-        assert all(len(m) == 1 << (b - a) for m in masks)
-        covered = sorted(itertools.chain.from_iterable(masks))
-        assert covered == list(range(p))
-        for q in range(p):
-            assert q in team_mask(q, a, b, p)
-
-
 def test_bit_reverse():
-    assert bit_reverse(0, 5) == 0
-    assert bit_reverse(1, 3) == 4
-    for q in range(16):
-        assert bit_reverse(bit_reverse(q, 4), 4) == q
+    # moving every source-side cut to the target side leaves rank q owning
+    # the target box whose index is q with its bits reversed
+    for p in (2, 8, 16):
+        L = p.bit_length() - 1
+        dx, dy = pop_push(*init_bisection_stacks(1, p), L)
+        for rank in range(p):
+            reversed_rank = int(format(rank, f"0{L}b")[::-1], 2)
+            assert keys_in_region(dx, rank, 1, L) == [DyadicKey(L, (reversed_rank,))]
 
 
 def test_stage_split_examples():

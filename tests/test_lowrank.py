@@ -1,20 +1,11 @@
-"""Pivoted QR, interpolative decompositions, and skeleton translations,
-verified against dense SVD and direct-multiplication oracles."""
+"""Interpolative decompositions (truncated pivoted QR) and skeleton
+translations, verified against dense SVD and direct-multiplication oracles."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from bfly.lowrank import (
-    DimensionMismatchError,
-    InterpolativeDecomposition,
-    RankOverflowError,
-    build_id,
-    build_translation_id,
-    equivalent_sources,
-    pivoted_qr,
-)
+from bfly.lowrank import InterpolativeDecomposition, build_id, build_translation_id
 
 
 def random_with_spectrum(rng, m, n, sigmas):
@@ -32,25 +23,24 @@ def reconstruct(M, decomp):
 
 
 def test_qr_identity():
-    Q, RL, RR, perm, r = pivoted_qr(np.eye(3, dtype=complex), 1e-12)
-    assert r == 3
-    assert sorted(perm.tolist()) == [0, 1, 2]
-    assert np.allclose(np.abs(np.diag(RL)), 1.0)
-    assert RR.shape == (3, 0)
+    decomp = build_id(np.eye(3, dtype=complex), 1e-12)
+    assert decomp.rank == 3
+    assert sorted(decomp.column_indices.tolist()) == [0, 1, 2]
+    assert np.array_equal(decomp.interp_matrix[:, decomp.column_indices], np.eye(3))
+    assert np.array_equal(reconstruct(np.eye(3), decomp), np.eye(3))
 
 
 def test_qr_rank_one_pivot():
+    # the first pivot is the column of largest norm
     rng = np.random.default_rng(5)
     u = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     M = np.outer(u, v.conj())
-    Q, RL, RR, perm, r = pivoted_qr(M, 1e-10)
-    assert r == 1
-    assert perm[0] == int(np.argmax(np.abs(v)))
+    decomp = build_id(M, 1e-10)
+    assert decomp.rank == 1
+    assert decomp.column_indices[0] == int(np.argmax(np.abs(v)))
     sv = np.linalg.svd(M, compute_uv=False)
-    approx = Q @ np.concatenate([RL, RR], axis=1)
-    resid = np.linalg.norm(M[:, perm] - approx, 2)
-    assert resid <= 10 * sv[1] + 1e-14
+    assert np.linalg.norm(M - reconstruct(M, decomp), 2) <= 10 * sv[1] + 1e-14
 
 
 def test_qr_sigma_ladder():
@@ -59,23 +49,15 @@ def test_qr_sigma_ladder():
     rng = np.random.default_rng(11)
     sigmas = [1.0, 1e-2, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]
     M = random_with_spectrum(rng, 8, 8, sigmas)
-    Q, RL, RR, perm, r = pivoted_qr(M, 1e-6)
-    assert r == 2
-    approx = Q @ np.concatenate([RL, RR], axis=1)
-    assert np.linalg.norm(M[:, perm] - approx, 2) <= 10 * sigmas[2]
+    decomp = build_id(M, 1e-6)
+    assert decomp.rank == 2
+    assert np.linalg.norm(M - reconstruct(M, decomp), 2) <= 10 * sigmas[2]
 
 
 def test_qr_zero_matrix():
-    Q, RL, RR, perm, r = pivoted_qr(np.zeros((4, 3), dtype=complex), 1e-8)
-    assert r == 0
-    assert Q.shape == (4, 0) and RL.shape == (0, 0)
-
-
-def test_qr_rmax_cap():
-    rng = np.random.default_rng(7)
-    M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    _, _, _, _, r = pivoted_qr(M, 1e-15, rmax=2)
-    assert r == 2
+    decomp = build_id(np.zeros((4, 3), dtype=complex), 1e-8)
+    assert decomp.rank == 0
+    assert decomp.interp_matrix.shape == (0, 3)
 
 
 def test_build_id_proportional_columns():
@@ -128,13 +110,13 @@ def test_rank_monotone_in_tol():
 
 
 def test_equivalent_sources_arithmetic():
-    decomp = InterpolativeDecomposition(
-        np.array([0]), np.array([[1.0, 0.5]], dtype=complex), 2
-    )
-    ghat = equivalent_sources(decomp, np.array([2.0, 2.0]))
+    # g_hat = Z @ g folds the dropped column into the kept one
+    c = np.array([1.0, 2.0, -1.0])
+    M = np.stack([c, 2 * c], axis=1)
+    decomp = build_id(M, 1e-10)
+    ghat = decomp.interp_matrix @ np.array([2.0, 2.0])
     assert np.allclose(ghat, [3.0])
-    with pytest.raises(DimensionMismatchError):
-        equivalent_sources(decomp, np.ones(3))
+    assert np.allclose(M[:, decomp.column_indices] @ ghat, M @ np.array([2.0, 2.0]))
 
 
 def test_equivalent_sources_identity_restriction():
@@ -144,7 +126,7 @@ def test_equivalent_sources_identity_restriction():
     g = np.zeros(8, dtype=complex)
     vals = rng.normal(size=decomp.rank) + 1j * rng.normal(size=decomp.rank)
     g[decomp.column_indices] = vals
-    assert np.allclose(equivalent_sources(decomp, g), vals, atol=1e-12)
+    assert np.allclose(decomp.interp_matrix @ g, vals, atol=1e-12)
 
 
 def test_equivalent_sources_residual_bound():
@@ -154,7 +136,7 @@ def test_equivalent_sources_residual_bound():
     decomp = build_id(M, tol)
     g = rng.normal(size=12) + 1j * rng.normal(size=12)
     direct = M @ g
-    skel = M[:, decomp.column_indices] @ equivalent_sources(decomp, g)
+    skel = M[:, decomp.column_indices] @ (decomp.interp_matrix @ g)
     # s(r, n) absorbed into a generous constant
     assert np.max(np.abs(direct - skel)) <= 100 * tol * np.sum(np.abs(g))
 
@@ -178,7 +160,7 @@ def test_translation_separable_kernel_exact():
         gs.append(rng.normal(size=5) + 1j * rng.normal(size=5))
     op = build_translation_id(child_ids, targets, _separable_sampler, 1e-12)
     assert op.matrix.shape[1] == sum(c.rank for c in child_ids)
-    stacked = np.concatenate([equivalent_sources(c, g) for c, g in zip(child_ids, gs)])
+    stacked = np.concatenate([c.interp_matrix @ g for c, g in zip(child_ids, gs)])
     merged = op.matrix @ stacked
     f_approx = _separable_sampler(targets, op.points) @ merged
     f_exact = sum(
@@ -209,25 +191,6 @@ def test_translation_zero_weights_and_slices():
     # selected points are actual child skeleton points
     stacked = np.vstack([c.points for c in child_ids])
     assert np.array_equal(op.points, stacked[op.column_indices])
-
-
-def test_translation_rank_overflow():
-    rng = np.random.default_rng(41)
-    targets = rng.uniform(size=(16, 1))
-
-    def sampler(xs, ys):
-        return np.exp(1j * 40.0 * np.outer(xs[:, 0], ys[:, 0]))
-
-    child_ids = []
-    for lo in (0.0, 0.5):
-        pts = rng.uniform(lo, lo + 0.5, size=(8, 1))
-        dec = build_id(sampler(targets, pts), 1e-12)
-        dec.points = pts[dec.column_indices]
-        child_ids.append(dec)
-    with pytest.raises(RankOverflowError) as info:
-        build_translation_id(child_ids, targets, sampler, 1e-12, rmax=1)
-    assert info.value.rmax == 1
-    assert info.value.residual > 0.0
 
 
 def test_translation_empty_children():

@@ -8,9 +8,14 @@ import pytest
 
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import SourceSet, butterfly_apply, direct_apply, rel_sup_error
-from bfly.geometry import DyadicKey, InvalidProcessCountError, bit_reverse, level_keys
+from bfly.geometry import DyadicKey, InvalidProcessCountError, level_keys
 from bfly.parallel import ledger_report, modeled_time, simulate_parallel, sum_scatter
 from bfly.phases import get_phase
+
+
+def bit_reverse(k: int, nbits: int) -> int:
+    """k with its low nbits bits in reverse order."""
+    return int(format(k, f"0{nbits}b")[::-1], 2)
 
 
 def random_sources(rng, n, d=1):
