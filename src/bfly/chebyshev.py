@@ -23,10 +23,16 @@ Grid conventions: first-kind Chebyshev nodes mapped affinely to each box
 edge, stored in ascending order per dimension; tensor points are flattened
 with dimension 0 varying fastest. Interpolation uses the barycentric form,
 with exact node hits short-circuited so cardinality holds to the last bit.
+
+The weight operations work on blocks of pairs (see the section below): one
+phase evaluation and one contraction per child index cover a whole block,
+and dyadic boxes being affine images of each other, the same 2^d reference
+matrices serve every pair at every level.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -34,8 +40,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .costs import CostLedger
-from .geometry import BoxRegion, DyadicKey, box_of, center_of, child_index
-from .phases import PhaseEvaluator, kernel_matrix
+from .geometry import (
+    BoxRegion,
+    DyadicKey,
+    block_coords,
+    box_of,
+    center_of,
+    offset_index,
+    parent_block,
+    present_children,
+)
+from .phases import PhaseEvaluator
 
 
 @dataclass(frozen=True)
@@ -78,16 +93,19 @@ def cheb_grid(q: int, box: BoxRegion) -> ChebGrid:
     return ChebGrid(q, box, tuple(tuple(n) for n in nodes), points)
 
 
-def _basis_1d(q: int, box_lo: float, box_w: float, coords: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values, shape (len(coords), q)."""
+def _basis_1d(q: int, box_lo, box_w: float, coords: np.ndarray) -> np.ndarray:
+    """Barycentric Lagrange basis values, shape (len(coords), q). The lower
+    box edge box_lo is one float for all coords, or an array of one per
+    coordinate."""
     z, w = _reference_nodes(q)
     x = np.asarray(coords, dtype=float)
+    lo = box_lo[:, None] if isinstance(box_lo, np.ndarray) else box_lo
     # same expression as cheb_grid, so a grid's own points hit bit-exactly;
     # the reference-frame rescale alone can be off by an ulp
-    nodes = box_lo + box_w * (z + 1.0) / 2.0
+    nodes = lo + box_w * (z + 1.0) / 2.0
     s = 2.0 * (x - box_lo) / box_w - 1.0
     diff = s[:, None] - z[None, :]
-    hit = (diff == 0.0) | (x[:, None] == nodes[None, :])
+    hit = (diff == 0.0) | (x[:, None] == nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = w[None, :] / diff
         basis = terms / np.sum(terms, axis=1, keepdims=True)
@@ -98,15 +116,22 @@ def _basis_1d(q: int, box_lo: float, box_w: float, coords: np.ndarray) -> np.nda
     return basis
 
 
+def _tensor_basis(q: int, lower, width, pts: np.ndarray) -> np.ndarray:
+    """Tensor Lagrange basis at pts (n, d): (n, q^d), dimension 0 fastest
+    in the flat index. lower[k] is the boxes' lower edge in dimension k, one
+    float or one per point; width[k] their edge length."""
+    n, d = pts.shape
+    acc = np.ones((n, 1))
+    for k in range(d - 1, -1, -1):
+        bk = _basis_1d(q, lower[k], width[k], pts[:, k])
+        acc = (acc[:, :, None] * bk[:, None, :]).reshape(n, -1)
+    return acc
+
+
 def lagrange_matrix(grid: ChebGrid, pts: np.ndarray) -> np.ndarray:
     """All tensor Lagrange basis functions at pts: (len(pts), q^d)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = pts.shape[1]
-    acc = np.ones((pts.shape[0], 1))
-    for k in range(d - 1, -1, -1):
-        bk = _basis_1d(grid.q, grid.box.lower[k], grid.box.width[k], pts[:, k])
-        acc = (acc[:, :, None] * bk[:, None, :]).reshape(pts.shape[0], -1)
-    return acc
+    return _tensor_basis(grid.q, grid.box.lower, grid.box.width, pts)
 
 
 @lru_cache(maxsize=None)
@@ -150,127 +175,311 @@ def _phase_at(phase: PhaseEvaluator, pts: np.ndarray, point: np.ndarray) -> np.n
     return phase(pts, rep)
 
 
-def _phase_from(phase: PhaseEvaluator, point: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Phi(point, pts[i]) for a fixed first argument."""
-    rep = np.broadcast_to(point, pts.shape)
-    return phase(rep, pts)
+def _phase_on(phase: PhaseEvaluator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi at every point pair of two broadcast-compatible (..., d) arrays,
+    in one batched call; the result has the broadcast shape without d."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    xs = np.broadcast_to(x, shape).reshape(-1, shape[-1])
+    ys = np.broadcast_to(y, shape).reshape(-1, shape[-1])
+    return phase(xs, ys).reshape(shape[:-1])
+
+
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i * theta) for real theta, without forming i * theta."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def box_centers(level: int, coords: np.ndarray) -> np.ndarray:
+    """Centers of level-`level` boxes from integer coordinates (..., d);
+    the arithmetic of center_of, bit for bit."""
+    w = 1.0 / (1 << level)
+    return coords * w + w / 2.0
+
+
+@lru_cache(maxsize=None)
+def _grid_layout(q: int, d: int) -> np.ndarray:
+    """Node index along each dimension of every flat grid point: (d, q^d)."""
+    which = (np.arange(q**d) // q ** np.arange(d)[:, None]) % q
+    which.setflags(write=False)
+    return which
+
+
+def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
+    """Chebyshev grids of level-`level` boxes from integer coordinates:
+    (..., d) -> (..., q^d, d), dimension 0 fastest; the arithmetic of
+    cheb_grid(q, box_of(key)).points, bit for bit."""
+    z, _ = _reference_nodes(q)
+    w = 1.0 / (1 << level)
+    d = coords.shape[-1]
+    offsets = w * (z + 1.0) / 2.0
+    which = _grid_layout(q, d)
+    pts = np.empty(coords.shape[:-1] + (q**d, d))
+    for k in range(d):
+        pts[..., k] = ((coords[..., k] * w)[..., None] + offsets)[..., which[k]]
+    return pts
+
+
+@lru_cache(maxsize=None)
+def _stage_matrices(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The child matrices laid out for contracting stacks of weight rows.
+
+    column[n] is M[n].T, so rows @ column[n] applies M[n] to every row. row
+    holds M[o] for every child offset o side by side, in canonical offset
+    order, so one product interpolates a row onto all 2^d children.
+    """
+    m = _child_matrices(q, d)
+    column = np.ascontiguousarray(np.transpose(m, (0, 2, 1)), dtype=complex)
+    offsets = itertools.product((0, 1), repeat=d)
+    row = np.concatenate([m[offset_index(o)] for o in offsets], axis=1).astype(complex)
+    column.setflags(write=False)
+    row.setflags(write=False)
+    return column, row
+
+
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, with every result row independent of the other rows.
+
+    numpy hands a single row to BLAS gemv, whose dot products round
+    differently from the gemm kernel that any taller stack goes to; a lone
+    row therefore goes through as a pair. A simulated rank may hold a single
+    row of a stage, and must still reproduce the sequential bits.
+    """
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ mat)[:1]
+    return rows @ mat
 
 
 # ---------------------------------------------------------------------------
-# Weight operations: each pair's weights are a plain (q^d,) complex vector
+# Weight operations on blocks of pairs. A block's weights are one array
+# values[a..., b..., t]: axes 0..d-1 run over a rectangular block of target
+# boxes A (level a_level, first coordinates a_lo), axes d..2d-1 over a block
+# of source boxes B (level b_level, first coordinates b_lo), and the last
+# axis over the q^d weights of the pair (A, B). Every operation is a few
+# NumPy calls over the whole block, each row computed independently of the
+# others, so a sub-block gives the same bits as the same rows of the whole.
 # ---------------------------------------------------------------------------
 
 
 def init_source_weights(
-    b: DyadicKey,
+    level: int,
+    b_lo: Tuple[int, ...],
+    b_shape: Tuple[int, ...],
     positions: np.ndarray,
     strengths: np.ndarray,
+    leaves: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
-    """Column weights of the pair (X, B) from the raw sources inside B.
+    """Column weights of the pairs (X, B) for a block of leaf boxes B, from
+    the raw sources inside them: b_shape + (q^d,).
 
-    The demodulation center is the center of the whole target domain, since
-    at the first stage the single target box is X itself.
+    leaves[i] holds the integer coordinates of the level-`level` box of
+    source i, and the sources come sorted by leaf box in canonical order, so
+    each box's moments are one segment sum. The demodulation center is the
+    center of the whole target domain, since at the first stage the single
+    target box is X itself. Empty boxes get zero weights and cost nothing.
     """
-    d = b.dim
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    d = len(b_lo)
+    r = q**d
+    out = np.zeros(tuple(b_shape) + (r,), dtype=complex)
+    positions = np.asarray(positions, dtype=float).reshape(-1, d)
     strengths = np.asarray(strengths, dtype=complex)
-    grid = cheb_grid(q, box_of(b))
-    r = grid.rank
-    if positions.shape[0] == 0:
-        return np.zeros(r, dtype=complex)
-    lo = np.asarray(box_of(b).lower)
-    hi = lo + np.asarray(box_of(b).width)
+    n = positions.shape[0]
+    if n == 0:
+        return out
+    w = 1.0 / (1 << level)
+    lo = leaves * w
+    hi = lo + w
     inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
     if not np.all((positions >= lo) & inside_hi):
         raise ValueError("source position outside its box")
-    x_root = center_of(DyadicKey(0, (0,) * d))
-    mod = np.exp(1j * _phase_from(phase, x_root, positions))
-    moments = lagrange_matrix(grid, positions).T @ (mod * strengths)
-    demod = np.exp(-1j * _phase_from(phase, x_root, grid.points))
-    n = positions.shape[0]
+    flat = np.ravel_multi_index(tuple((leaves - np.asarray(b_lo)).T), b_shape)
+    if np.any(np.diff(flat) < 0):
+        raise ValueError("sources must be sorted by leaf box")
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    grid = grid_points(q, level, leaves[starts]).reshape(-1, d)
+    ph = _phase_on(phase, np.full(d, 0.5), np.concatenate([positions, grid]))
+    weighted = _tensor_basis(q, lo.T, (w,) * d, positions) * (_expi(ph[:n]) * strengths)[:, None]
+    moments = np.add.reduceat(weighted, starts, axis=0)
+    out.reshape(-1, r)[flat[starts]] = _expi(-ph[n:]).reshape(-1, r) * moments
     if ledger is not None:
-        ledger.add_flops(2 * n * r + n + r)
-    return demod * moments
+        ledger.add_flops(2 * n * r + n + r * starts.size)
+    return out
 
 
-def _column_contribution(
-    a_c: DyadicKey,
-    b_p: DyadicKey,
-    b_child: DyadicKey,
+def _output_block(a_lo, b_lo, values, d):
+    """The block of pairs (A_c, B_p) a stage over a block produces:
+    (A_c first coordinates, A_c shape, B_p coordinates (bp_shape + (d,)))."""
+    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
+    bp_lo, bp_shape = parent_block(b_lo, b_shape)
+    return tuple(2 * a for a in a_lo), tuple(2 * n for n in a_shape), block_coords(bp_lo, bp_shape)
+
+
+def column_stage(
+    a_level: int,
+    a_lo: Tuple[int, ...],
+    b_level: int,
+    b_lo: Tuple[int, ...],
     values: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
-    """One child's share of the column translation into the pair (A_c, B_p).
+    """One column stage: weights of the pairs (A_c, B_p) fed by a block.
 
-    The child pair's weights are treated as point sources at the child grid
-    nodes and re-expanded on the parent source box with the new target
-    center's demodulation.
+    The output block holds every child A_c of the block's target boxes and
+    every parent B_p of its source boxes. Children of B_p outside the block
+    are left out, so the partial sums of a rank's block add up across ranks.
+    One phase call covers the demodulation on the parent grids and the
+    modulation on every present child's grid.
     """
-    r = q**a_c.dim
-    xc = center_of(a_c)
-    child_grid = cheb_grid(q, box_of(b_child))
-    parent_grid = cheb_grid(q, box_of(b_p))
-    v = np.exp(1j * _phase_from(phase, xc, child_grid.points)) * values
-    w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
-    out = np.exp(-1j * _phase_from(phase, xc, parent_grid.points)) * w
+    d = len(a_lo)
+    r = q**d
+    ac_lo, ac_shape, bp = _output_block(a_lo, b_lo, values, d)
+    kids = list(present_children(b_lo, values.shape[d : 2 * d]))
+    xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
+    grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
+    ph = _phase_on(
+        phase,
+        xc.reshape((1,) + ac_shape + (1,) * d + (1, d)),
+        np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
+    )
+    demod = _expi(-ph[0])
+    out = None
+    for i, (offset, index) in enumerate(kids):
+        contrib = _column_contribution(offset, values[(slice(None),) * d + index], _expi(ph[1 + i]), demod, q, ledger)
+        out = contrib if out is None else np.add(out, contrib, out=out)
+    return out
+
+
+def _column_contribution(
+    offset: Tuple[int, ...],
+    values: np.ndarray,
+    mod: np.ndarray,
+    demod: np.ndarray,
+    q: int,
+    ledger: Optional[CostLedger] = None,
+) -> np.ndarray:
+    """Child `offset`'s share of a column stage, for a whole output block.
+
+    values[a..., b..., :] are the weights of the pairs (A, B_o), B_o the
+    child `offset` of the output's B_p: point sources at the child grid
+    nodes. Each is modulated for every child A_c of A (mod), re-expanded on
+    the parent grid by M[n] and demodulated (demod).
+    """
+    d = len(offset)
+    r = q**d
+    for k in range(d):
+        values = np.repeat(values, 2, axis=k)  # A -> each of its children A_c
+    rows = (mod * values).reshape(-1, r)
+    w = _rows_times(rows, _stage_matrices(q, d)[0][offset_index(offset)])
     if ledger is not None:
-        ledger.add_flops(2 * r * r + 3 * r)
+        ledger.add_flops(rows.shape[0] * (2 * r * r + 3 * r))
+    return demod * w.reshape(demod.shape)
+
+
+def row_stage(
+    a_level: int,
+    a_lo: Tuple[int, ...],
+    b_level: int,
+    b_lo: Tuple[int, ...],
+    values: np.ndarray,
+    phase: PhaseEvaluator,
+    q: int,
+    ledger: Optional[CostLedger] = None,
+) -> np.ndarray:
+    """One row stage: weights of the pairs (A_c, B_p) fed by a block, with
+    the output block and partial sums of column_stage. One phase call covers
+    the new grids against the parent and every present child center."""
+    d = len(a_lo)
+    r = q**d
+    ac_lo, ac_shape, bp = _output_block(a_lo, b_lo, values, d)
+    kids = list(present_children(b_lo, values.shape[d : 2 * d]))
+    new_grid = grid_points(q, a_level + 1, block_coords(ac_lo, ac_shape))
+    centers = [box_centers(b_level - 1, bp)] + [box_centers(b_level, 2 * bp + o) for o, _ in kids]
+    ph = _phase_on(
+        phase,
+        new_grid.reshape((1,) + ac_shape + (1,) * d + (r, d)),
+        np.stack(centers).reshape((len(centers),) + (1,) * d + bp.shape[:-1] + (1, d)),
+    )
+    out = None
+    for i, (offset, index) in enumerate(kids):
+        contrib = _row_contribution(values[(slice(None),) * d + index], ph[1 + i] - ph[0], q, ledger)
+        out = contrib if out is None else np.add(out, contrib, out=out)
     return out
 
 
 def _row_contribution(
-    a_c: DyadicKey,
-    b_p: DyadicKey,
-    b_child: DyadicKey,
     values: np.ndarray,
-    phase: PhaseEvaluator,
+    shift: np.ndarray,
     q: int,
     ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
-    """One child's share of the row translation into the pair (A_c, B_p).
+    """One child's share of a row stage, for a whole output block.
 
-    The child pair's weights are demodulated potential samples on the grid
-    of A = parent(A_c); they are interpolated to the finer grid on A_c and
-    re-centered from the child source box onto its parent.
+    values[a..., b..., :] are demodulated potential samples on the grid of
+    each A; they are interpolated onto the grids of all its children A_c at
+    once and re-centred from the child source box onto its parent, a phase
+    shift of Phi(x, y_child) - Phi(x, y_parent) at each new grid node.
     """
-    r = q**a_c.dim
-    new_grid = cheb_grid(q, box_of(a_c))
-    w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
-    ph_old = _phase_at(phase, new_grid.points, center_of(b_child))
-    ph_new = _phase_at(phase, new_grid.points, center_of(b_p))
-    out = np.exp(1j * (ph_old - ph_new)) * w
+    d = (values.ndim - 1) // 2
+    r = q**d
+    a_shape = values.shape[:d]
+    bp_shape = values.shape[d : 2 * d]
+    w = _rows_times(values.reshape(-1, r), _stage_matrices(q, d)[1])
+    # (a..., b..., o_0..o_{d-1}, t) -> (a_0, o_0, ..., a_{d-1}, o_{d-1}, b..., t)
+    w = w.reshape(a_shape + bp_shape + (2,) * d + (r,))
+    perm = [ax for k in range(d) for ax in (k, 2 * d + k)] + list(range(d, 2 * d)) + [3 * d]
+    w = w.transpose(perm).reshape(shift.shape)
     if ledger is not None:
-        ledger.add_flops(2 * r * r + 3 * r)
-    return out
+        ledger.add_flops(shift.size // r * (2 * r * r + 3 * r))
+    return _expi(shift) * w
+
+
+# kernel entries evaluated at once by middle_switch, which bounds its memory
+_SWITCH_CHUNK = 1 << 18
 
 
 def middle_switch(
-    a: DyadicKey,
-    b: DyadicKey,
+    a_level: int,
+    a_lo: Tuple[int, ...],
+    b_level: int,
+    b_lo: Tuple[int, ...],
     values: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
-    """Column weights of the pair (A, B) to row weights, in O(r^2).
+    """Column weights of a block of pairs to row weights, in O(r^2) each.
 
-    Evaluates the column expansion (equivalent sources at the grid of B) at
-    the target grid of A, then demodulates by the phase at B's center.
+    For each pair (A, B), evaluates the column expansion (equivalent sources
+    at the grid of B) at the grid of A, then demodulates by the phase at B's
+    center. The r x r kernel blocks are built a bounded number at a time.
     """
-    a_grid = cheb_grid(q, box_of(a))
-    b_grid = cheb_grid(q, box_of(b))
-    kmat = kernel_matrix(phase, a_grid.points, b_grid.points)
-    sampled = kmat @ values
-    demod = np.exp(-1j * _phase_at(phase, a_grid.points, center_of(b)))
-    r = a_grid.rank
+    d = len(a_lo)
+    r = q**d
+    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
+    pairs = a_shape + b_shape
+    a_grid = grid_points(q, a_level, block_coords(a_lo, a_shape)).reshape(a_shape + (1,) * d + (r, d))
+    b_coords = block_coords(b_lo, b_shape)
+    b_grid = grid_points(q, b_level, b_coords).reshape((1,) * d + b_shape + (r, d))
+    xs = np.broadcast_to(a_grid, pairs + (r, d)).reshape(-1, r, 1, d)
+    ys = np.broadcast_to(b_grid, pairs + (r, d)).reshape(-1, 1, r, d)
+    v = values.reshape(-1, r, 1)
+    sampled = np.empty((v.shape[0], r), dtype=complex)
+    step = max(1, _SWITCH_CHUNK // (r * r))
+    for i in range(0, v.shape[0], step):
+        kmat = _expi(_phase_on(phase, xs[i : i + step], ys[i : i + step]))
+        sampled[i : i + step] = (kmat @ v[i : i + step])[..., 0]
+    yb = box_centers(b_level, b_coords).reshape((1,) * d + b_shape + (1, d))
+    demod = _expi(-_phase_on(phase, a_grid, yb))
     if ledger is not None:
-        ledger.add_flops(2 * r * r + 2 * r)
-    return demod * sampled
+        ledger.add_flops(v.shape[0] * (2 * r * r + 2 * r))
+    return demod * sampled.reshape(pairs + (r,))
 
 
 def evaluate_block(
@@ -292,6 +501,5 @@ def evaluate_block(
         inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
         if not np.all((pts >= lo) & inside_hi):
             raise ValueError("evaluation point outside the pair's target box")
-    grid = cheb_grid(q, box)
-    vals = lagrange_matrix(grid, pts) @ values
+    vals = _tensor_basis(q, box.lower, box.width, pts) @ values
     return np.exp(1j * _phase_at(phase, pts, center_of(b))) * vals

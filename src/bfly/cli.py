@@ -323,8 +323,6 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
     N = 1 << cfg.log2n
     kwargs = _engine_kwargs(cfg)
 
-    field = butterfly_apply(src, phase, N, params=params, **kwargs)
-    rows = ledger_report([field.ledger])
     p = cfg.procs[0]
     if p > 1:
         res = simulate_parallel(
@@ -332,6 +330,9 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
         )
         field = res.field
         rows = ledger_report(res.ledgers)
+    else:
+        field = butterfly_apply(src, phase, N, params=params, **kwargs)
+        rows = ledger_report([field.ledger])
 
     if src.count == 0 or cfg.targets == 0:
         reason = "no sources" if src.count == 0 else "no targets"

@@ -11,9 +11,19 @@ Two interchangeable low-rank representations drive the translations:
   weights are equivalent point sources at adaptively selected source
   points and whose translations recompress stacked child skeletons.
 
-butterfly_apply is the sequential reference; the distributed simulator in
-bfly.parallel reuses the same per-child contribution routines, which is
-what makes its p = 1 run bit-identical to the sequential engine.
+A level's weights are one complex array (LevelBlock) of shape
+(2^l,)*d + (2^(L-l),)*d + (width,): target box coordinates, then source box
+coordinates, in canonical order, then the pair's weights. A stage maps the
+block of level l to the block of level l + 1, summing each output pair's
+2^d children in canonical coordinate order (dimension 0 most significant).
+The cheb stage is a handful of whole-block NumPy calls per child; the id
+stage applies each pair's precomputed map to the same zero-padded array.
+
+butterfly_apply is the sequential reference and runs the stages on one
+block holding every pair. The distributed simulator in bfly.parallel runs
+the same stage on each rank's rectangular sub-block; every row of a stage
+is computed independently of the other rows (see
+chebyshev._rows_times), which is what makes its p = 1 run bit-identical.
 """
 
 from __future__ import annotations
@@ -21,24 +31,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import chebyshev as cheb
 from .costs import CostLedger, CostParams
 from .geometry import (
+    Block,
     DyadicKey,
     box_of,
-    child_index,
     children,
     level_keys,
+    offset_index,
     parent,
+    parent_block,
+    present_children,
 )
-from .lowrank import InterpolativeDecomposition, build_id, build_translation_id
+from .lowrank import InterpolativeDecomposition, TranslationOperatorID, build_id, build_translation_id
 from .phases import PhaseEvaluator, kernel_matrix
-
-Pair = Tuple[DyadicKey, DyadicKey]
 
 
 class AllZeroReferenceError(ValueError):
@@ -72,13 +83,19 @@ class SourceSet:
     def count(self) -> int:
         return self.positions.shape[0]
 
+    def leaf_coords(self, level: int) -> np.ndarray:
+        """(n, d) integer coordinates of each source's level-`level` box
+        (half-open bins, faces to the larger coordinate, 1.0 folded into the
+        last box)."""
+        top = 1 << level
+        return np.minimum((self.positions * top).astype(int), top - 1)
+
     def bin_by_leaf(self, level: int) -> Dict[DyadicKey, np.ndarray]:
-        """Indices of the sources in each level-`level` box (half-open bins,
-        faces to the larger coordinate, 1.0 folded into the last box)."""
+        """Indices of the sources in each level-`level` box (see leaf_coords)."""
         top = 1 << level
         if self.count == 0:
             return {}
-        idx = np.minimum((self.positions * top).astype(int), top - 1)
+        idx = self.leaf_coords(level)
         flat = np.zeros(self.count, dtype=np.int64)
         for k in range(self.dim - 1, -1, -1):
             flat = flat * top + idx[:, k]
@@ -93,8 +110,37 @@ class SourceSet:
         return out
 
 
-def _pair_order(pair: Pair):
-    return (pair[0].coords, pair[1].coords)
+@dataclass
+class LevelBlock:
+    """Weights of a rectangular block of the pairs of one level.
+
+    values[i..., j..., :] belongs to the pair (A, B) whose target box A has
+    level `level` and coordinates a_lo + i, and whose source box B has level
+    L - level and coordinates b_lo + j. The last axis holds the pair's
+    weights, zero-padded to the level's width. The sequential engine holds
+    one block covering every pair; a simulated rank holds its region.
+    """
+
+    level: int
+    a_lo: Tuple[int, ...]
+    b_lo: Tuple[int, ...]
+    values: np.ndarray
+
+    def next_boxes(self) -> tuple[Block, Block]:
+        """(lo, shape) of the target boxes A_c and of the source boxes B_p
+        of the block of pairs that a stage over this block produces."""
+        d = len(self.a_lo)
+        a_shape, b_shape = self.values.shape[:d], self.values.shape[d : 2 * d]
+        children = (tuple(2 * a for a in self.a_lo), tuple(2 * n for n in a_shape))
+        return children, parent_block(self.b_lo, b_shape)
+
+    def target_vectors(self):
+        """(target box, weights) of a final block (one source box, the
+        root), in canonical order."""
+        d = len(self.a_lo)
+        for i in np.ndindex(*self.values.shape[:d]):
+            key = DyadicKey(self.level, tuple(a + k for a, k in zip(self.a_lo, i)))
+            yield key, self.values[i + (0,) * d]
 
 
 # ---------------------------------------------------------------------------
@@ -115,59 +161,48 @@ class ChebEngine:
         self.L = N.bit_length() - 1
         self.switch_level = math.ceil(self.L / 2)
         self.r = q**d
-        self._bins: Dict[DyadicKey, np.ndarray] = {}
-        self._sources: Optional[SourceSet] = None
+        self._positions = np.zeros((0, d))
+        self._strengths = np.zeros(0, dtype=complex)
+        self._leaves = np.zeros((0, d), dtype=int)
 
     def set_sources(self, sources: SourceSet) -> None:
-        self._sources = sources
-        self._bins = sources.bin_by_leaf(self.L)
+        """Keep the sources sorted by leaf box in canonical order."""
+        leaves = sources.leaf_coords(self.L)
+        order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (self.N,) * self.d), kind="stable")
+        self._positions = sources.positions[order]
+        self._strengths = sources.strengths[order]
+        self._leaves = leaves[order]
 
-    def init_blocks(self, leaf_keys, ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        root = DyadicKey(0, (0,) * self.d)
-        out: Dict[Pair, np.ndarray] = {}
-        src = self._sources
-        for key in leaf_keys:
-            idx = self._bins.get(key)
-            if idx is None or src is None:
-                out[(root, key)] = np.zeros(self.r, dtype=complex)
-            else:
-                out[(root, key)] = cheb.init_source_weights(
-                    key, src.positions[idx], src.strengths[idx], self.phase, self.q, ledger
-                )
-        return out
+    def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
+        lo = np.asarray(b_lo)
+        inside = np.all((self._leaves >= lo) & (self._leaves < lo + b_shape), axis=1)
+        values = cheb.init_source_weights(
+            self.L, b_lo, b_shape, self._positions[inside], self._strengths[inside],
+            self._leaves[inside], self.phase, self.q, ledger,
+        )
+        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values.reshape((1,) * self.d + values.shape))
 
-    def pre_stage(self, level: int, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        if level != self.switch_level:
-            return blocks
-        return self._switch_all(blocks, ledger)
+    def _switch(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+        values = cheb.middle_switch(
+            blk.level, blk.a_lo, self.L - blk.level, blk.b_lo, blk.values, self.phase, self.q, ledger
+        )
+        return LevelBlock(blk.level, blk.a_lo, blk.b_lo, values)
 
-    def _switch_all(self, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        out: Dict[Pair, np.ndarray] = {}
-        for (a, b) in sorted(blocks.keys(), key=_pair_order):
-            out[(a, b)] = cheb.middle_switch(a, b, blocks[(a, b)], self.phase, self.q, ledger)
-        return out
+    def stage(self, level: int, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+        if level == self.switch_level:
+            blk = self._switch(blk, ledger)
+        translate = cheb.column_stage if level < self.switch_level else cheb.row_stage
+        values = translate(level, blk.a_lo, self.L - level, blk.b_lo, blk.values, self.phase, self.q, ledger)
+        (ac_lo, _), (bp_lo, _) = blk.next_boxes()
+        return LevelBlock(level + 1, ac_lo, bp_lo, values)
 
-    def contribution(
-        self, level: int, a_c: DyadicKey, b_p: DyadicKey, a: DyadicKey, b: DyadicKey,
-        values: np.ndarray, ledger: CostLedger,
-    ) -> np.ndarray:
-        if level < self.switch_level:
-            return cheb._column_contribution(a_c, b_p, b, values, self.phase, self.q, ledger)
-        return cheb._row_contribution(a_c, b_p, b, values, self.phase, self.q, ledger)
-
-    def out_len(self, level: int, a_c: DyadicKey, b_p: DyadicKey) -> int:
-        return self.r
-
-    def stage_out_max(self, level: int) -> int:
-        return self.r
-
-    def finalize(self, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
+    def finalize(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
         if self.switch_level == self.L:
-            return self._switch_all(blocks, ledger)
-        return blocks
+            return self._switch(blk, ledger)
+        return blk
 
-    def make_field(self, blocks: Dict[Pair, np.ndarray]) -> "PotentialField":
-        weights = {a: v for (a, b), v in blocks.items()}
+    def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
+        weights = {a: v for blk in blocks for a, v in blk.target_vectors()}
         return PotentialField(self.phase, self.d, self.N, "cheb", self.q, weights)
 
 
@@ -175,10 +210,12 @@ class IdEngine:
     """Sampled backend: adaptive-rank skeletons of actual source points.
 
     All factorizations (leaf IDs and stacked-skeleton recompressions) are
-    precomputed here against the full source set; the stage loop then only
-    applies the weight maps. Row samples are a tensor Chebyshev grid of
-    rows_per_dim points per dimension in every leaf target box, and a pair's
-    row set is all such samples inside its target box, with no proxy rows.
+    precomputed here against the full source set; the stages then only
+    apply the per-pair weight maps, reading and writing level arrays whose
+    width is the level's largest rank. Row samples are a tensor Chebyshev
+    grid of rows_per_dim points per dimension in every leaf target box, and
+    a pair's row set is all such samples inside its target box, with no
+    proxy rows.
     """
 
     name = "id"
@@ -200,9 +237,10 @@ class IdEngine:
         self.L = N.bit_length() - 1
         self.precompute_flops = 0
         self._row_pts: Dict[DyadicKey, np.ndarray] = {}
-        self._stage0: Dict[DyadicKey, tuple[np.ndarray, np.ndarray]] = {}
-        self._ops: Dict[tuple[int, DyadicKey, DyadicKey], object] = {}
-        self._stage_max: Dict[int, int] = {}
+        self._stage0: Dict[Tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # per level: (A_c coords + B_p coords) -> translation operator
+        self._ops: Dict[int, Dict[Tuple[int, ...], TranslationOperatorID]] = {}
+        self._widths: Dict[int, int] = {}
         self._bins: Dict[DyadicKey, np.ndarray] = {}
         self._sources = sources
         if sources is not None:
@@ -228,7 +266,7 @@ class IdEngine:
         for key in level_keys(self.d, self.L):
             self._row_pts[key] = cheb.cheb_grid(self.rows_per_dim, box_of(key)).points
         all_targets = np.vstack([self._row_pts[k] for k in level_keys(self.d, self.L)])
-        ids: Dict[Pair, InterpolativeDecomposition] = {}
+        ids: Dict[tuple[DyadicKey, DyadicKey], InterpolativeDecomposition] = {}
         root = DyadicKey(0, (0,) * self.d)
         for b in level_keys(self.d, self.L):
             idx = self._bins.get(b)
@@ -242,66 +280,64 @@ class IdEngine:
                 dec = build_id(M, self.tol)
                 dec.points = pos[dec.column_indices]
                 self.precompute_flops += 4 * M.shape[0] * M.shape[1] * max(1, dec.rank)
-            self._stage0[b] = (dec.interp_matrix, idx if idx is not None else np.arange(0))
+            self._stage0[b.coords] = (dec.interp_matrix, idx if idx is not None else np.arange(0))
             ids[(root, b)] = dec
+        self._widths[0] = max(dec.rank for dec in ids.values())
         for level in range(self.L):
-            max_len = 0
+            ops: Dict[Tuple[int, ...], TranslationOperatorID] = {}
             for bp in level_keys(self.d, self.L - level - 1):
                 bs = children(bp)
                 for ac in level_keys(self.d, level + 1):
                     a = parent(ac)
                     child_ids = [ids[(a, bn)] for bn in bs]
-                    op = build_translation_id(child_ids, self._targets_in(ac), self._sampler, self.tol)
-                    self._ops[(level, ac, bp)] = op
-                    rows = self._targets_in(ac).shape[0]
-                    self.precompute_flops += 4 * rows * op.matrix.shape[1] * max(1, op.matrix.shape[0])
-                    new_dec = InterpolativeDecomposition(
+                    targets = self._targets_in(ac)
+                    op = build_translation_id(child_ids, targets, self._sampler, self.tol)
+                    ops[ac.coords + bp.coords] = op
+                    self.precompute_flops += 4 * targets.shape[0] * op.matrix.shape[1] * max(1, op.matrix.shape[0])
+                    ids[(ac, bp)] = InterpolativeDecomposition(
                         op.column_indices, op.matrix, op.matrix.shape[1], points=op.points
                     )
-                    ids.setdefault((ac, bp), new_dec)
-                    max_len = max(max_len, op.matrix.shape[0])
-            self._stage_max[level] = max_len
-        self._final_ids = {
-            a: ids[(a, DyadicKey(0, (0,) * self.d))] for a in level_keys(self.d, self.L)
-        } if self.L > 0 else {root: ids[(root, root)]}
+            self._ops[level] = ops
+            self._widths[level + 1] = max(op.matrix.shape[0] for op in ops.values())
+        self._final_points = {a: ids[(a, root)].points for a in level_keys(self.d, self.L)}
 
-    def init_blocks(self, leaf_keys, ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        root = DyadicKey(0, (0,) * self.d)
+    def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
         src = self._sources
         assert src is not None
-        out: Dict[Pair, np.ndarray] = {}
-        for key in leaf_keys:
-            Z, idx = self._stage0[key]
-            g = src.strengths[idx]
-            out[(root, key)] = Z @ g if Z.size else np.zeros(Z.shape[0], dtype=complex)
+        out = np.zeros(tuple(b_shape) + (self._widths[0],), dtype=complex)
+        for j in np.ndindex(*b_shape):
+            Z, idx = self._stage0[tuple(lo + k for lo, k in zip(b_lo, j))]
+            if Z.size:
+                out[j][: Z.shape[0]] = Z @ src.strengths[idx]
             ledger.add_flops(2 * Z.shape[0] * Z.shape[1])
-        return out
+        return LevelBlock(0, (0,) * self.d, tuple(b_lo), out.reshape((1,) * self.d + out.shape))
 
-    def pre_stage(self, level: int, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        return blocks
+    def stage(self, level: int, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+        """Apply each pair's translation map, child by child in canonical
+        order, so partial sums over a rank's children add up across ranks."""
+        d = self.d
+        (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
+        out = np.zeros(ac_shape + bp_shape + (self._widths[level + 1],), dtype=complex)
+        ops = self._ops[level]
+        for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
+            n = offset_index(offset)
+            child_values = blk.values[(slice(None),) * d + index]
+            for i in np.ndindex(*ac_shape):
+                ac = tuple(lo + k for lo, k in zip(ac_lo, i))
+                a_idx = tuple(k // 2 for k in i)
+                for j in np.ndindex(*bp_shape):
+                    op = ops[ac + tuple(lo + k for lo, k in zip(bp_lo, j))]
+                    mat = op.matrix[:, op.child_slices[n]]
+                    out[i + j][: mat.shape[0]] += mat @ child_values[a_idx + j][: mat.shape[1]]
+                    ledger.add_flops(2 * mat.shape[0] * mat.shape[1] + mat.shape[0])
+        return LevelBlock(level + 1, ac_lo, bp_lo, out)
 
-    def contribution(
-        self, level: int, a_c: DyadicKey, b_p: DyadicKey, a: DyadicKey, b: DyadicKey,
-        values: np.ndarray, ledger: CostLedger,
-    ) -> np.ndarray:
-        op = self._ops[(level, a_c, b_p)]
-        sl = op.child_slices[child_index(b)]
-        mat = op.matrix[:, sl]
-        ledger.add_flops(2 * mat.shape[0] * mat.shape[1] + mat.shape[0])
-        return mat @ values
+    def finalize(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+        return blk
 
-    def out_len(self, level: int, a_c: DyadicKey, b_p: DyadicKey) -> int:
-        return self._ops[(level, a_c, b_p)].matrix.shape[0]
-
-    def stage_out_max(self, level: int) -> int:
-        return self._stage_max[level]
-
-    def finalize(self, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-        return blocks
-
-    def make_field(self, blocks: Dict[Pair, np.ndarray]) -> "PotentialField":
-        weights = {a: v for (a, b), v in blocks.items()}
-        points = {a: self._final_ids[a].points for a in weights}
+    def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
+        weights = {a: v[: len(self._final_points[a])] for blk in blocks for a, v in blk.target_vectors()}
+        points = {a: self._final_points[a] for a in weights}
         return PotentialField(self.phase, self.d, self.N, "id", None, weights, points)
 
 
@@ -361,33 +397,6 @@ class PotentialField:
 # ---------------------------------------------------------------------------
 
 
-def _translate_local(eng, level: int, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-    """One stage of per-child translations over a set of owned pairs.
-
-    Iteration order is canonical (sorted pairs, children by child index), so
-    any caller that owns the same pairs accumulates bit-identical sums.
-    """
-    out: Dict[Pair, np.ndarray] = {}
-    for (a, b) in sorted(blocks.keys(), key=_pair_order):
-        v = blocks[(a, b)]
-        bp = parent(b)
-        for a_c in children(a):
-            contrib = eng.contribution(level, a_c, bp, a, b, v, ledger)
-            key = (a_c, bp)
-            if key in out:
-                out[key] += contrib
-            else:
-                out[key] = contrib
-    return out
-
-
-def _apply_stages(eng, blocks: Dict[Pair, np.ndarray], ledger: CostLedger) -> Dict[Pair, np.ndarray]:
-    for level in range(eng.L):
-        blocks = eng.pre_stage(level, blocks, ledger)
-        blocks = _translate_local(eng, level, blocks, ledger)
-    return eng.finalize(blocks, ledger)
-
-
 def make_engine(
     phase: PhaseEvaluator,
     d: int,
@@ -426,10 +435,10 @@ def butterfly_apply(
     d = sources.dim
     eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
     ledger = CostLedger(params if params is not None else CostParams())
-    leaf_keys = list(level_keys(d, eng.L))
-    blocks = eng.init_blocks(leaf_keys, ledger)
-    blocks = _apply_stages(eng, blocks, ledger)
-    fieldv = eng.make_field(blocks)
+    blk = eng.init_blocks((0,) * d, (N,) * d, ledger)
+    for level in range(eng.L):
+        blk = eng.stage(level, blk, ledger)
+    fieldv = eng.make_field([eng.finalize(blk, ledger)])
     fieldv.ledger = ledger
     return fieldv
 

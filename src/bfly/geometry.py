@@ -92,13 +92,62 @@ def parent(key: DyadicKey) -> DyadicKey:
 
 def child_index(key: DyadicKey) -> int:
     """Position of a box among its siblings (inverse of the children order)."""
-    return sum((c & 1) << k for k, c in enumerate(key.coords))
+    return offset_index(tuple(c & 1 for c in key.coords))
+
+
+def offset_index(offset: Tuple[int, ...]) -> int:
+    """Child index of the child at per-dimension offsets in {0, 1}."""
+    return sum(o << k for k, o in enumerate(offset))
 
 
 def level_keys(d: int, level: int) -> Iterator[DyadicKey]:
     """All level-`level` boxes in canonical (coordinate-tuple) order."""
     for coords in itertools.product(range(1 << level), repeat=d):
         yield DyadicKey(level, coords)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: rectangular runs of same-level boxes, lo[k] <= coords[k] < lo[k] + shape[k]
+# ---------------------------------------------------------------------------
+
+Block = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (lo, shape)
+
+
+def block_coords(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> np.ndarray:
+    """Integer coordinates of a block's boxes, shape + (d,), canonical order."""
+    d = len(lo)
+    out = np.empty(tuple(shape) + (d,), dtype=np.int64)
+    for k in range(d):
+        out[..., k] = np.arange(lo[k], lo[k] + shape[k]).reshape([-1 if j == k else 1 for j in range(d)])
+    return out
+
+
+def parent_block(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Block:
+    """The parents of a dyadic block (aligned, each extent 1 or even)."""
+    return tuple(a // 2 for a in lo), tuple(max(1, n // 2) for n in shape)
+
+
+def present_children(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Iterator[tuple[Tuple[int, ...], tuple]]:
+    """Sibling positions held by a dyadic block, each with the index that
+    selects those boxes from an array laid out over the block.
+
+    A child offset o has o[k] in {0, 1}; the boxes at offset o are the
+    children o of the block's parents (see parent_block). Offsets come in
+    canonical coordinate order, dimension 0 most significant: the order in
+    which every stage sums its children. A block one box wide in a dimension
+    holds only the offsets matching that box's parity there.
+    """
+    for offset in itertools.product((0, 1), repeat=len(lo)):
+        index = []
+        for a, n, o in zip(lo, shape, offset):
+            if n > 1:
+                index.append(slice(o, None, 2))
+            elif a % 2 == o:
+                index.append(slice(None))
+            else:
+                break
+        else:
+            yield offset, tuple(index)
 
 
 # ---------------------------------------------------------------------------

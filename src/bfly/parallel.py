@@ -1,47 +1,50 @@
 """Deterministic simulator of the distributed butterfly traversal.
 
-Each of p virtual processes owns N^d/p contiguous pairs of the current
-level, described by two bisection stacks (target side D_X, source side
-D_Y). A stage either stays local (enough source bits remain on this rank)
-or moves k bits of ownership from D_Y to D_X, which regroups the ranks
-into teams of 2^k and exchanges partial sums by a simulated reduce-scatter.
-Communication is never performed for real: sum_scatter adds the
-contributions in ascending rank order and charges the alpha/beta cost
-model, so results are reproducible regardless of thread count.
+Each of p virtual processes owns N^d/p pairs of the current level, described
+by two bisection stacks (target side D_X, source side D_Y). Its pairs are
+the product of two dyadic regions, so it holds them as one LevelBlock: the
+rectangular slice of the level array that region_coords gives, on which it
+runs the engine's stage. A stage either stays local (enough source bits
+remain on this rank) or moves k bits of ownership from D_Y to D_X, which
+regroups the ranks into teams of 2^k. Each member then holds partial sums
+for the pairs of all its team; it cuts its stage output into the slices the
+members will own, and a simulated reduce-scatter adds them. Communication
+is never performed for real: sum_scatter adds the contributions in
+ascending rank order and charges the alpha/beta cost model, so results are
+reproducible regardless of thread count.
+
+Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
+an output pair in canonical coordinate order. When a communicating stage
+moves d bits (always in d = 1; in general whenever log2 p is a multiple of
+d), each team member holds exactly one child of every output pair, in that
+same order by rank, so the ascending-rank reduction reproduces the
+sequential sum bit for bit. When it moves fewer bits (d = 2 with odd log2 p:
+p = 2, 8, 32, ...), a member holds a partial sum over several children, say
+(c0 + c1) + (c2 + c3) against ((c0 + c1) + c2) + c3, and the weights agree
+only to rounding (the acceptance gate holds them to 1e-12 relative).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .costs import CostLedger, CostParams
-from .engine import (
-    Pair,
-    PotentialField,
-    SourceSet,
-    _translate_local,
-    make_engine,
-)
+from .engine import LevelBlock, PotentialField, SourceSet, make_engine
 from .geometry import (
+    BisectionStack,
+    Block,
     DyadicKey,
     init_bisection_stacks,
-    keys_in_region,
     pop_push,
+    region_coords,
     stage_schedule,
 )
 from .phases import PhaseEvaluator
-
-
-@dataclass
-class VirtualProcess:
-    rank: int
-    blocks: Dict[Pair, np.ndarray]
-    ledger: CostLedger
 
 
 @dataclass
@@ -93,6 +96,12 @@ def sum_scatter(
     return result
 
 
+def _region(stack: BisectionStack, rank: int, d: int, level: int) -> Block:
+    """(first coordinates, shape) of the level-`level` boxes of a rank's region."""
+    ranges = region_coords(stack, rank, d, level)
+    return tuple(a for a, _ in ranges), tuple(b - a for a, b in ranges)
+
+
 def simulate_parallel(
     sources: SourceSet,
     phase: PhaseEvaluator,
@@ -108,98 +117,75 @@ def simulate_parallel(
 ) -> ParallelResult:
     """Run the full traversal on p simulated ranks and merge the result.
 
-    With p = 1 the arithmetic is performed by the same routines in the
-    same order as butterfly_apply, so the final weights are bit-identical.
+    Each rank holds the pairs of its D_X x D_Y region as one LevelBlock and
+    runs the engine's stage on it. With p = 1 that block is the sequential
+    engine's, so the final weights are bit-identical to butterfly_apply.
     Factorization work for the sampled backend is precomputed once and
-    shared read-only across ranks; only weight vectors ever move.
+    shared read-only across ranks; only weight arrays ever move.
     """
     d = sources.dim
     schedule = stage_schedule(N, d, p)
     eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
     L = eng.L
-    pairs_per_rank = (N**d) // p
     cost_params = params if params is not None else CostParams()
 
     dx, dy = init_bisection_stacks(d, p)
     ranks = list(range(p))
-    vps: Dict[int, VirtualProcess] = {}
-    for rank in ranks:
-        owned_y = keys_in_region(dy, rank, d, L)
-        ledger = CostLedger(cost_params)
-        vps[rank] = VirtualProcess(rank, eng.init_blocks(owned_y, ledger), ledger)
-        assert len(vps[rank].blocks) == pairs_per_rank
-
-    def stage_job(rank: int, level: int) -> tuple[int, Dict[Pair, np.ndarray]]:
-        vp = vps[rank]
-        blocks = eng.pre_stage(level, vp.blocks, vp.ledger)
-        return rank, _translate_local(eng, level, blocks, vp.ledger)
+    ledgers = [CostLedger(cost_params) for _ in ranks]
+    blocks = [eng.init_blocks(*_region(dy, rank, d, L), ledgers[rank]) for rank in ranks]
 
     moved = 0
-    for level in range(L):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = dict(pool.map(partial(stage_job, level=level), ranks))
-        else:
-            outs = dict(stage_job(r, level) for r in ranks)
-        k = schedule[level]
-        if k == 0:
-            for rank in ranks:
-                vps[rank].blocks = outs[rank]
-                assert len(vps[rank].blocks) == pairs_per_rank
-            continue
+    with ThreadPoolExecutor(max_workers=min(threads, p)) if threads > 1 else nullcontext() as pool:
+        for level in range(L):
 
-        new_dx, new_dy = pop_push(dx, dy, k)
-        max_len = eng.stage_out_max(level)
-        member_pairs: Dict[int, List[Pair]] = {}
-        for rank in ranks:
-            new_x = keys_in_region(new_dx, rank, d, level + 1)
-            new_y = keys_in_region(new_dy, rank, d, L - level - 1)
-            member_pairs[rank] = [(a, b) for a in new_x for b in new_y]
+            def stage_job(rank: int) -> LevelBlock:
+                return eng.stage(level, blocks[rank], ledgers[rank])
 
-        stage_trace: Dict[int, str] = {}
-        bases = sorted({rank & ~(((1 << k) - 1) << moved) for rank in ranks})
-        for base in bases:
-            members = sorted(base | (bits << moved) for bits in range(1 << k))
-            contributions: Dict[int, List[np.ndarray]] = {}
-            for q_rank in members:
-                rows: List[np.ndarray] = []
+            outs = list(pool.map(stage_job, ranks)) if pool is not None else [stage_job(r) for r in ranks]
+            k = schedule[level]
+            if k == 0:
+                blocks = outs
+                continue
+
+            new_dx, new_dy = pop_push(dx, dy, k)
+            regions = [
+                (_region(new_dx, rank, d, level + 1), _region(new_dy, rank, d, L - level - 1)) for rank in ranks
+            ]
+
+            def take(rank: int, member: int) -> np.ndarray:
+                """The part of rank's stage output that member will own."""
+                blk = outs[rank]
+                (a_lo, a_shape), (b_lo, b_shape) = regions[member]
+                index = tuple(
+                    slice(lo - base, lo - base + n)
+                    for lo, base, n in zip(a_lo + b_lo, blk.a_lo + blk.b_lo, a_shape + b_shape)
+                )
+                return blk.values[index]
+
+            stage_trace: Dict[int, str] = {}
+            bases = sorted({rank & ~(((1 << k) - 1) << moved) for rank in ranks})
+            for base in bases:
+                members = sorted(base | (bits << moved) for bits in range(1 << k))
+                contributions = {q_rank: [take(q_rank, m) for m in members] for q_rank in members}
+                sums = sum_scatter(contributions, {m: ledgers[m] for m in members})
                 for m in members:
-                    pairs = member_pairs[m]
-                    block = np.zeros((len(pairs), max_len), dtype=complex)
-                    for i, pair in enumerate(pairs):
-                        v = outs[q_rank][pair]
-                        block[i, : v.shape[0]] = v
-                    rows.append(block)
-                contributions[q_rank] = rows
-            sums = sum_scatter(contributions, {m: vps[m].ledger for m in members})
-            blocksize = len(member_pairs[members[0]]) * max_len
-            for m in members:
-                pairs = member_pairs[m]
-                vps[m].blocks = {
-                    pair: sums[m][i, : eng.out_len(level, pair[0], pair[1])]
-                    for i, pair in enumerate(pairs)
-                }
-                assert len(vps[m].blocks) == pairs_per_rank
-                if trace is not None:
-                    entries = ((1 << k) - 1) * blocksize
-                    stage_trace[m] = f"{level},{m},{k},{entries}"
-        if trace is not None:
-            trace.extend(stage_trace[r] for r in sorted(stage_trace))
-        dx, dy = new_dx, new_dy
-        moved += k
+                    (a_lo, _), (b_lo, _) = regions[m]
+                    blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m])
+                    if trace is not None:
+                        stage_trace[m] = f"{level},{m},{k},{((1 << k) - 1) * sums[m].size}"
+            if trace is not None:
+                trace.extend(stage_trace[r] for r in sorted(stage_trace))
+            dx, dy = new_dx, new_dy
+            moved += k
 
-    merged: Dict[Pair, np.ndarray] = {}
+    finals = [eng.finalize(blocks[rank], ledgers[rank]) for rank in ranks]
+    owners = {a: rank for rank in ranks for a, _ in finals[rank].target_vectors()}
     total = CostLedger(cost_params)
-    for rank in ranks:
-        vp = vps[rank]
-        vp.blocks = eng.finalize(vp.blocks, vp.ledger)
-        merged.update(vp.blocks)
-        total.merge(vp.ledger)
-    owners = {a: rank for rank in ranks for (a, b) in vps[rank].blocks}
-
-    out_field = eng.make_field(merged)
+    for led in ledgers:
+        total.merge(led)
+    out_field = eng.make_field(finals)
     out_field.ledger = total
-    return ParallelResult(out_field, owners, [vps[r].ledger for r in ranks], schedule)
+    return ParallelResult(out_field, owners, ledgers, schedule)
 
 
 def modeled_time(

@@ -1,8 +1,10 @@
-"""Chebyshev grids, Lagrange interpolation, and the weight operations
-(initialization, per-child translations, middle switch, evaluation),
-checked against direct kernel summation."""
+"""Chebyshev grids, Lagrange interpolation, and the block weight operations
+(initialization, column and row stages, middle switch, evaluation), checked
+against direct kernel summation and against per-pair oracles."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,16 +13,16 @@ from bfly.chebyshev import (
     ChebGrid,
     _child_matrices,
     _child_matrices_1d,
-    _column_contribution,
-    _row_contribution,
     cheb_grid,
+    column_stage,
     evaluate_block,
     init_source_weights,
     lagrange_matrix,
     middle_switch,
+    row_stage,
 )
 from bfly.costs import CostLedger, CostParams
-from bfly.geometry import BoxRegion, DyadicKey, box_of, center_of, children
+from bfly.geometry import BoxRegion, DyadicKey, box_of, center_of, child_index, children, parent, parent_block
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(x.shape[0]))
@@ -37,13 +39,74 @@ def column_potential(b, values, pts, phase, q):
     return kernel_matrix(phase, pts, cheb_grid(q, box_of(b)).points) @ values
 
 
-def translate(contribution, a_c, b_p, child_values, phase, q, led=None):
-    """Weights of (A_c, B_p) as the engine builds them: the sum of one
-    contribution per child pair (parent(A_c), B_n), in child order."""
-    out = np.zeros(q**a_c.dim, dtype=complex)
+def phase_from(phase, point, pts):
+    """Phi(point, pts[i]) for a fixed first argument."""
+    return phase(np.broadcast_to(point, pts.shape), pts)
+
+
+def phase_at(phase, pts, point):
+    """Phi(pts[i], point) for a fixed second argument."""
+    return phase(pts, np.broadcast_to(point, pts.shape))
+
+
+# Per-pair oracles: one child's contribution to one output pair (A_c, B_p),
+# and one pair's switch and leaf initialization, box by box.
+
+
+def column_contribution(a_c, b_p, b_child, values, phase, q):
+    xc = center_of(a_c)
+    v = np.exp(1j * phase_from(phase, xc, cheb_grid(q, box_of(b_child)).points)) * values
+    w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
+    return np.exp(-1j * phase_from(phase, xc, cheb_grid(q, box_of(b_p)).points)) * w
+
+
+def row_contribution(a_c, b_p, b_child, values, phase, q):
+    new_pts = cheb_grid(q, box_of(a_c)).points
+    w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
+    shift = phase_at(phase, new_pts, center_of(b_child)) - phase_at(phase, new_pts, center_of(b_p))
+    return np.exp(1j * shift) * w
+
+
+def switch_oracle(a, b, values, phase, q):
+    a_pts = cheb_grid(q, box_of(a)).points
+    sampled = kernel_matrix(phase, a_pts, cheb_grid(q, box_of(b)).points) @ values
+    return np.exp(-1j * phase_at(phase, a_pts, center_of(b))) * sampled
+
+
+def init_oracle(b, positions, strengths, phase, q):
+    grid = cheb_grid(q, box_of(b))
+    x_root = center_of(DyadicKey(0, (0,) * b.dim))
+    moments = lagrange_matrix(grid, positions).T @ (np.exp(1j * phase_from(phase, x_root, positions)) * strengths)
+    return np.exp(-1j * phase_from(phase, x_root, grid.points)) * moments
+
+
+def pair_block(a, b, values):
+    """One pair's weights laid out as a block of one target and one source box."""
+    return values.reshape((1,) * (2 * a.dim) + (-1,))
+
+
+def translate(stage, a_c, b_p, child_values, phase, q, led=None):
+    """Weights of (A_c, B_p) as a stage builds them from the pairs
+    (parent(A_c), B_n), B_n the children of B_p in child order."""
+    d = a_c.dim
+    a = parent(a_c)
+    values = np.zeros((1,) * d + (2,) * d + (q**d,), dtype=complex)
     for b_n, v in zip(children(b_p), child_values):
-        out += contribution(a_c, b_p, b_n, v, phase, q, led)
-    return out
+        values[(0,) * d + tuple(c & 1 for c in b_n.coords)] = v
+    out = stage(a.level, a.coords, b_p.level + 1, tuple(2 * c for c in b_p.coords), values, phase, q, led)
+    return out[tuple(c & 1 for c in a_c.coords) + (0,) * d]
+
+
+def leaf_init(b, positions, strengths, phase, q, led=None):
+    """init_source_weights on the single leaf box b."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, b.dim)
+    leaves = np.tile(np.asarray(b.coords), (positions.shape[0], 1))
+    out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, leaves, phase, q, led)
+    return out.reshape(-1)
+
+
+def switch(a, b, values, phase, q, led=None):
+    return middle_switch(a.level, a.coords, b.level, b.coords, pair_block(a, b, values), phase, q, led).reshape(-1)
 
 
 def lagrange_eval(grid: ChebGrid, t: int, y) -> float:
@@ -153,9 +216,7 @@ def test_lagrange_eval_matches_matrix():
 
 
 def test_init_empty_box_gives_zero_block():
-    w = init_source_weights(
-        DyadicKey(2, (3,)), np.zeros((0, 1)), np.zeros(0, dtype=complex), FLAT, 4
-    )
+    w = leaf_init(DyadicKey(2, (3,)), np.zeros((0, 1)), np.zeros(0, dtype=complex), FLAT, 4)
     assert np.array_equal(w, np.zeros(4, dtype=complex))
 
 
@@ -163,7 +224,7 @@ def test_init_node_source_flat_phase_one_hot():
     b = DyadicKey(2, (1,))
     grid = cheb_grid(4, box_of(b))
     g = 2.0 - 1.0j
-    w = init_source_weights(b, grid.points[[2]], np.array([g]), FLAT, 4)
+    w = leaf_init(b, grid.points[[2]], np.array([g]), FLAT, 4)
     expect = np.zeros(4, dtype=complex)
     expect[2] = g
     assert np.array_equal(w, expect)
@@ -178,7 +239,7 @@ def test_init_column_weights_reproduce_direct_sum():
     lo = 5.0 / 16.0
     pos = rng.uniform(lo, lo + 1.0 / 16.0, size=(8, 1))
     g = rng.normal(size=8) + 1j * rng.normal(size=8)
-    w = init_source_weights(b, pos, g, phase, 8)
+    w = leaf_init(b, pos, g, phase, 8)
     x = rng.uniform(size=(30, 1))
     direct = kernel_matrix(phase, x, pos) @ g
     approx = column_potential(b, w, x, phase, 8)
@@ -187,18 +248,41 @@ def test_init_column_weights_reproduce_direct_sum():
 
 
 def test_init_rejects_outside_sources():
-    with pytest.raises(ValueError):
-        init_source_weights(
-            DyadicKey(2, (0,)), np.array([[0.9]]), np.ones(1, dtype=complex), FLAT, 4
-        )
+    with pytest.raises(ValueError, match="outside"):
+        leaf_init(DyadicKey(2, (0,)), np.array([[0.9]]), np.ones(1, dtype=complex), FLAT, 4)
+    # sources must come sorted by leaf box, so each box is one segment
+    pos = np.array([[0.6], [0.1]])
+    leaves = np.array([[1], [0]])
+    with pytest.raises(ValueError, match="sorted"):
+        init_source_weights(1, (0,), (2,), pos, np.ones(2, dtype=complex), leaves, FLAT, 4)
 
 
 def test_init_flop_count():
     led = ledger()
     b = DyadicKey(1, (0,))
     pos = np.array([[0.1], [0.2], [0.3]])
-    init_source_weights(b, pos, np.ones(3, dtype=complex), FLAT, 4, led)
+    leaf_init(b, pos, np.ones(3, dtype=complex), FLAT, 4, led)
     assert led.flops == 2 * 3 * 4 + 3 + 4
+    # a block charges each occupied box alone; empty boxes cost nothing
+    led = ledger()
+    init_source_weights(2, (0,), (4,), np.array([[0.1], [0.2], [0.8]]), np.ones(3, dtype=complex),
+                        np.array([[0], [0], [3]]), FLAT, 4, led)
+    assert led.flops == (2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4)
+
+
+def test_init_block_matches_per_leaf_oracle():
+    rng = np.random.default_rng(23)
+    phase = get_phase("fourier")
+    for d, level, q in ((1, 3, 5), (2, 2, 3)):
+        pos = rng.uniform(size=(60, d))
+        g = rng.normal(size=60) + 1j * rng.normal(size=60)
+        leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
+        order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
+        out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
+        for coords in itertools.product(range(1 << level), repeat=d):
+            sel = np.all(leaves == coords, axis=1)
+            expect = init_oracle(DyadicKey(level, coords), pos[sel], g[sel], phase, q)
+            assert np.allclose(out[coords], expect, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(expect))))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +293,7 @@ def test_init_flop_count():
 def test_translate_column_zero_in_zero_out():
     a_c = DyadicKey(1, (1,))
     b_p = DyadicKey(1, (0,))
-    out = translate(_column_contribution, a_c, b_p, [np.zeros(4, dtype=complex)] * 2, get_phase("fourier"), 4)
+    out = translate(column_stage, a_c, b_p, [np.zeros(4, dtype=complex)] * 2, get_phase("fourier"), 4)
     assert np.allclose(out, 0.0)
 
 
@@ -220,19 +304,23 @@ def test_translate_column_conserves_mass_flat_phase():
     a_c = DyadicKey(1, (0,))
     b_p = DyadicKey(1, (1,))
     vals = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(2)]
-    out = translate(_column_contribution, a_c, b_p, vals, FLAT, 5)
+    out = translate(column_stage, a_c, b_p, vals, FLAT, 5)
     assert np.sum(out) == pytest.approx(
         np.sum(vals[0]) + np.sum(vals[1]), abs=1e-12
     )
 
 
 def test_translate_column_flop_count():
-    led = ledger()
-    a_c = DyadicKey(1, (1,))
-    b_p = DyadicKey(1, (0,))
+    # each input pair feeds each of the 2^d children of its target box
     q = 8
-    translate(_column_contribution, a_c, b_p, [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
-    assert led.flops == 2 * (2 * q * q + 3 * q)
+    for stage in (column_stage, row_stage):
+        led = ledger()
+        translate(stage, DyadicKey(1, (1,)), DyadicKey(1, (0,)), [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
+        assert led.flops == 2 * 2 * (2 * q * q + 3 * q)
+    led = ledger()
+    values = np.ones((2, 2, 4, 4, 9), dtype=complex)
+    column_stage(1, (0, 0), 2, (0, 0), values, get_phase("fourier"), 3, led)
+    assert led.flops == 64 * 4 * (2 * 81 + 3 * 9)
 
 
 def test_translate_column_matches_direct_resum():
@@ -245,13 +333,104 @@ def test_translate_column_matches_direct_resum():
     b_p = DyadicKey(3, (6,))
     child_keys = children(b_p)
     vals = [rng.normal(size=q) + 1j * rng.normal(size=q) for _ in child_keys]
-    out = translate(_column_contribution, a_c, b_p, vals, phase, q)
+    out = translate(column_stage, a_c, b_p, vals, phase, q)
     lo = a_c.coords[0] / 2.0
     x = rng.uniform(lo, lo + 0.5, size=(25, 1))
     f_children = sum(column_potential(b_n, v, x, phase, q) for b_n, v in zip(child_keys, vals))
     f_parent = column_potential(b_p, out, x, phase, q)
     rel = np.max(np.abs(f_parent - f_children)) / np.max(np.abs(f_children))
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 2, 3), (2, 3, 0, 3), (2, 3, 1, 2), (2, 3, 2, 3)])
+def test_stages_match_per_pair_oracle(d, L, level, q):
+    rng = np.random.default_rng(47 + d + level)
+    phase = get_phase("fourier") if d == 1 else get_phase("hyp-radon")
+    r = q**d
+    values = rng.normal(size=(1 << level,) * d + (1 << (L - level),) * d + (r,)) * (1 + 1j)
+    for stage, oracle in ((column_stage, column_contribution), (row_stage, row_contribution)):
+        out = stage(level, (0,) * d, L - level, (0,) * d, values, phase, q)
+        assert out.shape == (2 << level,) * d + (1 << (L - level - 1),) * d + (r,)
+        scale = np.max(np.abs(out))
+        for ac in itertools.product(range(2 << level), repeat=d):
+            for bp in itertools.product(range(1 << (L - level - 1)), repeat=d):
+                a_c, b_p = DyadicKey(level + 1, ac), DyadicKey(L - level - 1, bp)
+                a = parent(a_c).coords
+                expect = sum(oracle(a_c, b_p, b_n, values[a + b_n.coords], phase, q) for b_n in children(b_p))
+                assert np.max(np.abs(out[ac + bp] - expect)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# blocks: a rank's share of a level gives the whole level's bits
+# ---------------------------------------------------------------------------
+
+
+def aligned_blocks(n):
+    """Every aligned dyadic run (lo, extent) inside range(n), n a power of two."""
+    out = []
+    extent = 1
+    while extent <= n:
+        out.extend((lo, extent) for lo in range(0, n, extent))
+        extent *= 2
+    return out
+
+
+def sub_blocks(d, a_n, b_n):
+    for a_runs in itertools.product(aligned_blocks(a_n), repeat=d):
+        for b_runs in itertools.product(aligned_blocks(b_n), repeat=d):
+            yield tuple(a for a, _ in a_runs), tuple(n for _, n in a_runs), tuple(b for b, _ in b_runs), tuple(n for _, n in b_runs)
+
+
+@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2)])
+def test_block_stage_rows_are_bit_stable(d, L, level, q):
+    # Every aligned block of pairs, down to one pair, must give bit for bit
+    # the rows of the whole-level stage over the children it holds: that is
+    # what lets p = 1 and every simulated rank reproduce butterfly_apply. The
+    # whole-level reference zeroes the other children, whose exact-zero
+    # contributions leave the sums unchanged.
+    rng = np.random.default_rng(53 + d + level)
+    phase = get_phase("fourier")
+    r = q**d
+    a_n, b_n = 1 << level, 1 << (L - level)
+    values = rng.normal(size=(a_n,) * d + (b_n,) * d + (r,)) + 1j * rng.normal(size=(a_n,) * d + (b_n,) * d + (r,))
+    switched = middle_switch(level, (0,) * d, L - level, (0,) * d, values, phase, q)
+    whole = {}  # (stage, parity held per dimension, None for both) -> whole-level output
+    for a_lo, a_shape, b_lo, b_shape in sub_blocks(d, a_n, b_n):
+        index = tuple(slice(lo, lo + n) for lo, n in zip(a_lo + b_lo, a_shape + b_shape))
+        block = values[index]
+        got = middle_switch(level, a_lo, L - level, b_lo, block, phase, q)
+        assert np.array_equal(got, switched[index]), ("switch", a_lo, a_shape, b_lo, b_shape)
+        held = tuple(None if n > 1 else lo % 2 for lo, n in zip(b_lo, b_shape))
+        bp_lo, bp_shape = parent_block(b_lo, b_shape)
+        out_index = tuple(slice(2 * lo, 2 * (lo + n)) for lo, n in zip(a_lo, a_shape))
+        out_index += tuple(slice(lo, lo + n) for lo, n in zip(bp_lo, bp_shape))
+        for stage in (column_stage, row_stage):
+            if (stage, held) not in whole:
+                masked = values.copy()
+                for k, h in enumerate(held):
+                    if h is not None:
+                        masked[(slice(None),) * (d + k) + (slice(1 - h, None, 2),)] = 0.0
+                whole[(stage, held)] = stage(level, (0,) * d, L - level, (0,) * d, masked, phase, q)
+            got = stage(level, a_lo, L - level, b_lo, block, phase, q)
+            assert np.array_equal(got, whole[(stage, held)][out_index]), (stage.__name__, a_lo, a_shape, b_lo, b_shape)
+
+
+def test_init_block_rows_are_bit_stable():
+    rng = np.random.default_rng(59)
+    phase = get_phase("fourier")
+    d, level, q = 2, 3, 3
+    pos = rng.uniform(size=(300, d))
+    g = rng.normal(size=300) + 1j * rng.normal(size=300)
+    leaves = np.minimum((pos * 8).astype(int), 7)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (8, 8)), kind="stable")
+    pos, g, leaves = pos[order], g[order], leaves[order]
+    whole = init_source_weights(level, (0, 0), (8, 8), pos, g, leaves, phase, q)
+    for runs in itertools.product(aligned_blocks(8), repeat=d):
+        lo = np.array([a for a, _ in runs])
+        shape = tuple(n for _, n in runs)
+        inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
+        got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
+        assert np.array_equal(got, whole[tuple(slice(a, a + n) for a, n in runs)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +451,7 @@ def make_column_block(a, b, pos, g, phase, q):
 
 
 def test_middle_switch_zero():
-    out = middle_switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), get_phase("fourier"), 3)
+    out = switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), get_phase("fourier"), 3)
     assert np.allclose(out, 0.0)
 
 
@@ -280,14 +459,26 @@ def test_middle_switch_rank_one_is_identity():
     # with one node per dimension the kernel sample and the demodulation are
     # both taken at the same centers and cancel exactly
     w = np.array([1.5 - 0.5j])
-    out = middle_switch(DyadicKey(1, (1,)), DyadicKey(1, (0,)), w, get_phase("fourier"), 1)
+    out = switch(DyadicKey(1, (1,)), DyadicKey(1, (0,)), w, get_phase("fourier"), 1)
     assert np.allclose(out, w, atol=1e-15)
 
 
 def test_middle_switch_flop_count():
     led = ledger()
-    middle_switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.ones(4, dtype=complex), get_phase("fourier"), 4, led)
+    switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.ones(4, dtype=complex), get_phase("fourier"), 4, led)
     assert led.flops == 2 * 16 + 2 * 4
+
+
+def test_middle_switch_matches_per_pair_oracle():
+    rng = np.random.default_rng(57)
+    phase = get_phase("hyp-radon")
+    q, r = 3, 9
+    values = rng.normal(size=(4, 4, 2, 2, r)) + 1j * rng.normal(size=(4, 4, 2, 2, r))
+    out = middle_switch(2, (0, 0), 1, (0, 0), values, phase, q)
+    for a in itertools.product(range(4), repeat=2):
+        for b in itertools.product(range(2), repeat=2):
+            expect = switch_oracle(DyadicKey(2, a), DyadicKey(1, b), values[a + b], phase, q)
+            assert np.max(np.abs(out[a + b] - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_switch_preserves_potential():
@@ -304,7 +495,7 @@ def test_switch_preserves_potential():
     x = rng.uniform(0.25, 0.5, size=(20, 1))
     direct = kernel_matrix(phase, x, pos) @ g
     f_col = column_potential(b, col, x, phase, q)
-    row = middle_switch(a, b, col, phase, q)
+    row = switch(a, b, col, phase, q)
     f_row = evaluate_block(a, b, row, x, phase, q)
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(f_col - direct)) / scale <= 1e-6
@@ -330,7 +521,7 @@ def test_translate_row_polynomial_reproduction():
         return y**4 - 0.3 * y**2 + 0.1
 
     vals = [p(root_nodes).astype(complex), np.zeros(q, dtype=complex)]
-    out = translate(_row_contribution, a_c, b_p, vals, FLAT, q)
+    out = translate(row_stage, a_c, b_p, vals, FLAT, q)
     fine_nodes = cheb_grid(q, box_of(a_c)).points[:, 0]
     assert np.allclose(out, p(fine_nodes), atol=1e-12)
 

@@ -213,6 +213,28 @@ def test_verify_parallel_csv_counts(tmp_path):
     assert float(vals[0]) <= 1e-10
 
 
+@pytest.mark.parametrize("procs,backend", [("1", "cheb"), ("4", "cheb"), ("4", "id")])
+def test_verify_solves_once(tmp_path, monkeypatch, procs, backend):
+    # p = 1 runs the sequential engine, p > 1 only the simulator; a second
+    # solve would repeat the id backend's whole factorization precompute
+    import bfly.cli as cli
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "butterfly_apply", counted("butterfly_apply", cli.butterfly_apply))
+    monkeypatch.setattr(cli, "simulate_parallel", counted("simulate_parallel", cli.simulate_parallel))
+    code, _ = run_to_file(tmp_path, ["verify", "--backend", backend, "--procs", procs] + BASE)
+    assert code == 0
+    assert calls == (["butterfly_apply"] if procs == "1" else ["simulate_parallel"])
+
+
 def test_verify_json_schema(tmp_path):
     code, text = run_to_file(tmp_path, ["verify", "--format", "json"] + BASE + ["--procs", "2"])
     assert code == 0

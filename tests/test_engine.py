@@ -256,6 +256,21 @@ def test_field_structure_and_bounds():
     assert field.evaluate(np.zeros((0, 1))).shape == (0,)
 
 
+@pytest.mark.parametrize("d,N,q", [(1, 16, 5), (2, 8, 3), (2, 16, 4), (3, 4, 3)])
+def test_cheb_ledger_closed_form(d, N, q):
+    # leaf init: 2nr + n + r per occupied leaf holding n sources; each of the
+    # L stages: 2^d contributions per pair of 2r^2 + 3r; one switch: 2r^2 + 2r
+    rng = np.random.default_rng(151 + d)
+    s = random_sources(rng, 3 * N**d // 2, d=d)
+    field = butterfly_apply(s, get_phase("fourier"), N, q=q)
+    r, L = q**d, N.bit_length() - 1
+    counts = np.array([len(idx) for idx in s.bin_by_leaf(L).values()])
+    init = int(np.sum(2 * counts * r + counts + r))
+    expect = init + L * 2**d * N**d * (2 * r * r + 3 * r) + N**d * (2 * r * r + 2 * r)
+    assert 0 < counts.size < N**d  # some leaves stay empty
+    assert field.ledger.flops == expect
+
+
 def test_evaluate_rejects_malformed_points():
     rng = np.random.default_rng(139)
     for backend in ("cheb", "id"):

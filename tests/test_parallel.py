@@ -135,6 +135,27 @@ def test_parallel_weights_exact_1d():
             assert np.array_equal(seq.weight_vector(key), par.field.weight_vector(key))
 
 
+@pytest.mark.parametrize(
+    "d,N,backend", [(1, 16, "cheb"), (1, 16, "id"), (2, 8, "cheb"), (2, 8, "id"), (2, 16, "cheb")]
+)
+def test_parallel_weights_exact_where_teams_hold_whole_sibling_groups(d, N, backend):
+    # Exact whenever log2 p is a multiple of d: every communicating stage
+    # then moves d bits, each team member holds one child of every output
+    # pair, and the ascending-rank reduction adds the children in the
+    # sequential order. Other p in d = 2 split sibling groups 2 + 2, which
+    # reassociates the sum: equal to rounding, pinned by criterion 4.
+    rng = np.random.default_rng(229 + d + N)
+    s = random_sources(rng, 150, d=d)
+    phase = get_phase("fourier")
+    kwargs = {"q": 3} if backend == "cheb" else {"backend": "id", "tol": 1e-6}
+    seq = butterfly_apply(s, phase, N, **kwargs)
+    logmax = (N**d).bit_length() - 1
+    for logp in range(0, logmax + 1, d):
+        par = simulate_parallel(s, phase, N, p=1 << logp, **kwargs)
+        for key in seq.target_keys():
+            assert np.array_equal(seq.weight_vector(key), par.field.weight_vector(key)), (1 << logp, key)
+
+
 def test_threads_do_not_change_bits():
     rng = np.random.default_rng(167)
     s = random_sources(rng, 140, d=1)
