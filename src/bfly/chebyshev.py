@@ -42,10 +42,7 @@ import numpy as np
 from .costs import CostLedger
 from .geometry import (
     BoxRegion,
-    DyadicKey,
     block_coords,
-    box_of,
-    center_of,
     offset_index,
     parent_block,
     present_children,
@@ -483,23 +480,30 @@ def middle_switch(
 
 
 def evaluate_block(
-    a: DyadicKey,
-    b: DyadicKey,
+    level: int,
+    coords: np.ndarray,
+    y_b: np.ndarray,
     values: np.ndarray,
     pts: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     check_inside: bool = False,
 ) -> np.ndarray:
-    """Row weights of the pair (A, B) evaluated at points of A:
-    f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
+    """Row weights evaluated at points, one pair per point:
+    f(x_i) = exp(i*Phi(x_i, y_B)) sum_t L_t(x_i) values[i, t].
+
+    pts[i] lies in the level-`level` target box with integer coordinates
+    coords[i], values[i] holds that pair's q^d row weights, and y_B is the
+    center of the source box the pairs share. Every result depends on its
+    own row only, so a point gives the same bits in any batch.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    box = box_of(a)
+    w = 1.0 / (1 << level)
+    lower = np.asarray(coords) * w
     if check_inside:
-        lo = np.asarray(box.lower)
-        hi = lo + np.asarray(box.width)
+        hi = lower + w
         inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
-        if not np.all((pts >= lo) & inside_hi):
-            raise ValueError("evaluation point outside the pair's target box")
-    vals = _tensor_basis(q, box.lower, box.width, pts) @ values
-    return np.exp(1j * _phase_at(phase, pts, center_of(b))) * vals
+        if not np.all((pts >= lower) & inside_hi):
+            raise ValueError("evaluation point outside its target box")
+    basis = _tensor_basis(q, lower.T, (w,) * pts.shape[1], pts)
+    return _expi(_phase_at(phase, pts, y_b)) * np.einsum("ij,ij->i", basis, values)

@@ -293,9 +293,12 @@ def _draw_inputs(cfg: RunConfig) -> Tuple[SourceSet, np.ndarray]:
 def _threads_from_env() -> int:
     raw = os.environ.get("BFLY_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        raise UsageError(f"invalid BFLY_THREADS value: {raw!r}")
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"invalid BFLY_THREADS value: {raw!r} (expected integer >= 1)")
+    return threads
 
 
 def _fmt(value) -> str:
@@ -317,6 +320,7 @@ def _engine_kwargs(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
+    threads = _threads_from_env()
     src, tgts = _draw_inputs(cfg)
     phase = REGISTRY[cfg.phase]
     params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
@@ -325,9 +329,7 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
 
     p = cfg.procs[0]
     if p > 1:
-        res = simulate_parallel(
-            src, phase, N, p=p, params=params, threads=_threads_from_env(), **kwargs
-        )
+        res = simulate_parallel(src, phase, N, p=p, params=params, threads=threads, **kwargs)
         field = res.field
         rows = ledger_report(res.ledgers)
     else:
@@ -367,12 +369,12 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_scale(cfg: RunConfig) -> Tuple[str, int]:
+    threads = _threads_from_env()
     src, _ = _draw_inputs(cfg)
     phase = REGISTRY[cfg.phase]
     params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
     N = 1 << cfg.log2n
     kwargs = _engine_kwargs(cfg)
-    threads = _threads_from_env()
 
     out_rows = []
     for p in cfg.procs:

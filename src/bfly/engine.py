@@ -24,13 +24,15 @@ block holding every pair. The distributed simulator in bfly.parallel runs
 the same stage on each rank's rectangular sub-block; every row of a stage
 is computed independently of the other rows (see
 chebyshev._rows_times), which is what makes its p = 1 run bit-identical.
+The final level becomes a PotentialField: one array over the target leaves,
+evaluated a chunk of points at a time with a few whole-chunk NumPy calls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +42,11 @@ from .costs import CostLedger, CostParams
 from .geometry import (
     Block,
     DyadicKey,
+    block_coords,
     box_of,
+    center_of,
     children,
+    leaf_coords,
     level_keys,
     offset_index,
     parent,
@@ -83,31 +88,18 @@ class SourceSet:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def leaf_coords(self, level: int) -> np.ndarray:
-        """(n, d) integer coordinates of each source's level-`level` box
-        (half-open bins, faces to the larger coordinate, 1.0 folded into the
-        last box)."""
-        top = 1 << level
-        return np.minimum((self.positions * top).astype(int), top - 1)
-
     def bin_by_leaf(self, level: int) -> Dict[DyadicKey, np.ndarray]:
-        """Indices of the sources in each level-`level` box (see leaf_coords)."""
-        top = 1 << level
+        """Indices of the sources in each level-`level` box (see
+        geometry.leaf_coords)."""
         if self.count == 0:
             return {}
-        idx = self.leaf_coords(level)
-        flat = np.zeros(self.count, dtype=np.int64)
-        for k in range(self.dim - 1, -1, -1):
-            flat = flat * top + idx[:, k]
+        idx = leaf_coords(self.positions, level)
+        flat = np.ravel_multi_index(tuple(idx.T), (1 << level,) * self.dim, order="F")
         order = np.argsort(flat, kind="stable")
-        out: Dict[DyadicKey, np.ndarray] = {}
-        sorted_flat = flat[order]
-        boundaries = np.nonzero(np.diff(sorted_flat))[0] + 1
-        for chunk in np.split(order, boundaries):
-            f = int(flat[chunk[0]])
-            coords = tuple((f // top**k) % top for k in range(self.dim))
-            out[DyadicKey(level, coords)] = chunk
-        return out
+        boundaries = np.nonzero(np.diff(flat[order]))[0] + 1
+        return {
+            DyadicKey(level, tuple(int(c) for c in idx[chunk[0]])): chunk for chunk in np.split(order, boundaries)
+        }
 
 
 @dataclass
@@ -134,13 +126,23 @@ class LevelBlock:
         children = (tuple(2 * a for a in self.a_lo), tuple(2 * n for n in a_shape))
         return children, parent_block(self.b_lo, b_shape)
 
-    def target_vectors(self):
-        """(target box, weights) of a final block (one source box, the
-        root), in canonical order."""
+    def target_keys(self):
+        """The block's target boxes, in canonical order."""
         d = len(self.a_lo)
         for i in np.ndindex(*self.values.shape[:d]):
-            key = DyadicKey(self.level, tuple(a + k for a, k in zip(self.a_lo, i)))
-            yield key, self.values[i + (0,) * d]
+            yield DyadicKey(self.level, tuple(a + k for a, k in zip(self.a_lo, i)))
+
+
+def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
+    """The weights of the final blocks (whose one source box is the root)
+    as one array (N,)*d + (width,), one slice assignment per block."""
+    d = len(blocks[0].a_lo)
+    out = np.zeros((N,) * d + blocks[0].values.shape[-1:], dtype=complex)
+    for blk in blocks:
+        a_shape = blk.values.shape[:d]
+        index = tuple(slice(lo, lo + n) for lo, n in zip(blk.a_lo, a_shape))
+        out[index] = blk.values.reshape(a_shape + out.shape[-1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ class ChebEngine:
 
     def set_sources(self, sources: SourceSet) -> None:
         """Keep the sources sorted by leaf box in canonical order."""
-        leaves = sources.leaf_coords(self.L)
+        leaves = leaf_coords(sources.positions, self.L)
         order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (self.N,) * self.d), kind="stable")
         self._positions = sources.positions[order]
         self._strengths = sources.strengths[order]
@@ -202,8 +204,7 @@ class ChebEngine:
         return blk
 
     def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
-        weights = {a: v for blk in blocks for a, v in blk.target_vectors()}
-        return PotentialField(self.phase, self.d, self.N, "cheb", self.q, weights)
+        return PotentialField(self.phase, self.d, self.N, "cheb", self.q, _final_values(blocks, self.N))
 
 
 class IdEngine:
@@ -299,7 +300,16 @@ class IdEngine:
                     )
             self._ops[level] = ops
             self._widths[level + 1] = max(op.matrix.shape[0] for op in ops.values())
-        self._final_points = {a: ids[(a, root)].points for a in level_keys(self.d, self.L)}
+        # final skeletons as arrays over the target leaves, padded with the
+        # leaf center (whose weight is always 0) up to the final width
+        finals = [ids[(a, root)].points for a in level_keys(self.d, self.L)]
+        leaves = (self.N,) * self.d
+        self._final_ranks = np.array([len(pts) for pts in finals]).reshape(leaves)
+        centers = cheb.box_centers(self.L, block_coords((0,) * self.d, leaves)).reshape(-1, 1, self.d)
+        skeleton = np.repeat(centers, self._widths[self.L], axis=1)
+        for slots, pts in zip(skeleton, finals):
+            slots[: len(pts)] = pts
+        self._final_skeleton = skeleton.reshape(leaves + skeleton.shape[1:])
 
     def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
         src = self._sources
@@ -336,33 +346,56 @@ class IdEngine:
         return blk
 
     def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
-        weights = {a: v[: len(self._final_points[a])] for blk in blocks for a, v in blk.target_vectors()}
-        points = {a: self._final_points[a] for a in weights}
-        return PotentialField(self.phase, self.d, self.N, "id", None, weights, points)
+        return PotentialField(
+            self.phase, self.d, self.N, "id", None, _final_values(blocks, self.N),
+            self._final_ranks, self._final_skeleton,
+        )
 
 
-@dataclass
+# (point x weight) entries PotentialField.evaluate gathers at once, which
+# bounds its memory
+_EVAL_CHUNK = 1 << 16
+
+
+@dataclass(eq=False)
 class PotentialField:
-    """Per-target-leaf-box representation of the computed potential,
-    evaluable anywhere in the unit cube."""
+    """The computed potential as the final level's weights, evaluable
+    anywhere in the unit cube.
+
+    values[a_0, ..., a_{d-1}, :] holds the weights of the pair (A, root) for
+    the target leaf box A with coordinates a, so values has shape
+    (N,)*d + (width,). For id, ranks[a] is the length of A's weight vector
+    and skeleton[a..., t, :] the source point that weight t sits at; the
+    padded slots hold A's center and weight exactly 0.
+    """
 
     phase: PhaseEvaluator
     d: int
     N: int
     backend: str
     q: Optional[int]
-    weights: Dict[DyadicKey, np.ndarray]  # final weights per target leaf box
-    skeleton_points: Dict[DyadicKey, np.ndarray] = field(default_factory=dict)  # id only
+    values: np.ndarray
+    ranks: Optional[np.ndarray] = None  # id only
+    skeleton: Optional[np.ndarray] = None  # id only
     ledger: Optional[CostLedger] = None
+
+    @property
+    def level(self) -> int:
+        return self.N.bit_length() - 1
 
     def weight_vector(self, key: DyadicKey) -> np.ndarray:
         """Final weights of one target leaf box (backend-specific length)."""
-        return self.weights[key]
+        if key.level != self.level or key.dim != self.d:
+            raise KeyError(key)
+        v = self.values[key.coords]
+        return v if self.ranks is None else v[: self.ranks[key.coords]]
 
     def target_keys(self):
-        return sorted(self.weights, key=lambda k: k.coords)
+        return [DyadicKey(self.level, c) for c in np.ndindex(*self.values.shape[: self.d])]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The potential at each point: a few whole-batch NumPy calls per
+        chunk of points, each result independent of the rest of the batch."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.d:
             raise ValueError(f"evaluation points have dimension {points.shape[1]}, field has {self.d}")
@@ -371,24 +404,25 @@ class PotentialField:
         if points.size and (points.min() < 0.0 or points.max() > 1.0):
             raise ValueError("evaluation points must lie in the unit cube")
         out = np.zeros(points.shape[0], dtype=complex)
-        if points.shape[0] == 0:
+        width = self.values.shape[-1]
+        if points.shape[0] == 0 or width == 0:
             return out
-        level = self.N.bit_length() - 1
-        top = 1 << level
-        idx = np.minimum((points * top).astype(int), top - 1)
-        flat = np.zeros(points.shape[0], dtype=np.int64)
-        for k in range(self.d - 1, -1, -1):
-            flat = flat * top + idx[:, k]
-        root = DyadicKey(0, (0,) * self.d)
-        for f in np.unique(flat):
-            sel = np.nonzero(flat == f)[0]
-            coords = tuple(int((f // top**k) % top) for k in range(self.d))
-            key = DyadicKey(level, coords)
-            w = self.weights[key]
-            if self.backend == "cheb":
-                out[sel] = cheb.evaluate_block(key, root, w, points[sel], self.phase, self.q)
-            elif w.shape[0]:
-                out[sel] = kernel_matrix(self.phase, points[sel], self.skeleton_points[key]) @ w
+        leaves = leaf_coords(points, self.level)
+        flat = np.ravel_multi_index(tuple(leaves.T), self.values.shape[: self.d])
+        values = self.values.reshape(-1, width)
+        skeleton = self.skeleton.reshape(-1, width, self.d) if self.backend == "id" else None
+        root = center_of(DyadicKey(0, (0,) * self.d))
+        step = max(1, _EVAL_CHUNK // width)
+        for start in range(0, points.shape[0], step):
+            sel = slice(start, start + step)
+            idx = flat[sel]
+            if skeleton is None:
+                out[sel] = cheb.evaluate_block(
+                    self.level, leaves[sel], root, values[idx], points[sel], self.phase, self.q
+                )
+            else:
+                kernel = cheb._expi(cheb._phase_on(self.phase, points[sel, None, :], skeleton[idx]))
+                out[sel] = np.einsum("ij,ij->i", kernel, values[idx])
         return out
 
 

@@ -73,6 +73,14 @@ def center_of(key: DyadicKey) -> np.ndarray:
     return np.asarray(box_of(key).center, dtype=float)
 
 
+def leaf_coords(points: np.ndarray, level: int) -> np.ndarray:
+    """(n, d) integer coordinates of the level-`level` box of each point of
+    the unit cube (half-open boxes, faces to the larger coordinate, 1.0
+    folded into the last box)."""
+    top = 1 << level
+    return np.minimum((points * top).astype(int), top - 1)
+
+
 def children(key: DyadicKey) -> list[DyadicKey]:
     """The 2^d children, ordered by child index whose bit k is the offset
     in dimension k (dimension 0 is the least significant bit)."""

@@ -179,7 +179,7 @@ def simulate_parallel(
             moved += k
 
     finals = [eng.finalize(blocks[rank], ledgers[rank]) for rank in ranks]
-    owners = {a: rank for rank in ranks for a, _ in finals[rank].target_vectors()}
+    owners = {a: rank for rank in ranks for a in finals[rank].target_keys()}
     total = CostLedger(cost_params)
     for led in ledgers:
         total.merge(led)

@@ -1,6 +1,7 @@
-"""Chebyshev grids, Lagrange interpolation, and the block weight operations
-(initialization, column and row stages, middle switch, evaluation), checked
-against direct kernel summation and against per-pair oracles."""
+"""Chebyshev grids, Lagrange interpolation, the block weight operations
+(initialization, column and row stages, middle switch, evaluation) and the
+batched evaluation of a PotentialField, checked against direct kernel
+summation and against per-pair and per-leaf oracles."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bfly.engine
 from bfly.chebyshev import (
     ChebGrid,
     _child_matrices,
@@ -22,7 +24,19 @@ from bfly.chebyshev import (
     row_stage,
 )
 from bfly.costs import CostLedger, CostParams
-from bfly.geometry import BoxRegion, DyadicKey, box_of, center_of, child_index, children, parent, parent_block
+from bfly.engine import PotentialField, SourceSet, butterfly_apply
+from bfly.geometry import (
+    BoxRegion,
+    DyadicKey,
+    box_of,
+    center_of,
+    child_index,
+    children,
+    leaf_coords,
+    parent,
+    parent_block,
+)
+from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(x.shape[0]))
@@ -107,6 +121,47 @@ def leaf_init(b, positions, strengths, phase, q, led=None):
 
 def switch(a, b, values, phase, q, led=None):
     return middle_switch(a.level, a.coords, b.level, b.coords, pair_block(a, b, values), phase, q, led).reshape(-1)
+
+
+def evaluate_oracle(a, b, values, pts, phase, q, check_inside=False):
+    """Row weights of the one pair (A, B) at points of A, box by box:
+    f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    box = box_of(a)
+    if check_inside:
+        lo = np.asarray(box.lower)
+        hi = lo + np.asarray(box.width)
+        inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
+        if not np.all((pts >= lo) & inside_hi):
+            raise ValueError("evaluation point outside the pair's target box")
+    vals = lagrange_matrix(cheb_grid(q, box), pts) @ values
+    return np.exp(1j * phase_at(phase, pts, center_of(b))) * vals
+
+
+def evaluate_pair(a, b, values, pts, phase, q, check_inside=False):
+    """evaluate_block on points that all lie in the target box of one pair."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = pts.shape[0]
+    coords = np.tile(np.asarray(a.coords), (n, 1))
+    return evaluate_block(a.level, coords, center_of(b), np.tile(values, (n, 1)), pts, phase, q, check_inside)
+
+
+def field_oracle(field, pts):
+    """A field evaluated leaf by leaf, through the per-pair oracle (cheb) or
+    the kernel against the leaf's skeleton points (id)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    leaves = leaf_coords(pts, field.level)
+    root = DyadicKey(0, (0,) * field.d)
+    out = np.zeros(len(pts), dtype=complex)
+    for coords in {tuple(int(c) for c in row) for row in leaves}:
+        key = DyadicKey(field.level, coords)
+        sel = np.all(leaves == coords, axis=1)
+        w = field.weight_vector(key)
+        if field.backend == "cheb":
+            out[sel] = evaluate_oracle(key, root, w, pts[sel], field.phase, field.q, check_inside=True)
+        else:
+            out[sel] = kernel_matrix(field.phase, pts[sel], field.skeleton[coords][: len(w)]) @ w
+    return out
 
 
 def lagrange_eval(grid: ChebGrid, t: int, y) -> float:
@@ -496,7 +551,7 @@ def test_switch_preserves_potential():
     direct = kernel_matrix(phase, x, pos) @ g
     f_col = column_potential(b, col, x, phase, q)
     row = switch(a, b, col, phase, q)
-    f_row = evaluate_block(a, b, row, x, phase, q)
+    f_row = evaluate_pair(a, b, row, x, phase, q)
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(f_col - direct)) / scale <= 1e-6
     assert np.max(np.abs(f_row - direct)) / scale <= 1e-6
@@ -534,7 +589,7 @@ def test_evaluate_at_grid_node_closed_form():
     vals = np.zeros(q, dtype=complex)
     vals[2] = 1.0
     node = cheb_grid(q, box_of(a)).points[2]
-    got = evaluate_block(a, b, vals, node[None, :], phase, q, check_inside=True)[0]
+    got = evaluate_pair(a, b, vals, node[None, :], phase, q, check_inside=True)[0]
     yb = np.asarray(center_of(b))
     expect = np.exp(1j * phase(node[None, :], yb[None, :])[0])
     assert got == pytest.approx(expect, abs=1e-14)
@@ -543,7 +598,26 @@ def test_evaluate_at_grid_node_closed_form():
 def test_evaluate_outside_box_raises():
     a, b = DyadicKey(1, (0,)), DyadicKey(1, (1,))
     with pytest.raises(ValueError):
-        evaluate_block(a, b, np.zeros(3, dtype=complex), np.array([[0.9]]), get_phase("fourier"), 3, check_inside=True)
+        evaluate_pair(a, b, np.zeros(3, dtype=complex), np.array([[0.9]]), get_phase("fourier"), 3, check_inside=True)
+    # one point of the batch in the wrong box is enough
+    coords, pts = np.array([[0], [1]]), np.array([[0.2], [0.3]])
+    with pytest.raises(ValueError):
+        evaluate_block(1, coords, center_of(b), np.zeros((2, 3)), pts, get_phase("fourier"), 3, check_inside=True)
+
+
+def test_evaluate_block_matches_per_pair_oracle():
+    # one batch mixing points of many target boxes, each with its own weights
+    rng = np.random.default_rng(67)
+    for d, q, phase in ((1, 6, get_phase("fourier")), (2, 4, get_phase("hyp-radon")), (3, 3, get_phase("gen-radon"))):
+        level, b = 2, DyadicKey(1, (1,) * d)
+        pts = rng.uniform(size=(60, d))
+        coords = leaf_coords(pts, level)
+        values = rng.normal(size=(60, q**d)) + 1j * rng.normal(size=(60, q**d))
+        got = evaluate_block(level, coords, center_of(b), values, pts, phase, q, check_inside=True)
+        for i in range(60):
+            a = DyadicKey(level, tuple(int(c) for c in coords[i]))
+            expect = evaluate_oracle(a, b, values[i], pts[i : i + 1], phase, q)[0]
+            assert abs(got[i] - expect) <= 1e-14 * np.max(np.abs(values[i]))
 
 
 def test_child_matrices_match_dimwise_contraction():
@@ -559,3 +633,111 @@ def test_child_matrices_match_dimwise_contraction():
             tensor = np.moveaxis(np.tensordot(m1[(n >> k) & 1], tensor, axes=([1], [k])), 0, k)
         dense = _child_matrices(q, d)[n] @ v
         assert np.max(np.abs(dense - tensor.reshape(-1, order="F"))) <= 1e-13 * np.max(np.abs(dense))
+
+
+# ---------------------------------------------------------------------------
+# PotentialField.evaluate: batched against the per-leaf oracle
+# ---------------------------------------------------------------------------
+
+FIELD_CASES = {
+    "cheb-1d": (1, "fourier", 32, {"q": 6}),
+    "cheb-2d": (2, "hyp-radon", 8, {"q": 4}),
+    "cheb-3d": (3, "gen-radon", 4, {"q": 3}),
+    "id-1d": (1, "fourier", 16, {"backend": "id"}),
+    "id-2d": (2, "fourier", 8, {"backend": "id"}),
+}
+
+
+def solved_field(case, p=1, seed=71, sources=200):
+    d, phase, N, kw = FIELD_CASES[case]
+    rng = np.random.default_rng(seed)
+    src = SourceSet(rng.uniform(size=(sources, d)), rng.normal(size=sources) + 1j * rng.normal(size=sources))
+    if p == 1:
+        return butterfly_apply(src, get_phase(phase), N, **kw)
+    return simulate_parallel(src, get_phase(phase), N, p=p, **kw).field
+
+
+def face_points(rng, d, N, n):
+    """Random points with some coordinates on leaf faces, at 0.0 and at 1.0."""
+    pts = rng.uniform(size=(n, d))
+    on_face = rng.uniform(size=(n, d)) < 0.4
+    pts[on_face] = rng.integers(0, N + 1, size=np.count_nonzero(on_face)) / N
+    pts[0], pts[1] = 1.0, 0.0
+    return pts
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("case", ["cheb-1d", "cheb-2d", "cheb-3d", "id-2d"])
+def test_field_evaluate_matches_per_leaf_oracle(case, p):
+    field = solved_field(case, p)
+    rng = np.random.default_rng(73)
+    pts = face_points(rng, field.d, field.N, 300)
+    got = field.evaluate(pts)
+    expect = field_oracle(field, pts)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_field_evaluate_is_batch_invariant(case, monkeypatch):
+    # a point's value does not depend on the batch around it, nor on where
+    # the chunks of the batch fall
+    field = solved_field(case)
+    rng = np.random.default_rng(79)
+    pts = face_points(rng, field.d, field.N, 101)
+    whole = field.evaluate(pts)
+    singles = np.array([field.evaluate(pts[i : i + 1])[0] for i in range(len(pts))])
+    assert np.array_equal(whole, singles)
+    width = field.values.shape[-1]
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(bfly.engine, "_EVAL_CHUNK", rows * width)
+        assert np.array_equal(field.evaluate(pts), whole)
+
+
+def random_field(rng, backend, d, N, q=3):
+    """A field with unrelated random weights in every leaf, so a point
+    evaluated in a neighbouring leaf gives a visibly different value."""
+    phase = get_phase("fourier")
+    if backend == "cheb":
+        values = rng.normal(size=(N,) * d + (q**d,)) + 1j * rng.normal(size=(N,) * d + (q**d,))
+        return PotentialField(phase, d, N, "cheb", q, values)
+    width = 3
+    ranks = rng.integers(0, width + 1, size=(N,) * d)
+    values = rng.normal(size=(N,) * d + (width,)) + 1j * rng.normal(size=(N,) * d + (width,))
+    values[np.arange(width) >= ranks[..., None]] = 0.0
+    skeleton = rng.uniform(size=(N,) * d + (width, d))
+    return PotentialField(phase, d, N, "id", None, values, ranks, skeleton)
+
+
+@pytest.mark.parametrize("backend", ["cheb", "id"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_field_points_on_faces_use_the_binning_leaf(backend, d):
+    # a point on a shared face belongs to the leaf with the larger
+    # coordinate, and 1.0 to the last leaf, as sources are binned
+    rng = np.random.default_rng(83)
+    N = 4
+    field = random_field(rng, backend, d, N)
+    pts = face_points(rng, d, N, 200)
+    leaves = leaf_coords(pts, 2)
+    assert np.array_equal(leaves, np.minimum(np.floor(pts * N), N - 1))
+    assert np.max(np.abs(field.evaluate(pts) - field_oracle(field, pts))) <= 1e-14 * np.max(np.abs(field.values))
+
+
+@pytest.mark.parametrize("backend", ["cheb", "id"])
+def test_field_empty_sources_evaluate_to_exact_zeros(backend):
+    rng = np.random.default_rng(89)
+    field = butterfly_apply(SourceSet(np.zeros((0, 2)), np.zeros(0)), get_phase("fourier"), 8, q=3, backend=backend)
+    assert all(not np.any(field.weight_vector(k)) for k in field.target_keys())
+    out = field.evaluate(face_points(rng, 2, 8, 50))
+    assert out.shape == (50,) and np.all(out == 0)
+
+
+def test_field_rank_zero_id_leaves_evaluate_to_exact_zeros():
+    rng = np.random.default_rng(97)
+    field = random_field(rng, "id", 2, 4)
+    field.ranks[0, 0], field.ranks[3, 1] = 0, 0
+    field.values[0, 0], field.values[3, 1] = 0.0, 0.0
+    assert field.weight_vector(DyadicKey(2, (0, 0))).shape == (0,)
+    pts = np.array([[0.1, 0.2], [0.0, 0.0], [0.8, 0.3], [1.0, 0.25], [0.5, 0.5]])
+    out = field.evaluate(pts)
+    assert np.all(out[:4] == 0)
+    assert np.max(np.abs(out - field_oracle(field, pts))) <= 1e-14 * np.max(np.abs(field.values))

@@ -12,6 +12,8 @@ import sys
 import pytest
 
 import bfly
+import bfly.cli
+import bfly.parallel
 from bfly.cli import main
 
 BASE = ["--dim", "1", "--log2n", "2", "--sources", "32", "--targets", "10"]
@@ -319,6 +321,25 @@ def test_bad_threads_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BFLY_THREADS", "many")
     assert main(["scale", "--dim", "1", "--log2n", "2", "--sources", "8", "--procs", "1"]) == 2
     assert "BFLY_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "x"])
+def test_threads_env_below_one_is_usage_error(monkeypatch, capsys, raw):
+    # rejected before any solve, so no simulator and no thread pool starts
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver started")
+
+    monkeypatch.setattr(bfly.cli, "simulate_parallel", no_solve)
+    monkeypatch.setattr(bfly.cli, "butterfly_apply", no_solve)
+    monkeypatch.setattr(bfly.parallel, "ThreadPoolExecutor", no_solve)
+    monkeypatch.setenv("BFLY_THREADS", raw)
+    for args in (
+        ["scale", "--dim", "1", "--log2n", "2", "--sources", "8", "--procs", "1,4"],
+        ["verify"] + BASE + ["--procs", "4"],
+        ["verify"] + BASE,
+    ):
+        assert main(args) == 2
+        assert "BFLY_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
