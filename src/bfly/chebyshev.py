@@ -43,11 +43,13 @@ from .costs import CostLedger
 from .geometry import (
     BoxRegion,
     block_coords,
+    leaf_runs,
     offset_index,
     parent_block,
     present_children,
+    to_children,
 )
-from .phases import PhaseEvaluator
+from .phases import PhaseEvaluator, _expi, _phase_on
 
 
 @dataclass(frozen=True)
@@ -166,32 +168,8 @@ def _child_matrices(q: int, d: int) -> np.ndarray:
     return out
 
 
-def _phase_at(phase: PhaseEvaluator, pts: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Phi(pts[i], point) for a fixed second argument."""
-    rep = np.broadcast_to(point, pts.shape)
-    return phase(pts, rep)
-
-
-def _phase_on(phase: PhaseEvaluator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Phi at every point pair of two broadcast-compatible (..., d) arrays,
-    in one batched call; the result has the broadcast shape without d."""
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    xs = np.broadcast_to(x, shape).reshape(-1, shape[-1])
-    ys = np.broadcast_to(y, shape).reshape(-1, shape[-1])
-    return phase(xs, ys).reshape(shape[:-1])
-
-
-def _expi(theta: np.ndarray) -> np.ndarray:
-    """exp(i * theta) for real theta, without forming i * theta."""
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def box_centers(level: int, coords: np.ndarray) -> np.ndarray:
-    """Centers of level-`level` boxes from integer coordinates (..., d);
-    the arithmetic of center_of, bit for bit."""
+    """Centers of level-`level` boxes from integer coordinates (..., d)."""
     w = 1.0 / (1 << level)
     return coords * w + w / 2.0
 
@@ -207,7 +185,7 @@ def _grid_layout(q: int, d: int) -> np.ndarray:
 def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
     """Chebyshev grids of level-`level` boxes from integer coordinates:
     (..., d) -> (..., q^d, d), dimension 0 fastest; the arithmetic of
-    cheb_grid(q, box_of(key)).points, bit for bit."""
+    cheb_grid(q, box).points for each box, bit for bit."""
     z, _ = _reference_nodes(q)
     w = 1.0 / (1 << level)
     d = coords.shape[-1]
@@ -294,10 +272,9 @@ def init_source_weights(
     inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
     if not np.all((positions >= lo) & inside_hi):
         raise ValueError("source position outside its box")
-    flat = np.ravel_multi_index(tuple((leaves - np.asarray(b_lo)).T), b_shape)
+    flat, starts = leaf_runs(leaves, b_lo, b_shape)
     if np.any(np.diff(flat) < 0):
         raise ValueError("sources must be sorted by leaf box")
-    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
     grid = grid_points(q, level, leaves[starts]).reshape(-1, d)
     ph = _phase_on(phase, np.full(d, 0.5), np.concatenate([positions, grid]))
     weighted = _tensor_basis(q, lo.T, (w,) * d, positions) * (_expi(ph[:n]) * strengths)[:, None]
@@ -370,9 +347,10 @@ def _column_contribution(
     """
     d = len(offset)
     r = q**d
-    for k in range(d):
-        values = np.repeat(values, 2, axis=k)  # A -> each of its children A_c
-    rows = (mod * values).reshape(-1, r)
+    # A -> each of its children A_c. np.multiply, not `*`: numpy may reuse a
+    # large temporary right operand with the operands swapped, which rounds
+    # complex products differently from a small block's rows.
+    rows = np.multiply(mod, to_children(values, d)).reshape(-1, r)
     w = _rows_times(rows, _stage_matrices(q, d)[0][offset_index(offset)])
     if ledger is not None:
         ledger.add_flops(rows.shape[0] * (2 * r * r + 3 * r))
@@ -506,4 +484,4 @@ def evaluate_block(
         if not np.all((pts >= lower) & inside_hi):
             raise ValueError("evaluation point outside its target box")
     basis = _tensor_basis(q, lower.T, (w,) * pts.shape[1], pts)
-    return _expi(_phase_at(phase, pts, y_b)) * np.einsum("ij,ij->i", basis, values)
+    return _expi(_phase_on(phase, pts, y_b)) * np.einsum("ij,ij->i", basis, values)

@@ -17,7 +17,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -290,17 +289,6 @@ def _draw_inputs(cfg: RunConfig) -> Tuple[SourceSet, np.ndarray]:
     return src, tgts
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("BFLY_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"invalid BFLY_THREADS value: {raw!r} (expected integer >= 1)")
-    return threads
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -320,7 +308,6 @@ def _engine_kwargs(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
-    threads = _threads_from_env()
     src, tgts = _draw_inputs(cfg)
     phase = REGISTRY[cfg.phase]
     params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
@@ -329,7 +316,7 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
 
     p = cfg.procs[0]
     if p > 1:
-        res = simulate_parallel(src, phase, N, p=p, params=params, threads=threads, **kwargs)
+        res = simulate_parallel(src, phase, N, p=p, params=params, **kwargs)
         field = res.field
         rows = ledger_report(res.ledgers)
     else:
@@ -369,7 +356,6 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_scale(cfg: RunConfig) -> Tuple[str, int]:
-    threads = _threads_from_env()
     src, _ = _draw_inputs(cfg)
     phase = REGISTRY[cfg.phase]
     params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
@@ -378,7 +364,7 @@ def cmd_scale(cfg: RunConfig) -> Tuple[str, int]:
 
     out_rows = []
     for p in cfg.procs:
-        res = simulate_parallel(src, phase, N, p=p, params=params, threads=threads, **kwargs)
+        res = simulate_parallel(src, phase, N, p=p, params=params, **kwargs)
         rep = ledger_report(res.ledgers)
         out_rows.append(
             {

@@ -17,7 +17,10 @@ coordinates, in canonical order, then the pair's weights. A stage maps the
 block of level l to the block of level l + 1, summing each output pair's
 2^d children in canonical coordinate order (dimension 0 most significant).
 The cheb stage is a handful of whole-block NumPy calls per child; the id
-stage applies each pair's precomputed map to the same zero-padded array.
+stage is one batched matrix-vector product per child, each pair with its
+own precomputed map, kept zero-padded in one array per level (IdEngine).
+Both backends start from the sources sorted by leaf box, so a block's leaf
+weights are one segment sum.
 
 butterfly_apply is the sequential reference and runs the stages on one
 block holding every pair. The distributed simulator in bfly.parallel runs
@@ -30,10 +33,9 @@ evaluated a chunk of points at a time with a few whole-chunk NumPy calls.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,18 +45,16 @@ from .geometry import (
     Block,
     DyadicKey,
     block_coords,
-    box_of,
-    center_of,
-    children,
     leaf_coords,
-    level_keys,
+    leaf_order,
+    leaf_runs,
     offset_index,
-    parent,
     parent_block,
     present_children,
+    to_children,
 )
-from .lowrank import InterpolativeDecomposition, TranslationOperatorID, build_id, build_translation_id
-from .phases import PhaseEvaluator, kernel_matrix
+from .lowrank import build_id, build_translation_id
+from .phases import PhaseEvaluator, _expi, _phase_on, kernel_matrix
 
 
 class AllZeroReferenceError(ValueError):
@@ -88,19 +88,6 @@ class SourceSet:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def bin_by_leaf(self, level: int) -> Dict[DyadicKey, np.ndarray]:
-        """Indices of the sources in each level-`level` box (see
-        geometry.leaf_coords)."""
-        if self.count == 0:
-            return {}
-        idx = leaf_coords(self.positions, level)
-        flat = np.ravel_multi_index(tuple(idx.T), (1 << level,) * self.dim, order="F")
-        order = np.argsort(flat, kind="stable")
-        boundaries = np.nonzero(np.diff(flat[order]))[0] + 1
-        return {
-            DyadicKey(level, tuple(int(c) for c in idx[chunk[0]])): chunk for chunk in np.split(order, boundaries)
-        }
-
 
 @dataclass
 class LevelBlock:
@@ -133,6 +120,11 @@ class LevelBlock:
             yield DyadicKey(self.level, tuple(a + k for a, k in zip(self.a_lo, i)))
 
 
+def _block_index(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> tuple:
+    """The index that selects a block of boxes from an array over a level."""
+    return tuple(slice(a, a + n) for a, n in zip(lo, shape))
+
+
 def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
     """The weights of the final blocks (whose one source box is the root)
     as one array (N,)*d + (width,), one slice assignment per block."""
@@ -140,8 +132,7 @@ def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
     out = np.zeros((N,) * d + blocks[0].values.shape[-1:], dtype=complex)
     for blk in blocks:
         a_shape = blk.values.shape[:d]
-        index = tuple(slice(lo, lo + n) for lo, n in zip(blk.a_lo, a_shape))
-        out[index] = blk.values.reshape(a_shape + out.shape[-1:])
+        out[_block_index(blk.a_lo, a_shape)] = blk.values.reshape(a_shape + out.shape[-1:])
     return out
 
 
@@ -150,7 +141,26 @@ def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ChebEngine:
+class _SortedSources:
+    """An engine's sources, sorted by leaf box in canonical order
+    (geometry.leaf_order): a block of leaves holds the sources a mask picks,
+    and each leaf's sources are one run of them."""
+
+    L: int
+
+    def set_sources(self, sources: SourceSet) -> None:
+        order, leaves = leaf_order(sources.positions, self.L)
+        self._positions = sources.positions[order]
+        self._strengths = sources.strengths[order]
+        self._leaves = leaves[order]
+
+    def _inside(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...]) -> np.ndarray:
+        """Which of the sorted sources lie in the block of leaves b_lo/b_shape."""
+        lo = np.asarray(b_lo)
+        return np.all((self._leaves >= lo) & (self._leaves < lo + b_shape), axis=1)
+
+
+class ChebEngine(_SortedSources):
     """Analytic backend: fixed rank q^d, column stages, switch, row stages."""
 
     name = "cheb"
@@ -167,17 +177,8 @@ class ChebEngine:
         self._strengths = np.zeros(0, dtype=complex)
         self._leaves = np.zeros((0, d), dtype=int)
 
-    def set_sources(self, sources: SourceSet) -> None:
-        """Keep the sources sorted by leaf box in canonical order."""
-        leaves = leaf_coords(sources.positions, self.L)
-        order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (self.N,) * self.d), kind="stable")
-        self._positions = sources.positions[order]
-        self._strengths = sources.strengths[order]
-        self._leaves = leaves[order]
-
     def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
-        lo = np.asarray(b_lo)
-        inside = np.all((self._leaves >= lo) & (self._leaves < lo + b_shape), axis=1)
+        inside = self._inside(b_lo, b_shape)
         values = cheb.init_source_weights(
             self.L, b_lo, b_shape, self._positions[inside], self._strengths[inside],
             self._leaves[inside], self.phase, self.q, ledger,
@@ -207,16 +208,24 @@ class ChebEngine:
         return PotentialField(self.phase, self.d, self.N, "cheb", self.q, _final_values(blocks, self.N))
 
 
-class IdEngine:
+class IdEngine(_SortedSources):
     """Sampled backend: adaptive-rank skeletons of actual source points.
 
     All factorizations (leaf IDs and stacked-skeleton recompressions) are
-    precomputed here against the full source set; the stages then only
-    apply the per-pair weight maps, reading and writing level arrays whose
-    width is the level's largest rank. Row samples are a tensor Chebyshev
-    grid of rows_per_dim points per dimension in every leaf target box, and
-    a pair's row set is all such samples inside its target box, with no
-    proxy rows.
+    precomputed against the full source set, one pair at a time, into arrays
+    over each level's pairs: _ranks[l], and _maps[l], the maps of stage l
+    zero-padded to one array (w_{l+1},) + pairs of level l+1 + (2^d, w_l),
+    w_l the largest rank of level l, whose entry [t, a_c..., b_p..., n, s]
+    carries weight s of (parent(A_c), child n of B_p) into weight t of
+    (A_c, B_p). Rows come first so the array can be filled with room for any
+    rank and cut to the level's width without a copy or touching the room.
+    A stage is one batched matrix-vector product per present child, the leaf
+    initialization a segment sum over the leaf-sorted sources (_interp holds
+    each source's column of its leaf's interpolation matrix).
+
+    Row samples are a tensor Chebyshev grid of rows_per_dim points per
+    dimension in every leaf target box, and a pair's row set is all such
+    samples inside its target box, with no proxy rows.
     """
 
     name = "id"
@@ -237,109 +246,111 @@ class IdEngine:
         self.rows_per_dim = rows_per_dim
         self.L = N.bit_length() - 1
         self.precompute_flops = 0
-        self._row_pts: Dict[DyadicKey, np.ndarray] = {}
-        self._stage0: Dict[Tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        # per level: (A_c coords + B_p coords) -> translation operator
-        self._ops: Dict[int, Dict[Tuple[int, ...], TranslationOperatorID]] = {}
-        self._widths: Dict[int, int] = {}
-        self._bins: Dict[DyadicKey, np.ndarray] = {}
-        self._sources = sources
         if sources is not None:
             self.set_sources(sources)
 
     def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.phase, xs, ys)
 
-    def _targets_in(self, a: DyadicKey) -> np.ndarray:
-        shift = self.L - a.level
-        ranges = [range(c << shift, (c + 1) << shift) for c in a.coords]
-        pts = [self._row_pts[DyadicKey(self.L, coords)] for coords in itertools.product(*ranges)]
-        return np.vstack(pts)
-
     def set_sources(self, sources: SourceSet) -> None:
-        self._sources = sources
-        self._bins = sources.bin_by_leaf(self.L)
+        super().set_sources(sources)
         self._precompute()
 
+    def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
+        """Skeleton points of the pairs of a level, pairs + (width, d), every
+        slot holding the center of the pair's target box until filled."""
+        d, n = self.d, 1 << level
+        centers = cheb.box_centers(level, block_coords((0,) * d, (n,) * d))
+        shape = (n,) * d + (self.N >> level,) * d + (width, d)
+        return np.array(np.broadcast_to(centers.reshape((n,) * d + (1,) * d + (1, d)), shape))
+
     def _precompute(self) -> None:
-        src = self._sources
-        assert src is not None
-        for key in level_keys(self.d, self.L):
-            self._row_pts[key] = cheb.cheb_grid(self.rows_per_dim, box_of(key)).points
-        all_targets = np.vstack([self._row_pts[k] for k in level_keys(self.d, self.L)])
-        ids: Dict[tuple[DyadicKey, DyadicKey], InterpolativeDecomposition] = {}
-        root = DyadicKey(0, (0,) * self.d)
-        for b in level_keys(self.d, self.L):
-            idx = self._bins.get(b)
-            if idx is None or idx.size == 0:
-                dec = InterpolativeDecomposition(
-                    np.arange(0), np.zeros((0, 0), dtype=complex), 0, points=np.zeros((0, self.d))
-                )
-            else:
-                pos = src.positions[idx]
-                M = self._sampler(all_targets, pos)
-                dec = build_id(M, self.tol)
-                dec.points = pos[dec.column_indices]
-                self.precompute_flops += 4 * M.shape[0] * M.shape[1] * max(1, dec.rank)
-            self._stage0[b.coords] = (dec.interp_matrix, idx if idx is not None else np.arange(0))
-            ids[(root, b)] = dec
-        self._widths[0] = max(dec.rank for dec in ids.values())
-        for level in range(self.L):
-            ops: Dict[Tuple[int, ...], TranslationOperatorID] = {}
-            for bp in level_keys(self.d, self.L - level - 1):
-                bs = children(bp)
-                for ac in level_keys(self.d, level + 1):
-                    a = parent(ac)
-                    child_ids = [ids[(a, bn)] for bn in bs]
-                    targets = self._targets_in(ac)
-                    op = build_translation_id(child_ids, targets, self._sampler, self.tol)
-                    ops[ac.coords + bp.coords] = op
-                    self.precompute_flops += 4 * targets.shape[0] * op.matrix.shape[1] * max(1, op.matrix.shape[0])
-                    ids[(ac, bp)] = InterpolativeDecomposition(
-                        op.column_indices, op.matrix, op.matrix.shape[1], points=op.points
+        d, L, N = self.d, self.L, self.N
+        rows = cheb.grid_points(self.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
+        all_rows = rows.reshape(-1, d)
+        # leaf IDs against every row sample, written into room for any rank
+        _, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
+        counts = np.diff(np.append(starts, len(self._leaves)))
+        room = min(int(np.max(counts, initial=0)), len(all_rows))
+        ranks = np.zeros((1,) * d + (N,) * d, dtype=int)
+        skeleton = self._padded_skeleton(0, room)
+        interp = np.zeros((len(self._leaves), room), dtype=complex)
+        for i, n in zip(starts, counts):
+            pair = (0,) * d + tuple(self._leaves[i])
+            M = self._sampler(all_rows, self._positions[i : i + n])
+            dec = build_id(M, self.tol)
+            self.precompute_flops += 4 * M.shape[0] * M.shape[1] * max(1, dec.rank)
+            ranks[pair] = dec.rank
+            skeleton[pair][: dec.rank] = self._positions[i : i + n][dec.column_indices]
+            interp[i : i + n, : dec.rank] = dec.matrix.T
+        width = int(np.max(ranks))
+        self._interp = interp[:, :width]
+        self._ranks = [ranks]
+        self._maps = []
+        skeleton = skeleton[..., :width, :]
+        kids = [tuple((n >> k) & 1 for k in range(d)) for n in range(1 << d)]
+        for level in range(L):
+            # pair (A_c, B_p) of level + 1 recompresses the skeletons of
+            # (parent(A_c), B_n), B_n the children of B_p in child order,
+            # against the row samples of the leaves inside A_c
+            shift = L - level - 1
+            room = min(self.rows_per_dim**d << (d * shift), len(kids) * width)
+            n_a, n_b = 2 << level, 1 << shift
+            out_ranks = np.zeros((n_a,) * d + (n_b,) * d, dtype=int)
+            out_skeleton = self._padded_skeleton(level + 1, room)
+            maps = np.zeros((room,) + out_ranks.shape + (len(kids), width), dtype=complex)
+            for bp in np.ndindex(*(n_b,) * d):
+                for ac in np.ndindex(*(n_a,) * d):
+                    ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+                    child_ranks = [ranks[p] for p in ins]
+                    targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
+                    dec = build_translation_id(
+                        [skeleton[p][:r] for p, r in zip(ins, child_ranks)], targets, self._sampler, self.tol
                     )
-            self._ops[level] = ops
-            self._widths[level + 1] = max(op.matrix.shape[0] for op in ops.values())
-        # final skeletons as arrays over the target leaves, padded with the
-        # leaf center (whose weight is always 0) up to the final width
-        finals = [ids[(a, root)].points for a in level_keys(self.d, self.L)]
-        leaves = (self.N,) * self.d
-        self._final_ranks = np.array([len(pts) for pts in finals]).reshape(leaves)
-        centers = cheb.box_centers(self.L, block_coords((0,) * self.d, leaves)).reshape(-1, 1, self.d)
-        skeleton = np.repeat(centers, self._widths[self.L], axis=1)
-        for slots, pts in zip(skeleton, finals):
-            slots[: len(pts)] = pts
-        self._final_skeleton = skeleton.reshape(leaves + skeleton.shape[1:])
+                    self.precompute_flops += 4 * targets.shape[0] * dec.matrix.shape[1] * max(1, dec.rank)
+                    pair = ac + bp
+                    out_ranks[pair] = dec.rank
+                    out_skeleton[pair][: dec.rank] = dec.points
+                    for n, cols in enumerate(np.split(dec.matrix, np.cumsum(child_ranks)[:-1], axis=1)):
+                        maps[(slice(0, dec.rank),) + pair + (n, slice(0, cols.shape[1]))] = cols
+            ranks, width = out_ranks, int(np.max(out_ranks))
+            skeleton = out_skeleton[..., :width, :]
+            self._ranks.append(ranks)
+            self._maps.append(maps[:width])
+        # the final pairs (A, root) as arrays over the target leaves, the
+        # padded slots holding the leaf center and weight exactly 0
+        self._final_ranks = ranks.reshape((N,) * d)
+        self._final_skeleton = skeleton.reshape((N,) * d + skeleton.shape[-2:])
 
     def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
-        src = self._sources
-        assert src is not None
-        out = np.zeros(tuple(b_shape) + (self._widths[0],), dtype=complex)
-        for j in np.ndindex(*b_shape):
-            Z, idx = self._stage0[tuple(lo + k for lo, k in zip(b_lo, j))]
-            if Z.size:
-                out[j][: Z.shape[0]] = Z @ src.strengths[idx]
-            ledger.add_flops(2 * Z.shape[0] * Z.shape[1])
+        """The leaf weights Z @ g of a block of leaf boxes, as one segment sum."""
+        out = np.zeros(tuple(b_shape) + self._interp.shape[1:], dtype=complex)
+        inside = self._inside(b_lo, b_shape)
+        flat, starts = leaf_runs(self._leaves[inside], b_lo, b_shape)
+        if starts.size:
+            weighted = self._interp[inside] * self._strengths[inside, None]
+            out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
+        ranks = self._ranks[0][(0,) * self.d + _block_index(b_lo, b_shape)].reshape(-1)
+        ledger.add_flops(2 * np.sum(ranks[flat]))
         return LevelBlock(0, (0,) * self.d, tuple(b_lo), out.reshape((1,) * self.d + out.shape))
 
     def stage(self, level: int, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
-        """Apply each pair's translation map, child by child in canonical
-        order, so partial sums over a rank's children add up across ranks."""
+        """Apply every pair's map, child by child in canonical order, so
+        partial sums over a rank's children add up across ranks. Each pair's
+        product is its own matrix-vector product, so any block of pairs gives
+        the bits of the same pairs in the whole level."""
         d = self.d
         (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
-        out = np.zeros(ac_shape + bp_shape + (self._widths[level + 1],), dtype=complex)
-        ops = self._ops[level]
+        pairs = _block_index(ac_lo + bp_lo, ac_shape + bp_shape)
+        maps = np.moveaxis(self._maps[level][(slice(None),) + pairs], 0, -3)
+        out_ranks = self._ranks[level + 1][pairs]
+        in_ranks = self._ranks[level][_block_index(blk.a_lo + blk.b_lo, blk.values.shape[: 2 * d])]
+        out = None
         for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
-            n = offset_index(offset)
-            child_values = blk.values[(slice(None),) * d + index]
-            for i in np.ndindex(*ac_shape):
-                ac = tuple(lo + k for lo, k in zip(ac_lo, i))
-                a_idx = tuple(k // 2 for k in i)
-                for j in np.ndindex(*bp_shape):
-                    op = ops[ac + tuple(lo + k for lo, k in zip(bp_lo, j))]
-                    mat = op.matrix[:, op.child_slices[n]]
-                    out[i + j][: mat.shape[0]] += mat @ child_values[a_idx + j][: mat.shape[1]]
-                    ledger.add_flops(2 * mat.shape[0] * mat.shape[1] + mat.shape[0])
+            child = (slice(None),) * d + index
+            contrib = np.matmul(maps[..., offset_index(offset), :], to_children(blk.values[child], d)[..., None])
+            out = contrib[..., 0] if out is None else np.add(out, contrib[..., 0], out=out)
+            ledger.add_flops(np.sum(out_ranks * (2 * to_children(in_ranks[child], d) + 1)))
         return LevelBlock(level + 1, ac_lo, bp_lo, out)
 
     def finalize(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
@@ -411,7 +422,7 @@ class PotentialField:
         flat = np.ravel_multi_index(tuple(leaves.T), self.values.shape[: self.d])
         values = self.values.reshape(-1, width)
         skeleton = self.skeleton.reshape(-1, width, self.d) if self.backend == "id" else None
-        root = center_of(DyadicKey(0, (0,) * self.d))
+        root = np.full(self.d, 0.5)
         step = max(1, _EVAL_CHUNK // width)
         for start in range(0, points.shape[0], step):
             sel = slice(start, start + step)
@@ -421,7 +432,7 @@ class PotentialField:
                     self.level, leaves[sel], root, values[idx], points[sel], self.phase, self.q
                 )
             else:
-                kernel = cheb._expi(cheb._phase_on(self.phase, points[sel, None, :], skeleton[idx]))
+                kernel = _expi(_phase_on(self.phase, points[sel, None, :], skeleton[idx]))
                 out[sel] = np.einsum("ij,ij->i", kernel, values[idx])
         return out
 

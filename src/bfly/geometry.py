@@ -22,10 +22,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 
-class NoParentError(ValueError):
-    """Raised when asking for the parent of a level-0 box."""
-
-
 class StackExhaustedError(ValueError):
     """Raised when popping more bisection entries than a stack holds."""
 
@@ -58,20 +54,6 @@ class BoxRegion:
     lower: Tuple[float, ...]
     width: Tuple[float, ...]
 
-    @property
-    def center(self) -> Tuple[float, ...]:
-        return tuple(lo + w / 2.0 for lo, w in zip(self.lower, self.width))
-
-
-def box_of(key: DyadicKey) -> BoxRegion:
-    """Geometric region of a dyadic box inside the unit cube."""
-    w = 1.0 / (1 << key.level)
-    return BoxRegion(tuple(c * w for c in key.coords), (w,) * key.dim)
-
-
-def center_of(key: DyadicKey) -> np.ndarray:
-    return np.asarray(box_of(key).center, dtype=float)
-
 
 def leaf_coords(points: np.ndarray, level: int) -> np.ndarray:
     """(n, d) integer coordinates of the level-`level` box of each point of
@@ -81,37 +63,29 @@ def leaf_coords(points: np.ndarray, level: int) -> np.ndarray:
     return np.minimum((points * top).astype(int), top - 1)
 
 
-def children(key: DyadicKey) -> list[DyadicKey]:
-    """The 2^d children, ordered by child index whose bit k is the offset
-    in dimension k (dimension 0 is the least significant bit)."""
-    d = key.dim
-    out = []
-    for n in range(1 << d):
-        coords = tuple(2 * c + ((n >> k) & 1) for k, c in enumerate(key.coords))
-        out.append(DyadicKey(key.level + 1, coords))
-    return out
+def leaf_order(points: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, leaves): leaves = leaf_coords(points, level), and order the
+    stable sort of the points by leaf box in canonical order, so the points
+    of one box keep their input order and form one run of the sorted points."""
+    leaves = leaf_coords(points, level)
+    flat = np.ravel_multi_index(tuple(leaves.T), (1 << level,) * points.shape[1])
+    return np.argsort(flat, kind="stable"), leaves
 
 
-def parent(key: DyadicKey) -> DyadicKey:
-    if key.level == 0:
-        raise NoParentError("level-0 box has no parent")
-    return DyadicKey(key.level - 1, tuple(c // 2 for c in key.coords))
-
-
-def child_index(key: DyadicKey) -> int:
-    """Position of a box among its siblings (inverse of the children order)."""
-    return offset_index(tuple(c & 1 for c in key.coords))
+def leaf_runs(leaves: np.ndarray, lo: Tuple[int, ...], shape: Tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, starts) for boxes (n, d) of the block lo/shape listed in
+    canonical order: each box's flat (C-order) index in the block, and the
+    first position of each run of equal boxes."""
+    flat = np.ravel_multi_index(tuple((leaves - np.asarray(lo)).T), tuple(shape))
+    if flat.size == 0:
+        return flat, np.zeros(0, dtype=np.intp)
+    return flat, np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
 
 
 def offset_index(offset: Tuple[int, ...]) -> int:
-    """Child index of the child at per-dimension offsets in {0, 1}."""
+    """Index among its 2^d siblings of the child at per-dimension offsets in
+    {0, 1}: bit k is the offset in dimension k (dimension 0 least significant)."""
     return sum(o << k for k, o in enumerate(offset))
-
-
-def level_keys(d: int, level: int) -> Iterator[DyadicKey]:
-    """All level-`level` boxes in canonical (coordinate-tuple) order."""
-    for coords in itertools.product(range(1 << level), repeat=d):
-        yield DyadicKey(level, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +107,14 @@ def block_coords(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> np.ndarray:
 def parent_block(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Block:
     """The parents of a dyadic block (aligned, each extent 1 or even)."""
     return tuple(a // 2 for a in lo), tuple(max(1, n // 2) for n in shape)
+
+
+def to_children(values: np.ndarray, d: int) -> np.ndarray:
+    """An array laid out over a block of boxes (axes 0..d-1) repeated onto
+    the block of their children: each box's entry goes to its 2^d children."""
+    for k in range(d):
+        values = np.repeat(values, 2, axis=k)
+    return values
 
 
 def present_children(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Iterator[tuple[Tuple[int, ...], tuple]]:
@@ -226,12 +208,6 @@ def region_coords(stack: BisectionStack, rank: int, d: int, level: int) -> list[
         shift = level - depth[k]
         out.append((prefix[k] << shift, (prefix[k] + 1) << shift))
     return out
-
-
-def keys_in_region(stack: BisectionStack, rank: int, d: int, level: int) -> list[DyadicKey]:
-    """Level-`level` boxes in a rank's region, canonical coordinate order."""
-    ranges = region_coords(stack, rank, d, level)
-    return [DyadicKey(level, coords) for coords in itertools.product(*(range(a, b) for a, b in ranges))]
 
 
 def stage_split(N: int, d: int, p: int) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ parent's, and the new skeleton is again a set of actual source points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,23 +34,12 @@ class InterpolativeDecomposition:
     """Column skeleton and interpolation matrix of one kernel block."""
 
     column_indices: np.ndarray  # (r,) indices into the original columns
-    interp_matrix: np.ndarray  # (r, n) with identity at column_indices
-    n_cols: int
-    points: Optional[np.ndarray] = field(default=None)  # (r, d) skeleton points
+    matrix: np.ndarray  # (r, n) with identity at column_indices
+    points: Optional[np.ndarray] = None  # (r, d) skeleton points
 
     @property
     def rank(self) -> int:
         return int(self.column_indices.shape[0])
-
-
-@dataclass
-class TranslationOperatorID:
-    """Weight map from stacked child equivalent sources to a parent's."""
-
-    matrix: np.ndarray  # (r_new, sum of child ranks)
-    child_slices: tuple[slice, ...]
-    column_indices: np.ndarray  # into the stacked child skeleton
-    points: np.ndarray  # (r_new, d) selected source points
 
 
 def _truncation_rank(diag: np.ndarray, tol: float) -> int:
@@ -86,56 +75,36 @@ def build_id(M: np.ndarray, tol: float) -> InterpolativeDecomposition:
     M = np.asarray(M, dtype=complex)
     m, n = M.shape
     if m == 0 or n == 0:
-        return InterpolativeDecomposition(np.arange(0), np.zeros((0, n), dtype=complex), n)
+        return InterpolativeDecomposition(np.arange(0), np.zeros((0, n), dtype=complex))
     _, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
     r = _truncation_rank(np.abs(np.diag(R)), tol)
     T = _solve_clamped(R[:r, :r], R[:r, r:])
     Z = np.zeros((r, n), dtype=complex)
     Z[np.arange(r), perm[:r]] = 1.0
     Z[:, perm[r:]] = T
-    return InterpolativeDecomposition(perm[:r].copy(), Z, n)
+    return InterpolativeDecomposition(perm[:r].copy(), Z)
 
 
 KernelSampler = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def build_translation_id(
-    child_ids: Sequence[InterpolativeDecomposition],
+    child_points: Sequence[np.ndarray],
     target_points: np.ndarray,
     kernel_sampler: KernelSampler,
     tol: float,
-) -> TranslationOperatorID:
+) -> InterpolativeDecomposition:
     """Recompress stacked child skeletons against a finer target box's rows.
 
-    child_ids must carry their skeleton points. target_points are all the
-    target samples of the output pair's target box (no proxy rows). The
-    returned matrix maps the concatenation of child equivalent sources to
-    the parent pair's, one slice per child.
+    child_points are the children's skeleton points (r_n, d), in child
+    order. target_points are all the target samples of the output pair's
+    target box (no proxy rows). The returned matrix maps the concatenation
+    of the child equivalent sources to the parent pair's, whose skeleton
+    points are again child skeleton points.
     """
-    d = None
-    pts = []
-    slices = []
-    start = 0
-    for cid in child_ids:
-        if cid.points is None:
-            raise ValueError("child decomposition lacks skeleton points")
-        pts.append(np.atleast_2d(cid.points))
-        if cid.rank:
-            d = pts[-1].shape[1]
-        slices.append(slice(start, start + cid.rank))
-        start += cid.rank
-    total = start
-    if total == 0:
-        dd = d if d is not None else np.atleast_2d(target_points).shape[1]
-        return TranslationOperatorID(
-            np.zeros((0, 0), dtype=complex), tuple(slices), np.arange(0), np.zeros((0, dd))
-        )
-    stacked = np.vstack([p for p in pts if p.shape[0]])
-    M = kernel_sampler(np.atleast_2d(target_points), stacked)
-    decomp = build_id(M, tol)
-    return TranslationOperatorID(
-        decomp.interp_matrix,
-        tuple(slices),
-        decomp.column_indices,
-        stacked[decomp.column_indices],
-    )
+    stacked = np.concatenate(child_points)
+    if stacked.shape[0] == 0:
+        return InterpolativeDecomposition(np.arange(0), np.zeros((0, 0), dtype=complex), stacked)
+    decomp = build_id(kernel_sampler(target_points, stacked), tol)
+    decomp.points = stacked[decomp.column_indices]
+    return decomp

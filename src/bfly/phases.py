@@ -78,12 +78,38 @@ def register_phase(evaluator: PhaseEvaluator) -> None:
     REGISTRY[evaluator.name] = evaluator
 
 
+def _points_to(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Points x (..., d) broadcast to shape (..., d), as an (n, d) array.
+
+    Each point is copied as one d-float item: numpy copies a broadcast
+    array of d-float rows several times more slowly, as d separate floats,
+    and np.broadcast_to costs more than the copy on small arrays."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape == shape:
+        return x.reshape(-1, shape[-1])
+    item = np.dtype((np.void, x.itemsize * shape[-1]))
+    out = np.empty(shape[:-1], dtype=item)
+    out[...] = x.view(item)[..., 0]
+    return out.reshape(-1).view(float).reshape(-1, shape[-1])
+
+
+def _phase_on(phase: PhaseEvaluator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi at every point pair of two broadcast-compatible (..., d) arrays,
+    in one batched call; the result has the broadcast shape without d."""
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    return phase(_points_to(x, shape), _points_to(y, shape)).reshape(shape[:-1])
+
+
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i * theta) for real theta, without forming i * theta."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def kernel_matrix(phase: PhaseEvaluator, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """exp(i * Phi) on the full cross product: (len(xs), len(ys)) complex."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    nx, ny = xs.shape[0], ys.shape[0]
-    xt = np.repeat(xs, ny, axis=0)
-    yt = np.tile(ys, (nx, 1))
-    vals = phase(xt, yt)
-    return np.exp(1j * vals).reshape(nx, ny)
+    return _expi(_phase_on(phase, xs[:, None], ys[None]))

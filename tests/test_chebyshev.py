@@ -25,17 +25,7 @@ from bfly.chebyshev import (
 )
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import PotentialField, SourceSet, butterfly_apply
-from bfly.geometry import (
-    BoxRegion,
-    DyadicKey,
-    box_of,
-    center_of,
-    child_index,
-    children,
-    leaf_coords,
-    parent,
-    parent_block,
-)
+from bfly.geometry import BoxRegion, DyadicKey, leaf_coords, offset_index, parent_block
 from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
@@ -45,6 +35,35 @@ UNIT1 = BoxRegion((0.0,), (1.0,))
 
 def ledger():
     return CostLedger(CostParams())
+
+
+# Per-box geometry of dyadic keys, for the oracles below.
+
+
+def box_of(key):
+    w = 1.0 / (1 << key.level)
+    return BoxRegion(tuple(c * w for c in key.coords), (w,) * key.dim)
+
+
+def center_of(key):
+    box = box_of(key)
+    return np.asarray([lo + w / 2.0 for lo, w in zip(box.lower, box.width)])
+
+
+def children(key):
+    """The 2^d children in child-index order (dimension 0 least significant)."""
+    return [
+        DyadicKey(key.level + 1, tuple(2 * c + ((n >> k) & 1) for k, c in enumerate(key.coords)))
+        for n in range(1 << key.dim)
+    ]
+
+
+def parent(key):
+    return DyadicKey(key.level - 1, tuple(c // 2 for c in key.coords))
+
+
+def child_index(key):
+    return offset_index(tuple(c & 1 for c in key.coords))
 
 
 def column_potential(b, values, pts, phase, q):
@@ -436,13 +455,12 @@ def sub_blocks(d, a_n, b_n):
             yield tuple(a for a, _ in a_runs), tuple(n for _, n in a_runs), tuple(b for b, _ in b_runs), tuple(n for _, n in b_runs)
 
 
-@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2)])
-def test_block_stage_rows_are_bit_stable(d, L, level, q):
-    # Every aligned block of pairs, down to one pair, must give bit for bit
-    # the rows of the whole-level stage over the children it holds: that is
-    # what lets p = 1 and every simulated rank reproduce butterfly_apply. The
-    # whole-level reference zeroes the other children, whose exact-zero
-    # contributions leave the sums unchanged.
+def check_block_stages(d, L, level, q, blocks):
+    """Each block (a_lo, a_shape, b_lo, b_shape) of the pairs of a level must
+    give bit for bit the rows of the whole-level switch and stages over the
+    children it holds: that is what lets p = 1 and every simulated rank
+    reproduce butterfly_apply. The whole-level reference zeroes the other
+    children, whose exact-zero contributions leave the sums unchanged."""
     rng = np.random.default_rng(53 + d + level)
     phase = get_phase("fourier")
     r = q**d
@@ -450,7 +468,7 @@ def test_block_stage_rows_are_bit_stable(d, L, level, q):
     values = rng.normal(size=(a_n,) * d + (b_n,) * d + (r,)) + 1j * rng.normal(size=(a_n,) * d + (b_n,) * d + (r,))
     switched = middle_switch(level, (0,) * d, L - level, (0,) * d, values, phase, q)
     whole = {}  # (stage, parity held per dimension, None for both) -> whole-level output
-    for a_lo, a_shape, b_lo, b_shape in sub_blocks(d, a_n, b_n):
+    for a_lo, a_shape, b_lo, b_shape in blocks:
         index = tuple(slice(lo, lo + n) for lo, n in zip(a_lo + b_lo, a_shape + b_shape))
         block = values[index]
         got = middle_switch(level, a_lo, L - level, b_lo, block, phase, q)
@@ -468,6 +486,18 @@ def test_block_stage_rows_are_bit_stable(d, L, level, q):
                 whole[(stage, held)] = stage(level, (0,) * d, L - level, (0,) * d, masked, phase, q)
             got = stage(level, a_lo, L - level, b_lo, block, phase, q)
             assert np.array_equal(got, whole[(stage, held)][out_index]), (stage.__name__, a_lo, a_shape, b_lo, b_shape)
+
+
+@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2)])
+def test_block_stage_rows_are_bit_stable(d, L, level, q):
+    # every aligned block, down to one pair
+    check_block_stages(d, L, level, q, sub_blocks(d, 1 << level, 1 << (L - level)))
+
+
+def test_large_block_stage_rows_are_bit_stable():
+    # A whole level whose stage arrays exceed 256 KiB, above which numpy may
+    # reuse a temporary operand in place, against a few small blocks of it.
+    check_block_stages(1, 11, 1, 16, [((0,), (1,), (0,), (2,)), ((1,), (1,), (6,), (1,)), ((0,), (2,), (512,), (512,))])
 
 
 def test_init_block_rows_are_bit_stable():

@@ -3,6 +3,7 @@ exit codes, and byte-level determinism."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -13,8 +14,8 @@ import pytest
 
 import bfly
 import bfly.cli
-import bfly.parallel
 from bfly.cli import main
+from bfly.parallel import simulate_parallel
 
 BASE = ["--dim", "1", "--log2n", "2", "--sources", "32", "--targets", "10"]
 
@@ -302,44 +303,17 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # the simulator's threads (one unless a caller asks for more) must not
+    # change a byte of either command's output
     args = ["verify"] + BASE + ["--procs", "4"]
-    monkeypatch.setenv("BFLY_THREADS", "1")
-    _, one = run_to_file(tmp_path, args, name="t1.csv")
-    monkeypatch.setenv("BFLY_THREADS", "4")
-    _, four = run_to_file(tmp_path, args, name="t4.csv")
-    assert one == four
-
     sargs = ["scale", "--dim", "1", "--log2n", "3", "--sources", "48", "--procs", "1,2,8"]
-    monkeypatch.setenv("BFLY_THREADS", "1")
+    _, one = run_to_file(tmp_path, args, name="t1.csv")
     _, sone = run_to_file(tmp_path, sargs, name="s1.csv")
-    monkeypatch.setenv("BFLY_THREADS", "4")
+    monkeypatch.setattr(bfly.cli, "simulate_parallel", functools.partial(simulate_parallel, threads=4))
+    _, four = run_to_file(tmp_path, args, name="t4.csv")
     _, sfour = run_to_file(tmp_path, sargs, name="s4.csv")
+    assert one == four
     assert sone == sfour
-
-
-def test_bad_threads_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BFLY_THREADS", "many")
-    assert main(["scale", "--dim", "1", "--log2n", "2", "--sources", "8", "--procs", "1"]) == 2
-    assert "BFLY_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "x"])
-def test_threads_env_below_one_is_usage_error(monkeypatch, capsys, raw):
-    # rejected before any solve, so no simulator and no thread pool starts
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver started")
-
-    monkeypatch.setattr(bfly.cli, "simulate_parallel", no_solve)
-    monkeypatch.setattr(bfly.cli, "butterfly_apply", no_solve)
-    monkeypatch.setattr(bfly.parallel, "ThreadPoolExecutor", no_solve)
-    monkeypatch.setenv("BFLY_THREADS", raw)
-    for args in (
-        ["scale", "--dim", "1", "--log2n", "2", "--sources", "8", "--procs", "1,4"],
-        ["verify"] + BASE + ["--procs", "4"],
-        ["verify"] + BASE,
-    ):
-        assert main(args) == 2
-        assert "BFLY_THREADS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -15,7 +15,7 @@ from bfly.engine import (
     make_engine,
     rel_sup_error,
 )
-from bfly.geometry import DyadicKey, level_keys
+from bfly.geometry import DyadicKey, leaf_coords, leaf_order, leaf_runs
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(x.shape[0]))
@@ -56,41 +56,51 @@ def test_sources_reject_non_finite():
             SourceSet(np.array(pos), np.array(g))
 
 
+def leaf_bins(positions, level):
+    """{leaf coordinates: source indices} from the engines' shared leaf sort."""
+    order, leaves = leaf_order(np.asarray(positions, dtype=float), level)
+    sorted_leaves = leaves[order]
+    if order.size == 0:
+        return {}
+    _, starts = leaf_runs(sorted_leaves, (0,) * leaves.shape[1], (1 << level,) * leaves.shape[1])
+    return {tuple(sorted_leaves[i]): run for i, run in zip(starts, np.split(order, starts[1:]))}
+
+
 def test_binning_boundaries():
     # faces belong to the box on the larger side; 1.0 folds into the last box
-    s = SourceSet(
-        np.array([[0.0], [0.25], [0.2499999], [0.5], [1.0]]),
-        np.ones(5, dtype=complex),
-    )
-    bins = s.bin_by_leaf(2)
-    assert sorted(bins[DyadicKey(2, (0,))].tolist()) == [0, 2]
-    assert bins[DyadicKey(2, (1,))].tolist() == [1]
-    assert bins[DyadicKey(2, (2,))].tolist() == [3]
-    assert bins[DyadicKey(2, (3,))].tolist() == [4]
+    pos = np.array([[0.0], [0.25], [0.2499999], [0.5], [1.0]])
+    assert leaf_coords(pos, 2).reshape(-1).tolist() == [0, 1, 0, 2, 3]
+    bins = leaf_bins(pos, 2)
+    assert list(bins) == [(0,), (1,), (2,), (3,)]
+    assert bins[(0,)].tolist() == [0, 2]  # a box's sources keep their order
+    assert bins[(1,)].tolist() == [1]
+    assert bins[(2,)].tolist() == [3]
+    assert bins[(3,)].tolist() == [4]
 
 
 def test_binning_partitions_everything():
     rng = np.random.default_rng(71)
     s = random_sources(rng, 200, d=2)
-    bins = s.bin_by_leaf(3)
+    bins = leaf_bins(s.positions, 3)
     seen = np.sort(np.concatenate(list(bins.values())))
     assert np.array_equal(seen, np.arange(200))
-    for key, idx in bins.items():
-        lo = np.asarray(key.coords) / 8.0
+    assert list(bins) == sorted(bins)  # canonical order
+    for coords, idx in bins.items():
+        lo = np.asarray(coords) / 8.0
         pos = s.positions[idx]
         assert np.all(pos >= lo - 1e-15)
         assert np.all((pos < lo + 1.0 / 8.0) | (pos == 1.0))
 
 
 def test_binning_2d_coords():
-    s = SourceSet(np.array([[0.3, 0.8]]), np.array([1.0 + 0j]))
-    bins = s.bin_by_leaf(1)
-    assert list(bins.keys()) == [DyadicKey(1, (0, 1))]
+    assert leaf_coords(np.array([[0.3, 0.8]]), 1).tolist() == [[0, 1]]
+    assert list(leaf_bins(np.array([[0.3, 0.8]]), 1)) == [(0, 1)]
 
 
 def test_empty_sources_bin():
-    s = SourceSet(np.zeros((0, 1)), np.zeros(0, dtype=complex))
-    assert s.bin_by_leaf(3) == {}
+    order, leaves = leaf_order(np.zeros((0, 1)), 3)
+    assert order.size == 0 and leaves.shape == (0, 1)
+    assert leaf_bins(np.zeros((0, 1)), 3) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +256,7 @@ def test_field_structure_and_bounds():
     s = random_sources(rng, 60)
     field = butterfly_apply(s, get_phase("fourier"), 8, q=5)
     keys = field.target_keys()
-    assert keys == sorted(level_keys(1, 3), key=lambda k: k.coords)
+    assert keys == [DyadicKey(3, (c,)) for c in range(8)]
     assert all(field.weight_vector(k).shape == (5,) for k in keys)
     assert field.ledger is not None
     assert field.ledger.flops > 0
@@ -264,7 +274,7 @@ def test_cheb_ledger_closed_form(d, N, q):
     s = random_sources(rng, 3 * N**d // 2, d=d)
     field = butterfly_apply(s, get_phase("fourier"), N, q=q)
     r, L = q**d, N.bit_length() - 1
-    counts = np.array([len(idx) for idx in s.bin_by_leaf(L).values()])
+    counts = np.array([len(idx) for idx in leaf_bins(s.positions, L).values()])
     init = int(np.sum(2 * counts * r + counts + r))
     expect = init + L * 2**d * N**d * (2 * r * r + 3 * r) + N**d * (2 * r * r + 2 * r)
     assert 0 < counts.size < N**d  # some leaves stay empty

@@ -2,63 +2,84 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from bfly.chebyshev import box_centers, grid_points
 from bfly.engine import SourceSet
 from bfly.geometry import (
     BisectionStack,
     DyadicKey,
     InvalidProcessCountError,
-    NoParentError,
     StackExhaustedError,
-    box_of,
-    center_of,
-    child_index,
-    children,
+    block_coords,
     init_bisection_stacks,
-    keys_in_region,
-    level_keys,
-    parent,
+    leaf_coords,
+    offset_index,
+    parent_block,
     pop_push,
+    present_children,
     region_coords,
     stage_schedule,
     stage_split,
 )
 
 
+def keys_in_region(stack, rank, d, level):
+    """Level-`level` boxes in a rank's region, canonical coordinate order."""
+    ranges = region_coords(stack, rank, d, level)
+    return [DyadicKey(level, c) for c in itertools.product(*(range(a, b) for a, b in ranges))]
+
+
+def child_coords(lo, shape):
+    """Coordinates of the children of a block's boxes, by child index:
+    (2^d,) + shape + (d,), child n at offset bit k in dimension k."""
+    d = len(lo)
+    coords = block_coords(lo, shape)
+    return np.stack([2 * coords + [(n >> k) & 1 for k in range(d)] for n in range(1 << d)])
+
+
 def test_children_1d_unit_interval():
-    kids = children(DyadicKey(0, (0,)))
-    assert kids == [DyadicKey(1, (0,)), DyadicKey(1, (1,))]
+    assert child_coords((0,), (1,)).reshape(-1).tolist() == [0, 1]
+    assert parent_block((0,), (2,)) == ((0,), (1,))
 
 
 def test_children_2d_order_dimension0_least_significant():
-    kids = children(DyadicKey(1, (1, 0)))
-    assert kids == [
-        DyadicKey(2, (2, 0)),
-        DyadicKey(2, (3, 0)),
-        DyadicKey(2, (2, 1)),
-        DyadicKey(2, (3, 1)),
-    ]
+    kids = child_coords((1, 0), (1, 1)).reshape(-1, 2).tolist()
+    assert kids == [[2, 0], [3, 0], [2, 1], [3, 1]]
+    assert [offset_index(o) for o in ((0, 0), (1, 0), (0, 1), (1, 1))] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_parent_children_roundtrip(d):
+    # the children of a block of boxes form the block whose parents they are,
+    # and present_children selects child n of every parent at offset n
     rng = np.random.default_rng(0)
     for level in range(4):
         for _ in range(10):
-            coords = tuple(int(c) for c in rng.integers(0, 1 << level, size=d))
-            key = DyadicKey(level, coords)
-            for j, kid in enumerate(children(key)):
-                assert parent(kid) == key
-                assert child_index(kid) == j
+            lo = tuple(int(c) for c in rng.integers(0, 1 << level, size=d))
+            shape = tuple(int(rng.integers(1, (1 << level) - c + 1)) for c in lo)
+            kids = child_coords(lo, shape)
+            k_lo, k_shape = tuple(2 * c for c in lo), tuple(2 * n for n in shape)
+            assert parent_block(k_lo, k_shape) == (lo, shape)
+            grid = block_coords(k_lo, k_shape)
+            seen = 0
+            for offset, index in present_children(k_lo, k_shape):
+                n = offset_index(offset)
+                assert np.array_equal(grid[index], kids[n])
+                assert np.array_equal(grid[index] // 2, block_coords(lo, shape))
+                seen += 1
+            assert seen == 1 << d
 
 
 def test_parent_examples():
-    assert parent(DyadicKey(2, (3,))) == DyadicKey(1, (1,))
-    assert parent(DyadicKey(2, (3, 0))) == DyadicKey(1, (1, 0))
-    with pytest.raises(NoParentError):
-        parent(DyadicKey(0, (0, 0)))
+    assert parent_block((3,), (1,)) == ((1,), (1,))
+    assert parent_block((3, 0), (1, 1)) == ((1, 0), (1, 1))
+    assert parent_block((2, 0), (2, 4)) == ((1, 0), (1, 2))
+    # a block one box wide holds only the children of that box's parity
+    assert [o for o, _ in present_children((3, 0), (1, 1))] == [(1, 0)]
 
 
 def test_key_coords_validated():
@@ -69,24 +90,27 @@ def test_key_coords_validated():
 
 
 def test_level_keys_counts_and_order():
-    keys = list(level_keys(2, 2))
+    coords = block_coords((0, 0), (4, 4)).reshape(-1, 2)
+    keys = [tuple(c) for c in coords.tolist()]
     assert len(keys) == 16
-    assert keys[0] == DyadicKey(2, (0, 0))
-    assert keys == sorted(keys, key=lambda k: k.coords)
+    assert keys[0] == (0, 0)
+    assert keys == sorted(keys)
 
 
 def test_box_geometry():
-    key = DyadicKey(2, (3, 0))
-    box = box_of(key)
-    assert box.lower == (0.75, 0.0)
-    assert box.width == (0.25, 0.25)
-    assert np.allclose(center_of(key), [0.875, 0.125])
+    coords = np.array([3, 0])
+    assert box_centers(2, coords).tolist() == [0.875, 0.125]
+    # the box [0.75, 1] x [0, 0.25] holds its grid, centered on the center
+    grid = grid_points(2, 2, coords)
+    assert grid.shape == (4, 2)
+    assert np.all((grid > [0.75, 0.0]) & (grid < [1.0, 0.25]))
+    assert np.allclose(grid.mean(axis=0), [0.875, 0.125])
 
 
 def test_key_for_point_half_open_and_top_fold():
-    # a point's leaf box, as the engine bins sources
-    assert list(SourceSet(np.array([[0.25]]), [1.0]).bin_by_leaf(2)) == [DyadicKey(2, (1,))]
-    assert list(SourceSet(np.array([[1.0, 0.0]]), [1.0]).bin_by_leaf(3)) == [DyadicKey(3, (7, 0))]
+    # a point's leaf box, as the engines bin sources
+    assert leaf_coords(np.array([[0.25]]), 2).tolist() == [[1]]
+    assert leaf_coords(np.array([[1.0, 0.0]]), 3).tolist() == [[7, 0]]
     with pytest.raises(ValueError):
         SourceSet(np.array([[-0.1]]), [1.0])
 
@@ -152,7 +176,7 @@ def test_keys_in_region_canonical_order():
     _, dy = init_bisection_stacks(2, 4)
     keys = keys_in_region(dy, 1, 2, 2)
     assert keys == sorted(keys, key=lambda k: k.coords)
-    assert all(box_of(k).lower[0] < 0.5 <= box_of(k).lower[1] for k in keys)
+    assert all(k.coords[0] < 2 <= k.coords[1] for k in keys)
 
 
 def test_bit_reverse():
@@ -228,7 +252,7 @@ def test_stage_schedule_matches_split_when_defined():
 def test_region_coords_rejects_too_fine_stack():
     _, dy = init_bisection_stacks(1, 8)
     with pytest.raises(ValueError):
-        keys_in_region(dy, 0, 1, 2)
+        region_coords(dy, 0, 1, 2)
 
 
 def test_bisection_stack_is_immutable():

@@ -3,14 +3,20 @@ reduce-scatter accounting, ownership layout, and the cost model."""
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+import bfly.parallel
+from bfly.chebyshev import cheb_grid
 from bfly.costs import CostLedger, CostParams
-from bfly.engine import SourceSet, butterfly_apply, direct_apply, rel_sup_error
-from bfly.geometry import DyadicKey, InvalidProcessCountError, level_keys
+from bfly.engine import IdEngine, LevelBlock, SourceSet, butterfly_apply, direct_apply, rel_sup_error
+from bfly.geometry import BoxRegion, DyadicKey, InvalidProcessCountError, leaf_coords, offset_index, present_children
+from bfly.lowrank import build_id, build_translation_id
 from bfly.parallel import ledger_report, modeled_time, simulate_parallel, sum_scatter
-from bfly.phases import get_phase
+from bfly.phases import get_phase, kernel_matrix
 
 
 def bit_reverse(k: int, nbits: int) -> int:
@@ -240,7 +246,7 @@ def test_final_ownership_bit_reversal():
     for N in (8, 16):
         par = simulate_parallel(s, phase, N, p=N, q=3)
         L = N.bit_length() - 1
-        assert set(par.owners) == set(level_keys(1, L))
+        assert set(par.owners) == {DyadicKey(L, (c,)) for c in range(N)}
         for key, rank in par.owners.items():
             assert rank == bit_reverse(key.coords[0], L)
 
@@ -251,7 +257,7 @@ def test_ownership_counts_balanced():
     phase = get_phase("fourier")
     for p in (1, 4, 16):
         par = simulate_parallel(s, phase, 8, p=p, q=3)
-        assert set(par.owners) == set(level_keys(2, 3))
+        assert set(par.owners) == {DyadicKey(3, c) for c in np.ndindex(8, 8)}
         counts = {}
         for rank in par.owners.values():
             counts[rank] = counts.get(rank, 0) + 1
@@ -324,3 +330,121 @@ def test_empty_sources_still_run():
         par = simulate_parallel(s, phase, 4, p=2, q=3, backend=backend, tol=1e-6)
         vals = par.field.evaluate(np.array([[0.3], [0.8]]))
         assert np.allclose(vals, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The id backend's level arrays against the per-pair implementation
+# ---------------------------------------------------------------------------
+
+
+def box_of(key):
+    w = 1.0 / (1 << key.level)
+    return BoxRegion(tuple(c * w for c in key.coords), (w,) * key.dim)
+
+
+def level_keys(d, level):
+    return [DyadicKey(level, c) for c in itertools.product(range(1 << level), repeat=d)]
+
+
+def children(key):
+    """The 2^d children in child-index order (dimension 0 least significant)."""
+    return [
+        DyadicKey(key.level + 1, tuple(2 * c + ((n >> k) & 1) for k, c in enumerate(key.coords)))
+        for n in range(1 << key.dim)
+    ]
+
+
+def parent(key):
+    return DyadicKey(key.level - 1, tuple(c // 2 for c in key.coords))
+
+
+class PerPairIdEngine(IdEngine):
+    """The id engine with the per-pair precompute, leaf initialization and
+    stage of the implementation that kept every pair's map in dicts keyed by
+    box coordinates: an oracle for the level arrays. The factorizations are
+    the same calls on the same samples; the field is made from the arrays."""
+
+    def set_sources(self, sources):
+        super().set_sources(sources)
+        self._sources = sources
+        d, L = self.d, self.L
+        leaves = level_keys(d, L)
+        row_pts = {b: cheb_grid(self.rows_per_dim, box_of(b)).points for b in leaves}
+        all_targets = np.vstack([row_pts[b] for b in leaves])
+        coords = leaf_coords(sources.positions, L)
+        sampler = functools.partial(kernel_matrix, self.phase)
+        root = DyadicKey(0, (0,) * d)
+        points = {}
+        self._stage0 = {}
+        for b in leaves:
+            idx = np.flatnonzero(np.all(coords == b.coords, axis=1))
+            if idx.size:
+                pos = sources.positions[idx]
+                dec = build_id(sampler(all_targets, pos), self.tol)
+                points[(root, b)] = pos[dec.column_indices]
+                self._stage0[b.coords] = (dec.matrix, idx)
+            else:
+                points[(root, b)] = np.zeros((0, d))
+                self._stage0[b.coords] = (np.zeros((0, 0), dtype=complex), idx)
+        self._widths = {0: max(len(pts) for pts in points.values())}
+        self._ops = {}
+        for level in range(L):
+            ops = {}
+            shift = L - level - 1
+            for bp in level_keys(d, shift):
+                for ac in level_keys(d, level + 1):
+                    kids = [points[(parent(ac), bn)] for bn in children(bp)]
+                    ranges = [range(c << shift, (c + 1) << shift) for c in ac.coords]
+                    targets = np.vstack([row_pts[DyadicKey(L, c)] for c in itertools.product(*ranges)])
+                    dec = build_translation_id(kids, targets, sampler, self.tol)
+                    bounds = np.cumsum([0] + [len(pts) for pts in kids])
+                    ops[ac.coords + bp.coords] = (dec.matrix, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
+                    points[(ac, bp)] = dec.points
+            self._ops[level] = ops
+            self._widths[level + 1] = max(matrix.shape[0] for matrix, _ in ops.values())
+
+    def init_blocks(self, b_lo, b_shape, ledger):
+        out = np.zeros(tuple(b_shape) + (self._widths[0],), dtype=complex)
+        for j in np.ndindex(*b_shape):
+            Z, idx = self._stage0[tuple(lo + k for lo, k in zip(b_lo, j))]
+            if Z.size:
+                out[j][: Z.shape[0]] = Z @ self._sources.strengths[idx]
+            ledger.add_flops(2 * Z.shape[0] * Z.shape[1])
+        return LevelBlock(0, (0,) * self.d, tuple(b_lo), out.reshape((1,) * self.d + out.shape))
+
+    def stage(self, level, blk, ledger):
+        d = self.d
+        (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
+        out = np.zeros(ac_shape + bp_shape + (self._widths[level + 1],), dtype=complex)
+        for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
+            n = offset_index(offset)
+            child_values = blk.values[(slice(None),) * d + index]
+            for i in np.ndindex(*ac_shape):
+                ac = tuple(lo + k for lo, k in zip(ac_lo, i))
+                a_idx = tuple(k // 2 for k in i)
+                for j in np.ndindex(*bp_shape):
+                    matrix, slices = self._ops[level][ac + tuple(lo + k for lo, k in zip(bp_lo, j))]
+                    mat = matrix[:, slices[n]]
+                    out[i + j][: mat.shape[0]] += mat @ child_values[a_idx + j][: mat.shape[1]]
+                    ledger.add_flops(2 * mat.shape[0] * mat.shape[1] + mat.shape[0])
+        return LevelBlock(level + 1, ac_lo, bp_lo, out)
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 4), (2, 8)])
+def test_id_stage_matches_per_pair_oracle(d, N, monkeypatch):
+    rng = np.random.default_rng(271 + d + N)
+    s = random_sources(rng, 40 * d, d=d)  # some leaves stay empty
+    phase = get_phase("fourier")
+    for p in (1, 4, 16):
+        arrays = simulate_parallel(s, phase, N, p=p, backend="id", tol=1e-8)
+        with monkeypatch.context() as m:
+            m.setattr(
+                bfly.parallel, "make_engine",
+                lambda phase, d, N, q, backend, tol, rows, sources: PerPairIdEngine(phase, d, N, tol, rows, sources),
+            )
+            oracle = simulate_parallel(s, phase, N, p=p, backend="id", tol=1e-8)
+        got, want = arrays.field.values, oracle.field.values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), p
+        for la, lb in zip(arrays.ledgers, oracle.ledgers):
+            assert (la.flops, la.messages, la.entries_sent) == (lb.flops, lb.messages, lb.entries_sent), p
