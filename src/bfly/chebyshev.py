@@ -49,7 +49,7 @@ from .geometry import (
     present_children,
     to_children,
 )
-from .phases import PhaseEvaluator, _expi, _phase_on
+from .phases import PhaseEvaluator, _expi
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def init_source_weights(
     if np.any(np.diff(flat) < 0):
         raise ValueError("sources must be sorted by leaf box")
     grid = grid_points(q, level, leaves[starts]).reshape(-1, d)
-    ph = _phase_on(phase, np.full(d, 0.5), np.concatenate([positions, grid]))
+    ph = phase(np.full(d, 0.5), np.concatenate([positions, grid]))
     weighted = _tensor_basis(q, lo.T, (w,) * d, positions) * (_expi(ph[:n]) * strengths)[:, None]
     moments = np.add.reduceat(weighted, starts, axis=0)
     out.reshape(-1, r)[flat[starts]] = _expi(-ph[n:]).reshape(-1, r) * moments
@@ -317,8 +317,7 @@ def column_stage(
     kids = list(present_children(b_lo, values.shape[d : 2 * d]))
     xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
     grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
-    ph = _phase_on(
-        phase,
+    ph = phase(
         xc.reshape((1,) + ac_shape + (1,) * d + (1, d)),
         np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
     )
@@ -376,8 +375,7 @@ def row_stage(
     kids = list(present_children(b_lo, values.shape[d : 2 * d]))
     new_grid = grid_points(q, a_level + 1, block_coords(ac_lo, ac_shape))
     centers = [box_centers(b_level - 1, bp)] + [box_centers(b_level, 2 * bp + o) for o, _ in kids]
-    ph = _phase_on(
-        phase,
+    ph = phase(
         new_grid.reshape((1,) + ac_shape + (1,) * d + (r, d)),
         np.stack(centers).reshape((len(centers),) + (1,) * d + bp.shape[:-1] + (1, d)),
     )
@@ -433,7 +431,8 @@ def middle_switch(
 
     For each pair (A, B), evaluates the column expansion (equivalent sources
     at the grid of B) at the grid of A, then demodulates by the phase at B's
-    center. The r x r kernel blocks are built a bounded number at a time.
+    center. The r x r kernel blocks are built a bounded number at a time,
+    in runs of pairs in canonical order that may split a target box's row.
     """
     d = len(a_lo)
     r = q**d
@@ -442,16 +441,17 @@ def middle_switch(
     a_grid = grid_points(q, a_level, block_coords(a_lo, a_shape)).reshape(a_shape + (1,) * d + (r, d))
     b_coords = block_coords(b_lo, b_shape)
     b_grid = grid_points(q, b_level, b_coords).reshape((1,) * d + b_shape + (r, d))
-    xs = np.broadcast_to(a_grid, pairs + (r, d)).reshape(-1, r, 1, d)
-    ys = np.broadcast_to(b_grid, pairs + (r, d)).reshape(-1, 1, r, d)
+    xs = a_grid.reshape(-1, r, 1, d)
+    ys = b_grid.reshape(-1, 1, r, d)
     v = values.reshape(-1, r, 1)
     sampled = np.empty((v.shape[0], r), dtype=complex)
     step = max(1, _SWITCH_CHUNK // (r * r))
     for i in range(0, v.shape[0], step):
-        kmat = _expi(_phase_on(phase, xs[i : i + step], ys[i : i + step]))
+        a, b = np.divmod(np.arange(i, min(i + step, v.shape[0])), ys.shape[0])
+        kmat = _expi(phase(xs[a], ys[b]))
         sampled[i : i + step] = (kmat @ v[i : i + step])[..., 0]
     yb = box_centers(b_level, b_coords).reshape((1,) * d + b_shape + (1, d))
-    demod = _expi(-_phase_on(phase, a_grid, yb))
+    demod = _expi(-phase(a_grid, yb))
     if ledger is not None:
         ledger.add_flops(v.shape[0] * (2 * r * r + 2 * r))
     return demod * sampled.reshape(pairs + (r,))
@@ -484,4 +484,4 @@ def evaluate_block(
         if not np.all((pts >= lower) & inside_hi):
             raise ValueError("evaluation point outside its target box")
     basis = _tensor_basis(q, lower.T, (w,) * pts.shape[1], pts)
-    return _expi(_phase_on(phase, pts, y_b)) * np.einsum("ij,ij->i", basis, values)
+    return _expi(phase(pts, y_b)) * np.einsum("ij,ij->i", basis, values)

@@ -54,7 +54,7 @@ from .geometry import (
     to_children,
 )
 from .lowrank import build_id, build_translation_id
-from .phases import PhaseEvaluator, _expi, _phase_on, kernel_matrix
+from .phases import PhaseEvaluator, _expi, kernel_matrix
 
 
 class AllZeroReferenceError(ValueError):
@@ -432,7 +432,7 @@ class PotentialField:
                     self.level, leaves[sel], root, values[idx], points[sel], self.phase, self.q
                 )
             else:
-                kernel = _expi(_phase_on(self.phase, points[sel, None, :], skeleton[idx]))
+                kernel = _expi(self.phase(points[sel, None, :], skeleton[idx]))
                 out[sel] = np.einsum("ij,ij->i", kernel, values[idx])
         return out
 

@@ -1,9 +1,10 @@
 """Oscillatory phase functions Phi(x, y) and their registry.
 
 A kernel K(x, y) = exp(i * Phi(x, y)) is specified entirely by its real
-phase. Evaluators are batched: both arguments are (n, d) arrays paired row
-by row, returning n real values. Batch results must equal pointwise calls
-exactly, so every implementation below is a single vectorized expression.
+phase. Evaluators take two broadcast-compatible (..., d) arrays of points
+and return Phi at every point pair, in their broadcast shape without the
+last axis. Each entry is a fixed sequence of elementwise operations on its
+own two points, so its bits do not depend on the batch shape.
 """
 
 from __future__ import annotations
@@ -16,32 +17,51 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PhaseEvaluator:
-    """A named phase with its expected spatial dimension (None = any)."""
+    """A named phase with its expected spatial dimension (None = any).
+
+    fn(xs, ys) takes two broadcast-compatible (..., d) float arrays and
+    returns Phi at every point pair, in their broadcast shape without d."""
 
     name: str
     dim: Optional[int]
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if xs.shape != ys.shape:
-            raise ValueError(f"batch shapes differ: {xs.shape} vs {ys.shape}")
-        if self.dim is not None and xs.shape[1] != self.dim:
-            raise ValueError(f"phase '{self.name}' expects dimension {self.dim}, got {xs.shape[1]}")
-        return self.fn(xs, ys)
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim == 0 or ys.ndim == 0 or xs.shape[-1] != ys.shape[-1]:
+            raise ValueError(f"phase '{self.name}': point dimensions differ: {xs.shape} vs {ys.shape}")
+        if self.dim is not None and xs.shape[-1] != self.dim:
+            raise ValueError(f"phase '{self.name}' expects dimension {self.dim}, got {xs.shape[-1]}")
+        try:
+            shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+            out = self.fn(xs, ys)
+        except (IndexError, ValueError) as err:
+            # IndexError: a phase written for paired (n, d) rows indexing x[:, k]
+            raise ValueError(f"phase '{self.name}' on points {xs.shape} and {ys.shape}: {err}") from err
+        if np.shape(out) != shape:
+            raise ValueError(f"phase '{self.name}' returned shape {np.shape(out)}, not the point shape {shape}")
+        return out
+
+
+def _dot(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """x . y over the last axis, summed in component order."""
+    out = xs[..., 0] * ys[..., 0]
+    for k in range(1, xs.shape[-1]):
+        out += xs[..., k] * ys[..., k]
+    return out
 
 
 def phase_fourier(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Phi(x, y) = 2*pi * x . y in any dimension."""
-    return 2.0 * np.pi * np.einsum("ij,ij->i", xs, ys)
+    return 2.0 * np.pi * _dot(xs, ys)
 
 
 def phase_hyp_radon(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Hyperbolic integration surfaces: x = (x0, x1), y = (h, p),
     Phi = 2*pi * p * sqrt(x0^2 + x1^2 * h^2)."""
-    x0, x1 = xs[:, 0], xs[:, 1]
-    h, p = ys[:, 0], ys[:, 1]
+    x0, x1 = xs[..., 0], xs[..., 1]
+    h, p = ys[..., 0], ys[..., 1]
     return 2.0 * np.pi * p * np.sqrt(x0 * x0 + x1 * x1 * h * h)
 
 
@@ -50,13 +70,10 @@ def phase_gen_radon(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     Phi = pi * (x . p + sqrt(gamma^2 + kappa^2)) with
     gamma = p0*(2 + sin(2*pi*x0)*sin(2*pi*x1))/3,
     kappa = p1*(2 + cos(2*pi*x0)*cos(2*pi*x1))/3."""
-    x0, x1 = xs[:, 0], xs[:, 1]
-    p0, p1 = ys[:, 0], ys[:, 1]
-    two_pi = 2.0 * np.pi
-    gamma = p0 * (2.0 + np.sin(two_pi * x0) * np.sin(two_pi * x1)) / 3.0
-    kappa = p1 * (2.0 + np.cos(two_pi * x0) * np.cos(two_pi * x1)) / 3.0
-    dot = np.einsum("ij,ij->i", xs, ys)
-    return np.pi * (dot + np.sqrt(gamma * gamma + kappa * kappa))
+    t0, t1 = 2.0 * np.pi * xs[..., 0], 2.0 * np.pi * xs[..., 1]
+    gamma = ys[..., 0] * ((2.0 + np.sin(t0) * np.sin(t1)) / 3.0)
+    kappa = ys[..., 1] * ((2.0 + np.cos(t0) * np.cos(t1)) / 3.0)
+    return np.pi * (_dot(xs, ys) + np.sqrt(gamma * gamma + kappa * kappa))
 
 
 REGISTRY: Dict[str, PhaseEvaluator] = {
@@ -78,28 +95,6 @@ def register_phase(evaluator: PhaseEvaluator) -> None:
     REGISTRY[evaluator.name] = evaluator
 
 
-def _points_to(x: np.ndarray, shape: tuple) -> np.ndarray:
-    """Points x (..., d) broadcast to shape (..., d), as an (n, d) array.
-
-    Each point is copied as one d-float item: numpy copies a broadcast
-    array of d-float rows several times more slowly, as d separate floats,
-    and np.broadcast_to costs more than the copy on small arrays."""
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape == shape:
-        return x.reshape(-1, shape[-1])
-    item = np.dtype((np.void, x.itemsize * shape[-1]))
-    out = np.empty(shape[:-1], dtype=item)
-    out[...] = x.view(item)[..., 0]
-    return out.reshape(-1).view(float).reshape(-1, shape[-1])
-
-
-def _phase_on(phase: PhaseEvaluator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Phi at every point pair of two broadcast-compatible (..., d) arrays,
-    in one batched call; the result has the broadcast shape without d."""
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    return phase(_points_to(x, shape), _points_to(y, shape)).reshape(shape[:-1])
-
-
 def _expi(theta: np.ndarray) -> np.ndarray:
     """exp(i * theta) for real theta, without forming i * theta."""
     out = np.empty(np.shape(theta), dtype=complex)
@@ -112,4 +107,4 @@ def kernel_matrix(phase: PhaseEvaluator, xs: np.ndarray, ys: np.ndarray) -> np.n
     """exp(i * Phi) on the full cross product: (len(xs), len(ys)) complex."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    return _expi(_phase_on(phase, xs[:, None], ys[None]))
+    return _expi(phase(xs[:, None], ys[None]))

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bfly.chebyshev
 import bfly.engine
 from bfly.chebyshev import (
     ChebGrid,
@@ -29,7 +30,7 @@ from bfly.geometry import BoxRegion, DyadicKey, leaf_coords, offset_index, paren
 from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
-FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(x.shape[0]))
+FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]))
 UNIT1 = BoxRegion((0.0,), (1.0,))
 
 
@@ -72,45 +73,35 @@ def column_potential(b, values, pts, phase, q):
     return kernel_matrix(phase, pts, cheb_grid(q, box_of(b)).points) @ values
 
 
-def phase_from(phase, point, pts):
-    """Phi(point, pts[i]) for a fixed first argument."""
-    return phase(np.broadcast_to(point, pts.shape), pts)
-
-
-def phase_at(phase, pts, point):
-    """Phi(pts[i], point) for a fixed second argument."""
-    return phase(pts, np.broadcast_to(point, pts.shape))
-
-
 # Per-pair oracles: one child's contribution to one output pair (A_c, B_p),
 # and one pair's switch and leaf initialization, box by box.
 
 
 def column_contribution(a_c, b_p, b_child, values, phase, q):
     xc = center_of(a_c)
-    v = np.exp(1j * phase_from(phase, xc, cheb_grid(q, box_of(b_child)).points)) * values
+    v = np.exp(1j * phase(xc, cheb_grid(q, box_of(b_child)).points)) * values
     w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
-    return np.exp(-1j * phase_from(phase, xc, cheb_grid(q, box_of(b_p)).points)) * w
+    return np.exp(-1j * phase(xc, cheb_grid(q, box_of(b_p)).points)) * w
 
 
 def row_contribution(a_c, b_p, b_child, values, phase, q):
     new_pts = cheb_grid(q, box_of(a_c)).points
     w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
-    shift = phase_at(phase, new_pts, center_of(b_child)) - phase_at(phase, new_pts, center_of(b_p))
+    shift = phase(new_pts, center_of(b_child)) - phase(new_pts, center_of(b_p))
     return np.exp(1j * shift) * w
 
 
 def switch_oracle(a, b, values, phase, q):
     a_pts = cheb_grid(q, box_of(a)).points
     sampled = kernel_matrix(phase, a_pts, cheb_grid(q, box_of(b)).points) @ values
-    return np.exp(-1j * phase_at(phase, a_pts, center_of(b))) * sampled
+    return np.exp(-1j * phase(a_pts, center_of(b))) * sampled
 
 
 def init_oracle(b, positions, strengths, phase, q):
     grid = cheb_grid(q, box_of(b))
     x_root = center_of(DyadicKey(0, (0,) * b.dim))
-    moments = lagrange_matrix(grid, positions).T @ (np.exp(1j * phase_from(phase, x_root, positions)) * strengths)
-    return np.exp(-1j * phase_from(phase, x_root, grid.points)) * moments
+    moments = lagrange_matrix(grid, positions).T @ (np.exp(1j * phase(x_root, positions)) * strengths)
+    return np.exp(-1j * phase(x_root, grid.points)) * moments
 
 
 def pair_block(a, b, values):
@@ -154,7 +145,7 @@ def evaluate_oracle(a, b, values, pts, phase, q, check_inside=False):
         if not np.all((pts >= lo) & inside_hi):
             raise ValueError("evaluation point outside the pair's target box")
     vals = lagrange_matrix(cheb_grid(q, box), pts) @ values
-    return np.exp(1j * phase_at(phase, pts, center_of(b))) * vals
+    return np.exp(1j * phase(pts, center_of(b))) * vals
 
 
 def evaluate_pair(a, b, values, pts, phase, q, check_inside=False):
@@ -527,11 +518,9 @@ def make_column_block(a, b, pos, g, phase, q):
     """Column weights for an arbitrary pair, straight from the definition."""
     grid = cheb_grid(q, box_of(b))
     xa = np.asarray(center_of(a))
-    mod = np.exp(1j * phase(np.broadcast_to(xa, pos.shape), pos))
+    mod = np.exp(1j * phase(xa, pos))
     moments = lagrange_matrix(grid, pos).T @ (mod * g)
-    demod = np.exp(
-        -1j * phase(np.broadcast_to(xa, grid.points.shape), grid.points)
-    )
+    demod = np.exp(-1j * phase(xa, grid.points))
     return demod * moments
 
 
@@ -564,6 +553,28 @@ def test_middle_switch_matches_per_pair_oracle():
         for b in itertools.product(range(2), repeat=2):
             expect = switch_oracle(DyadicKey(2, a), DyadicKey(1, b), values[a + b], phase, q)
             assert np.max(np.abs(out[a + b] - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("name, d, N, q", [("fourier", 1, 32, 4), ("hyp-radon", 2, 8, 4), ("gen-radon", 3, 8, 2)])
+def test_switch_chunking_keeps_bits_and_ledger(name, d, N, q, monkeypatch):
+    # the switch builds at most _SWITCH_CHUNK kernel entries per phase call;
+    # where the chunks fall, even inside one target box's row of pairs,
+    # changes no bit of the weights and no count of the ledger. Odd log2 N
+    # gives the switch more target than source boxes.
+    rng = np.random.default_rng(59)
+    n = 2 * N**d
+    s = SourceSet(rng.uniform(size=(n, d)), rng.normal(size=n) + 1j * rng.normal(size=n))
+    phase = get_phase(name)
+    whole = butterfly_apply(s, phase, N, q=q)
+    r = q**d
+    L = N.bit_length() - 1
+    row = 1 << ((L - (L + 1) // 2) * d)  # source boxes per target box at the switch
+    assert N**d * r * r <= bfly.chebyshev._SWITCH_CHUNK  # the default is one call
+    for chunk in (1, 3 * r * r, (row - 1) * r * r):
+        monkeypatch.setattr(bfly.chebyshev, "_SWITCH_CHUNK", chunk)
+        field = butterfly_apply(s, phase, N, q=q)
+        assert np.array_equal(field.values, whole.values)
+        assert field.ledger == whole.ledger
 
 
 def test_switch_preserves_potential():
@@ -621,7 +632,7 @@ def test_evaluate_at_grid_node_closed_form():
     node = cheb_grid(q, box_of(a)).points[2]
     got = evaluate_pair(a, b, vals, node[None, :], phase, q, check_inside=True)[0]
     yb = np.asarray(center_of(b))
-    expect = np.exp(1j * phase(node[None, :], yb[None, :])[0])
+    expect = np.exp(1j * phase(node, yb))
     assert got == pytest.approx(expect, abs=1e-14)
 
 

@@ -18,7 +18,7 @@ from bfly.engine import (
 from bfly.geometry import DyadicKey, leaf_coords, leaf_order, leaf_runs
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
-FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(x.shape[0]))
+FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]))
 
 
 def random_sources(rng, n, d=1):

@@ -1,10 +1,11 @@
-"""Built-in phase functions and the batch evaluation contract."""
+"""Built-in phase functions and the broadcast evaluation contract."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from bfly.engine import SourceSet, butterfly_apply
 from bfly.phases import (
     PhaseEvaluator,
     REGISTRY,
@@ -67,19 +68,56 @@ def test_batch_equals_pointwise():
         assert np.all(np.isfinite(batch)) and batch.dtype.kind == "f"
 
 
+@pytest.mark.parametrize("name, d", [("fourier", 1), ("fourier", 2), ("hyp-radon", 2), ("gen-radon", 3)])
+def test_broadcast_equals_paired_rows(name, d):
+    # an entry of the cross product has the bits of the same pair evaluated
+    # as paired rows, and a single (d,) point broadcasts against a set
+    rng = np.random.default_rng(5)
+    ph = get_phase(name)
+    xs = rng.uniform(size=(7, d))
+    ys = rng.uniform(size=(5, d))
+    cross = ph(xs[:, None], ys[None])
+    assert cross.shape == (7, 5)
+    paired = ph(np.repeat(xs, 5, axis=0), np.tile(ys, (7, 1)))
+    assert np.array_equal(cross, paired.reshape(7, 5))
+    assert np.array_equal(ph(xs[2], ys), cross[2])
+    assert np.array_equal(ph(xs, ys[3]), cross[:, 3])
+    assert ph(xs[2], ys[3]).shape == ()
+    assert ph(xs[2], ys[3]) == cross[2, 3]
+
+
 def test_dimension_checks():
     ph = get_phase("hyp-radon")
-    with pytest.raises(ValueError):
-        ph(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ph(np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="hyp-radon"):
+        ph(np.zeros((2, 3)), np.zeros((2, 3)))  # wrong dimension for the phase
+    with pytest.raises(ValueError, match="hyp-radon"):
+        ph(np.zeros((2, 2)), np.zeros((2, 3)))  # last axes differ
+    with pytest.raises(ValueError, match="hyp-radon"):
+        ph(np.zeros((2, 2)), np.zeros((3, 2)))  # point shapes do not broadcast
+    with pytest.raises(ValueError, match="fourier"):
+        get_phase("fourier")(np.zeros((4, 1)), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="fourier"):
+        get_phase("fourier")(np.zeros((4, 2, 2)), np.zeros((3, 2)))
+
+
+def test_paired_row_phase_is_rejected():
+    # a phase written for paired (n, d) rows returns the wrong shape on
+    # broadcast operands, or fails indexing a single point
+    paired = PhaseEvaluator("paired", 1, lambda x, y: x[:, 0] * y[:, 0])
+    with pytest.raises(ValueError, match="paired"):
+        kernel_matrix(paired, np.zeros((6, 1)), np.zeros((4, 1)))
+    rng = np.random.default_rng(9)
+    s = SourceSet(rng.uniform(size=(20, 1)), np.ones(20))
+    for backend in ("cheb", "id"):
+        with pytest.raises(ValueError, match="paired"):
+            butterfly_apply(s, paired, 4, q=3, backend=backend)
 
 
 def test_registry_and_custom_phase():
     assert set(REGISTRY) >= {"fourier", "hyp-radon", "gen-radon"}
     with pytest.raises(KeyError):
         get_phase("nope")
-    custom = PhaseEvaluator("flat", 1, lambda xs, ys: np.zeros(xs.shape[0]))
+    custom = PhaseEvaluator("flat", 1, lambda xs, ys: np.zeros(np.broadcast_shapes(xs.shape, ys.shape)[:-1]))
     register_phase(custom)
     try:
         assert get_phase("flat") is custom
