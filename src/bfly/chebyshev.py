@@ -47,6 +47,7 @@ from .geometry import (
     offset_index,
     parent_block,
     present_children,
+    sum_children,
     to_children,
 )
 from .phases import PhaseEvaluator, _expi
@@ -235,6 +236,8 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 # axis over the q^d weights of the pair (A, B). Every operation is a few
 # NumPy calls over the whole block, each row computed independently of the
 # others, so a sub-block gives the same bits as the same rows of the whole.
+# Ledgers are charged an array of flops per pair of the input block, which
+# lets a caller charge each pair's cost to whoever holds the pair.
 # ---------------------------------------------------------------------------
 
 
@@ -257,6 +260,7 @@ def init_source_weights(
     each box's moments are one segment sum. The demodulation center is the
     center of the whole target domain, since at the first stage the single
     target box is X itself. Empty boxes get zero weights and cost nothing.
+    The ledger is charged an array of flops per box of the block.
     """
     d = len(b_lo)
     r = q**d
@@ -281,7 +285,8 @@ def init_source_weights(
     moments = np.add.reduceat(weighted, starts, axis=0)
     out.reshape(-1, r)[flat[starts]] = _expi(-ph[n:]).reshape(-1, r) * moments
     if ledger is not None:
-        ledger.add_flops(2 * n * r + n + r * starts.size)
+        counts = np.bincount(flat, minlength=out.size // r)
+        ledger.add_flops(((2 * r + 1) * counts + r * (counts > 0)).reshape(b_shape))
     return out
 
 
@@ -302,14 +307,16 @@ def column_stage(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
+    split: Tuple[int, ...] = (),
 ) -> np.ndarray:
     """One column stage: weights of the pairs (A_c, B_p) fed by a block.
 
     The output block holds every child A_c of the block's target boxes and
     every parent B_p of its source boxes. Children of B_p outside the block
-    are left out, so the partial sums of a rank's block add up across ranks.
-    One phase call covers the demodulation on the parent grids and the
-    modulation on every present child's grid.
+    are left out, so the partial sums of a rank's block add up across ranks;
+    children that differ in the split dimensions are summed apart
+    (geometry.sum_children). One phase call covers the demodulation on the
+    parent grids and the modulation on every present child's grid.
     """
     d = len(a_lo)
     r = q**d
@@ -322,11 +329,14 @@ def column_stage(
         np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
     )
     demod = _expi(-ph[0])
-    out = None
-    for i, (offset, index) in enumerate(kids):
-        contrib = _column_contribution(offset, values[(slice(None),) * d + index], _expi(ph[1 + i]), demod, q, ledger)
-        out = contrib if out is None else np.add(out, contrib, out=out)
-    return out
+    if ledger is not None:
+        # each pair feeds the 2^d children of its target box
+        ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
+    contribs = (
+        (offset, _column_contribution(offset, values[(slice(None),) * d + index], _expi(ph[1 + i]), demod, q))
+        for i, (offset, index) in enumerate(kids)
+    )
+    return sum_children(contribs, split)
 
 
 def _column_contribution(
@@ -335,7 +345,6 @@ def _column_contribution(
     mod: np.ndarray,
     demod: np.ndarray,
     q: int,
-    ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
     """Child `offset`'s share of a column stage, for a whole output block.
 
@@ -351,8 +360,6 @@ def _column_contribution(
     # complex products differently from a small block's rows.
     rows = np.multiply(mod, to_children(values, d)).reshape(-1, r)
     w = _rows_times(rows, _stage_matrices(q, d)[0][offset_index(offset)])
-    if ledger is not None:
-        ledger.add_flops(rows.shape[0] * (2 * r * r + 3 * r))
     return demod * w.reshape(demod.shape)
 
 
@@ -365,10 +372,12 @@ def row_stage(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
+    split: Tuple[int, ...] = (),
 ) -> np.ndarray:
     """One row stage: weights of the pairs (A_c, B_p) fed by a block, with
-    the output block and partial sums of column_stage. One phase call covers
-    the new grids against the parent and every present child center."""
+    the output block, partial sums, split and flops of column_stage. One
+    phase call covers the new grids against the parent and every present
+    child center."""
     d = len(a_lo)
     r = q**d
     ac_lo, ac_shape, bp = _output_block(a_lo, b_lo, values, d)
@@ -379,18 +388,19 @@ def row_stage(
         new_grid.reshape((1,) + ac_shape + (1,) * d + (r, d)),
         np.stack(centers).reshape((len(centers),) + (1,) * d + bp.shape[:-1] + (1, d)),
     )
-    out = None
-    for i, (offset, index) in enumerate(kids):
-        contrib = _row_contribution(values[(slice(None),) * d + index], ph[1 + i] - ph[0], q, ledger)
-        out = contrib if out is None else np.add(out, contrib, out=out)
-    return out
+    if ledger is not None:
+        ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
+    contribs = (
+        (offset, _row_contribution(values[(slice(None),) * d + index], ph[1 + i] - ph[0], q))
+        for i, (offset, index) in enumerate(kids)
+    )
+    return sum_children(contribs, split)
 
 
 def _row_contribution(
     values: np.ndarray,
     shift: np.ndarray,
     q: int,
-    ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
     """One child's share of a row stage, for a whole output block.
 
@@ -408,8 +418,6 @@ def _row_contribution(
     w = w.reshape(a_shape + bp_shape + (2,) * d + (r,))
     perm = [ax for k in range(d) for ax in (k, 2 * d + k)] + list(range(d, 2 * d)) + [3 * d]
     w = w.transpose(perm).reshape(shift.shape)
-    if ledger is not None:
-        ledger.add_flops(shift.size // r * (2 * r * r + 3 * r))
     return _expi(shift) * w
 
 
@@ -453,7 +461,7 @@ def middle_switch(
     yb = box_centers(b_level, b_coords).reshape((1,) * d + b_shape + (1, d))
     demod = _expi(-phase(a_grid, yb))
     if ledger is not None:
-        ledger.add_flops(v.shape[0] * (2 * r * r + 2 * r))
+        ledger.add_flops(np.full(pairs, 2 * r * r + 2 * r))
     return demod * sampled.reshape(pairs + (r,))
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -94,9 +95,12 @@ def _to_int(key: str, raw: str) -> int:
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise UsageError(f"invalid value for {key}: {raw!r} (expected number)")
+    if not math.isfinite(value):
+        raise UsageError(f"invalid value for {key}: {raw!r} (expected a finite number)")
+    return value
 
 
 def _read_config_file(path: str) -> Dict[str, str]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -39,8 +41,9 @@ class CostLedger:
     messages: int = 0
     entries_sent: int = 0
 
-    def add_flops(self, n: int) -> None:
-        self.flops += int(n)
+    def add_flops(self, n) -> None:
+        """Charge n flops: a count, or an array of counts per pair."""
+        self.flops += int(np.sum(n))
 
     def add_comm(self, messages: int, entries: int) -> None:
         self.messages += int(messages)

@@ -11,46 +11,49 @@ Two interchangeable low-rank representations drive the translations:
   weights are equivalent point sources at adaptively selected source
   points and whose translations recompress stacked child skeletons.
 
-A level's weights are one complex array (LevelBlock) of shape
+A level's weights are one complex array of shape
 (2^l,)*d + (2^(L-l),)*d + (width,): target box coordinates, then source box
 coordinates, in canonical order, then the pair's weights. A stage maps the
-block of level l to the block of level l + 1, summing each output pair's
+array of level l to the array of level l + 1, summing each output pair's
 2^d children in canonical coordinate order (dimension 0 most significant).
-The cheb stage is a handful of whole-block NumPy calls per child; the id
+The cheb stage is a handful of whole-level NumPy calls per child; the id
 stage is one batched matrix-vector product per child, each pair with its
 own precomputed map, kept zero-padded in one array per level (IdEngine).
-Both backends start from the sources sorted by leaf box, so a block's leaf
+Both backends start from the sources sorted by leaf box, so the leaf
 weights are one segment sum.
 
-butterfly_apply is the sequential reference and runs the stages on one
-block holding every pair. The distributed simulator in bfly.parallel runs
-the same stage on each rank's rectangular sub-block; every row of a stage
-is computed independently of the other rows (see
-chebyshev._rows_times), which is what makes its p = 1 run bit-identical.
-The final level becomes a PotentialField: one array over the target leaves,
-evaluated a chunk of points at a time with a few whole-chunk NumPy calls.
+butterfly_apply is the sequential reference. The distributed simulator in
+bfly.parallel runs the same init and stages on the same level arrays, since
+its ranks' blocks tile every level; a communicating stage keeps the partial
+sums of each team member apart (`split`, see geometry.sum_children). Every
+row of a stage is computed independently of the other rows (see
+chebyshev._rows_times), so a rank's rows carry the bits it would compute on
+its own block. Flops are charged to the ledger as an array over the pairs
+of the level a call runs on, which lets the simulator charge each rank for
+the pairs it holds. The final level becomes a PotentialField: one array
+over the target leaves, evaluated a chunk of points at a time with a few
+whole-chunk NumPy calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import chebyshev as cheb
 from .costs import CostLedger, CostParams
 from .geometry import (
-    Block,
     DyadicKey,
     block_coords,
     leaf_coords,
     leaf_order,
     leaf_runs,
     offset_index,
-    parent_block,
     present_children,
+    sum_children,
     to_children,
 )
 from .lowrank import build_id, build_translation_id
@@ -89,53 +92,6 @@ class SourceSet:
         return self.positions.shape[0]
 
 
-@dataclass
-class LevelBlock:
-    """Weights of a rectangular block of the pairs of one level.
-
-    values[i..., j..., :] belongs to the pair (A, B) whose target box A has
-    level `level` and coordinates a_lo + i, and whose source box B has level
-    L - level and coordinates b_lo + j. The last axis holds the pair's
-    weights, zero-padded to the level's width. The sequential engine holds
-    one block covering every pair; a simulated rank holds its region.
-    """
-
-    level: int
-    a_lo: Tuple[int, ...]
-    b_lo: Tuple[int, ...]
-    values: np.ndarray
-
-    def next_boxes(self) -> tuple[Block, Block]:
-        """(lo, shape) of the target boxes A_c and of the source boxes B_p
-        of the block of pairs that a stage over this block produces."""
-        d = len(self.a_lo)
-        a_shape, b_shape = self.values.shape[:d], self.values.shape[d : 2 * d]
-        children = (tuple(2 * a for a in self.a_lo), tuple(2 * n for n in a_shape))
-        return children, parent_block(self.b_lo, b_shape)
-
-    def target_keys(self):
-        """The block's target boxes, in canonical order."""
-        d = len(self.a_lo)
-        for i in np.ndindex(*self.values.shape[:d]):
-            yield DyadicKey(self.level, tuple(a + k for a, k in zip(self.a_lo, i)))
-
-
-def _block_index(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> tuple:
-    """The index that selects a block of boxes from an array over a level."""
-    return tuple(slice(a, a + n) for a, n in zip(lo, shape))
-
-
-def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
-    """The weights of the final blocks (whose one source box is the root)
-    as one array (N,)*d + (width,), one slice assignment per block."""
-    d = len(blocks[0].a_lo)
-    out = np.zeros((N,) * d + blocks[0].values.shape[-1:], dtype=complex)
-    for blk in blocks:
-        a_shape = blk.values.shape[:d]
-        out[_block_index(blk.a_lo, a_shape)] = blk.values.reshape(a_shape + out.shape[-1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Backend drivers
 # ---------------------------------------------------------------------------
@@ -143,8 +99,7 @@ def _final_values(blocks: Sequence[LevelBlock], N: int) -> np.ndarray:
 
 class _SortedSources:
     """An engine's sources, sorted by leaf box in canonical order
-    (geometry.leaf_order): a block of leaves holds the sources a mask picks,
-    and each leaf's sources are one run of them."""
+    (geometry.leaf_order): each leaf's sources are one run of them."""
 
     L: int
 
@@ -153,11 +108,6 @@ class _SortedSources:
         self._positions = sources.positions[order]
         self._strengths = sources.strengths[order]
         self._leaves = leaves[order]
-
-    def _inside(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...]) -> np.ndarray:
-        """Which of the sorted sources lie in the block of leaves b_lo/b_shape."""
-        lo = np.asarray(b_lo)
-        return np.all((self._leaves >= lo) & (self._leaves < lo + b_shape), axis=1)
 
 
 class ChebEngine(_SortedSources):
@@ -177,35 +127,39 @@ class ChebEngine(_SortedSources):
         self._strengths = np.zeros(0, dtype=complex)
         self._leaves = np.zeros((0, d), dtype=int)
 
-    def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
-        inside = self._inside(b_lo, b_shape)
+    def init_blocks(self, ledger: CostLedger) -> np.ndarray:
+        """Column weights of every pair (X, B) of level 0: (1,)*d + (N,)*d + (r,)."""
+        d = self.d
         values = cheb.init_source_weights(
-            self.L, b_lo, b_shape, self._positions[inside], self._strengths[inside],
-            self._leaves[inside], self.phase, self.q, ledger,
+            self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
+            self.phase, self.q, ledger,
         )
-        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values.reshape((1,) * self.d + values.shape))
+        return values.reshape((1,) * d + values.shape)
 
-    def _switch(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
-        values = cheb.middle_switch(
-            blk.level, blk.a_lo, self.L - blk.level, blk.b_lo, blk.values, self.phase, self.q, ledger
-        )
-        return LevelBlock(blk.level, blk.a_lo, blk.b_lo, values)
+    def _switch(self, level: int, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
+        zeros = (0,) * self.d
+        return cheb.middle_switch(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger)
 
-    def stage(self, level: int, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+        """The weights of level + 1 from those of level; with split
+        dimensions, stacked partial sums (geometry.sum_children)."""
         if level == self.switch_level:
-            blk = self._switch(blk, ledger)
+            values = self._switch(level, values, ledger)
         translate = cheb.column_stage if level < self.switch_level else cheb.row_stage
-        values = translate(level, blk.a_lo, self.L - level, blk.b_lo, blk.values, self.phase, self.q, ledger)
-        (ac_lo, _), (bp_lo, _) = blk.next_boxes()
-        return LevelBlock(level + 1, ac_lo, bp_lo, values)
+        zeros = (0,) * self.d
+        return translate(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger, split)
 
-    def finalize(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
+    def finalize(self, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
         if self.switch_level == self.L:
-            return self._switch(blk, ledger)
-        return blk
+            return self._switch(self.L, values, ledger)
+        return values
 
-    def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
-        return PotentialField(self.phase, self.d, self.N, "cheb", self.q, _final_values(blocks, self.N))
+    def make_field(self, values: np.ndarray) -> "PotentialField":
+        """The field of the final level's weights, (N,)*d + (width,) after
+        dropping the root's source axes."""
+        return PotentialField(
+            self.phase, self.d, self.N, "cheb", self.q, values.reshape((self.N,) * self.d + values.shape[-1:])
+        )
 
 
 class IdEngine(_SortedSources):
@@ -322,43 +276,50 @@ class IdEngine(_SortedSources):
         self._final_ranks = ranks.reshape((N,) * d)
         self._final_skeleton = skeleton.reshape((N,) * d + skeleton.shape[-2:])
 
-    def init_blocks(self, b_lo: Tuple[int, ...], b_shape: Tuple[int, ...], ledger: CostLedger) -> LevelBlock:
-        """The leaf weights Z @ g of a block of leaf boxes, as one segment sum."""
-        out = np.zeros(tuple(b_shape) + self._interp.shape[1:], dtype=complex)
-        inside = self._inside(b_lo, b_shape)
-        flat, starts = leaf_runs(self._leaves[inside], b_lo, b_shape)
+    def init_blocks(self, ledger: CostLedger) -> np.ndarray:
+        """The leaf weights Z @ g of every leaf box, as one segment sum:
+        (1,)*d + (N,)*d + (width,)."""
+        d, N = self.d, self.N
+        out = np.zeros((N,) * d + self._interp.shape[1:], dtype=complex)
+        flat, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
         if starts.size:
-            weighted = self._interp[inside] * self._strengths[inside, None]
+            weighted = self._interp * self._strengths[:, None]
             out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
-        ranks = self._ranks[0][(0,) * self.d + _block_index(b_lo, b_shape)].reshape(-1)
-        ledger.add_flops(2 * np.sum(ranks[flat]))
-        return LevelBlock(0, (0,) * self.d, tuple(b_lo), out.reshape((1,) * self.d + out.shape))
+        counts = np.bincount(flat, minlength=N**d).reshape(self._ranks[0].shape)
+        ledger.add_flops(2 * self._ranks[0] * counts)
+        return out.reshape((1,) * d + out.shape)
 
-    def stage(self, level: int, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
-        """Apply every pair's map, child by child in canonical order, so
-        partial sums over a rank's children add up across ranks. Each pair's
-        product is its own matrix-vector product, so any block of pairs gives
-        the bits of the same pairs in the whole level."""
+    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+        """Apply every pair's map, child by child in canonical order; with
+        split dimensions, stacked partial sums (geometry.sum_children). Each
+        pair's product is its own matrix-vector product, so a block of pairs
+        gets the bits of the same pairs in the whole level."""
         d = self.d
-        (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
-        pairs = _block_index(ac_lo + bp_lo, ac_shape + bp_shape)
-        maps = np.moveaxis(self._maps[level][(slice(None),) + pairs], 0, -3)
-        out_ranks = self._ranks[level + 1][pairs]
-        in_ranks = self._ranks[level][_block_index(blk.a_lo + blk.b_lo, blk.values.shape[: 2 * d])]
-        out = None
-        for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
-            child = (slice(None),) * d + index
-            contrib = np.matmul(maps[..., offset_index(offset), :], to_children(blk.values[child], d)[..., None])
-            out = contrib[..., 0] if out is None else np.add(out, contrib[..., 0], out=out)
-            ledger.add_flops(np.sum(out_ranks * (2 * to_children(in_ranks[child], d) + 1)))
-        return LevelBlock(level + 1, ac_lo, bp_lo, out)
+        maps = np.moveaxis(self._maps[level], 0, -3)
 
-    def finalize(self, blk: LevelBlock, ledger: CostLedger) -> LevelBlock:
-        return blk
+        def contributions():
+            for offset, index in present_children((0,) * d, values.shape[d : 2 * d]):
+                child = to_children(values[(slice(None),) * d + index], d)
+                yield offset, np.matmul(maps[..., offset_index(offset), :], child[..., None])[..., 0]
 
-    def make_field(self, blocks: Sequence[LevelBlock]) -> "PotentialField":
+        out = sum_children(contributions(), split)
+        # each pair (A, B) feeds the children A_c of A at the parent of B:
+        # the out rank of (A_c, parent(B)) times (2 * the rank of (A, B) + 1)
+        out_ranks = self._ranks[level + 1]
+        per_a = out_ranks.reshape(sum(((n // 2, 2) for n in out_ranks.shape[:d]), ()) + out_ranks.shape[d:])
+        per_a = per_a.sum(axis=tuple(range(1, 2 * d, 2)))
+        for k in range(d):
+            per_a = np.repeat(per_a, 2, axis=d + k)
+        ledger.add_flops(per_a * (2 * self._ranks[level] + 1))
+        return out
+
+    def finalize(self, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
+        return values
+
+    def make_field(self, values: np.ndarray) -> "PotentialField":
+        """The field of the final level's weights, as ChebEngine.make_field."""
         return PotentialField(
-            self.phase, self.d, self.N, "id", None, _final_values(blocks, self.N),
+            self.phase, self.d, self.N, "id", None, values.reshape((self.N,) * self.d + values.shape[-1:]),
             self._final_ranks, self._final_skeleton,
         )
 
@@ -480,10 +441,10 @@ def butterfly_apply(
     d = sources.dim
     eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
     ledger = CostLedger(params if params is not None else CostParams())
-    blk = eng.init_blocks((0,) * d, (N,) * d, ledger)
+    values = eng.init_blocks(ledger)
     for level in range(eng.L):
-        blk = eng.stage(level, blk, ledger)
-    fieldv = eng.make_field([eng.finalize(blk, ledger)])
+        values = eng.stage(level, values, ledger)
+    fieldv = eng.make_field(eng.finalize(values, ledger))
     fieldv.ledger = ledger
     return fieldv
 

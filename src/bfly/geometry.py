@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -117,6 +117,24 @@ def to_children(values: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
+def sum_children(parts: Iterable[tuple[Tuple[int, ...], np.ndarray]], split: Tuple[int, ...] = ()) -> np.ndarray:
+    """Add up a stage's per-child contributions, given as (offset, array)
+    pairs in canonical order, each added to the running sum in that order.
+
+    Children that differ in the split dimensions are kept apart: the result
+    then stacks 2^len(split) sums, sum t over the children whose offset in
+    dimension split[i] is bit i of t. Those are the partial sums of the
+    members of a team of simulated ranks (see bfly.parallel).
+    """
+    sums: dict = {}
+    for offset, contrib in parts:
+        t = sum(offset[dim] << i for i, dim in enumerate(split))
+        sums[t] = contrib if t not in sums else np.add(sums[t], contrib, out=sums[t])
+    if not split:
+        return sums[0]
+    return np.stack([sums[t] for t in range(1 << len(split))])
+
+
 def present_children(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Iterator[tuple[Tuple[int, ...], tuple]]:
     """Sibling positions held by a dyadic block, each with the index that
     selects those boxes from an array laid out over the block.
@@ -192,11 +210,13 @@ def pop_push(dx: BisectionStack, dy: BisectionStack, count: int) -> tuple[Bisect
     return dx, dy
 
 
-def region_coords(stack: BisectionStack, rank: int, d: int, level: int) -> list[tuple[int, int]]:
+def region_coords(stack: BisectionStack, rank, d: int, level: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-dimension [start, stop) ranges of level-`level` boxes inside a
-    rank's region. Exact integer arithmetic; requires the stack to cut no
-    dimension more than `level` times."""
-    prefix = [0] * d
+    rank's region, for one rank or elementwise for an array of ranks. Exact
+    integer arithmetic; requires the stack to cut no dimension more than
+    `level` times."""
+    rank = np.asarray(rank)
+    prefix = [np.zeros_like(rank)] * d
     depth = [0] * d
     for dim, bit in stack:
         prefix[dim] = 2 * prefix[dim] + ((rank >> bit) & 1)

@@ -2,22 +2,28 @@
 
 Each of p virtual processes owns N^d/p pairs of the current level, described
 by two bisection stacks (target side D_X, source side D_Y). Its pairs are
-the product of two dyadic regions, so it holds them as one LevelBlock: the
-rectangular slice of the level array that region_coords gives, on which it
-runs the engine's stage. A stage either stays local (enough source bits
-remain on this rank) or moves k bits of ownership from D_Y to D_X, which
-regroups the ranks into teams of 2^k. Each member then holds partial sums
-for the pairs of all its team; it cuts its stage output into the slices the
-members will own, and a simulated reduce-scatter adds them. Communication
-is never performed for real: sum_scatter adds the contributions in
-ascending rank order and charges the alpha/beta cost model, so results are
-reproducible regardless of thread count.
+the product of two dyadic regions, a rectangular block of the level array
+(geometry.region_coords), and under the uniform bisection the p blocks
+tile the level. So the ranks are not a loop: the simulator holds each level
+as the one array the sequential engine uses, runs one engine init and one
+stage per level on it, and keeps, per level, the flat indices of each
+rank's pairs (p, N^d/p) to charge each rank for the pairs it holds.
+
+A stage either stays local (enough source bits remain on every rank) or
+moves k bits of ownership from D_Y to D_X, which regroups the ranks into
+teams of 2^k. The members of a team hold the same output pairs, each with a
+partial sum over the children it holds: the children of one offset in the
+k split dimensions. The engine's stage keeps these partial sums apart on a
+leading team axis, and the simulated reduce-scatter adds them over that
+axis in ascending member order, one whole-array add per member, charging
+the alpha/beta cost model. Communication is never performed for real, and
+there are no threads, so results are reproducible.
 
 Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
 an output pair in canonical coordinate order. When a communicating stage
 moves d bits (always in d = 1; in general whenever log2 p is a multiple of
 d), each team member holds exactly one child of every output pair, in that
-same order by rank, so the ascending-rank reduction reproduces the
+same order by rank, so the ascending-member reduction reproduces the
 sequential sum bit for bit. When it moves fewer bits (d = 2 with odd log2 p:
 p = 2, 8, 32, ...), a member holds a partial sum over several children, say
 (c0 + c1) + (c2 + c3) against ((c0 + c1) + c2) + c3, and the weights agree
@@ -26,19 +32,15 @@ only to rounding (the acceptance gate holds them to 1e-12 relative).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .costs import CostLedger, CostParams
-from .engine import LevelBlock, PotentialField, SourceSet, make_engine
+from .engine import PotentialField, SourceSet, make_engine
 from .geometry import (
     BisectionStack,
-    Block,
-    DyadicKey,
     init_bisection_stacks,
     pop_push,
     region_coords,
@@ -50,56 +52,78 @@ from .phases import PhaseEvaluator
 @dataclass
 class ParallelResult:
     field: PotentialField
-    owners: Dict[DyadicKey, int]
+    owners: np.ndarray  # (N,)*d: the rank holding each target leaf's final weights
     ledgers: List[CostLedger]
     schedule: List[int]
 
 
-def sum_scatter(
-    contributions: Mapping[int, Sequence[np.ndarray]],
-    ledgers: Optional[Mapping[int, CostLedger]] = None,
-) -> Dict[int, np.ndarray]:
-    """Simulated reduce-scatter over one team.
+class RankCosts:
+    """Flops, messages and entries sent of each simulated rank, as arrays.
 
-    contributions[q] holds one equal-shape block per team member, in
-    ascending member order; member j receives the sum of everyone's j-th
-    block. Each member is charged log2(team) messages and (team-1) blocks
-    of traffic, the recursive-halving cost of the collective.
+    pairs[r] lists the flat indices, in the array of the current level, of
+    the pairs rank r holds (_rank_pairs). The engine charges flops as an
+    array over the pairs of the level a call runs on; add_flops gives each
+    rank the sum over its own pairs.
     """
-    members = sorted(contributions)
-    team = len(members)
-    if team == 0:
-        return {}
-    shape = None
-    for q in members:
-        if len(contributions[q]) != team:
-            raise ValueError("each member must contribute one block per member")
-        for blk in contributions[q]:
-            if shape is None:
-                shape = blk.shape
-            elif blk.shape != shape:
-                raise ValueError("reduce-scatter blocks must share one shape")
-    result: Dict[int, np.ndarray] = {}
-    for j, m in enumerate(members):
-        acc = contributions[members[0]][j].copy()
-        for q in members[1:]:
-            acc += contributions[q][j]
-        result[m] = acc
-    if team > 1 and ledgers is not None:
-        if team & (team - 1):
-            raise ValueError("team size must be a power of two")
-        rounds = team.bit_length() - 1
-        blocksize = int(np.prod(shape)) if shape else 0
-        for q in members:
-            ledgers[q].add_comm(rounds, (team - 1) * blocksize)
-            ledgers[q].add_flops((team - 1) * blocksize)
-    return result
+
+    def __init__(self, p: int):
+        self.flops = np.zeros(p, dtype=np.int64)
+        self.messages = np.zeros(p, dtype=np.int64)
+        self.entries_sent = np.zeros(p, dtype=np.int64)
+        self.pairs = np.zeros((p, 0), dtype=np.intp)
+
+    def add_flops(self, per_pair: np.ndarray) -> None:
+        per_pair = np.reshape(per_pair, -1)
+        if per_pair.size != self.pairs.size:
+            raise ValueError(f"{per_pair.size} flop counts for a level of {self.pairs.size} pairs")
+        self.flops += np.sum(per_pair[self.pairs], axis=1)
+
+    def ledgers(self, params: CostParams) -> List[CostLedger]:
+        return [
+            CostLedger(params, int(f), int(m), int(e))
+            for f, m, e in zip(self.flops, self.messages, self.entries_sent)
+        ]
 
 
-def _region(stack: BisectionStack, rank: int, d: int, level: int) -> Block:
-    """(first coordinates, shape) of the level-`level` boxes of a rank's region."""
-    ranges = region_coords(stack, rank, d, level)
-    return tuple(a for a, _ in ranges), tuple(b - a for a, b in ranges)
+def _rank_pairs(dx: BisectionStack, dy: BisectionStack, d: int, a_level: int, b_level: int) -> np.ndarray:
+    """Flat (C-order) indices into a level array (2^a_level,)*d +
+    (2^b_level,)*d of the pairs each rank holds: (p, N^d/p), row r listing
+    rank r's D_X x D_Y region in C order."""
+    p = 1 << (len(dx) + len(dy))
+    ranks = np.arange(p)
+    ranges = region_coords(dx, ranks, d, a_level) + region_coords(dy, ranks, d, b_level)
+    index = []
+    for axis, (start, stop) in enumerate(ranges):
+        # every rank's coordinates along this axis, broadcast against the others
+        shape = [p] + [1] * len(ranges)
+        shape[1 + axis] = -1
+        index.append((start[:, None] + np.arange(stop[0] - start[0])).reshape(shape))
+    level_shape = (1 << a_level,) * d + (1 << b_level,) * d
+    return np.ravel_multi_index(tuple(index), level_shape).reshape(p, -1)
+
+
+def reduce_scatter(partials: np.ndarray, costs: RankCosts) -> np.ndarray:
+    """Simulated reduce-scatter over the team axis.
+
+    partials[t] holds team member t's partial sums for every pair of the
+    level, teams side by side; each member receives the sum over its team
+    for the pairs it will hold, added in ascending member order. Each rank
+    is charged log2(team) messages and (team-1) blocks of traffic and adds,
+    a block being its share of the result: the recursive-halving cost of
+    the collective. A team of one is free.
+    """
+    team = partials.shape[0]
+    if team & (team - 1):
+        raise ValueError("team size must be a power of two")
+    out = partials[0].copy()
+    for part in partials[1:]:
+        out += part
+    if team > 1:
+        block = (team - 1) * (out.size // len(costs.flops))
+        costs.messages += team.bit_length() - 1
+        costs.entries_sent += block
+        costs.flops += block
+    return out
 
 
 def simulate_parallel(
@@ -117,11 +141,11 @@ def simulate_parallel(
 ) -> ParallelResult:
     """Run the full traversal on p simulated ranks and merge the result.
 
-    Each rank holds the pairs of its D_X x D_Y region as one LevelBlock and
-    runs the engine's stage on it. With p = 1 that block is the sequential
-    engine's, so the final weights are bit-identical to butterfly_apply.
-    Factorization work for the sampled backend is precomputed once and
-    shared read-only across ranks; only weight arrays ever move.
+    Each level is one array over all ranks' pairs: one engine init and one
+    stage per level, whatever p. With p = 1 no stage is split, so the final
+    weights are bit-identical to butterfly_apply. Factorization work for
+    the sampled backend is precomputed once and shared by every rank.
+    `threads` has no effect and is kept for callers that still pass it.
     """
     d = sources.dim
     schedule = stage_schedule(N, d, p)
@@ -130,62 +154,33 @@ def simulate_parallel(
     cost_params = params if params is not None else CostParams()
 
     dx, dy = init_bisection_stacks(d, p)
-    ranks = list(range(p))
-    ledgers = [CostLedger(cost_params) for _ in ranks]
-    blocks = [eng.init_blocks(*_region(dy, rank, d, L), ledgers[rank]) for rank in ranks]
-
-    moved = 0
-    with ThreadPoolExecutor(max_workers=min(threads, p)) if threads > 1 else nullcontext() as pool:
-        for level in range(L):
-
-            def stage_job(rank: int) -> LevelBlock:
-                return eng.stage(level, blocks[rank], ledgers[rank])
-
-            outs = list(pool.map(stage_job, ranks)) if pool is not None else [stage_job(r) for r in ranks]
-            k = schedule[level]
-            if k == 0:
-                blocks = outs
-                continue
-
-            new_dx, new_dy = pop_push(dx, dy, k)
-            regions = [
-                (_region(new_dx, rank, d, level + 1), _region(new_dy, rank, d, L - level - 1)) for rank in ranks
-            ]
-
-            def take(rank: int, member: int) -> np.ndarray:
-                """The part of rank's stage output that member will own."""
-                blk = outs[rank]
-                (a_lo, a_shape), (b_lo, b_shape) = regions[member]
-                index = tuple(
-                    slice(lo - base, lo - base + n)
-                    for lo, base, n in zip(a_lo + b_lo, blk.a_lo + blk.b_lo, a_shape + b_shape)
-                )
-                return blk.values[index]
-
-            stage_trace: Dict[int, str] = {}
-            bases = sorted({rank & ~(((1 << k) - 1) << moved) for rank in ranks})
-            for base in bases:
-                members = sorted(base | (bits << moved) for bits in range(1 << k))
-                contributions = {q_rank: [take(q_rank, m) for m in members] for q_rank in members}
-                sums = sum_scatter(contributions, {m: ledgers[m] for m in members})
-                for m in members:
-                    (a_lo, _), (b_lo, _) = regions[m]
-                    blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m])
-                    if trace is not None:
-                        stage_trace[m] = f"{level},{m},{k},{((1 << k) - 1) * sums[m].size}"
+    costs = RankCosts(p)
+    costs.pairs = _rank_pairs(dx, dy, d, 0, L)
+    values = eng.init_blocks(costs)
+    for level in range(L):
+        k = schedule[level]
+        # team members differ in the rank bits of the k entries atop D_Y;
+        # the i-th to pop cuts dimension split[i] and is bit i of the member
+        split = tuple(dim for dim, _ in reversed(dy.entries[len(dy) - k :]))
+        values = eng.stage(level, values, costs, split)
+        if k:
+            values = reduce_scatter(values, costs)
             if trace is not None:
-                trace.extend(stage_trace[r] for r in sorted(stage_trace))
-            dx, dy = new_dx, new_dy
-            moved += k
+                entries = ((1 << k) - 1) * (values.size // p)
+                trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
+            dx, dy = pop_push(dx, dy, k)
+        costs.pairs = _rank_pairs(dx, dy, d, level + 1, L - level - 1)
+    values = eng.finalize(values, costs)
 
-    finals = [eng.finalize(blocks[rank], ledgers[rank]) for rank in ranks]
-    owners = {a: rank for rank in ranks for a in finals[rank].target_keys()}
+    owners = np.empty(N**d, dtype=int)
+    owners[costs.pairs] = np.arange(p)[:, None]
+    ledgers = costs.ledgers(cost_params)
     total = CostLedger(cost_params)
     for led in ledgers:
         total.merge(led)
-    out_field = eng.make_field(finals)
+    out_field = eng.make_field(values)
     out_field.ledger = total
-    return ParallelResult(out_field, owners, ledgers, schedule)
+    return ParallelResult(out_field, owners.reshape((N,) * d), ledgers, schedule)
 
 
 def modeled_time(

@@ -48,6 +48,7 @@ KNOWN_MISSING = {
     "bfly.parallel._translate_local",
     "bfly.parallel.keys_in_region",
     "bfly.engine.SourceSet.bin_by_leaf",
+    "bfly.parallel.sum_scatter",
 }
 
 

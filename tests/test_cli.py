@@ -81,6 +81,23 @@ def test_bad_values_name_the_key(capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", ["q", "alpha", "beta", "gamma", "threshold"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, key, raw, via):
+    # they must never reach the run: int(nan) raised a traceback, a nan
+    # alpha printed nan seconds, and a nan threshold read as "error above"
+    if via == "flag":
+        extra = [f"--{key}={raw}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        extra = ["--config", str(cfg)]
+    assert main(["verify", "--dim", "1", "--log2n", "3"] + extra) == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for {key}" in err and "finite" in err
+
+
 def test_procs_validation(capsys):
     assert main(["verify"] + BASE + ["--procs", "3"]) == 2
     assert "powers of two" in capsys.readouterr().err
@@ -303,7 +320,7 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # the simulator's threads (one unless a caller asks for more) must not
+    # the simulator's threads keyword has no effect: passing it must not
     # change a byte of either command's output
     args = ["verify"] + BASE + ["--procs", "4"]
     sargs = ["scale", "--dim", "1", "--log2n", "3", "--sources", "48", "--procs", "1,2,8"]

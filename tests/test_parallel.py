@@ -1,21 +1,36 @@
-"""Distributed-traversal simulator: equivalence with the sequential engine,
-reduce-scatter accounting, ownership layout, and the cost model."""
+"""Distributed-traversal simulator: equivalence with the sequential engine
+and with the per-rank simulator it replaced, reduce-scatter accounting,
+ownership layout, and the cost model."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-import bfly.parallel
-from bfly.chebyshev import cheb_grid
+from bfly.chebyshev import cheb_grid, column_stage, init_source_weights, middle_switch, row_stage
 from bfly.costs import CostLedger, CostParams
-from bfly.engine import IdEngine, LevelBlock, SourceSet, butterfly_apply, direct_apply, rel_sup_error
-from bfly.geometry import BoxRegion, DyadicKey, InvalidProcessCountError, leaf_coords, offset_index, present_children
+from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
+from bfly.geometry import (
+    BoxRegion,
+    DyadicKey,
+    InvalidProcessCountError,
+    init_bisection_stacks,
+    leaf_coords,
+    leaf_runs,
+    offset_index,
+    parent_block,
+    pop_push,
+    present_children,
+    region_coords,
+    stage_schedule,
+    to_children,
+)
 from bfly.lowrank import build_id, build_translation_id
-from bfly.parallel import ledger_report, modeled_time, simulate_parallel, sum_scatter
+from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
 from bfly.phases import get_phase, kernel_matrix
 
 
@@ -30,64 +45,53 @@ def random_sources(rng, n, d=1):
     return SourceSet(pos, g)
 
 
-def fresh_ledgers(members):
-    return {m: CostLedger(CostParams()) for m in members}
-
-
 # ---------------------------------------------------------------------------
-# sum_scatter
+# the reduce-scatter over the team axis
 # ---------------------------------------------------------------------------
 
 
 def test_sum_scatter_pairwise():
-    a = [np.array([1.0 + 0j]), np.array([2.0 + 0j])]
-    b = [np.array([10.0 + 0j]), np.array([20.0 + 0j])]
-    leds = fresh_ledgers([0, 1])
-    out = sum_scatter({0: a, 1: b}, leds)
-    assert np.allclose(out[0], [11.0])
-    assert np.allclose(out[1], [22.0])
-    for led in leds.values():
-        assert led.messages == 1
-        assert led.entries_sent == 1
-        assert led.flops == 1
+    # members 0 and 1 hold partial sums for both pairs of the level; member
+    # j receives pair j
+    partials = np.array([[1.0 + 0j, 2.0], [10.0, 20.0]])
+    costs = RankCosts(2)
+    out = reduce_scatter(partials, costs)
+    assert np.array_equal(out, [11.0, 22.0])
+    assert list(costs.messages) == [1, 1]
+    assert list(costs.entries_sent) == [1, 1]
+    assert list(costs.flops) == [1, 1]
 
 
 def test_sum_scatter_singleton_is_free():
-    led = fresh_ledgers([5])
+    costs = RankCosts(1)
     x = np.array([3.0 + 1j, 4.0])
-    out = sum_scatter({5: [x]}, led)
-    assert np.array_equal(out[5], x)
-    assert out[5] is not x  # result never aliases an input buffer
-    assert led[5].messages == 0 and led[5].entries_sent == 0
+    out = reduce_scatter(x[None], costs)
+    assert np.array_equal(out, x)
+    assert not np.shares_memory(out, x)  # result never aliases an input buffer
+    assert costs.messages[0] == 0 and costs.entries_sent[0] == 0 and costs.flops[0] == 0
 
 
 def test_sum_scatter_team_of_four_matches_dense_reduction():
+    # four teams of four side by side (p = 16), each member's block 3 x 2
     rng = np.random.default_rng(139)
-    members = [0, 4, 8, 12]
-    blocks = {
-        m: [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in members]
-        for m in members
-    }
-    leds = fresh_ledgers(members)
-    out = sum_scatter(blocks, leds)
-    for j, m in enumerate(members):
-        dense = sum(blocks[q][j] for q in members)
-        assert np.allclose(out[m], dense, atol=1e-15)
-    for led in leds.values():
-        assert led.messages == 2  # log2(4) rounds
-        assert led.entries_sent == 3 * 6
-        assert led.flops == 3 * 6
+    partials = rng.normal(size=(4, 16, 3, 2)) + 1j * rng.normal(size=(4, 16, 3, 2))
+    costs = RankCosts(16)
+    out = reduce_scatter(partials, costs)
+    assert np.allclose(out, np.sum(partials, axis=0), atol=1e-15)
+    ascending = ((partials[0] + partials[1]) + partials[2]) + partials[3]
+    assert np.array_equal(out, ascending)
+    # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
+    ordered = np.zeros((4, 16, 3, 2), dtype=complex)
+    ordered[:, 0, 0, 0] = [1e16, 1.0, -1e16, 1.0]
+    assert reduce_scatter(ordered, RankCosts(16))[0, 0, 0] == 1.0  # descending order gives 0
+    assert all(costs.messages == 2)  # log2(4) rounds
+    assert all(costs.entries_sent == 3 * 6)
+    assert all(costs.flops == 3 * 6)
 
 
 def test_sum_scatter_contract_violations():
-    x = np.zeros(2, dtype=complex)
-    with pytest.raises(ValueError):
-        sum_scatter({0: [x], 1: [x, x]})
-    with pytest.raises(ValueError):
-        sum_scatter({0: [x, np.zeros(3, dtype=complex)], 1: [x, x]})
-    leds = fresh_ledgers([0, 1, 2])
-    with pytest.raises(ValueError):
-        sum_scatter({m: [x, x, x] for m in (0, 1, 2)}, leds)
+    with pytest.raises(ValueError, match="power of two"):
+        reduce_scatter(np.zeros((3, 6), dtype=complex), RankCosts(6))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +250,9 @@ def test_final_ownership_bit_reversal():
     for N in (8, 16):
         par = simulate_parallel(s, phase, N, p=N, q=3)
         L = N.bit_length() - 1
-        assert set(par.owners) == {DyadicKey(L, (c,)) for c in range(N)}
-        for key, rank in par.owners.items():
-            assert rank == bit_reverse(key.coords[0], L)
+        assert par.owners.shape == (N,)
+        for c in range(N):
+            assert par.owners[c] == bit_reverse(c, L)
 
 
 def test_ownership_counts_balanced():
@@ -257,12 +261,8 @@ def test_ownership_counts_balanced():
     phase = get_phase("fourier")
     for p in (1, 4, 16):
         par = simulate_parallel(s, phase, 8, p=p, q=3)
-        assert set(par.owners) == {DyadicKey(3, c) for c in np.ndindex(8, 8)}
-        counts = {}
-        for rank in par.owners.values():
-            counts[rank] = counts.get(rank, 0) + 1
-        assert set(counts) == set(range(p))
-        assert all(c == 64 // p for c in counts.values())
+        assert par.owners.shape == (8, 8)
+        assert list(np.bincount(par.owners.ravel())) == [64 // p] * p
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,236 @@ def test_empty_sources_still_run():
 
 
 # ---------------------------------------------------------------------------
+# The per-rank simulator the rank-batched one replaced, as an oracle: a loop
+# over ranks, each running the engine's stage on its own block of the level,
+# and a dict-based reduce-scatter per team
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LevelBlock:
+    """values[i..., j..., :] are the weights of the pair whose target box has
+    level `level` and coordinates a_lo + i, and whose source box has level
+    L - level and coordinates b_lo + j."""
+
+    level: int
+    a_lo: tuple
+    b_lo: tuple
+    values: np.ndarray
+
+    def next_boxes(self):
+        """(lo, shape) of the target and source boxes a stage produces."""
+        d = len(self.a_lo)
+        a_shape, b_shape = self.values.shape[:d], self.values.shape[d : 2 * d]
+        return (tuple(2 * a for a in self.a_lo), tuple(2 * n for n in a_shape)), parent_block(self.b_lo, b_shape)
+
+
+def block_index(lo, shape):
+    return tuple(slice(a, a + n) for a, n in zip(lo, shape))
+
+
+class PerRankStages:
+    """A built engine's init and stage on one rank's block of pairs."""
+
+    def __init__(self, eng):
+        self.eng, self.d, self.L = eng, eng.d, eng.L
+
+    def inside(self, b_lo, b_shape):
+        """Which of the engine's sorted sources lie in a block of leaves."""
+        lo = np.asarray(b_lo)
+        return np.all((self.eng._leaves >= lo) & (self.eng._leaves < lo + b_shape), axis=1)
+
+    def finalize(self, blk, ledger):
+        return blk
+
+    def make_field(self, values):
+        return self.eng.make_field(values)
+
+
+class PerRankCheb(PerRankStages):
+    def init_blocks(self, b_lo, b_shape, ledger):
+        eng, inside = self.eng, self.inside(b_lo, b_shape)
+        values = init_source_weights(
+            eng.L, b_lo, b_shape, eng._positions[inside], eng._strengths[inside], eng._leaves[inside],
+            eng.phase, eng.q, ledger,
+        )
+        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values.reshape((1,) * self.d + values.shape))
+
+    def switch(self, blk, ledger):
+        eng = self.eng
+        values = middle_switch(blk.level, blk.a_lo, eng.L - blk.level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
+        return LevelBlock(blk.level, blk.a_lo, blk.b_lo, values)
+
+    def stage(self, level, blk, ledger):
+        eng = self.eng
+        if level == eng.switch_level:
+            blk = self.switch(blk, ledger)
+        translate = column_stage if level < eng.switch_level else row_stage
+        values = translate(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
+        (ac_lo, _), (bp_lo, _) = blk.next_boxes()
+        return LevelBlock(level + 1, ac_lo, bp_lo, values)
+
+    def finalize(self, blk, ledger):
+        return self.switch(blk, ledger) if self.eng.switch_level == self.L else blk
+
+
+class PerRankId(PerRankStages):
+    def init_blocks(self, b_lo, b_shape, ledger):
+        eng, d = self.eng, self.d
+        out = np.zeros(tuple(b_shape) + eng._interp.shape[1:], dtype=complex)
+        inside = self.inside(b_lo, b_shape)
+        flat, starts = leaf_runs(eng._leaves[inside], b_lo, b_shape)
+        if starts.size:
+            weighted = eng._interp[inside] * eng._strengths[inside, None]
+            out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
+        ranks = eng._ranks[0][(0,) * d + block_index(b_lo, b_shape)].reshape(-1)
+        ledger.add_flops(2 * np.sum(ranks[flat]))
+        return LevelBlock(0, (0,) * d, tuple(b_lo), out.reshape((1,) * d + out.shape))
+
+    def stage(self, level, blk, ledger):
+        eng, d = self.eng, self.d
+        (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
+        pairs = block_index(ac_lo + bp_lo, ac_shape + bp_shape)
+        maps = np.moveaxis(eng._maps[level][(slice(None),) + pairs], 0, -3)
+        out_ranks = eng._ranks[level + 1][pairs]
+        in_ranks = eng._ranks[level][block_index(blk.a_lo + blk.b_lo, blk.values.shape[: 2 * d])]
+        out = None
+        for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
+            child = (slice(None),) * d + index
+            contrib = np.matmul(maps[..., offset_index(offset), :], to_children(blk.values[child], d)[..., None])
+            out = contrib[..., 0] if out is None else np.add(out, contrib[..., 0], out=out)
+            ledger.add_flops(np.sum(out_ranks * (2 * to_children(in_ranks[child], d) + 1)))
+        return LevelBlock(level + 1, ac_lo, bp_lo, out)
+
+
+def dict_sum_scatter(contributions, ledgers):
+    """Reduce-scatter over one team: contributions[q] holds one block per
+    member, in ascending member order; member j receives the sum of
+    everyone's j-th block, added in ascending member order, and each member
+    is charged log2(team) messages and (team-1) blocks of traffic."""
+    members = sorted(contributions)
+    team = len(members)
+    result = {}
+    for j, m in enumerate(members):
+        acc = contributions[members[0]][j].copy()
+        for q in members[1:]:
+            acc += contributions[q][j]
+        result[m] = acc
+    if team > 1:
+        blocksize = result[members[0]].size
+        for q in members:
+            ledgers[q].add_comm(team.bit_length() - 1, (team - 1) * blocksize)
+            ledgers[q].add_flops((team - 1) * blocksize)
+    return result
+
+
+def region(stack, rank, d, level):
+    ranges = region_coords(stack, rank, d, level)
+    return tuple(int(a) for a, _ in ranges), tuple(int(b - a) for a, b in ranges)
+
+
+def per_rank_simulate(eng, N, p):
+    """simulate_parallel as a loop over ranks. eng has the block entry points
+    init_blocks(b_lo, b_shape, ledger), stage(level, blk, ledger) and
+    finalize(blk, ledger), and make_field(values) of the final level.
+    Returns the field, the owners as an array, the ledgers, the schedule and
+    the trace strings."""
+    d, L = eng.d, eng.L
+    schedule = stage_schedule(N, d, p)
+    dx, dy = init_bisection_stacks(d, p)
+    ranks = list(range(p))
+    ledgers = [CostLedger(CostParams()) for _ in ranks]
+    blocks = [eng.init_blocks(*region(dy, rank, d, L), ledgers[rank]) for rank in ranks]
+    trace = []
+    moved = 0
+    for level in range(L):
+        outs = [eng.stage(level, blocks[rank], ledgers[rank]) for rank in ranks]
+        k = schedule[level]
+        if k == 0:
+            blocks = outs
+            continue
+        new_dx, new_dy = pop_push(dx, dy, k)
+        regions = [(region(new_dx, rank, d, level + 1), region(new_dy, rank, d, L - level - 1)) for rank in ranks]
+
+        def take(rank, member):
+            """The part of rank's stage output that member will own."""
+            blk = outs[rank]
+            (a_lo, a_shape), (b_lo, b_shape) = regions[member]
+            index = tuple(
+                slice(lo - base, lo - base + n)
+                for lo, base, n in zip(a_lo + b_lo, blk.a_lo + blk.b_lo, a_shape + b_shape)
+            )
+            return blk.values[index]
+
+        stage_trace = {}
+        for base in sorted({rank & ~(((1 << k) - 1) << moved) for rank in ranks}):
+            members = sorted(base | (bits << moved) for bits in range(1 << k))
+            contributions = {q: [take(q, m) for m in members] for q in members}
+            sums = dict_sum_scatter(contributions, {m: ledgers[m] for m in members})
+            for m in members:
+                (a_lo, _), (b_lo, _) = regions[m]
+                blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m])
+                stage_trace[m] = f"{level},{m},{k},{((1 << k) - 1) * sums[m].size}"
+        trace.extend(stage_trace[r] for r in sorted(stage_trace))
+        dx, dy = new_dx, new_dy
+        moved += k
+    finals = [eng.finalize(blocks[rank], ledgers[rank]) for rank in ranks]
+    values = np.zeros((N,) * d + finals[0].values.shape[-1:], dtype=complex)
+    owners = np.full((N,) * d, -1)
+    for rank, blk in enumerate(finals):
+        a_shape = blk.values.shape[:d]
+        values[block_index(blk.a_lo, a_shape)] = blk.values.reshape(a_shape + values.shape[-1:])
+        owners[block_index(blk.a_lo, a_shape)] = rank
+    return eng.make_field(values), owners, ledgers, schedule, trace
+
+
+def tallies(ledgers):
+    return [(led.flops, led.messages, led.entries_sent) for led in ledgers]
+
+
+@pytest.mark.parametrize("backend", ["cheb", "id"])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8), (3, 4)])
+def test_simulator_matches_per_rank_oracle(d, N, backend):
+    # every p from 1 to N^d, including the d = 2 and d = 3 counts whose
+    # log2 is not a multiple of d, where members hold partial sums over
+    # several children
+    rng = np.random.default_rng(283 + d + N)
+    s = random_sources(rng, 30 * d, d=d)  # some leaves stay empty
+    phase = get_phase("fourier")
+    kwargs = {"q": 3} if backend == "cheb" else {"backend": "id", "tol": 1e-6}
+    eng = make_engine(phase, d, N, sources=s, **kwargs)
+    stages = PerRankCheb(eng) if backend == "cheb" else PerRankId(eng)
+    for logp in range(d * (N.bit_length() - 1) + 1):
+        p = 1 << logp
+        trace = []
+        par = simulate_parallel(s, phase, N, p=p, trace=trace, **kwargs)
+        field, owners, ledgers, schedule, want_trace = per_rank_simulate(stages, N, p)
+        assert np.array_equal(par.field.values, field.values), p
+        assert tallies(par.ledgers) == tallies(ledgers), p
+        assert par.schedule == schedule
+        assert trace == want_trace, p
+        assert np.array_equal(par.owners, owners), p
+
+
+@pytest.mark.parametrize("engine", [ChebEngine, IdEngine])
+def test_one_init_and_one_stage_call_per_level(engine, monkeypatch):
+    # sim-1d's shape at a small size: every rank's block goes through the
+    # same call, so L stage calls and one init, not p * L and p
+    calls = {"init_blocks": 0, "stage": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    rng = np.random.default_rng(307)
+    kwargs = {"q": 8} if engine is ChebEngine else {"backend": "id", "tol": 1e-6}
+    simulate_parallel(random_sources(rng, 256), get_phase("fourier"), 64, p=8, **kwargs)
+    assert calls == {"init_blocks": 1, "stage": 6}
+
+
+# ---------------------------------------------------------------------------
 # The id backend's level arrays against the per-pair implementation
 # ---------------------------------------------------------------------------
 
@@ -361,8 +591,9 @@ def parent(key):
 class PerPairIdEngine(IdEngine):
     """The id engine with the per-pair precompute, leaf initialization and
     stage of the implementation that kept every pair's map in dicts keyed by
-    box coordinates: an oracle for the level arrays. The factorizations are
-    the same calls on the same samples; the field is made from the arrays."""
+    box coordinates: an oracle for the level arrays, with the block entry
+    points that per_rank_simulate drives. The factorizations are the same
+    calls on the same samples; the field is made from the arrays."""
 
     def set_sources(self, sources):
         super().set_sources(sources)
@@ -431,20 +662,15 @@ class PerPairIdEngine(IdEngine):
 
 
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 4), (2, 8)])
-def test_id_stage_matches_per_pair_oracle(d, N, monkeypatch):
+def test_id_stage_matches_per_pair_oracle(d, N):
     rng = np.random.default_rng(271 + d + N)
     s = random_sources(rng, 40 * d, d=d)  # some leaves stay empty
     phase = get_phase("fourier")
+    per_pair = PerPairIdEngine(phase, d, N, 1e-8, 4, s)
     for p in (1, 4, 16):
         arrays = simulate_parallel(s, phase, N, p=p, backend="id", tol=1e-8)
-        with monkeypatch.context() as m:
-            m.setattr(
-                bfly.parallel, "make_engine",
-                lambda phase, d, N, q, backend, tol, rows, sources: PerPairIdEngine(phase, d, N, tol, rows, sources),
-            )
-            oracle = simulate_parallel(s, phase, N, p=p, backend="id", tol=1e-8)
-        got, want = arrays.field.values, oracle.field.values
+        field, _, ledgers, _, _ = per_rank_simulate(per_pair, N, p)
+        got, want = arrays.field.values, field.values
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), p
-        for la, lb in zip(arrays.ledgers, oracle.ledgers):
-            assert (la.flops, la.messages, la.entries_sent) == (lb.flops, lb.messages, lb.entries_sent), p
+        assert tallies(arrays.ledgers) == tallies(ledgers), p
