@@ -179,7 +179,11 @@ class IdEngine(_SortedSources):
 
     Row samples are a tensor Chebyshev grid of rows_per_dim points per
     dimension in every leaf target box, and a pair's row set is all such
-    samples inside its target box, with no proxy rows.
+    samples inside its target box, with no proxy rows. Each factorization
+    needs only R and the pivots of a column-pivoted QR (lowrank.build_id), so
+    no Q is formed and every block is factored in place, except a leaf's:
+    stage 0 gathers its blocks from the leaves' sampled skeleton columns
+    instead of evaluating the phase again, and stages >= 1 sample theirs.
     """
 
     name = "id"
@@ -199,12 +203,12 @@ class IdEngine(_SortedSources):
         self.tol = tol
         self.rows_per_dim = rows_per_dim
         self.L = N.bit_length() - 1
-        self.precompute_flops = 0
         if sources is not None:
             self.set_sources(sources)
 
     def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return kernel_matrix(self.phase, xs, ys)
+        """A new Fortran-ordered kernel block, which build_id factors in place."""
+        return kernel_matrix(self.phase, xs, ys, order="F")
 
     def set_sources(self, sources: SourceSet) -> None:
         super().set_sources(sources)
@@ -218,59 +222,133 @@ class IdEngine(_SortedSources):
         shape = (n,) * d + (self.N >> level,) * d + (width, d)
         return np.array(np.broadcast_to(centers.reshape((n,) * d + (1,) * d + (1, d)), shape))
 
+    def _stage_arrays(self, level: int, width: int) -> tuple:
+        """Zeroed ranks, padded skeleton and maps of the output pairs of stage
+        `level`, with room for any output rank and child weights of width."""
+        d, shift = self.d, self.L - level - 1
+        room = min(self.rows_per_dim**d << (d * shift), (1 << d) * width)
+        shape = (2 << level,) * d + (1 << shift,) * d
+        maps = np.zeros((room,) + shape + (1 << d, width), dtype=complex)
+        return np.zeros(shape, dtype=int), self._padded_skeleton(level + 1, room), maps
+
+    @staticmethod
+    def _store(arrays: tuple, pair: tuple, dec, points: np.ndarray, child_ranks: list) -> None:
+        """Write one pair's rank, skeleton points and interpolation matrix,
+        whose columns are the stacked child weights, into a stage's arrays."""
+        ranks, skeleton, maps = arrays
+        ranks[pair] = dec.rank
+        skeleton[pair][: dec.rank] = points
+        rows = maps[(slice(0, dec.rank),) + pair]
+        lo = 0
+        for n, r in enumerate(child_ranks):
+            rows[:, n, :r] = dec.matrix[:, lo : lo + r]
+            lo += r
+
+    def _finish_stage(self, arrays: tuple, width: int) -> tuple:
+        """Keep a stage's ranks and its maps cut to the output width and to
+        child weights of width; returns the level's ranks, skeleton and
+        width."""
+        ranks, skeleton, maps = arrays
+        out = int(np.max(ranks))
+        self._ranks.append(ranks)
+        self._maps.append(np.ascontiguousarray(maps[:out, ..., :width]))
+        return ranks, skeleton[..., :out, :], out
+
     def _precompute(self) -> None:
         d, L, N = self.d, self.L, self.N
         rows = cheb.grid_points(self.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
         all_rows = rows.reshape(-1, d)
+        # each leaf's run of the leaf-sorted sources
+        flat, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
+        first = np.zeros(N**d, dtype=int)
+        count = np.zeros(N**d, dtype=int)
+        first[flat[starts]] = starts
+        count[flat[starts]] = np.diff(np.append(starts, len(flat)))
+        first, count = first.reshape((N,) * d), count.reshape((N,) * d)
         # leaf IDs against every row sample, written into room for any rank
-        _, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
-        counts = np.diff(np.append(starts, len(self._leaves)))
-        room = min(int(np.max(counts, initial=0)), len(all_rows))
+        room = min(int(np.max(count, initial=0)), len(all_rows))
         ranks = np.zeros((1,) * d + (N,) * d, dtype=int)
         skeleton = self._padded_skeleton(0, room)
         interp = np.zeros((len(self._leaves), room), dtype=complex)
-        for i, n in zip(starts, counts):
-            pair = (0,) * d + tuple(self._leaves[i])
-            M = self._sampler(all_rows, self._positions[i : i + n])
-            dec = build_id(M, self.tol)
-            self.precompute_flops += 4 * M.shape[0] * M.shape[1] * max(1, dec.rank)
+
+        def leaf_id(b: tuple) -> tuple:
+            """Factor leaf b; return its sampled block, transposed and laid
+            out over the row samples as (n,) + (N,)*d + (g,) for its n
+            sources, and the indices of its skeleton columns."""
+            i, n = first[b], count[b]
+            if n == 0:
+                return None, np.arange(0)
+            pos = self._positions[i : i + n]
+            M = self._sampler(all_rows, pos)
+            dec = build_id(M, self.tol)  # on a copy: M is read again
+            pair = (0,) * d + b
             ranks[pair] = dec.rank
-            skeleton[pair][: dec.rank] = self._positions[i : i + n][dec.column_indices]
+            skeleton[pair][: dec.rank] = pos[dec.column_indices]
             interp[i : i + n, : dec.rank] = dec.matrix.T
-        width = int(np.max(ranks))
-        self._interp = interp[:, :width]
+            return M.T.reshape((n,) + rows.shape[:-1]), dec.column_indices
+
         self._ranks = [ranks]
         self._maps = []
-        skeleton = skeleton[..., :width, :]
         kids = [tuple((n >> k) & 1 for k in range(d)) for n in range(1 << d)]
-        for level in range(L):
+        if L == 0:
+            leaf_id((0,) * d)
+        else:
+            # Stage 0: pair (A_c, B_p) recompresses the skeletons of the
+            # leaves B_n of B_p against the row samples inside A_c. Those
+            # entries are the rows of A_c of the leaves' sampled skeleton
+            # columns, which the phase contract makes the same bits as a new
+            # sample, so the leaves are factored one B_p at a time and each
+            # block is gathered from their samples. Child weights get the
+            # leaf room until the leaf width is known.
+            n_b = N >> 1
+            out = self._stage_arrays(0, room)
+            for bp in np.ndindex(*(n_b,) * d):
+                leaves = [tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+                sampled = [leaf_id(b) for b in leaves]
+                child_ranks = [len(cols) for _, cols in sampled]
+                stacked = sum(child_ranks)
+                if not stacked:
+                    continue  # every pair of B_p keeps rank 0
+                points = np.concatenate([skeleton[(0,) * d + b][:r] for b, r in zip(leaves, child_ranks)])
+                for ac in np.ndindex(*(2,) * d):
+                    in_ac = (slice(None),) + tuple(slice(c * n_b, (c + 1) * n_b) for c in ac)
+                    # (stacked, rows of A_c) in C order: its transpose is a
+                    # Fortran-ordered block that LAPACK may overwrite
+                    block = np.empty((stacked,) + (n_b,) * d + (rows.shape[-2],), dtype=complex)
+                    lo = 0
+                    for (M, cols), r in zip(sampled, child_ranks):
+                        if r:  # mode="clip" writes straight into out
+                            np.take(M[in_ac], cols, axis=0, out=block[lo : lo + r], mode="clip")
+                        lo += r
+                    dec = build_id(block.reshape(stacked, -1).T, self.tol, overwrite=True)
+                    self._store(out, ac + bp, dec, points[dec.column_indices], child_ranks)
+        width = int(np.max(ranks))
+        self._interp = interp[:, :width]
+        skeleton = skeleton[..., :width, :]
+        if L:
+            ranks, skeleton, width = self._finish_stage(out, width)
+        # Stages >= 1 sample their blocks. Gathering them too would hold the
+        # skeleton columns of a whole level (9.2M entries, about 147 MB, at
+        # stage 1 of the d = 2, N = 16 problem with 2048 sources), or hold
+        # every later stage's maps ragged until the level widths are known
+        # (about +20 MB over some 100 MB of padded maps). Either one breaks
+        # the benchmark's 10% bound on peak memory.
+        for level in range(1, L):
             # pair (A_c, B_p) of level + 1 recompresses the skeletons of
             # (parent(A_c), B_n), B_n the children of B_p in child order,
             # against the row samples of the leaves inside A_c
             shift = L - level - 1
-            room = min(self.rows_per_dim**d << (d * shift), len(kids) * width)
-            n_a, n_b = 2 << level, 1 << shift
-            out_ranks = np.zeros((n_a,) * d + (n_b,) * d, dtype=int)
-            out_skeleton = self._padded_skeleton(level + 1, room)
-            maps = np.zeros((room,) + out_ranks.shape + (len(kids), width), dtype=complex)
-            for bp in np.ndindex(*(n_b,) * d):
-                for ac in np.ndindex(*(n_a,) * d):
+            out = self._stage_arrays(level, width)
+            for bp in np.ndindex(*(1 << shift,) * d):
+                for ac in np.ndindex(*(2 << level,) * d):
                     ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
                     child_ranks = [ranks[p] for p in ins]
                     targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
                     dec = build_translation_id(
                         [skeleton[p][:r] for p, r in zip(ins, child_ranks)], targets, self._sampler, self.tol
                     )
-                    self.precompute_flops += 4 * targets.shape[0] * dec.matrix.shape[1] * max(1, dec.rank)
-                    pair = ac + bp
-                    out_ranks[pair] = dec.rank
-                    out_skeleton[pair][: dec.rank] = dec.points
-                    for n, cols in enumerate(np.split(dec.matrix, np.cumsum(child_ranks)[:-1], axis=1)):
-                        maps[(slice(0, dec.rank),) + pair + (n, slice(0, cols.shape[1]))] = cols
-            ranks, width = out_ranks, int(np.max(out_ranks))
-            skeleton = out_skeleton[..., :width, :]
-            self._ranks.append(ranks)
-            self._maps.append(maps[:width])
+                    self._store(out, ac + bp, dec, dec.points, child_ranks)
+            ranks, skeleton, width = self._finish_stage(out, width)
         # the final pairs (A, root) as arrays over the target leaves, the
         # padded slots holding the leaf center and weight exactly 0
         self._final_ranks = ranks.reshape((N,) * d)

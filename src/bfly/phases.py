@@ -4,7 +4,9 @@ A kernel K(x, y) = exp(i * Phi(x, y)) is specified entirely by its real
 phase. Evaluators take two broadcast-compatible (..., d) arrays of points
 and return Phi at every point pair, in their broadcast shape without the
 last axis. Each entry is a fixed sequence of elementwise operations on its
-own two points, so its bits do not depend on the batch shape.
+own two points, so its bits do not depend on the batch shape. A phase that
+returns a NaN or inf is rejected where it is called, so no sample, weight
+or factorization downstream has to scan for one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ class PhaseEvaluator:
             raise ValueError(f"phase '{self.name}' on points {xs.shape} and {ys.shape}: {err}") from err
         if np.shape(out) != shape:
             raise ValueError(f"phase '{self.name}' returned shape {np.shape(out)}, not the point shape {shape}")
+        # any NaN or inf makes the sum non-finite; only then is each entry
+        # tested, which tells a finite sum's overflow apart
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(out)
+        if not np.isfinite(total) and not np.all(np.isfinite(out)):
+            raise ValueError(f"phase '{self.name}' returned a NaN or inf on points {xs.shape} and {ys.shape}")
         return out
 
 
@@ -103,8 +111,15 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_matrix(phase: PhaseEvaluator, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """exp(i * Phi) on the full cross product: (len(xs), len(ys)) complex."""
+def kernel_matrix(phase: PhaseEvaluator, xs: np.ndarray, ys: np.ndarray, order: str = "C") -> np.ndarray:
+    """exp(i * Phi) on the full cross product: (len(xs), len(ys)) complex.
+
+    order="F" gives the same entries in Fortran order, which LAPACK takes
+    without a copy: the transpose of the C-ordered (len(ys), len(xs))
+    evaluation, whose entries have the same bits by the batch-independence
+    of the phase."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if order == "F":
+        return _expi(phase(xs[None], ys[:, None])).T
     return _expi(phase(xs[:, None], ys[None]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from bfly.engine import (
     make_engine,
     rel_sup_error,
 )
-from bfly.geometry import DyadicKey, leaf_coords, leaf_order, leaf_runs
+from bfly.chebyshev import grid_points
+from bfly.geometry import DyadicKey, block_coords, leaf_coords, leaf_order, leaf_runs
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
+from test_lowrank import economic_id
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]))
 
@@ -311,3 +315,103 @@ def test_2d_accuracy_modest_grid():
     exact = direct_apply(s, phase, pts)
     f = butterfly_apply(s, phase, 8, q=6)
     assert rel_sup_error(f.evaluate(pts), exact) <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The id precompute against the per-pair sampled one
+# ---------------------------------------------------------------------------
+
+
+def per_pair_precompute(eng):
+    """The id precompute with every factorization sampled on its own: each
+    leaf and each pair of each stage evaluates its C-ordered kernel block
+    and factors it through scipy's economic QR, Q included (economic_id).
+    Returns the arrays IdEngine keeps, by attribute name."""
+    d, L, N = eng.d, eng.L, eng.N
+    sampler = functools.partial(kernel_matrix, eng.phase)
+    rows = grid_points(eng.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
+    all_rows = rows.reshape(-1, d)
+    _, starts = leaf_runs(eng._leaves, (0,) * d, (N,) * d)
+    counts = np.diff(np.append(starts, len(eng._leaves)))
+    room = min(int(np.max(counts, initial=0)), len(all_rows))
+    ranks = np.zeros((1,) * d + (N,) * d, dtype=int)
+    skeleton = eng._padded_skeleton(0, room)
+    interp = np.zeros((len(eng._leaves), room), dtype=complex)
+    for i, n in zip(starts, counts):
+        pair = (0,) * d + tuple(eng._leaves[i])
+        pos = eng._positions[i : i + n]
+        cols, Z = economic_id(sampler(all_rows, pos), eng.tol)
+        ranks[pair] = len(cols)
+        skeleton[pair][: len(cols)] = pos[cols]
+        interp[i : i + n, : len(cols)] = Z.T
+    width = int(np.max(ranks))
+    out = {"_interp": interp[:, :width], "_ranks": [ranks], "_maps": []}
+    skeleton = skeleton[..., :width, :]
+    kids = [tuple((n >> k) & 1 for k in range(d)) for n in range(1 << d)]
+    for level in range(L):
+        shift = L - level - 1
+        room = min(eng.rows_per_dim**d << (d * shift), len(kids) * width)
+        n_a, n_b = 2 << level, 1 << shift
+        out_ranks = np.zeros((n_a,) * d + (n_b,) * d, dtype=int)
+        out_skeleton = eng._padded_skeleton(level + 1, room)
+        maps = np.zeros((room,) + out_ranks.shape + (len(kids), width), dtype=complex)
+        for bp in np.ndindex(*(n_b,) * d):
+            for ac in np.ndindex(*(n_a,) * d):
+                ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+                child_ranks = [ranks[p] for p in ins]
+                stacked = np.concatenate([skeleton[p][:r] for p, r in zip(ins, child_ranks)])
+                if not len(stacked):
+                    continue
+                targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
+                cols, Z = economic_id(sampler(targets, stacked), eng.tol)
+                pair = ac + bp
+                out_ranks[pair] = len(cols)
+                out_skeleton[pair][: len(cols)] = stacked[cols]
+                for n, block in enumerate(np.split(Z, np.cumsum(child_ranks)[:-1], axis=1)):
+                    maps[(slice(0, len(cols)),) + pair + (n, slice(0, block.shape[1]))] = block
+        ranks, width = out_ranks, int(np.max(out_ranks))
+        skeleton = out_skeleton[..., :width, :]
+        out["_ranks"].append(ranks)
+        out["_maps"].append(maps[:width])
+    out["_final_ranks"] = ranks.reshape((N,) * d)
+    out["_final_skeleton"] = skeleton.reshape((N,) * d + skeleton.shape[-2:])
+    return out
+
+
+def sparse_leaf_sources(rng, d, N):
+    """A dense cluster in the lower half of the cube, one source at the
+    center of every third leaf of the upper half, the other leaves empty."""
+    dense = rng.uniform(0.0, 0.5, size=(12 * (N // 2) ** d, d))
+    upper = [c for c in np.ndindex(*(N,) * d) if c[0] >= N // 2][::3]
+    single = (np.array(upper) + 0.5) / N
+    pos = np.vstack([dense, single])
+    return SourceSet(pos, rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos)))
+
+
+@pytest.mark.parametrize(
+    "name,d,N,tol,sparse",
+    [
+        ("fourier", 1, 64, 1e-8, False),
+        ("fourier", 2, 16, 1e-7, True),
+        ("hyp-radon", 2, 8, 1e-7, False),
+        ("gen-radon", 3, 4, 1e-6, False),
+    ],
+)
+def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse):
+    rng = np.random.default_rng(59 + d + N)
+    s = sparse_leaf_sources(rng, d, N) if sparse else random_sources(rng, 6 * N**d, d=d)
+    if sparse:
+        leaves = leaf_coords(s.positions, N.bit_length() - 1)
+        counts = np.bincount(np.ravel_multi_index(tuple(leaves.T), (N,) * d), minlength=N**d)
+        assert np.any(counts == 0) and np.any(counts == 1)
+    eng = IdEngine(get_phase(name), d, N, tol, sources=s)
+    want = per_pair_precompute(eng)
+    for attr in ("_interp", "_final_ranks", "_final_skeleton"):
+        got = getattr(eng, attr)
+        assert got.shape == want[attr].shape and np.array_equal(got, want[attr]), attr
+    for attr in ("_ranks", "_maps"):
+        assert len(getattr(eng, attr)) == len(want[attr]), attr
+        for level, (got, ref) in enumerate(zip(getattr(eng, attr), want[attr])):
+            assert got.shape == ref.shape and np.array_equal(got, ref), (attr, level)
+    # the stages multiply with the maps laid out as before
+    assert all(m.flags.c_contiguous for m in eng._maps)

@@ -4,8 +4,10 @@ translations, verified against dense SVD and direct-multiplication oracles."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
+import scipy.linalg
 
-from bfly.lowrank import build_id, build_translation_id
+from bfly.lowrank import _pivoted_r, _solve_clamped, _truncation_rank, build_id, build_translation_id
 
 
 def random_with_spectrum(rng, m, n, sigmas):
@@ -139,6 +141,86 @@ def test_equivalent_sources_residual_bound():
     skel = M[:, decomp.column_indices] @ (decomp.matrix @ g)
     # s(r, n) absorbed into a generous constant
     assert np.max(np.abs(direct - skel)) <= 100 * tol * np.sum(np.abs(g))
+
+
+def economic_id(M, tol):
+    """build_id as it was on scipy.linalg.qr(mode="economic", pivoting=True),
+    which also forms Q: the oracle for build_id's bits."""
+    M = np.asarray(M, dtype=complex)
+    m, n = M.shape
+    if m == 0 or n == 0:
+        return np.arange(0), np.zeros((0, n), dtype=complex)
+    _, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    r = _truncation_rank(np.abs(np.diag(R)), tol)
+    T = _solve_clamped(R[:r, :r], R[:r, r:])
+    Z = np.zeros((r, n), dtype=complex)
+    Z[np.arange(r), perm[:r]] = 1.0
+    Z[:, perm[r:]] = T
+    return perm[:r], Z
+
+
+def _shapes_to_factor():
+    """Tall, wide, rank-deficient, zero and single-column blocks, plus a
+    sampled kernel block and a real one."""
+    rng = np.random.default_rng(41)
+
+    def cplx(m, n):
+        return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+
+    x = rng.uniform(size=(64, 1))
+    y = rng.uniform(size=(24, 1))
+    return {
+        "tall": cplx(40, 7),
+        "wide": cplx(5, 12),
+        "rank-deficient": cplx(20, 3) @ cplx(3, 10),
+        "zero": np.zeros((6, 4), dtype=complex),
+        "single-column": cplx(9, 1),
+        "single-row": cplx(1, 6),
+        "kernel": np.exp(2j * np.pi * 16 * x @ y.T),
+        "real": rng.normal(size=(8, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shapes_to_factor()))
+def test_pivoted_r_matches_economic_qr_bits(name):
+    M = np.asarray(_shapes_to_factor()[name], dtype=complex)
+    _, R, perm = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    qr, got = _pivoted_r(np.array(M, order="F"))
+    assert np.array_equal(got, perm) and got.dtype == perm.dtype
+    assert np.array_equal(np.triu(qr[: R.shape[0]]), R)
+
+
+@pytest.mark.parametrize("name", sorted(_shapes_to_factor()))
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.5])
+def test_build_id_matches_economic_oracle_bits(name, tol):
+    M = _shapes_to_factor()[name]
+    cols, Z = economic_id(M, tol)
+    for block, overwrite in ((M, False), (np.array(M, dtype=complex, order="F"), True)):
+        dec = build_id(block, tol, overwrite=overwrite)
+        assert np.array_equal(dec.column_indices, cols)
+        assert np.array_equal(dec.matrix, Z)
+
+
+@pytest.mark.parametrize("name", sorted(_shapes_to_factor()))
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_build_id_leaves_its_input_unmodified(name, order):
+    # A single column is both C- and F-contiguous, so np.asfortranarray
+    # would hand LAPACK the caller's own array.
+    M = np.array(_shapes_to_factor()[name], dtype=complex, order=order)
+    before = M.copy()
+    build_id(M, 1e-8)
+    assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (4, 9), (7, 1)])
+@pytest.mark.parametrize("where", [(0, 0), (-1, -1), (2, 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_id_rejects_non_finite_blocks(shape, where, bad):
+    rng = np.random.default_rng(43)
+    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    M[where[0] % shape[0], where[1] % shape[1]] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        build_id(M, 1e-8)
 
 
 def _separable_sampler(xs, ys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bfly.engine import SourceSet, butterfly_apply
+from bfly.engine import SourceSet, butterfly_apply, direct_apply
+from bfly.parallel import simulate_parallel
 from bfly.phases import (
     PhaseEvaluator,
     REGISTRY,
@@ -134,3 +137,52 @@ def test_kernel_matrix_cross_product():
     assert np.allclose(K[0], 1.0)  # x = 0 row
     assert np.isclose(K[1, 1], np.exp(1j * np.pi / 2))
     assert np.allclose(np.abs(K), 1.0)  # unimodular kernel
+
+
+def _broken(value, where_x_above=-1.0):
+    """The fourier phase, with `value` wherever x[..., 0] > where_x_above."""
+
+    def fn(xs, ys):
+        out = 2.0 * np.pi * xs[..., 0] * ys[..., 0]
+        return np.where(xs[..., 0] > where_x_above, value, out)
+
+    return PhaseEvaluator("broken", 1, fn)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where_x_above", [-1.0, 0.7])
+def test_non_finite_phase_raises_naming_it(value, where_x_above):
+    bad = _broken(value, where_x_above)
+    rng = np.random.default_rng(47)
+    s = SourceSet(rng.uniform(size=(30, 1)), rng.normal(size=30))
+    match = "phase 'broken' returned a NaN or inf"
+    with pytest.raises(ValueError, match=match):
+        bad(np.array([[0.9]]), np.array([[0.5]]))
+    with pytest.raises(ValueError, match=match):
+        kernel_matrix(bad, np.array([[0.1], [0.9]]), np.array([[0.5]]), order="F")
+    with pytest.raises(ValueError, match=match):
+        direct_apply(s, bad, np.array([[0.1], [0.9]]))
+    for backend in ("cheb", "id"):
+        with pytest.raises(ValueError, match=match):
+            butterfly_apply(s, bad, 8, q=4, backend=backend)
+        with pytest.raises(ValueError, match=match):
+            simulate_parallel(s, bad, 8, p=4, q=4, backend=backend)
+        field = butterfly_apply(s, get_phase("fourier"), 8, q=4, backend=backend)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(field, phase=bad).evaluate(np.array([[0.1], [0.9]]))
+
+
+def test_kernel_matrix_fortran_order_has_the_same_bits():
+    rng = np.random.default_rng(53)
+    for name, d in (("fourier", 2), ("hyp-radon", 2), ("gen-radon", 3)):
+        xs, ys = rng.uniform(size=(37, d)), rng.uniform(size=(11, d))
+        K = kernel_matrix(get_phase(name), xs, ys)
+        F = kernel_matrix(get_phase(name), xs, ys, order="F")
+        assert F.flags.f_contiguous and F.shape == K.shape
+        assert np.array_equal(F, K), name
+
+
+def test_huge_finite_phase_is_accepted():
+    # its entries are finite although their sum overflows to inf
+    huge = PhaseEvaluator("huge", 1, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], 1e308))
+    assert np.all(huge(np.zeros((3, 1, 1)), np.zeros((4, 1))) == 1e308)
