@@ -473,23 +473,19 @@ def evaluate_block(
     pts: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
-    check_inside: bool = False,
 ) -> np.ndarray:
     """Row weights evaluated at points, one pair per point:
     f(x_i) = exp(i*Phi(x_i, y_B)) sum_t L_t(x_i) values[i, t].
 
     pts[i] lies in the level-`level` target box with integer coordinates
-    coords[i], values[i] holds that pair's q^d row weights, and y_B is the
-    center of the source box the pairs share. Every result depends on its
-    own row only, so a point gives the same bits in any batch.
+    coords[i], which the caller works out from the point itself
+    (PotentialField.evaluate uses geometry.leaf_coords); values[i] holds
+    that pair's q^d row weights, and y_B is the center of the source box the
+    pairs share. Every result depends on its own row only, so a point gives
+    the same bits in any batch.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     w = 1.0 / (1 << level)
     lower = np.asarray(coords) * w
-    if check_inside:
-        hi = lower + w
-        inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
-        if not np.all((pts >= lower) & inside_hi):
-            raise ValueError("evaluation point outside its target box")
     basis = _tensor_basis(q, lower.T, (w,) * pts.shape[1], pts)
     return _expi(phase(pts, y_b)) * np.einsum("ij,ij->i", basis, values)

@@ -1,14 +1,16 @@
 """Command-line front-end: `bfly verify` and `bfly scale`.
 
-verify builds a random (or file-provided) source set, runs the butterfly
-engine, and reports the relative sup-norm error against direct summation
+verify builds a random (or file-provided) source set, runs the simulated
+parallel butterfly at the given process count (p = 1 is the sequential
+schedule), and reports the relative sup-norm error against direct summation
 together with ledger totals. scale repeats the simulated parallel run over
 a list of process counts and emits one cost row per count. Configuration
 comes from defaults, then an optional key=value file, then flags, each
 layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 
-Exit codes: 0 success, 1 error above threshold, 2 usage error.
+Exit codes: 0 success, 1 error above threshold, 2 usage or input error
+(including a file that is not UTF-8 and an error that is not finite).
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .costs import CostParams
-from .engine import (
-    AllZeroReferenceError,
-    SourceSet,
-    butterfly_apply,
-    direct_apply,
-    rel_sup_error,
-)
+from .engine import AllZeroReferenceError, SourceSet, direct_apply, rel_sup_error
 from .parallel import ledger_report, simulate_parallel
 from .phases import REGISTRY
 
@@ -81,10 +77,6 @@ class RunConfig:
     threshold: float
     id_limit: int
 
-    @property
-    def n_boxes(self) -> int:
-        return (1 << self.log2n) ** self.dim
-
 
 def _to_int(key: str, raw: str) -> int:
     try:
@@ -108,7 +100,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     out: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -166,8 +158,8 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
         if required not in merged:
             raise UsageError(f"missing required key: {required}")
     dim = _to_int("dim", merged["dim"])
-    if dim < 1:
-        raise UsageError("dim must be a positive integer")
+    if dim not in (1, 2, 3):
+        raise UsageError(f"dim must be 1, 2 or 3, got {dim}")
     log2n = _to_int("log2n", merged["log2n"])
     if log2n < 0:
         raise UsageError("log2n must be a nonnegative integer")
@@ -257,7 +249,7 @@ def _load_source_file(path: str, dim: int) -> SourceSet:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read sources file {path}: {exc}")
     if not rows or [c.strip() for c in rows[0]] != expected:
         raise UsageError(f"sources file {path} must start with header {','.join(expected)}")
@@ -316,16 +308,9 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
     phase = REGISTRY[cfg.phase]
     params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
     N = 1 << cfg.log2n
-    kwargs = _engine_kwargs(cfg)
-
-    p = cfg.procs[0]
-    if p > 1:
-        res = simulate_parallel(src, phase, N, p=p, params=params, **kwargs)
-        field = res.field
-        rows = ledger_report(res.ledgers)
-    else:
-        field = butterfly_apply(src, phase, N, params=params, **kwargs)
-        rows = ledger_report([field.ledger])
+    res = simulate_parallel(src, phase, N, p=cfg.procs[0], params=params, **_engine_kwargs(cfg))
+    field = res.field
+    rows = ledger_report(res.ledgers)
 
     if src.count == 0 or cfg.targets == 0:
         reason = "no sources" if src.count == 0 else "no targets"
@@ -337,6 +322,8 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
         except AllZeroReferenceError:
             print("warning: reference sum is identically zero; error reported as 0 by convention", file=sys.stderr)
             error = 0.0
+        if not math.isfinite(error):
+            raise UsageError(f"the relative error is {error}, not a finite number: the sums overflow")
 
     total_flops = sum(r["flops"] for r in rows)
     total_msgs = sum(r["messages"] for r in rows)

@@ -98,10 +98,16 @@ class SourceSet:
 
 
 class _SortedSources:
-    """An engine's sources, sorted by leaf box in canonical order
-    (geometry.leaf_order): each leaf's sources are one run of them."""
+    """An engine's problem and its sources, sorted by leaf box in canonical
+    order (geometry.leaf_order): each leaf's sources are one run of them.
+    An engine is always built on its sources."""
 
-    L: int
+    def __init__(self, phase: PhaseEvaluator, d: int, N: int, sources: SourceSet):
+        self.phase = phase
+        self.d = d
+        self.N = N
+        self.L = N.bit_length() - 1
+        self.set_sources(sources)
 
     def set_sources(self, sources: SourceSet) -> None:
         order, leaves = leaf_order(sources.positions, self.L)
@@ -115,17 +121,11 @@ class ChebEngine(_SortedSources):
 
     name = "cheb"
 
-    def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int):
-        self.phase = phase
-        self.d = d
-        self.N = N
+    def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int, sources: SourceSet):
+        super().__init__(phase, d, N, sources)
         self.q = q
-        self.L = N.bit_length() - 1
         self.switch_level = math.ceil(self.L / 2)
         self.r = q**d
-        self._positions = np.zeros((0, d))
-        self._strengths = np.zeros(0, dtype=complex)
-        self._leaves = np.zeros((0, d), dtype=int)
 
     def init_blocks(self, ledger: CostLedger) -> np.ndarray:
         """Column weights of every pair (X, B) of level 0: (1,)*d + (N,)*d + (r,)."""
@@ -188,23 +188,10 @@ class IdEngine(_SortedSources):
 
     name = "id"
 
-    def __init__(
-        self,
-        phase: PhaseEvaluator,
-        d: int,
-        N: int,
-        tol: float,
-        rows_per_dim: int = 4,
-        sources: Optional[SourceSet] = None,
-    ):
-        self.phase = phase
-        self.d = d
-        self.N = N
+    def __init__(self, phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, sources: SourceSet):
         self.tol = tol
         self.rows_per_dim = rows_per_dim
-        self.L = N.bit_length() - 1
-        if sources is not None:
-            self.set_sources(sources)
+        super().__init__(phase, d, N, sources)  # set_sources runs the precompute
 
     def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """A new Fortran-ordered kernel block, which build_id factors in place."""
@@ -485,21 +472,20 @@ def make_engine(
     phase: PhaseEvaluator,
     d: int,
     N: int,
+    sources: SourceSet,
     q: int = 8,
     backend: str = "cheb",
     tol: float = 1e-7,
     rows_per_dim: int = 4,
-    sources: Optional[SourceSet] = None,
 ):
+    """The engine of a backend, set up on the sources: sorted by leaf box
+    and, for id, with every factorization precomputed."""
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
     if phase.dim is not None and phase.dim != d:
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
     if backend == "cheb":
-        eng = ChebEngine(phase, d, N, q)
-        if sources is not None:
-            eng.set_sources(sources)
-        return eng
+        return ChebEngine(phase, d, N, q, sources)
     if backend == "id":
         return IdEngine(phase, d, N, tol, rows_per_dim, sources)
     raise ValueError(f"unknown backend '{backend}'")
@@ -517,7 +503,7 @@ def butterfly_apply(
 ) -> PotentialField:
     """Sequential butterfly evaluation; returns a field with a flop ledger."""
     d = sources.dim
-    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
+    eng = make_engine(phase, d, N, sources, q, backend, tol, rows_per_dim)
     ledger = CostLedger(params if params is not None else CostParams())
     values = eng.init_blocks(ledger)
     for level in range(eng.L):

@@ -5,12 +5,13 @@ dyadic box has per-dimension width 2**-l and integer coordinates in
 [0, 2**l). Boxes are half open: a point on a shared face belongs to the box
 with the larger coordinate, and coordinate 1.0 folds into the last box.
 
-Process ownership of a domain is a stack of bisections. Each entry names a
-dimension and a rank-bit index; applying the stack bottom to top halves the
-region once per entry, sending ranks whose bit is 0 to the lower half. A
-rank's region is therefore a dyadic sub-box, and moving entries from the
-source stack to the target stack is exactly the data redistribution of the
-distributed butterfly: coarse source-side cuts become fine target-side cuts.
+Process ownership of a domain is a stack of bisections: a plain tuple of
+(dimension, rank-bit index) entries, bottom first. Applying the stack bottom
+to top halves the region once per entry, sending ranks whose bit is 0 to the
+lower half. A rank's region is therefore a dyadic sub-box, and moving entries
+from the source stack to the target stack is exactly the data redistribution
+of the distributed butterfly: coarse source-side cuts become fine target-side
+cuts.
 """
 
 from __future__ import annotations
@@ -163,27 +164,7 @@ def present_children(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Iterator[tu
 # ---------------------------------------------------------------------------
 
 BisectionEntry = Tuple[int, int]  # (dimension, rank-bit index)
-
-
-@dataclass(frozen=True)
-class BisectionStack:
-    """Immutable stack of (dimension, rank-bit) bisections, bottom first."""
-
-    entries: Tuple[BisectionEntry, ...] = ()
-
-    def push(self, entry: BisectionEntry) -> "BisectionStack":
-        return BisectionStack(self.entries + (entry,))
-
-    def pop(self) -> tuple[BisectionEntry, "BisectionStack"]:
-        if not self.entries:
-            raise StackExhaustedError("pop from empty bisection stack")
-        return self.entries[-1], BisectionStack(self.entries[:-1])
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[BisectionEntry]:
-        return iter(self.entries)
+BisectionStack = Tuple[BisectionEntry, ...]  # bottom first
 
 
 def init_bisection_stacks(d: int, p: int) -> tuple[BisectionStack, BisectionStack]:
@@ -196,18 +177,16 @@ def init_bisection_stacks(d: int, p: int) -> tuple[BisectionStack, BisectionStac
     if p < 1 or (p & (p - 1)) != 0:
         raise InvalidProcessCountError(f"p={p} is not a power of two")
     logp = p.bit_length() - 1
-    dy = BisectionStack()
-    for j in range(logp):
-        dy = dy.push((j % d, logp - 1 - j))
-    return BisectionStack(), dy
+    return (), tuple((j % d, logp - 1 - j) for j in range(logp))
 
 
 def pop_push(dx: BisectionStack, dy: BisectionStack, count: int) -> tuple[BisectionStack, BisectionStack]:
-    """Move `count` entries from the top of D_Y to the top of D_X."""
-    for _ in range(count):
-        entry, dy = dy.pop()
-        dx = dx.push(entry)
-    return dx, dy
+    """Move `count` entries, one at a time, from the top of D_Y to the top
+    of D_X: D_Y's top entry ends up below the others it is moved with."""
+    if count > len(dy):
+        raise StackExhaustedError(f"pop of {count} entries from a bisection stack of {len(dy)}")
+    keep = len(dy) - count
+    return dx + dy[keep:][::-1], dy[:keep]
 
 
 def region_coords(stack: BisectionStack, rank, d: int, level: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -142,14 +142,16 @@ def simulate_parallel(
     """Run the full traversal on p simulated ranks and merge the result.
 
     Each level is one array over all ranks' pairs: one engine init and one
-    stage per level, whatever p. With p = 1 no stage is split, so the final
-    weights are bit-identical to butterfly_apply. Factorization work for
-    the sampled backend is precomputed once and shared by every rank.
-    `threads` has no effect and is kept for callers that still pass it.
+    stage per level, whatever p. With p = 1 no stage communicates, so the
+    final weights and the one rank's ledger are bit-identical to
+    butterfly_apply's; `bfly verify` therefore solves with this call at
+    every process count. Factorization work for the sampled backend is
+    precomputed once and shared by every rank. `threads` has no effect and
+    is kept for callers that still pass it.
     """
     d = sources.dim
     schedule = stage_schedule(N, d, p)
-    eng = make_engine(phase, d, N, q, backend, tol, rows_per_dim, sources)
+    eng = make_engine(phase, d, N, sources, q, backend, tol, rows_per_dim)
     L = eng.L
     cost_params = params if params is not None else CostParams()
 
@@ -161,7 +163,7 @@ def simulate_parallel(
         k = schedule[level]
         # team members differ in the rank bits of the k entries atop D_Y;
         # the i-th to pop cuts dimension split[i] and is bit i of the member
-        split = tuple(dim for dim, _ in reversed(dy.entries[len(dy) - k :]))
+        split = tuple(dim for dim, _ in reversed(dy[len(dy) - k :]))
         values = eng.stage(level, values, costs, split)
         if k:
             values = reduce_scatter(values, costs)

@@ -148,12 +148,12 @@ def evaluate_oracle(a, b, values, pts, phase, q, check_inside=False):
     return np.exp(1j * phase(pts, center_of(b))) * vals
 
 
-def evaluate_pair(a, b, values, pts, phase, q, check_inside=False):
+def evaluate_pair(a, b, values, pts, phase, q):
     """evaluate_block on points that all lie in the target box of one pair."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     coords = np.tile(np.asarray(a.coords), (n, 1))
-    return evaluate_block(a.level, coords, center_of(b), np.tile(values, (n, 1)), pts, phase, q, check_inside)
+    return evaluate_block(a.level, coords, center_of(b), np.tile(values, (n, 1)), pts, phase, q)
 
 
 def field_oracle(field, pts):
@@ -630,20 +630,10 @@ def test_evaluate_at_grid_node_closed_form():
     vals = np.zeros(q, dtype=complex)
     vals[2] = 1.0
     node = cheb_grid(q, box_of(a)).points[2]
-    got = evaluate_pair(a, b, vals, node[None, :], phase, q, check_inside=True)[0]
+    got = evaluate_pair(a, b, vals, node[None, :], phase, q)[0]
     yb = np.asarray(center_of(b))
     expect = np.exp(1j * phase(node, yb))
     assert got == pytest.approx(expect, abs=1e-14)
-
-
-def test_evaluate_outside_box_raises():
-    a, b = DyadicKey(1, (0,)), DyadicKey(1, (1,))
-    with pytest.raises(ValueError):
-        evaluate_pair(a, b, np.zeros(3, dtype=complex), np.array([[0.9]]), get_phase("fourier"), 3, check_inside=True)
-    # one point of the batch in the wrong box is enough
-    coords, pts = np.array([[0], [1]]), np.array([[0.2], [0.3]])
-    with pytest.raises(ValueError):
-        evaluate_block(1, coords, center_of(b), np.zeros((2, 3)), pts, get_phase("fourier"), 3, check_inside=True)
 
 
 def test_evaluate_block_matches_per_pair_oracle():
@@ -654,7 +644,7 @@ def test_evaluate_block_matches_per_pair_oracle():
         pts = rng.uniform(size=(60, d))
         coords = leaf_coords(pts, level)
         values = rng.normal(size=(60, q**d)) + 1j * rng.normal(size=(60, q**d))
-        got = evaluate_block(level, coords, center_of(b), values, pts, phase, q, check_inside=True)
+        got = evaluate_block(level, coords, center_of(b), values, pts, phase, q)
         for i in range(60):
             a = DyadicKey(level, tuple(int(c) for c in coords[i]))
             expect = evaluate_oracle(a, b, values[i], pts[i : i + 1], phase, q)[0]

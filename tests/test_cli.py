@@ -183,6 +183,47 @@ def test_sources_file_errors(tmp_path, capsys):
     assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", str(tmp_path / "missing.csv")]) == 2
 
 
+@pytest.mark.parametrize("which", ["config", "sources"])
+def test_non_utf8_files_are_usage_errors(tmp_path, capsys, which):
+    path = tmp_path / "bad.txt"
+    if which == "config":
+        path.write_bytes(b"dim=1\nlog2n=2\n# caf\xff\n")
+        args = ["verify", "--config", str(path)]
+    else:
+        path.write_bytes(b"y0,re,im\n0.5,1\xff,0\n")
+        args = ["verify", "--dim", "1", "--log2n", "2", "--sources", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {which} file") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_error_is_usage_error(tmp_path, capsys):
+    # a finite strength near the largest double overflows the sums; the nan
+    # error must not read as exit 1, "error above threshold"
+    path = tmp_path / "s.csv"
+    path.write_text("y0,re,im\n0.5,1.7e308,0\n")
+    code, text = run_to_file(tmp_path, ["verify", "--dim", "1", "--log2n", "3", "--sources", str(path)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "error: the relative error is nan" in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
+def test_dim_outside_one_to_three_is_usage_error(monkeypatch, capsys, dim):
+    # rejected at the parse step: dim 6 at the default q = 8 would ask the
+    # cheb switch for one 8^6 x 8^6 block, so the run must never start
+    def never_run(cfg):
+        raise AssertionError(f"a dim={cfg.dim} run was started")
+
+    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
+    with pytest.raises(bfly.cli.UsageError, match="dim must be 1, 2 or 3"):
+        bfly.cli.parse_config(["verify", "--dim", dim, "--log2n", "0"])
+    assert main(["verify", "--dim", dim, "--log2n", "0"]) == 2
+    assert "dim must be 1, 2 or 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "row", ["nan,1,0", "inf,1,0", "0.5,inf,0", "0.5,1,nan", "0.5,-inf,inf"]
 )
@@ -233,26 +274,49 @@ def test_verify_parallel_csv_counts(tmp_path):
     assert float(vals[0]) <= 1e-10
 
 
-@pytest.mark.parametrize("procs,backend", [("1", "cheb"), ("4", "cheb"), ("4", "id")])
+@pytest.mark.parametrize("procs,backend", [("1", "cheb"), ("1", "id"), ("4", "cheb"), ("4", "id")])
 def test_verify_solves_once(tmp_path, monkeypatch, procs, backend):
-    # p = 1 runs the sequential engine, p > 1 only the simulator; a second
-    # solve would repeat the id backend's whole factorization precompute
+    # one simulator call at every p, p = 1 included; a second solve would
+    # repeat the id backend's whole factorization precompute
     import bfly.cli as cli
 
     calls = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(kwargs["p"])
+        return simulate_parallel(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(cli, "butterfly_apply", counted("butterfly_apply", cli.butterfly_apply))
-    monkeypatch.setattr(cli, "simulate_parallel", counted("simulate_parallel", cli.simulate_parallel))
+    monkeypatch.setattr(cli, "simulate_parallel", counted)
     code, _ = run_to_file(tmp_path, ["verify", "--backend", backend, "--procs", procs] + BASE)
     assert code == 0
-    assert calls == (["butterfly_apply"] if procs == "1" else ["simulate_parallel"])
+    assert calls == [int(procs)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--dim", "1", "--log2n", "0"],
+        ["--dim", "1", "--log2n", "6", "--q", "5"],
+        ["--dim", "2", "--log2n", "3", "--q", "4"],
+        ["--dim", "3", "--log2n", "2", "--q", "3", "--phase", "gen-radon"],
+        ["--dim", "2", "--log2n", "1", "--backend", "id"],
+        ["--dim", "2", "--log2n", "3", "--backend", "id"],
+    ],
+)
+def test_verify_p1_matches_butterfly_apply(tmp_path, args):
+    # at p = 1 the simulator is the sequential engine: the same error and
+    # ledger row as butterfly_apply plus direct_apply on the same draw
+    args = ["verify", "--format", "json", "--sources", "64", "--targets", "40", "--threshold", "1"] + args
+    cfg, _ = bfly.cli.parse_config(args)
+    src, tgts = bfly.cli._draw_inputs(cfg)
+    phase = bfly.get_phase(cfg.phase)
+    field = bfly.butterfly_apply(src, phase, 1 << cfg.log2n, **bfly.cli._engine_kwargs(cfg))
+    error = bfly.rel_sup_error(field.evaluate(tgts), bfly.direct_apply(src, phase, tgts))
+    code, text = run_to_file(tmp_path, args)
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["error"] == error
+    assert doc["ledger"] == bfly.ledger_report([field.ledger])
 
 
 def test_verify_json_schema(tmp_path):

@@ -18,6 +18,7 @@ from bfly.engine import (
     rel_sup_error,
 )
 from bfly.chebyshev import grid_points
+from bfly.costs import CostLedger, CostParams
 from bfly.geometry import DyadicKey, block_coords, leaf_coords, leaf_order, leaf_runs
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 from test_lowrank import economic_id
@@ -301,10 +302,22 @@ def test_evaluate_rejects_malformed_points():
 
 def test_make_engine_dispatch():
     phase = get_phase("fourier")
-    assert isinstance(make_engine(phase, 1, 8, q=4), ChebEngine)
-    assert isinstance(make_engine(phase, 1, 8, backend="id"), IdEngine)
-    eng = make_engine(phase, 1, 16, q=6)
+    s = random_sources(np.random.default_rng(5), 20)
+    for backend, cls in (("cheb", ChebEngine), ("id", IdEngine)):
+        eng = make_engine(phase, 1, 8, s, q=4, backend=backend)
+        assert isinstance(eng, cls)
+        values = eng.init_blocks(CostLedger(CostParams()))
+        assert values.shape[:2] == (1, 8)
+    eng = make_engine(phase, 1, 16, s, q=6)
     assert eng.L == 4 and eng.switch_level == 2
+
+
+def test_make_engine_requires_sources():
+    # an engine without sources used to fail only later, in init_blocks
+    phase = get_phase("fourier")
+    for backend in ("cheb", "id"):
+        with pytest.raises(TypeError):
+            make_engine(phase, 1, 8, backend=backend)
 
 
 def test_2d_accuracy_modest_grid():
@@ -404,7 +417,7 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse):
         leaves = leaf_coords(s.positions, N.bit_length() - 1)
         counts = np.bincount(np.ravel_multi_index(tuple(leaves.T), (N,) * d), minlength=N**d)
         assert np.any(counts == 0) and np.any(counts == 1)
-    eng = IdEngine(get_phase(name), d, N, tol, sources=s)
+    eng = IdEngine(get_phase(name), d, N, tol, 4, s)
     want = per_pair_precompute(eng)
     for attr in ("_interp", "_final_ranks", "_final_skeleton"):
         got = getattr(eng, attr)

@@ -10,7 +10,6 @@ import pytest
 from bfly.chebyshev import box_centers, grid_points
 from bfly.engine import SourceSet
 from bfly.geometry import (
-    BisectionStack,
     DyadicKey,
     InvalidProcessCountError,
     StackExhaustedError,
@@ -118,12 +117,12 @@ def test_key_for_point_half_open_and_top_fold():
 def test_init_stacks_1d():
     dx, dy = init_bisection_stacks(1, 8)
     assert len(dx) == 0
-    assert dy.entries == ((0, 2), (0, 1), (0, 0))
+    assert dy == ((0, 2), (0, 1), (0, 0))
 
 
 def test_init_stacks_2d_p64():
     _, dy = init_bisection_stacks(2, 64)
-    assert dy.entries == ((0, 5), (1, 4), (0, 3), (1, 2), (0, 1), (1, 0))
+    assert dy == ((0, 5), (1, 4), (0, 3), (1, 2), (0, 1), (1, 0))
 
 
 def test_init_stacks_trivial_and_invalid():
@@ -136,10 +135,10 @@ def test_init_stacks_trivial_and_invalid():
 def test_pop_push_top_entries():
     dx, dy = init_bisection_stacks(2, 64)
     dx2, dy2 = pop_push(dx, dy, 2)
-    assert dx2.entries == ((1, 0), (0, 1))
+    assert dx2 == ((1, 0), (0, 1))
     assert len(dy2) == 4
     same_dx, same_dy = pop_push(dx, dy, 0)
-    assert same_dx.entries == dx.entries and same_dy.entries == dy.entries
+    assert same_dx == dx and same_dy == dy
     with pytest.raises(StackExhaustedError):
         pop_push(dx, dy, 7)
 
@@ -254,8 +253,3 @@ def test_region_coords_rejects_too_fine_stack():
     with pytest.raises(ValueError):
         region_coords(dy, 0, 1, 2)
 
-
-def test_bisection_stack_is_immutable():
-    stack = BisectionStack()
-    stack2 = stack.push((0, 0))
-    assert len(stack) == 0 and len(stack2) == 1
