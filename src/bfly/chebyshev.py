@@ -33,7 +33,6 @@ matrices serve every pair at every level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -41,7 +40,6 @@ import numpy as np
 
 from .costs import CostLedger
 from .geometry import (
-    BoxRegion,
     block_coords,
     leaf_runs,
     offset_index,
@@ -51,20 +49,6 @@ from .geometry import (
     to_children,
 )
 from .phases import PhaseEvaluator, _expi
-
-
-@dataclass(frozen=True)
-class ChebGrid:
-    """Tensor-product Chebyshev grid on a box: q points per dimension."""
-
-    q: int
-    box: BoxRegion
-    nodes1d: Tuple[Tuple[float, ...], ...]
-    points: np.ndarray  # (q^d, d), dimension 0 fastest
-
-    @property
-    def rank(self) -> int:
-        return self.points.shape[0]
 
 
 @lru_cache(maxsize=None)
@@ -82,27 +66,14 @@ def _reference_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-@lru_cache(maxsize=None)
-def cheb_grid(q: int, box: BoxRegion) -> ChebGrid:
-    """Chebyshev grid of q points per dimension on a box."""
-    z, _ = _reference_nodes(q)
-    d = len(box.lower)
-    nodes = [box.lower[k] + box.width[k] * (z + 1.0) / 2.0 for k in range(d)]
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    points = np.stack([g.flatten(order="F") for g in mesh], axis=1)
-    return ChebGrid(q, box, tuple(tuple(n) for n in nodes), points)
-
-
-def _basis_1d(q: int, box_lo, box_w: float, coords: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values, shape (len(coords), q). The lower
-    box edge box_lo is one float for all coords, or an array of one per
-    coordinate."""
+def _basis_1d(q: int, box_lo: np.ndarray, box_w: float, coords: np.ndarray) -> np.ndarray:
+    """Barycentric Lagrange basis values, shape (len(coords), q), on boxes of
+    edge box_w whose lower edge box_lo holds one value per coordinate."""
     z, w = _reference_nodes(q)
     x = np.asarray(coords, dtype=float)
-    lo = box_lo[:, None] if isinstance(box_lo, np.ndarray) else box_lo
-    # same expression as cheb_grid, so a grid's own points hit bit-exactly;
+    # same expression as grid_points, so a grid's own points hit bit-exactly;
     # the reference-frame rescale alone can be off by an ulp
-    nodes = lo + box_w * (z + 1.0) / 2.0
+    nodes = box_lo[:, None] + box_w * (z + 1.0) / 2.0
     s = 2.0 * (x - box_lo) / box_w - 1.0
     diff = s[:, None] - z[None, :]
     hit = (diff == 0.0) | (x[:, None] == nodes)
@@ -116,10 +87,10 @@ def _basis_1d(q: int, box_lo, box_w: float, coords: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _tensor_basis(q: int, lower, width, pts: np.ndarray) -> np.ndarray:
+def _tensor_basis(q: int, lower: np.ndarray, width, pts: np.ndarray) -> np.ndarray:
     """Tensor Lagrange basis at pts (n, d): (n, q^d), dimension 0 fastest
-    in the flat index. lower[k] is the boxes' lower edge in dimension k, one
-    float or one per point; width[k] their edge length."""
+    in the flat index. lower (d, n) holds each point's box lower edges,
+    width[k] the boxes' edge length in dimension k."""
     n, d = pts.shape
     acc = np.ones((n, 1))
     for k in range(d - 1, -1, -1):
@@ -128,26 +99,11 @@ def _tensor_basis(q: int, lower, width, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def lagrange_matrix(grid: ChebGrid, pts: np.ndarray) -> np.ndarray:
-    """All tensor Lagrange basis functions at pts: (len(pts), q^d)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _tensor_basis(grid.q, grid.box.lower, grid.box.width, pts)
-
-
-@lru_cache(maxsize=None)
-def _unit_box(d: int) -> BoxRegion:
-    return BoxRegion((0.0,) * d, (1.0,) * d)
-
-
 @lru_cache(maxsize=None)
 def _child_matrices_1d(q: int) -> np.ndarray:
-    """(2, q, q) arrays m[h][t', t] = parent basis t' at node t of half h."""
-    parent_grid = cheb_grid(q, _unit_box(1))
-    out = np.empty((2, q, q))
-    for h in range(2):
-        child = cheb_grid(q, BoxRegion((h * 0.5,), (0.5,)))
-        out[h] = lagrange_matrix(parent_grid, child.points).T
-    return out
+    """(2, q, q) arrays m[h][t', t] = basis t' of [0, 1] at node t of half h."""
+    halves = [grid_points(q, 1, np.array([h]))[:, 0] for h in range(2)]
+    return np.stack([_basis_1d(q, np.zeros(q), 1.0, x).T for x in halves])
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +141,9 @@ def _grid_layout(q: int, d: int) -> np.ndarray:
 
 def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
     """Chebyshev grids of level-`level` boxes from integer coordinates:
-    (..., d) -> (..., q^d, d), dimension 0 fastest; the arithmetic of
-    cheb_grid(q, box).points for each box, bit for bit."""
+    (..., d) -> (..., q^d, d), dimension 0 fastest. Each node is the box's
+    lower edge plus w * (z + 1) / 2, w the edge length and z the reference
+    node, the expression _basis_1d uses to recognise a node."""
     z, _ = _reference_nodes(q)
     w = 1.0 / (1 << level)
     d = coords.shape[-1]

@@ -31,9 +31,8 @@ class CostParams:
 class CostLedger:
     """Per-process tally of flops, messages, and entries sent.
 
-    Ledgers are owned by a single (virtual) process; concurrent increments
-    from several harness threads are never applied to one instance. Merging
-    is explicit and order-independent, so totals are deterministic.
+    Each ledger belongs to one (simulated) process. Merging is explicit and
+    order-independent, so totals are deterministic.
     """
 
     params: CostParams = field(default_factory=CostParams)
@@ -44,10 +43,6 @@ class CostLedger:
     def add_flops(self, n) -> None:
         """Charge n flops: a count, or an array of counts per pair."""
         self.flops += int(np.sum(n))
-
-    def add_comm(self, messages: int, entries: int) -> None:
-        self.messages += int(messages)
-        self.entries_sent += int(entries)
 
     def modeled_seconds(self) -> float:
         p = self.params

@@ -44,7 +44,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import chebyshev as cheb
-from .costs import CostLedger, CostParams
+from .costs import CostLedger
 from .geometry import (
     DyadicKey,
     block_coords,
@@ -484,6 +484,8 @@ def make_engine(
         raise ValueError(f"N={N} is not a power of two")
     if phase.dim is not None and phase.dim != d:
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
+    if sources.dim != d:
+        raise ValueError(f"sources have dimension {sources.dim}, the engine has dimension {d}")
     if backend == "cheb":
         return ChebEngine(phase, d, N, q, sources)
     if backend == "id":
@@ -499,12 +501,12 @@ def butterfly_apply(
     backend: str = "cheb",
     tol: float = 1e-7,
     rows_per_dim: int = 4,
-    params: Optional[CostParams] = None,
 ) -> PotentialField:
-    """Sequential butterfly evaluation; returns a field with a flop ledger."""
-    d = sources.dim
-    eng = make_engine(phase, d, N, sources, q, backend, tol, rows_per_dim)
-    ledger = CostLedger(params if params is not None else CostParams())
+    """Sequential butterfly evaluation; returns a field with a flop ledger.
+    simulate_parallel(p=1) gives the same field and ledger, with the cost
+    model's params."""
+    eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)
+    ledger = CostLedger()
     values = eng.init_blocks(ledger)
     for level in range(eng.L):
         values = eng.stage(level, values, ledger)

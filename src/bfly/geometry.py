@@ -48,14 +48,6 @@ class DyadicKey:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class BoxRegion:
-    """An axis-aligned box given by per-dimension lower corners and widths."""
-
-    lower: Tuple[float, ...]
-    width: Tuple[float, ...]
-
-
 def leaf_coords(points: np.ndarray, level: int) -> np.ndarray:
     """(n, d) integer coordinates of the level-`level` box of each point of
     the unit cube (half-open boxes, faces to the larger coordinate, 1.0
@@ -209,12 +201,16 @@ def region_coords(stack: BisectionStack, rank, d: int, level: int) -> list[tuple
     return out
 
 
-def stage_split(N: int, d: int, p: int) -> tuple[int, int, int]:
-    """Split the log2(N) stages into communication-free and communicating ones.
+def stage_schedule(N: int, d: int, p: int) -> list[int]:
+    """Bits transferred per stage, length log2(N), summing to log2(p).
 
-    Returns (local_stages, comm_stages, s) where s is the bit count of the
-    first (partial) communicating stage; s = 0 means every communicating
-    stage moves d bits. local + comm == log2(N) always.
+    Stage ell merges the finest remaining bit of every dimension, so it must
+    pull from the rank bits exactly in those dimensions whose local fine bits
+    are already spent. The round-robin push order of init_bisection_stacks
+    makes the stack pops line up with this count. The result is local
+    stages, then one partial stage of log2(p) mod d bits if that is not 0,
+    then full d-bit stages. The partial stage moves d - (g mod d) bits, with
+    g = log2(N^d/p) the bits each rank's block leaves local.
     """
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
@@ -224,26 +220,6 @@ def stage_split(N: int, d: int, p: int) -> tuple[int, int, int]:
     logp = p.bit_length() - 1
     if logp > d * L:
         raise InvalidProcessCountError(f"p={p} exceeds the N^d={N**d} block count")
-    g = d * L - logp  # log2 of the per-process block count N^d / p
-    local = g // d
-    comm = L - local
-    s = g % d
-    return local, comm, s
-
-
-def stage_schedule(N: int, d: int, p: int) -> list[int]:
-    """Bits transferred per stage, length log2(N), summing to log2(p).
-
-    Stage ell merges the finest remaining bit of every dimension, so it must
-    pull from the rank bits exactly in those dimensions whose local fine bits
-    are already spent. The round-robin push order of init_bisection_stacks
-    makes the stack pops line up with this count. For d <= 2, and whenever
-    log2(N^d/p) is a multiple of d, the result is the familiar pattern of
-    local stages, one partial s-bit stage, then full d-bit stages.
-    """
-    stage_split(N, d, p)  # validate N, p, and the p <= N^d regime
-    L = N.bit_length() - 1
-    logp = p.bit_length() - 1
     per_dim = [sum(1 for j in range(logp) if j % d == k) for k in range(d)]
     local_bits = [L - e for e in per_dim]
     schedule = [sum(1 for k in range(d) if local_bits[k] <= ell) for ell in range(L)]

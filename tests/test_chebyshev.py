@@ -13,25 +13,26 @@ import pytest
 import bfly.chebyshev
 import bfly.engine
 from bfly.chebyshev import (
-    ChebGrid,
     _child_matrices,
     _child_matrices_1d,
-    cheb_grid,
+    _reference_nodes,
+    _stage_matrices,
+    _tensor_basis,
     column_stage,
     evaluate_block,
+    grid_points,
     init_source_weights,
-    lagrange_matrix,
     middle_switch,
     row_stage,
 )
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import PotentialField, SourceSet, butterfly_apply
-from bfly.geometry import BoxRegion, DyadicKey, leaf_coords, offset_index, parent_block
+from bfly.geometry import DyadicKey, leaf_coords, offset_index, parent_block
 from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]))
-UNIT1 = BoxRegion((0.0,), (1.0,))
+UNIT1 = DyadicKey(0, (0,))
 
 
 def ledger():
@@ -42,13 +43,31 @@ def ledger():
 
 
 def box_of(key):
+    """(lower corner, edge lengths) of a dyadic box."""
     w = 1.0 / (1 << key.level)
-    return BoxRegion(tuple(c * w for c in key.coords), (w,) * key.dim)
+    return tuple(c * w for c in key.coords), (w,) * key.dim
 
 
 def center_of(key):
-    box = box_of(key)
-    return np.asarray([lo + w / 2.0 for lo, w in zip(box.lower, box.width)])
+    lower, width = box_of(key)
+    return np.asarray([lo + w / 2.0 for lo, w in zip(lower, width)])
+
+
+def grid_of(key, q):
+    """The Chebyshev grid of a dyadic box: (q^d, d), dimension 0 fastest."""
+    return grid_points(q, key.level, np.asarray(key.coords))
+
+
+def basis_on_box(q, lower, width, pts):
+    """Every tensor Lagrange basis function of the grid on the box
+    lower/width at pts: (len(pts), q^d)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _tensor_basis(q, np.repeat(np.asarray(lower, dtype=float)[:, None], len(pts), axis=1), width, pts)
+
+
+def lagrange_of(key, q, pts):
+    """basis_on_box on a dyadic box."""
+    return basis_on_box(q, *box_of(key), pts)
 
 
 def children(key):
@@ -70,7 +89,7 @@ def child_index(key):
 def column_potential(b, values, pts, phase, q):
     """Column weights of a pair with source box b as equivalent point sources
     at b's grid: f(x) = sum_t K(x, b_t) delta_t."""
-    return kernel_matrix(phase, pts, cheb_grid(q, box_of(b)).points) @ values
+    return kernel_matrix(phase, pts, grid_of(b, q)) @ values
 
 
 # Per-pair oracles: one child's contribution to one output pair (A_c, B_p),
@@ -79,29 +98,28 @@ def column_potential(b, values, pts, phase, q):
 
 def column_contribution(a_c, b_p, b_child, values, phase, q):
     xc = center_of(a_c)
-    v = np.exp(1j * phase(xc, cheb_grid(q, box_of(b_child)).points)) * values
+    v = np.exp(1j * phase(xc, grid_of(b_child, q))) * values
     w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
-    return np.exp(-1j * phase(xc, cheb_grid(q, box_of(b_p)).points)) * w
+    return np.exp(-1j * phase(xc, grid_of(b_p, q))) * w
 
 
 def row_contribution(a_c, b_p, b_child, values, phase, q):
-    new_pts = cheb_grid(q, box_of(a_c)).points
+    new_pts = grid_of(a_c, q)
     w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
     shift = phase(new_pts, center_of(b_child)) - phase(new_pts, center_of(b_p))
     return np.exp(1j * shift) * w
 
 
 def switch_oracle(a, b, values, phase, q):
-    a_pts = cheb_grid(q, box_of(a)).points
-    sampled = kernel_matrix(phase, a_pts, cheb_grid(q, box_of(b)).points) @ values
+    a_pts = grid_of(a, q)
+    sampled = kernel_matrix(phase, a_pts, grid_of(b, q)) @ values
     return np.exp(-1j * phase(a_pts, center_of(b))) * sampled
 
 
 def init_oracle(b, positions, strengths, phase, q):
-    grid = cheb_grid(q, box_of(b))
     x_root = center_of(DyadicKey(0, (0,) * b.dim))
-    moments = lagrange_matrix(grid, positions).T @ (np.exp(1j * phase(x_root, positions)) * strengths)
-    return np.exp(-1j * phase(x_root, grid.points)) * moments
+    moments = lagrange_of(b, q, positions).T @ (np.exp(1j * phase(x_root, positions)) * strengths)
+    return np.exp(-1j * phase(x_root, grid_of(b, q))) * moments
 
 
 def pair_block(a, b, values):
@@ -137,14 +155,14 @@ def evaluate_oracle(a, b, values, pts, phase, q, check_inside=False):
     """Row weights of the one pair (A, B) at points of A, box by box:
     f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    box = box_of(a)
     if check_inside:
-        lo = np.asarray(box.lower)
-        hi = lo + np.asarray(box.width)
+        lower, width = box_of(a)
+        lo = np.asarray(lower)
+        hi = lo + np.asarray(width)
         inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
         if not np.all((pts >= lo) & inside_hi):
             raise ValueError("evaluation point outside the pair's target box")
-    vals = lagrange_matrix(cheb_grid(q, box), pts) @ values
+    vals = lagrange_of(a, q, pts) @ values
     return np.exp(1j * phase(pts, center_of(b))) * vals
 
 
@@ -174,16 +192,61 @@ def field_oracle(field, pts):
     return out
 
 
-def lagrange_eval(grid: ChebGrid, t: int, y) -> float:
-    """L_t(y) from the product formula, one factor per dimension."""
-    q = grid.q
+def lagrange_eval(key, q, t, y) -> float:
+    """L_t(y) of the grid of a dyadic box from the product formula, one
+    factor per dimension."""
     out = 1.0
     for k, yk in enumerate(y):
-        nodes = np.asarray(grid.nodes1d[k])
+        nodes = grid_points(q, key.level, np.array([key.coords[k]]))[:, 0]
         i = (t // q**k) % q
         others = np.delete(nodes, i)
         out *= float(np.prod((yk - others) / (nodes[i] - others)))
     return out
+
+
+# The per-box construction the grids and child matrices were first built
+# with, kept here as the reference they must reproduce bit for bit.
+
+
+def per_box_grid(q, lower, width):
+    """Nodes lower + width * (z + 1) / 2 along each dimension of a box,
+    meshed with dimension 0 fastest: (q^d, d)."""
+    z, _ = _reference_nodes(q)
+    nodes = [lo + w * (z + 1.0) / 2.0 for lo, w in zip(lower, width)]
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    return np.stack([g.flatten(order="F") for g in mesh], axis=1)
+
+
+def per_box_basis(q, lower, width, pts):
+    """The tensor barycentric basis of the grid on one box at pts, with exact
+    node hits short-circuited: (len(pts), q^d)."""
+    z, w = _reference_nodes(q)
+    n, d = pts.shape
+    acc = np.ones((n, 1))
+    for k in range(d - 1, -1, -1):
+        x = pts[:, k]
+        nodes = lower[k] + width[k] * (z + 1.0) / 2.0
+        s = 2.0 * (x - lower[k]) / width[k] - 1.0
+        diff = s[:, None] - z[None, :]
+        hit = (diff == 0.0) | (x[:, None] == nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = w[None, :] / diff
+            basis = terms / np.sum(terms, axis=1, keepdims=True)
+        rows = np.any(hit, axis=1)
+        if np.any(rows):
+            basis[rows] = 0.0
+            basis[hit] = 1.0
+        acc = (acc[:, :, None] * basis[:, None, :]).reshape(n, -1)
+    return acc
+
+
+def per_box_child_matrices(q, d):
+    """M[n][t', t]: basis t' of the unit box at node t of the grid of child n."""
+    out = []
+    for n in range(1 << d):
+        lower = tuple(0.5 * ((n >> k) & 1) for k in range(d))
+        out.append(per_box_basis(q, (0.0,) * d, (1.0,) * d, per_box_grid(q, lower, (0.5,) * d)).T)
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -192,38 +255,60 @@ def lagrange_eval(grid: ChebGrid, t: int, y) -> float:
 
 
 def test_single_node_is_center():
-    g = cheb_grid(1, UNIT1)
-    assert np.allclose(g.points, [[0.5]])
+    assert np.allclose(grid_of(UNIT1, 1), [[0.5]])
 
 
 def test_two_node_positions():
-    g = cheb_grid(2, UNIT1)
+    x = grid_of(UNIT1, 2)[:, 0]
     lo = 0.5 * (1.0 - np.cos(np.pi / 4))
-    assert np.allclose(g.points[:, 0], [lo, 1.0 - lo])
-    assert np.allclose(g.points[:, 0], [0.14644660940672627, 0.8535533905932737])
+    assert np.allclose(x, [lo, 1.0 - lo])
+    assert np.allclose(x, [0.14644660940672627, 0.8535533905932737])
 
 
 def test_nodes_ascending_and_interior():
     for q in (2, 3, 5, 8):
-        g = cheb_grid(q, UNIT1)
-        x = g.points[:, 0]
+        x = grid_of(UNIT1, q)[:, 0]
         assert np.all(np.diff(x) > 0)
         assert np.all((x > 0) & (x < 1))
 
 
 def test_tensor_flattening_dim0_fastest():
-    g = cheb_grid(2, BoxRegion((0.0, 0.0), (1.0, 1.0)))
-    a, b = cheb_grid(2, UNIT1).points[:, 0]
+    g = grid_of(DyadicKey(0, (0, 0)), 2)
+    a, b = grid_of(UNIT1, 2)[:, 0]
     expect = np.array([[a, a], [b, a], [a, b], [b, b]])
-    assert np.allclose(g.points, expect)
-    assert g.rank == 4
+    assert np.allclose(g, expect)
+    assert g.shape[0] == 4
 
 
 def test_grid_scales_affinely():
-    box = BoxRegion((0.25,), (0.25,))
-    g = cheb_grid(3, box)
-    ref = cheb_grid(3, UNIT1)
-    assert np.allclose(g.points[:, 0], 0.25 + 0.25 * ref.points[:, 0])
+    g = grid_of(DyadicKey(2, (1,)), 3)
+    ref = grid_of(UNIT1, 3)
+    assert np.allclose(g[:, 0], 0.25 + 0.25 * ref[:, 0])
+
+
+def test_grid_points_match_per_box_grids():
+    # whole blocks of boxes at once give each box's own grid, bit for bit
+    rng = np.random.default_rng(2)
+    for d in (1, 2, 3):
+        for q in (1, 2, 3, 5, 8):
+            level = int(rng.integers(0, 6))
+            coords = rng.integers(0, 1 << level, size=(7, d))
+            got = grid_points(q, level, coords)
+            for c, pts in zip(coords, got):
+                w = 1.0 / (1 << level)
+                assert np.array_equal(pts, per_box_grid(q, c * w, (w,) * d))
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for d in (1, 2, 3) for q in range(1, 13 if d < 3 else 9)])
+def test_child_and_stage_matrices_match_per_box_construction(q, d):
+    # d = 3 stops at q = 8: at q = 12 the matrices alone would take about 1 GB
+    m = per_box_child_matrices(q, d)
+    assert np.array_equal(_child_matrices(q, d), m)
+    # uncached, so the larger stage matrices are not kept for the session
+    column, row = _stage_matrices.__wrapped__(q, d)
+    assert np.array_equal(column, np.transpose(m, (0, 2, 1)).astype(complex))
+    offsets = itertools.product((0, 1), repeat=d)
+    assert np.array_equal(row, np.concatenate([m[offset_index(o)] for o in offsets], axis=1).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -232,47 +317,44 @@ def test_grid_scales_affinely():
 
 
 def test_lagrange_cardinality_exact():
-    g = cheb_grid(5, UNIT1)
-    assert np.array_equal(lagrange_matrix(g, g.points), np.eye(5))
-    g2 = cheb_grid(3, BoxRegion((0.0, 0.5), (0.5, 0.5)))
-    assert np.array_equal(lagrange_matrix(g2, g2.points), np.eye(9))
+    g = grid_of(UNIT1, 5)
+    assert np.array_equal(lagrange_of(UNIT1, 5, g), np.eye(5))
+    key = DyadicKey(1, (0, 1))
+    assert np.array_equal(lagrange_of(key, 3, grid_of(key, 3)), np.eye(9))
 
 
 def test_lagrange_partition_of_unity():
     rng = np.random.default_rng(3)
-    g = cheb_grid(6, BoxRegion((0.25, 0.0), (0.25, 0.5)))
     pts = np.stack(
         [rng.uniform(0.25, 0.5, 40), rng.uniform(0.0, 0.5, 40)], axis=1
     )
-    sums = lagrange_matrix(g, pts).sum(axis=1)
+    sums = basis_on_box(6, (0.25, 0.0), (0.25, 0.5), pts).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 def test_q1_basis_is_constant_one():
-    g = cheb_grid(1, UNIT1)
     pts = np.linspace(0.0, 1.0, 7)[:, None]
-    assert np.allclose(lagrange_matrix(g, pts), 1.0)
+    assert np.allclose(lagrange_of(UNIT1, 1, pts), 1.0)
 
 
 def test_polynomial_reproduction():
     rng = np.random.default_rng(9)
-    g = cheb_grid(5, UNIT1)
 
     def p(y):
         return 3 * y**4 - 2 * y**3 + y - 0.5
 
-    coeffs = p(g.points[:, 0])
+    coeffs = p(grid_of(UNIT1, 5)[:, 0])
     pts = rng.uniform(size=(50, 1))
-    interp = lagrange_matrix(g, pts) @ coeffs
+    interp = lagrange_of(UNIT1, 5, pts) @ coeffs
     assert np.allclose(interp, p(pts[:, 0]), atol=1e-12)
 
 
 def test_lagrange_eval_matches_matrix():
     # the barycentric form agrees with the textbook product formula
-    for g, y in ((cheb_grid(4, UNIT1), [0.3]), (cheb_grid(3, BoxRegion((0.0, 0.5), (0.5, 0.5))), [0.1, 0.7])):
-        row = lagrange_matrix(g, np.array([y]))
-        for t in range(g.rank):
-            assert lagrange_eval(g, t, y) == pytest.approx(row[0, t], abs=1e-14)
+    for key, q, y in ((UNIT1, 4, [0.3]), (DyadicKey(1, (0, 1)), 3, [0.1, 0.7])):
+        row = lagrange_of(key, q, np.array([y]))
+        for t in range(q**key.dim):
+            assert lagrange_eval(key, q, t, y) == pytest.approx(row[0, t], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +369,8 @@ def test_init_empty_box_gives_zero_block():
 
 def test_init_node_source_flat_phase_one_hot():
     b = DyadicKey(2, (1,))
-    grid = cheb_grid(4, box_of(b))
     g = 2.0 - 1.0j
-    w = leaf_init(b, grid.points[[2]], np.array([g]), FLAT, 4)
+    w = leaf_init(b, grid_of(b, 4)[[2]], np.array([g]), FLAT, 4)
     expect = np.zeros(4, dtype=complex)
     expect[2] = g
     assert np.array_equal(w, expect)
@@ -516,11 +597,10 @@ def test_init_block_rows_are_bit_stable():
 
 def make_column_block(a, b, pos, g, phase, q):
     """Column weights for an arbitrary pair, straight from the definition."""
-    grid = cheb_grid(q, box_of(b))
     xa = np.asarray(center_of(a))
     mod = np.exp(1j * phase(xa, pos))
-    moments = lagrange_matrix(grid, pos).T @ (mod * g)
-    demod = np.exp(-1j * phase(xa, grid.points))
+    moments = lagrange_of(b, q, pos).T @ (mod * g)
+    demod = np.exp(-1j * phase(xa, grid_of(b, q)))
     return demod * moments
 
 
@@ -611,14 +691,14 @@ def test_translate_row_polynomial_reproduction():
     a_c = DyadicKey(1, (0,))
     b_p = DyadicKey(1, (1,))
     a = DyadicKey(0, (0,))
-    root_nodes = cheb_grid(q, box_of(a)).points[:, 0]
+    root_nodes = grid_of(a, q)[:, 0]
 
     def p(y):
         return y**4 - 0.3 * y**2 + 0.1
 
     vals = [p(root_nodes).astype(complex), np.zeros(q, dtype=complex)]
     out = translate(row_stage, a_c, b_p, vals, FLAT, q)
-    fine_nodes = cheb_grid(q, box_of(a_c)).points[:, 0]
+    fine_nodes = grid_of(a_c, q)[:, 0]
     assert np.allclose(out, p(fine_nodes), atol=1e-12)
 
 
@@ -629,7 +709,7 @@ def test_evaluate_at_grid_node_closed_form():
     b = DyadicKey(1, (0,))
     vals = np.zeros(q, dtype=complex)
     vals[2] = 1.0
-    node = cheb_grid(q, box_of(a)).points[2]
+    node = grid_of(a, q)[2]
     got = evaluate_pair(a, b, vals, node[None, :], phase, q)[0]
     yb = np.asarray(center_of(b))
     expect = np.exp(1j * phase(node, yb))

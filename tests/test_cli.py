@@ -197,17 +197,30 @@ def test_non_utf8_files_are_usage_errors(tmp_path, capsys, which):
     assert err.startswith(f"error: cannot read {which} file") and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_non_finite_error_is_usage_error(tmp_path, capsys):
+def run_console(args):
+    """`python -m bfly.cli args` in a child interpreter that imports the same
+    bfly as this one, installed or not, so stderr holds every warning."""
+    search = [str(pathlib.Path(bfly.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "bfly.cli"] + args,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
+    )
+
+
+def test_non_finite_error_is_usage_error(tmp_path):
     # a finite strength near the largest double overflows the sums; the nan
-    # error must not read as exit 1, "error above threshold"
+    # error must not read as exit 1, "error above threshold", and must come
+    # alone, without NumPy's overflow warnings before it
     path = tmp_path / "s.csv"
     path.write_text("y0,re,im\n0.5,1.7e308,0\n")
-    code, text = run_to_file(tmp_path, ["verify", "--dim", "1", "--log2n", "3", "--sources", str(path)])
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert "error: the relative error is nan" in err and "not a finite number" in err
+    proc = run_console(["verify", "--dim", "1", "--log2n", "3", "--sources", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the relative error is nan, not a finite number: the sums overflow\n"
+    # scale reports the ledgers, which do not depend on the values, silently
+    proc = run_console(["scale", "--dim", "1", "--log2n", "3", "--procs", "1,2", "--sources", str(path)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("p,flops_max,")
 
 
 @pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
@@ -399,13 +412,6 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "sub.csv"
-    # the child interpreter imports the same bfly as this one, installed or not
-    search = [str(pathlib.Path(bfly.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "bfly.cli", "verify", "--dim", "1", "--log2n", "2",
-         "--sources", "16", "--targets", "5", "--output", str(out)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
-    )
+    proc = run_console(["verify", "--dim", "1", "--log2n", "2", "--sources", "16", "--targets", "5", "--output", str(out)])
     assert proc.returncode == 0
     assert out.read_text().startswith("error,")

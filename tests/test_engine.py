@@ -320,6 +320,15 @@ def test_make_engine_requires_sources():
             make_engine(phase, 1, 8, backend=backend)
 
 
+def test_make_engine_rejects_sources_of_another_dimension():
+    # one-dimensional sources at d = 2 must not reach the phase or a broadcast
+    phase = get_phase("fourier")
+    s = random_sources(np.random.default_rng(7), 10)
+    for backend in ("cheb", "id"):
+        with pytest.raises(ValueError, match="sources have dimension 1, the engine has dimension 2"):
+            make_engine(phase, 2, 8, s, q=4, backend=backend)
+
+
 def test_2d_accuracy_modest_grid():
     rng = np.random.default_rng(137)
     phase = get_phase("hyp-radon")

@@ -22,7 +22,6 @@ from bfly.geometry import (
     present_children,
     region_coords,
     stage_schedule,
-    stage_split,
 )
 
 
@@ -189,24 +188,31 @@ def test_bit_reverse():
             assert keys_in_region(dx, rank, 1, L) == [DyadicKey(L, (reversed_rank,))]
 
 
-def test_stage_split_examples():
-    assert stage_split(8, 2, 16) == (1, 2, 0)
-    assert stage_split(16, 1, 1) == (4, 0, 0)
-    assert stage_split(8, 2, 32) == (0, 3, 1)
-    with pytest.raises(InvalidProcessCountError):
-        stage_split(4, 1, 8)
-    with pytest.raises(InvalidProcessCountError):
-        stage_split(8, 2, 6)
+def test_stage_schedule_examples_and_rejections():
+    assert stage_schedule(8, 2, 16) == [0, 2, 2]
+    assert stage_schedule(16, 1, 1) == [0, 0, 0, 0]
+    assert stage_schedule(8, 2, 32) == [1, 2, 2]
+    with pytest.raises(InvalidProcessCountError, match="exceeds"):
+        stage_schedule(4, 1, 8)
+    with pytest.raises(InvalidProcessCountError, match="not a power of two"):
+        stage_schedule(8, 2, 6)
+    with pytest.raises(ValueError, match="N=6 is not a power of two"):
+        stage_schedule(6, 1, 2)
 
 
-def test_stage_split_partition_of_stages():
+def test_stage_schedule_partition_of_stages():
+    # local stages first, then communicating ones: the first may be partial,
+    # every later one moves d bits
     for d in (1, 2, 3):
         for logn in range(1, 5):
             N = 1 << logn
             for logp in range(0, d * logn + 1):
-                local, comm, s = stage_split(N, d, logp and (1 << logp) or 1)
-                assert local + comm == logn
-                assert 0 <= s < d
+                sched = stage_schedule(N, d, 1 << logp)
+                local = sched.count(0)
+                comm = sched[local:]
+                assert local + len(comm) == logn
+                assert all(k > 0 for k in comm)
+                assert all(k == d for k in comm[1:])
 
 
 def test_stage_schedule_patterns():
@@ -231,21 +237,23 @@ def test_stage_schedule_sums_and_monotone_bits():
                 assert all(sched[i] <= sched[i + 1] for i in range(len(sched) - 1))
 
 
-def test_stage_schedule_matches_split_when_defined():
-    # wherever the "s then full stages" pattern is well formed, the
-    # stack-derived schedule reproduces it exactly
-    for d in (1, 2):
-        for logn in range(1, 5):
+def closed_form_schedule(N, d, p):
+    """Local stages, then a partial stage of d - (g mod d) bits when g mod d
+    is not 0, then full d-bit stages, g = log2(N^d/p) the bits each rank's
+    block leaves local."""
+    logn, logp = N.bit_length() - 1, p.bit_length() - 1
+    g = d * logn - logp
+    partial = [d - g % d] if g % d else []
+    full = (logp - sum(partial)) // d
+    return [0] * (logn - len(partial) - full) + partial + [d] * full
+
+
+def test_stage_schedule_closed_form():
+    for d in (1, 2, 3):
+        for logn in range(1, 7):
             N = 1 << logn
             for logp in range(0, d * logn + 1):
-                local, comm, s = stage_split(N, d, 1 << logp)
-                expect = [0] * local
-                left = logp
-                for i in range(comm):
-                    k = s if (i == 0 and s) else min(d, left)
-                    expect.append(k)
-                    left -= k
-                assert stage_schedule(N, d, 1 << logp) == expect
+                assert stage_schedule(N, d, 1 << logp) == closed_form_schedule(N, d, 1 << logp), (N, d, logp)
 
 
 def test_region_coords_rejects_too_fine_stack():

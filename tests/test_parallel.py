@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bfly.chebyshev import cheb_grid, column_stage, init_source_weights, middle_switch, row_stage
+from bfly.chebyshev import column_stage, grid_points, init_source_weights, middle_switch, row_stage
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
 from bfly.geometry import (
-    BoxRegion,
     DyadicKey,
     InvalidProcessCountError,
     init_bisection_stacks,
@@ -451,7 +450,8 @@ def dict_sum_scatter(contributions, ledgers):
     if team > 1:
         blocksize = result[members[0]].size
         for q in members:
-            ledgers[q].add_comm(team.bit_length() - 1, (team - 1) * blocksize)
+            ledgers[q].messages += team.bit_length() - 1
+            ledgers[q].entries_sent += (team - 1) * blocksize
             ledgers[q].add_flops((team - 1) * blocksize)
     return result
 
@@ -567,11 +567,6 @@ def test_one_init_and_one_stage_call_per_level(engine, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def box_of(key):
-    w = 1.0 / (1 << key.level)
-    return BoxRegion(tuple(c * w for c in key.coords), (w,) * key.dim)
-
-
 def level_keys(d, level):
     return [DyadicKey(level, c) for c in itertools.product(range(1 << level), repeat=d)]
 
@@ -600,7 +595,7 @@ class PerPairIdEngine(IdEngine):
         self._sources = sources
         d, L = self.d, self.L
         leaves = level_keys(d, L)
-        row_pts = {b: cheb_grid(self.rows_per_dim, box_of(b)).points for b in leaves}
+        row_pts = {b: grid_points(self.rows_per_dim, L, np.asarray(b.coords)) for b in leaves}
         all_targets = np.vstack([row_pts[b] for b in leaves])
         coords = leaf_coords(sources.positions, L)
         sampler = functools.partial(kernel_matrix, self.phase)
