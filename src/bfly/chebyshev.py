@@ -172,6 +172,13 @@ def _stage_matrices(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return column, row
 
 
+def cached_matrix_bytes(q: int, d: int) -> int:
+    """Bytes that `_child_matrices` and `_stage_matrices` keep for (q, d):
+    one real and two complex (2^d, q^d, q^d) stacks, for the life of the
+    process."""
+    return (8 + 16 + 16) * (1 << d) * q ** (2 * d)
+
+
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat, with every result row independent of the other rows.
 

@@ -10,7 +10,8 @@ layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 
 Exit codes: 0 success, 1 error above threshold, 2 usage or input error
-(including a file that is not UTF-8 and an error that is not finite).
+(including a file that is not UTF-8, an error that is not finite and a
+cheb q whose cached interpolation matrices would pass 256 MB).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from numpy.random import PCG64, Generator
 
+from .chebyshev import cached_matrix_bytes
 from .costs import CostParams
 from .engine import AllZeroReferenceError, SourceSet, direct_apply, rel_sup_error
 from .parallel import ledger_report, simulate_parallel
@@ -52,6 +54,10 @@ _DEFAULTS: Dict[str, Optional[str]] = {
     "threshold": "1e-3",
     "id_limit": "4096",
 }
+
+
+# largest Chebyshev interpolation matrices a cheb run may cache, in MB
+_MATRIX_CAP_MB = 256
 
 
 class UsageError(Exception):
@@ -186,6 +192,15 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
             if q_raw < 2 or q_raw != int(q_raw):
                 raise UsageError("q must be an integer >= 2 for the cheb backend")
             q = int(q_raw)
+            cap = _MATRIX_CAP_MB * 10**6
+            if cached_matrix_bytes(q, dim) > cap:
+                q_max = 2
+                while cached_matrix_bytes(q_max + 1, dim) <= cap:
+                    q_max += 1
+                raise UsageError(
+                    f"q={merged['q']} at dim={dim} would cache more than the {_MATRIX_CAP_MB} MB cap of Chebyshev"
+                    f" interpolation matrices; use q <= {q_max} at dim={dim}"
+                )
         else:
             if not (0.0 < q_raw < 1.0):
                 raise UsageError("q is the id tolerance and must lie strictly in (0, 1)")

@@ -522,7 +522,8 @@ def direct_apply(sources: SourceSet, phase: PhaseEvaluator, targets: np.ndarray)
     out = np.zeros(m, dtype=complex)
     if sources.count == 0 or m == 0:
         return out
-    chunk = max(1, (1 << 21) // max(1, sources.count))
+    # 2^18 kernel entries at a time keep the temporaries to a few MB
+    chunk = max(1, (1 << 18) // max(1, sources.count))
     for start in range(0, m, chunk):
         block = targets[start : start + chunk]
         out[start : start + chunk] = kernel_matrix(phase, block, sources.positions) @ sources.strengths

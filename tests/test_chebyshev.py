@@ -18,6 +18,7 @@ from bfly.chebyshev import (
     _reference_nodes,
     _stage_matrices,
     _tensor_basis,
+    cached_matrix_bytes,
     column_stage,
     evaluate_block,
     grid_points,
@@ -309,6 +310,12 @@ def test_child_and_stage_matrices_match_per_box_construction(q, d):
     assert np.array_equal(column, np.transpose(m, (0, 2, 1)).astype(complex))
     offsets = itertools.product((0, 1), repeat=d)
     assert np.array_equal(row, np.concatenate([m[offset_index(o)] for o in offsets], axis=1).astype(complex))
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (7, 1), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_cached_matrix_bytes_counts_the_cached_matrices(q, d):
+    column, row = _stage_matrices.__wrapped__(q, d)
+    assert cached_matrix_bytes(q, d) == _child_matrices.__wrapped__(q, d).nbytes + column.nbytes + row.nbytes
 
 
 # ---------------------------------------------------------------------------

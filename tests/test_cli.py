@@ -223,6 +223,27 @@ def test_non_finite_error_is_usage_error(tmp_path):
     assert proc.stdout.startswith("p,flops_max,")
 
 
+@pytest.mark.parametrize("dim,phase,q_max", [("1", "fourier", 1788), ("2", "fourier", 35), ("3", "gen-radon", 9)])
+def test_cheb_q_past_the_matrix_cap_is_usage_error(monkeypatch, capsys, dim, phase, q_max):
+    # rejected at the parse step: the cached (q^d)^2 interpolation matrices
+    # of the next q would pass 256 MB (d = 3, q = 12: about 0.95 GB)
+    def never_run(cfg):
+        raise AssertionError(f"a q={cfg.q} run was started")
+
+    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
+    monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
+    base = ["--dim", dim, "--log2n", "0", "--phase", phase]
+    for command in ("verify", "scale"):
+        for q in (str(q_max + 1), "1e300"):
+            assert main([command] + base + ["--q", q]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: q={q} at dim={dim}") and "256 MB cap" in err, err
+            assert f"use q <= {q_max} at dim={dim}" in err
+    assert bfly.cli.parse_config(["verify"] + base + ["--q", str(q_max)])[0].q == q_max
+    # the id backend's q is a tolerance, which the cap does not concern
+    assert bfly.cli.parse_config(["verify"] + base + ["--backend", "id", "--q", "0.5"])[0].q == 0.5
+
+
 @pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
 def test_dim_outside_one_to_three_is_usage_error(monkeypatch, capsys, dim):
     # rejected at the parse step: dim 6 at the default q = 8 would ask the

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bfly import phases
 from bfly.engine import SourceSet, butterfly_apply, direct_apply
 from bfly.parallel import simulate_parallel
 from bfly.phases import (
@@ -186,3 +189,120 @@ def test_huge_finite_phase_is_accepted():
     # its entries are finite although their sum overflows to inf
     huge = PhaseEvaluator("huge", 1, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], 1e308))
     assert np.all(huge(np.zeros((3, 1, 1)), np.zeros((4, 1))) == 1e308)
+
+
+# ---------------------------------------------------------------------------
+# The kernel exp(i * theta)
+# ---------------------------------------------------------------------------
+
+
+def libm_expi(theta):
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
+def bits(z):
+    """The real and imaginary bit patterns of a complex array, on a last axis."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).view(np.uint64)
+
+
+def test_expi_matches_libm_in_every_decade():
+    rng = np.random.default_rng(61)
+    step = 2.0 * np.pi / phases._T
+    worst = {}
+    for top in [10.0**e for e in range(-3, 7)] + [1e9, 1e15]:
+        theta = rng.uniform(-top, top, 20000)
+        worst[top] = np.max(np.abs(phases._expi(theta) - libm_expi(theta)))
+    # the far ends of each reduction interval, and the table nodes themselves
+    k = rng.integers(-(10**8), 10**8, 20000).astype(float)
+    ends = np.concatenate([(k + 0.5) * step, (k - 0.5) * step, k * step, np.arange(-4096, 4096) * step])
+    worst["ends"] = np.max(np.abs(phases._expi(ends) - libm_expi(ends)))
+    assert max(worst.values()) <= 4.5e-16, worst
+
+
+def test_expi_reduction_constants():
+    # pi from Machin's formula in integers, to 200 digits
+    def arctan_inv(x, unity):
+        total = term = unity // x
+        n, sign = 1, -1
+        while term:
+            term //= x * x
+            n += 2
+            total += sign * (term // n)
+            sign = -sign
+        return total
+
+    unity = 10**200
+    pi = Fraction(4 * (4 * arctan_inv(5, unity) - arctan_inv(239, unity)), unity)
+    step = sum(Fraction(part) for part in phases._STEP)
+    assert abs(step / (2 * pi / phases._T) - 1) < Fraction(1, 10**33)
+    for part in phases._STEP[:2]:  # 26 significant bits, so k * part is exact for |k| < 2**27
+        assert abs(Fraction(part).numerator).bit_length() <= 26
+    assert phases._REDUCE_LIMIT * phases._T / (2 * np.pi) < 2**27
+
+
+def test_expi_zero_and_conjugate_symmetry():
+    assert phases._expi(0.0) == 1 + 0j
+    assert phases._expi(np.zeros(3)).tolist() == [1 + 0j] * 3
+    rng = np.random.default_rng(67)
+    theta = np.concatenate(
+        [rng.uniform(-(10.0**e), 10.0**e, 5000) for e in range(-2, 7)] + [np.arange(1, 8192) * (np.pi / 2048)]
+    )
+    assert np.all(theta != 0.0)
+    assert np.array_equal(bits(phases._expi(-theta)), bits(np.conj(phases._expi(theta))))
+
+
+def test_expi_bits_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(71)
+    n = 3 * phases._CHUNK + 123
+    theta = rng.uniform(-300.0, 300.0, n)
+    theta[::97] *= 1e4  # some entries past the exact-reduction range
+    whole = bits(phases._expi(theta))
+    edges = (phases._CHUNK * np.arange(1, 4)[:, None] + np.arange(-1, 2)).ravel()
+    picks = np.concatenate([rng.integers(0, n, 300), edges])
+    for i in picks:
+        assert np.array_equal(bits(phases._expi(theta[i : i + 1])), whole[i : i + 1]), i
+        assert np.array_equal(bits(phases._expi(theta[i])), whole[i]), i
+    assert np.array_equal(bits(phases._expi(theta[::-1])), whole[::-1])
+    assert np.array_equal(bits(phases._expi(theta[5:])), whole[5:])
+    wide = np.empty((n, 3))
+    wide[:, 1] = theta
+    assert np.array_equal(bits(phases._expi(wide[:, 1])), whole)  # a strided view
+    square = theta[: 128 * 128].reshape(128, 128)
+    assert np.array_equal(bits(phases._expi(square.T)), bits(phases._expi(square)).transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 4, 2)])
+def test_expi_keeps_empty_and_scalar_shapes(shape):
+    out = phases._expi(np.full(shape, 0.25))
+    assert out.shape == shape and out.dtype == complex
+    if out.size:
+        assert out == phases._expi(np.array([0.25]))[0]
+
+
+def test_expi_non_finite_gives_nan_without_a_warning():
+    theta = np.array([np.nan, np.inf, -np.inf, 1e300, -2e5 - 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = phases._expi(theta)
+        single = [phases._expi(t) for t in theta]
+    assert np.all(np.isnan(out.real[:3])) and np.all(np.isnan(out.imag[:3]))
+    assert np.array_equal(out[3:], libm_expi(theta[3:]))
+    assert np.array_equal(bits(out), bits(np.array(single)))
+
+
+@pytest.mark.parametrize(
+    "name,d,scale", [("fourier", 1, 1.0), ("fourier", 2, 1.0), ("fourier", 3, 1.0), ("fourier", 2, 64.0),
+                     ("hyp-radon", 2, 1.0), ("gen-radon", 3, 1.0)]
+)
+def test_direct_apply_matches_a_libm_sum(name, d, scale):
+    # rel_err is measured against direct_apply, which evaluates the kernel
+    # through _expi; this keeps that reference tied to libm's exp
+    base = get_phase(name)
+    phase = PhaseEvaluator(f"{name}-x{scale:g}", base.dim, lambda x, y: scale * base.fn(x, y))
+    rng = np.random.default_rng(73 + d)
+    s = SourceSet(rng.uniform(size=(300, d)), rng.normal(size=300) + 1j * rng.normal(size=300))
+    targets = rng.uniform(size=(200, d))
+    exact = np.exp(1j * phase(targets[:, None], s.positions[None])) @ s.strengths
+    got = direct_apply(s, phase, targets)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
