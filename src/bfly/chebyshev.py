@@ -5,19 +5,27 @@ Background
 Restricted to a target box A and source box B with diam(A) * diam(B) below
 the phase's low-rank threshold, the oscillatory kernel exp(i*Phi(x, y))
 factors numerically through a rank r = q^d expansion built from Lagrange
-interpolation on tensor-product Chebyshev grids. Demodulating by the phase
-at a box center makes the remaining factor smooth enough to interpolate:
+interpolation on tensor-product Chebyshev grids over B. Demodulating by the
+phase at the center x_A of A makes the remaining factor smooth enough to
+interpolate in y, which gives the weights of the pair (A, B):
 
-  column side (weights live on a grid over B, centers taken in A):
-      delta_t = exp(-i*Phi(x_A, b_t)) * sum_y exp(i*Phi(x_A, y)) L_t(y) g(y)
-  row side (weights are demodulated potential samples on a grid over A):
-      f(x) ~= exp(i*Phi(x, y_B)) * sum_t L_t(x) delta_t
+    delta_t = exp(-i*Phi(x_A, b_t)) * sum_y exp(i*Phi(x_A, y)) L_t(y) g(y)
 
-Column weights are equivalent point sources at the grid nodes of B: the
-induced approximation is f(x) ~= sum_t K(x, b_t) delta_t, which is what
-makes the merge step a pure re-expansion of point masses. Half the stages
-run on the column side, then one O(r^2) switch per pair moves to the row
-side, where splitting target boxes is again a re-interpolation.
+They are equivalent point sources at the grid nodes b_t of B: for x in A,
+f_B(x) ~= sum_t K(x, b_t) delta_t. So the merge step is a pure
+re-expansion of point masses, and it runs through the last level: there the
+only source box is the root, and the potential at a point x of a target
+leaf A is sum_t K(x, b_t) delta_t[A], r kernel entries over the root's grid
+(engine.PotentialField). The middle switch of Candes, Demanet and Ying
+(2009) would turn these weights into samples on target grids, so that
+evaluation costs one phase call per target; it pays only past N^d * r
+targets per solve and is not used.
+
+The leaf sources go straight onto the grids of the leaves' parents,
+demodulated at the centers of the root's children: the pairs of level 1
+(init_source_weights). Stage 0 then only adds up each parent's children
+(child_sum_stage), and every later stage is a column stage, so a solve
+makes log2 N interpolations.
 
 Grid conventions: first-kind Chebyshev nodes mapped affinely to each box
 edge, stored in ascending order per dimension; tensor points are flattened
@@ -32,7 +40,6 @@ matrices serve every pair at every level.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -156,27 +163,19 @@ def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stage_matrices(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The child matrices laid out for contracting stacks of weight rows.
-
-    column[n] is M[n].T, so rows @ column[n] applies M[n] to every row. row
-    holds M[o] for every child offset o side by side, in canonical offset
-    order, so one product interpolates a row onto all 2^d children.
-    """
-    m = _child_matrices(q, d)
-    column = np.ascontiguousarray(np.transpose(m, (0, 2, 1)), dtype=complex)
-    offsets = itertools.product((0, 1), repeat=d)
-    row = np.concatenate([m[offset_index(o)] for o in offsets], axis=1).astype(complex)
+def _stage_matrices(q: int, d: int) -> np.ndarray:
+    """The child matrices laid out for contracting stacks of weight rows:
+    entry n is M[n].T, so rows @ entry n applies M[n] to every row."""
+    column = np.ascontiguousarray(np.transpose(_child_matrices(q, d), (0, 2, 1)), dtype=complex)
     column.setflags(write=False)
-    row.setflags(write=False)
-    return column, row
+    return column
 
 
 def cached_matrix_bytes(q: int, d: int) -> int:
     """Bytes that `_child_matrices` and `_stage_matrices` keep for (q, d):
-    one real and two complex (2^d, q^d, q^d) stacks, for the life of the
+    one real and one complex (2^d, q^d, q^d) stack, for the life of the
     process."""
-    return (8 + 16 + 16) * (1 << d) * q ** (2 * d)
+    return (8 + 16) * (1 << d) * q ** (2 * d)
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -216,19 +215,27 @@ def init_source_weights(
     q: int,
     ledger: Optional[CostLedger] = None,
 ) -> np.ndarray:
-    """Column weights of the pairs (X, B) for a block of leaf boxes B, from
-    the raw sources inside them: b_shape + (q^d,).
+    """What each leaf box B of a block puts on the weights of the pairs
+    (A, P) of level 1, straight from the raw sources inside it:
+    (2^a,)*d + b_shape + (q^d,), with a = min(level, 1).
+
+    A runs over the children of the root and P is the parent of B: the
+    sources of B are interpolated onto the grid of P and demodulated at the
+    center of A, once per A, so stage 0 only adds up the children of each P
+    (child_sum_stage). In a one-leaf tree (level 0), B is the root, A the
+    whole target domain, and these are the final weights.
 
     leaves[i] holds the integer coordinates of the level-`level` box of
     source i, and the sources come sorted by leaf box in canonical order, so
-    each box's moments are one segment sum. The demodulation center is the
-    center of the whole target domain, since at the first stage the single
-    target box is X itself. Empty boxes get zero weights and cost nothing.
-    The ledger is charged an array of flops per box of the block.
+    each box's moments are one segment sum. Empty boxes get zero weights and
+    cost nothing. The ledger is charged an array of flops per box of the
+    block.
     """
     d = len(b_lo)
     r = q**d
-    out = np.zeros(tuple(b_shape) + (r,), dtype=complex)
+    a = min(level, 1)
+    targets = (1 << a,) * d
+    out = np.zeros(targets + tuple(b_shape) + (r,), dtype=complex)
     positions = np.asarray(positions, dtype=float).reshape(-1, d)
     strengths = np.asarray(strengths, dtype=complex)
     n = positions.shape[0]
@@ -243,23 +250,45 @@ def init_source_weights(
     flat, starts = leaf_runs(leaves, b_lo, b_shape)
     if np.any(np.diff(flat) < 0):
         raise ValueError("sources must be sorted by leaf box")
-    grid = grid_points(q, level, leaves[starts]).reshape(-1, d)
-    ph = phase(np.full(d, 0.5), np.concatenate([positions, grid]))
-    weighted = _tensor_basis(q, lo.T, (w,) * d, positions) * (_expi(ph[:n]) * strengths)[:, None]
-    moments = np.add.reduceat(weighted, starts, axis=0)
-    out.reshape(-1, r)[flat[starts]] = _expi(-ph[n:]).reshape(-1, r) * moments
+    p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
+    parents = leaves >> a
+    # each occupied leaf's parent, as a flat index into the block of parents
+    home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
+    grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
+    centers = box_centers(a, block_coords((0,) * d, targets))
+    ph = phase(centers.reshape(targets + (1, d)), np.concatenate([positions, grid]))
+    mod = _expi(ph[..., :n]) * strengths
+    demod = _expi(-ph[..., n:]).reshape(targets + (-1, r))
+    wp = 1.0 / (1 << (level - a))
+    basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
+    for t in np.ndindex(*targets):
+        moments = np.add.reduceat(basis * mod[t][:, None], starts, axis=0)
+        out[t].reshape(-1, r)[flat[starts]] = demod[t][home] * moments
     if ledger is not None:
-        counts = np.bincount(flat, minlength=out.size // r)
-        ledger.add_flops(((2 * r + 1) * counts + r * (counts > 0)).reshape(b_shape))
+        counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
+        per_box = (2 * r + 1) * counts + r * (counts > 0)
+        ledger.add_flops((per_box << (a * d)).reshape(b_shape))
     return out
 
 
-def _output_block(a_lo, b_lo, values, d):
-    """The block of pairs (A_c, B_p) a stage over a block produces:
-    (A_c first coordinates, A_c shape, B_p coordinates (bp_shape + (d,)))."""
-    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
-    bp_lo, bp_shape = parent_block(b_lo, b_shape)
-    return tuple(2 * a for a in a_lo), tuple(2 * n for n in a_shape), block_coords(bp_lo, bp_shape)
+def child_sum_stage(
+    b_lo: Tuple[int, ...],
+    values: np.ndarray,
+    ledger: Optional[CostLedger] = None,
+    split: Tuple[int, ...] = (),
+) -> np.ndarray:
+    """Stage 0 on the output of init_source_weights for a block of leaves:
+    the weights of each pair (A, P) are the sum, in canonical order, of
+    what the children of P in the block put on them. Children outside the
+    block and the split dimensions are handled as in column_stage."""
+    d = len(b_lo)
+    b_shape = values.shape[d : 2 * d]
+    if ledger is not None:
+        # each leaf adds one weight vector per target box
+        ledger.add_flops(np.full(b_shape, values.shape[-1] << d))
+    # copies: sum_children adds into the first part of each sum
+    parts = ((offset, values[(slice(None),) * d + index].copy()) for offset, index in present_children(b_lo, b_shape))
+    return sum_children(parts, split)
 
 
 def column_stage(
@@ -284,8 +313,10 @@ def column_stage(
     """
     d = len(a_lo)
     r = q**d
-    ac_lo, ac_shape, bp = _output_block(a_lo, b_lo, values, d)
-    kids = list(present_children(b_lo, values.shape[d : 2 * d]))
+    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
+    ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
+    bp = block_coords(*parent_block(b_lo, b_shape))
+    kids = list(present_children(b_lo, b_shape))
     xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
     grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
     ph = phase(
@@ -323,133 +354,5 @@ def _column_contribution(
     # large temporary right operand with the operands swapped, which rounds
     # complex products differently from a small block's rows.
     rows = np.multiply(mod, to_children(values, d)).reshape(-1, r)
-    w = _rows_times(rows, _stage_matrices(q, d)[0][offset_index(offset)])
+    w = _rows_times(rows, _stage_matrices(q, d)[offset_index(offset)])
     return demod * w.reshape(demod.shape)
-
-
-def row_stage(
-    a_level: int,
-    a_lo: Tuple[int, ...],
-    b_level: int,
-    b_lo: Tuple[int, ...],
-    values: np.ndarray,
-    phase: PhaseEvaluator,
-    q: int,
-    ledger: Optional[CostLedger] = None,
-    split: Tuple[int, ...] = (),
-) -> np.ndarray:
-    """One row stage: weights of the pairs (A_c, B_p) fed by a block, with
-    the output block, partial sums, split and flops of column_stage. One
-    phase call covers the new grids against the parent and every present
-    child center."""
-    d = len(a_lo)
-    r = q**d
-    ac_lo, ac_shape, bp = _output_block(a_lo, b_lo, values, d)
-    kids = list(present_children(b_lo, values.shape[d : 2 * d]))
-    new_grid = grid_points(q, a_level + 1, block_coords(ac_lo, ac_shape))
-    centers = [box_centers(b_level - 1, bp)] + [box_centers(b_level, 2 * bp + o) for o, _ in kids]
-    ph = phase(
-        new_grid.reshape((1,) + ac_shape + (1,) * d + (r, d)),
-        np.stack(centers).reshape((len(centers),) + (1,) * d + bp.shape[:-1] + (1, d)),
-    )
-    if ledger is not None:
-        ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
-    contribs = (
-        (offset, _row_contribution(values[(slice(None),) * d + index], ph[1 + i] - ph[0], q))
-        for i, (offset, index) in enumerate(kids)
-    )
-    return sum_children(contribs, split)
-
-
-def _row_contribution(
-    values: np.ndarray,
-    shift: np.ndarray,
-    q: int,
-) -> np.ndarray:
-    """One child's share of a row stage, for a whole output block.
-
-    values[a..., b..., :] are demodulated potential samples on the grid of
-    each A; they are interpolated onto the grids of all its children A_c at
-    once and re-centred from the child source box onto its parent, a phase
-    shift of Phi(x, y_child) - Phi(x, y_parent) at each new grid node.
-    """
-    d = (values.ndim - 1) // 2
-    r = q**d
-    a_shape = values.shape[:d]
-    bp_shape = values.shape[d : 2 * d]
-    w = _rows_times(values.reshape(-1, r), _stage_matrices(q, d)[1])
-    # (a..., b..., o_0..o_{d-1}, t) -> (a_0, o_0, ..., a_{d-1}, o_{d-1}, b..., t)
-    w = w.reshape(a_shape + bp_shape + (2,) * d + (r,))
-    perm = [ax for k in range(d) for ax in (k, 2 * d + k)] + list(range(d, 2 * d)) + [3 * d]
-    w = w.transpose(perm).reshape(shift.shape)
-    return _expi(shift) * w
-
-
-# kernel entries evaluated at once by middle_switch, which bounds its memory
-_SWITCH_CHUNK = 1 << 18
-
-
-def middle_switch(
-    a_level: int,
-    a_lo: Tuple[int, ...],
-    b_level: int,
-    b_lo: Tuple[int, ...],
-    values: np.ndarray,
-    phase: PhaseEvaluator,
-    q: int,
-    ledger: Optional[CostLedger] = None,
-) -> np.ndarray:
-    """Column weights of a block of pairs to row weights, in O(r^2) each.
-
-    For each pair (A, B), evaluates the column expansion (equivalent sources
-    at the grid of B) at the grid of A, then demodulates by the phase at B's
-    center. The r x r kernel blocks are built a bounded number at a time,
-    in runs of pairs in canonical order that may split a target box's row.
-    """
-    d = len(a_lo)
-    r = q**d
-    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
-    pairs = a_shape + b_shape
-    a_grid = grid_points(q, a_level, block_coords(a_lo, a_shape)).reshape(a_shape + (1,) * d + (r, d))
-    b_coords = block_coords(b_lo, b_shape)
-    b_grid = grid_points(q, b_level, b_coords).reshape((1,) * d + b_shape + (r, d))
-    xs = a_grid.reshape(-1, r, 1, d)
-    ys = b_grid.reshape(-1, 1, r, d)
-    v = values.reshape(-1, r, 1)
-    sampled = np.empty((v.shape[0], r), dtype=complex)
-    step = max(1, _SWITCH_CHUNK // (r * r))
-    for i in range(0, v.shape[0], step):
-        a, b = np.divmod(np.arange(i, min(i + step, v.shape[0])), ys.shape[0])
-        kmat = _expi(phase(xs[a], ys[b]))
-        sampled[i : i + step] = (kmat @ v[i : i + step])[..., 0]
-    yb = box_centers(b_level, b_coords).reshape((1,) * d + b_shape + (1, d))
-    demod = _expi(-phase(a_grid, yb))
-    if ledger is not None:
-        ledger.add_flops(np.full(pairs, 2 * r * r + 2 * r))
-    return demod * sampled.reshape(pairs + (r,))
-
-
-def evaluate_block(
-    level: int,
-    coords: np.ndarray,
-    y_b: np.ndarray,
-    values: np.ndarray,
-    pts: np.ndarray,
-    phase: PhaseEvaluator,
-    q: int,
-) -> np.ndarray:
-    """Row weights evaluated at points, one pair per point:
-    f(x_i) = exp(i*Phi(x_i, y_B)) sum_t L_t(x_i) values[i, t].
-
-    pts[i] lies in the level-`level` target box with integer coordinates
-    coords[i], which the caller works out from the point itself
-    (PotentialField.evaluate uses geometry.leaf_coords); values[i] holds
-    that pair's q^d row weights, and y_B is the center of the source box the
-    pairs share. Every result depends on its own row only, so a point gives
-    the same bits in any batch.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    w = 1.0 / (1 << level)
-    lower = np.asarray(coords) * w
-    basis = _tensor_basis(q, lower.T, (w,) * pts.shape[1], pts)
-    return _expi(phase(pts, y_b)) * np.einsum("ij,ij->i", basis, values)

@@ -3,24 +3,30 @@
 The engine runs log2(N) merge/split stages over the pair hierarchy
 T_X(level) x T_Y(level): target boxes split while source boxes merge, so
 every level holds exactly N^d pairs, each carrying a short weight vector.
-Two interchangeable low-rank representations drive the translations:
+Two interchangeable low-rank representations drive the translations, and in
+both the weights are equivalent point sources:
 
-* "cheb": analytic Chebyshev interpolation with phase demodulation
-  (rank q^d per pair, column side first, one middle switch, row side last);
+* "cheb": analytic Chebyshev interpolation with phase demodulation (rank
+  q^d per pair), whose weights sit on the Chebyshev grid of the pair's
+  source box. The init puts each leaf's sources straight onto its parent's
+  grid for the root's 2^d children, stage 0 adds up each parent's
+  children, and column stages run through the last level (chebyshev.py);
 * "id": interpolative decompositions built from kernel samples, whose
-  weights are equivalent point sources at adaptively selected source
-  points and whose translations recompress stacked child skeletons.
+  weights sit at adaptively selected source points and whose translations
+  recompress stacked child skeletons.
 
 A level's weights are one complex array of shape
 (2^l,)*d + (2^(L-l),)*d + (width,): target box coordinates, then source box
-coordinates, in canonical order, then the pair's weights. A stage maps the
-array of level l to the array of level l + 1, summing each output pair's
-2^d children in canonical coordinate order (dimension 0 most significant).
-The cheb stage is a handful of whole-level NumPy calls per child; the id
-stage is one batched matrix-vector product per child, each pair with its
-own precomputed map, kept zero-padded in one array per level (IdEngine).
-Both backends start from the sources sorted by leaf box, so the leaf
-weights are one segment sum.
+coordinates, in canonical order, then the pair's weights. (cheb's init
+output, the input of stage 0, already spans the root's two children per
+dimension: (2,)*d + (N,)*d + (width,).) A stage maps the array of level l
+to the array of level l + 1, summing each output pair's 2^d children in
+canonical coordinate order (dimension 0 most significant). The cheb stage
+is a handful of whole-level NumPy calls per child; the id stage is one
+batched matrix-vector product per child, each pair with its own
+precomputed map, kept zero-padded in one array per level (IdEngine). Both
+backends start from the sources sorted by leaf box, so the leaf weights
+are one segment sum.
 
 butterfly_apply is the sequential reference. The distributed simulator in
 bfly.parallel runs the same init and stages on the same level arrays, since
@@ -30,14 +36,21 @@ row of a stage is computed independently of the other rows (see
 chebyshev._rows_times), so a rank's rows carry the bits it would compute on
 its own block. Flops are charged to the ledger as an array over the pairs
 of the level a call runs on, which lets the simulator charge each rank for
-the pairs it holds. The final level becomes a PotentialField: one array
-over the target leaves, evaluated a chunk of points at a time with a few
-whole-chunk NumPy calls.
+the pairs it holds.
+
+The final level becomes a PotentialField: the pairs (A, root) for every
+target leaf A, each with its equivalent sources, so
+f(x) = sum_t K(x, s_t) delta_t[leaf(x)] for both backends. For cheb the
+points s_t are the root's grid in every leaf, so evaluation forms q^d
+kernel entries per target. The middle switch of Candes, Demanet and Ying
+(2009) would cut that to one phase call per target, at the price of N^d
+q^(2d) kernel entries per solve; it pays only past N^d q^d targets per
+solve (36,864 for d = 2, N = 32, q = 6), so there is none. Evaluation runs
+a chunk of points at a time with a few whole-chunk NumPy calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -117,48 +130,42 @@ class _SortedSources:
 
 
 class ChebEngine(_SortedSources):
-    """Analytic backend: fixed rank q^d, column stages, switch, row stages."""
+    """Analytic backend: fixed rank q^d, column stages through the last level."""
 
     name = "cheb"
 
     def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int, sources: SourceSet):
         super().__init__(phase, d, N, sources)
         self.q = q
-        self.switch_level = math.ceil(self.L / 2)
         self.r = q**d
 
     def init_blocks(self, ledger: CostLedger) -> np.ndarray:
-        """Column weights of every pair (X, B) of level 0: (1,)*d + (N,)*d + (r,)."""
+        """What every leaf B puts on the pairs (A, parent(B)) of level 1,
+        laid out over the pairs (X, B) of level 0: (2,)*d + (N,)*d + (r,)
+        (chebyshev.init_source_weights). With N = 1 the final weights,
+        (1,)*d + (1,)*d + (r,)."""
         d = self.d
-        values = cheb.init_source_weights(
+        return cheb.init_source_weights(
             self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
             self.phase, self.q, ledger,
         )
-        return values.reshape((1,) * d + values.shape)
-
-    def _switch(self, level: int, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
-        zeros = (0,) * self.d
-        return cheb.middle_switch(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger)
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
         """The weights of level + 1 from those of level; with split
         dimensions, stacked partial sums (geometry.sum_children)."""
-        if level == self.switch_level:
-            values = self._switch(level, values, ledger)
-        translate = cheb.column_stage if level < self.switch_level else cheb.row_stage
         zeros = (0,) * self.d
-        return translate(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger, split)
-
-    def finalize(self, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
-        if self.switch_level == self.L:
-            return self._switch(self.L, values, ledger)
-        return values
+        if level == 0:
+            return cheb.child_sum_stage(zeros, values, ledger, split)
+        return cheb.column_stage(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger, split)
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
-        """The field of the final level's weights, (N,)*d + (width,) after
-        dropping the root's source axes."""
+        """The field of the final level's weights, (N,)*d + (r,) after
+        dropping the root's source axes: equivalent sources on the root's
+        grid, the same skeleton for every target leaf."""
+        d, N = self.d, self.N
+        grid = cheb.grid_points(self.q, 0, np.zeros(d, dtype=int))
         return PotentialField(
-            self.phase, self.d, self.N, "cheb", self.q, values.reshape((self.N,) * self.d + values.shape[-1:])
+            self.phase, d, N, values.reshape((N,) * d + (self.r,)), np.broadcast_to(grid, (N,) * d + grid.shape)
         )
 
 
@@ -378,14 +385,12 @@ class IdEngine(_SortedSources):
         ledger.add_flops(per_a * (2 * self._ranks[level] + 1))
         return out
 
-    def finalize(self, values: np.ndarray, ledger: CostLedger) -> np.ndarray:
-        return values
-
     def make_field(self, values: np.ndarray) -> "PotentialField":
-        """The field of the final level's weights, as ChebEngine.make_field."""
+        """The field of the final level's weights, (N,)*d + (width,) after
+        dropping the root's source axes."""
         return PotentialField(
-            self.phase, self.d, self.N, "id", None, values.reshape((self.N,) * self.d + values.shape[-1:]),
-            self._final_ranks, self._final_skeleton,
+            self.phase, self.d, self.N, values.reshape((self.N,) * self.d + values.shape[-1:]),
+            self._final_skeleton, self._final_ranks,
         )
 
 
@@ -397,23 +402,24 @@ _EVAL_CHUNK = 1 << 16
 @dataclass(eq=False)
 class PotentialField:
     """The computed potential as the final level's weights, evaluable
-    anywhere in the unit cube.
+    anywhere in the unit cube: f(x) = sum_t K(x, skeleton[a, t]) values[a, t]
+    over the weights of the target leaf a that holds x.
 
     values[a_0, ..., a_{d-1}, :] holds the weights of the pair (A, root) for
     the target leaf box A with coordinates a, so values has shape
-    (N,)*d + (width,). For id, ranks[a] is the length of A's weight vector
-    and skeleton[a..., t, :] the source point that weight t sits at; the
-    padded slots hold A's center and weight exactly 0.
+    (N,)*d + (width,), and skeleton[a..., t, :] is the source point weight t
+    sits at, shape (N,)*d + (width, d). For cheb the skeleton is the root's
+    Chebyshev grid in every leaf (a broadcast view). For id, ranks[a] is the
+    length of A's weight vector; the padded slots hold A's center and weight
+    exactly 0.
     """
 
     phase: PhaseEvaluator
     d: int
     N: int
-    backend: str
-    q: Optional[int]
     values: np.ndarray
+    skeleton: np.ndarray
     ranks: Optional[np.ndarray] = None  # id only
-    skeleton: Optional[np.ndarray] = None  # id only
     ledger: Optional[CostLedger] = None
 
     @property
@@ -447,19 +453,13 @@ class PotentialField:
         leaves = leaf_coords(points, self.level)
         flat = np.ravel_multi_index(tuple(leaves.T), self.values.shape[: self.d])
         values = self.values.reshape(-1, width)
-        skeleton = self.skeleton.reshape(-1, width, self.d) if self.backend == "id" else None
-        root = np.full(self.d, 0.5)
+        skeleton = self.skeleton.reshape(-1, width, self.d)  # a view, for cheb too
         step = max(1, _EVAL_CHUNK // width)
         for start in range(0, points.shape[0], step):
             sel = slice(start, start + step)
             idx = flat[sel]
-            if skeleton is None:
-                out[sel] = cheb.evaluate_block(
-                    self.level, leaves[sel], root, values[idx], points[sel], self.phase, self.q
-                )
-            else:
-                kernel = _expi(self.phase(points[sel, None, :], skeleton[idx]))
-                out[sel] = np.einsum("ij,ij->i", kernel, values[idx])
+            kernel = _expi(self.phase(points[sel, None, :], skeleton[idx]))
+            out[sel] = np.einsum("ij,ij->i", kernel, values[idx])
         return out
 
 
@@ -510,7 +510,7 @@ def butterfly_apply(
     values = eng.init_blocks(ledger)
     for level in range(eng.L):
         values = eng.stage(level, values, ledger)
-    fieldv = eng.make_field(eng.finalize(values, ledger))
+    fieldv = eng.make_field(values)
     fieldv.ledger = ledger
     return fieldv
 

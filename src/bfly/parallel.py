@@ -172,7 +172,6 @@ def simulate_parallel(
                 trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
             dx, dy = pop_push(dx, dy, k)
         costs.pairs = _rank_pairs(dx, dy, d, level + 1, L - level - 1)
-    values = eng.finalize(values, costs)
 
     owners = np.empty(N**d, dtype=int)
     owners[costs.pairs] = np.arange(p)[:, None]

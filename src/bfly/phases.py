@@ -77,8 +77,10 @@ def phase_fourier(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def phase_hyp_radon(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Hyperbolic integration surfaces: x = (x0, x1), y = (h, p),
-    Phi = 2*pi * p * sqrt(x0^2 + x1^2 * h^2)."""
-    x0, x1 = xs[..., 0], xs[..., 1]
+    Phi = 2*pi * p * sqrt((1 + x0)^2 + x1^2 * h^2). The offset keeps the
+    square root away from its kink at the origin, so Phi is smooth on the
+    whole unit square."""
+    x0, x1 = 1.0 + xs[..., 0], xs[..., 1]
     h, p = ys[..., 0], ys[..., 1]
     return 2.0 * np.pi * p * np.sqrt(x0 * x0 + x1 * x1 * h * h)
 

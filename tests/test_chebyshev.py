@@ -1,7 +1,7 @@
 """Chebyshev grids, Lagrange interpolation, the block weight operations
-(initialization, column and row stages, middle switch, evaluation) and the
-batched evaluation of a PotentialField, checked against direct kernel
-summation and against per-pair and per-leaf oracles."""
+(initialization onto the level-1 pairs, the child sum of stage 0, column
+stages) and the batched evaluation of a PotentialField, checked against
+direct kernel summation and against per-pair and per-leaf oracles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 import pytest
 
-import bfly.chebyshev
 import bfly.engine
 from bfly.chebyshev import (
     _child_matrices,
@@ -19,12 +18,10 @@ from bfly.chebyshev import (
     _stage_matrices,
     _tensor_basis,
     cached_matrix_bytes,
+    child_sum_stage,
     column_stage,
-    evaluate_block,
     grid_points,
     init_source_weights,
-    middle_switch,
-    row_stage,
 )
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import PotentialField, SourceSet, butterfly_apply
@@ -94,7 +91,7 @@ def column_potential(b, values, pts, phase, q):
 
 
 # Per-pair oracles: one child's contribution to one output pair (A_c, B_p),
-# and one pair's switch and leaf initialization, box by box.
+# and one leaf's initialization, box by box.
 
 
 def column_contribution(a_c, b_p, b_child, values, phase, q):
@@ -104,28 +101,26 @@ def column_contribution(a_c, b_p, b_child, values, phase, q):
     return np.exp(-1j * phase(xc, grid_of(b_p, q))) * w
 
 
-def row_contribution(a_c, b_p, b_child, values, phase, q):
-    new_pts = grid_of(a_c, q)
-    w = _child_matrices(q, a_c.dim)[child_index(a_c)].T @ values
-    shift = phase(new_pts, center_of(b_child)) - phase(new_pts, center_of(b_p))
-    return np.exp(1j * shift) * w
+def column_weights(a, b, positions, strengths, phase, q):
+    """Column weights of the pair (A, B) straight from the definition: the
+    sources interpolated onto the grid of B, demodulated at the center of A."""
+    xa = center_of(a)
+    moments = lagrange_of(b, q, positions).T @ (np.exp(1j * phase(xa, positions)) * strengths)
+    return np.exp(-1j * phase(xa, grid_of(b, q))) * moments
 
 
-def switch_oracle(a, b, values, phase, q):
-    a_pts = grid_of(a, q)
-    sampled = kernel_matrix(phase, a_pts, grid_of(b, q)) @ values
-    return np.exp(-1j * phase(a_pts, center_of(b))) * sampled
+def first_targets(level, d):
+    """The target boxes of init_source_weights: the root's children, or the
+    root itself in a one-leaf tree."""
+    a = min(level, 1)
+    return [DyadicKey(a, c) for c in itertools.product(range(1 << a), repeat=d)]
 
 
 def init_oracle(b, positions, strengths, phase, q):
-    x_root = center_of(DyadicKey(0, (0,) * b.dim))
-    moments = lagrange_of(b, q, positions).T @ (np.exp(1j * phase(x_root, positions)) * strengths)
-    return np.exp(-1j * phase(x_root, grid_of(b, q))) * moments
-
-
-def pair_block(a, b, values):
-    """One pair's weights laid out as a block of one target and one source box."""
-    return values.reshape((1,) * (2 * a.dim) + (-1,))
+    """What leaf b puts on the pairs (A, parent(b)), one row per A of
+    first_targets in canonical order."""
+    p = parent(b) if b.level else b
+    return np.stack([column_weights(a, p, positions, strengths, phase, q) for a in first_targets(b.level, b.dim)])
 
 
 def translate(stage, a_c, b_p, child_values, phase, q, led=None):
@@ -141,55 +136,25 @@ def translate(stage, a_c, b_p, child_values, phase, q, led=None):
 
 
 def leaf_init(b, positions, strengths, phase, q, led=None):
-    """init_source_weights on the single leaf box b."""
+    """init_source_weights on the single leaf box b: one row per target box."""
     positions = np.asarray(positions, dtype=float).reshape(-1, b.dim)
     leaves = np.tile(np.asarray(b.coords), (positions.shape[0], 1))
     out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, leaves, phase, q, led)
-    return out.reshape(-1)
+    return out.reshape(len(first_targets(b.level, b.dim)), -1)
 
 
-def switch(a, b, values, phase, q, led=None):
-    return middle_switch(a.level, a.coords, b.level, b.coords, pair_block(a, b, values), phase, q, led).reshape(-1)
-
-
-def evaluate_oracle(a, b, values, pts, phase, q, check_inside=False):
-    """Row weights of the one pair (A, B) at points of A, box by box:
-    f(x) = exp(i*Phi(x, y_B)) sum_t L_t(x) delta_t."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if check_inside:
-        lower, width = box_of(a)
-        lo = np.asarray(lower)
-        hi = lo + np.asarray(width)
-        inside_hi = (pts < hi) | ((hi == 1.0) & (pts <= 1.0))
-        if not np.all((pts >= lo) & inside_hi):
-            raise ValueError("evaluation point outside the pair's target box")
-    vals = lagrange_of(a, q, pts) @ values
-    return np.exp(1j * phase(pts, center_of(b))) * vals
-
-
-def evaluate_pair(a, b, values, pts, phase, q):
-    """evaluate_block on points that all lie in the target box of one pair."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = pts.shape[0]
-    coords = np.tile(np.asarray(a.coords), (n, 1))
-    return evaluate_block(a.level, coords, center_of(b), np.tile(values, (n, 1)), pts, phase, q)
-
-
-def field_oracle(field, pts):
-    """A field evaluated leaf by leaf, through the per-pair oracle (cheb) or
-    the kernel against the leaf's skeleton points (id)."""
+def field_oracle(field, pts, q=None):
+    """A field evaluated leaf by leaf as the kernel against the leaf's
+    equivalent sources: for cheb (q given) the root's grid, built here
+    rather than read from the field; for id the leaf's skeleton points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     leaves = leaf_coords(pts, field.level)
-    root = DyadicKey(0, (0,) * field.d)
     out = np.zeros(len(pts), dtype=complex)
     for coords in {tuple(int(c) for c in row) for row in leaves}:
-        key = DyadicKey(field.level, coords)
         sel = np.all(leaves == coords, axis=1)
-        w = field.weight_vector(key)
-        if field.backend == "cheb":
-            out[sel] = evaluate_oracle(key, root, w, pts[sel], field.phase, field.q, check_inside=True)
-        else:
-            out[sel] = kernel_matrix(field.phase, pts[sel], field.skeleton[coords][: len(w)]) @ w
+        w = field.weight_vector(DyadicKey(field.level, coords))
+        sources = field.skeleton[coords][: len(w)] if q is None else grid_of(DyadicKey(0, (0,) * field.d), q)
+        out[sel] = kernel_matrix(field.phase, pts[sel], sources) @ w
     return out
 
 
@@ -306,16 +271,14 @@ def test_child_and_stage_matrices_match_per_box_construction(q, d):
     m = per_box_child_matrices(q, d)
     assert np.array_equal(_child_matrices(q, d), m)
     # uncached, so the larger stage matrices are not kept for the session
-    column, row = _stage_matrices.__wrapped__(q, d)
+    column = _stage_matrices.__wrapped__(q, d)
     assert np.array_equal(column, np.transpose(m, (0, 2, 1)).astype(complex))
-    offsets = itertools.product((0, 1), repeat=d)
-    assert np.array_equal(row, np.concatenate([m[offset_index(o)] for o in offsets], axis=1).astype(complex))
 
 
 @pytest.mark.parametrize("q,d", [(2, 1), (7, 1), (3, 2), (5, 2), (2, 3), (3, 3)])
 def test_cached_matrix_bytes_counts_the_cached_matrices(q, d):
-    column, row = _stage_matrices.__wrapped__(q, d)
-    assert cached_matrix_bytes(q, d) == _child_matrices.__wrapped__(q, d).nbytes + column.nbytes + row.nbytes
+    column = _stage_matrices.__wrapped__(q, d)
+    assert cached_matrix_bytes(q, d) == _child_matrices.__wrapped__(q, d).nbytes + column.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +334,41 @@ def test_lagrange_eval_matches_matrix():
 
 def test_init_empty_box_gives_zero_block():
     w = leaf_init(DyadicKey(2, (3,)), np.zeros((0, 1)), np.zeros(0, dtype=complex), FLAT, 4)
-    assert np.array_equal(w, np.zeros(4, dtype=complex))
+    assert np.array_equal(w, np.zeros((2, 4), dtype=complex))
 
 
 def test_init_node_source_flat_phase_one_hot():
+    # a source on a node of the parent's grid is that node's weight, for
+    # both children of the root
     b = DyadicKey(2, (1,))
+    node = grid_of(parent(b), 4)[[2]]
+    assert 0.25 <= node[0, 0] < 0.5
     g = 2.0 - 1.0j
-    w = leaf_init(b, grid_of(b, 4)[[2]], np.array([g]), FLAT, 4)
-    expect = np.zeros(4, dtype=complex)
-    expect[2] = g
+    w = leaf_init(b, node, np.array([g]), FLAT, 4)
+    expect = np.zeros((2, 4), dtype=complex)
+    expect[:, 2] = g
     assert np.array_equal(w, expect)
 
 
+def test_init_one_leaf_tree_gives_the_final_weights():
+    # level 0: the root is the leaf, the whole domain the only target box,
+    # and the weights are on the root's own grid
+    rng = np.random.default_rng(19)
+    phase = get_phase("fourier")
+    root = DyadicKey(0, (0,))
+    pos = rng.uniform(size=(6, 1))
+    g = rng.normal(size=6) + 1j * rng.normal(size=6)
+    w = leaf_init(root, pos, g, phase, 12)
+    assert w.shape == (1, 12)
+    x = rng.uniform(size=(30, 1))
+    direct = kernel_matrix(phase, x, pos) @ g
+    assert np.max(np.abs(column_potential(root, w[0], x, phase, 12) - direct)) <= 1e-6 * np.max(np.abs(direct))
+
+
 def test_init_column_weights_reproduce_direct_sum():
-    # pair (whole domain, one fine box): width product is small enough that
-    # the rank-q expansion is essentially exact
+    # pairs (child of the root, parent of one fine box): the width product
+    # is small enough that the rank-q expansion is essentially exact on the
+    # target box
     rng = np.random.default_rng(21)
     phase = get_phase("fourier")
     b = DyadicKey(4, (5,))
@@ -393,11 +376,12 @@ def test_init_column_weights_reproduce_direct_sum():
     pos = rng.uniform(lo, lo + 1.0 / 16.0, size=(8, 1))
     g = rng.normal(size=8) + 1j * rng.normal(size=8)
     w = leaf_init(b, pos, g, phase, 8)
-    x = rng.uniform(size=(30, 1))
-    direct = kernel_matrix(phase, x, pos) @ g
-    approx = column_potential(b, w, x, phase, 8)
-    rel = np.max(np.abs(approx - direct)) / np.max(np.abs(direct))
-    assert rel <= 1e-6
+    for a, weights in zip(first_targets(4, 1), w):
+        x = rng.uniform(a.coords[0] / 2.0, (a.coords[0] + 1) / 2.0, size=(30, 1))
+        direct = kernel_matrix(phase, x, pos) @ g
+        approx = column_potential(parent(b), weights, x, phase, 8)
+        rel = np.max(np.abs(approx - direct)) / np.max(np.abs(direct))
+        assert rel <= 1e-6
 
 
 def test_init_rejects_outside_sources():
@@ -411,31 +395,82 @@ def test_init_rejects_outside_sources():
 
 
 def test_init_flop_count():
+    # per occupied box and per target box: 2r + 1 per source, r for the box
     led = ledger()
     b = DyadicKey(1, (0,))
     pos = np.array([[0.1], [0.2], [0.3]])
     leaf_init(b, pos, np.ones(3, dtype=complex), FLAT, 4, led)
-    assert led.flops == 2 * 3 * 4 + 3 + 4
+    assert led.flops == 2 * (2 * 3 * 4 + 3 + 4)
     # a block charges each occupied box alone; empty boxes cost nothing
     led = ledger()
     init_source_weights(2, (0,), (4,), np.array([[0.1], [0.2], [0.8]]), np.ones(3, dtype=complex),
                         np.array([[0], [0], [3]]), FLAT, 4, led)
-    assert led.flops == (2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4)
+    assert led.flops == 2 * ((2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4))
+    # a one-leaf tree has one target box
+    led = ledger()
+    leaf_init(DyadicKey(0, (0, 0)), np.array([[0.1, 0.7]]), np.ones(1, dtype=complex), FLAT, 3, led)
+    assert led.flops == 2 * 9 + 1 + 9
 
 
 def test_init_block_matches_per_leaf_oracle():
     rng = np.random.default_rng(23)
     phase = get_phase("fourier")
-    for d, level, q in ((1, 3, 5), (2, 2, 3)):
+    for d, level, q in ((1, 3, 5), (2, 2, 3), (2, 0, 4)):
         pos = rng.uniform(size=(60, d))
         g = rng.normal(size=60) + 1j * rng.normal(size=60)
         leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
         order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
         out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
+        targets = first_targets(level, d)
+        assert out.shape == (1 << min(level, 1),) * d + (1 << level,) * d + (q**d,)
         for coords in itertools.product(range(1 << level), repeat=d):
             sel = np.all(leaves == coords, axis=1)
             expect = init_oracle(DyadicKey(level, coords), pos[sel], g[sel], phase, q)
-            assert np.allclose(out[coords], expect, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(expect))))
+            for a, row in zip(targets, expect):
+                got = out[a.coords + coords]
+                assert np.allclose(got, row, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(row))))
+
+
+# ---------------------------------------------------------------------------
+# stage 0: the child sum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,level,q", [(1, 3, 6), (2, 2, 3), (3, 1, 2)])
+def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
+    # the leaves' shares of each parent add up to the parent's sources
+    # interpolated in one step: the column weights of the level-1 pairs
+    rng = np.random.default_rng(25 + d)
+    phase = get_phase("fourier")
+    n = 20 * 2**d
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
+    values = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
+    out = child_sum_stage((0,) * d, values)
+    assert out.shape == (2,) * d + (1 << (level - 1),) * d + (q**d,)
+    for a in first_targets(level, d):
+        for bp in itertools.product(range(1 << (level - 1)), repeat=d):
+            sel = np.all(leaves // 2 == bp, axis=1)
+            expect = column_weights(a, DyadicKey(level - 1, bp), pos[sel], g[sel], phase, q)
+            assert np.max(np.abs(out[a.coords + bp] - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+
+def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
+    # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
+    values = np.zeros((2, 2, 4, 4, 1), dtype=complex)
+    values[0, 1, 2:, :2, 0] = [[1e16, 1.0], [-1e16, 1.0]]
+    led = ledger()
+    out = child_sum_stage((0, 0), values, led)
+    assert out[0, 1, 1, 0, 0] == 1.0  # ((1e16 + 1) - 1e16) + 1, offsets (0,0), (0,1), (1,0), (1,1)
+    assert np.count_nonzero(out) == 1
+    assert led.flops == 16 * 4
+    assert values[0, 1, 2, 0, 0] == 1e16  # the input is left as it was
+    # split dimensions keep the children apart, as column stages do
+    halves = child_sum_stage((0, 0), values, split=(1,))
+    assert halves.shape == (2,) + out.shape
+    assert halves[0, 0, 1, 1, 0, 0] == 0.0 and halves[1, 0, 1, 1, 0, 0] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +501,9 @@ def test_translate_column_conserves_mass_flat_phase():
 def test_translate_column_flop_count():
     # each input pair feeds each of the 2^d children of its target box
     q = 8
-    for stage in (column_stage, row_stage):
-        led = ledger()
-        translate(stage, DyadicKey(1, (1,)), DyadicKey(1, (0,)), [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
-        assert led.flops == 2 * 2 * (2 * q * q + 3 * q)
+    led = ledger()
+    translate(column_stage, DyadicKey(1, (1,)), DyadicKey(1, (0,)), [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
+    assert led.flops == 2 * 2 * (2 * q * q + 3 * q)
     led = ledger()
     values = np.ones((2, 2, 4, 4, 9), dtype=complex)
     column_stage(1, (0, 0), 2, (0, 0), values, get_phase("fourier"), 3, led)
@@ -501,16 +535,15 @@ def test_stages_match_per_pair_oracle(d, L, level, q):
     phase = get_phase("fourier") if d == 1 else get_phase("hyp-radon")
     r = q**d
     values = rng.normal(size=(1 << level,) * d + (1 << (L - level),) * d + (r,)) * (1 + 1j)
-    for stage, oracle in ((column_stage, column_contribution), (row_stage, row_contribution)):
-        out = stage(level, (0,) * d, L - level, (0,) * d, values, phase, q)
-        assert out.shape == (2 << level,) * d + (1 << (L - level - 1),) * d + (r,)
-        scale = np.max(np.abs(out))
-        for ac in itertools.product(range(2 << level), repeat=d):
-            for bp in itertools.product(range(1 << (L - level - 1)), repeat=d):
-                a_c, b_p = DyadicKey(level + 1, ac), DyadicKey(L - level - 1, bp)
-                a = parent(a_c).coords
-                expect = sum(oracle(a_c, b_p, b_n, values[a + b_n.coords], phase, q) for b_n in children(b_p))
-                assert np.max(np.abs(out[ac + bp] - expect)) <= 1e-13 * scale
+    out = column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q)
+    assert out.shape == (2 << level,) * d + (1 << (L - level - 1),) * d + (r,)
+    scale = np.max(np.abs(out))
+    for ac in itertools.product(range(2 << level), repeat=d):
+        for bp in itertools.product(range(1 << (L - level - 1)), repeat=d):
+            a_c, b_p = DyadicKey(level + 1, ac), DyadicKey(L - level - 1, bp)
+            a = parent(a_c).coords
+            expect = sum(column_contribution(a_c, b_p, b_n, values[a + b_n.coords], phase, q) for b_n in children(b_p))
+            assert np.max(np.abs(out[ac + bp] - expect)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +567,19 @@ def sub_blocks(d, a_n, b_n):
             yield tuple(a for a, _ in a_runs), tuple(n for _, n in a_runs), tuple(b for b, _ in b_runs), tuple(n for _, n in b_runs)
 
 
+def masked_children(values, d, held):
+    """values with the source children a block does not hold set to zero:
+    held[k] is the parity the block holds in dimension k, None for both."""
+    masked = values.copy()
+    for k, h in enumerate(held):
+        if h is not None:
+            masked[(slice(None),) * (d + k) + (slice(1 - h, None, 2),)] = 0.0
+    return masked
+
+
 def check_block_stages(d, L, level, q, blocks):
     """Each block (a_lo, a_shape, b_lo, b_shape) of the pairs of a level must
-    give bit for bit the rows of the whole-level switch and stages over the
+    give bit for bit the rows of the whole-level column stage over the
     children it holds: that is what lets p = 1 and every simulated rank
     reproduce butterfly_apply. The whole-level reference zeroes the other
     children, whose exact-zero contributions leave the sums unchanged."""
@@ -545,26 +588,17 @@ def check_block_stages(d, L, level, q, blocks):
     r = q**d
     a_n, b_n = 1 << level, 1 << (L - level)
     values = rng.normal(size=(a_n,) * d + (b_n,) * d + (r,)) + 1j * rng.normal(size=(a_n,) * d + (b_n,) * d + (r,))
-    switched = middle_switch(level, (0,) * d, L - level, (0,) * d, values, phase, q)
-    whole = {}  # (stage, parity held per dimension, None for both) -> whole-level output
+    whole = {}  # parity held per dimension, None for both -> whole-level output
     for a_lo, a_shape, b_lo, b_shape in blocks:
         index = tuple(slice(lo, lo + n) for lo, n in zip(a_lo + b_lo, a_shape + b_shape))
-        block = values[index]
-        got = middle_switch(level, a_lo, L - level, b_lo, block, phase, q)
-        assert np.array_equal(got, switched[index]), ("switch", a_lo, a_shape, b_lo, b_shape)
         held = tuple(None if n > 1 else lo % 2 for lo, n in zip(b_lo, b_shape))
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
         out_index = tuple(slice(2 * lo, 2 * (lo + n)) for lo, n in zip(a_lo, a_shape))
         out_index += tuple(slice(lo, lo + n) for lo, n in zip(bp_lo, bp_shape))
-        for stage in (column_stage, row_stage):
-            if (stage, held) not in whole:
-                masked = values.copy()
-                for k, h in enumerate(held):
-                    if h is not None:
-                        masked[(slice(None),) * (d + k) + (slice(1 - h, None, 2),)] = 0.0
-                whole[(stage, held)] = stage(level, (0,) * d, L - level, (0,) * d, masked, phase, q)
-            got = stage(level, a_lo, L - level, b_lo, block, phase, q)
-            assert np.array_equal(got, whole[(stage, held)][out_index]), (stage.__name__, a_lo, a_shape, b_lo, b_shape)
+        if held not in whole:
+            whole[held] = column_stage(level, (0,) * d, L - level, (0,) * d, masked_children(values, d, held), phase, q)
+        got = column_stage(level, a_lo, L - level, b_lo, values[index], phase, q)
+        assert np.array_equal(got, whole[held][out_index]), (a_lo, a_shape, b_lo, b_shape)
 
 
 @pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2)])
@@ -594,148 +628,30 @@ def test_init_block_rows_are_bit_stable():
         shape = tuple(n for _, n in runs)
         inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
         got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
-        assert np.array_equal(got, whole[tuple(slice(a, a + n) for a, n in runs)])
+        assert np.array_equal(got, whole[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
+
+
+@pytest.mark.parametrize("d,L", [(1, 4), (2, 3)])
+def test_child_sum_block_rows_are_bit_stable(d, L):
+    # stage 0 on every aligned block of leaves (the targets are always both
+    # children of the root) against the whole level over the children held
+    rng = np.random.default_rng(61 + d)
+    shape = (2,) * d + (1 << L,) * d + (3,)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    whole = {}
+    for runs in itertools.product(aligned_blocks(1 << L), repeat=d):
+        b_lo, b_shape = tuple(a for a, _ in runs), tuple(n for _, n in runs)
+        held = tuple(None if n > 1 else lo % 2 for lo, n in zip(b_lo, b_shape))
+        if held not in whole:
+            whole[held] = child_sum_stage((0,) * d, masked_children(values, d, held))
+        bp_lo, bp_shape = parent_block(b_lo, b_shape)
+        got = child_sum_stage(b_lo, values[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
+        assert np.array_equal(got, whole[held][(slice(None),) * d + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))])
 
 
 # ---------------------------------------------------------------------------
-# middle switch
+# child matrices
 # ---------------------------------------------------------------------------
-
-
-def make_column_block(a, b, pos, g, phase, q):
-    """Column weights for an arbitrary pair, straight from the definition."""
-    xa = np.asarray(center_of(a))
-    mod = np.exp(1j * phase(xa, pos))
-    moments = lagrange_of(b, q, pos).T @ (mod * g)
-    demod = np.exp(-1j * phase(xa, grid_of(b, q)))
-    return demod * moments
-
-
-def test_middle_switch_zero():
-    out = switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.zeros(3, dtype=complex), get_phase("fourier"), 3)
-    assert np.allclose(out, 0.0)
-
-
-def test_middle_switch_rank_one_is_identity():
-    # with one node per dimension the kernel sample and the demodulation are
-    # both taken at the same centers and cancel exactly
-    w = np.array([1.5 - 0.5j])
-    out = switch(DyadicKey(1, (1,)), DyadicKey(1, (0,)), w, get_phase("fourier"), 1)
-    assert np.allclose(out, w, atol=1e-15)
-
-
-def test_middle_switch_flop_count():
-    led = ledger()
-    switch(DyadicKey(1, (0,)), DyadicKey(1, (1,)), np.ones(4, dtype=complex), get_phase("fourier"), 4, led)
-    assert led.flops == 2 * 16 + 2 * 4
-
-
-def test_middle_switch_matches_per_pair_oracle():
-    rng = np.random.default_rng(57)
-    phase = get_phase("hyp-radon")
-    q, r = 3, 9
-    values = rng.normal(size=(4, 4, 2, 2, r)) + 1j * rng.normal(size=(4, 4, 2, 2, r))
-    out = middle_switch(2, (0, 0), 1, (0, 0), values, phase, q)
-    for a in itertools.product(range(4), repeat=2):
-        for b in itertools.product(range(2), repeat=2):
-            expect = switch_oracle(DyadicKey(2, a), DyadicKey(1, b), values[a + b], phase, q)
-            assert np.max(np.abs(out[a + b] - expect)) <= 1e-13 * np.max(np.abs(expect))
-
-
-@pytest.mark.parametrize("name, d, N, q", [("fourier", 1, 32, 4), ("hyp-radon", 2, 8, 4), ("gen-radon", 3, 8, 2)])
-def test_switch_chunking_keeps_bits_and_ledger(name, d, N, q, monkeypatch):
-    # the switch builds at most _SWITCH_CHUNK kernel entries per phase call;
-    # where the chunks fall, even inside one target box's row of pairs,
-    # changes no bit of the weights and no count of the ledger. Odd log2 N
-    # gives the switch more target than source boxes.
-    rng = np.random.default_rng(59)
-    n = 2 * N**d
-    s = SourceSet(rng.uniform(size=(n, d)), rng.normal(size=n) + 1j * rng.normal(size=n))
-    phase = get_phase(name)
-    whole = butterfly_apply(s, phase, N, q=q)
-    r = q**d
-    L = N.bit_length() - 1
-    row = 1 << ((L - (L + 1) // 2) * d)  # source boxes per target box at the switch
-    assert N**d * r * r <= bfly.chebyshev._SWITCH_CHUNK  # the default is one call
-    for chunk in (1, 3 * r * r, (row - 1) * r * r):
-        monkeypatch.setattr(bfly.chebyshev, "_SWITCH_CHUNK", chunk)
-        field = butterfly_apply(s, phase, N, q=q)
-        assert np.array_equal(field.values, whole.values)
-        assert field.ledger == whole.ledger
-
-
-def test_switch_preserves_potential():
-    # column and row representations of the same pair agree with the direct
-    # sum on the pair's target box
-    rng = np.random.default_rng(55)
-    phase = get_phase("fourier")
-    q = 8
-    a = DyadicKey(2, (1,))
-    b = DyadicKey(2, (2,))
-    pos = rng.uniform(0.5, 0.75, size=(12, 1))
-    g = rng.normal(size=12) + 1j * rng.normal(size=12)
-    col = make_column_block(a, b, pos, g, phase, q)
-    x = rng.uniform(0.25, 0.5, size=(20, 1))
-    direct = kernel_matrix(phase, x, pos) @ g
-    f_col = column_potential(b, col, x, phase, q)
-    row = switch(a, b, col, phase, q)
-    f_row = evaluate_pair(a, b, row, x, phase, q)
-    scale = np.max(np.abs(direct))
-    assert np.max(np.abs(f_col - direct)) / scale <= 1e-6
-    assert np.max(np.abs(f_row - direct)) / scale <= 1e-6
-    assert np.max(np.abs(f_row - f_col)) / scale <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# row translation and evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_translate_row_polynomial_reproduction():
-    # row weights are samples of a smooth factor; with a flat phase the
-    # translation is plain re-interpolation, exact on low-degree polynomials
-    q = 5
-    a_c = DyadicKey(1, (0,))
-    b_p = DyadicKey(1, (1,))
-    a = DyadicKey(0, (0,))
-    root_nodes = grid_of(a, q)[:, 0]
-
-    def p(y):
-        return y**4 - 0.3 * y**2 + 0.1
-
-    vals = [p(root_nodes).astype(complex), np.zeros(q, dtype=complex)]
-    out = translate(row_stage, a_c, b_p, vals, FLAT, q)
-    fine_nodes = grid_of(a_c, q)[:, 0]
-    assert np.allclose(out, p(fine_nodes), atol=1e-12)
-
-
-def test_evaluate_at_grid_node_closed_form():
-    phase = get_phase("fourier")
-    q = 4
-    a = DyadicKey(1, (1,))
-    b = DyadicKey(1, (0,))
-    vals = np.zeros(q, dtype=complex)
-    vals[2] = 1.0
-    node = grid_of(a, q)[2]
-    got = evaluate_pair(a, b, vals, node[None, :], phase, q)[0]
-    yb = np.asarray(center_of(b))
-    expect = np.exp(1j * phase(node, yb))
-    assert got == pytest.approx(expect, abs=1e-14)
-
-
-def test_evaluate_block_matches_per_pair_oracle():
-    # one batch mixing points of many target boxes, each with its own weights
-    rng = np.random.default_rng(67)
-    for d, q, phase in ((1, 6, get_phase("fourier")), (2, 4, get_phase("hyp-radon")), (3, 3, get_phase("gen-radon"))):
-        level, b = 2, DyadicKey(1, (1,) * d)
-        pts = rng.uniform(size=(60, d))
-        coords = leaf_coords(pts, level)
-        values = rng.normal(size=(60, q**d)) + 1j * rng.normal(size=(60, q**d))
-        got = evaluate_block(level, coords, center_of(b), values, pts, phase, q)
-        for i in range(60):
-            a = DyadicKey(level, tuple(int(c) for c in coords[i]))
-            expect = evaluate_oracle(a, b, values[i], pts[i : i + 1], phase, q)[0]
-            assert abs(got[i] - expect) <= 1e-14 * np.max(np.abs(values[i]))
 
 
 def test_child_matrices_match_dimwise_contraction():
@@ -788,10 +704,15 @@ def face_points(rng, d, N, n):
 @pytest.mark.parametrize("case", ["cheb-1d", "cheb-2d", "cheb-3d", "id-2d"])
 def test_field_evaluate_matches_per_leaf_oracle(case, p):
     field = solved_field(case, p)
+    q = FIELD_CASES[case][3].get("q")
+    if q is not None:
+        # a cheb field's skeleton is the root's grid in every leaf
+        root_grid = grid_of(DyadicKey(0, (0,) * field.d), q)
+        assert np.array_equal(field.skeleton, np.broadcast_to(root_grid, field.skeleton.shape))
     rng = np.random.default_rng(73)
     pts = face_points(rng, field.d, field.N, 300)
     got = field.evaluate(pts)
-    expect = field_oracle(field, pts)
+    expect = field_oracle(field, pts, q)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
@@ -817,13 +738,14 @@ def random_field(rng, backend, d, N, q=3):
     phase = get_phase("fourier")
     if backend == "cheb":
         values = rng.normal(size=(N,) * d + (q**d,)) + 1j * rng.normal(size=(N,) * d + (q**d,))
-        return PotentialField(phase, d, N, "cheb", q, values)
+        grid = grid_of(DyadicKey(0, (0,) * d), q)
+        return PotentialField(phase, d, N, values, np.broadcast_to(grid, (N,) * d + grid.shape))
     width = 3
     ranks = rng.integers(0, width + 1, size=(N,) * d)
     values = rng.normal(size=(N,) * d + (width,)) + 1j * rng.normal(size=(N,) * d + (width,))
     values[np.arange(width) >= ranks[..., None]] = 0.0
     skeleton = rng.uniform(size=(N,) * d + (width, d))
-    return PotentialField(phase, d, N, "id", None, values, ranks, skeleton)
+    return PotentialField(phase, d, N, values, skeleton, ranks)
 
 
 @pytest.mark.parametrize("backend", ["cheb", "id"])
@@ -837,7 +759,24 @@ def test_field_points_on_faces_use_the_binning_leaf(backend, d):
     pts = face_points(rng, d, N, 200)
     leaves = leaf_coords(pts, 2)
     assert np.array_equal(leaves, np.minimum(np.floor(pts * N), N - 1))
-    assert np.max(np.abs(field.evaluate(pts) - field_oracle(field, pts))) <= 1e-14 * np.max(np.abs(field.values))
+    expect = field_oracle(field, pts, 3 if backend == "cheb" else None)
+    assert np.max(np.abs(field.evaluate(pts) - expect)) <= 1e-14 * np.max(np.abs(field.values))
+
+
+def test_field_one_hot_weight_is_one_kernel_entry():
+    # weight 1 on node t of the root grid in one leaf, 0 elsewhere: the
+    # field in that leaf is K(x, b_t), and exactly 0 in every other leaf
+    phase = get_phase("hyp-radon")
+    q, N = 4, 4
+    grid = grid_of(DyadicKey(0, (0, 0)), q)
+    values = np.zeros((N, N, q * q), dtype=complex)
+    values[1, 2, 5] = 1.0
+    field = PotentialField(phase, 2, N, values, np.broadcast_to(grid, (N, N) + grid.shape))
+    pts = np.array([[0.3, 0.6], [0.25, 0.5], [0.45, 0.7], [0.5, 0.6], [0.3, 0.75]])
+    out = field.evaluate(pts)
+    expect = np.exp(1j * phase(pts[:3], grid[5]))
+    assert np.max(np.abs(out[:3] - expect)) <= 1e-15
+    assert np.all(out[3:] == 0)
 
 
 @pytest.mark.parametrize("backend", ["cheb", "id"])

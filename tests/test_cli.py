@@ -223,10 +223,10 @@ def test_non_finite_error_is_usage_error(tmp_path):
     assert proc.stdout.startswith("p,flops_max,")
 
 
-@pytest.mark.parametrize("dim,phase,q_max", [("1", "fourier", 1788), ("2", "fourier", 35), ("3", "gen-radon", 9)])
+@pytest.mark.parametrize("dim,phase,q_max", [("1", "fourier", 2309), ("2", "fourier", 40), ("3", "gen-radon", 10)])
 def test_cheb_q_past_the_matrix_cap_is_usage_error(monkeypatch, capsys, dim, phase, q_max):
     # rejected at the parse step: the cached (q^d)^2 interpolation matrices
-    # of the next q would pass 256 MB (d = 3, q = 12: about 0.95 GB)
+    # of the next q would pass 256 MB (d = 3, q = 12: about 0.57 GB)
     def never_run(cfg):
         raise AssertionError(f"a q={cfg.q} run was started")
 
@@ -246,8 +246,8 @@ def test_cheb_q_past_the_matrix_cap_is_usage_error(monkeypatch, capsys, dim, pha
 
 @pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
 def test_dim_outside_one_to_three_is_usage_error(monkeypatch, capsys, dim):
-    # rejected at the parse step: dim 6 at the default q = 8 would ask the
-    # cheb switch for one 8^6 x 8^6 block, so the run must never start
+    # rejected at the parse step: dim 6 at the default q = 8 would cache
+    # 2^6 cheb child matrices of 8^6 x 8^6 entries, so the run must never start
     def never_run(cfg):
         raise AssertionError(f"a dim={cfg.dim} run was started")
 

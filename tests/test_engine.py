@@ -200,6 +200,32 @@ def test_linearity_in_strengths():
     assert np.max(np.abs(f12 - (f1 + f2))) <= 1e-12 * np.max(np.abs(f12))
 
 
+def scaled_fourier(N):
+    """Phi_N = N * Phi_fourier: the kernel oscillates N times more as the
+    tree gets N leaves per dimension, the regime of the paper."""
+    fourier = get_phase("fourier")
+    return PhaseEvaluator(f"fourier-x{N}", None, lambda xs, ys: N * fourier(xs, ys))
+
+
+@pytest.mark.parametrize("d,q,sizes", [(1, 8, (64, 128, 256, 512, 1024)), (2, 6, (8, 16, 32, 64))])
+def test_error_is_flat_in_N_at_fixed_rank(d, q, sizes):
+    # the paper's claim: with the bandwidth growing as N, a fixed rank q^d
+    # keeps the error independent of N. One draw's sup error over 256
+    # targets spreads by 2x from draw to draw at any one N, so each N's error
+    # is the largest over three draws of 4 N^d sources and 256 targets.
+    rng = np.random.default_rng(167 + d)
+    errs = []
+    for N in sizes:
+        phase = scaled_fourier(N)
+        draws = []
+        for _ in range(3):
+            s = random_sources(rng, 4 * N**d, d=d)
+            pts = rng.uniform(size=(256, d))
+            draws.append(rel_sup_error(butterfly_apply(s, phase, N, q=q).evaluate(pts), direct_apply(s, phase, pts)))
+        errs.append(max(draws))
+    assert max(errs) <= 2 * errs[0], errs
+
+
 def test_error_decreases_with_q():
     rng = np.random.default_rng(103)
     phase = get_phase("fourier")
@@ -228,7 +254,8 @@ def test_backends_agree():
 
 
 def test_trivial_tree_sizes():
-    # N = 1 runs zero stages and switches in finalize; N = 2 runs one stage
+    # N = 1 runs zero stages: its init gives the final weights on the root's
+    # grid; N = 2 runs one stage, the child sum
     rng = np.random.default_rng(109)
     phase = get_phase("fourier")
     s = random_sources(rng, 30)
@@ -273,15 +300,17 @@ def test_field_structure_and_bounds():
 
 @pytest.mark.parametrize("d,N,q", [(1, 16, 5), (2, 8, 3), (2, 16, 4), (3, 4, 3)])
 def test_cheb_ledger_closed_form(d, N, q):
-    # leaf init: 2nr + n + r per occupied leaf holding n sources; each of the
-    # L stages: 2^d contributions per pair of 2r^2 + 3r; one switch: 2r^2 + 2r
+    # leaf init: 2nr + n + r per occupied leaf holding n sources, once for
+    # each of the 2^d children of the root; stage 0: each leaf adds 2^d
+    # vectors of r; each of the other L - 1 stages: 2^d contributions per
+    # pair of 2r^2 + 3r
     rng = np.random.default_rng(151 + d)
     s = random_sources(rng, 3 * N**d // 2, d=d)
     field = butterfly_apply(s, get_phase("fourier"), N, q=q)
     r, L = q**d, N.bit_length() - 1
     counts = np.array([len(idx) for idx in leaf_bins(s.positions, L).values()])
-    init = int(np.sum(2 * counts * r + counts + r))
-    expect = init + L * 2**d * N**d * (2 * r * r + 3 * r) + N**d * (2 * r * r + 2 * r)
+    init = 2**d * int(np.sum(2 * counts * r + counts + r))
+    expect = init + 2**d * N**d * r + (L - 1) * 2**d * N**d * (2 * r * r + 3 * r)
     assert 0 < counts.size < N**d  # some leaves stay empty
     assert field.ledger.flops == expect
 
@@ -303,13 +332,15 @@ def test_evaluate_rejects_malformed_points():
 def test_make_engine_dispatch():
     phase = get_phase("fourier")
     s = random_sources(np.random.default_rng(5), 20)
-    for backend, cls in (("cheb", ChebEngine), ("id", IdEngine)):
+    # cheb's init already puts the leaves on the pairs of the root's two
+    # children; id's leaf weights sit on the one level-0 target box
+    for backend, cls, targets in (("cheb", ChebEngine, 2), ("id", IdEngine, 1)):
         eng = make_engine(phase, 1, 8, s, q=4, backend=backend)
         assert isinstance(eng, cls)
         values = eng.init_blocks(CostLedger(CostParams()))
-        assert values.shape[:2] == (1, 8)
+        assert values.shape[:2] == (targets, 8)
     eng = make_engine(phase, 1, 16, s, q=6)
-    assert eng.L == 4 and eng.switch_level == 2
+    assert eng.L == 4 and eng.r == 6
 
 
 def test_make_engine_requires_sources():

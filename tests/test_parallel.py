@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bfly.chebyshev import column_stage, grid_points, init_source_weights, middle_switch, row_stage
+from bfly.chebyshev import child_sum_stage, column_stage, grid_points, init_source_weights
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
 from bfly.geometry import (
@@ -371,9 +371,6 @@ class PerRankStages:
         lo = np.asarray(b_lo)
         return np.all((self.eng._leaves >= lo) & (self.eng._leaves < lo + b_shape), axis=1)
 
-    def finalize(self, blk, ledger):
-        return blk
-
     def make_field(self, values):
         return self.eng.make_field(values)
 
@@ -385,24 +382,18 @@ class PerRankCheb(PerRankStages):
             eng.L, b_lo, b_shape, eng._positions[inside], eng._strengths[inside], eng._leaves[inside],
             eng.phase, eng.q, ledger,
         )
-        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values.reshape((1,) * self.d + values.shape))
-
-    def switch(self, blk, ledger):
-        eng = self.eng
-        values = middle_switch(blk.level, blk.a_lo, eng.L - blk.level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
-        return LevelBlock(blk.level, blk.a_lo, blk.b_lo, values)
+        # the block's leaves on the pairs of both children of the root
+        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values)
 
     def stage(self, level, blk, ledger):
+        """Column stages only: stage 0 adds up the children the block holds."""
         eng = self.eng
-        if level == eng.switch_level:
-            blk = self.switch(blk, ledger)
-        translate = column_stage if level < eng.switch_level else row_stage
-        values = translate(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
+        if level == 0:
+            values = child_sum_stage(blk.b_lo, blk.values, ledger)
+        else:
+            values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
         (ac_lo, _), (bp_lo, _) = blk.next_boxes()
         return LevelBlock(level + 1, ac_lo, bp_lo, values)
-
-    def finalize(self, blk, ledger):
-        return self.switch(blk, ledger) if self.eng.switch_level == self.L else blk
 
 
 class PerRankId(PerRankStages):
@@ -463,8 +454,8 @@ def region(stack, rank, d, level):
 
 def per_rank_simulate(eng, N, p):
     """simulate_parallel as a loop over ranks. eng has the block entry points
-    init_blocks(b_lo, b_shape, ledger), stage(level, blk, ledger) and
-    finalize(blk, ledger), and make_field(values) of the final level.
+    init_blocks(b_lo, b_shape, ledger) and stage(level, blk, ledger), and
+    make_field(values) of the final level.
     Returns the field, the owners as an array, the ledgers, the schedule and
     the trace strings."""
     d, L = eng.d, eng.L
@@ -506,10 +497,9 @@ def per_rank_simulate(eng, N, p):
         trace.extend(stage_trace[r] for r in sorted(stage_trace))
         dx, dy = new_dx, new_dy
         moved += k
-    finals = [eng.finalize(blocks[rank], ledgers[rank]) for rank in ranks]
-    values = np.zeros((N,) * d + finals[0].values.shape[-1:], dtype=complex)
+    values = np.zeros((N,) * d + blocks[0].values.shape[-1:], dtype=complex)
     owners = np.full((N,) * d, -1)
-    for rank, blk in enumerate(finals):
+    for rank, blk in enumerate(blocks):
         a_shape = blk.values.shape[:d]
         values[block_index(blk.a_lo, a_shape)] = blk.values.reshape(a_shape + values.shape[-1:])
         owners[block_index(blk.a_lo, a_shape)] = rank

@@ -42,8 +42,10 @@ def test_hyp_radon_values():
     ph = get_phase("hyp-radon")
     x = np.array([[0.3, 0.4]])
     assert np.isclose(ph(x, np.array([[0.9, 0.0]]))[0], 0.0)  # p = 0
-    assert np.isclose(ph(np.array([[1.0, 0.0]]), np.array([[0.37, 1.0]]))[0], 2 * np.pi)
-    assert np.isclose(ph(x, np.array([[1.0, 1.0]]))[0], np.pi)  # 3-4-5 triangle
+    # x1 = 0: the target's first coordinate is shifted to 1 + x0
+    assert np.isclose(ph(np.array([[0.5, 0.0]]), np.array([[0.37, 1.0]]))[0], 3 * np.pi)
+    # sqrt(1.2^2 + 0.9^2) = 1.5
+    assert np.isclose(ph(np.array([[0.2, 0.9]]), np.array([[1.0, 1.0]]))[0], 3 * np.pi)
 
 
 def test_gen_radon_values():
