@@ -763,6 +763,39 @@ def test_field_points_on_faces_use_the_binning_leaf(backend, d):
     assert np.max(np.abs(field.evaluate(pts) - expect)) <= 1e-14 * np.max(np.abs(field.values))
 
 
+def test_evaluate_at_grid_node_closed_form():
+    # weight 1 on root-grid node 2 of leaf (1,): at node 2 of that leaf's own
+    # grid the field is the one kernel entry exp(i Phi(node, b_2))
+    phase = get_phase("fourier")
+    q, N = 4, 2
+    root = grid_of(DyadicKey(0, (0,)), q)
+    values = np.zeros((N, q), dtype=complex)
+    values[1, 2] = 1.0
+    field = PotentialField(phase, 1, N, values, np.broadcast_to(root, (N,) + root.shape))
+    node = grid_of(DyadicKey(1, (1,)), q)[2]
+    got = field.evaluate(node[None, :])[0]
+    expect = np.exp(1j * phase(node, root[2]))
+    assert got == pytest.approx(expect, abs=1e-14)
+
+
+def test_evaluate_block_matches_per_pair_oracle():
+    # one batch mixing points of many target leaves, each with its own
+    # weights, against a sum over (point, root-grid node) pairs
+    rng = np.random.default_rng(67)
+    for d, q, phase in ((1, 6, get_phase("fourier")), (2, 4, get_phase("hyp-radon")), (3, 3, get_phase("gen-radon"))):
+        N = 4
+        root = grid_of(DyadicKey(0, (0,) * d), q)
+        values = rng.normal(size=(N,) * d + (q**d,)) + 1j * rng.normal(size=(N,) * d + (q**d,))
+        field = PotentialField(phase, d, N, values, np.broadcast_to(root, (N,) * d + root.shape))
+        pts = rng.uniform(size=(60, d))
+        got = field.evaluate(pts)
+        coords = leaf_coords(pts, 2)
+        for i in range(60):
+            w = values[tuple(int(c) for c in coords[i])]
+            expect = sum(np.exp(1j * phase(pts[i], root[t])) * w[t] for t in range(q**d))
+            assert abs(got[i] - expect) <= 1e-14 * np.max(np.abs(w))
+
+
 def test_field_one_hot_weight_is_one_kernel_entry():
     # weight 1 on node t of the root grid in one leaf, 0 elsewhere: the
     # field in that leaf is K(x, b_t), and exactly 0 in every other leaf
