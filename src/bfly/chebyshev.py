@@ -60,16 +60,19 @@ from .phases import PhaseEvaluator, _expi
 
 @lru_cache(maxsize=None)
 def _reference_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending first-kind nodes on [-1, 1] and their barycentric weights."""
+    """Ascending first-kind nodes on [-1, 1] and their barycentric weights.
+
+    The weights are the closed form for first-kind nodes (Berrut and
+    Trefethen 2004), (-1)^(q-1-k) sin((2k+1) pi/(2q)) up to a common factor
+    that cancels in the barycentric ratio; the product 1/prod(z_k - z_j)
+    they stand for underflows past q of about 900."""
     if q < 1:
         raise ValueError("need at least one point per dimension")
     k = np.arange(q)
-    z = -np.cos(np.pi * (2 * k + 1) / (2 * q))
-    w = np.ones(q)
-    for i in range(q):
-        diff = z[i] - np.delete(z, i)
-        w[i] = 1.0 / np.prod(diff)
-    w /= np.max(np.abs(w))  # common factor cancels in the barycentric ratio
+    angle = np.pi * (2 * k + 1) / (2 * q)
+    z = -np.cos(angle)
+    w = np.where((q - 1 - k) % 2 == 0, 1.0, -1.0) * np.sin(angle)
+    w /= np.max(np.abs(w))
     return z, w
 
 

@@ -10,8 +10,9 @@ layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 
 Exit codes: 0 success, 1 error above threshold, 2 usage or input error
-(including a file that is not UTF-8, an error that is not finite and a
-cheb q whose cached interpolation matrices would pass 256 MB).
+(including a file that is not UTF-8, an error that is not finite, a cheb q
+whose cached interpolation matrices would pass 256 MB and a cheb problem
+one level of whose weights would not fit in the machine's memory).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -62,6 +64,16 @@ _MATRIX_CAP_MB = 256
 
 class UsageError(Exception):
     """Configuration or input problem; maps to exit code 2."""
+
+
+def _physical_memory_bytes() -> int:
+    """The machine's physical memory, or the largest array size where
+    os.sysconf cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return sys.maxsize
+    return pages * size if pages > 0 and size > 0 else sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,17 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
     else:
         q = 8 if backend == "cheb" else 1e-7
     if backend == "id" and N**dim > id_limit:
-        raise UsageError(f"id backend is gated to N^d <= {id_limit}; got {N**dim}")
+        raise UsageError(f"id backend is gated to N^d <= {id_limit}; got N^d = 2^{dim * log2n}")
+    if backend == "cheb":
+        # one level of weights: 2^d N^d q^d complex entries; a solve holds
+        # two, so a problem whose one level passes the memory cannot run
+        level_bytes = 16 * (2 * N * int(q)) ** dim
+        memory = _physical_memory_bytes()
+        if level_bytes > memory:
+            raise UsageError(
+                f"cheb backend at dim={dim}, log2n={log2n}, q={q}: one level of weights takes at least"
+                f" 2^{level_bytes.bit_length() - 1} bytes, past the {memory / 2**30:.1f} GiB of physical memory"
+            )
 
     procs_raw = merged["procs"]
     procs: List[int] = []

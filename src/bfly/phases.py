@@ -10,13 +10,15 @@ or factorization downstream has to scan for one.
 
 Every kernel entry in the package goes through `_expi`, which turns phase
 values into cos + i sin with whole-array NumPy operations instead of one
-libm call per entry: theta is reduced exactly to r = theta - k * 2pi/T
-with T = 4096, cos and sin of k * 2pi/T come from two tables built at
-import, and short Taylor polynomials in |r| <= pi/T finish the job by
-angle addition. Each part of the result is within 2**-52 (about 2.2e-16)
-of the exact value, so within 4.5e-16 of libm's cos and sin. Entries past
-|theta| = 2e5, where the reduction stops being exact, and NaN or inf go
-to libm's cos and sin instead; a non-finite entry gives NaN.
+libm call per entry: theta is reduced to r = theta - k * 2pi/T with
+T = 4096 by a two-part Cody-Waite split of 2pi/T, exp(2pi*i * k/T) comes
+from one complex table built at import, short Taylor polynomials in
+|r| <= pi/T give cos r - 1 and sin r, and one complex multiply-add joins
+them to the table entry by angle addition. A pass over 8192 entries makes
+18 whole-array calls. Each part of the result is within 2**-52 (about
+2.2e-16) of the exact value, so within 4.5e-16 of libm's cos and sin.
+Entries past |theta| = 2e5, where the reduction stops being exact, and NaN
+or inf go to libm's cos and sin instead; a non-finite entry gives NaN.
 """
 
 from __future__ import annotations
@@ -117,13 +119,12 @@ def register_phase(evaluator: PhaseEvaluator) -> None:
 
 # exp(i * theta) = exp(2pi*i * k/T) * exp(i * r), theta = k * 2pi/T + r
 _T = 4096
-# 2pi/T in three parts: the first two have 26 significant bits, so that
-# k * part is exact for |k| < 2**27, and the three sum to 2pi/T within
-# 1e-33 relative
+# 2pi/T in two parts (Cody-Waite): a head of 26 significant bits, so that
+# k * head is exact for |k| < 2**27, and the double nearest the rest, so
+# that head + tail is within 6.3e-28 of 2pi/T
 _STEP = (
     float.fromhex("0x1.921fb58000000p-10"),
-    -float.fromhex("0x1.dde9740000000p-37"),
-    float.fromhex("0x1.1a62633145c07p-64"),
+    -float.fromhex("0x1.dde973dcb3b3ap-37"),
 )
 # |theta| <= 2e5 keeps |k| <= 1.31e8 < 2**27
 _REDUCE_LIMIT = 2.0e5
@@ -134,16 +135,20 @@ _SHIFT = 1.5 * 2.0**52
 _CHUNK = 8192
 
 
-def _angle_tables() -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2pi * j/T for j = 0..T-1, each within 1 ulp.
+def _angle_table() -> np.ndarray:
+    """exp(2pi*i * j/T) for j = 0..T-1, each part within 1 ulp.
 
     libm evaluates the first octant only, at a double nearest the angle,
     corrected to first order by the angle's rounding error; the rest follows
-    by symmetry, so that cos(-a) and sin(-a) are cos(a) and -sin(a) bit for
-    bit."""
+    by symmetry, so that the entry at -a is the conjugate of the one at a
+    bit for bit."""
+    # the tail's leading 26 bits (Veltkamp split), so that j * mid is exact
+    # like j * head and hi + lo holds the angle far past double precision
+    v = _STEP[1] * (2.0**27 + 1.0)
+    mid = v - (v - _STEP[1])
     j = np.arange(_T // 8 + 1, dtype=float)
-    hi = j * _STEP[0] + j * _STEP[1]
-    lo = (j * _STEP[0] - hi) + j * _STEP[1] + j * _STEP[2]
+    hi = j * _STEP[0] + j * mid
+    lo = (j * _STEP[0] - hi) + j * mid + j * (_STEP[1] - mid)
     cos8 = np.cos(hi) - lo * np.sin(hi)
     sin8 = np.sin(hi) + lo * np.cos(hi)
     cos8[-1] = sin8[-1] = np.sqrt(0.5)
@@ -151,57 +156,48 @@ def _angle_tables() -> tuple[np.ndarray, np.ndarray]:
     quarter = _T // 4
     c = np.concatenate([cos8, sin8[-2::-1]])[:quarter]
     s = np.concatenate([sin8, cos8[-2::-1]])[:quarter]
+    table = np.empty(_T, dtype=complex)
     # + 0.0 turns the -0.0 entries into +0.0
-    cos_table = np.concatenate([c, -s, -c, s]) + 0.0
-    sin_table = np.concatenate([s, c, -s, -c]) + 0.0
-    cos_table.setflags(write=False)
-    sin_table.setflags(write=False)
-    return cos_table, sin_table
+    table.real = np.concatenate([c, -s, -c, s]) + 0.0
+    table.imag = np.concatenate([s, c, -s, -c]) + 0.0
+    table.setflags(write=False)
+    return table
 
 
-_COS, _SIN = _angle_tables()
+_E = _angle_table()
 
 
-def _expi_reduced(theta: np.ndarray, out: np.ndarray, work: np.ndarray, j: np.ndarray) -> None:
+def _expi_reduced(theta: np.ndarray, out: np.ndarray, work: np.ndarray, w: np.ndarray, j: np.ndarray) -> None:
     """exp(i * theta) into out, for 1-d theta with |theta| <= _REDUCE_LIMIT.
 
-    work, a (7, len(theta)) float array, and j, an int64 array of
-    len(theta), are workspace; every step writes into them in place."""
-    k, t, r, c, s, cos_r1, sin_r = work
+    work, a (3, len(theta)) float array, w, a complex array of len(theta),
+    and j, an int64 array of len(theta), are workspace; every step writes
+    into them or into out in place: 18 whole-array calls in all."""
+    k, r, t = work
     np.multiply(theta, _T / (2.0 * np.pi), out=k)
     k += _SHIFT
     np.bitwise_and(k.view(np.int64), _T - 1, out=j)
     k -= _SHIFT
-    # r = theta - k * 2pi/T (Cody-Waite): the first subtraction is exact,
-    # the other two lose about 1e-19
+    # r = theta - k * 2pi/T: the first subtraction is exact, the second
+    # loses at most about 3e-19
     np.multiply(k, _STEP[0], out=r)
     np.subtract(theta, r, out=r)
-    np.multiply(k, _STEP[1], out=t)
-    r -= t
-    k *= _STEP[2]
+    k *= _STEP[1]
     r -= k
-    # j is in range; mode="clip" lets take write into c and s unbuffered
-    _COS.take(j, out=c, mode="clip")
-    _SIN.take(j, out=s, mode="clip")
+    # j is in range; mode="clip" lets take write into out unbuffered
+    _E.take(j, out=out, mode="clip")
     # |r| <= pi/T: cos r - 1 = r^2 (r^2/24 - 1/2) within 3e-22 and
-    # sin r = r - r^3/6 within 3e-18
-    np.multiply(r, r, out=sin_r)
-    np.multiply(sin_r, 1.0 / 24.0, out=cos_r1)
-    cos_r1 -= 0.5
-    cos_r1 *= sin_r
-    sin_r *= -1.0 / 6.0
-    sin_r *= r
-    sin_r += r
-    # cos(a + r) = c + (c (cos r - 1) - s sin r) and
-    # sin(a + r) = s + (s (cos r - 1) + c sin r); in-place steps where they can
-    np.multiply(c, cos_r1, out=t)
-    np.multiply(s, sin_r, out=k)
-    t -= k
-    np.add(c, t, out=out.real)
-    cos_r1 *= s
-    sin_r *= c
-    cos_r1 += sin_r
-    np.add(s, cos_r1, out=out.imag)
+    # sin r = r - r^3/6 within 3e-18, into the two parts of w
+    np.multiply(r, r, out=t)
+    np.multiply(t, 1.0 / 24.0, out=k)
+    k -= 0.5
+    np.multiply(k, t, out=w.real)
+    t *= -1.0 / 6.0
+    t *= r
+    np.add(t, r, out=w.imag)
+    # exp(i(a + r)) = E + E (exp(ir) - 1), one complex multiply-add
+    np.multiply(out, w, out=w)
+    out += w
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -209,11 +205,13 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     i * theta.
 
     Each entry is within 2**-52 of the exact value in each part, by table
-    reduction to |r| <= pi/4096 and Taylor polynomials in r (see the module
-    docstring); |theta| > 2e5 and NaN or inf use libm's cos and sin, and a
-    non-finite entry gives NaN without a warning. Every entry goes through a
-    fixed sequence of elementwise operations, so its bits do not depend on
-    the batch it is in, and exp(-i*theta) is the conjugate bit for bit.
+    reduction to |r| <= pi/4096, Taylor polynomials in r and a complex
+    multiply-add, 18 whole-array calls per pass of 8192 entries (see the
+    module docstring); |theta| > 2e5 and NaN or inf use libm's cos and sin,
+    and a non-finite entry gives NaN without a warning. Every entry goes
+    through a fixed sequence of elementwise operations, so its bits do not
+    depend on the batch it is in, and exp(-i*theta) is the conjugate bit
+    for bit.
     """
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape, dtype=complex)
@@ -226,11 +224,11 @@ def _expi(theta: np.ndarray) -> np.ndarray:
         beyond = flat[far]
         flat = np.where(far, 0.0, flat)
     m = min(flat.size, _CHUNK)
-    work, j = np.empty((7, m)), np.empty(m, dtype=np.int64)
+    work, w, j = np.empty((3, m)), np.empty(m, dtype=complex), np.empty(m, dtype=np.int64)
     for start in range(0, flat.size, _CHUNK):
         stop = min(start + _CHUNK, flat.size)
         n = stop - start
-        _expi_reduced(flat[start:stop], res[start:stop], work[:, :n], j[:n])
+        _expi_reduced(flat[start:stop], res[start:stop], work[:, :n], w[:n], j[:n])
     if far is not None:
         tail = np.empty(beyond.shape, dtype=complex)
         with np.errstate(invalid="ignore"):  # cos and sin of inf are NaN

@@ -302,6 +302,30 @@ def test_lagrange_partition_of_unity():
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
+def product_weights(q):
+    """Barycentric weights by their defining product, 1/prod(z_k - z_j),
+    scaled to a largest magnitude of 1."""
+    z, _ = _reference_nodes(q)
+    w = np.array([1.0 / np.prod(z[i] - np.delete(z, i)) for i in range(q)])
+    return w / np.max(np.abs(w))
+
+
+def test_weights_match_the_product_formula():
+    for q in range(1, 41):
+        assert np.max(np.abs(_reference_nodes(q)[1] - product_weights(q))) <= 1e-13, q
+
+
+@pytest.mark.parametrize("q", [900, 1500, 2309])
+def test_weights_stay_finite_and_the_basis_sums_to_one_at_large_q(q):
+    _, w = _reference_nodes(q)
+    assert np.all(np.isfinite(w)) and np.all(w != 0.0)
+    rng = np.random.default_rng(q)
+    pts = rng.uniform(0.25, 0.5, (20, 1))
+    with np.errstate(all="raise"):
+        sums = basis_on_box(q, (0.25,), (0.25,), pts).sum(axis=1)
+    assert np.allclose(sums, 1.0, atol=1e-12)
+
+
 def test_q1_basis_is_constant_one():
     pts = np.linspace(0.0, 1.0, 7)[:, None]
     assert np.allclose(lagrange_of(UNIT1, 1, pts), 1.0)

@@ -244,6 +244,32 @@ def test_cheb_q_past_the_matrix_cap_is_usage_error(monkeypatch, capsys, dim, pha
     assert bfly.cli.parse_config(["verify"] + base + ["--backend", "id", "--q", "0.5"])[0].q == 0.5
 
 
+@pytest.mark.parametrize("dim,log2n", [("2", "40"), ("3", "30"), ("3", "5000")])
+def test_cheb_problem_past_the_memory_is_usage_error(monkeypatch, capsys, dim, log2n):
+    # rejected at the parse step: one level of weights, 2^d N^d q^d complex
+    # entries, is past any machine's memory at these sizes
+    def never_run(cfg):
+        raise AssertionError(f"a log2n={cfg.log2n} run was started")
+
+    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
+    monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
+    for command in ("verify", "scale"):
+        assert main([command, "--dim", dim, "--log2n", log2n, "--q", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cheb backend at dim={dim}, log2n={log2n}") and "physical memory" in err, err
+    # the id backend's own gate rejects the same sizes without spelling N^d out
+    assert main(["verify", "--dim", dim, "--log2n", log2n, "--backend", "id"]) == 2
+    assert f"got N^d = 2^{int(dim) * int(log2n)}" in capsys.readouterr().err
+
+
+def test_large_q_weights_stay_finite():
+    # the barycentric weights' defining product underflows past q of about
+    # 900; the closed form keeps q = 1000 at d = 1 (under the matrix cap) exact
+    proc = run_console(["verify", "--dim", "1", "--log2n", "2", "--q", "1000"])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert float(proc.stdout.splitlines()[1].split(",")[0]) <= 1e-12
+
+
 @pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
 def test_dim_outside_one_to_three_is_usage_error(monkeypatch, capsys, dim):
     # rejected at the parse step: dim 6 at the default q = 8 would cache

@@ -200,23 +200,28 @@ def test_linearity_in_strengths():
     assert np.max(np.abs(f12 - (f1 + f2))) <= 1e-12 * np.max(np.abs(f12))
 
 
-def scaled_fourier(N):
-    """Phi_N = N * Phi_fourier: the kernel oscillates N times more as the
-    tree gets N leaves per dimension, the regime of the paper."""
-    fourier = get_phase("fourier")
-    return PhaseEvaluator(f"fourier-x{N}", None, lambda xs, ys: N * fourier(xs, ys))
+def scaled_phase(name, N):
+    """Phi_N = N * Phi: the kernel oscillates N times more as the tree gets N
+    leaves per dimension, the regime of the paper."""
+    base = get_phase(name)
+    return PhaseEvaluator(f"{name}-x{N}", base.dim, lambda xs, ys: N * base(xs, ys))
 
 
-@pytest.mark.parametrize("d,q,sizes", [(1, 8, (64, 128, 256, 512, 1024)), (2, 6, (8, 16, 32, 64))])
-def test_error_is_flat_in_N_at_fixed_rank(d, q, sizes):
+@pytest.mark.parametrize(
+    "name,d,q,sizes,seed",
+    [("fourier", 1, 8, (64, 128, 256, 512, 1024), 168), ("fourier", 2, 6, (8, 16, 32, 64), 169),
+     ("hyp-radon", 2, 6, (8, 16, 32, 64), 5)],
+    ids=["1-8-sizes0", "2-6-sizes1", "hyp-radon-2-6"],
+)
+def test_error_is_flat_in_N_at_fixed_rank(name, d, q, sizes, seed):
     # the paper's claim: with the bandwidth growing as N, a fixed rank q^d
     # keeps the error independent of N. One draw's sup error over 256
     # targets spreads by 2x from draw to draw at any one N, so each N's error
     # is the largest over three draws of 4 N^d sources and 256 targets.
-    rng = np.random.default_rng(167 + d)
+    rng = np.random.default_rng(seed)
     errs = []
     for N in sizes:
-        phase = scaled_fourier(N)
+        phase = scaled_phase(name, N)
         draws = []
         for _ in range(3):
             s = random_sources(rng, 4 * N**d, d=d)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -236,11 +237,16 @@ def test_expi_reduction_constants():
 
     unity = 10**200
     pi = Fraction(4 * (4 * arctan_inv(5, unity) - arctan_inv(239, unity)), unity)
-    step = sum(Fraction(part) for part in phases._STEP)
-    assert abs(step / (2 * pi / phases._T) - 1) < Fraction(1, 10**33)
-    for part in phases._STEP[:2]:  # 26 significant bits, so k * part is exact for |k| < 2**27
-        assert abs(Fraction(part).numerator).bit_length() <= 26
-    assert phases._REDUCE_LIMIT * phases._T / (2 * np.pi) < 2**27
+    head, tail = phases._STEP
+    # the tail is the double nearest 2pi/T - head
+    rest = 2 * pi / phases._T - Fraction(head)
+    assert abs(rest - Fraction(tail)) <= Fraction(math.ulp(tail)) / 2
+    # 26 significant bits, so k * head is exact for |k| < 2**27
+    assert abs(Fraction(head).numerator).bit_length() <= 26
+    k_max = phases._REDUCE_LIMIT * phases._T / (2 * np.pi)
+    assert k_max < 2**27
+    # what the split leaves out of k * 2pi/T is far below the 2**-52 budget
+    assert k_max * abs(rest - Fraction(tail)) < Fraction(1, 10**18)
 
 
 def test_expi_zero_and_conjugate_symmetry():
