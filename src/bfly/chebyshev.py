@@ -36,12 +36,21 @@ The weight operations work on blocks of pairs (see the section below): one
 phase evaluation and one contraction per child index cover a whole block,
 and dyadic boxes being affine images of each other, the same 2^d reference
 matrices serve every pair at every level.
+
+The kernel factors exp(+-i*Phi) between target-box centers and grid nodes
+depend only on the phase, q and the block, never on the sources: they are
+this transform's twiddles. Each stage's and the init's are made once per
+process and kept, read-only, in a least-recently-used cache of at most
+_FACTOR_BYTES (32 MiB); cheb-2d (d = 2, N = 32, q = 6) keeps 11.8 MiB of
+them and a warm solve calls the phase only on the sources. Factors are made
+by the same calls on a miss, so the weights have the same bits either way.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -181,13 +190,56 @@ def cached_matrix_bytes(q: int, d: int) -> int:
     return (8 + 16) * (1 << d) * q ** (2 * d)
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat, with every result row independent of the other rows.
+# The exp(i*Phi) factors of a solve that do not depend on the sources: each
+# column stage's demodulation and per-child modulation, and the init's
+# demodulation on the parents' grids. Like an FFT's twiddles they are made
+# once and kept for the process, up to _FACTOR_BYTES, least recently used
+# first out. Keys hold the phase's identity, q and the block geometry; each
+# entry holds its phase, so that identity is not reused while it is cached,
+# and a phase object must keep standing for one function. The budget is
+# apart from the child matrices' (cached_matrix_bytes) and the CLI's q cap.
+_FACTOR_BYTES = 32 << 20
+_factors: "OrderedDict[tuple, tuple]" = OrderedDict()  # key -> (phase, arrays, bytes)
+_factor_bytes = 0
 
-    numpy hands a single row to BLAS gemv, whose dot products round
-    differently from the gemm kernel that any taller stack goes to; a lone
-    row therefore goes through as a pair. A simulated rank may hold a single
-    row of a stage, and must still reproduce the sequential bits.
+
+def _phase_factors(
+    key: tuple, phase: PhaseEvaluator, nbytes: int, fill: Callable[[], Iterator[np.ndarray]]
+) -> Iterable[np.ndarray]:
+    """The factors under key, from the cache or from fill(), which yields
+    them one by one and nbytes of them in all.
+
+    Factors that fit the budget are made at once, stored read-only and
+    returned as a tuple; larger ones are not stored, and come as fill yields
+    them, so that a caller holds one at a time. A phase that raises leaves
+    nothing stored."""
+    global _factor_bytes
+    key = (id(phase),) + key
+    hit = _factors.get(key)
+    if hit is not None:
+        _factors.move_to_end(key)
+        return hit[1]
+    if nbytes > _FACTOR_BYTES:
+        return fill()
+    arrays = tuple(fill())
+    for a in arrays:
+        a.setflags(write=False)
+    while _factors and _factor_bytes + nbytes > _FACTOR_BYTES:
+        _factor_bytes -= _factors.popitem(last=False)[1][2]
+    _factors[key] = (phase, arrays, nbytes)
+    _factor_bytes += nbytes
+    return arrays
+
+
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, mat a matrix or a vector, with every result row
+    independent of the other rows.
+
+    numpy hands a single row to another BLAS kernel than any taller stack
+    (for a matrix, gemv rather than gemm), which rounds differently; a lone
+    row therefore goes through as a pair. A simulated rank may hold a single row of a stage, and must
+    still reproduce the sequential bits; direct_apply's last chunk may be
+    a single target.
     """
     if rows.shape[0] == 1:
         return (np.concatenate([rows, rows]) @ mat)[:1]
@@ -232,7 +284,9 @@ def init_source_weights(
     source i, and the sources come sorted by leaf box in canonical order, so
     each box's moments are one segment sum. Empty boxes get zero weights and
     cost nothing. The ledger is charged an array of flops per box of the
-    block.
+    block. The demodulation on the parents' grids does not depend on the
+    sources and is cached like a column stage's factors; only the phase at
+    the sources is evaluated on every call.
     """
     d = len(b_lo)
     r = q**d
@@ -257,11 +311,15 @@ def init_source_weights(
     parents = leaves >> a
     # each occupied leaf's parent, as a flat index into the block of parents
     home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
-    grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
-    centers = box_centers(a, block_coords((0,) * d, targets))
-    ph = phase(centers.reshape(targets + (1, d)), np.concatenate([positions, grid]))
-    mod = _expi(ph[..., :n]) * strengths
-    demod = _expi(-ph[..., n:]).reshape(targets + (-1, r))
+    centers = box_centers(a, block_coords((0,) * d, targets)).reshape(targets + (1, d))
+
+    def fill():
+        grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
+        yield _expi(-phase(centers, grid)).reshape(targets + (-1, r))
+
+    key = ("init", q, a, targets, level - a, p_lo, p_shape)
+    (demod,) = _phase_factors(key, phase, 16 * (r << (a * d)) * int(np.prod(p_shape)), fill)
+    mod = _expi(phase(centers, positions)) * strengths
     wp = 1.0 / (1 << (level - a))
     basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
     for t in np.ndindex(*targets):
@@ -311,8 +369,11 @@ def column_stage(
     every parent B_p of its source boxes. Children of B_p outside the block
     are left out, so the partial sums of a rank's block add up across ranks;
     children that differ in the split dimensions are summed apart
-    (geometry.sum_children). One phase call covers the demodulation on the
-    parent grids and the modulation on every present child's grid.
+    (geometry.sum_children). The demodulation on the parent grids and the
+    modulation on every present child's grid come from one phase call,
+    made on the block's first stage and cached (_phase_factors); a block
+    whose factors pass the cache's budget makes them again on each call,
+    one child's at a time, with the same bits.
     """
     d = len(a_lo)
     r = q**d
@@ -320,19 +381,28 @@ def column_stage(
     ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
     bp = block_coords(*parent_block(b_lo, b_shape))
     kids = list(present_children(b_lo, b_shape))
-    xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
-    grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
-    ph = phase(
-        xc.reshape((1,) + ac_shape + (1,) * d + (1, d)),
-        np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
-    )
-    demod = _expi(-ph[0])
+
+    def fill():
+        xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
+        grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
+        ph = phase(
+            xc.reshape((1,) + ac_shape + (1,) * d + (1, d)),
+            np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
+        )
+        yield _expi(-ph[0])
+        for p in ph[1:]:
+            yield _expi(p)
+
+    key = ("column", q, a_level, tuple(a_lo), a_shape, b_level, tuple(b_lo), b_shape)
+    nbytes = 16 * (1 + len(kids)) * int(np.prod(ac_shape)) * bp[..., 0].size * r
+    factors = iter(_phase_factors(key, phase, nbytes, fill))
+    demod = next(factors)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box
         ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
     contribs = (
-        (offset, _column_contribution(offset, values[(slice(None),) * d + index], _expi(ph[1 + i]), demod, q))
-        for i, (offset, index) in enumerate(kids)
+        (offset, _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q))
+        for (offset, index), mod in zip(kids, factors)
     )
     return sum_children(contribs, split)
 

@@ -515,6 +515,11 @@ def butterfly_apply(
     return fieldv
 
 
+# kernel entries direct_apply forms at a time (512 KB of complex kernel),
+# the fastest of 2^13..2^19 on 1024 targets x 4096 sources, all same bits
+_DIRECT_CHUNK = 1 << 15
+
+
 def direct_apply(sources: SourceSet, phase: PhaseEvaluator, targets: np.ndarray) -> np.ndarray:
     """Brute-force reference sum, chunked to bound peak memory."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -522,11 +527,12 @@ def direct_apply(sources: SourceSet, phase: PhaseEvaluator, targets: np.ndarray)
     out = np.zeros(m, dtype=complex)
     if sources.count == 0 or m == 0:
         return out
-    # 2^18 kernel entries at a time keep the temporaries to a few MB
-    chunk = max(1, (1 << 18) // max(1, sources.count))
+    # at least two rows, and a lone last row paired by _rows_times: numpy
+    # sends one row to another BLAS path, whose sums round differently
+    chunk = max(2, _DIRECT_CHUNK // sources.count)
     for start in range(0, m, chunk):
-        block = targets[start : start + chunk]
-        out[start : start + chunk] = kernel_matrix(phase, block, sources.positions) @ sources.strengths
+        kernel = kernel_matrix(phase, targets[start : start + chunk], sources.positions)
+        out[start : start + chunk] = cheb._rows_times(kernel, sources.strengths)
     return out
 
 

@@ -26,17 +26,27 @@ makes one without a copy). There is no finiteness scan of the block: the
 samples are checked where they are made (PhaseEvaluator), and a NaN or inf
 that reaches the factorization anyway still shows in R's diagonal or in
 the solved interpolation coefficients, which are checked.
+
+scipy is loaded on the first factorization (_linalg), not at import: it
+adds about 28 MB of resident memory, which the cheb backend never uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-_geqp3 = scipy.linalg.get_lapack_funcs("geqp3", dtype=complex)
+
+@lru_cache(maxsize=None)
+def _linalg():
+    """LAPACK's complex zgeqp3 and scipy's solve_triangular, imported on
+    first use."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs("geqp3", dtype=complex), scipy.linalg.solve_triangular
 
 
 @dataclass
@@ -76,7 +86,8 @@ def _solve_clamped(r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
         scale = np.where(np.abs(d[small]) == 0.0, 1.0, d[small] / np.abs(d[small]))
         d[small] = scale * floor
         np.fill_diagonal(clamped, d)
-    return scipy.linalg.solve_triangular(clamped, r_right, lower=False, check_finite=False)
+    solve_triangular = _linalg()[1]
+    return solve_triangular(clamped, r_right, lower=False, check_finite=False)
 
 
 def _pivoted_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +95,9 @@ def _pivoted_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     overwritten: R in the upper triangle of the returned array (Householder
     vectors below it) and the 0-based pivots. With the optimal workspace,
     as scipy.linalg.qr queries it, so R and the pivots are its bits."""
-    lwork = int(_geqp3(a, lwork=-1, overwrite_a=1)[3][0].real)
-    qr, jpvt, _, _, info = _geqp3(a, lwork=lwork, overwrite_a=1)
+    geqp3 = _linalg()[0]
+    lwork = int(geqp3(a, lwork=-1, overwrite_a=1)[3][0].real)
+    qr, jpvt, _, _, info = geqp3(a, lwork=lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgeqp3")
     return qr, jpvt - 1

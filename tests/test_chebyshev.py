@@ -6,10 +6,12 @@ direct kernel summation and against per-pair and per-leaf oracles."""
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import bfly.chebyshev as cheb
 import bfly.engine
 from bfly.chebyshev import (
     _child_matrices,
@@ -671,6 +673,153 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
         got = child_sum_stage(b_lo, values[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
         assert np.array_equal(got, whole[held][(slice(None),) * d + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))])
+
+
+# ---------------------------------------------------------------------------
+# phase factors: the process-wide cache of source-independent exp(i*Phi)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_factors(monkeypatch):
+    """An empty factor cache for the test, the process's own put back after."""
+    monkeypatch.setattr(cheb, "_factors", OrderedDict())
+    monkeypatch.setattr(cheb, "_factor_bytes", 0)
+
+
+def counted(phase):
+    """phase as a new evaluator, and the list it appends to on each call."""
+    calls = []
+
+    def fn(xs, ys):
+        calls.append(1)
+        return phase.fn(xs, ys)
+
+    return PhaseEvaluator(phase.name, phase.dim, fn), calls
+
+
+def cached_for(phase):
+    return [entry for entry in cheb._factors.values() if entry[0] is phase]
+
+
+def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
+    rng = np.random.default_rng(seed)
+    s = SourceSet(rng.uniform(size=(300, d)), rng.normal(size=300) + 1j * rng.normal(size=300))
+    if p is None:
+        f = butterfly_apply(s, phase, N, q=q)
+        return f.values, [f.ledger.flops]
+    res = simulate_parallel(s, phase, N, p=p, q=q)
+    return res.field.values, [(led.flops, led.messages, led.entries_sent) for led in res.ledgers]
+
+
+@pytest.mark.parametrize("p", [None, 4])
+def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
+    phase, calls = counted(get_phase("hyp-radon"))
+    cold = solve_bits(phase, p=p)
+    cold_calls = len(calls)
+    warm = solve_bits(phase, p=p)
+    # warm, only the init's phase call on the sources is left
+    assert len(calls) - cold_calls == 1 < cold_calls
+    monkeypatch.setattr(cheb, "_FACTOR_BYTES", 0)
+    other, other_calls = counted(get_phase("hyp-radon"))
+    uncached = solve_bits(other, p=p)
+    assert cached_for(other) == [] and len(other_calls) == cold_calls
+    for got in (warm, uncached):
+        assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
+
+
+@pytest.mark.parametrize("budget", [1000, 2000, 6144, 7168, 1 << 20])
+def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
+    # d = 1, N = 16, q = 4: the init's factors take 2 * 8 * 4 complex
+    # entries (1024 bytes), each column stage's 3 * 16 * 4 (3072 bytes)
+    monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
+    ref = None
+    for _ in range(3):
+        phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
+        values, _ = solve_bits(phase, N=16, d=1, seed=0)
+        ref = values if ref is None else ref
+        assert np.array_equal(values, ref)
+        sizes = [sum(a.nbytes for a in arrays) for _, arrays, _ in cheb._factors.values()]
+        assert sizes == [nbytes for _, _, nbytes in cheb._factors.values()]
+        assert cheb._factor_bytes == sum(sizes) <= budget
+        assert all(n <= budget for n in sizes)
+    kinds = [key[1] for key in cheb._factors]
+    if budget < 3072:
+        # no column stage fits: the last init's factors, or nothing
+        assert kinds == (["init"] if budget >= 1024 else [])
+    elif budget == 6144:
+        # least recently used first out: the last two stages of the last solve
+        assert kinds == ["column", "column"]
+        assert [key[3] for key in cheb._factors] == [2, 3]
+        assert all(key[0] == id(phase) for key in cheb._factors)
+
+
+def test_least_recently_used_factors_go_first(no_factors, monkeypatch):
+    monkeypatch.setattr(cheb, "_FACTOR_BYTES", 2 * 160)
+    phase = get_phase("fourier")
+    made = []
+
+    def get(name):
+        def fill():
+            made.append(name)
+            yield np.zeros(10, dtype=complex)
+
+        return cheb._phase_factors((name,), phase, 160, fill)
+
+    first = get("a")
+    get("b")
+    assert get("a") is first  # a hit, which makes "b" the oldest
+    get("c")
+    assert [key[1] for key in cheb._factors] == ["a", "c"]
+    get("b")
+    assert made == ["a", "b", "c", "b"]
+
+
+def test_cached_factors_are_read_only(no_factors):
+    solve_bits(get_phase("fourier"), N=8, d=1)
+    arrays = [a for _, entry, _ in cheb._factors.values() for a in entry]
+    assert len(arrays) == 1 + 2 * 3  # the init's, then two stages' demod and two mods
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_nan_phase_raises_every_time_and_stores_nothing(no_factors):
+    nan = PhaseEvaluator("nan", None, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], np.nan))
+    values = np.ones((2, 2, 4), dtype=complex)
+    pos = np.array([[0.1], [0.6]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            column_stage(1, (0,), 1, (0,), values, nan, 2)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            init_source_weights(1, (0,), (2,), pos, np.ones(2), np.array([[0], [1]]), nan, 2)
+    assert len(cheb._factors) == 0 and cheb._factor_bytes == 0
+
+
+class Unhashable:
+    """A phase function that cannot be hashed, so neither can an evaluator
+    that holds it."""
+
+    __hash__ = None
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __call__(self, xs, ys):
+        return self.scale * get_phase("fourier").fn(xs, ys)
+
+
+def test_phases_of_one_name_do_not_share_factors(no_factors):
+    one = PhaseEvaluator("same", None, Unhashable(1.0))
+    two = PhaseEvaluator("same", None, Unhashable(2.0))
+    first, _ = solve_bits(one, N=8, d=1)
+    second, _ = solve_bits(two, N=8, d=1)
+    assert cached_for(one) and cached_for(two)
+    cheb._factors.clear()
+    cheb._factor_bytes = 0
+    assert np.array_equal(solve_bits(two, N=8, d=1)[0], second)
+    assert not np.allclose(first, second)
 
 
 # ---------------------------------------------------------------------------

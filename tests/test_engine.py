@@ -7,6 +7,7 @@ import functools
 import numpy as np
 import pytest
 
+import bfly.engine
 from bfly.engine import (
     AllZeroReferenceError,
     ChebEngine,
@@ -150,6 +151,18 @@ def test_direct_chunking_consistent():
     assert np.allclose(out, whole, rtol=1e-12)
 
 
+@pytest.mark.parametrize("entries", [1 << 13, 1 << 19])
+def test_direct_chunk_size_keeps_the_bits(entries, monkeypatch):
+    # 497 targets x 1000 sources: chunks of 8 rows, the last one lone, and
+    # of 497 rows against the default's 32
+    rng = np.random.default_rng(89)
+    s = random_sources(rng, 1000, d=2)
+    targets = rng.uniform(size=(497, 2))
+    ref = direct_apply(s, get_phase("fourier"), targets)
+    monkeypatch.setattr(bfly.engine, "_DIRECT_CHUNK", entries)
+    assert np.array_equal(direct_apply(s, get_phase("fourier"), targets), ref)
+
+
 def test_rel_sup_error():
     assert rel_sup_error(np.array([1.0 + 0j]), np.array([1.0 + 0j])) == 0.0
     assert rel_sup_error(np.array([1.1 + 0j, 0j]), np.array([1.0 + 0j, 2.0 + 0j])) == pytest.approx(1.0)
@@ -217,13 +230,14 @@ def test_error_is_flat_in_N_at_fixed_rank(name, d, q, sizes, seed):
     # the paper's claim: with the bandwidth growing as N, a fixed rank q^d
     # keeps the error independent of N. One draw's sup error over 256
     # targets spreads by 2x from draw to draw at any one N, so each N's error
-    # is the largest over three draws of 4 N^d sources and 256 targets.
+    # is the largest over five draws of 4 N^d sources and 256 targets: over
+    # seeds 0-19 the largest ratio is 1.58, 1.70 and 1.86 for the three cases.
     rng = np.random.default_rng(seed)
     errs = []
     for N in sizes:
         phase = scaled_phase(name, N)
         draws = []
-        for _ in range(3):
+        for _ in range(5):
             s = random_sources(rng, 4 * N**d, d=d)
             pts = rng.uniform(size=(256, d))
             draws.append(rel_sup_error(butterfly_apply(s, phase, N, q=q).evaluate(pts), direct_apply(s, phase, pts)))

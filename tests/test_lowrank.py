@@ -3,6 +3,11 @@ translations, verified against dense SVD and direct-multiplication oracles."""
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -281,3 +286,26 @@ def test_translation_empty_children():
     assert op.rank == 0
     assert op.matrix.shape == (0, 0)
     assert op.points.shape == (0, 1)
+
+
+SCIPY_ON_FIRST_ID_USE = """
+import sys
+import numpy as np
+import bfly
+from bfly import SourceSet, butterfly_apply, get_phase
+s = SourceSet(np.linspace(0.0, 1.0, 40)[:, None], np.ones(40))
+butterfly_apply(s, get_phase("fourier"), 8, q=4)
+print("scipy" in sys.modules)
+butterfly_apply(s, get_phase("fourier"), 8, backend="id")
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_on_the_first_id_solve():
+    # scipy adds about 28 MB of resident memory that the cheb backend never
+    # uses, so neither importing bfly nor a cheb solve loads it
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-c", SCIPY_ON_FIRST_ID_USE]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
