@@ -37,20 +37,21 @@ phase evaluation and one contraction per child index cover a whole block,
 and dyadic boxes being affine images of each other, the same 2^d reference
 matrices serve every pair at every level.
 
-The kernel factors exp(+-i*Phi) between target-box centers and grid nodes
-depend only on the phase, q and the block, never on the sources: they are
-this transform's twiddles. Each stage's and the init's are made once per
-process and kept, read-only, in a least-recently-used cache of at most
-_FACTOR_BYTES (32 MiB); cheb-2d (d = 2, N = 32, q = 6) keeps 11.8 MiB of
-them and a warm solve calls the phase only on the sources. Factors are made
-by the same calls on a miss, so the weights have the same bits either way.
+A column stage's kernel factors exp(+-i*Phi), between its target-box
+centers and its grid nodes, depend only on the phase, q and the block,
+never on the sources: they are this transform's twiddles. Solves repeated
+with one evaluator make each block's factors twice, one phase call per
+grid, and then take them from a least-recently-used cache of at most
+_FACTOR_BYTES (32 MiB) per process, read-only and with the same bits; a
+process that solves once keeps nothing. cheb-2d (d = 2, N = 32, q = 6)
+keeps 11.25 MiB, and a repeated solve there takes a third less time.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -190,45 +191,68 @@ def cached_matrix_bytes(q: int, d: int) -> int:
     return (8 + 16) * (1 << d) * q ** (2 * d)
 
 
-# The exp(i*Phi) factors of a solve that do not depend on the sources: each
-# column stage's demodulation and per-child modulation, and the init's
-# demodulation on the parents' grids. Like an FFT's twiddles they are made
-# once and kept for the process, up to _FACTOR_BYTES, least recently used
-# first out. Keys hold the phase's identity, q and the block geometry; each
-# entry holds its phase, so that identity is not reused while it is cached,
-# and a phase object must keep standing for one function. The budget is
-# apart from the child matrices' (cached_matrix_bytes) and the CLI's q cap.
+# A column stage's exp(+-i*Phi) factors, between its target-box centers and
+# its parent and child grids, depend only on the phase, q and the block,
+# never on the sources: like an FFT's twiddles, a solve repeated with one
+# evaluator, one plan applied to many source sets, need not make them again.
+# A block's factors are kept from the second time they are made, read-only,
+# in a least-recently-used cache of at most _FACTOR_BYTES, so a process that
+# solves once keeps nothing. Nothing is kept of a solve whose factors pass
+# the budget: least-recently-used order would evict each stage's before the
+# next solve came back to it. Keys are the phase's identity, q and the block
+# geometry, so an unhashable phase function does no harm. An entry holds its
+# phase, so that identity is not reused while it is cached, and a probe: Phi
+# at two of the block's pairs, evaluated again on every hit. A phase whose
+# function has changed since gives other values there, and the factors are
+# made anew. The last _SEEN_KEYS keys made once are remembered. The budget
+# is apart from the child matrices' (cached_matrix_bytes) and the CLI's q
+# cap.
 _FACTOR_BYTES = 32 << 20
-_factors: "OrderedDict[tuple, tuple]" = OrderedDict()  # key -> (phase, arrays, bytes)
+_SEEN_KEYS = 1 << 12
+_factors: "OrderedDict[tuple, tuple]" = OrderedDict()  # key -> (phase, probe xs, ys, Phi, factors, bytes)
 _factor_bytes = 0
+_seen: "dict[tuple, None]" = {}
 
 
-def _phase_factors(
-    key: tuple, phase: PhaseEvaluator, nbytes: int, fill: Callable[[], Iterator[np.ndarray]]
+def _stage_factors(
+    key: tuple, phase: PhaseEvaluator, xs: np.ndarray, grids: Callable[[], list], solve_bytes: int
 ) -> Iterable[np.ndarray]:
-    """The factors under key, from the cache or from fill(), which yields
-    them one by one and nbytes of them in all.
+    """exp(-i*Phi) between xs and grids()[0], then exp(i*Phi) between xs
+    and each later grid: from the cache, or made one grid at a time, with
+    the same bits either way. solve_bytes are the factors of every column
+    stage of the solve. A phase that raises leaves nothing stored.
 
-    Factors that fit the budget are made at once, stored read-only and
-    returned as a tuple; larger ones are not stored, and come as fill yields
-    them, so that a caller holds one at a time. A phase that raises leaves
-    nothing stored."""
+    One phase call per grid, not one over all grids, holds Phi of one grid
+    at a time: at d = 3, N = 16, q = 5 that takes a solve's peak RSS from
+    about 300 to 173 MB."""
     global _factor_bytes
     key = (id(phase),) + key
-    hit = _factors.get(key)
-    if hit is not None:
-        _factors.move_to_end(key)
-        return hit[1]
-    if nbytes > _FACTOR_BYTES:
-        return fill()
-    arrays = tuple(fill())
-    for a in arrays:
-        a.setflags(write=False)
+    entry = _factors.pop(key, None)
+    if entry is not None:
+        _factor_bytes -= entry[-1]
+        if np.array_equal(phase(entry[1], entry[2]), entry[3]):
+            _factors[key] = entry
+            _factor_bytes += entry[-1]
+            return entry[4]
+    ys = grids()
+    made = (_expi(-phase(xs, y) if i == 0 else phase(xs, y)) for i, y in enumerate(ys))
+    nbytes = 16 * sum(int(np.prod(np.broadcast_shapes(xs.shape[:-1], y.shape[:-1]))) for y in ys)
+    if key not in _seen or solve_bytes > _FACTOR_BYTES:
+        _seen[key] = None
+        if len(_seen) > _SEEN_KEYS:
+            del _seen[next(iter(_seen))]
+        return made
+    factors = tuple(made)
+    for f in factors:
+        f.setflags(write=False)
+    d = xs.shape[-1]
+    px = xs.reshape(-1, d)[[0, -1]]
+    py = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
     while _factors and _factor_bytes + nbytes > _FACTOR_BYTES:
-        _factor_bytes -= _factors.popitem(last=False)[1][2]
-    _factors[key] = (phase, arrays, nbytes)
+        _factor_bytes -= _factors.popitem(last=False)[1][-1]
+    _factors[key] = (phase, px, py, phase(px, py), factors, nbytes)
     _factor_bytes += nbytes
-    return arrays
+    return factors
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -237,9 +261,9 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
     numpy hands a single row to another BLAS kernel than any taller stack
     (for a matrix, gemv rather than gemm), which rounds differently; a lone
-    row therefore goes through as a pair. A simulated rank may hold a single row of a stage, and must
-    still reproduce the sequential bits; direct_apply's last chunk may be
-    a single target.
+    row therefore goes through as a pair. A simulated rank may hold a
+    single row of a stage, and must still reproduce the sequential bits;
+    direct_apply's last chunk may be a single target.
     """
     if rows.shape[0] == 1:
         return (np.concatenate([rows, rows]) @ mat)[:1]
@@ -284,9 +308,7 @@ def init_source_weights(
     source i, and the sources come sorted by leaf box in canonical order, so
     each box's moments are one segment sum. Empty boxes get zero weights and
     cost nothing. The ledger is charged an array of flops per box of the
-    block. The demodulation on the parents' grids does not depend on the
-    sources and is cached like a column stage's factors; only the phase at
-    the sources is evaluated on every call.
+    block.
     """
     d = len(b_lo)
     r = q**d
@@ -311,15 +333,11 @@ def init_source_weights(
     parents = leaves >> a
     # each occupied leaf's parent, as a flat index into the block of parents
     home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
-    centers = box_centers(a, block_coords((0,) * d, targets)).reshape(targets + (1, d))
-
-    def fill():
-        grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
-        yield _expi(-phase(centers, grid)).reshape(targets + (-1, r))
-
-    key = ("init", q, a, targets, level - a, p_lo, p_shape)
-    (demod,) = _phase_factors(key, phase, 16 * (r << (a * d)) * int(np.prod(p_shape)), fill)
-    mod = _expi(phase(centers, positions)) * strengths
+    grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
+    centers = box_centers(a, block_coords((0,) * d, targets))
+    ph = phase(centers.reshape(targets + (1, d)), np.concatenate([positions, grid]))
+    mod = _expi(ph[..., :n]) * strengths
+    demod = _expi(-ph[..., n:]).reshape(targets + (-1, r))
     wp = 1.0 / (1 << (level - a))
     basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
     for t in np.ndindex(*targets):
@@ -370,10 +388,9 @@ def column_stage(
     are left out, so the partial sums of a rank's block add up across ranks;
     children that differ in the split dimensions are summed apart
     (geometry.sum_children). The demodulation on the parent grids and the
-    modulation on every present child's grid come from one phase call,
-    made on the block's first stage and cached (_phase_factors); a block
-    whose factors pass the cache's budget makes them again on each call,
-    one child's at a time, with the same bits.
+    modulation on every present child's grid take one phase call per grid;
+    from a block's third stage with one phase on, they come from the cache
+    (_stage_factors) instead, with the same bits.
     """
     d = len(a_lo)
     r = q**d
@@ -381,21 +398,16 @@ def column_stage(
     ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
     bp = block_coords(*parent_block(b_lo, b_shape))
     kids = list(present_children(b_lo, b_shape))
+    xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape(ac_shape + (1,) * d + (1, d))
 
-    def fill():
-        xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape))
-        grids = [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
-        ph = phase(
-            xc.reshape((1,) + ac_shape + (1,) * d + (1, d)),
-            np.stack(grids).reshape((len(grids),) + (1,) * d + bp.shape[:-1] + (r, d)),
-        )
-        yield _expi(-ph[0])
-        for p in ph[1:]:
-            yield _expi(p)
+    def grids():
+        return [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
 
-    key = ("column", q, a_level, tuple(a_lo), a_shape, b_level, tuple(b_lo), b_shape)
-    nbytes = 16 * (1 + len(kids)) * int(np.prod(ac_shape)) * bp[..., 0].size * r
-    factors = iter(_phase_factors(key, phase, nbytes, fill))
+    key = (q, a_level, tuple(a_lo), a_shape, b_level, tuple(b_lo), b_shape)
+    # L - 1 column stages of (1 + 2^d) N^d r factors each, N = 2^L
+    levels = a_level + b_level
+    solve_bytes = 16 * (levels - 1) * ((1 << d) + 1) * (1 << (levels * d)) * r
+    factors = iter(_stage_factors(key, phase, xc, grids, solve_bytes))
     demod = next(factors)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box

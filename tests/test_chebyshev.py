@@ -676,26 +676,28 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
 
 
 # ---------------------------------------------------------------------------
-# phase factors: the process-wide cache of source-independent exp(i*Phi)
+# the process-wide cache of the column stages' exp(+-i*Phi) factors
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def no_factors(monkeypatch):
-    """An empty factor cache for the test, the process's own put back after."""
+    """An empty cache for the test, the process's own put back after."""
     monkeypatch.setattr(cheb, "_factors", OrderedDict())
     monkeypatch.setattr(cheb, "_factor_bytes", 0)
+    monkeypatch.setattr(cheb, "_seen", {})
 
 
 def counted(phase):
-    """phase as a new evaluator, and the list it appends to on each call."""
-    calls = []
+    """phase as a new evaluator, and the list of the number of point pairs
+    of each of its calls."""
+    pairs = []
 
     def fn(xs, ys):
-        calls.append(1)
+        pairs.append(int(np.prod(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))))
         return phase.fn(xs, ys)
 
-    return PhaseEvaluator(phase.name, phase.dim, fn), calls
+    return PhaseEvaluator(phase.name, phase.dim, fn), pairs
 
 
 def cached_for(phase):
@@ -714,44 +716,51 @@ def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
 
 @pytest.mark.parametrize("p", [None, 4])
 def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
-    phase, calls = counted(get_phase("hyp-radon"))
+    phase, pairs = counted(get_phase("hyp-radon"))
     cold = solve_bits(phase, p=p)
-    cold_calls = len(calls)
+    # the init's call, then one call per grid: two column stages, 1 + 2^d grids each
+    init, *grids = list(pairs)
+    assert len(grids) == 2 * 5 and cheb._factors == {}  # a first solve keeps nothing
+    del pairs[:]
+    assert np.array_equal(solve_bits(phase, p=p)[0], cold[0])
+    # the second keeps every stage's factors, each with a two-pair probe
+    assert pairs == [init, *grids[:5], 2, *grids[5:], 2] and len(cached_for(phase)) == 2
+    del pairs[:]
     warm = solve_bits(phase, p=p)
-    # warm, only the init's phase call on the sources is left
-    assert len(calls) - cold_calls == 1 < cold_calls
+    # warm, each stage only evaluates its probe
+    assert pairs == [init, 2, 2]
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", 0)
-    other, other_calls = counted(get_phase("hyp-radon"))
-    uncached = solve_bits(other, p=p)
-    assert cached_for(other) == [] and len(other_calls) == cold_calls
+    other, other_pairs = counted(get_phase("hyp-radon"))
+    uncached = [solve_bits(other, p=p) for _ in range(3)][-1]
+    assert cached_for(other) == [] and other_pairs == 3 * [init, *grids]
     for got in (warm, uncached):
         assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
 
 
-@pytest.mark.parametrize("budget", [1000, 2000, 6144, 7168, 1 << 20])
+@pytest.mark.parametrize("budget", [6144, 9216, 1 << 20])
 def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
-    # d = 1, N = 16, q = 4: the init's factors take 2 * 8 * 4 complex
-    # entries (1024 bytes), each column stage's 3 * 16 * 4 (3072 bytes)
+    # d = 1, q = 4: a column stage has factors on 3 grids x N pairs x 4
+    # nodes, 3072 bytes at N = 16 and 1536 at N = 8; N = 16 makes three
+    # stages, 9216 bytes, and N = 8 two (a_level 1 and 2)
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
-    ref = None
+    phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
+    refs = [solve_bits(phase, N=n, d=1, seed=0)[0] for n in (16, 8)]
     for _ in range(3):
-        phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
-        values, _ = solve_bits(phase, N=16, d=1, seed=0)
-        ref = values if ref is None else ref
-        assert np.array_equal(values, ref)
-        sizes = [sum(a.nbytes for a in arrays) for _, arrays, _ in cheb._factors.values()]
-        assert sizes == [nbytes for _, _, nbytes in cheb._factors.values()]
-        assert cheb._factor_bytes == sum(sizes) <= budget
-        assert all(n <= budget for n in sizes)
-    kinds = [key[1] for key in cheb._factors]
-    if budget < 3072:
-        # no column stage fits: the last init's factors, or nothing
-        assert kinds == (["init"] if budget >= 1024 else [])
-    elif budget == 6144:
-        # least recently used first out: the last two stages of the last solve
-        assert kinds == ["column", "column"]
-        assert [key[3] for key in cheb._factors] == [2, 3]
-        assert all(key[0] == id(phase) for key in cheb._factors)
+        for n, ref in zip((16, 8), refs):
+            assert np.array_equal(solve_bits(phase, N=n, d=1, seed=0)[0], ref)
+            sizes = [sum(f.nbytes for f in entry[4]) for entry in cheb._factors.values()]
+            assert sizes == [entry[-1] for entry in cheb._factors.values()]
+            assert cheb._factor_bytes == sum(sizes) <= budget
+    kept = [(key[5], key[2]) for key in cheb._factors]  # (b_level, a_level)
+    if budget == 6144:
+        # nothing of N = 16, whose factors pass the budget
+        assert kept == [(2, 1), (1, 2)]
+    elif budget == 9216:
+        # least recently used first out: N = 8's stages take the room of
+        # N = 16's first
+        assert kept == [(2, 2), (1, 3), (2, 1), (1, 2)]
+    else:
+        assert kept == [(3, 1), (2, 2), (1, 3), (2, 1), (1, 2)]
 
 
 def test_least_recently_used_factors_go_first(no_factors, monkeypatch):
@@ -760,25 +769,38 @@ def test_least_recently_used_factors_go_first(no_factors, monkeypatch):
     made = []
 
     def get(name):
-        def fill():
+        def grids():
             made.append(name)
-            yield np.zeros(10, dtype=complex)
+            return [np.linspace(0.0, 1.0, 10)[:, None]]
 
-        return cheb._phase_factors((name,), phase, 160, fill)
+        return cheb._stage_factors((name,), phase, np.zeros((1, 1)), grids, 160)
 
+    get("a")
+    get("b")
+    assert cheb._factors == {}  # met once, not kept
     first = get("a")
     get("b")
     assert get("a") is first  # a hit, which makes "b" the oldest
     get("c")
+    get("c")
     assert [key[1] for key in cheb._factors] == ["a", "c"]
     get("b")
-    assert made == ["a", "b", "c", "b"]
+    assert made == ["a", "b", "a", "b", "c", "c", "b"]
+
+
+def test_only_the_last_keys_made_once_are_remembered(no_factors, monkeypatch):
+    monkeypatch.setattr(cheb, "_SEEN_KEYS", 2)
+    phase = get_phase("fourier")
+    for _ in range(2):
+        solve_bits(phase, N=16, d=1)
+        assert [key[2] for key in cheb._seen] == [2, 3]
 
 
 def test_cached_factors_are_read_only(no_factors):
-    solve_bits(get_phase("fourier"), N=8, d=1)
-    arrays = [a for _, entry, _ in cheb._factors.values() for a in entry]
-    assert len(arrays) == 1 + 2 * 3  # the init's, then two stages' demod and two mods
+    for _ in range(2):
+        solve_bits(get_phase("fourier"), N=8, d=1)
+    arrays = [f for entry in cheb._factors.values() for f in entry[4]]
+    assert len(arrays) == 2 * 3  # two column stages' demod and two mods
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -788,12 +810,9 @@ def test_cached_factors_are_read_only(no_factors):
 def test_nan_phase_raises_every_time_and_stores_nothing(no_factors):
     nan = PhaseEvaluator("nan", None, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], np.nan))
     values = np.ones((2, 2, 4), dtype=complex)
-    pos = np.array([[0.1], [0.6]])
-    for _ in range(2):
+    for _ in range(3):
         with pytest.raises(ValueError, match="NaN or inf"):
             column_stage(1, (0,), 1, (0,), values, nan, 2)
-        with pytest.raises(ValueError, match="NaN or inf"):
-            init_source_weights(1, (0,), (2,), pos, np.ones(2), np.array([[0], [1]]), nan, 2)
     assert len(cheb._factors) == 0 and cheb._factor_bytes == 0
 
 
@@ -813,13 +832,30 @@ class Unhashable:
 def test_phases_of_one_name_do_not_share_factors(no_factors):
     one = PhaseEvaluator("same", None, Unhashable(1.0))
     two = PhaseEvaluator("same", None, Unhashable(2.0))
-    first, _ = solve_bits(one, N=8, d=1)
-    second, _ = solve_bits(two, N=8, d=1)
+    first = [solve_bits(one, N=8, d=1)[0] for _ in range(2)][-1]
+    second = [solve_bits(two, N=8, d=1)[0] for _ in range(2)][-1]
     assert cached_for(one) and cached_for(two)
     cheb._factors.clear()
     cheb._factor_bytes = 0
     assert np.array_equal(solve_bits(two, N=8, d=1)[0], second)
     assert not np.allclose(first, second)
+
+
+def test_a_changed_phase_function_is_evaluated_again(no_factors):
+    fn = Unhashable(1.0)
+    phase = PhaseEvaluator("mutable", None, fn)
+    for _ in range(2):
+        solve_bits(phase, N=8, d=1)
+    stale = [entry[4] for entry in cached_for(phase)]
+    assert len(stale) == 2
+    fn.scale = 2.0
+    got = solve_bits(phase, N=8, d=1)[0]
+    fresh = [entry[4] for entry in cached_for(phase)]
+    assert len(fresh) == 2
+    assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
+    cheb._factors.clear()
+    cheb._factor_bytes = 0
+    assert np.array_equal(got, solve_bits(PhaseEvaluator("cold", None, Unhashable(2.0)), N=8, d=1)[0])
 
 
 # ---------------------------------------------------------------------------
