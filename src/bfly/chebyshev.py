@@ -38,13 +38,15 @@ and dyadic boxes being affine images of each other, the same 2^d reference
 matrices serve every pair at every level.
 
 A column stage's kernel factors exp(+-i*Phi), between its target-box
-centers and its grid nodes, depend only on the phase, q and the block,
-never on the sources: they are this transform's twiddles. Solves repeated
-with one evaluator make each block's factors twice, one phase call per
-grid, and then take them from a least-recently-used cache of at most
-_FACTOR_BYTES (32 MiB) per process, read-only and with the same bits; a
-process that solves once keeps nothing. cheb-2d (d = 2, N = 32, q = 6)
-keeps 11.25 MiB, and a repeated solve there takes a third less time.
+centers and its grid nodes, and the init's demodulation on the parent
+grids depend only on the phase, q and the block, never on the sources:
+they are this transform's twiddles. Solves repeated with one evaluator make
+each block's factors twice, one phase call per grid, and then take them
+from a least-recently-used cache of at most _FACTOR_BYTES (32 MiB) per
+process, read-only and with the same bits; a process that solves once keeps
+nothing. The init then evaluates the phase at the sources alone. cheb-2d
+(d = 2, N = 32, q = 6) keeps 11.25 MiB of column-stage factors and
+0.56 MiB of the init's, and a repeated solve there takes a third less time.
 """
 
 from __future__ import annotations
@@ -192,14 +194,16 @@ def cached_matrix_bytes(q: int, d: int) -> int:
 
 
 # A column stage's exp(+-i*Phi) factors, between its target-box centers and
-# its parent and child grids, depend only on the phase, q and the block,
-# never on the sources: like an FFT's twiddles, a solve repeated with one
-# evaluator, one plan applied to many source sets, need not make them again.
-# A block's factors are kept from the second time they are made, read-only,
-# in a least-recently-used cache of at most _FACTOR_BYTES, so a process that
-# solves once keeps nothing. Nothing is kept of a solve whose factors pass
-# the budget: least-recently-used order would evict each stage's before the
-# next solve came back to it. Keys are the phase's identity, q and the block
+# its parent and child grids, and the init's exp(-i*Phi) between the root's
+# children's centers and the leaves' parent grids, depend only on the phase,
+# q and the block, never on the sources: like an FFT's twiddles, a solve
+# repeated with one evaluator, one plan applied to many source sets, need
+# not make them again. A block's factors are kept from the second time they
+# are made, read-only, in a least-recently-used cache of at most
+# _FACTOR_BYTES, so a process that solves once keeps nothing. Nothing is
+# kept of a solve whose factors (_solve_factor_bytes) pass the budget:
+# least-recently-used order would evict each stage's before the next solve
+# came back to it. Keys are the phase's identity, q and the block
 # geometry, so an unhashable phase function does no harm. An entry holds its
 # phase, so that identity is not reused while it is cached, and a probe: Phi
 # at two of the block's pairs, evaluated again on every hit. A phase whose
@@ -214,13 +218,21 @@ _factor_bytes = 0
 _seen: "dict[tuple, None]" = {}
 
 
+def _solve_factor_bytes(L: int, d: int, r: int) -> int:
+    """Bytes of the factors a whole solve of N = 2^L leaves per dimension
+    makes: the init's demodulation, N^d r complex entries, and L - 1 column
+    stages of (1 + 2^d) N^d r each."""
+    return 16 * (1 + max(L - 1, 0) * ((1 << d) + 1)) * (r << (L * d))
+
+
 def _stage_factors(
     key: tuple, phase: PhaseEvaluator, xs: np.ndarray, grids: Callable[[], list], solve_bytes: int
 ) -> Iterable[np.ndarray]:
     """exp(-i*Phi) between xs and grids()[0], then exp(i*Phi) between xs
     and each later grid: from the cache, or made one grid at a time, with
-    the same bits either way. solve_bytes are the factors of every column
-    stage of the solve. A phase that raises leaves nothing stored.
+    the same bits either way. solve_bytes are the factors of the whole
+    solve (_solve_factor_bytes), so a solve keeps all of its factors or
+    none. A phase that raises leaves nothing stored.
 
     One phase call per grid, not one over all grids, holds Phi of one grid
     at a time: at d = 3, N = 16, q = 5 that takes a solve's peak RSS from
@@ -301,7 +313,9 @@ def init_source_weights(
     A runs over the children of the root and P is the parent of B: the
     sources of B are interpolated onto the grid of P and demodulated at the
     center of A, once per A, so stage 0 only adds up the children of each P
-    (child_sum_stage). In a one-leaf tree (level 0), B is the root, A the
+    (child_sum_stage). The demodulation depends only on the phase, q and
+    the block, and comes from the factor cache (_stage_factors) as a column
+    stage's factors do. In a one-leaf tree (level 0), B is the root, A the
     whole target domain, and these are the final weights.
 
     leaves[i] holds the integer coordinates of the level-`level` box of
@@ -333,11 +347,17 @@ def init_source_weights(
     parents = leaves >> a
     # each occupied leaf's parent, as a flat index into the block of parents
     home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
-    grid = grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)
-    centers = box_centers(a, block_coords((0,) * d, targets))
-    ph = phase(centers.reshape(targets + (1, d)), np.concatenate([positions, grid]))
-    mod = _expi(ph[..., :n]) * strengths
-    demod = _expi(-ph[..., n:]).reshape(targets + (-1, r))
+    centers = box_centers(a, block_coords((0,) * d, targets)).reshape(targets + (1, d))
+    mod = _expi(phase(centers, positions)) * strengths
+
+    def grids():
+        return [grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)]
+
+    # keyed as the block of pairs (X, B) of level 0 it starts from; a column
+    # stage starts from level 1 or later, so the keys never meet
+    key = (q, 0, (0,) * d, (1,) * d, level, tuple(b_lo), tuple(b_shape))
+    demod = next(iter(_stage_factors(key, phase, centers, grids, _solve_factor_bytes(level, d, r))))
+    demod = demod.reshape(targets + (-1, r))
     wp = 1.0 / (1 << (level - a))
     basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
     for t in np.ndindex(*targets):
@@ -404,10 +424,7 @@ def column_stage(
         return [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
 
     key = (q, a_level, tuple(a_lo), a_shape, b_level, tuple(b_lo), b_shape)
-    # L - 1 column stages of (1 + 2^d) N^d r factors each, N = 2^L
-    levels = a_level + b_level
-    solve_bytes = 16 * (levels - 1) * ((1 << d) + 1) * (1 << (levels * d)) * r
-    factors = iter(_stage_factors(key, phase, xc, grids, solve_bytes))
+    factors = iter(_stage_factors(key, phase, xc, grids, _solve_factor_bytes(a_level + b_level, d, r)))
     demod = next(factors)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box

@@ -31,8 +31,9 @@ class CostParams:
 class CostLedger:
     """Per-process tally of flops, messages, and entries sent.
 
-    Each ledger belongs to one (simulated) process. Merging is explicit and
-    order-independent, so totals are deterministic.
+    Each ledger belongs to one (simulated) process; the simulator's total is
+    a sum of integers over the ranks (parallel.RankCosts.total), so it does
+    not depend on their order.
     """
 
     params: CostParams = field(default_factory=CostParams)
@@ -47,8 +48,3 @@ class CostLedger:
     def modeled_seconds(self) -> float:
         p = self.params
         return p.gamma * self.flops + p.alpha * self.messages + p.beta * self.entries_sent
-
-    def merge(self, other: "CostLedger") -> None:
-        self.flops += other.flops
-        self.messages += other.messages
-        self.entries_sent += other.entries_sent

@@ -19,6 +19,14 @@ axis in ascending member order, one whole-array add per member, charging
 the alpha/beta cost model. Communication is never performed for real, and
 there are no threads, so results are reproducible.
 
+The layout of a run depends on (N, d, p) alone: the stage schedule, each
+communicating stage's split dimensions, each level's rank-pair table and
+the final owners follow from the bisection stacks. It is made once per
+(N, d, p) per process (_layout) and kept read-only, for the last _LAYOUTS
+shapes: an entry holds L + 2 tables of N^d indices, 8 (L + 2) N^d bytes
+(96 KiB for d = 1, N = 1024; 1.1 MiB for d = 2, N = 128; 1.8 MiB for
+d = 3, N = 32), so the cache holds at most _LAYOUTS times the largest.
+
 Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
 an output pair in canonical coordinate order. When a communicating stage
 moves d bits (always in d = 1; in general whenever log2 p is a multiple of
@@ -33,7 +41,8 @@ only to rounding (the acceptance gate holds them to 1e-12 relative).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,9 +89,13 @@ class RankCosts:
 
     def ledgers(self, params: CostParams) -> List[CostLedger]:
         return [
-            CostLedger(params, int(f), int(m), int(e))
-            for f, m, e in zip(self.flops, self.messages, self.entries_sent)
+            CostLedger(params, f, m, e)
+            for f, m, e in zip(self.flops.tolist(), self.messages.tolist(), self.entries_sent.tolist())
         ]
+
+    def total(self, params: CostParams) -> CostLedger:
+        """One ledger holding the sum of every rank's, in Python integers."""
+        return CostLedger(params, *(sum(a.tolist()) for a in (self.flops, self.messages, self.entries_sent)))
 
 
 def _rank_pairs(dx: BisectionStack, dy: BisectionStack, d: int, a_level: int, b_level: int) -> np.ndarray:
@@ -100,6 +113,44 @@ def _rank_pairs(dx: BisectionStack, dy: BisectionStack, d: int, a_level: int, b_
         index.append((start[:, None] + np.arange(stop[0] - start[0])).reshape(shape))
     level_shape = (1 << a_level,) * d + (1 << b_level,) * d
     return np.ravel_multi_index(tuple(index), level_shape).reshape(p, -1)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What a p-rank traversal of (N,)*d leaves does with its pairs, the
+    same whatever the sources, phase or backend. Arrays are read-only."""
+
+    schedule: Tuple[int, ...]  # bits moved by each stage
+    splits: Tuple[Tuple[int, ...], ...]  # each stage's split dimensions
+    pairs: Tuple[np.ndarray, ...]  # each level's (p, N^d/p) _rank_pairs, levels 0..L
+    owners: np.ndarray  # (N,)*d: the rank holding each target leaf's final weights
+
+
+# shapes whose layout is kept; see the module docstring for their bytes
+_LAYOUTS = 8
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(N: int, d: int, p: int) -> _Layout:
+    """The layout of a p-rank traversal of (N,)*d leaves, from the
+    bisection stacks; the same object for every call with (N, d, p) while
+    it is among the last _LAYOUTS shapes."""
+    schedule = tuple(stage_schedule(N, d, p))
+    L = len(schedule)
+    dx, dy = init_bisection_stacks(d, p)
+    splits, pairs = [], [_rank_pairs(dx, dy, d, 0, L)]
+    for level, k in enumerate(schedule):
+        # team members differ in the rank bits of the k entries atop D_Y;
+        # the i-th to pop cuts dimension split[i] and is bit i of the member
+        splits.append(tuple(dim for dim, _ in reversed(dy[len(dy) - k :])))
+        dx, dy = pop_push(dx, dy, k)
+        pairs.append(_rank_pairs(dx, dy, d, level + 1, L - level - 1))
+    owners = np.empty(N**d, dtype=int)
+    owners[pairs[-1]] = np.arange(p)[:, None]
+    owners = owners.reshape((N,) * d)
+    for a in pairs + [owners]:
+        a.setflags(write=False)
+    return _Layout(schedule, tuple(splits), tuple(pairs), owners)
 
 
 def reduce_scatter(partials: np.ndarray, costs: RankCosts) -> np.ndarray:
@@ -146,42 +197,29 @@ def simulate_parallel(
     final weights and the one rank's ledger are bit-identical to
     butterfly_apply's; `bfly verify` therefore solves with this call at
     every process count. Factorization work for the sampled backend is
-    precomputed once and shared by every rank. `threads` has no effect and
+    precomputed once and shared by every rank; the ranks' layout is made
+    once per (N, d, p) per process (_layout). `threads` has no effect and
     is kept for callers that still pass it.
     """
-    d = sources.dim
-    schedule = stage_schedule(N, d, p)
-    eng = make_engine(phase, d, N, sources, q, backend, tol, rows_per_dim)
-    L = eng.L
+    layout = _layout(N, sources.dim, p)
+    eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)
     cost_params = params if params is not None else CostParams()
 
-    dx, dy = init_bisection_stacks(d, p)
     costs = RankCosts(p)
-    costs.pairs = _rank_pairs(dx, dy, d, 0, L)
+    costs.pairs = layout.pairs[0]
     values = eng.init_blocks(costs)
-    for level in range(L):
-        k = schedule[level]
-        # team members differ in the rank bits of the k entries atop D_Y;
-        # the i-th to pop cuts dimension split[i] and is bit i of the member
-        split = tuple(dim for dim, _ in reversed(dy[len(dy) - k :]))
+    for level, (k, split) in enumerate(zip(layout.schedule, layout.splits)):
         values = eng.stage(level, values, costs, split)
         if k:
             values = reduce_scatter(values, costs)
             if trace is not None:
                 entries = ((1 << k) - 1) * (values.size // p)
                 trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
-            dx, dy = pop_push(dx, dy, k)
-        costs.pairs = _rank_pairs(dx, dy, d, level + 1, L - level - 1)
+        costs.pairs = layout.pairs[level + 1]
 
-    owners = np.empty(N**d, dtype=int)
-    owners[costs.pairs] = np.arange(p)[:, None]
-    ledgers = costs.ledgers(cost_params)
-    total = CostLedger(cost_params)
-    for led in ledgers:
-        total.merge(led)
     out_field = eng.make_field(values)
-    out_field.ledger = total
-    return ParallelResult(out_field, owners.reshape((N,) * d), ledgers, schedule)
+    out_field.ledger = costs.total(cost_params)
+    return ParallelResult(out_field, layout.owners.copy(), costs.ledgers(cost_params), list(layout.schedule))
 
 
 def modeled_time(

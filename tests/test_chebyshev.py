@@ -714,53 +714,59 @@ def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
     return res.field.values, [(led.flops, led.messages, led.entries_sent) for led in res.ledgers]
 
 
-@pytest.mark.parametrize("p", [None, 4])
+@pytest.mark.parametrize("p", [None, 1, 4])
 def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
     phase, pairs = counted(get_phase("hyp-radon"))
     cold = solve_bits(phase, p=p)
-    # the init's call, then one call per grid: two column stages, 1 + 2^d grids each
-    init, *grids = list(pairs)
+    # the init's call at the sources, its demodulation's on the parent
+    # grids, then one call per grid: two column stages, 1 + 2^d grids each
+    sources, demod, *grids = list(pairs)
     assert len(grids) == 2 * 5 and cheb._factors == {}  # a first solve keeps nothing
     del pairs[:]
     assert np.array_equal(solve_bits(phase, p=p)[0], cold[0])
-    # the second keeps every stage's factors, each with a two-pair probe
-    assert pairs == [init, *grids[:5], 2, *grids[5:], 2] and len(cached_for(phase)) == 2
+    # the second keeps the init's and every stage's factors, each with a
+    # two-pair probe
+    assert pairs == [sources, demod, 2, *grids[:5], 2, *grids[5:], 2] and len(cached_for(phase)) == 3
     del pairs[:]
     warm = solve_bits(phase, p=p)
-    # warm, each stage only evaluates its probe
-    assert pairs == [init, 2, 2]
+    # warm, the init evaluates the sources and its probe, each stage its probe
+    assert pairs == [sources, 2, 2, 2]
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", 0)
     other, other_pairs = counted(get_phase("hyp-radon"))
     uncached = [solve_bits(other, p=p) for _ in range(3)][-1]
-    assert cached_for(other) == [] and other_pairs == 3 * [init, *grids]
+    assert cached_for(other) == [] and other_pairs == 3 * [sources, demod, *grids]
     for got in (warm, uncached):
         assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
 
 
-@pytest.mark.parametrize("budget", [6144, 9216, 1 << 20])
+@pytest.mark.parametrize("budget", [6144, 7168, 9216, 1 << 20])
 def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
-    # d = 1, q = 4: a column stage has factors on 3 grids x N pairs x 4
-    # nodes, 3072 bytes at N = 16 and 1536 at N = 8; N = 16 makes three
-    # stages, 9216 bytes, and N = 8 two (a_level 1 and 2)
+    # d = 1, q = 3: the init's demodulation has N pairs x 3 nodes, 768
+    # bytes at N = 16 and 384 at N = 8; a column stage has factors on 3
+    # grids x N pairs x 3 nodes, 2304 and 1152 bytes. N = 16 makes three
+    # stages, 7680 bytes with the init's, and N = 8 two (a_level 1 and 2),
+    # 2688 bytes
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
     phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
-    refs = [solve_bits(phase, N=n, d=1, seed=0)[0] for n in (16, 8)]
+    refs = [solve_bits(phase, N=n, d=1, q=3, seed=0)[0] for n in (16, 8)]
     for _ in range(3):
         for n, ref in zip((16, 8), refs):
-            assert np.array_equal(solve_bits(phase, N=n, d=1, seed=0)[0], ref)
+            assert np.array_equal(solve_bits(phase, N=n, d=1, q=3, seed=0)[0], ref)
             sizes = [sum(f.nbytes for f in entry[4]) for entry in cheb._factors.values()]
             assert sizes == [entry[-1] for entry in cheb._factors.values()]
             assert cheb._factor_bytes == sum(sizes) <= budget
-    kept = [(key[5], key[2]) for key in cheb._factors]  # (b_level, a_level)
-    if budget == 6144:
-        # nothing of N = 16, whose factors pass the budget
-        assert kept == [(2, 1), (1, 2)]
+    # (b_level, a_level); a_level 0 is the init's entry
+    kept = [(key[5], key[2]) for key in cheb._factors]
+    if budget in (6144, 7168):
+        # nothing of N = 16, whose factors pass the budget; at 7168 only
+        # with the init's counted
+        assert kept == [(3, 0), (2, 1), (1, 2)]
     elif budget == 9216:
-        # least recently used first out: N = 8's stages take the room of
+        # least recently used first out: N = 8's factors take the room of
         # N = 16's first
-        assert kept == [(2, 2), (1, 3), (2, 1), (1, 2)]
+        assert kept == [(2, 2), (1, 3), (3, 0), (2, 1), (1, 2)]
     else:
-        assert kept == [(3, 1), (2, 2), (1, 3), (2, 1), (1, 2)]
+        assert kept == [(4, 0), (3, 1), (2, 2), (1, 3), (3, 0), (2, 1), (1, 2)]
 
 
 def test_least_recently_used_factors_go_first(no_factors, monkeypatch):
@@ -800,7 +806,7 @@ def test_cached_factors_are_read_only(no_factors):
     for _ in range(2):
         solve_bits(get_phase("fourier"), N=8, d=1)
     arrays = [f for entry in cheb._factors.values() for f in entry[4]]
-    assert len(arrays) == 2 * 3  # two column stages' demod and two mods
+    assert len(arrays) == 1 + 2 * 3  # the init's demod, two column stages' demod and two mods
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -847,11 +853,11 @@ def test_a_changed_phase_function_is_evaluated_again(no_factors):
     for _ in range(2):
         solve_bits(phase, N=8, d=1)
     stale = [entry[4] for entry in cached_for(phase)]
-    assert len(stale) == 2
+    assert len(stale) == 3  # the init's entry and two column stages'
     fn.scale = 2.0
     got = solve_bits(phase, N=8, d=1)[0]
     fresh = [entry[4] for entry in cached_for(phase)]
-    assert len(fresh) == 2
+    assert len(fresh) == 3
     assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
     cheb._factors.clear()
     cheb._factor_bytes = 0

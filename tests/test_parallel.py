@@ -28,6 +28,7 @@ from bfly.geometry import (
     stage_schedule,
     to_children,
 )
+from bfly import parallel
 from bfly.lowrank import build_id, build_translation_id
 from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
 from bfly.phases import get_phase, kernel_matrix
@@ -262,6 +263,67 @@ def test_ownership_counts_balanced():
         par = simulate_parallel(s, phase, 8, p=p, q=3)
         assert par.owners.shape == (8, 8)
         assert list(np.bincount(par.owners.ravel())) == [64 // p] * p
+
+
+# ---------------------------------------------------------------------------
+# the per-process layout of each (N, d, p)
+# ---------------------------------------------------------------------------
+
+
+def test_layout_cache_hits_give_the_bits_of_misses():
+    # shapes and backends interleaved, so that each run follows another
+    # shape's; the second round takes every layout from the cache, the
+    # third makes them all again
+    shapes = [(1, 16, 4), (2, 8, 16), (1, 16, 1), (3, 4, 8), (2, 8, 2), (1, 16, 16)]
+    rng = np.random.default_rng(317)
+    sources = {d: random_sources(rng, 40 * d, d=d) for d in (1, 2, 3)}
+    phase = get_phase("fourier")
+
+    def run(d, N, p, backend):
+        kwargs = {"q": 3} if backend == "cheb" else {"backend": "id", "tol": 1e-6}
+        trace = []
+        res = simulate_parallel(sources[d], phase, N, p=p, trace=trace, **kwargs)
+        bits = (res.field.values.tobytes(), tallies(res.ledgers + [res.field.ledger]), res.owners.copy(), res.schedule, trace)
+        res.owners[...] = -1  # the caller's own array, not the cached one
+        return bits
+
+    def interleaved():
+        return [run(d, N, p, backend) for d, N, p in shapes for backend in ("cheb", "id") if d < 3 or backend == "cheb"]
+
+    parallel._layout.cache_clear()
+    cold = interleaved()  # one miss per shape; its second backend hits
+    assert parallel._layout.cache_info()[:2] == (len(cold) - len(shapes), len(shapes))
+    warm = interleaved()
+    assert parallel._layout.cache_info()[:2] == (2 * len(cold) - len(shapes), len(shapes))
+    parallel._layout.cache_clear()
+    again = interleaved()
+    for runs in (warm, again):
+        for got, want in zip(runs, cold):
+            assert got[0] == want[0] and got[1] == want[1] and got[3:] == want[3:]
+            assert np.array_equal(got[2], want[2]) and got[2].dtype == want[2].dtype
+    for d, N, p in shapes:
+        layout = parallel._layout(N, d, p)
+        assert layout is parallel._layout(N, d, p)
+        for table in layout.pairs + (layout.owners,):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_layout_cache_keeps_at_most_its_bound():
+    rng = np.random.default_rng(331)
+    s = random_sources(rng, 40)
+    phase = get_phase("fourier")
+    parallel._layout.cache_clear()
+    N = 1 << (parallel._LAYOUTS + 2)
+    ps = [1 << k for k in range(parallel._LAYOUTS + 3)]  # more shapes than the bound
+    want = [simulate_parallel(s, phase, N, p=p, q=2).field.values for p in ps]
+    info = parallel._layout.cache_info()
+    assert info.maxsize == parallel._LAYOUTS and info.currsize == parallel._LAYOUTS and info.hits == 0
+    # the oldest shapes are gone and made again, with the same bits
+    for p, values in zip(ps, want):
+        assert np.array_equal(simulate_parallel(s, phase, N, p=p, q=2).field.values, values)
+        assert parallel._layout.cache_info().currsize <= parallel._LAYOUTS
 
 
 # ---------------------------------------------------------------------------
