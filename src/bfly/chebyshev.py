@@ -39,21 +39,19 @@ matrices serve every pair at every level.
 
 A column stage's kernel factors exp(+-i*Phi), between its target-box
 centers and its grid nodes, and the init's demodulation on the parent
-grids depend only on the phase, q and the block, never on the sources:
-they are this transform's twiddles. Solves repeated with one evaluator make
-each block's factors twice, one phase call per grid, and then take them
-from a least-recently-used cache of at most _FACTOR_BYTES (32 MiB) per
-process, read-only and with the same bits; a process that solves once keeps
-nothing. The init then evaluates the phase at the sources alone. cheb-2d
-(d = 2, N = 32, q = 6) keeps 11.25 MiB of column-stage factors and
-0.56 MiB of the init's, and a repeated solve there takes a third less time.
+grids depend only on the phase, q and the tree, never on the sources: they
+are this transform's twiddles, and the weight operations take them from
+their caller. A traversal over whole levels keeps one solve's factors per
+process (SolveFactors), from the second solve in a row with one evaluator,
+d, N and q on, read-only, within _FACTOR_BYTES (32 MiB) and with the same
+bits. A warm solve then calls the phase twice: at its probe and at the
+sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from functools import lru_cache
-from typing import Callable, Iterable, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -193,29 +191,23 @@ def cached_matrix_bytes(q: int, d: int) -> int:
     return (8 + 16) * (1 << d) * q ** (2 * d)
 
 
-# A column stage's exp(+-i*Phi) factors, between its target-box centers and
-# its parent and child grids, and the init's exp(-i*Phi) between the root's
-# children's centers and the leaves' parent grids, depend only on the phase,
-# q and the block, never on the sources: like an FFT's twiddles, a solve
-# repeated with one evaluator, one plan applied to many source sets, need
-# not make them again. A block's factors are kept from the second time they
-# are made, read-only, in a least-recently-used cache of at most
-# _FACTOR_BYTES, so a process that solves once keeps nothing. Nothing is
-# kept of a solve whose factors (_solve_factor_bytes) pass the budget:
-# least-recently-used order would evict each stage's before the next solve
-# came back to it. Keys are the phase's identity, q and the block
-# geometry, so an unhashable phase function does no harm. An entry holds its
-# phase, so that identity is not reused while it is cached, and a probe: Phi
-# at two of the block's pairs, evaluated again on every hit. A phase whose
-# function has changed since gives other values there, and the factors are
-# made anew. The last _SEEN_KEYS keys made once are remembered. The budget
-# is apart from the child matrices' (cached_matrix_bytes) and the CLI's q
-# cap.
+# The factors exp(+-i*Phi) of a column stage, between its target-box centers
+# and its grids, and the init's demodulation on the parent grids depend only
+# on the phase, q and the tree, never on the sources: they are this
+# transform's twiddles. One whole solve's factors are kept per process
+# (_kept), keyed by the phase's identity, d, L and q. A traversal keeps them
+# only if the previous one had the same key (_last_key) and they fit in
+# _FACTOR_BYTES (_solve_factor_bytes), and only once its last stage has made
+# them: a process that solves once keeps nothing, a phase that raises stores
+# nothing, and a new kept solve replaces the old. _kept and _last_key hold
+# their phase, so that its identity is not reused. A probe, Phi at two pairs
+# of every stage, is evaluated again in one call when a traversal starts: a
+# phase whose function has changed since gives other values there, and the
+# factors are made anew. The budget is apart from the child matrices'
+# (cached_matrix_bytes) and the CLI's q cap.
 _FACTOR_BYTES = 32 << 20
-_SEEN_KEYS = 1 << 12
-_factors: "OrderedDict[tuple, tuple]" = OrderedDict()  # key -> (phase, probe xs, ys, Phi, factors, bytes)
-_factor_bytes = 0
-_seen: "dict[tuple, None]" = {}
+_kept: Optional["SolveFactors"] = None  # the traversal whose factors are kept
+_last_key: tuple = ((), None)  # the last traversal's key and phase
 
 
 def _solve_factor_bytes(L: int, d: int, r: int) -> int:
@@ -225,46 +217,55 @@ def _solve_factor_bytes(L: int, d: int, r: int) -> int:
     return 16 * (1 + max(L - 1, 0) * ((1 << d) + 1)) * (r << (L * d))
 
 
-def _stage_factors(
-    key: tuple, phase: PhaseEvaluator, xs: np.ndarray, grids: Callable[[], list], solve_bytes: int
-) -> Iterable[np.ndarray]:
-    """exp(-i*Phi) between xs and grids()[0], then exp(i*Phi) between xs
-    and each later grid: from the cache, or made one grid at a time, with
-    the same bits either way. solve_bytes are the factors of the whole
-    solve (_solve_factor_bytes), so a solve keeps all of its factors or
-    none. A phase that raises leaves nothing stored.
+def phase_factors(phase: PhaseEvaluator, xs: np.ndarray, grids: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """exp(-i*Phi) between xs and the first grid, then exp(i*Phi) between xs
+    and each later grid, one phase call per grid as each is taken. That holds
+    Phi of one grid at a time: at d = 3, N = 16, q = 5, a solve's peak RSS
+    falls from about 300 to 173 MB."""
+    for i, y in enumerate(grids):
+        theta = phase(xs, y)
+        yield _expi(-theta if i == 0 else theta)
 
-    One phase call per grid, not one over all grids, holds Phi of one grid
-    at a time: at d = 3, N = 16, q = 5 that takes a solve's peak RSS from
-    about 300 to 173 MB."""
-    global _factor_bytes
-    key = (id(phase),) + key
-    entry = _factors.pop(key, None)
-    if entry is not None:
-        _factor_bytes -= entry[-1]
-        if np.array_equal(phase(entry[1], entry[2]), entry[3]):
-            _factors[key] = entry
-            _factor_bytes += entry[-1]
-            return entry[4]
-    ys = grids()
-    made = (_expi(-phase(xs, y) if i == 0 else phase(xs, y)) for i, y in enumerate(ys))
-    nbytes = 16 * sum(int(np.prod(np.broadcast_shapes(xs.shape[:-1], y.shape[:-1]))) for y in ys)
-    if key not in _seen or solve_bytes > _FACTOR_BYTES:
-        _seen[key] = None
-        if len(_seen) > _SEEN_KEYS:
-            del _seen[next(iter(_seen))]
-        return made
-    factors = tuple(made)
-    for f in factors:
-        f.setflags(write=False)
-    d = xs.shape[-1]
-    px = xs.reshape(-1, d)[[0, -1]]
-    py = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
-    while _factors and _factor_bytes + nbytes > _FACTOR_BYTES:
-        _factor_bytes -= _factors.popitem(last=False)[1][-1]
-    _factors[key] = (phase, px, py, phase(px, py), factors, nbytes)
-    _factor_bytes += nbytes
-    return factors
+
+class SolveFactors:
+    """One whole-level traversal's factors by stage (the init is stage 0,
+    column stage l stage l), kept and reused by the rules above."""
+
+    def __init__(self, phase: PhaseEvaluator, d: int, L: int, q: int):
+        global _kept, _last_key
+        self.phase = phase
+        self.key = (id(phase), d, L, q)
+        self.stages = None  # each stage's factors, of the kept solve on a hit or of this one once kept
+        self.made = None  # (probe xs, probe ys, factors) of each stage, when keeping
+        if _kept is not None and _kept.key == self.key and np.array_equal(phase(_kept.px, _kept.py), _kept.probe):
+            self.stages = _kept.stages
+        elif _last_key[0] == self.key and _solve_factor_bytes(L, d, q**d) <= _FACTOR_BYTES:
+            _kept = None
+            self.made = [None] * max(L, 1)
+        _last_key = (self.key, phase)
+
+    def stage(self, i: int, xs: np.ndarray, grids: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
+        """Stage i's factors, from the points phase_factors takes. When kept,
+        each stage's are made whole and read-only, and all are kept with the
+        last stage's, if every stage took them (an init without sources
+        takes none)."""
+        global _kept
+        if self.stages is not None:
+            return self.stages[i]
+        if self.made is None:
+            return phase_factors(self.phase, xs, grids)
+        ys = list(grids)
+        factors = tuple(phase_factors(self.phase, xs, ys))
+        for f in factors:
+            f.setflags(write=False)
+        d = xs.shape[-1]
+        ends = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
+        self.made[i] = (xs.reshape(-1, d)[[0, -1]], ends, factors)
+        if i == len(self.made) - 1 and all(m is not None for m in self.made):
+            self.px, self.py = (np.concatenate([m[k] for m in self.made]) for k in (0, 1))
+            self.probe = self.phase(self.px, self.py)
+            self.stages, _kept = tuple(m[2] for m in self.made), self
+        return factors
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -305,6 +306,7 @@ def init_source_weights(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
+    factors: Optional[Callable[..., Iterable[np.ndarray]]] = None,
 ) -> np.ndarray:
     """What each leaf box B of a block puts on the weights of the pairs
     (A, P) of level 1, straight from the raw sources inside it:
@@ -314,9 +316,10 @@ def init_source_weights(
     sources of B are interpolated onto the grid of P and demodulated at the
     center of A, once per A, so stage 0 only adds up the children of each P
     (child_sum_stage). The demodulation depends only on the phase, q and
-    the block, and comes from the factor cache (_stage_factors) as a column
-    stage's factors do. In a one-leaf tree (level 0), B is the root, A the
-    whole target domain, and these are the final weights.
+    the block: it is the one array factors(xs, grids) gives, by default
+    phase_factors, one phase call on the parent grids. In a one-leaf tree
+    (level 0), B is the root, A the whole target domain, and these are the
+    final weights.
 
     leaves[i] holds the integer coordinates of the level-`level` box of
     source i, and the sources come sorted by leaf box in canonical order, so
@@ -349,14 +352,9 @@ def init_source_weights(
     home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
     centers = box_centers(a, block_coords((0,) * d, targets)).reshape(targets + (1, d))
     mod = _expi(phase(centers, positions)) * strengths
-
-    def grids():
-        return [grid_points(q, level - a, block_coords(p_lo, p_shape)).reshape(-1, d)]
-
-    # keyed as the block of pairs (X, B) of level 0 it starts from; a column
-    # stage starts from level 1 or later, so the keys never meet
-    key = (q, 0, (0,) * d, (1,) * d, level, tuple(b_lo), tuple(b_shape))
-    demod = next(iter(_stage_factors(key, phase, centers, grids, _solve_factor_bytes(level, d, r))))
+    # the parent grids, made only if the factors are
+    grids = (grid_points(q, level - a, block_coords(*blk)).reshape(-1, d) for blk in [(p_lo, p_shape)])
+    demod = next(iter((factors or partial(phase_factors, phase))(centers, grids)))
     demod = demod.reshape(targets + (-1, r))
     wp = 1.0 / (1 << (level - a))
     basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
@@ -400,6 +398,7 @@ def column_stage(
     q: int,
     ledger: Optional[CostLedger] = None,
     split: Tuple[int, ...] = (),
+    factors: Optional[Callable[..., Iterable[np.ndarray]]] = None,
 ) -> np.ndarray:
     """One column stage: weights of the pairs (A_c, B_p) fed by a block.
 
@@ -407,10 +406,9 @@ def column_stage(
     every parent B_p of its source boxes. Children of B_p outside the block
     are left out, so the partial sums of a rank's block add up across ranks;
     children that differ in the split dimensions are summed apart
-    (geometry.sum_children). The demodulation on the parent grids and the
-    modulation on every present child's grid take one phase call per grid;
-    from a block's third stage with one phase on, they come from the cache
-    (_stage_factors) instead, with the same bits.
+    (geometry.sum_children). factors(xs, grids), by default phase_factors
+    with one phase call per grid, gives the demodulation on the parent grids
+    and the modulation on every present child's grid.
     """
     d = len(a_lo)
     r = q**d
@@ -419,19 +417,17 @@ def column_stage(
     bp = block_coords(*parent_block(b_lo, b_shape))
     kids = list(present_children(b_lo, b_shape))
     xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape(ac_shape + (1,) * d + (1, d))
-
-    def grids():
-        return [grid_points(q, b_level - 1, bp)] + [grid_points(q, b_level, 2 * bp + o) for o, _ in kids]
-
-    key = (q, a_level, tuple(a_lo), a_shape, b_level, tuple(b_lo), b_shape)
-    factors = iter(_stage_factors(key, phase, xc, grids, _solve_factor_bytes(a_level + b_level, d, r)))
-    demod = next(factors)
+    # the parent grids, then each present child's, made only if the factors are
+    blocks = [(b_level - 1, bp)] + [(b_level, 2 * bp + o) for o, _ in kids]
+    grids = (grid_points(q, level, coords) for level, coords in blocks)
+    made = iter((factors or partial(phase_factors, phase))(xc, grids))
+    demod = next(made)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box
         ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
     contribs = (
         (offset, _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q))
-        for (offset, index), mod in zip(kids, factors)
+        for (offset, index), mod in zip(kids, made)
     )
     return sum_children(contribs, split)
 

@@ -28,15 +28,14 @@ precomputed map, kept zero-padded in one array per level (IdEngine). Both
 backends start from the sources sorted by leaf box, so the leaf weights
 are one segment sum.
 
-butterfly_apply is the sequential reference. The distributed simulator in
-bfly.parallel runs the same init and stages on the same level arrays, since
-its ranks' blocks tile every level; a communicating stage keeps the partial
-sums of each team member apart (`split`, see geometry.sum_children). Every
-row of a stage is computed independently of the other rows (see
-chebyshev._rows_times), so a rank's rows carry the bits it would compute on
-its own block. Flops are charged to the ledger as an array over the pairs
-of the level a call runs on, which lets the simulator charge each rank for
-the pairs it holds.
+butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
+runs the init and a stage per level on the level arrays, which the ranks'
+blocks tile; a communicating stage keeps the partial sums of each team
+member apart (`split`, see geometry.sum_children). Every row of a stage is
+computed independently of the other rows (see chebyshev._rows_times), so a
+rank's rows carry the bits it would compute on its own block. Flops are
+charged to the ledger as an array over the pairs of the level a call runs
+on, which lets the simulator charge each rank for the pairs it holds.
 
 The final level becomes a PotentialField: the pairs (A, root) for every
 target leaf A, each with its equivalent sources, so
@@ -51,7 +50,9 @@ a chunk of points at a time with a few whole-chunk NumPy calls.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -143,20 +144,23 @@ class ChebEngine(_SortedSources):
         """What every leaf B puts on the pairs (A, parent(B)) of level 1,
         laid out over the pairs (X, B) of level 0: (2,)*d + (N,)*d + (r,)
         (chebyshev.init_source_weights). With N = 1 the final weights,
-        (1,)*d + (1,)*d + (r,)."""
+        (1,)*d + (1,)*d + (r,). A traversal starts here, so here its
+        factors are looked up (chebyshev.SolveFactors)."""
         d = self.d
+        self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
         return cheb.init_source_weights(
             self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
-            self.phase, self.q, ledger,
+            self.phase, self.q, ledger, partial(self._factors.stage, 0),
         )
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
         """The weights of level + 1 from those of level; with split
         dimensions, stacked partial sums (geometry.sum_children)."""
-        zeros = (0,) * self.d
+        lo = (0,) * self.d  # the block is the whole level
         if level == 0:
-            return cheb.child_sum_stage(zeros, values, ledger, split)
-        return cheb.column_stage(level, zeros, self.L - level, zeros, values, self.phase, self.q, ledger, split)
+            return cheb.child_sum_stage(lo, values, ledger, split)
+        factors = partial(self._factors.stage, level)
+        return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, split, factors)
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
         """The field of the final level's weights, (N,)*d + (r,) after
@@ -486,6 +490,11 @@ def make_engine(
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
     if sources.dim != d:
         raise ValueError(f"sources have dimension {sources.dim}, the engine has dimension {d}")
+    for name, value in (("q", q), ("rows_per_dim", rows_per_dim)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name}={value!r} is not an integer >= 1")
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # NaN fails the comparison too
+        raise ValueError(f"tol={tol!r} is not a number in (0, 1)")
     if backend == "cheb":
         return ChebEngine(phase, d, N, q, sources)
     if backend == "id":
@@ -503,16 +512,10 @@ def butterfly_apply(
     rows_per_dim: int = 4,
 ) -> PotentialField:
     """Sequential butterfly evaluation; returns a field with a flop ledger.
-    simulate_parallel(p=1) gives the same field and ledger, with the cost
-    model's params."""
-    eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)
-    ledger = CostLedger()
-    values = eng.init_blocks(ledger)
-    for level in range(eng.L):
-        values = eng.stage(level, values, ledger)
-    fieldv = eng.make_field(values)
-    fieldv.ledger = ledger
-    return fieldv
+    It is the same loop at p = 1: the field of simulate_parallel(p=1)."""
+    from .parallel import simulate_parallel  # parallel imports this module
+
+    return simulate_parallel(sources, phase, N, 1, q, backend, tol, rows_per_dim).field
 
 
 # kernel entries direct_apply forms at a time (512 KB of complex kernel),

@@ -193,13 +193,13 @@ def simulate_parallel(
     """Run the full traversal on p simulated ranks and merge the result.
 
     Each level is one array over all ranks' pairs: one engine init and one
-    stage per level, whatever p. With p = 1 no stage communicates, so the
-    final weights and the one rank's ledger are bit-identical to
-    butterfly_apply's; `bfly verify` therefore solves with this call at
-    every process count. Factorization work for the sampled backend is
-    precomputed once and shared by every rank; the ranks' layout is made
-    once per (N, d, p) per process (_layout). `threads` has no effect and
-    is kept for callers that still pass it.
+    stage per level, whatever p. This is the library's one traversal loop:
+    butterfly_apply is the same loop at p = 1, where no stage communicates,
+    and `bfly verify` solves with this call at every process count.
+    Factorization work for the sampled backend is precomputed once and
+    shared by every rank; the ranks' layout is made once per (N, d, p) per
+    process (_layout). `threads` has no effect and is kept for callers that
+    still pass it.
     """
     layout = _layout(N, sources.dim, p)
     eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)

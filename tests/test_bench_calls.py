@@ -69,3 +69,16 @@ def test_traced_id_solve_reaches_its_hooks():
     names = {span[0] for span in recorder.spans}
     assert {"lowrank.id", "lowrank.translation_id", "phases.kernel_matrix", "engine.init"} <= names
     assert recorder.missing == KNOWN_MISSING  # no probe failed on the calls it saw
+
+
+def test_traced_cheb_solve_reaches_its_hooks():
+    # a hooked name that still resolves but is no longer called through its
+    # module attribute would leave its span out here
+    wl = dataclasses.replace(WORKLOADS["cheb-2d"], sources=256, targets=256, **SMALL["cheb-2d"])
+    inp = draw_inputs(wl, np.random.default_rng(13))
+    recorder = SpanRecorder()
+    with recorder.installed():
+        solve(wl, scaled_fourier(wl.N), inp)
+    names = {span[0] for span in recorder.spans}
+    assert {"chebyshev.init", "chebyshev.translate", "engine.init"} <= names
+    assert recorder.missing == KNOWN_MISSING  # no probe failed on the calls it saw

@@ -6,7 +6,6 @@ direct kernel summation and against per-pair and per-leaf oracles."""
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -676,16 +675,16 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
 
 
 # ---------------------------------------------------------------------------
-# the process-wide cache of the column stages' exp(+-i*Phi) factors
+# the one kept solve of exp(+-i*Phi) factors (chebyshev.SolveFactors)
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def no_factors(monkeypatch):
-    """An empty cache for the test, the process's own put back after."""
-    monkeypatch.setattr(cheb, "_factors", OrderedDict())
-    monkeypatch.setattr(cheb, "_factor_bytes", 0)
-    monkeypatch.setattr(cheb, "_seen", {})
+    """Nothing kept and no last key for the test, the process's own put
+    back after."""
+    monkeypatch.setattr(cheb, "_kept", None)
+    monkeypatch.setattr(cheb, "_last_key", ((), None))
 
 
 def counted(phase):
@@ -700,8 +699,9 @@ def counted(phase):
     return PhaseEvaluator(phase.name, phase.dim, fn), pairs
 
 
-def cached_for(phase):
-    return [entry for entry in cheb._factors.values() if entry[0] is phase]
+def kept_for(phase):
+    """The kept solve's factors of each stage if they are phase's, else ()."""
+    return cheb._kept.stages if cheb._kept is not None and cheb._kept.phase is phase else ()
 
 
 def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
@@ -721,21 +721,21 @@ def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
     # the init's call at the sources, its demodulation's on the parent
     # grids, then one call per grid: two column stages, 1 + 2^d grids each
     sources, demod, *grids = list(pairs)
-    assert len(grids) == 2 * 5 and cheb._factors == {}  # a first solve keeps nothing
+    assert len(grids) == 2 * 5 and cheb._kept is None  # a first solve keeps nothing
     del pairs[:]
-    assert np.array_equal(solve_bits(phase, p=p)[0], cold[0])
-    # the second keeps the init's and every stage's factors, each with a
-    # two-pair probe
-    assert pairs == [sources, demod, 2, *grids[:5], 2, *grids[5:], 2] and len(cached_for(phase)) == 3
+    storing = solve_bits(phase, p=p)
+    # the second keeps the init's and every stage's factors, and evaluates
+    # their two-pair probes in one call at the end
+    assert pairs == [sources, demod, *grids, 2 * 3] and len(kept_for(phase)) == 3
     del pairs[:]
     warm = solve_bits(phase, p=p)
-    # warm, the init evaluates the sources and its probe, each stage its probe
-    assert pairs == [sources, 2, 2, 2]
+    # warm: the probe, then the init's call at the sources
+    assert pairs == [2 * 3, sources]
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", 0)
     other, other_pairs = counted(get_phase("hyp-radon"))
     uncached = [solve_bits(other, p=p) for _ in range(3)][-1]
-    assert cached_for(other) == [] and other_pairs == 3 * [sources, demod, *grids]
-    for got in (warm, uncached):
+    assert kept_for(other) == () and other_pairs == 3 * [sources, demod, *grids]
+    for got in (storing, warm, uncached):
         assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
 
 
@@ -744,68 +744,81 @@ def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
     # d = 1, q = 3: the init's demodulation has N pairs x 3 nodes, 768
     # bytes at N = 16 and 384 at N = 8; a column stage has factors on 3
     # grids x N pairs x 3 nodes, 2304 and 1152 bytes. N = 16 makes three
-    # stages, 7680 bytes with the init's, and N = 8 two (a_level 1 and 2),
-    # 2688 bytes
+    # column stages, 7680 bytes with the init's (past 7168 only with the
+    # init's counted), and N = 8 two, 2688 bytes
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
     phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
     refs = [solve_bits(phase, N=n, d=1, q=3, seed=0)[0] for n in (16, 8)]
-    for _ in range(3):
-        for n, ref in zip((16, 8), refs):
-            assert np.array_equal(solve_bits(phase, N=n, d=1, q=3, seed=0)[0], ref)
-            sizes = [sum(f.nbytes for f in entry[4]) for entry in cheb._factors.values()]
-            assert sizes == [entry[-1] for entry in cheb._factors.values()]
-            assert cheb._factor_bytes == sum(sizes) <= budget
-    # (b_level, a_level); a_level 0 is the init's entry
-    kept = [(key[5], key[2]) for key in cheb._factors]
-    if budget in (6144, 7168):
-        # nothing of N = 16, whose factors pass the budget; at 7168 only
-        # with the init's counted
-        assert kept == [(3, 0), (2, 1), (1, 2)]
-    elif budget == 9216:
-        # least recently used first out: N = 8's factors take the room of
-        # N = 16's first
-        assert kept == [(2, 2), (1, 3), (3, 0), (2, 1), (1, 2)]
-    else:
-        assert kept == [(4, 0), (3, 1), (2, 2), (1, 3), (3, 0), (2, 1), (1, 2)]
-
-
-def test_least_recently_used_factors_go_first(no_factors, monkeypatch):
-    monkeypatch.setattr(cheb, "_FACTOR_BYTES", 2 * 160)
-    phase = get_phase("fourier")
-    made = []
-
-    def get(name):
-        def grids():
-            made.append(name)
-            return [np.linspace(0.0, 1.0, 10)[:, None]]
-
-        return cheb._stage_factors((name,), phase, np.zeros((1, 1)), grids, 160)
-
-    get("a")
-    get("b")
-    assert cheb._factors == {}  # met once, not kept
-    first = get("a")
-    get("b")
-    assert get("a") is first  # a hit, which makes "b" the oldest
-    get("c")
-    get("c")
-    assert [key[1] for key in cheb._factors] == ["a", "c"]
-    get("b")
-    assert made == ["a", "b", "a", "b", "c", "c", "b"]
-
-
-def test_only_the_last_keys_made_once_are_remembered(no_factors, monkeypatch):
-    monkeypatch.setattr(cheb, "_SEEN_KEYS", 2)
-    phase = get_phase("fourier")
+    assert cheb._kept is None
     for _ in range(2):
-        solve_bits(phase, N=16, d=1)
-        assert [key[2] for key in cheb._seen] == [2, 3]
+        for n, ref, nbytes in zip((16, 8), refs, (7680, 2688)):
+            before = cheb._kept
+            for _ in range(2):  # kept from the second solve in a row on
+                assert np.array_equal(solve_bits(phase, N=n, d=1, q=3, seed=0)[0], ref)
+            if nbytes <= budget:
+                assert cheb._kept.key[2] == n.bit_length() - 1
+                assert sum(f.nbytes for stage in kept_for(phase) for f in stage) == nbytes
+            else:
+                assert cheb._kept is before  # nothing of a solve past the budget
+    # one solve at most: the last that fits
+    assert cheb._kept.key[2] == 3 and sum(f.nbytes for stage in kept_for(phase) for f in stage) <= budget
+
+
+def test_alternating_solves_keep_one_and_give_cold_bits(no_factors):
+    resident = []  # whether a solve was kept at each phase call
+
+    def half(xs, ys):
+        resident.append(cheb._kept is not None)
+        return 0.5 * get_phase("hyp-radon").fn(xs, ys)
+
+    a, a_pairs = counted(get_phase("hyp-radon"))
+    b, b_pairs = counted(PhaseEvaluator("half", 2, half))
+    cold = {a: solve_bits(a), b: solve_bits(b)}
+    full = len(a_pairs)  # a cold solve's calls
+    # (solve, the phase of the kept solve after it): a solve is kept from
+    # the second in a row with its phase on, and replaces the kept one
+    for phase, kept in ((a, None), (b, None), (a, None), (a, a), (b, a), (b, b), (a, b), (b, b), (a, b)):
+        before = cheb._kept and cheb._kept.phase
+        del a_pairs[:], b_pairs[:], resident[:]
+        got = solve_bits(phase)
+        assert np.array_equal(got[0], cold[phase][0]) and got[1] == cold[phase][1]
+        assert (cheb._kept and cheb._kept.phase) is kept
+        if phase is b and kept is b and before is a:
+            assert not any(resident)  # a's factors go before b's are made
+        # a hit is the probe and the sources; a miss makes every factor and,
+        # if it keeps them, evaluates their probe
+        calls = a_pairs if phase is a else b_pairs
+        assert len(calls) == (2 if before is phase else full + (kept is phase))
+
+
+def test_solves_without_sources_keep_nothing_and_take_kept_stages(no_factors):
+    # an init without sources takes no factors, so its solve keeps none;
+    # with a solve kept, it takes the kept column stages and gives zeros
+    phase = get_phase("hyp-radon")
+    empty = SourceSet(np.zeros((0, 2)), np.zeros(0))
+    for _ in range(2):
+        assert not np.any(butterfly_apply(empty, phase, 8, q=4).values) and cheb._kept is None
+    cold = solve_bits(phase)
+    assert kept_for(phase)  # the previous solve had the same key
+    assert not np.any(butterfly_apply(empty, phase, 8, q=4).values)
+    assert np.array_equal(solve_bits(phase)[0], cold[0])
+
+
+def test_a_new_evaluator_is_not_taken_for_a_freed_one(no_factors):
+    # a new evaluator may get the identity of one freed before; solved
+    # once each, none of them is kept
+    for _ in range(10):
+        phase = PhaseEvaluator("fresh", None, lambda x, y: 8.0 * get_phase("fourier").fn(x, y))
+        solve_bits(phase)
+        assert cheb._kept is None
+        del phase
 
 
 def test_cached_factors_are_read_only(no_factors):
+    phase = get_phase("fourier")
     for _ in range(2):
-        solve_bits(get_phase("fourier"), N=8, d=1)
-    arrays = [f for entry in cheb._factors.values() for f in entry[4]]
+        solve_bits(phase, N=8, d=1)
+    arrays = [f for stage in kept_for(phase) for f in stage]
     assert len(arrays) == 1 + 2 * 3  # the init's demod, two column stages' demod and two mods
     for a in arrays:
         assert not a.flags.writeable
@@ -813,13 +826,32 @@ def test_cached_factors_are_read_only(no_factors):
             a[...] = 0.0
 
 
+class Failing:
+    """The fourier phase, or NaN from call number fail_at on."""
+
+    def __init__(self):
+        self.calls = 0
+        self.fail_at = None
+
+    def __call__(self, xs, ys):
+        self.calls += 1
+        out = get_phase("fourier").fn(xs, ys)
+        return out * np.nan if self.fail_at is not None and self.calls >= self.fail_at else out
+
+
 def test_nan_phase_raises_every_time_and_stores_nothing(no_factors):
-    nan = PhaseEvaluator("nan", None, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], np.nan))
-    values = np.ones((2, 2, 4), dtype=complex)
+    fn = Failing()
+    phase = PhaseEvaluator("failing", None, fn)
+    cold = solve_bits(phase, N=8, d=1)[0]
+    last = fn.calls  # the last column stage's last grid
     for _ in range(3):
+        fn.calls, fn.fail_at = 0, last
         with pytest.raises(ValueError, match="NaN or inf"):
-            column_stage(1, (0,), 1, (0,), values, nan, 2)
-    assert len(cheb._factors) == 0 and cheb._factor_bytes == 0
+            solve_bits(phase, N=8, d=1)
+        assert cheb._kept is None
+    fn.fail_at = None
+    for _ in range(2):  # kept from the first solve that finishes, then a hit
+        assert np.array_equal(solve_bits(phase, N=8, d=1)[0], cold) and kept_for(phase)
 
 
 class Unhashable:
@@ -838,13 +870,13 @@ class Unhashable:
 def test_phases_of_one_name_do_not_share_factors(no_factors):
     one = PhaseEvaluator("same", None, Unhashable(1.0))
     two = PhaseEvaluator("same", None, Unhashable(2.0))
-    first = [solve_bits(one, N=8, d=1)[0] for _ in range(2)][-1]
-    second = [solve_bits(two, N=8, d=1)[0] for _ in range(2)][-1]
-    assert cached_for(one) and cached_for(two)
-    cheb._factors.clear()
-    cheb._factor_bytes = 0
-    assert np.array_equal(solve_bits(two, N=8, d=1)[0], second)
-    assert not np.allclose(first, second)
+    first = [solve_bits(one, N=8, d=1)[0] for _ in range(3)][-1]
+    assert kept_for(one)
+    second = [solve_bits(two, N=8, d=1)[0] for _ in range(3)]
+    assert kept_for(two) and not kept_for(one)
+    cheb._kept = None
+    assert all(np.array_equal(solve_bits(two, N=8, d=1)[0], got) for got in second)
+    assert not np.allclose(first, second[0])
 
 
 def test_a_changed_phase_function_is_evaluated_again(no_factors):
@@ -852,15 +884,14 @@ def test_a_changed_phase_function_is_evaluated_again(no_factors):
     phase = PhaseEvaluator("mutable", None, fn)
     for _ in range(2):
         solve_bits(phase, N=8, d=1)
-    stale = [entry[4] for entry in cached_for(phase)]
-    assert len(stale) == 3  # the init's entry and two column stages'
+    stale = kept_for(phase)
+    assert len(stale) == 3  # the init's stage and two column stages
     fn.scale = 2.0
     got = solve_bits(phase, N=8, d=1)[0]
-    fresh = [entry[4] for entry in cached_for(phase)]
+    fresh = kept_for(phase)
     assert len(fresh) == 3
     assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
-    cheb._factors.clear()
-    cheb._factor_bytes = 0
+    cheb._kept = None
     assert np.array_equal(got, solve_bits(PhaseEvaluator("cold", None, Unhashable(2.0)), N=8, d=1)[0])
 
 

@@ -379,6 +379,26 @@ def test_make_engine_rejects_sources_of_another_dimension():
             make_engine(phase, 2, 8, s, q=4, backend=backend)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(q=1.5), "q"),
+        (dict(q=0), "q"),
+        (dict(backend="id", tol=2.0), "tol"),
+        (dict(tol=float("nan")), "tol"),
+        (dict(backend="id", tol=-1.0), "tol"),
+        (dict(backend="id", rows_per_dim=0), "rows_per_dim"),
+        (dict(rows_per_dim=2.0), "rows_per_dim"),
+    ],
+)
+def test_make_engine_names_a_bad_argument(kwargs, name):
+    # each used to fail deep inside (q=1.5: a TypeError; id at tol=2.0: a
+    # reshape error) or to run silently at full rank (tol nan or -1)
+    s = random_sources(np.random.default_rng(9), 10)
+    with pytest.raises(ValueError, match=f"^{name}="):
+        make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
+
+
 def test_2d_accuracy_modest_grid():
     rng = np.random.default_rng(137)
     phase = get_phase("hyp-radon")
