@@ -46,6 +46,14 @@ process (SolveFactors), from the second solve in a row with one evaluator,
 d, N and q on, read-only, within _FACTOR_BYTES (32 MiB) and with the same
 bits. A warm solve then calls the phase twice: at its probe and at the
 sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
+
+The weight operations keep their temporaries small, with the same bits as
+whole-array products: the init sums its sources in runs of whole leaves of
+about _INIT_CHUNK complex entries each, and a column stage modulates by
+broadcasting instead of repeating its weights onto the target children,
+and demodulates in place. Solves repeated as the benchmark repeats them
+then page-fault about once per warm cheb-2d solve instead of 1,550 times,
+and butterfly_apply at d = 3, N = 32, q = 5 peaks at 769 MB, not 887 MB.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ from .geometry import (
     parent_block,
     present_children,
     sum_children,
-    to_children,
 )
 from .phases import PhaseEvaluator, _expi
 
@@ -296,6 +303,14 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# complex entries of the product init_source_weights forms per run of whole
+# leaves (512 KB, as engine._DIRECT_CHUNK's kernel). A product over all n
+# sources, (n, q^d) per target box, is 2.36 MB on cheb-2d, fresh from the
+# kernel and page-faulted in on every solve; a run's fits in cache and its
+# memory is reused.
+_INIT_CHUNK = 1 << 15
+
+
 def init_source_weights(
     level: int,
     b_lo: Tuple[int, ...],
@@ -323,9 +338,14 @@ def init_source_weights(
 
     leaves[i] holds the integer coordinates of the level-`level` box of
     source i, and the sources come sorted by leaf box in canonical order, so
-    each box's moments are one segment sum. Empty boxes get zero weights and
-    cost nothing. The ledger is charged an array of flops per box of the
-    block.
+    each box's moments are one segment sum (np.add.reduceat). The sums go
+    over runs of whole leaves, a run opening at each leaf that starts in a
+    new window of _INIT_CHUNK // q^d sources, so each product of basis and
+    modulated strengths spans about _INIT_CHUNK entries, not every source
+    (more where one leaf holds more sources than a window). A leaf's
+    segment sum is the same in a run as over all sources, so the bits are
+    too. Empty boxes get zero weights and cost nothing. The ledger is
+    charged an array of flops per box of the block.
     """
     d = len(b_lo)
     r = q**d
@@ -358,9 +378,17 @@ def init_source_weights(
     demod = demod.reshape(targets + (-1, r))
     wp = 1.0 / (1 << (level - a))
     basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
+    # run i holds leaves cuts[i]:cuts[i+1], sources edges[i]:edges[i+1]; a
+    # run opens at each leaf that starts in a new window of _INIT_CHUNK // r
+    # sources
+    window = starts // max(1, _INIT_CHUNK // r)
+    cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(starts)]
+    edges = [*starts[cuts[:-1]].tolist(), n]
+    moments = np.empty((len(starts), r), dtype=complex)
     for t in np.ndindex(*targets):
-        moments = np.add.reduceat(basis * mod[t][:, None], starts, axis=0)
-        out[t].reshape(-1, r)[flat[starts]] = demod[t][home] * moments
+        for i0, i1, s0, s1 in zip(cuts, cuts[1:], edges, edges[1:]):
+            np.add.reduceat(basis[s0:s1] * mod[t][s0:s1, None], starts[i0:i1] - s0, axis=0, out=moments[i0:i1])
+        out[t].reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
     if ledger is not None:
         counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
         per_box = (2 * r + 1) * counts + r * (counts > 0)
@@ -382,7 +410,7 @@ def child_sum_stage(
     b_shape = values.shape[d : 2 * d]
     if ledger is not None:
         # each leaf adds one weight vector per target box
-        ledger.add_flops(np.full(b_shape, values.shape[-1] << d))
+        ledger.add_flops(np.broadcast_to(values.shape[-1] << d, b_shape))
     # copies: sum_children adds into the first part of each sum
     parts = ((offset, values[(slice(None),) * d + index].copy()) for offset, index in present_children(b_lo, b_shape))
     return sum_children(parts, split)
@@ -424,7 +452,7 @@ def column_stage(
     demod = next(made)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box
-        ledger.add_flops(np.full(values.shape[: 2 * d], (2 * r * r + 3 * r) << d))
+        ledger.add_flops(np.broadcast_to((2 * r * r + 3 * r) << d, values.shape[: 2 * d]))
     contribs = (
         (offset, _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q))
         for (offset, index), mod in zip(kids, made)
@@ -448,9 +476,14 @@ def _column_contribution(
     """
     d = len(offset)
     r = q**d
-    # A -> each of its children A_c. np.multiply, not `*`: numpy may reuse a
-    # large temporary right operand with the operands swapped, which rounds
-    # complex products differently from a small block's rows.
-    rows = np.multiply(mod, to_children(values, d)).reshape(-1, r)
-    w = _rows_times(rows, _stage_matrices(q, d)[offset_index(offset)])
-    return demod * w.reshape(demod.shape)
+    # A -> each of its children A_c by broadcasting: target axis k of mod
+    # split as (A, child) against values with a unit axis there, so no copy
+    # of values is repeated onto the children. The product, its re-expansion
+    # and the in-place demodulation then hold two arrays of the output's
+    # size. Operands stay in this order: numpy rounds a swapped complex
+    # product differently.
+    children = sum(((n, 2) for n in values.shape[:d]), ())
+    units = sum(((n, 1) for n in values.shape[:d]), ())
+    rows = np.multiply(mod.reshape(children + mod.shape[d:]), values.reshape(units + values.shape[d:]))
+    w = _rows_times(rows.reshape(-1, r), _stage_matrices(q, d)[offset_index(offset)]).reshape(demod.shape)
+    return np.multiply(demod, w, out=w)

@@ -123,6 +123,7 @@ def sum_children(parts: Iterable[tuple[Tuple[int, ...], np.ndarray]], split: Tup
     for offset, contrib in parts:
         t = sum(offset[dim] << i for i, dim in enumerate(split))
         sums[t] = contrib if t not in sums else np.add(sums[t], contrib, out=sums[t])
+        del contrib  # a child added in is freed before the next one is made
     if not split:
         return sums[0]
     return np.stack([sums[t] for t in range(1 << len(split))])

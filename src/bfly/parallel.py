@@ -72,7 +72,9 @@ class RankCosts:
     pairs[r] lists the flat indices, in the array of the current level, of
     the pairs rank r holds (_rank_pairs). The engine charges flops as an
     array over the pairs of the level a call runs on; add_flops gives each
-    rank the sum over its own pairs.
+    rank the sum over its own pairs. A stage that charges every pair the
+    same count passes it broadcast (np.broadcast_to, every stride 0), and
+    each rank gets that count times its pair count, with no gather.
     """
 
     def __init__(self, p: int):
@@ -85,7 +87,10 @@ class RankCosts:
         per_pair = np.reshape(per_pair, -1)
         if per_pair.size != self.pairs.size:
             raise ValueError(f"{per_pair.size} flop counts for a level of {self.pairs.size} pairs")
-        self.flops += np.sum(per_pair[self.pairs], axis=1)
+        if per_pair.strides == (0,):
+            self.flops += per_pair[0] * self.pairs.shape[1]
+        else:
+            self.flops += np.sum(per_pair[self.pairs], axis=1)
 
     def ledgers(self, params: CostParams) -> List[CostLedger]:
         return [

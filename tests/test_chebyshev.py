@@ -6,6 +6,7 @@ direct kernel summation and against per-pair and per-leaf oracles."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -654,6 +655,85 @@ def test_init_block_rows_are_bit_stable():
         inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
         got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
         assert np.array_equal(got, whole[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
+
+
+def clustered_sources(rng, d, n, crowd):
+    """n sources in the lower 0.6 of dimension 0, so the upper leaves stay
+    empty, with `crowd` of them inside one leaf near 0.3."""
+    pos = rng.uniform(size=(n, d))
+    pos[:, 0] *= 0.6
+    pos[:crowd] = 0.3 + 0.01 * rng.uniform(size=(crowd, d))
+    return SourceSet(pos, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("d,N,q,name", [(1, 16, 4, "fourier"), (2, 8, 3, "hyp-radon"), (3, 4, 2, "gen-radon")])
+def test_init_chunk_keeps_the_bits(d, N, q, name, p, monkeypatch):
+    # runs of one leaf each, runs of 7 sources' worth that cut between leaves
+    # (the crowded leaf holds 40, more than a run), the default, and one run
+    # over all sources per target box: the whole-array product, whose bits
+    # and ledgers the others must give
+    r = q**d
+    src = clustered_sources(np.random.default_rng(113 + d), d, 200, 40)
+    phase = get_phase(name)
+
+    def solve(chunk):
+        monkeypatch.setattr(cheb, "_INIT_CHUNK", chunk)
+        res = simulate_parallel(src, phase, N, p, q=q)
+        return res.field.values, [(led.flops, led.messages, led.entries_sent) for led in res.ledgers]
+
+    values, ledgers = solve(1 << 30)
+    for chunk in (1, 7 * r, 1 << 15):
+        got, got_ledgers = solve(chunk)
+        assert np.array_equal(got, values)
+        assert got_ledgers == ledgers
+
+
+def traced_peak(call):
+    """call() and the peak bytes traced while it ran, the result's included."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_init_holds_no_product_over_all_sources():
+    # d = 2, q = 6, 64 sources per leaf. Besides its output, the init holds
+    # the real basis (8 n r bytes), the modulated strengths (16 n 2^d) and
+    # one run's product (16 _INIT_CHUNK), 6.7 MB here; an (n, r) complex
+    # array over all sources would add 16 n r = 9.4 MB on its own.
+    d, level, q, n = 2, 4, 6, 16384
+    rng = np.random.default_rng(127)
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
+    pos, g, leaves = pos[order], g[order], leaves[order]
+    phase = get_phase("fourier")
+    out, peak = traced_peak(lambda: init_source_weights(level, (0,) * d, (1 << level,) * d, pos, g, leaves, phase, q))
+    assert peak - out.nbytes < 16 * n * q**d
+
+
+def test_column_stage_holds_three_arrays_of_its_output():
+    # With its factors given, a column stage holds the running sum over the
+    # children, one child's modulated rows and their re-expansion, which is
+    # demodulated in place: three arrays of the output's size. A copy of
+    # the values repeated onto the target children (geometry.to_children)
+    # or a demodulated copy would make a fourth.
+    d, q, L, level = 2, 6, 5, 2
+    rng = np.random.default_rng(131)
+    shape = (1 << level,) * d + (1 << (L - level),) * d + (q**d,)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phase = get_phase("fourier")
+    made = []
+    first = column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q,
+                         factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made)
+    out, peak = traced_peak(lambda: column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q,
+                                                 factors=lambda xs, grids: made))
+    assert np.array_equal(out, first)
+    assert peak < 3.5 * out.nbytes
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 3)])

@@ -94,6 +94,22 @@ def test_sum_scatter_contract_violations():
         reduce_scatter(np.zeros((3, 6), dtype=complex), RankCosts(6))
 
 
+def test_uniform_flop_counts_charge_each_rank_its_pairs():
+    # one count broadcast over every pair of a level gives each rank what the
+    # counts written out do; a wrong pair count is refused either way
+    layout = parallel._layout(8, 2, 4)
+    for pairs in layout.pairs:
+        shape = (pairs.size,)
+        broadcast, written = RankCosts(4), RankCosts(4)
+        broadcast.pairs = written.pairs = pairs
+        broadcast.add_flops(np.broadcast_to(7 << 40, shape))
+        written.add_flops(np.full(shape, 7 << 40))
+        assert np.array_equal(broadcast.flops, written.flops)
+        assert broadcast.flops.tolist() == [(7 << 40) * pairs.shape[1]] * 4
+        with pytest.raises(ValueError, match="flop counts"):
+            broadcast.add_flops(np.broadcast_to(1, (pairs.size + 1,)))
+
+
 # ---------------------------------------------------------------------------
 # equivalence with the sequential engine
 # ---------------------------------------------------------------------------
