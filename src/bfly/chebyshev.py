@@ -22,9 +22,9 @@ evaluation costs one phase call per target; it pays only past N^d * r
 targets per solve and is not used.
 
 The leaf sources go straight onto the grids of the leaves' parents,
-demodulated at the centers of the root's children: the pairs of level 1
-(init_source_weights). Stage 0 then only adds up each parent's children
-(child_sum_stage), and every later stage is a column stage, so a solve
+demodulated at the centers of the root's children, and each parent's
+children are added up there: init_source_weights makes the pairs of level
+1 and so covers stage 0. Every later stage is a column stage, so a solve
 makes log2 N interpolations.
 
 Grid conventions: first-kind Chebyshev nodes mapped affinely to each box
@@ -49,11 +49,14 @@ sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
 
 The weight operations keep their temporaries small, with the same bits as
 whole-array products: the init sums its sources in runs of whole leaves of
-about _INIT_CHUNK complex entries each, and a column stage modulates by
-broadcasting instead of repeating its weights onto the target children,
-and demodulates in place. Solves repeated as the benchmark repeats them
-then page-fault about once per warm cheb-2d solve instead of 1,550 times,
-and butterfly_apply at d = 3, N = 32, q = 5 peaks at 769 MB, not 887 MB.
+about _INIT_CHUNK complex entries each, and adds each parent's children
+from one reused level-0 scratch straight into its level-1 output, (2,)*d +
+(N/2,)*d + (q^d,), rather than returning 2^d level-0 arrays for stage 0 to
+add up. A column stage modulates by broadcasting instead of repeating its
+weights onto the target children, and demodulates in place. Solves
+repeated as the benchmark repeats them then page-fault about once per warm
+cheb-2d solve instead of 1,550 times, and butterfly_apply at d = 3, N = 32,
+q = 5 peaks at 581 MB, not 887 MB; its column stages are now the peak.
 """
 
 from __future__ import annotations
@@ -322,19 +325,25 @@ def init_source_weights(
     q: int,
     ledger: Optional[CostLedger] = None,
     factors: Optional[Callable[..., Iterable[np.ndarray]]] = None,
+    split: Tuple[int, ...] = (),
 ) -> np.ndarray:
-    """What each leaf box B of a block puts on the weights of the pairs
-    (A, P) of level 1, straight from the raw sources inside it:
-    (2^a,)*d + b_shape + (q^d,), with a = min(level, 1).
+    """The weights of the pairs (A, P) of level 1 that a block of leaf
+    boxes B feeds, straight from the raw sources inside it:
+    (2^a,)*d + p_shape + (q^d,), with a = min(level, 1) and p_shape the
+    block's parents (geometry.parent_block), or b_shape when a = 0.
 
-    A runs over the children of the root and P is the parent of B: the
-    sources of B are interpolated onto the grid of P and demodulated at the
-    center of A, once per A, so stage 0 only adds up the children of each P
-    (child_sum_stage). The demodulation depends only on the phase, q and
-    the block: it is the one array factors(xs, grids) gives, by default
-    phase_factors, one phase call on the parent grids. In a one-leaf tree
-    (level 0), B is the root, A the whole target domain, and these are the
-    final weights.
+    A runs over the children of the root and P over the parents of the
+    block's leaves. The sources of each leaf B are interpolated onto the
+    grid of its parent P and demodulated at the center of A, once per A,
+    into one level-0 scratch laid out over the block, b_shape + (q^d,),
+    reused for every A; the present children of each P are then added from
+    the scratch in the order of stage 0 (geometry.sum_children with
+    `split`, the members' partial sums added in ascending member order),
+    so this is stage 0 as well. The demodulation depends only on the
+    phase, q and the block: it is the one array factors(xs, grids) gives,
+    by default phase_factors, one phase call on the parent grids. In a
+    one-leaf tree (level 0), B is the root, A the whole target domain, and
+    these are the final weights.
 
     leaves[i] holds the integer coordinates of the level-`level` box of
     source i, and the sources come sorted by leaf box in canonical order, so
@@ -344,29 +353,36 @@ def init_source_weights(
     modulated strengths spans about _INIT_CHUNK entries, not every source
     (more where one leaf holds more sources than a window). A leaf's
     segment sum is the same in a run as over all sources, so the bits are
-    too. Empty boxes get zero weights and cost nothing. The ledger is
-    charged an array of flops per box of the block.
+    too. Empty boxes get zero weights. The ledger is charged an array of
+    flops per box of the block: its moments, nothing for an empty box, and
+    for a > 0 the child sum, q^d 2^d per box.
     """
     d = len(b_lo)
     r = q**d
     a = min(level, 1)
     targets = (1 << a,) * d
-    out = np.zeros(targets + tuple(b_shape) + (r,), dtype=complex)
+    p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
+    out = np.zeros(targets + p_shape + (r,), dtype=complex)
     positions = np.asarray(positions, dtype=float).reshape(-1, d)
     strengths = np.asarray(strengths, dtype=complex)
     n = positions.shape[0]
+    flat, starts = leaf_runs(leaves, b_lo, b_shape)
+    if n:
+        w = 1.0 / (1 << level)
+        lo = leaves * w
+        hi = lo + w
+        inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
+        if not np.all((positions >= lo) & inside_hi):
+            raise ValueError("source position outside its box")
+        if np.any(np.diff(flat) < 0):
+            raise ValueError("sources must be sorted by leaf box")
+    if ledger is not None:
+        counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
+        per_box = (2 * r + 1) * counts + r * (counts > 0)
+        # the child sum: each leaf adds one weight vector per target box
+        ledger.add_flops(((per_box << (a * d)) + (r << d if a else 0)).reshape(b_shape))
     if n == 0:
         return out
-    w = 1.0 / (1 << level)
-    lo = leaves * w
-    hi = lo + w
-    inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
-    if not np.all((positions >= lo) & inside_hi):
-        raise ValueError("source position outside its box")
-    flat, starts = leaf_runs(leaves, b_lo, b_shape)
-    if np.any(np.diff(flat) < 0):
-        raise ValueError("sources must be sorted by leaf box")
-    p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
     parents = leaves >> a
     # each occupied leaf's parent, as a flat index into the block of parents
     home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
@@ -385,35 +401,15 @@ def init_source_weights(
     cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(starts)]
     edges = [*starts[cuts[:-1]].tolist(), n]
     moments = np.empty((len(starts), r), dtype=complex)
+    # empty leaves stay zero: every A writes the same occupied rows
+    scratch = np.zeros(tuple(b_shape) + (r,), dtype=complex)
+    kids = present_children(b_lo, b_shape, split)
     for t in np.ndindex(*targets):
         for i0, i1, s0, s1 in zip(cuts, cuts[1:], edges, edges[1:]):
             np.add.reduceat(basis[s0:s1] * mod[t][s0:s1, None], starts[i0:i1] - s0, axis=0, out=moments[i0:i1])
-        out[t].reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
-    if ledger is not None:
-        counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
-        per_box = (2 * r + 1) * counts + r * (counts > 0)
-        ledger.add_flops((per_box << (a * d)).reshape(b_shape))
+        scratch.reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
+        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), split, out[t])
     return out
-
-
-def child_sum_stage(
-    b_lo: Tuple[int, ...],
-    values: np.ndarray,
-    ledger: Optional[CostLedger] = None,
-    split: Tuple[int, ...] = (),
-) -> np.ndarray:
-    """Stage 0 on the output of init_source_weights for a block of leaves:
-    the weights of each pair (A, P) are the sum, in canonical order, of
-    what the children of P in the block put on them. Children outside the
-    block and the split dimensions are handled as in column_stage."""
-    d = len(b_lo)
-    b_shape = values.shape[d : 2 * d]
-    if ledger is not None:
-        # each leaf adds one weight vector per target box
-        ledger.add_flops(np.broadcast_to(values.shape[-1] << d, b_shape))
-    # copies: sum_children adds into the first part of each sum
-    parts = ((offset, values[(slice(None),) * d + index].copy()) for offset, index in present_children(b_lo, b_shape))
-    return sum_children(parts, split)
 
 
 def column_stage(
@@ -433,7 +429,8 @@ def column_stage(
     The output block holds every child A_c of the block's target boxes and
     every parent B_p of its source boxes. Children of B_p outside the block
     are left out, so the partial sums of a rank's block add up across ranks;
-    children that differ in the split dimensions are summed apart
+    children that differ in the split dimensions are summed apart, and the
+    team members' partial sums added in ascending member order
     (geometry.sum_children). factors(xs, grids), by default phase_factors
     with one phase call per grid, gives the demodulation on the parent grids
     and the modulation on every present child's grid.
@@ -443,7 +440,7 @@ def column_stage(
     a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
     ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
     bp = block_coords(*parent_block(b_lo, b_shape))
-    kids = list(present_children(b_lo, b_shape))
+    kids = present_children(b_lo, b_shape, split)
     xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape(ac_shape + (1,) * d + (1, d))
     # the parent grids, then each present child's, made only if the factors are
     blocks = [(b_level - 1, bp)] + [(b_level, 2 * bp + o) for o, _ in kids]
@@ -454,10 +451,10 @@ def column_stage(
         # each pair feeds the 2^d children of its target box
         ledger.add_flops(np.broadcast_to((2 * r * r + 3 * r) << d, values.shape[: 2 * d]))
     contribs = (
-        (offset, _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q))
+        _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q)
         for (offset, index), mod in zip(kids, made)
     )
-    return sum_children(contribs, split)
+    return sum_children([o for o, _ in kids], contribs, split)
 
 
 def _column_contribution(

@@ -9,33 +9,35 @@ both the weights are equivalent point sources:
 * "cheb": analytic Chebyshev interpolation with phase demodulation (rank
   q^d per pair), whose weights sit on the Chebyshev grid of the pair's
   source box. The init puts each leaf's sources straight onto its parent's
-  grid for the root's 2^d children, stage 0 adds up each parent's
-  children, and column stages run through the last level (chebyshev.py);
+  grid for the root's 2^d children and adds up each parent's children
+  (stage 0), and column stages run through the last level (chebyshev.py);
 * "id": interpolative decompositions built from kernel samples, whose
   weights sit at adaptively selected source points and whose translations
   recompress stacked child skeletons.
 
 A level's weights are one complex array of shape
 (2^l,)*d + (2^(L-l),)*d + (width,): target box coordinates, then source box
-coordinates, in canonical order, then the pair's weights. (cheb's init
-output, the input of stage 0, already spans the root's two children per
-dimension: (2,)*d + (N,)*d + (width,).) A stage maps the array of level l
-to the array of level l + 1, summing each output pair's 2^d children in
-canonical coordinate order (dimension 0 most significant). The cheb stage
-is a handful of whole-level NumPy calls per child; the id stage is one
-batched matrix-vector product per child, each pair with its own
-precomputed map, kept zero-padded in one array per level (IdEngine). Both
-backends start from the sources sorted by leaf box, so the leaf weights
-are one segment sum.
+coordinates, in canonical order, then the pair's weights. A stage maps the
+array of level l to the array of level l + 1, summing each output pair's
+2^d children in canonical coordinate order (dimension 0 most significant).
+Both engines' init_blocks run stage 0 and return level 1,
+(2,)*d + (N/2,)*d + (width,), or with N = 1 the final level 0; `stage`
+serves levels 1..L-1. The cheb stage is a handful of
+whole-level NumPy calls per child; the id stage is one batched
+matrix-vector product per child, each pair with its own precomputed map,
+kept zero-padded in one array per level (IdEngine). Both backends start
+from the sources sorted by leaf box, so the leaf weights are one segment
+sum.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
-runs the init and a stage per level on the level arrays, which the ranks'
-blocks tile; a communicating stage keeps the partial sums of each team
-member apart (`split`, see geometry.sum_children). Every row of a stage is
-computed independently of the other rows (see chebyshev._rows_times), so a
-rank's rows carry the bits it would compute on its own block. Flops are
-charged to the ledger as an array over the pairs of the level a call runs
-on, which lets the simulator charge each rank for the pairs it holds.
+runs the init and a stage per later level on the level arrays, which the
+ranks' blocks tile; a communicating stage adds the partial sums of each
+team member into one level array in ascending member order (`split`, see
+geometry.sum_children). Every row of a stage is computed independently of
+the other rows (see chebyshev._rows_times), so a rank's rows carry the
+bits it would compute on its own block. Flops are charged to the ledger as
+an array over the pairs of the level a call runs on, which lets the
+simulator charge each rank for the pairs it holds.
 
 The final level becomes a PotentialField: the pairs (A, root) for every
 target leaf A, each with its equivalent sources, so
@@ -140,9 +142,10 @@ class ChebEngine(_SortedSources):
         self.q = q
         self.r = q**d
 
-    def init_blocks(self, ledger: CostLedger) -> np.ndarray:
-        """What every leaf B puts on the pairs (A, parent(B)) of level 1,
-        laid out over the pairs (X, B) of level 0: (2,)*d + (N,)*d + (r,)
+    def init_blocks(self, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+        """The weights of level 1, (2,)*d + (N/2,)*d + (r,), straight from
+        the sources: stage 0, whose team members' partial sums over the
+        split dimensions are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
         (1,)*d + (1,)*d + (r,). A traversal starts here, so here its
         factors are looked up (chebyshev.SolveFactors)."""
@@ -150,15 +153,14 @@ class ChebEngine(_SortedSources):
         self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
         return cheb.init_source_weights(
             self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
-            self.phase, self.q, ledger, partial(self._factors.stage, 0),
+            self.phase, self.q, ledger, partial(self._factors.stage, 0), split,
         )
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
-        """The weights of level + 1 from those of level; with split
-        dimensions, stacked partial sums (geometry.sum_children)."""
+        """The weights of level + 1 from those of level >= 1 (the init
+        covers stage 0), the team members' partial sums over the split
+        dimensions added in ascending member order (geometry.sum_children)."""
         lo = (0,) * self.d  # the block is the whole level
-        if level == 0:
-            return cheb.child_sum_stage(lo, values, ledger, split)
         factors = partial(self._factors.stage, level)
         return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, split, factors)
 
@@ -352,9 +354,11 @@ class IdEngine(_SortedSources):
         self._final_ranks = ranks.reshape((N,) * d)
         self._final_skeleton = skeleton.reshape((N,) * d + skeleton.shape[-2:])
 
-    def init_blocks(self, ledger: CostLedger) -> np.ndarray:
-        """The leaf weights Z @ g of every leaf box, as one segment sum:
-        (1,)*d + (N,)*d + (width,)."""
+    def init_blocks(self, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+        """The weights of level 1, (2,)*d + (N/2,)*d + (width,): the leaf
+        weights Z @ g of every leaf box, as one segment sum, through stage
+        0's maps (_apply_maps). With N = 1 the leaf weights are the final
+        ones, (1,)*d + (1,)*d + (width,)."""
         d, N = self.d, self.N
         out = np.zeros((N,) * d + self._interp.shape[1:], dtype=complex)
         flat, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
@@ -363,22 +367,29 @@ class IdEngine(_SortedSources):
             out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
         counts = np.bincount(flat, minlength=N**d).reshape(self._ranks[0].shape)
         ledger.add_flops(2 * self._ranks[0] * counts)
-        return out.reshape((1,) * d + out.shape)
+        out = out.reshape((1,) * d + out.shape)
+        return self._apply_maps(0, out, ledger, split) if self.L else out
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
-        """Apply every pair's map, child by child in canonical order; with
-        split dimensions, stacked partial sums (geometry.sum_children). Each
-        pair's product is its own matrix-vector product, so a block of pairs
-        gets the bits of the same pairs in the whole level."""
+        """The weights of level + 1 from those of level >= 1 (the init
+        covers stage 0)."""
+        return self._apply_maps(level, values, ledger, split)
+
+    def _apply_maps(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...]) -> np.ndarray:
+        """Stage `level`: apply every pair's map, child by child in the
+        order of geometry.sum_children, the team members' partial sums over
+        the split dimensions added in ascending member order. Each pair's
+        product is its own matrix-vector product, so a block of pairs gets
+        the bits of the same pairs in the whole level."""
         d = self.d
         maps = np.moveaxis(self._maps[level], 0, -3)
 
-        def contributions():
-            for offset, index in present_children((0,) * d, values.shape[d : 2 * d]):
-                child = to_children(values[(slice(None),) * d + index], d)
-                yield offset, np.matmul(maps[..., offset_index(offset), :], child[..., None])[..., 0]
+        def contribution(offset, index):
+            child = to_children(values[(slice(None),) * d + index], d)
+            return np.matmul(maps[..., offset_index(offset), :], child[..., None])[..., 0]
 
-        out = sum_children(contributions(), split)
+        kids = present_children((0,) * d, values.shape[d : 2 * d], split)
+        out = sum_children([o for o, _ in kids], (contribution(*kid) for kid in kids), split)
         # each pair (A, B) feeds the children A_c of A at the parent of B:
         # the out rank of (A_c, parent(B)) times (2 * the rank of (A, B) + 1)
         out_ranks = self._ranks[level + 1]

@@ -5,37 +5,45 @@ by two bisection stacks (target side D_X, source side D_Y). Its pairs are
 the product of two dyadic regions, a rectangular block of the level array
 (geometry.region_coords), and under the uniform bisection the p blocks
 tile the level. So the ranks are not a loop: the simulator holds each level
-as the one array the sequential engine uses, runs one engine init and one
-stage per level on it, and keeps, per level, the flat indices of each
-rank's pairs (p, N^d/p) to charge each rank for the pairs it holds.
+as the one array the sequential engine uses, runs one engine init (which
+makes level 1: stage 0 is in it) and one stage per later level on it, and
+keeps, per level, the flat indices of each rank's pairs (p, N^d/p) to
+charge each rank for the pairs it holds.
 
 A stage either stays local (enough source bits remain on every rank) or
 moves k bits of ownership from D_Y to D_X, which regroups the ranks into
 teams of 2^k. The members of a team hold the same output pairs, each with a
 partial sum over the children it holds: the children of one offset in the
-k split dimensions. The engine's stage keeps these partial sums apart on a
-leading team axis, and the simulated reduce-scatter adds them over that
-axis in ascending member order, one whole-array add per member, charging
-the alpha/beta cost model. Communication is never performed for real, and
-there are no threads, so results are reproducible.
+k split dimensions. The engine's stage adds each member's partial sum into
+the level's one array in ascending member order, as soon as it is made
+(geometry.sum_children), which are the adds a reduce-scatter makes; the
+simulated reduce-scatter only charges the alpha/beta cost model for them.
+So every stage holds one level array, whatever the team size.
+Communication is never performed for real, and there are no threads, so
+results are reproducible.
 
 The layout of a run depends on (N, d, p) alone: the stage schedule, each
 communicating stage's split dimensions, each level's rank-pair table and
-the final owners follow from the bisection stacks. It is made once per
+the final owners follow from the bisection stacks. A stage that moves k
+bits splits dimensions (k-1, ..., 0), so its members' children, listed
+member-major, come in canonical order, and a solve's kept factors
+(chebyshev.SolveFactors) serve every p. It is made once per
 (N, d, p) per process (_layout) and kept read-only, for the last _LAYOUTS
 shapes: an entry holds L + 2 tables of N^d indices, 8 (L + 2) N^d bytes
 (96 KiB for d = 1, N = 1024; 1.1 MiB for d = 2, N = 128; 1.8 MiB for
 d = 3, N = 32), so the cache holds at most _LAYOUTS times the largest.
 
 Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
-an output pair in canonical coordinate order. When a communicating stage
-moves d bits (always in d = 1; in general whenever log2 p is a multiple of
-d), each team member holds exactly one child of every output pair, in that
-same order by rank, so the ascending-member reduction reproduces the
-sequential sum bit for bit. When it moves fewer bits (d = 2 with odd log2 p:
-p = 2, 8, 32, ...), a member holds a partial sum over several children, say
-(c0 + c1) + (c2 + c3) against ((c0 + c1) + c2) + c3, and the weights agree
-only to rounding (the acceptance gate holds them to 1e-12 relative).
+an output pair in canonical coordinate order, and a communicating stage
+adds its members' partial sums in ascending member order inside the stage.
+When it moves d bits (always in d = 1; in general whenever log2 p is a
+multiple of d), each team member holds exactly one child of every output
+pair, in that same order by rank, so the ascending-member sum reproduces
+the sequential sum bit for bit. When it moves fewer bits (d = 2 with odd
+log2 p: p = 2, 8, 32, ...), a member holds a partial sum over several
+children, say (c0 + c1) + (c2 + c3) against ((c0 + c1) + c2) + c3, and the
+weights agree only to rounding (the acceptance gate holds them to 1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -158,28 +166,25 @@ def _layout(N: int, d: int, p: int) -> _Layout:
     return _Layout(schedule, tuple(splits), tuple(pairs), owners)
 
 
-def reduce_scatter(partials: np.ndarray, costs: RankCosts) -> np.ndarray:
-    """Simulated reduce-scatter over the team axis.
+def reduce_scatter(team: int, size: int, costs: RankCosts) -> int:
+    """Charge a simulated reduce-scatter over teams of `team` ranks on a
+    level array of `size` entries; returns the entries each rank sends.
 
-    partials[t] holds team member t's partial sums for every pair of the
-    level, teams side by side; each member receives the sum over its team
-    for the pairs it will hold, added in ascending member order. Each rank
-    is charged log2(team) messages and (team-1) blocks of traffic and adds,
-    a block being its share of the result: the recursive-halving cost of
-    the collective. A team of one is free.
+    The sum itself is made by the stage, which adds the members' partial
+    sums in ascending member order (geometry.sum_children); each member
+    then holds its share of it. Each rank is charged log2(team) messages
+    and (team-1) blocks of traffic and adds, a block being its share of the
+    result: the recursive-halving cost of the collective. A team of one is
+    free.
     """
-    team = partials.shape[0]
-    if team & (team - 1):
+    if team < 1 or team & (team - 1):
         raise ValueError("team size must be a power of two")
-    out = partials[0].copy()
-    for part in partials[1:]:
-        out += part
+    block = (team - 1) * (size // len(costs.flops))
     if team > 1:
-        block = (team - 1) * (out.size // len(costs.flops))
         costs.messages += team.bit_length() - 1
         costs.entries_sent += block
         costs.flops += block
-    return out
+    return block
 
 
 def simulate_parallel(
@@ -197,10 +202,11 @@ def simulate_parallel(
 ) -> ParallelResult:
     """Run the full traversal on p simulated ranks and merge the result.
 
-    Each level is one array over all ranks' pairs: one engine init and one
-    stage per level, whatever p. This is the library's one traversal loop:
-    butterfly_apply is the same loop at p = 1, where no stage communicates,
-    and `bfly verify` solves with this call at every process count.
+    Each level is one array over all ranks' pairs: one engine init, which
+    makes level 1, and one stage per later level, whatever p. This is the
+    library's one traversal loop: butterfly_apply is the same loop at
+    p = 1, where no stage communicates, and `bfly verify` solves with this
+    call at every process count.
     Factorization work for the sampled backend is precomputed once and
     shared by every rank; the ranks' layout is made once per (N, d, p) per
     process (_layout). `threads` has no effect and is kept for callers that
@@ -212,13 +218,13 @@ def simulate_parallel(
 
     costs = RankCosts(p)
     costs.pairs = layout.pairs[0]
-    values = eng.init_blocks(costs)
+    values = eng.init_blocks(costs, layout.splits[0] if layout.splits else ())
     for level, (k, split) in enumerate(zip(layout.schedule, layout.splits)):
-        values = eng.stage(level, values, costs, split)
+        if level:  # the init ran stage 0
+            values = eng.stage(level, values, costs, split)
         if k:
-            values = reduce_scatter(values, costs)
+            entries = reduce_scatter(1 << k, values.size, costs)
             if trace is not None:
-                entries = ((1 << k) - 1) * (values.size // p)
                 trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
         costs.pairs = layout.pairs[level + 1]
 

@@ -1,6 +1,6 @@
 """Chebyshev grids, Lagrange interpolation, the block weight operations
-(initialization onto the level-1 pairs, the child sum of stage 0, column
-stages) and the batched evaluation of a PotentialField, checked against
+(initialization onto the level-1 pairs, which runs the child sum of stage 0,
+column stages) and the batched evaluation of a PotentialField, checked against
 direct kernel summation and against per-pair and per-leaf oracles."""
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from bfly.chebyshev import (
     _stage_matrices,
     _tensor_basis,
     cached_matrix_bytes,
-    child_sum_stage,
     column_stage,
     grid_points,
     init_source_weights,
@@ -138,7 +137,8 @@ def translate(stage, a_c, b_p, child_values, phase, q, led=None):
 
 
 def leaf_init(b, positions, strengths, phase, q, led=None):
-    """init_source_weights on the single leaf box b: one row per target box."""
+    """init_source_weights on the single leaf box b, its parent's only
+    child in the block: one row per target box."""
     positions = np.asarray(positions, dtype=float).reshape(-1, b.dim)
     leaves = np.tile(np.asarray(b.coords), (positions.shape[0], 1))
     out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, leaves, phase, q, led)
@@ -421,18 +421,24 @@ def test_init_rejects_outside_sources():
 
 
 def test_init_flop_count():
-    # per occupied box and per target box: 2r + 1 per source, r for the box
+    # per occupied box and per target box: 2r + 1 per source, r for the box;
+    # and stage 0's child sum, r per target box for every leaf, 2r here
     led = ledger()
     b = DyadicKey(1, (0,))
     pos = np.array([[0.1], [0.2], [0.3]])
     leaf_init(b, pos, np.ones(3, dtype=complex), FLAT, 4, led)
-    assert led.flops == 2 * (2 * 3 * 4 + 3 + 4)
-    # a block charges each occupied box alone; empty boxes cost nothing
+    assert led.flops == 2 * (2 * 3 * 4 + 3 + 4) + 2 * 4
+    # a block charges each occupied box alone; empty boxes cost only the
+    # child sum
     led = ledger()
     init_source_weights(2, (0,), (4,), np.array([[0.1], [0.2], [0.8]]), np.ones(3, dtype=complex),
                         np.array([[0], [0], [3]]), FLAT, 4, led)
-    assert led.flops == 2 * ((2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4))
-    # a one-leaf tree has one target box
+    assert led.flops == 2 * ((2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4)) + 4 * 2 * 4
+    led = ledger()
+    init_source_weights(2, (0,), (4,), np.zeros((0, 1)), np.zeros(0, dtype=complex), np.zeros((0, 1), dtype=int),
+                        FLAT, 4, led)
+    assert led.flops == 4 * 2 * 4
+    # a one-leaf tree has one target box and no stage 0
     led = ledger()
     leaf_init(DyadicKey(0, (0, 0)), np.array([[0.1, 0.7]]), np.ones(1, dtype=complex), FLAT, 3, led)
     assert led.flops == 2 * 9 + 1 + 9
@@ -448,24 +454,30 @@ def test_init_block_matches_per_leaf_oracle():
         order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
         out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
         targets = first_targets(level, d)
-        assert out.shape == (1 << min(level, 1),) * d + (1 << level,) * d + (q**d,)
+        a = min(level, 1)
+        assert out.shape == (1 << a,) * d + (1 << (level - a),) * d + (q**d,)
+        # each pair (A, P) sums what the leaves inside P put on it
+        expect = np.zeros_like(out)
         for coords in itertools.product(range(1 << level), repeat=d):
             sel = np.all(leaves == coords, axis=1)
-            expect = init_oracle(DyadicKey(level, coords), pos[sel], g[sel], phase, q)
-            for a, row in zip(targets, expect):
-                got = out[a.coords + coords]
-                assert np.allclose(got, row, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(row))))
+            rows = init_oracle(DyadicKey(level, coords), pos[sel], g[sel], phase, q)
+            for t, row in zip(targets, rows):
+                expect[t.coords + tuple(c >> a for c in coords)] += row
+        for index in np.ndindex(*out.shape[:-1]):
+            got, row = out[index], expect[index]
+            assert np.allclose(got, row, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(row))))
 
 
 # ---------------------------------------------------------------------------
-# stage 0: the child sum
+# stage 0: the init's child sum
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("d,level,q", [(1, 3, 6), (2, 2, 3), (3, 1, 2)])
 def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
-    # the leaves' shares of each parent add up to the parent's sources
-    # interpolated in one step: the column weights of the level-1 pairs
+    # the init adds the leaves' shares of each parent up to the parent's
+    # sources interpolated in one step: the column weights of the level-1
+    # pairs
     rng = np.random.default_rng(25 + d)
     phase = get_phase("fourier")
     n = 20 * 2**d
@@ -473,8 +485,7 @@ def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
     leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
     order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
-    values = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
-    out = child_sum_stage((0,) * d, values)
+    out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
     assert out.shape == (2,) * d + (1 << (level - 1),) * d + (q**d,)
     for a in first_targets(level, d):
         for bp in itertools.product(range(1 << (level - 1)), repeat=d):
@@ -484,19 +495,27 @@ def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
 
 
 def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
-    # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
-    values = np.zeros((2, 2, 4, 4, 1), dtype=complex)
-    values[0, 1, 2:, :2, 0] = [[1e16, 1.0], [-1e16, 1.0]]
+    # With no phase and q = 1 a leaf's weight is the sum of its strengths,
+    # exactly, so the four leaves of parent (1, 0) put 1e16, 1, -1e16, 1 on
+    # it at offsets (0,0), (0,1), (1,0), (1,1). Rounding tells the add order
+    # apart: 1e16 + 1 rounds back to 1e16.
+    pos = np.array([[0.6, 0.1], [0.6, 0.4], [0.9, 0.1], [0.9, 0.4]])
+    g = np.array([1e16, 1.0, -1e16, 1.0], dtype=complex)
+    leaves = leaf_coords(pos, 2)
     led = ledger()
-    out = child_sum_stage((0, 0), values, led)
-    assert out[0, 1, 1, 0, 0] == 1.0  # ((1e16 + 1) - 1e16) + 1, offsets (0,0), (0,1), (1,0), (1,1)
-    assert np.count_nonzero(out) == 1
-    assert led.flops == 16 * 4
-    assert values[0, 1, 2, 0, 0] == 1e16  # the input is left as it was
-    # split dimensions keep the children apart, as column stages do
-    halves = child_sum_stage((0, 0), values, split=(1,))
-    assert halves.shape == (2,) + out.shape
-    assert halves[0, 0, 1, 1, 0, 0] == 0.0 and halves[1, 0, 1, 1, 0, 0] == 2.0
+    out = init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, led)
+    assert out.shape == (2, 2, 2, 2, 1)
+    assert np.all(out[:, :, 1, 0, 0] == 1.0)  # ((1e16 + 1) - 1e16) + 1 for every target box
+    assert np.count_nonzero(out) == 4
+    # the moments of each occupied leaf per target box, and r = 1 per
+    # target box for every one of the 16 leaves
+    assert led.flops == 4 * 4 * (2 + 1 + 1) + 16 * 4
+    # a split adds each member's children apart, then the members in
+    # ascending order: (1e16 - 1e16) + (1 + 1) with dimension 1 split
+    halves = init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, split=(1,))
+    assert np.all(halves[:, :, 1, 0, 0] == 2.0)
+    # members of dimensions (1, 0): the canonical order again
+    assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, split=(1, 0)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +659,8 @@ def test_large_block_stage_rows_are_bit_stable():
 
 
 def test_init_block_rows_are_bit_stable():
+    # blocks at least two leaves wide hold every child of their parents:
+    # they give the rows of the whole level
     rng = np.random.default_rng(59)
     phase = get_phase("fourier")
     d, level, q = 2, 3, 3
@@ -649,12 +670,12 @@ def test_init_block_rows_are_bit_stable():
     order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (8, 8)), kind="stable")
     pos, g, leaves = pos[order], g[order], leaves[order]
     whole = init_source_weights(level, (0, 0), (8, 8), pos, g, leaves, phase, q)
-    for runs in itertools.product(aligned_blocks(8), repeat=d):
+    for runs in itertools.product(aligned_blocks(8)[8:], repeat=d):
         lo = np.array([a for a, _ in runs])
         shape = tuple(n for _, n in runs)
         inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
         got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
-        assert np.array_equal(got, whole[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
+        assert np.array_equal(got, whole[(slice(None),) * d + tuple(slice(a // 2, (a + n) // 2) for a, n in runs)])
 
 
 def clustered_sources(rng, d, n, crowd):
@@ -716,6 +737,37 @@ def test_init_holds_no_product_over_all_sources():
     assert peak - out.nbytes < 16 * n * q**d
 
 
+@pytest.mark.parametrize("split", [(), (2, 1, 0)])
+def test_init_holds_its_output_and_one_level_0_scratch(split):
+    # d = 3, N = 16, q = 3, 512 sources, its factors given. The init holds
+    # its output, the level-1 array of 16 N^d r bytes; one level-0 scratch of
+    # the same size; under a split, one member's partial sum, 1/2^d of the
+    # output; and arrays over the n sources: the real basis and the factor
+    # it is made from (8 n r each), the modulated strengths and exp(i Phi)
+    # (16 n 2^d each), the moments, one run's product and the demodulation
+    # gathered for the moments (16 n r each at most). That bounds the peak
+    # by 2.125 output + 64 n r + 32 n 2^d: 4.8 MB (4.5 MB measured). The
+    # 2^d level-0 arrays it used to return, for stage 0 to add up, were
+    # 14.2 MB on their own.
+    d, level, q, n = 3, 4, 3, 512
+    r = q**d
+    rng = np.random.default_rng(137)
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    leaves = leaf_coords(pos, level)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
+    pos, g, leaves = pos[order], g[order], leaves[order]
+    phase = get_phase("gen-radon")
+    made = []
+    args = (level, (0,) * d, (1 << level,) * d, pos, g, leaves, phase, q)
+    first = init_source_weights(*args, factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made,
+                                split=split)
+    out, peak = traced_peak(lambda: init_source_weights(*args, factors=lambda xs, grids: made, split=split))
+    assert np.array_equal(out, first)
+    assert out.nbytes == 16 * r << (level * d)
+    assert peak <= (2 + 2.0**-d) * out.nbytes + 64 * n * r + 32 * n * 2**d
+
+
 def test_column_stage_holds_three_arrays_of_its_output():
     # With its factors given, a column stage holds the running sum over the
     # children, one child's modulated rows and their re-expansion, which is
@@ -738,19 +790,30 @@ def test_column_stage_holds_three_arrays_of_its_output():
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 3)])
 def test_child_sum_block_rows_are_bit_stable(d, L):
-    # stage 0 on every aligned block of leaves (the targets are always both
-    # children of the root) against the whole level over the children held
+    # the init on every aligned block of leaves (the targets are always both
+    # children of the root) against the whole level over the sources of the
+    # children held: a leaf without sources adds exact zeros
     rng = np.random.default_rng(61 + d)
-    shape = (2,) * d + (1 << L,) * d + (3,)
-    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n, q = 40 * d, 3
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    leaves = leaf_coords(pos, L)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << L,) * d), kind="stable")
+    pos, g, leaves = pos[order], g[order], leaves[order]
+    phase = get_phase("fourier")
     whole = {}
     for runs in itertools.product(aligned_blocks(1 << L), repeat=d):
         b_lo, b_shape = tuple(a for a, _ in runs), tuple(n for _, n in runs)
         held = tuple(None if n > 1 else lo % 2 for lo, n in zip(b_lo, b_shape))
         if held not in whole:
-            whole[held] = child_sum_stage((0,) * d, masked_children(values, d, held))
+            keep = np.ones(n, dtype=bool)
+            for k, h in enumerate(held):
+                if h is not None:
+                    keep &= leaves[:, k] % 2 == h
+            whole[held] = init_source_weights(L, (0,) * d, (1 << L,) * d, pos[keep], g[keep], leaves[keep], phase, q)
+        inside = np.all((leaves >= b_lo) & (leaves < np.add(b_lo, b_shape)), axis=1)
+        got = init_source_weights(L, b_lo, b_shape, pos[inside], g[inside], leaves[inside], phase, q)
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
-        got = child_sum_stage(b_lo, values[(slice(None),) * d + tuple(slice(a, a + n) for a, n in runs)])
         assert np.array_equal(got, whole[held][(slice(None),) * d + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))])
 
 

@@ -351,13 +351,13 @@ def test_evaluate_rejects_malformed_points():
 def test_make_engine_dispatch():
     phase = get_phase("fourier")
     s = random_sources(np.random.default_rng(5), 20)
-    # cheb's init already puts the leaves on the pairs of the root's two
-    # children; id's leaf weights sit on the one level-0 target box
-    for backend, cls, targets in (("cheb", ChebEngine, 2), ("id", IdEngine, 1)):
+    # both inits run stage 0: the pairs of the root's two children and the
+    # parents of the leaves
+    for backend, cls in (("cheb", ChebEngine), ("id", IdEngine)):
         eng = make_engine(phase, 1, 8, s, q=4, backend=backend)
         assert isinstance(eng, cls)
         values = eng.init_blocks(CostLedger(CostParams()))
-        assert values.shape[:2] == (targets, 8)
+        assert values.shape[:2] == (2, 4)
     eng = make_engine(phase, 1, 16, s, q=6)
     assert eng.L == 4 and eng.r == 6
 

@@ -16,12 +16,15 @@ from bfly.geometry import (
     block_coords,
     init_bisection_stacks,
     leaf_coords,
+    leaf_order,
     offset_index,
     parent_block,
     pop_push,
     present_children,
     region_coords,
     stage_schedule,
+    sum_children,
+    team_member,
 )
 
 
@@ -78,6 +81,79 @@ def test_parent_examples():
     assert parent_block((2, 0), (2, 4)) == ((1, 0), (1, 2))
     # a block one box wide holds only the children of that box's parity
     assert [o for o, _ in present_children((3, 0), (1, 1))] == [(1, 0)]
+
+
+def test_present_children_come_member_major():
+    # team member t = sum of offset[split[i]] << i, ascending, and the
+    # canonical order within each member
+    def offsets(lo, shape, split=()):
+        return [o for o, _ in present_children(lo, shape, split)]
+
+    canonical = list(itertools.product((0, 1), repeat=3))
+    assert offsets((0,) * 3, (2,) * 3) == canonical
+    assert offsets((0,) * 3, (2,) * 3, (2,)) == [
+        (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)
+    ]
+    assert offsets((0,) * 3, (2,) * 3, (1,)) == [
+        (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)
+    ]
+    # the simulator's splits, (k-1, ..., 0), keep the canonical order
+    for k in range(4):
+        assert offsets((0,) * 3, (2,) * 3, tuple(range(k - 1, -1, -1))) == canonical
+    # a block one box wide in dimension 0 holds its parity only
+    assert offsets((3, 0), (1, 2), (1,)) == [(1, 0), (1, 1)]
+    for split in itertools.chain.from_iterable(itertools.permutations(range(3), k) for k in range(4)):
+        got = offsets((0,) * 3, (2,) * 3, split)
+        assert got == sorted(canonical, key=lambda o: (team_member(o, split), o))
+
+
+def test_sum_children_adds_member_partials_in_ascending_order():
+    # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
+    rng = np.random.default_rng(139)
+    split = (0, 1)  # four members of one child each: (0,0), (1,0), (0,1), (1,1)
+    kids = [o for o, _ in present_children((0, 0), (2, 2), split)]
+    assert kids == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    m = rng.normal(size=(4, 16, 3, 2)) + 1j * rng.normal(size=(4, 16, 3, 2))
+    got = sum_children(kids, (x.copy() for x in m), split)
+    assert np.array_equal(got, ((m[0] + m[1]) + m[2]) + m[3])
+    probe = np.array([1e16, 1.0, -1e16, 1.0], dtype=complex)
+    assert sum_children(kids, (np.array(x) for x in probe), split) == 1.0  # descending order gives 0
+    # two children per member: (c00 + c10) + (c01 + c11), canonical order
+    # within each, where no split sums ((c00 + c01) + c10) + c11
+    probe = {(0, 0): 1e16, (0, 1): 1.0, (1, 0): -1e16, (1, 1): 1.0}
+    kids = [o for o, _ in present_children((0, 0), (2, 2), (1,))]
+    assert sum_children(kids, (np.array(probe[o]) for o in kids), (1,)) == 2.0
+    kids = [o for o, _ in present_children((0, 0), (2, 2))]
+    assert sum_children(kids, (np.array(probe[o]) for o in kids)) == 1.0
+    # with out given the parts are only read, and the sum is written there
+    parts = [rng.normal(size=5) for _ in range(4)]
+    kept = [x.copy() for x in parts]
+    out = np.empty(5)
+    kids = [o for o, _ in present_children((0, 0), (2, 2), (1,))]
+    assert sum_children(kids, iter(parts), (1,), out) is out
+    assert np.array_equal(out, (parts[0] + parts[1]) + (parts[2] + parts[3]))
+    assert all(np.array_equal(x, y) for x, y in zip(parts, kept))
+    with pytest.raises(ValueError, match="member-major"):
+        sum_children([(0, 1), (0, 0)], iter(parts), (1,))
+
+
+@pytest.mark.parametrize(
+    "d,level,key",
+    [(1, 0, np.uint8), (2, 3, np.uint8), (1, 8, np.uint8), (2, 8, np.uint16), (3, 6, np.uint32), (1, 20, np.uint32)],
+)
+def test_leaf_order_matches_the_int64_stable_sort(d, level, key):
+    # the narrowest unsigned key, which numpy radix-sorts at 8 and 16 bits,
+    # gives the permutation of the stable sort on int64 box indices
+    assert np.min_scalar_type((1 << (level * d)) - 1) == key
+    rng = np.random.default_rng(17 + d + level)
+    points = rng.uniform(size=(600, d))
+    points[300:] = points[rng.integers(0, 300, size=300)]  # ties in any tree
+    order, leaves = leaf_order(points, level)
+    flat = np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d).astype(np.int64)
+    assert np.array_equal(order, np.argsort(flat, kind="stable"))
+    assert np.array_equal(leaves, leaf_coords(points, level))
+    order, leaves = leaf_order(np.zeros((0, d)), level)
+    assert order.size == 0 and leaves.shape == (0, d)
 
 
 def test_key_coords_validated():

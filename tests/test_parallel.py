@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from bfly.chebyshev import child_sum_stage, column_stage, grid_points, init_source_weights
+from bfly.chebyshev import column_stage, grid_points, init_source_weights, phase_factors
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
 from bfly.geometry import (
@@ -46,17 +47,15 @@ def random_sources(rng, n, d=1):
 
 
 # ---------------------------------------------------------------------------
-# the reduce-scatter over the team axis
+# the reduce-scatter's charges; the stage adds the members' partial sums
+# (geometry.sum_children, tested in test_geometry)
 # ---------------------------------------------------------------------------
 
 
 def test_sum_scatter_pairwise():
-    # members 0 and 1 hold partial sums for both pairs of the level; member
-    # j receives pair j
-    partials = np.array([[1.0 + 0j, 2.0], [10.0, 20.0]])
+    # a team of two on a level of two entries: each member receives one
     costs = RankCosts(2)
-    out = reduce_scatter(partials, costs)
-    assert np.array_equal(out, [11.0, 22.0])
+    assert reduce_scatter(2, 2, costs) == 1
     assert list(costs.messages) == [1, 1]
     assert list(costs.entries_sent) == [1, 1]
     assert list(costs.flops) == [1, 1]
@@ -64,34 +63,55 @@ def test_sum_scatter_pairwise():
 
 def test_sum_scatter_singleton_is_free():
     costs = RankCosts(1)
-    x = np.array([3.0 + 1j, 4.0])
-    out = reduce_scatter(x[None], costs)
-    assert np.array_equal(out, x)
-    assert not np.shares_memory(out, x)  # result never aliases an input buffer
+    assert reduce_scatter(1, 2, costs) == 0
     assert costs.messages[0] == 0 and costs.entries_sent[0] == 0 and costs.flops[0] == 0
 
 
-def test_sum_scatter_team_of_four_matches_dense_reduction():
+def test_sum_scatter_team_of_four_charges_two_rounds():
     # four teams of four side by side (p = 16), each member's block 3 x 2
-    rng = np.random.default_rng(139)
-    partials = rng.normal(size=(4, 16, 3, 2)) + 1j * rng.normal(size=(4, 16, 3, 2))
     costs = RankCosts(16)
-    out = reduce_scatter(partials, costs)
-    assert np.allclose(out, np.sum(partials, axis=0), atol=1e-15)
-    ascending = ((partials[0] + partials[1]) + partials[2]) + partials[3]
-    assert np.array_equal(out, ascending)
-    # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
-    ordered = np.zeros((4, 16, 3, 2), dtype=complex)
-    ordered[:, 0, 0, 0] = [1e16, 1.0, -1e16, 1.0]
-    assert reduce_scatter(ordered, RankCosts(16))[0, 0, 0] == 1.0  # descending order gives 0
+    assert reduce_scatter(4, 16 * 3 * 2, costs) == 3 * 6
     assert all(costs.messages == 2)  # log2(4) rounds
     assert all(costs.entries_sent == 3 * 6)
     assert all(costs.flops == 3 * 6)
+    # a team of ranks without weights (id with no sources) still exchanges
+    costs = RankCosts(16)
+    assert reduce_scatter(4, 0, costs) == 0
+    assert all(costs.messages == 2) and not any(costs.entries_sent) and not any(costs.flops)
 
 
 def test_sum_scatter_contract_violations():
     with pytest.raises(ValueError, match="power of two"):
-        reduce_scatter(np.zeros((3, 6), dtype=complex), RankCosts(6))
+        reduce_scatter(3, 6, RankCosts(6))
+
+
+def test_team_stage_peaks_within_one_level_array_of_a_local_stage():
+    # A d = 3 column stage whose team of 8 members each hold one child adds
+    # each member's partial into the one output array once its last child
+    # is in, before the next child is made, so it peaks within one level
+    # array of the same stage with no split (at the same peak, in fact);
+    # stacking the 8 partials held 8 level arrays, and their stack and its
+    # reduction 2 more. Each member's one child is added in ascending
+    # member order, the canonical order, so the bits agree.
+    d, q, L, level = 3, 3, 3, 1
+    rng = np.random.default_rng(311)
+    shape = (1 << level,) * d + (1 << (L - level),) * d + (q**d,)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phase = get_phase("gen-radon")
+    made = []
+    column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q,
+                 factors=lambda xs, grids: made.extend(phase_factors(phase, xs, grids)) or made)
+    outs, peaks = [], []
+    for split in ((), (2, 1, 0)):
+        tracemalloc.start()
+        try:
+            outs.append(column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q, split=split,
+                                     factors=lambda xs, grids: made))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(outs[0], outs[1])
+    assert peaks[1] <= peaks[0] + outs[0].nbytes
 
 
 def test_uniform_flop_counts_charge_each_rank_its_pairs():
@@ -455,21 +475,22 @@ class PerRankStages:
 
 class PerRankCheb(PerRankStages):
     def init_blocks(self, b_lo, b_shape, ledger):
+        """The level-1 pairs the block's leaves feed (stage 0 on the block:
+        the sum over the children it holds), or the final weights if N = 1."""
         eng, inside = self.eng, self.inside(b_lo, b_shape)
         values = init_source_weights(
             eng.L, b_lo, b_shape, eng._positions[inside], eng._strengths[inside], eng._leaves[inside],
             eng.phase, eng.q, ledger,
         )
-        # the block's leaves on the pairs of both children of the root
-        return LevelBlock(0, (0,) * self.d, tuple(b_lo), values)
+        # in a one-leaf tree the root block is its own parent block
+        return LevelBlock(min(eng.L, 1), (0,) * self.d, parent_block(b_lo, b_shape)[0], values)
 
     def stage(self, level, blk, ledger):
-        """Column stages only: stage 0 adds up the children the block holds."""
+        """Column stages; stage 0 ran in the init and passes the block on."""
         eng = self.eng
         if level == 0:
-            values = child_sum_stage(blk.b_lo, blk.values, ledger)
-        else:
-            values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
+            return blk
+        values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
         (ac_lo, _), (bp_lo, _) = blk.next_boxes()
         return LevelBlock(level + 1, ac_lo, bp_lo, values)
 
@@ -615,7 +636,8 @@ def test_simulator_matches_per_rank_oracle(d, N, backend):
 @pytest.mark.parametrize("engine", [ChebEngine, IdEngine])
 def test_one_init_and_one_stage_call_per_level(engine, monkeypatch):
     # sim-1d's shape at a small size: every rank's block goes through the
-    # same call, so L stage calls and one init, not p * L and p
+    # same call, so one init (which runs stage 0) and L - 1 stage calls, not
+    # p and p * (L - 1)
     calls = {"init_blocks": 0, "stage": 0}
     for name in calls:
 
@@ -627,7 +649,7 @@ def test_one_init_and_one_stage_call_per_level(engine, monkeypatch):
     rng = np.random.default_rng(307)
     kwargs = {"q": 8} if engine is ChebEngine else {"backend": "id", "tol": 1e-6}
     simulate_parallel(random_sources(rng, 256), get_phase("fourier"), 64, p=8, **kwargs)
-    assert calls == {"init_blocks": 1, "stage": 6}
+    assert calls == {"init_blocks": 1, "stage": 5}
 
 
 # ---------------------------------------------------------------------------
