@@ -52,7 +52,9 @@ a chunk of points at a time with a few whole-chunk NumPy calls.
 
 from __future__ import annotations
 
+import itertools
 import numbers
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple
@@ -111,6 +113,23 @@ class SourceSet:
 # ---------------------------------------------------------------------------
 # Backend drivers
 # ---------------------------------------------------------------------------
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, which size the id precompute's
+    pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _each(pool, fn, tasks) -> None:
+    """fn on every task on the pool's workers; returns when all are done.
+    Every result is read in task order, so the first failing task's error
+    is raised, as a serial loop would raise it."""
+    for _ in pool.map(fn, tasks):
+        pass
 
 
 class _SortedSources:
@@ -179,13 +198,15 @@ class IdEngine(_SortedSources):
     """Sampled backend: adaptive-rank skeletons of actual source points.
 
     All factorizations (leaf IDs and stacked-skeleton recompressions) are
-    precomputed against the full source set, one pair at a time, into arrays
-    over each level's pairs: _ranks[l], and _maps[l], the maps of stage l
-    zero-padded to one array (w_{l+1},) + pairs of level l+1 + (2^d, w_l),
-    w_l the largest rank of level l, whose entry [t, a_c..., b_p..., n, s]
-    carries weight s of (parent(A_c), child n of B_p) into weight t of
-    (A_c, B_p). Rows come first so the array can be filled with room for any
-    rank and cut to the level's width without a copy or touching the room.
+    precomputed against the full source set, a stage's on a thread pool with
+    a worker per usable core and the same bits for any worker count
+    (_precompute), into arrays over each level's pairs: _ranks[l], and
+    _maps[l], the maps of stage l zero-padded to one array
+    (w_{l+1},) + pairs of level l+1 + (2^d, w_l), w_l the largest rank of
+    level l, whose entry [t, a_c..., b_p..., n, s] carries weight s of
+    (parent(A_c), child n of B_p) into weight t of (A_c, B_p). Rows come
+    first so the array can be filled with room for any rank and cut to the
+    level's width without a copy or touching the room.
     A stage is one batched matrix-vector product per present child, the leaf
     initialization a segment sum over the leaf-sorted sources (_interp holds
     each source's column of its leaf's interpolation matrix).
@@ -212,7 +233,13 @@ class IdEngine(_SortedSources):
 
     def set_sources(self, sources: SourceSet) -> None:
         super().set_sources(sources)
-        self._precompute()
+        # imported here, so that the cheb path never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # a worker per usable core, at most one per task of the largest
+        # stage: N^d pairs, or stage 0's one source box at N = 2
+        with ThreadPoolExecutor(min(_usable_cores(), self.N**self.d if self.L > 1 else 1)) as pool:
+            self._precompute(pool)
 
     def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
         """Skeleton points of the pairs of a level, pairs + (width, d), every
@@ -254,7 +281,14 @@ class IdEngine(_SortedSources):
         self._maps.append(np.ascontiguousarray(maps[:out, ..., :width]))
         return ranks, skeleton[..., :out, :], out
 
-    def _precompute(self) -> None:
+    def _precompute(self, pool) -> None:
+        """Every factorization, each stage's on the pool's workers: stage 0
+        one task per source box B_p of level L - 1, later stages one per
+        output pair. A task writes only its own slices of the ranks,
+        skeleton, interpolation and map arrays, with the arithmetic of a
+        serial loop, so the bits do not depend on the worker count, and
+        a stage's first failing task in pair order raises its error
+        (_each)."""
         d, L, N = self.d, self.L, self.N
         rows = cheb.grid_points(self.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
         all_rows = rows.reshape(-1, d)
@@ -302,13 +336,14 @@ class IdEngine(_SortedSources):
             # leaf room until the leaf width is known.
             n_b = N >> 1
             out = self._stage_arrays(0, room)
-            for bp in np.ndindex(*(n_b,) * d):
+
+            def merge_leaves(bp: tuple) -> None:
                 leaves = [tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
                 sampled = [leaf_id(b) for b in leaves]
                 child_ranks = [len(cols) for _, cols in sampled]
                 stacked = sum(child_ranks)
                 if not stacked:
-                    continue  # every pair of B_p keeps rank 0
+                    return  # every pair of B_p keeps rank 0
                 points = np.concatenate([skeleton[(0,) * d + b][:r] for b, r in zip(leaves, child_ranks)])
                 for ac in np.ndindex(*(2,) * d):
                     in_ac = (slice(None),) + tuple(slice(c * n_b, (c + 1) * n_b) for c in ac)
@@ -322,6 +357,8 @@ class IdEngine(_SortedSources):
                         lo += r
                     dec = build_id(block.reshape(stacked, -1).T, self.tol, overwrite=True)
                     self._store(out, ac + bp, dec, points[dec.column_indices], child_ranks)
+
+            _each(pool, merge_leaves, np.ndindex(*(n_b,) * d))
         width = int(np.max(ranks))
         self._interp = interp[:, :width]
         skeleton = skeleton[..., :width, :]
@@ -339,15 +376,21 @@ class IdEngine(_SortedSources):
             # against the row samples of the leaves inside A_c
             shift = L - level - 1
             out = self._stage_arrays(level, width)
-            for bp in np.ndindex(*(1 << shift,) * d):
-                for ac in np.ndindex(*(2 << level,) * d):
-                    ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
-                    child_ranks = [ranks[p] for p in ins]
-                    targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
-                    dec = build_translation_id(
-                        [skeleton[p][:r] for p, r in zip(ins, child_ranks)], targets, self._sampler, self.tol
-                    )
-                    self._store(out, ac + bp, dec, dec.points, child_ranks)
+
+            def recompress(pair: tuple) -> None:
+                bp, ac = pair
+                ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+                child_ranks = [ranks[p] for p in ins]
+                targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
+                dec = build_translation_id(
+                    [skeleton[p][:r] for p, r in zip(ins, child_ranks)], targets, self._sampler, self.tol
+                )
+                self._store(out, ac + bp, dec, dec.points, child_ranks)
+
+            # _each returns once every task is done, so these read and fill
+            # this stage's arrays before the names move on to the next
+            pairs = itertools.product(np.ndindex(*(1 << shift,) * d), np.ndindex(*(2 << level,) * d))
+            _each(pool, recompress, pairs)
             ranks, skeleton, width = self._finish_stage(out, width)
         # the final pairs (A, root) as arrays over the target leaves, the
         # padded slots holding the leaf center and weight exactly 0

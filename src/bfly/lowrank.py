@@ -33,6 +33,7 @@ adds about 28 MB of resident memory, which the cheb backend never uses.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -40,13 +41,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
+# the id precompute factors on several threads at once: one of them imports
+# scipy, and the others wait rather than meet a partly initialized module
+# (which concurrent circular imports can hand out)
+_LOADING = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def _linalg():
-    """LAPACK's complex zgeqp3 and scipy's solve_triangular, imported on
-    first use."""
-    import scipy.linalg
+    """LAPACK's complex zgeqp3 and ztrtrs, imported on first use."""
+    with _LOADING:
+        import scipy.linalg
 
-    return scipy.linalg.get_lapack_funcs("geqp3", dtype=complex), scipy.linalg.solve_triangular
+    return scipy.linalg.get_lapack_funcs(("geqp3", "trtrs"), dtype=complex)
 
 
 @dataclass
@@ -76,8 +83,10 @@ def _solve_clamped(r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
     Only the upper triangle of r_left is read."""
     if r_left.shape[0] == 0 or r_right.shape[1] == 0:
         return np.zeros((r_left.shape[0], r_right.shape[1]), dtype=complex)
-    # C order: solve_triangular then solves the transposed system, the
-    # LAPACK path whose bits the IDs have always had
+    # C order: its transpose is a Fortran-ordered lower triangle, and the
+    # transposed system is the one scipy's solve_triangular solves for it,
+    # whose bits the IDs have always had (for 1 x 1, which is also Fortran-
+    # ordered, scipy solves the system untransposed: the same bits)
     clamped = np.array(r_left, dtype=complex, order="C")
     floor = np.finfo(float).eps * np.abs(clamped[0, 0])
     d = np.diag(clamped).copy()
@@ -86,8 +95,13 @@ def _solve_clamped(r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
         scale = np.where(np.abs(d[small]) == 0.0, 1.0, d[small] / np.abs(d[small]))
         d[small] = scale * floor
         np.fill_diagonal(clamped, d)
-    solve_triangular = _linalg()[1]
-    return solve_triangular(clamped, r_right, lower=False, check_finite=False)
+    trtrs = _linalg()[1]
+    x, info = trtrs(clamped.T, r_right, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ztrtrs")
+    return x
 
 
 def _pivoted_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,9 @@ the level's one array in ascending member order, as soon as it is made
 (geometry.sum_children), which are the adds a reduce-scatter makes; the
 simulated reduce-scatter only charges the alpha/beta cost model for them.
 So every stage holds one level array, whatever the team size.
-Communication is never performed for real, and there are no threads, so
-results are reproducible.
+Communication is never performed for real and the traversal runs on one
+thread, so results are reproducible; the id engine's precompute runs on
+every usable core (engine.IdEngine) with the same bits for any count.
 
 The layout of a run depends on (N, d, p) alone: the stage schedule, each
 communicating stage's split dimensions, each level's rank-pair table and
@@ -209,8 +210,9 @@ def simulate_parallel(
     call at every process count.
     Factorization work for the sampled backend is precomputed once and
     shared by every rank; the ranks' layout is made once per (N, d, p) per
-    process (_layout). `threads` has no effect and is kept for callers that
-    still pass it.
+    process (_layout). `threads` has no effect and does not size the id
+    precompute's pool, which has a worker per usable core; it is kept for
+    callers that still pass it.
     """
     layout = _layout(N, sources.dim, p)
     eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)

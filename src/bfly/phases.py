@@ -34,7 +34,9 @@ class PhaseEvaluator:
     """A named phase with its expected spatial dimension (None = any).
 
     fn(xs, ys) takes two broadcast-compatible (..., d) float arrays and
-    returns Phi at every point pair, in their broadcast shape without d."""
+    returns Phi at every point pair, in their broadcast shape without d.
+    The id backend's precompute calls fn from several threads at once, so
+    fn must be safe to call concurrently; every built-in phase is."""
 
     name: str
     dim: Optional[int]

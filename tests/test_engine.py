@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -480,6 +485,7 @@ def sparse_leaf_sources(rng, d, N):
     return SourceSet(pos, rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos)))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 5], ids=lambda w: f"workers{w}")
 @pytest.mark.parametrize(
     "name,d,N,tol,sparse",
     [
@@ -489,14 +495,23 @@ def sparse_leaf_sources(rng, d, N):
         ("gen-radon", 3, 4, 1e-6, False),
     ],
 )
-def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse):
+def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, workers, monkeypatch):
+    # the precompute's pool gets one worker per usable core; more workers
+    # than cores, switching often, interleave the tasks' writes the most
+    monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: workers)
     rng = np.random.default_rng(59 + d + N)
     s = sparse_leaf_sources(rng, d, N) if sparse else random_sources(rng, 6 * N**d, d=d)
     if sparse:
         leaves = leaf_coords(s.positions, N.bit_length() - 1)
         counts = np.bincount(np.ravel_multi_index(tuple(leaves.T), (N,) * d), minlength=N**d)
         assert np.any(counts == 0) and np.any(counts == 1)
-    eng = IdEngine(get_phase(name), d, N, tol, 4, s)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        eng = IdEngine(get_phase(name), d, N, tol, 4, s)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # the pool's workers are joined
     want = per_pair_precompute(eng)
     for attr in ("_interp", "_final_ranks", "_final_skeleton"):
         got = getattr(eng, attr)
@@ -507,3 +522,56 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse):
             assert got.shape == ref.shape and np.array_equal(got, ref), (attr, level)
     # the stages multiply with the maps laid out as before
     assert all(m.flags.c_contiguous for m in eng._maps)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("N,tasks", [(1, 1), (2, 1), (16, 16)])
+def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch):
+    # at most one per task of the largest stage: N^d pairs, or stage 0's
+    # one source box at N = 2
+    sizes = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def sized(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", sized)
+    make_engine(get_phase("fourier"), 1, N, random_sources(np.random.default_rng(67), 40), backend="id")
+    assert sizes == [min(len(os.sched_getaffinity(0)), tasks)]
+
+
+def _nan_in_stage_1(delay):
+    """The fourier phase in d = 1, NaN in the blocks of 16 row samples
+    inside [0.5, 0.75): with N = 16 and 4 samples per leaf, those of the
+    stage 1 pairs whose target box that is (the leaves sample all 64 rows,
+    stage 0 gathers from them). The block of source box [0, 0.25), the
+    first such pair in pair order, returns after `delay` seconds."""
+
+    def fn(xs, ys):
+        out = 2.0 * np.pi * xs[..., 0] * ys[..., 0]
+        x = xs[..., 0]
+        if np.shape(xs)[-2] != 16 or not (x.min() >= 0.5 and x.max() < 0.75):
+            return out
+        if ys[..., 0].max() < 0.25:
+            time.sleep(delay)
+        return np.full(out.shape, np.nan)
+
+    return PhaseEvaluator("late-nan", 1, fn)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_id_precompute_raises_the_first_failing_pairs_error(workers, monkeypatch):
+    # the first of stage 1's four failing pairs in pair order fails last,
+    # so a pool that raised the first error to arrive would name another
+    # pair; its lone source makes its block (16, 1), the others' wider
+    phase = _nan_in_stage_1(0.2)
+    rng = np.random.default_rng(61)
+    pos = np.append(0.1, rng.uniform(0.25, 1.0, size=95))
+    s = SourceSet(pos[:, None], rng.normal(size=96) + 1j * rng.normal(size=96))
+    monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: workers)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^phase 'late-nan' returned a NaN or inf on points") as err:
+        make_engine(phase, 1, 16, s, backend="id")
+    assert str(err.value).endswith("on points (1, 16, 1) and (1, 1, 1)")
+    assert threading.active_count() == threads  # the pool's workers are joined

@@ -206,6 +206,22 @@ def test_build_id_matches_economic_oracle_bits(name, tol):
         assert np.array_equal(dec.matrix, Z)
 
 
+def test_solve_clamped_matches_solve_triangular_bits():
+    # _solve_clamped calls LAPACK's trtrs with the arguments scipy's
+    # solve_triangular passes for a C-ordered upper triangle; a 1 x 1 one,
+    # which scipy solves untransposed, gets the same bits too
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3, 8, 25):
+        for k in (1, 4, 40):
+            scale = 10.0 ** rng.integers(-6, 7, size=(n + 3, 1))
+            R = np.asfortranarray(scale * (rng.normal(size=(n + 3, n + k)) + 1j * rng.normal(size=(n + 3, n + k))))
+            left, right = R[:n, :n], R[:n, n:]
+            for _ in range(20 if n == 1 else 1):
+                want = scipy.linalg.solve_triangular(np.array(left, order="C"), right, check_finite=False)
+                assert np.array_equal(_solve_clamped(left, right), want), (n, k)
+                left = left * (rng.normal() + 1j * rng.normal())
+
+
 @pytest.mark.parametrize("name", sorted(_shapes_to_factor()))
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_build_id_leaves_its_input_unmodified(name, order):
@@ -295,17 +311,18 @@ import bfly
 from bfly import SourceSet, butterfly_apply, get_phase
 s = SourceSet(np.linspace(0.0, 1.0, 40)[:, None], np.ones(40))
 butterfly_apply(s, get_phase("fourier"), 8, q=4)
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "concurrent.futures" in sys.modules)
 butterfly_apply(s, get_phase("fourier"), 8, backend="id")
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
 def test_scipy_loads_on_the_first_id_solve():
     # scipy adds about 28 MB of resident memory that the cheb backend never
-    # uses, so neither importing bfly nor a cheb solve loads it
+    # uses, so neither importing bfly nor a cheb solve loads it; nor the
+    # id precompute's thread pool
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-c", SCIPY_ON_FIRST_ID_USE]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True", "True"]
