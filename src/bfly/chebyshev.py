@@ -325,7 +325,7 @@ def init_source_weights(
     q: int,
     ledger: Optional[CostLedger] = None,
     factors: Optional[Callable[..., Iterable[np.ndarray]]] = None,
-    split: Tuple[int, ...] = (),
+    team_bits: int = 0,
 ) -> np.ndarray:
     """The weights of the pairs (A, P) of level 1 that a block of leaf
     boxes B feeds, straight from the raw sources inside it:
@@ -337,8 +337,8 @@ def init_source_weights(
     grid of its parent P and demodulated at the center of A, once per A,
     into one level-0 scratch laid out over the block, b_shape + (q^d,),
     reused for every A; the present children of each P are then added from
-    the scratch in the order of stage 0 (geometry.sum_children with
-    `split`, the members' partial sums added in ascending member order),
+    the scratch in the order of stage 0 (geometry.sum_children, the partial
+    sums of the 2^team_bits team members added in ascending member order),
     so this is stage 0 as well. The demodulation depends only on the
     phase, q and the block: it is the one array factors(xs, grids) gives,
     by default phase_factors, one phase call on the parent grids. In a
@@ -403,12 +403,12 @@ def init_source_weights(
     moments = np.empty((len(starts), r), dtype=complex)
     # empty leaves stay zero: every A writes the same occupied rows
     scratch = np.zeros(tuple(b_shape) + (r,), dtype=complex)
-    kids = present_children(b_lo, b_shape, split)
+    kids = present_children(b_lo, b_shape)
     for t in np.ndindex(*targets):
         for i0, i1, s0, s1 in zip(cuts, cuts[1:], edges, edges[1:]):
             np.add.reduceat(basis[s0:s1] * mod[t][s0:s1, None], starts[i0:i1] - s0, axis=0, out=moments[i0:i1])
         scratch.reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
-        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), split, out[t])
+        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), team_bits, out[t])
     return out
 
 
@@ -421,7 +421,7 @@ def column_stage(
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
-    split: Tuple[int, ...] = (),
+    team_bits: int = 0,
     factors: Optional[Callable[..., Iterable[np.ndarray]]] = None,
 ) -> np.ndarray:
     """One column stage: weights of the pairs (A_c, B_p) fed by a block.
@@ -429,8 +429,8 @@ def column_stage(
     The output block holds every child A_c of the block's target boxes and
     every parent B_p of its source boxes. Children of B_p outside the block
     are left out, so the partial sums of a rank's block add up across ranks;
-    children that differ in the split dimensions are summed apart, and the
-    team members' partial sums added in ascending member order
+    the children of each of the 2^team_bits team members are summed apart,
+    and the members' partial sums added in ascending member order
     (geometry.sum_children). factors(xs, grids), by default phase_factors
     with one phase call per grid, gives the demodulation on the parent grids
     and the modulation on every present child's grid.
@@ -440,7 +440,7 @@ def column_stage(
     a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
     ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
     bp = block_coords(*parent_block(b_lo, b_shape))
-    kids = present_children(b_lo, b_shape, split)
+    kids = present_children(b_lo, b_shape)
     xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape(ac_shape + (1,) * d + (1, d))
     # the parent grids, then each present child's, made only if the factors are
     blocks = [(b_level - 1, bp)] + [(b_level, 2 * bp + o) for o, _ in kids]
@@ -454,7 +454,7 @@ def column_stage(
         _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q)
         for (offset, index), mod in zip(kids, made)
     )
-    return sum_children([o for o, _ in kids], contribs, split)
+    return sum_children([o for o, _ in kids], contribs, team_bits)
 
 
 def _column_contribution(

@@ -31,13 +31,13 @@ sum.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
 runs the init and a stage per later level on the level arrays, which the
-ranks' blocks tile; a communicating stage adds the partial sums of each
-team member into one level array in ascending member order (`split`, see
-geometry.sum_children). Every row of a stage is computed independently of
-the other rows (see chebyshev._rows_times), so a rank's rows carry the
-bits it would compute on its own block. Flops are charged to the ledger as
-an array over the pairs of the level a call runs on, which lets the
-simulator charge each rank for the pairs it holds.
+ranks' blocks tile; a stage that moves `team_bits` rank bits adds the
+partial sums of each team member into one level array in ascending member
+order (see geometry.sum_children). Every row of a stage is computed
+independently of the other rows (see chebyshev._rows_times), so a rank's
+rows carry the bits it would compute on its own block. Flops are charged
+to the ledger as an array over the pairs of the level a call runs on,
+which lets the simulator charge each rank for the pairs it holds.
 
 The final level becomes a PotentialField: the pairs (A, root) for every
 target leaf A, each with its equivalent sources, so
@@ -57,7 +57,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class SourceSet:
     def __post_init__(self) -> None:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.strengths = np.asarray(self.strengths, dtype=complex).reshape(-1)
+        if self.positions.shape[1] < 1:
+            raise ValueError(f"source positions have dimension {self.positions.shape[1]}; need at least 1")
         if self.positions.shape[0] != self.strengths.shape[0]:
             raise ValueError("positions and strengths disagree on the source count")
         if not np.all(np.isfinite(self.positions)):
@@ -161,10 +163,10 @@ class ChebEngine(_SortedSources):
         self.q = q
         self.r = q**d
 
-    def init_blocks(self, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+    def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level 1, (2,)*d + (N/2,)*d + (r,), straight from
-        the sources: stage 0, whose team members' partial sums over the
-        split dimensions are added in ascending member order
+        the sources: stage 0, moving team_bits rank bits, whose team
+        members' partial sums are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
         (1,)*d + (1,)*d + (r,). A traversal starts here, so here its
         factors are looked up (chebyshev.SolveFactors)."""
@@ -172,16 +174,17 @@ class ChebEngine(_SortedSources):
         self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
         return cheb.init_source_weights(
             self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
-            self.phase, self.q, ledger, partial(self._factors.stage, 0), split,
+            self.phase, self.q, ledger, partial(self._factors.stage, 0), team_bits,
         )
 
-    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level + 1 from those of level >= 1 (the init
-        covers stage 0), the team members' partial sums over the split
-        dimensions added in ascending member order (geometry.sum_children)."""
+        covers stage 0), the partial sums of the members of a stage moving
+        team_bits rank bits added in ascending member order
+        (geometry.sum_children)."""
         lo = (0,) * self.d  # the block is the whole level
         factors = partial(self._factors.stage, level)
-        return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, split, factors)
+        return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, team_bits, factors)
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
         """The field of the final level's weights, (N,)*d + (r,) after
@@ -397,7 +400,7 @@ class IdEngine(_SortedSources):
         self._final_ranks = ranks.reshape((N,) * d)
         self._final_skeleton = skeleton.reshape((N,) * d + skeleton.shape[-2:])
 
-    def init_blocks(self, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+    def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level 1, (2,)*d + (N/2,)*d + (width,): the leaf
         weights Z @ g of every leaf box, as one segment sum, through stage
         0's maps (_apply_maps). With N = 1 the leaf weights are the final
@@ -411,19 +414,19 @@ class IdEngine(_SortedSources):
         counts = np.bincount(flat, minlength=N**d).reshape(self._ranks[0].shape)
         ledger.add_flops(2 * self._ranks[0] * counts)
         out = out.reshape((1,) * d + out.shape)
-        return self._apply_maps(0, out, ledger, split) if self.L else out
+        return self._apply_maps(0, out, ledger, team_bits) if self.L else out
 
-    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...] = ()) -> np.ndarray:
+    def stage(self, level: int, values: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level + 1 from those of level >= 1 (the init
         covers stage 0)."""
-        return self._apply_maps(level, values, ledger, split)
+        return self._apply_maps(level, values, ledger, team_bits)
 
-    def _apply_maps(self, level: int, values: np.ndarray, ledger: CostLedger, split: Tuple[int, ...]) -> np.ndarray:
+    def _apply_maps(self, level: int, values: np.ndarray, ledger: CostLedger, team_bits: int) -> np.ndarray:
         """Stage `level`: apply every pair's map, child by child in the
-        order of geometry.sum_children, the team members' partial sums over
-        the split dimensions added in ascending member order. Each pair's
-        product is its own matrix-vector product, so a block of pairs gets
-        the bits of the same pairs in the whole level."""
+        order of geometry.sum_children, the partial sums of the members of a
+        stage moving team_bits rank bits added in ascending member order.
+        Each pair's product is its own matrix-vector product, so a block of
+        pairs gets the bits of the same pairs in the whole level."""
         d = self.d
         maps = np.moveaxis(self._maps[level], 0, -3)
 
@@ -431,8 +434,8 @@ class IdEngine(_SortedSources):
             child = to_children(values[(slice(None),) * d + index], d)
             return np.matmul(maps[..., offset_index(offset), :], child[..., None])[..., 0]
 
-        kids = present_children((0,) * d, values.shape[d : 2 * d], split)
-        out = sum_children([o for o, _ in kids], (contribution(*kid) for kid in kids), split)
+        kids = present_children((0,) * d, values.shape[d : 2 * d])
+        out = sum_children([o for o, _ in kids], (contribution(*kid) for kid in kids), team_bits)
         # each pair (A, B) feeds the children A_c of A at the parent of B:
         # the out rank of (A_c, parent(B)) times (2 * the rank of (A, B) + 1)
         out_ranks = self._ranks[level + 1]

@@ -112,35 +112,36 @@ def to_children(values: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
-def team_member(offset: Tuple[int, ...], split: Tuple[int, ...]) -> int:
-    """The team member holding the child at `offset` of a stage that splits
-    the dimensions `split`: bit i is the offset in dimension split[i]."""
-    return sum(offset[dim] << i for i, dim in enumerate(split))
+def team_member(offset: Tuple[int, ...], team_bits: int) -> int:
+    """The team member holding the child at `offset` of a stage that moves
+    `team_bits` rank bits: the top team_bits bits of the child's canonical
+    index, its offsets in dimensions 0..team_bits-1, dimension 0 most
+    significant. So each member holds a run of the children in canonical
+    order."""
+    return sum(o << (team_bits - 1 - k) for k, o in enumerate(offset[:team_bits]))
 
 
 def sum_children(
     offsets: Sequence[Tuple[int, ...]],
     parts: Iterable[np.ndarray],
-    split: Tuple[int, ...] = (),
+    team_bits: int = 0,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Add up a stage's per-child contributions: parts gives one array per
-    child offset of `offsets`, which lists them member-major, as
-    present_children(..., split) does.
+    child offset of `offsets`, which lists them in canonical order, as
+    present_children does.
 
-    Each team member's children are added, in that order, into the
-    member's partial sum, and each partial into the total in ascending
-    member order as soon as its last child is in, before the next child is
-    made: ((m0 + m1) + m2) + m3, the order of a reduce-scatter's adds. So a
-    team stage holds no more than a local one. Without a split the one
-    member is the whole sum, in canonical order. The first part of each
-    member is added into, so the parts must be arrays the caller gives up,
-    unless `out` is given: the sum is then written there, and the parts are
-    only read.
+    Each team member's children (team_member(offset, team_bits)) are added,
+    in that order, into the member's partial sum, and each partial into the
+    total in ascending member order as soon as its last child is in, before
+    the next child is made: ((m0 + m1) + m2) + m3, the order of a
+    reduce-scatter's adds. So a team stage holds no more than a local one.
+    With no team bits the one member is the whole sum, in canonical order.
+    The first part of each member is added into, so the parts must be
+    arrays the caller gives up, unless `out` is given: the sum is then
+    written there, and the parts are only read.
     """
-    members = [team_member(o, split) for o in offsets]
-    if members != sorted(members):
-        raise ValueError("children must come member-major")
+    members = [team_member(o, team_bits) for o in offsets]
     total = partial = None
     i = 0
     # no zip or enumerate: their reused result tuple would keep the last
@@ -163,19 +164,15 @@ def sum_children(
     return total
 
 
-def present_children(
-    lo: Tuple[int, ...], shape: Tuple[int, ...], split: Tuple[int, ...] = ()
-) -> list[tuple[Tuple[int, ...], tuple]]:
+def present_children(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> list[tuple[Tuple[int, ...], tuple]]:
     """Sibling positions held by a dyadic block, each with the index that
     selects those boxes from an array laid out over the block.
 
     A child offset o has o[k] in {0, 1}; the boxes at offset o are the
-    children o of the block's parents (see parent_block). Offsets come
-    member-major: by ascending team_member(o, split), and within a member
-    in canonical coordinate order, dimension 0 most significant, the order
-    in which every stage sums its children. Without a split that is the
-    canonical order. A block one box wide in a dimension holds only the
-    offsets matching that box's parity there.
+    children o of the block's parents (see parent_block). Offsets come in
+    canonical coordinate order, dimension 0 most significant, the order in
+    which every stage sums its children. A block one box wide in a
+    dimension holds only the offsets matching that box's parity there.
     """
     held = []
     for offset in itertools.product((0, 1), repeat=len(lo)):
@@ -189,8 +186,7 @@ def present_children(
                 break
         else:
             held.append((offset, tuple(index)))
-    # a stable sort keeps the canonical order within each member
-    return sorted(held, key=lambda kid: team_member(kid[0], split))
+    return held
 
 
 # ---------------------------------------------------------------------------

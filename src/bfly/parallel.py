@@ -4,35 +4,30 @@ Each of p virtual processes owns N^d/p pairs of the current level, described
 by two bisection stacks (target side D_X, source side D_Y). Its pairs are
 the product of two dyadic regions, a rectangular block of the level array
 (geometry.region_coords), and under the uniform bisection the p blocks
-tile the level. So the ranks are not a loop: the simulator holds each level
-as the one array the sequential engine uses, runs one engine init (which
-makes level 1: stage 0 is in it) and one stage per later level on it, and
-keeps, per level, the flat indices of each rank's pairs (p, N^d/p) to
-charge each rank for the pairs it holds.
+tile the level: each stack entry halves one axis of the level array on one
+rank bit, so the blocks form a regular grid with a binary axis per rank
+bit. So the ranks are not a loop: the simulator holds each level as the
+one array the sequential engine uses, runs one engine init (which makes
+level 1: stage 0 is in it) and one stage per later level on it, and keeps
+only the current level's stacks (RankCosts), which move from D_Y to D_X
+stage by stage (geometry.pop_push), to charge each rank for its block.
 
 A stage either stays local (enough source bits remain on every rank) or
 moves k bits of ownership from D_Y to D_X, which regroups the ranks into
-teams of 2^k. The members of a team hold the same output pairs, each with a
-partial sum over the children it holds: the children of one offset in the
-k split dimensions. The engine's stage adds each member's partial sum into
-the level's one array in ascending member order, as soon as it is made
-(geometry.sum_children), which are the adds a reduce-scatter makes; the
-simulated reduce-scatter only charges the alpha/beta cost model for them.
-So every stage holds one level array, whatever the team size.
-Communication is never performed for real and the traversal runs on one
-thread, so results are reproducible; the id engine's precompute runs on
-every usable core (engine.IdEngine) with the same bits for any count.
-
-The layout of a run depends on (N, d, p) alone: the stage schedule, each
-communicating stage's split dimensions, each level's rank-pair table and
-the final owners follow from the bisection stacks. A stage that moves k
-bits splits dimensions (k-1, ..., 0), so its members' children, listed
-member-major, come in canonical order, and a solve's kept factors
-(chebyshev.SolveFactors) serve every p. It is made once per
-(N, d, p) per process (_layout) and kept read-only, for the last _LAYOUTS
-shapes: an entry holds L + 2 tables of N^d indices, 8 (L + 2) N^d bytes
-(96 KiB for d = 1, N = 1024; 1.1 MiB for d = 2, N = 128; 1.8 MiB for
-d = 3, N = 32), so the cache holds at most _LAYOUTS times the largest.
+teams of 2^k. The entries it moves cut dimensions k-1, ..., 0 (the
+round-robin order of geometry.init_bisection_stacks), so the members of a
+team hold the same output pairs, each with a partial sum over the children
+whose canonical index has the member as its top k bits
+(geometry.team_member): a run of 2^(d-k) children in canonical order. The
+engine's stage adds each member's partial sum into the level's one array
+in ascending member order, as soon as it is made (geometry.sum_children),
+which are the adds a reduce-scatter makes; the simulated reduce-scatter
+only charges the alpha/beta cost model for them. So every stage holds one
+level array, whatever the team size, and a solve's kept factors
+(chebyshev.SolveFactors) serve every p. Communication is never performed
+for real and the traversal runs on one thread, so results are
+reproducible; the id engine's precompute runs on every usable core
+(engine.IdEngine) with the same bits for any count.
 
 Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
 an output pair in canonical coordinate order, and a communicating stage
@@ -49,8 +44,8 @@ relative).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +56,6 @@ from .geometry import (
     BisectionStack,
     init_bisection_stacks,
     pop_push,
-    region_coords,
     stage_schedule,
 )
 from .phases import PhaseEvaluator
@@ -78,28 +72,58 @@ class ParallelResult:
 class RankCosts:
     """Flops, messages and entries sent of each simulated rank, as arrays.
 
-    pairs[r] lists the flat indices, in the array of the current level, of
-    the pairs rank r holds (_rank_pairs). The engine charges flops as an
-    array over the pairs of the level a call runs on; add_flops gives each
-    rank the sum over its own pairs. A stage that charges every pair the
-    same count passes it broadcast (np.broadcast_to, every stride 0), and
-    each rank gets that count times its pair count, with no gather.
+    The caller sets `stacks`, the bisection stacks (D_X, D_Y) of the level
+    the engine works on, and `shape`, that level's pairs,
+    (2^a,)*d + (2^b,)*d. Rank r's pairs are a block of the level array, the
+    product of its regions (geometry.region_coords). The engine charges
+    flops as an array over the pairs of the level a call runs on;
+    add_flops gives each rank the sum over its block. A stage that charges
+    every pair the same count passes it broadcast (np.broadcast_to, every
+    stride 0), and each rank gets that count times its pair count.
     """
 
     def __init__(self, p: int):
         self.flops = np.zeros(p, dtype=np.int64)
         self.messages = np.zeros(p, dtype=np.int64)
         self.entries_sent = np.zeros(p, dtype=np.int64)
-        self.pairs = np.zeros((p, 0), dtype=np.intp)
+        self.stacks: Tuple[BisectionStack, BisectionStack] = ((), ())
+        self.shape: Tuple[int, ...] = ()
+
+    def _rank_axes(self) -> Tuple[List[int], List[int]]:
+        """The level's shape with each stack entry a binary axis, ahead of
+        the rest of the axis it halves, and an order of those axes that
+        puts the binary axes first, most significant rank bit first: so
+        transposed, the level holds each rank's block as one row, in rank
+        order."""
+        d = len(self.shape) // 2
+        shape, bits = [], []
+        for axis, n in enumerate(self.shape):
+            # bottom entries first: each halves what the ones below leave
+            cuts = [bit for dim, bit in self.stacks[axis // d] if dim == axis % d]
+            shape += [2] * len(cuts) + [n >> len(cuts)]
+            bits += cuts + [-1]
+        return shape, sorted(range(len(bits)), key=bits.__getitem__, reverse=True)
 
     def add_flops(self, per_pair: np.ndarray) -> None:
         per_pair = np.reshape(per_pair, -1)
-        if per_pair.size != self.pairs.size:
-            raise ValueError(f"{per_pair.size} flop counts for a level of {self.pairs.size} pairs")
+        size = math.prod(self.shape)
+        if per_pair.size != size:
+            raise ValueError(f"{per_pair.size} flop counts for a level of {size} pairs")
         if per_pair.strides == (0,):
-            self.flops += per_pair[0] * self.pairs.shape[1]
+            self.flops += per_pair[0] * (size // len(self.flops))
         else:
-            self.flops += np.sum(per_pair[self.pairs], axis=1)
+            shape, axes = self._rank_axes()
+            self.flops += per_pair.reshape(shape).transpose(axes).reshape(len(self.flops), -1).sum(axis=1)
+
+    def owners(self) -> np.ndarray:
+        """A new (N,)*d array of the rank holding each target leaf's final
+        weights; for the last level, where D_Y is empty and each rank's
+        block is a block of target leaves."""
+        shape, axes = self._rank_axes()
+        p = len(self.flops)
+        ranks = np.repeat(np.arange(p), math.prod(self.shape) // p)
+        ranks = ranks.reshape([shape[a] for a in axes]).transpose(np.argsort(axes))
+        return ranks.reshape(self.shape[: len(self.shape) // 2])
 
     def ledgers(self, params: CostParams) -> List[CostLedger]:
         return [
@@ -110,61 +134,6 @@ class RankCosts:
     def total(self, params: CostParams) -> CostLedger:
         """One ledger holding the sum of every rank's, in Python integers."""
         return CostLedger(params, *(sum(a.tolist()) for a in (self.flops, self.messages, self.entries_sent)))
-
-
-def _rank_pairs(dx: BisectionStack, dy: BisectionStack, d: int, a_level: int, b_level: int) -> np.ndarray:
-    """Flat (C-order) indices into a level array (2^a_level,)*d +
-    (2^b_level,)*d of the pairs each rank holds: (p, N^d/p), row r listing
-    rank r's D_X x D_Y region in C order."""
-    p = 1 << (len(dx) + len(dy))
-    ranks = np.arange(p)
-    ranges = region_coords(dx, ranks, d, a_level) + region_coords(dy, ranks, d, b_level)
-    index = []
-    for axis, (start, stop) in enumerate(ranges):
-        # every rank's coordinates along this axis, broadcast against the others
-        shape = [p] + [1] * len(ranges)
-        shape[1 + axis] = -1
-        index.append((start[:, None] + np.arange(stop[0] - start[0])).reshape(shape))
-    level_shape = (1 << a_level,) * d + (1 << b_level,) * d
-    return np.ravel_multi_index(tuple(index), level_shape).reshape(p, -1)
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """What a p-rank traversal of (N,)*d leaves does with its pairs, the
-    same whatever the sources, phase or backend. Arrays are read-only."""
-
-    schedule: Tuple[int, ...]  # bits moved by each stage
-    splits: Tuple[Tuple[int, ...], ...]  # each stage's split dimensions
-    pairs: Tuple[np.ndarray, ...]  # each level's (p, N^d/p) _rank_pairs, levels 0..L
-    owners: np.ndarray  # (N,)*d: the rank holding each target leaf's final weights
-
-
-# shapes whose layout is kept; see the module docstring for their bytes
-_LAYOUTS = 8
-
-
-@lru_cache(maxsize=_LAYOUTS)
-def _layout(N: int, d: int, p: int) -> _Layout:
-    """The layout of a p-rank traversal of (N,)*d leaves, from the
-    bisection stacks; the same object for every call with (N, d, p) while
-    it is among the last _LAYOUTS shapes."""
-    schedule = tuple(stage_schedule(N, d, p))
-    L = len(schedule)
-    dx, dy = init_bisection_stacks(d, p)
-    splits, pairs = [], [_rank_pairs(dx, dy, d, 0, L)]
-    for level, k in enumerate(schedule):
-        # team members differ in the rank bits of the k entries atop D_Y;
-        # the i-th to pop cuts dimension split[i] and is bit i of the member
-        splits.append(tuple(dim for dim, _ in reversed(dy[len(dy) - k :])))
-        dx, dy = pop_push(dx, dy, k)
-        pairs.append(_rank_pairs(dx, dy, d, level + 1, L - level - 1))
-    owners = np.empty(N**d, dtype=int)
-    owners[pairs[-1]] = np.arange(p)[:, None]
-    owners = owners.reshape((N,) * d)
-    for a in pairs + [owners]:
-        a.setflags(write=False)
-    return _Layout(schedule, tuple(splits), tuple(pairs), owners)
 
 
 def reduce_scatter(team: int, size: int, costs: RankCosts) -> int:
@@ -209,30 +178,31 @@ def simulate_parallel(
     p = 1, where no stage communicates, and `bfly verify` solves with this
     call at every process count.
     Factorization work for the sampled backend is precomputed once and
-    shared by every rank; the ranks' layout is made once per (N, d, p) per
-    process (_layout). `threads` has no effect and does not size the id
-    precompute's pool, which has a worker per usable core; it is kept for
-    callers that still pass it.
+    shared by every rank; the ranks' blocks at each level are read off the
+    bisection stacks, which each stage pops and pushes. `threads` has no
+    effect and does not size the id precompute's pool, which has a worker
+    per usable core; it is kept for callers that still pass it.
     """
-    layout = _layout(N, sources.dim, p)
-    eng = make_engine(phase, sources.dim, N, sources, q, backend, tol, rows_per_dim)
+    d = sources.dim
+    schedule = stage_schedule(N, d, p)
+    eng = make_engine(phase, d, N, sources, q, backend, tol, rows_per_dim)
     cost_params = params if params is not None else CostParams()
 
     costs = RankCosts(p)
-    costs.pairs = layout.pairs[0]
-    values = eng.init_blocks(costs, layout.splits[0] if layout.splits else ())
-    for level, (k, split) in enumerate(zip(layout.schedule, layout.splits)):
+    costs.stacks, costs.shape = init_bisection_stacks(d, p), (1,) * d + (N,) * d
+    values = eng.init_blocks(costs, schedule[0] if schedule else 0)
+    for level, k in enumerate(schedule):
         if level:  # the init ran stage 0
-            values = eng.stage(level, values, costs, split)
+            values = eng.stage(level, values, costs, k)
         if k:
             entries = reduce_scatter(1 << k, values.size, costs)
             if trace is not None:
                 trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
-        costs.pairs = layout.pairs[level + 1]
+        costs.stacks, costs.shape = pop_push(*costs.stacks, k), (2 << level,) * d + (N >> (level + 1),) * d
 
     out_field = eng.make_field(values)
     out_field.ledger = costs.total(cost_params)
-    return ParallelResult(out_field, layout.owners.copy(), costs.ledgers(cost_params), list(layout.schedule))
+    return ParallelResult(out_field, costs.owners(), costs.ledgers(cost_params), schedule)
 
 
 def modeled_time(

@@ -510,12 +510,17 @@ def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
     # the moments of each occupied leaf per target box, and r = 1 per
     # target box for every one of the 16 leaves
     assert led.flops == 4 * 4 * (2 + 1 + 1) + 16 * 4
-    # a split adds each member's children apart, then the members in
-    # ascending order: (1e16 - 1e16) + (1 + 1) with dimension 1 split
-    halves = init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, split=(1,))
-    assert np.all(halves[:, :, 1, 0, 0] == 2.0)
-    # members of dimensions (1, 0): the canonical order again
-    assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, split=(1, 0)), out)
+    # a team adds each member's children apart, then the members in
+    # ascending order. With one team bit the members hold offsets (0, *)
+    # and (1, *): 1e16, 1, 1, 1 sum to 1e16 + (1 + 1) there, the
+    # canonical order loses every 1
+    g1 = np.array([1e16, 1.0, 1.0, 1.0], dtype=complex)
+    alone = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1)
+    assert np.all(alone[:, :, 1, 0, 0] == 1e16)
+    halves = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1, team_bits=1)
+    assert np.all(halves[:, :, 1, 0, 0] == 1e16 + 2)
+    # two team bits, a member per child: the canonical order again
+    assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, team_bits=2), out)
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +742,11 @@ def test_init_holds_no_product_over_all_sources():
     assert peak - out.nbytes < 16 * n * q**d
 
 
-@pytest.mark.parametrize("split", [(), (2, 1, 0)])
-def test_init_holds_its_output_and_one_level_0_scratch(split):
+@pytest.mark.parametrize("team_bits", [0, 3], ids=["split0", "split1"])
+def test_init_holds_its_output_and_one_level_0_scratch(team_bits):
     # d = 3, N = 16, q = 3, 512 sources, its factors given. The init holds
     # its output, the level-1 array of 16 N^d r bytes; one level-0 scratch of
-    # the same size; under a split, one member's partial sum, 1/2^d of the
+    # the same size; in a team, one member's partial sum, 1/2^d of the
     # output; and arrays over the n sources: the real basis and the factor
     # it is made from (8 n r each), the modulated strengths and exp(i Phi)
     # (16 n 2^d each), the moments, one run's product and the demodulation
@@ -761,8 +766,8 @@ def test_init_holds_its_output_and_one_level_0_scratch(split):
     made = []
     args = (level, (0,) * d, (1 << level,) * d, pos, g, leaves, phase, q)
     first = init_source_weights(*args, factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made,
-                                split=split)
-    out, peak = traced_peak(lambda: init_source_weights(*args, factors=lambda xs, grids: made, split=split))
+                                team_bits=team_bits)
+    out, peak = traced_peak(lambda: init_source_weights(*args, factors=lambda xs, grids: made, team_bits=team_bits))
     assert np.array_equal(out, first)
     assert out.nbytes == 16 * r << (level * d)
     assert peak <= (2 + 2.0**-d) * out.nbytes + 64 * n * r + 32 * n * 2**d

@@ -67,6 +67,14 @@ def test_sources_reject_non_finite():
             SourceSet(np.array(pos), np.array(g))
 
 
+def test_sources_reject_positions_without_coordinates():
+    # a dimension-0 source set would reach simulate_parallel, which fails
+    # inside numpy at p = 1 and with a process-count error at p = 2
+    for pos, g in ((np.zeros((3, 0)), np.ones(3)), (np.zeros((0, 0)), np.zeros(0))):
+        with pytest.raises(ValueError, match="dimension 0"):
+            SourceSet(pos, g)
+
+
 def leaf_bins(positions, level):
     """{leaf coordinates: source indices} from the engines' shared leaf sort."""
     order, leaves = leaf_order(np.asarray(positions, dtype=float), level)

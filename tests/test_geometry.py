@@ -84,57 +84,65 @@ def test_parent_examples():
 
 
 def test_present_children_come_member_major():
-    # team member t = sum of offset[split[i]] << i, ascending, and the
-    # canonical order within each member
-    def offsets(lo, shape, split=()):
-        return [o for o, _ in present_children(lo, shape, split)]
+    # canonical order, dimension 0 most significant, in which the children
+    # of every team member (the top team_bits bits of a child's canonical
+    # index) form one run of 2^(d - team_bits)
+    def offsets(lo, shape):
+        return [o for o, _ in present_children(lo, shape)]
 
     canonical = list(itertools.product((0, 1), repeat=3))
     assert offsets((0,) * 3, (2,) * 3) == canonical
-    assert offsets((0,) * 3, (2,) * 3, (2,)) == [
-        (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)
-    ]
-    assert offsets((0,) * 3, (2,) * 3, (1,)) == [
-        (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)
-    ]
-    # the simulator's splits, (k-1, ..., 0), keep the canonical order
     for k in range(4):
-        assert offsets((0,) * 3, (2,) * 3, tuple(range(k - 1, -1, -1))) == canonical
+        members = [team_member(o, k) for o in canonical]
+        assert members == [i >> (3 - k) for i in range(8)]
     # a block one box wide in dimension 0 holds its parity only
-    assert offsets((3, 0), (1, 2), (1,)) == [(1, 0), (1, 1)]
-    for split in itertools.chain.from_iterable(itertools.permutations(range(3), k) for k in range(4)):
-        got = offsets((0,) * 3, (2,) * 3, split)
-        assert got == sorted(canonical, key=lambda o: (team_member(o, split), o))
+    assert offsets((3, 0), (1, 2)) == [(1, 0), (1, 1)]
+    assert [team_member(o, 1) for o in offsets((3, 0), (1, 2))] == [1, 1]
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8), (3, 4)])
+def test_team_bits_stand_for_the_split_of_the_lowest_dimensions(d, N):
+    # A stage moving k bits pops the k entries atop D_Y, which cut
+    # dimensions (k-1, ..., 0), the i-th to pop bit i of the team member;
+    # so the member holding a child is the top k bits of its canonical
+    # index at every stage of every p
+    def member_of_split(offset, split):
+        return sum(offset[dim] << i for i, dim in enumerate(split))
+
+    canonical = list(itertools.product((0, 1), repeat=d))
+    for logp in range(d * (N.bit_length() - 1) + 1):
+        dx, dy = init_bisection_stacks(d, 1 << logp)
+        for k in stage_schedule(N, d, 1 << logp):
+            split = tuple(dim for dim, _ in reversed(dy[len(dy) - k :]))
+            assert split == tuple(range(k - 1, -1, -1))
+            for index, o in enumerate(canonical):
+                assert team_member(o, k) == member_of_split(o, split) == index >> (d - k)
+            dx, dy = pop_push(dx, dy, k)
 
 
 def test_sum_children_adds_member_partials_in_ascending_order():
     # rounding tells the add order apart: 1e16 + 1 rounds back to 1e16
     rng = np.random.default_rng(139)
-    split = (0, 1)  # four members of one child each: (0,0), (1,0), (0,1), (1,1)
-    kids = [o for o, _ in present_children((0, 0), (2, 2), split)]
-    assert kids == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    kids = [o for o, _ in present_children((0, 0), (2, 2))]
+    assert kids == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # two team bits: four members of one child each
     m = rng.normal(size=(4, 16, 3, 2)) + 1j * rng.normal(size=(4, 16, 3, 2))
-    got = sum_children(kids, (x.copy() for x in m), split)
+    got = sum_children(kids, (x.copy() for x in m), 2)
     assert np.array_equal(got, ((m[0] + m[1]) + m[2]) + m[3])
     probe = np.array([1e16, 1.0, -1e16, 1.0], dtype=complex)
-    assert sum_children(kids, (np.array(x) for x in probe), split) == 1.0  # descending order gives 0
-    # two children per member: (c00 + c10) + (c01 + c11), canonical order
-    # within each, where no split sums ((c00 + c01) + c10) + c11
-    probe = {(0, 0): 1e16, (0, 1): 1.0, (1, 0): -1e16, (1, 1): 1.0}
-    kids = [o for o, _ in present_children((0, 0), (2, 2), (1,))]
-    assert sum_children(kids, (np.array(probe[o]) for o in kids), (1,)) == 2.0
-    kids = [o for o, _ in present_children((0, 0), (2, 2))]
-    assert sum_children(kids, (np.array(probe[o]) for o in kids)) == 1.0
+    assert sum_children(kids, (np.array(x) for x in probe), 2) == 1.0  # descending order gives 0
+    # one team bit, two children per member: (c00 + c01) + (c10 + c11),
+    # canonical order within each, where no team sums ((c00 + c01) + c10) + c11
+    probe = [1e16, 1.0, 1.0, 1.0]
+    assert sum_children(kids, (np.array(x) for x in probe), 1) == 1e16 + 2
+    assert sum_children(kids, (np.array(x) for x in probe)) == 1e16
     # with out given the parts are only read, and the sum is written there
     parts = [rng.normal(size=5) for _ in range(4)]
     kept = [x.copy() for x in parts]
     out = np.empty(5)
-    kids = [o for o, _ in present_children((0, 0), (2, 2), (1,))]
-    assert sum_children(kids, iter(parts), (1,), out) is out
+    assert sum_children(kids, iter(parts), 1, out) is out
     assert np.array_equal(out, (parts[0] + parts[1]) + (parts[2] + parts[3]))
     assert all(np.array_equal(x, y) for x, y in zip(parts, kept))
-    with pytest.raises(ValueError, match="member-major"):
-        sum_children([(0, 1), (0, 0)], iter(parts), (1,))
 
 
 @pytest.mark.parametrize(

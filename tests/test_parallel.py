@@ -29,7 +29,6 @@ from bfly.geometry import (
     stage_schedule,
     to_children,
 )
-from bfly import parallel
 from bfly.lowrank import build_id, build_translation_id
 from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
 from bfly.phases import get_phase, kernel_matrix
@@ -89,7 +88,7 @@ def test_team_stage_peaks_within_one_level_array_of_a_local_stage():
     # A d = 3 column stage whose team of 8 members each hold one child adds
     # each member's partial into the one output array once its last child
     # is in, before the next child is made, so it peaks within one level
-    # array of the same stage with no split (at the same peak, in fact);
+    # array of the same stage kept local (at the same peak, in fact);
     # stacking the 8 partials held 8 level arrays, and their stack and its
     # reduction 2 more. Each member's one child is added in ascending
     # member order, the canonical order, so the bits agree.
@@ -102,10 +101,10 @@ def test_team_stage_peaks_within_one_level_array_of_a_local_stage():
     column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q,
                  factors=lambda xs, grids: made.extend(phase_factors(phase, xs, grids)) or made)
     outs, peaks = [], []
-    for split in ((), (2, 1, 0)):
+    for team_bits in (0, 3):
         tracemalloc.start()
         try:
-            outs.append(column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q, split=split,
+            outs.append(column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q, team_bits=team_bits,
                                      factors=lambda xs, grids: made))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -114,20 +113,30 @@ def test_team_stage_peaks_within_one_level_array_of_a_local_stage():
     assert peaks[1] <= peaks[0] + outs[0].nbytes
 
 
+def level_stacks(N, d, p):
+    """(stacks, shape) of each level 0..L of a p-rank traversal of (N,)*d
+    leaves: the bisection stacks and the level's pairs, as simulate_parallel
+    sets them on its RankCosts."""
+    L = N.bit_length() - 1
+    stacks = init_bisection_stacks(d, p)
+    for level, k in enumerate(stage_schedule(N, d, p) + [0]):
+        yield stacks, (1 << level,) * d + (1 << (L - level),) * d
+        stacks = pop_push(*stacks, k)
+
+
 def test_uniform_flop_counts_charge_each_rank_its_pairs():
     # one count broadcast over every pair of a level gives each rank what the
     # counts written out do; a wrong pair count is refused either way
-    layout = parallel._layout(8, 2, 4)
-    for pairs in layout.pairs:
-        shape = (pairs.size,)
+    for stacks, shape in level_stacks(8, 2, 4):
         broadcast, written = RankCosts(4), RankCosts(4)
-        broadcast.pairs = written.pairs = pairs
+        broadcast.stacks = written.stacks = stacks
+        broadcast.shape = written.shape = shape
         broadcast.add_flops(np.broadcast_to(7 << 40, shape))
         written.add_flops(np.full(shape, 7 << 40))
         assert np.array_equal(broadcast.flops, written.flops)
-        assert broadcast.flops.tolist() == [(7 << 40) * pairs.shape[1]] * 4
+        assert broadcast.flops.tolist() == [(7 << 40) * 16] * 4
         with pytest.raises(ValueError, match="flop counts"):
-            broadcast.add_flops(np.broadcast_to(1, (pairs.size + 1,)))
+            broadcast.add_flops(np.broadcast_to(1, (8 * 8 + 1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,64 +311,49 @@ def test_ownership_counts_balanced():
 
 
 # ---------------------------------------------------------------------------
-# the per-process layout of each (N, d, p)
+# each rank's block, read off the bisection stacks
 # ---------------------------------------------------------------------------
 
 
-def test_layout_cache_hits_give_the_bits_of_misses():
-    # shapes and backends interleaved, so that each run follows another
-    # shape's; the second round takes every layout from the cache, the
-    # third makes them all again
-    shapes = [(1, 16, 4), (2, 8, 16), (1, 16, 1), (3, 4, 8), (2, 8, 2), (1, 16, 16)]
-    rng = np.random.default_rng(317)
-    sources = {d: random_sources(rng, 40 * d, d=d) for d in (1, 2, 3)}
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8), (3, 4)])
+def test_rank_costs_charge_each_rank_its_region_block(d, N):
+    # at every level of every p, random per-pair counts give each rank the
+    # sum over its D_X x D_Y block (region_coords), and a broadcast count
+    # that count per pair it holds; a wrong pair count is refused; the last
+    # level's owners are the final regions, in a new array per call
+    rng = np.random.default_rng(337 + d)
+    L = N.bit_length() - 1
+    s = random_sources(rng, 10 * 2**d, d=d)
     phase = get_phase("fourier")
-
-    def run(d, N, p, backend):
-        kwargs = {"q": 3} if backend == "cheb" else {"backend": "id", "tol": 1e-6}
-        trace = []
-        res = simulate_parallel(sources[d], phase, N, p=p, trace=trace, **kwargs)
-        bits = (res.field.values.tobytes(), tallies(res.ledgers + [res.field.ledger]), res.owners.copy(), res.schedule, trace)
-        res.owners[...] = -1  # the caller's own array, not the cached one
-        return bits
-
-    def interleaved():
-        return [run(d, N, p, backend) for d, N, p in shapes for backend in ("cheb", "id") if d < 3 or backend == "cheb"]
-
-    parallel._layout.cache_clear()
-    cold = interleaved()  # one miss per shape; its second backend hits
-    assert parallel._layout.cache_info()[:2] == (len(cold) - len(shapes), len(shapes))
-    warm = interleaved()
-    assert parallel._layout.cache_info()[:2] == (2 * len(cold) - len(shapes), len(shapes))
-    parallel._layout.cache_clear()
-    again = interleaved()
-    for runs in (warm, again):
-        for got, want in zip(runs, cold):
-            assert got[0] == want[0] and got[1] == want[1] and got[3:] == want[3:]
-            assert np.array_equal(got[2], want[2]) and got[2].dtype == want[2].dtype
-    for d, N, p in shapes:
-        layout = parallel._layout(N, d, p)
-        assert layout is parallel._layout(N, d, p)
-        for table in layout.pairs + (layout.owners,):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[...] = 0
-
-
-def test_layout_cache_keeps_at_most_its_bound():
-    rng = np.random.default_rng(331)
-    s = random_sources(rng, 40)
-    phase = get_phase("fourier")
-    parallel._layout.cache_clear()
-    N = 1 << (parallel._LAYOUTS + 2)
-    ps = [1 << k for k in range(parallel._LAYOUTS + 3)]  # more shapes than the bound
-    want = [simulate_parallel(s, phase, N, p=p, q=2).field.values for p in ps]
-    info = parallel._layout.cache_info()
-    assert info.maxsize == parallel._LAYOUTS and info.currsize == parallel._LAYOUTS and info.hits == 0
-    # the oldest shapes are gone and made again, with the same bits
-    for p, values in zip(ps, want):
-        assert np.array_equal(simulate_parallel(s, phase, N, p=p, q=2).field.values, values)
-        assert parallel._layout.cache_info().currsize <= parallel._LAYOUTS
+    for logp in range(d * L + 1):
+        p = 1 << logp
+        ranks = np.arange(p)
+        costs = RankCosts(p)
+        for level, ((dx, dy), shape) in enumerate(level_stacks(N, d, p)):
+            costs.stacks, costs.shape = (dx, dy), shape
+            ranges = region_coords(dx, ranks, d, level) + region_coords(dy, ranks, d, L - level)
+            blocks = [tuple(slice(start[r], stop[r]) for start, stop in ranges) for r in ranks]
+            counts = rng.integers(0, 1 << 40, size=shape)
+            before = costs.flops.copy()
+            costs.add_flops(counts)
+            assert (costs.flops - before).tolist() == [counts[b].sum() for b in blocks]
+            before = costs.flops.copy()
+            costs.add_flops(np.broadcast_to(np.int64(7 << 40), shape))
+            assert (costs.flops - before).tolist() == [(7 << 40) * (N**d // p)] * p
+            for wrong in (np.ones(N**d + 1, dtype=np.int64), np.broadcast_to(np.int64(1), (N**d - 1,))):
+                with pytest.raises(ValueError, match="flop counts"):
+                    costs.add_flops(wrong)
+        want = np.empty((N,) * d, dtype=int)
+        for r, b in enumerate(blocks):
+            want[b[:d]] = r
+        owners = costs.owners()
+        assert owners.dtype == want.dtype and np.array_equal(owners, want)
+        owners[...] = -1
+        assert np.array_equal(costs.owners(), want)
+        res = simulate_parallel(s, phase, N, p=p, q=2)
+        assert res.owners.dtype == want.dtype and np.array_equal(res.owners, want)
+        res.owners[...] = -1
+        assert np.array_equal(simulate_parallel(s, phase, N, p=p, q=2).owners, want)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +421,14 @@ def test_empty_sources_still_run():
         par = simulate_parallel(s, phase, 4, p=2, q=3, backend=backend, tol=1e-6)
         vals = par.field.evaluate(np.array([[0.3], [0.8]]))
         assert np.allclose(vals, 0.0)
+
+
+def test_sources_without_coordinates_are_refused_at_every_p():
+    # the call failed inside numpy at p = 1 and with a process-count error
+    # at p = 2; the source set now refuses its dimension 0 first
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="dimension 0"):
+            simulate_parallel(SourceSet(np.zeros((3, 0)), np.ones(3)), get_phase("fourier"), 4, p=p)
 
 
 # ---------------------------------------------------------------------------
