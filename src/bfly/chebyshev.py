@@ -32,10 +32,16 @@ edge, stored in ascending order per dimension; tensor points are flattened
 with dimension 0 varying fastest. Interpolation uses the barycentric form,
 with exact node hits short-circuited so cardinality holds to the last bit.
 
-The weight operations work on blocks of pairs (see the section below): one
-phase evaluation and one contraction per child index cover a whole block,
-and dyadic boxes being affine images of each other, the same 2^d reference
-matrices serve every pair at every level.
+The weight operations work on blocks of pairs (see the section below), laid
+out width first, (q^d,) + pairs: one phase evaluation per grid and d real
+matrix products per child cover a whole block. A child's re-interpolation
+onto its parent's grid is the Kronecker product of two 1-D matrices, one
+per half of an edge, so it is applied one dimension at a time (sum
+factorization, Orszag 1980): d q^(d+1) multiply-adds per pair instead of
+q^(2d), each product one matmul with that dimension's nodes second to last,
+without a transpose and without a dense q^d x q^d matrix. Dyadic boxes
+being affine images of each other, the same two 1-D reference matrices
+serve every pair at every level.
 
 A column stage's kernel factors exp(+-i*Phi), between its target-box
 centers and its grid nodes, and the init's demodulation on the parent
@@ -50,13 +56,14 @@ sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
 The weight operations keep their temporaries small, with the same bits as
 whole-array products: the init sums its sources in runs of whole leaves of
 about _INIT_CHUNK complex entries each, and adds each parent's children
-from one reused level-0 scratch straight into its level-1 output, (2,)*d +
-(N/2,)*d + (q^d,), rather than returning 2^d level-0 arrays for stage 0 to
-add up. A column stage modulates by broadcasting instead of repeating its
-weights onto the target children, and demodulates in place. Solves
+from one reused level-0 scratch straight into its level-1 output,
+(q^d,) + (2,)*d + (N/2,)*d, rather than returning 2^d level-0 arrays for
+stage 0 to add up. A column stage modulates by broadcasting instead of
+repeating its weights onto the target children, alternates its d products
+between two arrays, and demodulates in place. Solves
 repeated as the benchmark repeats them then page-fault about once per warm
 cheb-2d solve instead of 1,550 times, and butterfly_apply at d = 3, N = 32,
-q = 5 peaks at 581 MB, not 887 MB; its column stages are now the peak.
+q = 5 peaks at 516 MB, not 887 MB; its column stages are now the peak.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ from .costs import CostLedger
 from .geometry import (
     block_coords,
     leaf_runs,
-    offset_index,
     parent_block,
     present_children,
     sum_children,
@@ -131,28 +137,14 @@ def _tensor_basis(q: int, lower: np.ndarray, width, pts: np.ndarray) -> np.ndarr
 
 @lru_cache(maxsize=None)
 def _child_matrices_1d(q: int) -> np.ndarray:
-    """(2, q, q) arrays m[h][t', t] = basis t' of [0, 1] at node t of half h."""
+    """(2, q, q) arrays m[h][t', t] = basis t' of [0, 1] at node t of half h.
+
+    The re-interpolation from child n's grid onto its parent's is their
+    Kronecker product over the dimensions, m[h_k] in dimension k, h_k bit k
+    of n, and a stage applies it one dimension at a time
+    (_column_contribution)."""
     halves = [grid_points(q, 1, np.array([h]))[:, 0] for h in range(2)]
     return np.stack([_basis_1d(q, np.zeros(q), 1.0, x).T for x in halves])
-
-
-@lru_cache(maxsize=None)
-def _child_matrices(q: int, d: int) -> np.ndarray:
-    """(2^d, q^d, q^d) dense re-interpolation matrices, parent box to child n.
-
-    M[n][t', t] is the parent tensor basis t' evaluated at child-n grid node
-    t. Dyadic boxes are affine images of each other, so these reference
-    matrices serve every level.
-    """
-    m1 = _child_matrices_1d(q)
-    out = np.empty((1 << d, q**d, q**d))
-    for n in range(1 << d):
-        # dimension 0 varies fastest in the flat index, so it sits innermost
-        acc = np.ones((1, 1))
-        for k in range(d - 1, -1, -1):
-            acc = np.kron(acc, m1[(n >> k) & 1])
-        out[n] = acc
-    return out
 
 
 def box_centers(level: int, coords: np.ndarray) -> np.ndarray:
@@ -185,22 +177,6 @@ def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
     return pts
 
 
-@lru_cache(maxsize=None)
-def _stage_matrices(q: int, d: int) -> np.ndarray:
-    """The child matrices laid out for contracting stacks of weight rows:
-    entry n is M[n].T, so rows @ entry n applies M[n] to every row."""
-    column = np.ascontiguousarray(np.transpose(_child_matrices(q, d), (0, 2, 1)), dtype=complex)
-    column.setflags(write=False)
-    return column
-
-
-def cached_matrix_bytes(q: int, d: int) -> int:
-    """Bytes that `_child_matrices` and `_stage_matrices` keep for (q, d):
-    one real and one complex (2^d, q^d, q^d) stack, for the life of the
-    process."""
-    return (8 + 16) * (1 << d) * q ** (2 * d)
-
-
 # The factors exp(+-i*Phi) of a column stage, between its target-box centers
 # and its grids, and the init's demodulation on the parent grids depend only
 # on the phase, q and the tree, never on the sources: they are this
@@ -213,8 +189,7 @@ def cached_matrix_bytes(q: int, d: int) -> int:
 # their phase, so that its identity is not reused. A probe, Phi at two pairs
 # of every stage, is evaluated again in one call when a traversal starts: a
 # phase whose function has changed since gives other values there, and the
-# factors are made anew. The budget is apart from the child matrices'
-# (cached_matrix_bytes) and the CLI's q cap.
+# factors are made anew.
 _FACTOR_BYTES = 32 << 20
 _kept: Optional["SolveFactors"] = None  # the traversal whose factors are kept
 _last_key: tuple = ((), None)  # the last traversal's key and phase
@@ -278,29 +253,15 @@ class SolveFactors:
         return factors
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat, mat a matrix or a vector, with every result row
-    independent of the other rows.
-
-    numpy hands a single row to another BLAS kernel than any taller stack
-    (for a matrix, gemv rather than gemm), which rounds differently; a lone
-    row therefore goes through as a pair. A simulated rank may hold a
-    single row of a stage, and must still reproduce the sequential bits;
-    direct_apply's last chunk may be a single target.
-    """
-    if rows.shape[0] == 1:
-        return (np.concatenate([rows, rows]) @ mat)[:1]
-    return rows @ mat
-
-
 # ---------------------------------------------------------------------------
 # Weight operations on blocks of pairs. A block's weights are one array
-# values[a..., b..., t]: axes 0..d-1 run over a rectangular block of target
-# boxes A (level a_level, first coordinates a_lo), axes d..2d-1 over a block
-# of source boxes B (level b_level, first coordinates b_lo), and the last
-# axis over the q^d weights of the pair (A, B). Every operation is a few
-# NumPy calls over the whole block, each row computed independently of the
-# others, so a sub-block gives the same bits as the same rows of the whole.
+# values[t, a..., b...], width first: axis 0 runs over the q^d weights of
+# the pair (A, B), axes 1..d over a rectangular block of target boxes A
+# (level a_level, first coordinates a_lo) and axes d+1..2d over a block of
+# source boxes B (level b_level, first coordinates b_lo). Every operation is
+# a few NumPy calls over the whole block, each pair computed independently
+# of the others, so a sub-block gives the same bits as the same pairs of the
+# whole.
 # Ledgers are charged an array of flops per pair of the input block, which
 # lets a caller charge each pair's cost to whoever holds the pair.
 # ---------------------------------------------------------------------------
@@ -329,7 +290,7 @@ def init_source_weights(
 ) -> np.ndarray:
     """The weights of the pairs (A, P) of level 1 that a block of leaf
     boxes B feeds, straight from the raw sources inside it:
-    (2^a,)*d + p_shape + (q^d,), with a = min(level, 1) and p_shape the
+    (q^d,) + (2^a,)*d + p_shape, with a = min(level, 1) and p_shape the
     block's parents (geometry.parent_block), or b_shape when a = 0.
 
     A runs over the children of the root and P over the parents of the
@@ -339,7 +300,7 @@ def init_source_weights(
     reused for every A; the present children of each P are then added from
     the scratch in the order of stage 0 (geometry.sum_children, the partial
     sums of the 2^team_bits team members added in ascending member order),
-    so this is stage 0 as well. The demodulation depends only on the
+    and A's sums transposed into the output, so this is stage 0 as well. The demodulation depends only on the
     phase, q and the block: it is the one array factors(xs, grids) gives,
     by default phase_factors, one phase call on the parent grids. In a
     one-leaf tree (level 0), B is the root, A the whole target domain, and
@@ -362,7 +323,7 @@ def init_source_weights(
     a = min(level, 1)
     targets = (1 << a,) * d
     p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
-    out = np.zeros(targets + p_shape + (r,), dtype=complex)
+    out = np.zeros((r,) + targets + p_shape, dtype=complex)
     positions = np.asarray(positions, dtype=float).reshape(-1, d)
     strengths = np.asarray(strengths, dtype=complex)
     n = positions.shape[0]
@@ -403,12 +364,17 @@ def init_source_weights(
     moments = np.empty((len(starts), r), dtype=complex)
     # empty leaves stay zero: every A writes the same occupied rows
     scratch = np.zeros(tuple(b_shape) + (r,), dtype=complex)
+    # one A's child sums, pairs first like the scratch, then transposed into
+    # the width-first output: 2^d times smaller than the scratch, whose
+    # transpose would cost twice as much
+    summed = np.empty(p_shape + (r,), dtype=complex)
     kids = present_children(b_lo, b_shape)
     for t in np.ndindex(*targets):
         for i0, i1, s0, s1 in zip(cuts, cuts[1:], edges, edges[1:]):
             np.add.reduceat(basis[s0:s1] * mod[t][s0:s1, None], starts[i0:i1] - s0, axis=0, out=moments[i0:i1])
         scratch.reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
-        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), team_bits, out[t])
+        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), team_bits, summed)
+        np.copyto(out[(slice(None),) + t], np.moveaxis(summed, -1, 0))
     return out
 
 
@@ -437,21 +403,28 @@ def column_stage(
     """
     d = len(a_lo)
     r = q**d
-    a_shape, b_shape = values.shape[:d], values.shape[d : 2 * d]
+    a_shape, b_shape = values.shape[1 : d + 1], values.shape[d + 1 :]
     ac_lo, ac_shape = tuple(2 * x for x in a_lo), tuple(2 * n for n in a_shape)
     bp = block_coords(*parent_block(b_lo, b_shape))
     kids = present_children(b_lo, b_shape)
-    xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape(ac_shape + (1,) * d + (1, d))
+    # operands ordered so the factors come out width first,
+    # (r,) + ac_shape + bp_shape
+    xc = box_centers(a_level + 1, block_coords(ac_lo, ac_shape)).reshape((1,) + ac_shape + (1,) * d + (d,))
     # the parent grids, then each present child's, made only if the factors are
     blocks = [(b_level - 1, bp)] + [(b_level, 2 * bp + o) for o, _ in kids]
-    grids = (grid_points(q, level, coords) for level, coords in blocks)
+    # each grid's nodes ahead of its boxes, in memory too, so that the
+    # phase's results are C-ordered and _expi takes them without a copy
+    grids = (
+        np.ascontiguousarray(np.moveaxis(grid_points(q, level, coords), -2, 0))[(slice(None),) + (None,) * d]
+        for level, coords in blocks
+    )
     made = iter((factors or partial(phase_factors, phase))(xc, grids))
     demod = next(made)
     if ledger is not None:
         # each pair feeds the 2^d children of its target box
-        ledger.add_flops(np.broadcast_to((2 * r * r + 3 * r) << d, values.shape[: 2 * d]))
+        ledger.add_flops(np.broadcast_to((2 * d * q ** (d + 1) + 3 * r) << d, values.shape[1:]))
     contribs = (
-        _column_contribution(offset, values[(slice(None),) * d + index], mod, demod, q)
+        _column_contribution(offset, values[(slice(None),) * (d + 1) + index], mod, demod, q)
         for (offset, index), mod in zip(kids, made)
     )
     return sum_children([o for o, _ in kids], contribs, team_bits)
@@ -466,21 +439,33 @@ def _column_contribution(
 ) -> np.ndarray:
     """Child `offset`'s share of a column stage, for a whole output block.
 
-    values[a..., b..., :] are the weights of the pairs (A, B_o), B_o the
+    values[:, a..., b...] are the weights of the pairs (A, B_o), B_o the
     child `offset` of the output's B_p: point sources at the child grid
     nodes. Each is modulated for every child A_c of A (mod), re-expanded on
-    the parent grid by M[n] and demodulated (demod).
+    the parent grid and demodulated (demod). The re-expansion is the
+    Kronecker product of the 1-D child matrices, applied one dimension at a
+    time (sum factorization): 2 d q^(d+1) flops per pair, not 2 q^(2d).
     """
     d = len(offset)
     r = q**d
     # A -> each of its children A_c by broadcasting: target axis k of mod
     # split as (A, child) against values with a unit axis there, so no copy
-    # of values is repeated onto the children. The product, its re-expansion
-    # and the in-place demodulation then hold two arrays of the output's
-    # size. Operands stay in this order: numpy rounds a swapped complex
-    # product differently.
-    children = sum(((n, 2) for n in values.shape[:d]), ())
-    units = sum(((n, 1) for n in values.shape[:d]), ())
-    rows = np.multiply(mod.reshape(children + mod.shape[d:]), values.reshape(units + values.shape[d:]))
-    w = _rows_times(rows.reshape(-1, r), _stage_matrices(q, d)[offset_index(offset)]).reshape(demod.shape)
-    return np.multiply(demod, w, out=w)
+    # of values is repeated onto the children. Operands stay in this order:
+    # numpy rounds a swapped complex product differently.
+    children = sum(((n, 2) for n in values.shape[1 : d + 1]), (r,)) + mod.shape[d + 1 :]
+    units = sum(((n, 1) for n in values.shape[1 : d + 1]), (r,)) + values.shape[d + 1 :]
+    rows = np.empty(mod.shape, dtype=complex)  # C-ordered, for the float views below
+    np.multiply(mod.reshape(children), values.reshape(units), out=rows.reshape(children))
+    # The weight axis is (q,)*d, dimension 0 last. Dimension k's product is
+    # one real matmul with its q nodes second to last, on float views, so
+    # each pair's real and imaginary parts are two columns and a lone pair
+    # still goes to gemm. The products alternate between rows and one more
+    # array of the output's size, and the demodulation is in place: two
+    # arrays in all.
+    other = np.empty_like(rows)
+    m1 = _child_matrices_1d(q)
+    for k in range(d):
+        shape = (q ** (d - 1 - k), q, -1)
+        np.matmul(m1[offset[k]], rows.view(float).reshape(shape), out=other.view(float).reshape(shape))
+        rows, other = other, rows
+    return np.multiply(demod, rows, out=rows)

@@ -10,9 +10,9 @@ layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 
 Exit codes: 0 success, 1 error above threshold, 2 usage or input error
-(including a file that is not UTF-8, an error that is not finite, a cheb q
-whose cached interpolation matrices would pass 256 MB and a cheb problem
-one level of whose weights would not fit in the machine's memory).
+(including a file that is not UTF-8, an error that is not finite and a cheb
+problem whose one level of weights and 1-D child matrices would not fit in
+the machine's memory).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from .chebyshev import cached_matrix_bytes
 from .costs import CostParams
 from .engine import AllZeroReferenceError, SourceSet, direct_apply, rel_sup_error
 from .parallel import ledger_report, simulate_parallel
@@ -56,10 +55,6 @@ _DEFAULTS: Dict[str, Optional[str]] = {
     "threshold": "1e-3",
     "id_limit": "4096",
 }
-
-
-# largest Chebyshev interpolation matrices a cheb run may cache, in MB
-_MATRIX_CAP_MB = 256
 
 
 class UsageError(Exception):
@@ -204,15 +199,6 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
             if q_raw < 2 or q_raw != int(q_raw):
                 raise UsageError("q must be an integer >= 2 for the cheb backend")
             q = int(q_raw)
-            cap = _MATRIX_CAP_MB * 10**6
-            if cached_matrix_bytes(q, dim) > cap:
-                q_max = 2
-                while cached_matrix_bytes(q_max + 1, dim) <= cap:
-                    q_max += 1
-                raise UsageError(
-                    f"q={merged['q']} at dim={dim} would cache more than the {_MATRIX_CAP_MB} MB cap of Chebyshev"
-                    f" interpolation matrices; use q <= {q_max} at dim={dim}"
-                )
         else:
             if not (0.0 < q_raw < 1.0):
                 raise UsageError("q is the id tolerance and must lie strictly in (0, 1)")
@@ -222,14 +208,17 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
     if backend == "id" and N**dim > id_limit:
         raise UsageError(f"id backend is gated to N^d <= {id_limit}; got N^d = 2^{dim * log2n}")
     if backend == "cheb":
-        # one level of weights: 2^d N^d q^d complex entries; a solve holds
-        # two, so a problem whose one level passes the memory cannot run
-        level_bytes = 16 * (2 * N * int(q)) ** dim
+        # one level of weights, 2^d N^d q^d complex entries, and the (2, q, q)
+        # real 1-D child matrices; a solve holds both and at least two
+        # levels, so a problem whose level and matrices pass the memory
+        # cannot run
+        need = 16 * (2 * N * int(q)) ** dim + 16 * int(q) ** 2
         memory = _physical_memory_bytes()
-        if level_bytes > memory:
+        if need > memory:
             raise UsageError(
-                f"cheb backend at dim={dim}, log2n={log2n}, q={q}: one level of weights takes at least"
-                f" 2^{level_bytes.bit_length() - 1} bytes, past the {memory / 2**30:.1f} GiB of physical memory"
+                f"cheb backend at dim={dim}, log2n={log2n}, q={merged.get('q', q)}: one level of weights and"
+                f" the 1-D child matrices take at least 2^{need.bit_length() - 1} bytes, past the"
+                f" {memory / 2**30:.1f} GiB of physical memory"
             )
 
     procs_raw = merged["procs"]

@@ -1,7 +1,11 @@
 """Cost accounting for the butterfly engine and its parallel simulator.
 
 Counting convention: one unit per complex multiply and one per complex add,
-so a length-r modulation costs r units and a dense r x r matvec costs 2*r**2.
+so a length-r modulation costs r units and a dense r x r matvec costs
+2*r**2. A cheb column stage re-interpolates each child's r = q**d weights
+one dimension at a time, d products of q x q matrices with q**(d-1) vectors
+each, so it charges 2*d*q**(d+1) for it, which is 2*r**2 at d = 1; the
+real child matrices count as complex ones.
 Phase-function evaluations are not flops; they are kernel samples and are
 tracked separately where a caller cares.
 """

@@ -15,27 +15,29 @@ both the weights are equivalent point sources:
   weights sit at adaptively selected source points and whose translations
   recompress stacked child skeletons.
 
-A level's weights are one complex array of shape
-(2^l,)*d + (2^(L-l),)*d + (width,): target box coordinates, then source box
-coordinates, in canonical order, then the pair's weights. A stage maps the
-array of level l to the array of level l + 1, summing each output pair's
-2^d children in canonical coordinate order (dimension 0 most significant).
-Both engines' init_blocks run stage 0 and return level 1,
-(2,)*d + (N/2,)*d + (width,), or with N = 1 the final level 0; `stage`
-serves levels 1..L-1. The cheb stage is a handful of
-whole-level NumPy calls per child; the id stage is one batched
-matrix-vector product per child, each pair with its own precomputed map,
-kept zero-padded in one array per level (IdEngine). Both backends start
-from the sources sorted by leaf box, so the leaf weights are one segment
-sum.
+A level's weights are one complex array over its pairs: target box
+coordinates (2^l,)*d, then source box coordinates (2^(L-l),)*d, in
+canonical order, with the pair's weights as one more axis. The cheb engine
+puts that axis first, (r,) + pairs, so that its stage applies the 1-D child
+matrices one dimension at a time without a transpose; the id engine puts it
+last, pairs + (width,), one padded weight vector per pair for its per-pair
+maps. A stage maps the array of level l to the array of level l + 1,
+summing each output pair's 2^d children in canonical coordinate order
+(dimension 0 most significant). Both engines' init_blocks run stage 0 and
+return level 1, or with N = 1 the final level 0; `stage` serves levels
+1..L-1. The cheb stage is a handful of whole-level NumPy calls per child;
+the id stage is one batched matrix-vector product per child, each pair with
+its own precomputed map, kept zero-padded in one array per level
+(IdEngine). Both backends start from the sources sorted by leaf box, so the
+leaf weights are one segment sum.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
 runs the init and a stage per later level on the level arrays, which the
 ranks' blocks tile; a stage that moves `team_bits` rank bits adds the
 partial sums of each team member into one level array in ascending member
-order (see geometry.sum_children). Every row of a stage is computed
-independently of the other rows (see chebyshev._rows_times), so a rank's
-rows carry the bits it would compute on its own block. Flops are charged
+order (see geometry.sum_children). Every pair of a stage is computed
+independently of the other pairs, so a rank's pairs carry the bits it would
+compute on its own block. Flops are charged
 to the ledger as an array over the pairs of the level a call runs on,
 which lets the simulator charge each rank for the pairs it holds.
 
@@ -92,6 +94,8 @@ class SourceSet:
     def __post_init__(self) -> None:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.strengths = np.asarray(self.strengths, dtype=complex).reshape(-1)
+        if self.positions.ndim != 2:
+            raise ValueError(f"source positions have shape {self.positions.shape}; need (n, d)")
         if self.positions.shape[1] < 1:
             raise ValueError(f"source positions have dimension {self.positions.shape[1]}; need at least 1")
         if self.positions.shape[0] != self.strengths.shape[0]:
@@ -164,11 +168,11 @@ class ChebEngine(_SortedSources):
         self.r = q**d
 
     def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
-        """The weights of level 1, (2,)*d + (N/2,)*d + (r,), straight from
-        the sources: stage 0, moving team_bits rank bits, whose team
-        members' partial sums are added in ascending member order
+        """The weights of level 1, width first, (r,) + (2,)*d + (N/2,)*d,
+        straight from the sources: stage 0, moving team_bits rank bits,
+        whose team members' partial sums are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
-        (1,)*d + (1,)*d + (r,). A traversal starts here, so here its
+        (r,) + (1,)*d + (1,)*d. A traversal starts here, so here its
         factors are looked up (chebyshev.SolveFactors)."""
         d = self.d
         self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
@@ -187,14 +191,14 @@ class ChebEngine(_SortedSources):
         return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, team_bits, factors)
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
-        """The field of the final level's weights, (N,)*d + (r,) after
-        dropping the root's source axes: equivalent sources on the root's
-        grid, the same skeleton for every target leaf."""
+        """The field of the final level's weights, transposed once from
+        (r,) + (N,)*d + (1,)*d into a new (N,)*d + (r,) array: equivalent
+        sources on the root's grid, the same skeleton for every target
+        leaf."""
         d, N = self.d, self.N
         grid = cheb.grid_points(self.q, 0, np.zeros(d, dtype=int))
-        return PotentialField(
-            self.phase, d, N, values.reshape((N,) * d + (self.r,)), np.broadcast_to(grid, (N,) * d + grid.shape)
-        )
+        values = np.ascontiguousarray(np.moveaxis(values.reshape((self.r,) + (N,) * d), 0, -1))
+        return PotentialField(self.phase, d, N, values, np.broadcast_to(grid, (N,) * d + grid.shape))
 
 
 class IdEngine(_SortedSources):
@@ -575,6 +579,17 @@ def butterfly_apply(
     return simulate_parallel(sources, phase, N, 1, q, backend, tol, rows_per_dim).field
 
 
+def _rows_times(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """rows @ vector, with every result independent of the other rows.
+
+    numpy hands a single row to another BLAS kernel than any taller stack,
+    which rounds differently; a lone row therefore goes through as a pair,
+    so a target's value does not depend on the chunk it falls in."""
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ vector)[:1]
+    return rows @ vector
+
+
 # kernel entries direct_apply forms at a time (512 KB of complex kernel),
 # the fastest of 2^13..2^19 on 1024 targets x 4096 sources, all same bits
 _DIRECT_CHUNK = 1 << 15
@@ -592,7 +607,7 @@ def direct_apply(sources: SourceSet, phase: PhaseEvaluator, targets: np.ndarray)
     chunk = max(2, _DIRECT_CHUNK // sources.count)
     for start in range(0, m, chunk):
         kernel = kernel_matrix(phase, targets[start : start + chunk], sources.positions)
-        out[start : start + chunk] = cheb._rows_times(kernel, sources.strengths)
+        out[start : start + chunk] = _rows_times(kernel, sources.strengths)
     return out
 
 

@@ -5,6 +5,7 @@ direct kernel summation and against per-pair and per-leaf oracles."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import tracemalloc
 
@@ -14,12 +15,9 @@ import pytest
 import bfly.chebyshev as cheb
 import bfly.engine
 from bfly.chebyshev import (
-    _child_matrices,
-    _child_matrices_1d,
+    _column_contribution,
     _reference_nodes,
-    _stage_matrices,
     _tensor_basis,
-    cached_matrix_bytes,
     column_stage,
     grid_points,
     init_source_weights,
@@ -98,7 +96,7 @@ def column_potential(b, values, pts, phase, q):
 def column_contribution(a_c, b_p, b_child, values, phase, q):
     xc = center_of(a_c)
     v = np.exp(1j * phase(xc, grid_of(b_child, q))) * values
-    w = _child_matrices(q, a_c.dim)[child_index(b_child)] @ v
+    w = per_box_child_matrices(q, a_c.dim)[child_index(b_child)] @ v
     return np.exp(-1j * phase(xc, grid_of(b_p, q))) * w
 
 
@@ -129,11 +127,11 @@ def translate(stage, a_c, b_p, child_values, phase, q, led=None):
     (parent(A_c), B_n), B_n the children of B_p in child order."""
     d = a_c.dim
     a = parent(a_c)
-    values = np.zeros((1,) * d + (2,) * d + (q**d,), dtype=complex)
+    values = np.zeros((q**d,) + (1,) * d + (2,) * d, dtype=complex)
     for b_n, v in zip(children(b_p), child_values):
-        values[(0,) * d + tuple(c & 1 for c in b_n.coords)] = v
+        values[(slice(None),) + (0,) * d + tuple(c & 1 for c in b_n.coords)] = v
     out = stage(a.level, a.coords, b_p.level + 1, tuple(2 * c for c in b_p.coords), values, phase, q, led)
-    return out[tuple(c & 1 for c in a_c.coords) + (0,) * d]
+    return out[(slice(None),) + tuple(c & 1 for c in a_c.coords) + (0,) * d]
 
 
 def leaf_init(b, positions, strengths, phase, q, led=None):
@@ -142,7 +140,7 @@ def leaf_init(b, positions, strengths, phase, q, led=None):
     positions = np.asarray(positions, dtype=float).reshape(-1, b.dim)
     leaves = np.tile(np.asarray(b.coords), (positions.shape[0], 1))
     out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, leaves, phase, q, led)
-    return out.reshape(len(first_targets(b.level, b.dim)), -1)
+    return out.reshape(q**b.dim, len(first_targets(b.level, b.dim))).T
 
 
 def field_oracle(field, pts, q=None):
@@ -208,6 +206,7 @@ def per_box_basis(q, lower, width, pts):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def per_box_child_matrices(q, d):
     """M[n][t', t]: basis t' of the unit box at node t of the grid of child n."""
     out = []
@@ -269,18 +268,25 @@ def test_grid_points_match_per_box_grids():
 
 @pytest.mark.parametrize("q,d", [(q, d) for d in (1, 2, 3) for q in range(1, 13 if d < 3 else 9)])
 def test_child_and_stage_matrices_match_per_box_construction(q, d):
-    # d = 3 stops at q = 8: at q = 12 the matrices alone would take about 1 GB
-    m = per_box_child_matrices(q, d)
-    assert np.array_equal(_child_matrices(q, d), m)
-    # uncached, so the larger stage matrices are not kept for the session
-    column = _stage_matrices.__wrapped__(q, d)
-    assert np.array_equal(column, np.transpose(m, (0, 2, 1)).astype(complex))
-
-
-@pytest.mark.parametrize("q,d", [(2, 1), (7, 1), (3, 2), (5, 2), (2, 3), (3, 3)])
-def test_cached_matrix_bytes_counts_the_cached_matrices(q, d):
-    column = _stage_matrices.__wrapped__(q, d)
-    assert cached_matrix_bytes(q, d) == _child_matrices.__wrapped__(q, d).nbytes + column.nbytes
+    # A stage's child contribution, with unit factors, is child n's dense
+    # re-interpolation matrix applied to every pair's weights. The stage
+    # applies it as the 1-D child matrices one dimension at a time: the
+    # same bits at d = 1, the same sums in another order past it.
+    rng = np.random.default_rng(q + 17 * d)
+    r = q**d
+    shape = (r,) + (1,) * d + (3,) * d  # one target box, 3^d source boxes
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ones = np.ones((r,) + (2,) * d + (3,) * d, dtype=complex)
+    for n, m in enumerate(per_box_child_matrices(q, d)):
+        offset = tuple((n >> k) & 1 for k in range(d))
+        expect = m @ values.reshape(r, -1)
+        got = _column_contribution(offset, values, ones, ones, q)
+        for child in np.ndindex(*(2,) * d):  # each child A_c of the target box gets the same weights
+            each = got[(slice(None),) + child].reshape(r, -1)
+            if d == 1:
+                assert np.array_equal(each, expect), (n, child)
+            else:
+                assert np.max(np.abs(each - expect)) <= 1e-13 * np.max(np.abs(expect)), (n, child)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +461,16 @@ def test_init_block_matches_per_leaf_oracle():
         out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
         targets = first_targets(level, d)
         a = min(level, 1)
-        assert out.shape == (1 << a,) * d + (1 << (level - a),) * d + (q**d,)
+        assert out.shape == (q**d,) + (1 << a,) * d + (1 << (level - a),) * d
         # each pair (A, P) sums what the leaves inside P put on it
         expect = np.zeros_like(out)
         for coords in itertools.product(range(1 << level), repeat=d):
             sel = np.all(leaves == coords, axis=1)
             rows = init_oracle(DyadicKey(level, coords), pos[sel], g[sel], phase, q)
             for t, row in zip(targets, rows):
-                expect[t.coords + tuple(c >> a for c in coords)] += row
-        for index in np.ndindex(*out.shape[:-1]):
-            got, row = out[index], expect[index]
+                expect[(slice(None),) + t.coords + tuple(c >> a for c in coords)] += row
+        for index in np.ndindex(*out.shape[1:]):
+            got, row = out[(slice(None),) + index], expect[(slice(None),) + index]
             assert np.allclose(got, row, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(row))))
 
 
@@ -486,12 +492,12 @@ def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
     leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
     order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
     out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
-    assert out.shape == (2,) * d + (1 << (level - 1),) * d + (q**d,)
+    assert out.shape == (q**d,) + (2,) * d + (1 << (level - 1),) * d
     for a in first_targets(level, d):
         for bp in itertools.product(range(1 << (level - 1)), repeat=d):
             sel = np.all(leaves // 2 == bp, axis=1)
             expect = column_weights(a, DyadicKey(level - 1, bp), pos[sel], g[sel], phase, q)
-            assert np.max(np.abs(out[a.coords + bp] - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+            assert np.max(np.abs(out[(slice(None),) + a.coords + bp] - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
@@ -504,8 +510,8 @@ def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
     leaves = leaf_coords(pos, 2)
     led = ledger()
     out = init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, led)
-    assert out.shape == (2, 2, 2, 2, 1)
-    assert np.all(out[:, :, 1, 0, 0] == 1.0)  # ((1e16 + 1) - 1e16) + 1 for every target box
+    assert out.shape == (1, 2, 2, 2, 2)
+    assert np.all(out[0, :, :, 1, 0] == 1.0)  # ((1e16 + 1) - 1e16) + 1 for every target box
     assert np.count_nonzero(out) == 4
     # the moments of each occupied leaf per target box, and r = 1 per
     # target box for every one of the 16 leaves
@@ -516,9 +522,9 @@ def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
     # canonical order loses every 1
     g1 = np.array([1e16, 1.0, 1.0, 1.0], dtype=complex)
     alone = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1)
-    assert np.all(alone[:, :, 1, 0, 0] == 1e16)
+    assert np.all(alone[0, :, :, 1, 0] == 1e16)
     halves = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1, team_bits=1)
-    assert np.all(halves[:, :, 1, 0, 0] == 1e16 + 2)
+    assert np.all(halves[0, :, :, 1, 0] == 1e16 + 2)
     # two team bits, a member per child: the canonical order again
     assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, team_bits=2), out)
 
@@ -555,9 +561,10 @@ def test_translate_column_flop_count():
     translate(column_stage, DyadicKey(1, (1,)), DyadicKey(1, (0,)), [np.ones(q, dtype=complex)] * 2, get_phase("fourier"), q, led)
     assert led.flops == 2 * 2 * (2 * q * q + 3 * q)
     led = ledger()
-    values = np.ones((2, 2, 4, 4, 9), dtype=complex)
+    values = np.ones((9, 2, 2, 4, 4), dtype=complex)
     column_stage(1, (0, 0), 2, (0, 0), values, get_phase("fourier"), 3, led)
-    assert led.flops == 64 * 4 * (2 * 81 + 3 * 9)
+    # the re-interpolation one dimension at a time, 2 d q^(d+1) per child
+    assert led.flops == 64 * 4 * (2 * 2 * 27 + 3 * 9)
 
 
 def test_translate_column_matches_direct_resum():
@@ -584,16 +591,19 @@ def test_stages_match_per_pair_oracle(d, L, level, q):
     rng = np.random.default_rng(47 + d + level)
     phase = get_phase("fourier") if d == 1 else get_phase("hyp-radon")
     r = q**d
-    values = rng.normal(size=(1 << level,) * d + (1 << (L - level),) * d + (r,)) * (1 + 1j)
+    values = rng.normal(size=(r,) + (1 << level,) * d + (1 << (L - level),) * d) * (1 + 1j)
     out = column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q)
-    assert out.shape == (2 << level,) * d + (1 << (L - level - 1),) * d + (r,)
+    assert out.shape == (r,) + (2 << level,) * d + (1 << (L - level - 1),) * d
     scale = np.max(np.abs(out))
     for ac in itertools.product(range(2 << level), repeat=d):
         for bp in itertools.product(range(1 << (L - level - 1)), repeat=d):
             a_c, b_p = DyadicKey(level + 1, ac), DyadicKey(L - level - 1, bp)
             a = parent(a_c).coords
-            expect = sum(column_contribution(a_c, b_p, b_n, values[a + b_n.coords], phase, q) for b_n in children(b_p))
-            assert np.max(np.abs(out[ac + bp] - expect)) <= 1e-13 * scale
+            expect = sum(
+                column_contribution(a_c, b_p, b_n, values[(slice(None),) + a + b_n.coords], phase, q)
+                for b_n in children(b_p)
+            )
+            assert np.max(np.abs(out[(slice(None),) + ac + bp] - expect)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +633,7 @@ def masked_children(values, d, held):
     masked = values.copy()
     for k, h in enumerate(held):
         if h is not None:
-            masked[(slice(None),) * (d + k) + (slice(1 - h, None, 2),)] = 0.0
+            masked[(slice(None),) * (1 + d + k) + (slice(1 - h, None, 2),)] = 0.0
     return masked
 
 
@@ -637,13 +647,14 @@ def check_block_stages(d, L, level, q, blocks):
     phase = get_phase("fourier")
     r = q**d
     a_n, b_n = 1 << level, 1 << (L - level)
-    values = rng.normal(size=(a_n,) * d + (b_n,) * d + (r,)) + 1j * rng.normal(size=(a_n,) * d + (b_n,) * d + (r,))
+    shape = (r,) + (a_n,) * d + (b_n,) * d
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     whole = {}  # parity held per dimension, None for both -> whole-level output
     for a_lo, a_shape, b_lo, b_shape in blocks:
-        index = tuple(slice(lo, lo + n) for lo, n in zip(a_lo + b_lo, a_shape + b_shape))
+        index = (slice(None),) + tuple(slice(lo, lo + n) for lo, n in zip(a_lo + b_lo, a_shape + b_shape))
         held = tuple(None if n > 1 else lo % 2 for lo, n in zip(b_lo, b_shape))
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
-        out_index = tuple(slice(2 * lo, 2 * (lo + n)) for lo, n in zip(a_lo, a_shape))
+        out_index = (slice(None),) + tuple(slice(2 * lo, 2 * (lo + n)) for lo, n in zip(a_lo, a_shape))
         out_index += tuple(slice(lo, lo + n) for lo, n in zip(bp_lo, bp_shape))
         if held not in whole:
             whole[held] = column_stage(level, (0,) * d, L - level, (0,) * d, masked_children(values, d, held), phase, q)
@@ -651,7 +662,7 @@ def check_block_stages(d, L, level, q, blocks):
         assert np.array_equal(got, whole[held][out_index]), (a_lo, a_shape, b_lo, b_shape)
 
 
-@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2)])
+@pytest.mark.parametrize("d,L,level,q", [(1, 4, 1, 4), (1, 4, 3, 3), (2, 3, 1, 3), (2, 3, 2, 2), (3, 2, 1, 3)])
 def test_block_stage_rows_are_bit_stable(d, L, level, q):
     # every aligned block, down to one pair
     check_block_stages(d, L, level, q, sub_blocks(d, 1 << level, 1 << (L - level)))
@@ -680,7 +691,7 @@ def test_init_block_rows_are_bit_stable():
         shape = tuple(n for _, n in runs)
         inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
         got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
-        assert np.array_equal(got, whole[(slice(None),) * d + tuple(slice(a // 2, (a + n) // 2) for a, n in runs)])
+        assert np.array_equal(got, whole[(slice(None),) * (d + 1) + tuple(slice(a // 2, (a + n) // 2) for a, n in runs)])
 
 
 def clustered_sources(rng, d, n, crowd):
@@ -746,14 +757,15 @@ def test_init_holds_no_product_over_all_sources():
 def test_init_holds_its_output_and_one_level_0_scratch(team_bits):
     # d = 3, N = 16, q = 3, 512 sources, its factors given. The init holds
     # its output, the level-1 array of 16 N^d r bytes; one level-0 scratch of
-    # the same size; in a team, one member's partial sum, 1/2^d of the
-    # output; and arrays over the n sources: the real basis and the factor
-    # it is made from (8 n r each), the modulated strengths and exp(i Phi)
-    # (16 n 2^d each), the moments, one run's product and the demodulation
-    # gathered for the moments (16 n r each at most). That bounds the peak
-    # by 2.125 output + 64 n r + 32 n 2^d: 4.8 MB (4.5 MB measured). The
-    # 2^d level-0 arrays it used to return, for stage 0 to add up, were
-    # 14.2 MB on their own.
+    # the same size; one target box's child sums before their transpose
+    # into the output, 1/2^d of it, and in a team one member's partial sum,
+    # as much again; and arrays over the n sources: the real basis and the
+    # factor it is made from (8 n r each), the modulated strengths and
+    # exp(i Phi) (16 n 2^d each), the moments, one run's product and the
+    # demodulation gathered for the moments (16 n r each at most), which
+    # never all live at once. The peak stays under 2.125 output +
+    # 64 n r + 32 n 2^d: 4.8 MB (4.7 MB measured). The 2^d level-0 arrays
+    # it used to return, for stage 0 to add up, were 14.2 MB on their own.
     d, level, q, n = 3, 4, 3, 512
     r = q**d
     rng = np.random.default_rng(137)
@@ -775,13 +787,14 @@ def test_init_holds_its_output_and_one_level_0_scratch(team_bits):
 
 def test_column_stage_holds_three_arrays_of_its_output():
     # With its factors given, a column stage holds the running sum over the
-    # children, one child's modulated rows and their re-expansion, which is
-    # demodulated in place: three arrays of the output's size. A copy of
-    # the values repeated onto the target children (geometry.to_children)
-    # or a demodulated copy would make a fourth.
+    # children, one child's modulated rows and the array its per-dimension
+    # products alternate with; the re-expansion is demodulated in place:
+    # three arrays of the output's size. A copy of the values repeated onto
+    # the target children (geometry.to_children), a fresh array per
+    # dimension or a demodulated copy would make a fourth.
     d, q, L, level = 2, 6, 5, 2
     rng = np.random.default_rng(131)
-    shape = (1 << level,) * d + (1 << (L - level),) * d + (q**d,)
+    shape = (q**d,) + (1 << level,) * d + (1 << (L - level),) * d
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phase = get_phase("fourier")
     made = []
@@ -819,7 +832,8 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
         inside = np.all((leaves >= b_lo) & (leaves < np.add(b_lo, b_shape)), axis=1)
         got = init_source_weights(L, b_lo, b_shape, pos[inside], g[inside], leaves[inside], phase, q)
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
-        assert np.array_equal(got, whole[held][(slice(None),) * d + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))])
+        index = (slice(None),) * (d + 1) + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))
+        assert np.array_equal(got, whole[held][index])
 
 
 # ---------------------------------------------------------------------------
@@ -1041,26 +1055,6 @@ def test_a_changed_phase_function_is_evaluated_again(no_factors):
     assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
     cheb._kept = None
     assert np.array_equal(got, solve_bits(PhaseEvaluator("cold", None, Unhashable(2.0)), N=8, d=1)[0])
-
-
-# ---------------------------------------------------------------------------
-# child matrices
-# ---------------------------------------------------------------------------
-
-
-def test_child_matrices_match_dimwise_contraction():
-    # the dense re-interpolation matrix of child n is the tensor product of
-    # the 1-d half-interval matrices, with dimension 0 fastest in the flat index
-    rng = np.random.default_rng(61)
-    q, d = 4, 2
-    m1 = _child_matrices_1d(q)
-    for n in range(1 << d):
-        v = rng.normal(size=q**d) + 1j * rng.normal(size=q**d)
-        tensor = v.reshape((q,) * d, order="F")
-        for k in range(d):
-            tensor = np.moveaxis(np.tensordot(m1[(n >> k) & 1], tensor, axes=([1], [k])), 0, k)
-        dense = _child_matrices(q, d)[n] @ v
-        assert np.max(np.abs(dense - tensor.reshape(-1, order="F"))) <= 1e-13 * np.max(np.abs(dense))
 
 
 # ---------------------------------------------------------------------------

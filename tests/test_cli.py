@@ -223,40 +223,23 @@ def test_non_finite_error_is_usage_error(tmp_path):
     assert proc.stdout.startswith("p,flops_max,")
 
 
-@pytest.mark.parametrize("dim,phase,q_max", [("1", "fourier", 2309), ("2", "fourier", 40), ("3", "gen-radon", 10)])
-def test_cheb_q_past_the_matrix_cap_is_usage_error(monkeypatch, capsys, dim, phase, q_max):
-    # rejected at the parse step: the cached (q^d)^2 interpolation matrices
-    # of the next q would pass 256 MB (d = 3, q = 12: about 0.57 GB)
-    def never_run(cfg):
-        raise AssertionError(f"a q={cfg.q} run was started")
-
-    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
-    monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
-    base = ["--dim", dim, "--log2n", "0", "--phase", phase]
-    for command in ("verify", "scale"):
-        for q in (str(q_max + 1), "1e300"):
-            assert main([command] + base + ["--q", q]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: q={q} at dim={dim}") and "256 MB cap" in err, err
-            assert f"use q <= {q_max} at dim={dim}" in err
-    assert bfly.cli.parse_config(["verify"] + base + ["--q", str(q_max)])[0].q == q_max
-    # the id backend's q is a tolerance, which the cap does not concern
-    assert bfly.cli.parse_config(["verify"] + base + ["--backend", "id", "--q", "0.5"])[0].q == 0.5
-
-
 @pytest.mark.parametrize("dim,log2n", [("2", "40"), ("3", "30"), ("3", "5000")])
 def test_cheb_problem_past_the_memory_is_usage_error(monkeypatch, capsys, dim, log2n):
     # rejected at the parse step: one level of weights, 2^d N^d q^d complex
-    # entries, is past any machine's memory at these sizes
+    # entries, is past any machine's memory at these sizes; and so are the
+    # (2, q, q) real 1-D child matrices of a huge q, even where one level of
+    # a one-leaf tree would fit (32 MB at d = 1, q = 10^6)
     def never_run(cfg):
-        raise AssertionError(f"a log2n={cfg.log2n} run was started")
+        raise AssertionError(f"a log2n={cfg.log2n} q={cfg.q} run was started")
 
     monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
     monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
     for command in ("verify", "scale"):
-        assert main([command, "--dim", dim, "--log2n", log2n, "--q", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cheb backend at dim={dim}, log2n={log2n}") and "physical memory" in err, err
+        for n, q in ((log2n, "2"), ("0", "1000000"), ("0", "1e300")):
+            assert main([command, "--dim", dim, "--log2n", n, "--q", q]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cheb backend at dim={dim}, log2n={n}, q={q}:"), err
+            assert "physical memory" in err and "1-D child matrices" in err, err
     # the id backend's own gate rejects the same sizes without spelling N^d out
     assert main(["verify", "--dim", dim, "--log2n", log2n, "--backend", "id"]) == 2
     assert f"got N^d = 2^{int(dim) * int(log2n)}" in capsys.readouterr().err
@@ -264,7 +247,7 @@ def test_cheb_problem_past_the_memory_is_usage_error(monkeypatch, capsys, dim, l
 
 def test_large_q_weights_stay_finite():
     # the barycentric weights' defining product underflows past q of about
-    # 900; the closed form keeps q = 1000 at d = 1 (under the matrix cap) exact
+    # 900; the closed form keeps q = 1000 at d = 1 exact
     proc = run_console(["verify", "--dim", "1", "--log2n", "2", "--q", "1000"])
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert float(proc.stdout.splitlines()[1].split(",")[0]) <= 1e-12
@@ -272,8 +255,7 @@ def test_large_q_weights_stay_finite():
 
 @pytest.mark.parametrize("dim", ["0", "-1", "4", "6"])
 def test_dim_outside_one_to_three_is_usage_error(monkeypatch, capsys, dim):
-    # rejected at the parse step: dim 6 at the default q = 8 would cache
-    # 2^6 cheb child matrices of 8^6 x 8^6 entries, so the run must never start
+    # rejected at the parse step, so the run must never start
     def never_run(cfg):
         raise AssertionError(f"a dim={cfg.dim} run was started")
 

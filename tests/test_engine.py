@@ -75,6 +75,14 @@ def test_sources_reject_positions_without_coordinates():
             SourceSet(pos, g)
 
 
+def test_sources_reject_positions_that_are_not_a_matrix():
+    # (3, 2, 2) positions used to pass as three sources of dimension 2, and
+    # simulate_parallel then failed inside numpy
+    for shape in ((3, 2, 2), (1, 1, 1), (2, 0, 3)):
+        with pytest.raises(ValueError, match=r"shape \(" + ", ".join(map(str, shape)) + r"\)"):
+            SourceSet(np.full(shape, 0.5), np.ones(shape[0]))
+
+
 def leaf_bins(positions, level):
     """{leaf coordinates: source indices} from the engines' shared leaf sort."""
     order, leaves = leaf_order(np.asarray(positions, dtype=float), level)
@@ -335,14 +343,14 @@ def test_cheb_ledger_closed_form(d, N, q):
     # leaf init: 2nr + n + r per occupied leaf holding n sources, once for
     # each of the 2^d children of the root; stage 0: each leaf adds 2^d
     # vectors of r; each of the other L - 1 stages: 2^d contributions per
-    # pair of 2r^2 + 3r
+    # pair of 2d q^(d+1) + 3r, the re-interpolation one dimension at a time
     rng = np.random.default_rng(151 + d)
     s = random_sources(rng, 3 * N**d // 2, d=d)
     field = butterfly_apply(s, get_phase("fourier"), N, q=q)
     r, L = q**d, N.bit_length() - 1
     counts = np.array([len(idx) for idx in leaf_bins(s.positions, L).values()])
     init = 2**d * int(np.sum(2 * counts * r + counts + r))
-    expect = init + 2**d * N**d * r + (L - 1) * 2**d * N**d * (2 * r * r + 3 * r)
+    expect = init + 2**d * N**d * r + (L - 1) * 2**d * N**d * (2 * d * q ** (d + 1) + 3 * r)
     assert 0 < counts.size < N**d  # some leaves stay empty
     assert field.ledger.flops == expect
 
@@ -365,12 +373,13 @@ def test_make_engine_dispatch():
     phase = get_phase("fourier")
     s = random_sources(np.random.default_rng(5), 20)
     # both inits run stage 0: the pairs of the root's two children and the
-    # parents of the leaves
-    for backend, cls in (("cheb", ChebEngine), ("id", IdEngine)):
+    # parents of the leaves, after the weights in cheb's width-first level
+    # and ahead of them in id's
+    for backend, cls, pairs in (("cheb", ChebEngine, slice(1, 3)), ("id", IdEngine, slice(0, 2))):
         eng = make_engine(phase, 1, 8, s, q=4, backend=backend)
         assert isinstance(eng, cls)
         values = eng.init_blocks(CostLedger(CostParams()))
-        assert values.shape[:2] == (2, 4)
+        assert values.shape[pairs] == (2, 4)
     eng = make_engine(phase, 1, 16, s, q=6)
     assert eng.L == 4 and eng.r == 6
 

@@ -94,7 +94,7 @@ def test_team_stage_peaks_within_one_level_array_of_a_local_stage():
     # member order, the canonical order, so the bits agree.
     d, q, L, level = 3, 3, 3, 1
     rng = np.random.default_rng(311)
-    shape = (1 << level,) * d + (1 << (L - level),) * d + (q**d,)
+    shape = (q**d,) + (1 << level,) * d + (1 << (L - level),) * d
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phase = get_phase("gen-radon")
     made = []
@@ -440,19 +440,30 @@ def test_sources_without_coordinates_are_refused_at_every_p():
 
 @dataclass
 class LevelBlock:
-    """values[i..., j..., :] are the weights of the pair whose target box has
-    level `level` and coordinates a_lo + i, and whose source box has level
-    L - level and coordinates b_lo + j."""
+    """The weights of the pair whose target box has level `level` and
+    coordinates a_lo + i, and whose source box has level L - level and
+    coordinates b_lo + j: values[:, i..., j...] in the cheb engine's
+    width-first level (lead = 1), values[i..., j..., :] in the id engine's
+    (lead = 0)."""
 
     level: int
     a_lo: tuple
     b_lo: tuple
     values: np.ndarray
+    lead: int = 0
+
+    def pairs(self):
+        """The shape of the block's pairs."""
+        return self.values.shape[self.lead : self.lead + 2 * len(self.a_lo)]
+
+    def at(self, index):
+        """The weights of the pairs `index` selects."""
+        return self.values[(slice(None),) * self.lead + index]
 
     def next_boxes(self):
         """(lo, shape) of the target and source boxes a stage produces."""
         d = len(self.a_lo)
-        a_shape, b_shape = self.values.shape[:d], self.values.shape[d : 2 * d]
+        a_shape, b_shape = self.pairs()[:d], self.pairs()[d:]
         return (tuple(2 * a for a in self.a_lo), tuple(2 * n for n in a_shape)), parent_block(self.b_lo, b_shape)
 
 
@@ -485,7 +496,7 @@ class PerRankCheb(PerRankStages):
             eng.phase, eng.q, ledger,
         )
         # in a one-leaf tree the root block is its own parent block
-        return LevelBlock(min(eng.L, 1), (0,) * self.d, parent_block(b_lo, b_shape)[0], values)
+        return LevelBlock(min(eng.L, 1), (0,) * self.d, parent_block(b_lo, b_shape)[0], values, lead=1)
 
     def stage(self, level, blk, ledger):
         """Column stages; stage 0 ran in the init and passes the block on."""
@@ -494,7 +505,7 @@ class PerRankCheb(PerRankStages):
             return blk
         values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
         (ac_lo, _), (bp_lo, _) = blk.next_boxes()
-        return LevelBlock(level + 1, ac_lo, bp_lo, values)
+        return LevelBlock(level + 1, ac_lo, bp_lo, values, lead=1)
 
 
 class PerRankId(PerRankStages):
@@ -584,7 +595,7 @@ def per_rank_simulate(eng, N, p):
                 slice(lo - base, lo - base + n)
                 for lo, base, n in zip(a_lo + b_lo, blk.a_lo + blk.b_lo, a_shape + b_shape)
             )
-            return blk.values[index]
+            return blk.at(index)
 
         stage_trace = {}
         for base in sorted({rank & ~(((1 << k) - 1) << moved) for rank in ranks}):
@@ -593,17 +604,21 @@ def per_rank_simulate(eng, N, p):
             sums = dict_sum_scatter(contributions, {m: ledgers[m] for m in members})
             for m in members:
                 (a_lo, _), (b_lo, _) = regions[m]
-                blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m])
+                blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m], outs[m].lead)
                 stage_trace[m] = f"{level},{m},{k},{((1 << k) - 1) * sums[m].size}"
         trace.extend(stage_trace[r] for r in sorted(stage_trace))
         dx, dy = new_dx, new_dy
         moved += k
-    values = np.zeros((N,) * d + blocks[0].values.shape[-1:], dtype=complex)
+    # the final level, laid out as the engine lays it out
+    lead = blocks[0].lead
+    width = blocks[0].values.shape[0 if lead else -1]
+    values = np.zeros((width,) * lead + (N,) * d + (width,) * (1 - lead), dtype=complex)
     owners = np.full((N,) * d, -1)
     for rank, blk in enumerate(blocks):
-        a_shape = blk.values.shape[:d]
-        values[block_index(blk.a_lo, a_shape)] = blk.values.reshape(a_shape + values.shape[-1:])
-        owners[block_index(blk.a_lo, a_shape)] = rank
+        a_index = block_index(blk.a_lo, blk.pairs()[:d])
+        leaves = values[(slice(None),) * lead + a_index]
+        leaves[...] = blk.values.reshape(leaves.shape)
+        owners[a_index] = rank
     return eng.make_field(values), owners, ledgers, schedule, trace
 
 
