@@ -54,9 +54,12 @@ bits. A warm solve then calls the phase twice: at its probe and at the
 sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
 
 The weight operations keep their temporaries small, with the same bits as
-whole-array products: the init sums its sources in runs of whole leaves of
-about _INIT_CHUNK complex entries each, and adds each parent's children
-from one reused level-0 scratch straight into its level-1 output,
+whole-array products. The init's moments of a leaf are one small real
+matrix product, its points-last (q^d, k) Lagrange basis times its k
+modulated strengths for every target box, real and imaginary parts side
+by side; the leaves of one source count are one np.matmul stack, in
+windows of whole parent families of about _INIT_CHUNK complex entries.
+Each window's children are added straight into the level-1 output,
 (q^d,) + (2,)*d + (N/2,)*d, rather than returning 2^d level-0 arrays for
 stage 0 to add up. A column stage modulates by broadcasting instead of
 repeating its weights onto the target children, alternates its d products
@@ -102,36 +105,44 @@ def _reference_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _basis_1d(q: int, box_lo: np.ndarray, box_w: float, coords: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange basis values, shape (len(coords), q), on boxes of
-    edge box_w whose lower edge box_lo holds one value per coordinate."""
+def _basis_1d(q: int, box_lo: np.ndarray | float, box_w: float, coords: np.ndarray) -> np.ndarray:
+    """Barycentric Lagrange basis values, points last: (q, len(coords)), on
+    boxes of edge box_w whose lower edge box_lo is one value per coordinate
+    or one for all. The denominator is summed in node order, one row at a
+    time: np.sum over the nodes would sum pairwise once a single point is
+    left, so a point's bits would depend on how many come with it."""
     z, w = _reference_nodes(q)
     x = np.asarray(coords, dtype=float)
     # same expression as grid_points, so a grid's own points hit bit-exactly;
-    # the reference-frame rescale alone can be off by an ulp
-    nodes = box_lo[:, None] + box_w * (z + 1.0) / 2.0
+    # the reference-frame rescale alone can be off by an ulp. One (q, n)
+    # array holds the nodes, then the differences, the terms and the basis.
+    basis = np.add(box_lo, box_w * (z[:, None] + 1.0) / 2.0, out=np.empty((q, x.size)))
+    hit = x == basis
     s = 2.0 * (x - box_lo) / box_w - 1.0
-    diff = s[:, None] - z[None, :]
-    hit = (diff == 0.0) | (x[:, None] == nodes)
+    diff = np.subtract(s, z[:, None], out=basis)
+    hit |= diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = w[None, :] / diff
-        basis = terms / np.sum(terms, axis=1, keepdims=True)
-    rows = np.any(hit, axis=1)
-    if np.any(rows):
-        basis[rows] = 0.0
+        terms = np.divide(w[:, None], diff, out=basis)
+        den = terms[0].copy()
+        for row in terms[1:]:
+            den += row
+        basis = np.divide(terms, den, out=basis)
+    cols = np.any(hit, axis=0)
+    if np.any(cols):
+        basis[:, cols] = 0.0
         basis[hit] = 1.0
     return basis
 
 
 def _tensor_basis(q: int, lower: np.ndarray, width, pts: np.ndarray) -> np.ndarray:
-    """Tensor Lagrange basis at pts (n, d): (n, q^d), dimension 0 fastest
-    in the flat index. lower (d, n) holds each point's box lower edges,
-    width[k] the boxes' edge length in dimension k."""
+    """Tensor Lagrange basis at pts (n, d), points last: (q^d, n), dimension
+    0 fastest in the flat index. lower (d, n) holds each point's box lower
+    edges, width[k] the boxes' edge length in dimension k."""
     n, d = pts.shape
-    acc = np.ones((n, 1))
-    for k in range(d - 1, -1, -1):
+    acc = _basis_1d(q, lower[d - 1], width[d - 1], pts[:, d - 1])
+    for k in range(d - 2, -1, -1):
         bk = _basis_1d(q, lower[k], width[k], pts[:, k])
-        acc = (acc[:, :, None] * bk[:, None, :]).reshape(n, -1)
+        acc = (acc[:, None, :] * bk[None, :, :]).reshape(-1, n)
     return acc
 
 
@@ -142,9 +153,14 @@ def _child_matrices_1d(q: int) -> np.ndarray:
     The re-interpolation from child n's grid onto its parent's is their
     Kronecker product over the dimensions, m[h_k] in dimension k, h_k bit k
     of n, and a stage applies it one dimension at a time
-    (_column_contribution)."""
-    halves = [grid_points(q, 1, np.array([h]))[:, 0] for h in range(2)]
-    return np.stack([_basis_1d(q, np.zeros(q), 1.0, x).T for x in halves])
+    (_column_contribution). Each m[h] is Fortran-ordered, strides (8, 8q),
+    on purpose: the stage's bits depend on it. OpenBLAS takes another kernel
+    for a C-ordered left operand on a narrow block of pairs, so the same
+    values in C order would give a block other bits than the whole level."""
+    m = np.empty((2, q, q)).swapaxes(1, 2)
+    for h in range(2):
+        m[h] = _basis_1d(q, 0.0, 1.0, grid_points(q, 1, np.array([h]))[:, 0])
+    return m
 
 
 def box_centers(level: int, coords: np.ndarray) -> np.ndarray:
@@ -267,11 +283,11 @@ class SolveFactors:
 # ---------------------------------------------------------------------------
 
 
-# complex entries of the product init_source_weights forms per run of whole
-# leaves (512 KB, as engine._DIRECT_CHUNK's kernel). A product over all n
-# sources, (n, q^d) per target box, is 2.36 MB on cheb-2d, fresh from the
-# kernel and page-faulted in on every solve; a run's fits in cache and its
-# memory is reused.
+# complex entries of one window of init_source_weights: the moments of a
+# run of whole parent families, for every child and target box (512 KB, as
+# engine._DIRECT_CHUNK's kernel). The whole level's would be 2^d times the
+# level-1 output, 524 MB at d = 3, N = 32, q = 5; a window's fit in cache
+# and are reused.
 _INIT_CHUNK = 1 << 15
 
 
@@ -295,33 +311,37 @@ def init_source_weights(
 
     A runs over the children of the root and P over the parents of the
     block's leaves. The sources of each leaf B are interpolated onto the
-    grid of its parent P and demodulated at the center of A, once per A,
-    into one level-0 scratch laid out over the block, b_shape + (q^d,),
-    reused for every A; the present children of each P are then added from
-    the scratch in the order of stage 0 (geometry.sum_children, the partial
-    sums of the 2^team_bits team members added in ascending member order),
-    and A's sums transposed into the output, so this is stage 0 as well. The demodulation depends only on the
-    phase, q and the block: it is the one array factors(xs, grids) gives,
-    by default phase_factors, one phase call on the parent grids. In a
-    one-leaf tree (level 0), B is the root, A the whole target domain, and
-    these are the final weights.
+    grid of its parent P and demodulated at the center of A, for every A
+    at once; the present children of each P are then added in the order of
+    stage 0 (geometry.sum_children, the partial sums of the 2^team_bits
+    team members added in ascending member order), so this is stage 0 as
+    well. The demodulation depends only on the phase, q and the block: it is
+    the one array factors(xs, grids) gives, by default phase_factors, one
+    phase call on the parent grids. In a one-leaf tree (level 0), B is the
+    root, A the whole target domain, and these are the final weights.
 
     leaves[i] holds the integer coordinates of the level-`level` box of
-    source i, and the sources come sorted by leaf box in canonical order, so
-    each box's moments are one segment sum (np.add.reduceat). The sums go
-    over runs of whole leaves, a run opening at each leaf that starts in a
-    new window of _INIT_CHUNK // q^d sources, so each product of basis and
-    modulated strengths spans about _INIT_CHUNK entries, not every source
-    (more where one leaf holds more sources than a window). A leaf's
-    segment sum is the same in a run as over all sources, so the bits are
-    too. Empty boxes get zero weights. The ledger is charged an array of
-    flops per box of the block: its moments, nothing for an empty box, and
-    for a > 0 the child sum, q^d 2^d per box.
+    source i, and the sources come sorted by leaf box in canonical order.
+    The moments of a leaf of k sources are one real matrix product, its
+    (q^d, k) basis times its (k, 2^(a d + 1)) modulated strengths, the real
+    and imaginary parts of every A side by side; the leaves of one source
+    count are one np.matmul stack. Every leaf's product is one BLAS call
+    (numpy's own loop for k = 1, one product per entry) whose shapes and
+    memory orders depend only on the leaf; only the basis's leading
+    dimension, the block's source count, varies, and it does not change
+    OpenBLAS's sums. So a leaf gives the same bits in any window, block or
+    rank. The leaves go in windows of whole parent families whose moments
+    take at most _INIT_CHUNK complex entries, or of one family where its own
+    take more. Empty boxes get zero weights.
+    The ledger is charged an array of flops per box of the block: its
+    moments, nothing for an empty box, and for a > 0 the child sum, q^d 2^d
+    per box.
     """
     d = len(b_lo)
     r = q**d
     a = min(level, 1)
     targets = (1 << a,) * d
+    T = 1 << (a * d)  # the target boxes, and the children of a parent
     p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
     out = np.zeros((r,) + targets + p_shape, dtype=complex)
     positions = np.asarray(positions, dtype=float).reshape(-1, d)
@@ -344,37 +364,66 @@ def init_source_weights(
         ledger.add_flops(((per_box << (a * d)) + (r << d if a else 0)).reshape(b_shape))
     if n == 0:
         return out
-    parents = leaves >> a
-    # each occupied leaf's parent, as a flat index into the block of parents
-    home = np.ravel_multi_index(tuple((parents[starts] - np.asarray(p_lo)).T), p_shape)
-    centers = box_centers(a, block_coords((0,) * d, targets)).reshape(targets + (1, d))
-    mod = _expi(phase(centers, positions)) * strengths
-    # the parent grids, made only if the factors are
-    grids = (grid_points(q, level - a, block_coords(*blk)).reshape(-1, d) for blk in [(p_lo, p_shape)])
-    demod = next(iter((factors or partial(phase_factors, phase))(centers, grids)))
-    demod = demod.reshape(targets + (-1, r))
+    sizes = np.diff(starts, append=n)
+    lead = leaves[starts]
+    # each occupied leaf's parent, as a flat index into the block of
+    # parents, and its index among the parent's children, canonical
+    # (dimension 0 most significant; 0 in a one-leaf tree)
+    home = np.ravel_multi_index(tuple(((lead >> a) - np.asarray(p_lo)).T), p_shape)
+    kid = np.ravel_multi_index(tuple((lead & a).T), (2,) * d)
+    # the leaves by window of `fam` parents, then by source count, and the
+    # sources leaf by leaf in that order, leaf i's from begin[i] on
+    fam = min(max(1, _INIT_CHUNK // (r * T * T)), int(np.prod(p_shape)))
+    key = home // fam * (n + 1) + sizes
+    order = np.argsort(key, kind="stable")
+    key, sizes, home, kid = key[order], sizes[order], home[order], kid[order]
+    begin = np.cumsum(sizes) - sizes
+    perm = np.repeat(starts[order] - begin, sizes) + np.arange(n)
+    positions = positions[perm]
+    centers = box_centers(a, block_coords((0,) * d, targets)).reshape(T, d)
+    # exp(i*Phi) at every source and target center, sources first: a leaf's
+    # rows are its (k, 2T) real operand
+    mod = _expi(phase(centers, positions[:, None, :]))
+    mod *= strengths[perm, None]
+    # the parent grids, made only if the factors are; the demodulation is
+    # laid out (P, r, T) like the moments
+    grids = (grid_points(q, level - a, block_coords(*blk)).reshape(-1, 1, d) for blk in [(p_lo, p_shape)])
+    demod = next(iter((factors or partial(phase_factors, phase))(centers, grids))).reshape(-1, r, T)
     wp = 1.0 / (1 << (level - a))
-    basis = _tensor_basis(q, (parents * wp).T, (wp,) * d, positions)
-    # run i holds leaves cuts[i]:cuts[i+1], sources edges[i]:edges[i+1]; a
-    # run opens at each leaf that starts in a new window of _INIT_CHUNK // r
-    # sources
-    window = starts // max(1, _INIT_CHUNK // r)
-    cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(), len(starts)]
-    edges = [*starts[cuts[:-1]].tolist(), n]
-    moments = np.empty((len(starts), r), dtype=complex)
-    # empty leaves stay zero: every A writes the same occupied rows
-    scratch = np.zeros(tuple(b_shape) + (r,), dtype=complex)
-    # one A's child sums, pairs first like the scratch, then transposed into
-    # the width-first output: 2^d times smaller than the scratch, whose
-    # transpose would cost twice as much
-    summed = np.empty(p_shape + (r,), dtype=complex)
-    kids = present_children(b_lo, b_shape)
-    for t in np.ndindex(*targets):
-        for i0, i1, s0, s1 in zip(cuts, cuts[1:], edges, edges[1:]):
-            np.add.reduceat(basis[s0:s1] * mod[t][s0:s1, None], starts[i0:i1] - s0, axis=0, out=moments[i0:i1])
-        scratch.reshape(-1, r)[flat[starts]] = np.multiply(demod[t][home], moments, out=moments)
-        sum_children([o for o, _ in kids], (scratch[index] for _, index in kids), team_bits, summed)
-        np.copyto(out[(slice(None),) + t], np.moveaxis(summed, -1, 0))
+    basis = _tensor_basis(q, ((leaves[perm] >> a) * wp).T, (wp,) * d, positions)
+    # one window's moments, leaf by leaf, then by child and parent (slots)
+    moments = np.empty((T * fam, r, T), dtype=complex)
+    slots = np.zeros((T, fam, r, T), dtype=complex)
+    summed = np.empty((fam, r, T), dtype=complex)
+    offsets = [o for o, _ in present_children(b_lo, b_shape)]
+    kids = [np.ravel_multi_index(o, (2,) * d) for o in offsets]
+    by_pair = out.reshape(r, T, -1)
+    cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]
+    window, sizes, begin = (key // (n + 1)).tolist(), sizes.tolist(), begin.tolist()
+    first = 0  # the window's first leaf
+    for g0, g1 in zip(cuts, cuts[1:]):
+        # the leaves g0 .. g1, of k sources each, as one stack
+        k, s0 = sizes[g0], begin[g0]
+        s1 = s0 + (g1 - g0) * k
+        np.matmul(
+            basis[:, s0:s1].reshape(r, -1, k).transpose(1, 0, 2),
+            mod[s0:s1].view(float).reshape(-1, k, 2 * T),
+            out=moments[g0 - first : g1 - first].view(float),
+        )
+        if g1 < len(key) and window[g1] == window[g0]:
+            continue
+        # the window's parents p0 .. p0 + width: each child's moments
+        # demodulated in place as the child sum takes them
+        p0 = window[g0] * fam
+        width = min(fam, by_pair.shape[-1] - p0)
+        at = (kid[first:g1], home[first:g1] - p0)
+        slots[at] = moments[: g1 - first]
+        here = demod[p0 : p0 + width]
+        parts = (np.multiply(here, slots[j, :width], out=slots[j, :width]) for j in kids)
+        sum_children(offsets, parts, team_bits, summed[:width])
+        np.copyto(by_pair[:, :, p0 : p0 + width], summed[:width].transpose(1, 2, 0))
+        slots[at] = 0.0
+        first = g1
     return out
 
 

@@ -57,9 +57,9 @@ def grid_of(key, q):
 
 def basis_on_box(q, lower, width, pts):
     """Every tensor Lagrange basis function of the grid on the box
-    lower/width at pts: (len(pts), q^d)."""
+    lower/width at pts: (len(pts), q^d), the transpose of _tensor_basis."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _tensor_basis(q, np.repeat(np.asarray(lower, dtype=float)[:, None], len(pts), axis=1), width, pts)
+    return _tensor_basis(q, np.repeat(np.asarray(lower, dtype=float)[:, None], len(pts), axis=1), width, pts).T
 
 
 def lagrange_of(key, q, pts):
@@ -171,7 +171,9 @@ def lagrange_eval(key, q, t, y) -> float:
 
 
 # The per-box construction the grids and child matrices were first built
-# with, kept here as the reference they must reproduce bit for bit.
+# with, kept here as the reference they must reproduce bit for bit: points
+# first, the basis's denominator summed in node order as chebyshev._basis_1d
+# sums it.
 
 
 def per_box_grid(q, lower, width):
@@ -197,7 +199,7 @@ def per_box_basis(q, lower, width, pts):
         hit = (diff == 0.0) | (x[:, None] == nodes)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = w[None, :] / diff
-            basis = terms / np.sum(terms, axis=1, keepdims=True)
+            basis = terms / np.cumsum(terms, axis=1)[:, -1:]
         rows = np.any(hit, axis=1)
         if np.any(rows):
             basis[rows] = 0.0
@@ -208,12 +210,14 @@ def per_box_basis(q, lower, width, pts):
 
 @functools.lru_cache(maxsize=None)
 def per_box_child_matrices(q, d):
-    """M[n][t', t]: basis t' of the unit box at node t of the grid of child n."""
-    out = []
+    """M[n][t', t]: basis t' of the unit box at node t of the grid of child
+    n. Each M[n] is Fortran-ordered, as chebyshev._child_matrices_1d's are:
+    BLAS rounds a product by another kernel for a C-ordered left operand."""
+    out = np.empty((1 << d, q**d, q**d)).swapaxes(1, 2)
     for n in range(1 << d):
         lower = tuple(0.5 * ((n >> k) & 1) for k in range(d))
-        out.append(per_box_basis(q, (0.0,) * d, (1.0,) * d, per_box_grid(q, lower, (0.5,) * d)).T)
-    return np.stack(out)
+        out[n] = per_box_basis(q, (0.0,) * d, (1.0,) * d, per_box_grid(q, lower, (0.5,) * d)).T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +291,16 @@ def test_child_and_stage_matrices_match_per_box_construction(q, d):
                 assert np.array_equal(each, expect), (n, child)
             else:
                 assert np.max(np.abs(each - expect)) <= 1e-13 * np.max(np.abs(expect)), (n, child)
+
+
+def test_child_matrices_are_fortran_ordered():
+    # the column stage's bits depend on the 1-D child matrices' memory order
+    # (test_large_block_stage_rows_are_bit_stable): each half's matrix is
+    # built Fortran-ordered, whatever order _basis_1d returns
+    for q in range(1, 17):
+        m = cheb._child_matrices_1d(q)
+        assert m.shape == (2, q, q)
+        assert all(half.flags.f_contiguous for half in m), q
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +433,7 @@ def test_init_column_weights_reproduce_direct_sum():
 def test_init_rejects_outside_sources():
     with pytest.raises(ValueError, match="outside"):
         leaf_init(DyadicKey(2, (0,)), np.array([[0.9]]), np.ones(1, dtype=complex), FLAT, 4)
-    # sources must come sorted by leaf box, so each box is one segment
+    # sources must come sorted by leaf box, so each box is one run
     pos = np.array([[0.6], [0.1]])
     leaves = np.array([[1], [0]])
     with pytest.raises(ValueError, match="sorted"):
@@ -669,8 +683,10 @@ def test_block_stage_rows_are_bit_stable(d, L, level, q):
 
 
 def test_large_block_stage_rows_are_bit_stable():
-    # A whole level whose stage arrays exceed 256 KiB, above which numpy may
-    # reuse a temporary operand in place, against a few small blocks of it.
+    # A whole level against a few small blocks of it. OpenBLAS picks another
+    # kernel for a C-ordered left operand on a narrow block of pairs, so the
+    # blocks keep the whole level's bits only because the 1-D child matrices
+    # are Fortran-ordered (test_child_matrices_are_fortran_ordered).
     check_block_stages(1, 11, 1, 16, [((0,), (1,), (0,), (2,)), ((1,), (1,), (6,), (1,)), ((0,), (2,), (512,), (512,))])
 
 
@@ -706,11 +722,10 @@ def clustered_sources(rng, d, n, crowd):
 @pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("d,N,q,name", [(1, 16, 4, "fourier"), (2, 8, 3, "hyp-radon"), (3, 4, 2, "gen-radon")])
 def test_init_chunk_keeps_the_bits(d, N, q, name, p, monkeypatch):
-    # runs of one leaf each, runs of 7 sources' worth that cut between leaves
-    # (the crowded leaf holds 40, more than a run), the default, and one run
-    # over all sources per target box: the whole-array product, whose bits
-    # and ledgers the others must give
-    r = q**d
+    # windows of one parent family, of three, the default, and one window
+    # over the whole level, whose bits and ledgers the others must give; the
+    # crowded leaf holds 40 sources and the upper leaves none
+    r, T = q**d, 2**d
     src = clustered_sources(np.random.default_rng(113 + d), d, 200, 40)
     phase = get_phase(name)
 
@@ -720,10 +735,39 @@ def test_init_chunk_keeps_the_bits(d, N, q, name, p, monkeypatch):
         return res.field.values, [(led.flops, led.messages, led.entries_sent) for led in res.ledgers]
 
     values, ledgers = solve(1 << 30)
-    for chunk in (1, 7 * r, 1 << 15):
+    for chunk in (1, 3 * r * T * T, 1 << 15):
         got, got_ledgers = solve(chunk)
         assert np.array_equal(got, values)
         assert got_ledgers == ledgers
+
+
+@pytest.mark.parametrize("k", [1, 40])
+@pytest.mark.parametrize("d,N,q,name", [(1, 16, 4, "fourier"), (2, 8, 3, "hyp-radon"), (3, 4, 2, "gen-radon")])
+def test_init_leaf_alone_matches_its_same_count_batch(d, N, q, name, k):
+    # five leaves of k sources each, in five parent families whose other
+    # children are empty, among leaves of other counts: in the whole level
+    # each leaf's product is one of a stack of five, alone on its family's
+    # block a stack of one; the bits must agree
+    rng = np.random.default_rng(149 + d + k)
+    L = N.bit_length() - 1
+    fams = rng.choice((N // 2) ** d, size=5, replace=False)
+    lone = [tuple(2 * np.array(np.unravel_index(f, (N // 2,) * d))) for f in fams]
+    pos = [np.asarray(b) / N + rng.uniform(size=(k, d)) / N for b in lone]
+    others = rng.uniform(size=(60, d))
+    taken = np.isin(np.ravel_multi_index(tuple((leaf_coords(others, L) // 2).T), (N // 2,) * d), fams)
+    pos = np.concatenate(pos + [others[~taken]])
+    g = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+    leaves = leaf_coords(pos, L)
+    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (N,) * d), kind="stable")
+    pos, g, leaves = pos[order], g[order], leaves[order]
+    phase = get_phase(name)
+    whole = init_source_weights(L, (0,) * d, (N,) * d, pos, g, leaves, phase, q)
+    assert [np.count_nonzero(np.all(leaves == b, axis=1)) for b in lone] == [k] * 5
+    for b in lone:
+        inside = np.all((leaves >= b) & (leaves < np.add(b, 2)), axis=1)
+        alone = init_source_weights(L, b, (2,) * d, pos[inside], g[inside], leaves[inside], phase, q)
+        parent = tuple(slice(c // 2, c // 2 + 1) for c in b)
+        assert np.array_equal(alone, whole[(slice(None),) * (d + 1) + parent]), b
 
 
 def traced_peak(call):
@@ -738,9 +782,11 @@ def traced_peak(call):
 
 def test_init_holds_no_product_over_all_sources():
     # d = 2, q = 6, 64 sources per leaf. Besides its output, the init holds
-    # the real basis (8 n r bytes), the modulated strengths (16 n 2^d) and
-    # one run's product (16 _INIT_CHUNK), 6.7 MB here; an (n, r) complex
-    # array over all sources would add 16 n r = 9.4 MB on its own.
+    # the real basis (8 n r bytes) and, while making it, two 1-D bases
+    # (8 n q each); the modulated strengths (16 n 2^d) and the phase they
+    # come from; and one window's moments and slots (16 _INIT_CHUNK each):
+    # 8.9 MB measured. An (n, r) complex array over all sources would add
+    # 16 n r = 9.4 MB on its own.
     d, level, q, n = 2, 4, 6, 16384
     rng = np.random.default_rng(127)
     pos = rng.uniform(size=(n, d))
@@ -756,16 +802,15 @@ def test_init_holds_no_product_over_all_sources():
 @pytest.mark.parametrize("team_bits", [0, 3], ids=["split0", "split1"])
 def test_init_holds_its_output_and_one_level_0_scratch(team_bits):
     # d = 3, N = 16, q = 3, 512 sources, its factors given. The init holds
-    # its output, the level-1 array of 16 N^d r bytes; one level-0 scratch of
-    # the same size; one target box's child sums before their transpose
-    # into the output, 1/2^d of it, and in a team one member's partial sum,
-    # as much again; and arrays over the n sources: the real basis and the
-    # factor it is made from (8 n r each), the modulated strengths and
-    # exp(i Phi) (16 n 2^d each), the moments, one run's product and the
-    # demodulation gathered for the moments (16 n r each at most), which
-    # never all live at once. The peak stays under 2.125 output +
-    # 64 n r + 32 n 2^d: 4.8 MB (4.7 MB measured). The 2^d level-0 arrays
-    # it used to return, for stage 0 to add up, were 14.2 MB on their own.
+    # its output, the level-1 array of 16 N^d r bytes; one window's moments
+    # and slots (16 _INIT_CHUNK each) and child sums (1/2^d of that), and in
+    # a team one member's partial sum, as much again; and arrays over the n
+    # sources: the real basis and the factor it is made from (8 n r each),
+    # and the modulated strengths and exp(i Phi) (16 n 2^d each). The bound,
+    # 2.125 output + 64 n r + 32 n 2^d = 4.8 MB, is the one the init kept
+    # when it also held a level-0 scratch of the output's size (4.7 MB
+    # measured then); it holds 3.2 MB now. The 2^d level-0 arrays it
+    # returned before that, for stage 0 to add up, were 14.2 MB on their own.
     d, level, q, n = 3, 4, 3, 512
     r = q**d
     rng = np.random.default_rng(137)
