@@ -79,7 +79,7 @@ import numpy as np
 from .costs import CostLedger
 from .geometry import (
     block_coords,
-    leaf_runs,
+    leaf_coords,
     parent_block,
     present_children,
     sum_children,
@@ -297,7 +297,6 @@ def init_source_weights(
     b_shape: Tuple[int, ...],
     positions: np.ndarray,
     strengths: np.ndarray,
-    leaves: np.ndarray,
     phase: PhaseEvaluator,
     q: int,
     ledger: Optional[CostLedger] = None,
@@ -320,19 +319,20 @@ def init_source_weights(
     phase call on the parent grids. In a one-leaf tree (level 0), B is the
     root, A the whole target domain, and these are the final weights.
 
-    leaves[i] holds the integer coordinates of the level-`level` box of
-    source i, and the sources come sorted by leaf box in canonical order.
-    The moments of a leaf of k sources are one real matrix product, its
-    (q^d, k) basis times its (k, 2^(a d + 1)) modulated strengths, the real
-    and imaginary parts of every A side by side; the leaves of one source
-    count are one np.matmul stack. Every leaf's product is one BLAS call
-    (numpy's own loop for k = 1, one product per entry) whose shapes and
-    memory orders depend only on the leaf; only the basis's leading
-    dimension, the block's source count, varies, and it does not change
-    OpenBLAS's sums. So a leaf gives the same bits in any window, block or
-    rank. The leaves go in windows of whole parent families whose moments
-    take at most _INIT_CHUNK complex entries, or of one family where its own
-    take more. Empty boxes get zero weights.
+    The sources come in any order, each inside the block
+    (geometry.leaf_coords at `level`); a leaf's weights depend only on its
+    own sources in their input order. The moments of a leaf of k sources
+    are one real matrix product, its (q^d, k) basis times its
+    (k, 2^(a d + 1)) modulated strengths, the real and imaginary parts of
+    every A side by side; the leaves of one source count are one np.matmul
+    stack. Every leaf's product is one BLAS call (numpy's own loop for
+    k = 1, one product per entry) whose shapes and memory orders depend only
+    on the leaf; only the basis's leading dimension, the block's source
+    count, varies, and it does not change OpenBLAS's sums. So a leaf gives
+    the same bits in any window, block, rank or input order. The leaves go
+    in windows of whole parent families whose moments take at most
+    _INIT_CHUNK complex entries, or of one family where its own take more.
+    Empty boxes get zero weights.
     The ledger is charged an array of flops per box of the block: its
     moments, nothing for an empty box, and for a > 0 the child sum, q^d 2^d
     per box.
@@ -345,46 +345,45 @@ def init_source_weights(
     p_lo, p_shape = parent_block(b_lo, b_shape) if a else (tuple(b_lo), tuple(b_shape))
     out = np.zeros((r,) + targets + p_shape, dtype=complex)
     positions = np.asarray(positions, dtype=float).reshape(-1, d)
-    strengths = np.asarray(strengths, dtype=complex)
     n = positions.shape[0]
-    flat, starts = leaf_runs(leaves, b_lo, b_shape)
-    if n:
-        w = 1.0 / (1 << level)
-        lo = leaves * w
-        hi = lo + w
-        inside_hi = (positions < hi) | ((hi == 1.0) & (positions <= 1.0))
-        if not np.all((positions >= lo) & inside_hi):
-            raise ValueError("source position outside its box")
-        if np.any(np.diff(flat) < 0):
-            raise ValueError("sources must be sorted by leaf box")
+    lo = np.asarray(b_lo)
+    leaves = leaf_coords(positions, level)
+    if not np.all((positions >= 0.0) & (positions <= 1.0) & (leaves >= lo) & (leaves < lo + b_shape)):
+        raise ValueError("source position outside the block of leaves")
+    flat = np.ravel_multi_index(tuple((leaves - lo).T), tuple(b_shape))
+    counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
     if ledger is not None:
-        counts = np.bincount(flat, minlength=int(np.prod(b_shape)))
         per_box = (2 * r + 1) * counts + r * (counts > 0)
         # the child sum: each leaf adds one weight vector per target box
         ledger.add_flops(((per_box << (a * d)) + (r << d if a else 0)).reshape(b_shape))
     if n == 0:
         return out
-    sizes = np.diff(starts, append=n)
-    lead = leaves[starts]
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    lead = block_coords(b_lo, b_shape).reshape(-1, d)[occupied]
     # each occupied leaf's parent, as a flat index into the block of
     # parents, and its index among the parent's children, canonical
     # (dimension 0 most significant; 0 in a one-leaf tree)
     home = np.ravel_multi_index(tuple(((lead >> a) - np.asarray(p_lo)).T), p_shape)
     kid = np.ravel_multi_index(tuple((lead & a).T), (2,) * d)
-    # the leaves by window of `fam` parents, then by source count, and the
-    # sources leaf by leaf in that order, leaf i's from begin[i] on
+    # the leaves by window of `fam` parents, then by source count, then in
+    # canonical order; the sources leaf by leaf in that order, each leaf's
+    # in input order (a stable sort, which numpy makes a radix sort on keys
+    # of 8 or 16 bits), so leaf i's sources start at begin[i]
     fam = min(max(1, _INIT_CHUNK // (r * T * T)), int(np.prod(p_shape)))
     key = home // fam * (n + 1) + sizes
     order = np.argsort(key, kind="stable")
     key, sizes, home, kid = key[order], sizes[order], home[order], kid[order]
+    place = np.empty(counts.size, dtype=np.min_scalar_type(len(order) - 1))
+    place[occupied[order]] = np.arange(len(order))
+    perm = np.argsort(place[flat], kind="stable")
     begin = np.cumsum(sizes) - sizes
-    perm = np.repeat(starts[order] - begin, sizes) + np.arange(n)
     positions = positions[perm]
     centers = box_centers(a, block_coords((0,) * d, targets)).reshape(T, d)
     # exp(i*Phi) at every source and target center, sources first: a leaf's
     # rows are its (k, 2T) real operand
     mod = _expi(phase(centers, positions[:, None, :]))
-    mod *= strengths[perm, None]
+    mod *= np.asarray(strengths, dtype=complex)[perm, None]
     # the parent grids, made only if the factors are; the demodulation is
     # laid out (P, r, T) like the moments
     grids = (grid_points(q, level - a, block_coords(*blk)).reshape(-1, 1, d) for blk in [(p_lo, p_shape)])

@@ -28,7 +28,10 @@ return level 1, or with N = 1 the final level 0; `stage` serves levels
 1..L-1. The cheb stage is a handful of whole-level NumPy calls per child;
 the id stage is one batched matrix-vector product per child, each pair with
 its own precomputed map, kept zero-padded in one array per level
-(IdEngine). Both backends start from the sources sorted by leaf box, so the
+(IdEngine). The cheb init takes the sources in any order and orders them
+itself on every solve, by window of parents and source count, so that the
+leaves of one count are one matrix product (chebyshev.init_source_weights);
+the id engine sorts them by leaf box once, when it is built, so that its
 leaf weights are one segment sum.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
@@ -93,9 +96,11 @@ class SourceSet:
 
     def __post_init__(self) -> None:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        self.strengths = np.asarray(self.strengths, dtype=complex).reshape(-1)
+        self.strengths = np.asarray(self.strengths, dtype=complex)
         if self.positions.ndim != 2:
             raise ValueError(f"source positions have shape {self.positions.shape}; need (n, d)")
+        if self.strengths.ndim != 1:
+            raise ValueError(f"source strengths have shape {self.strengths.shape}; need (n,)")
         if self.positions.shape[1] < 1:
             raise ValueError(f"source positions have dimension {self.positions.shape[1]}; need at least 1")
         if self.positions.shape[0] != self.strengths.shape[0]:
@@ -138,34 +143,18 @@ def _each(pool, fn, tasks) -> None:
         pass
 
 
-class _SortedSources:
-    """An engine's problem and its sources, sorted by leaf box in canonical
-    order (geometry.leaf_order): each leaf's sources are one run of them.
-    An engine is always built on its sources."""
-
-    def __init__(self, phase: PhaseEvaluator, d: int, N: int, sources: SourceSet):
-        self.phase = phase
-        self.d = d
-        self.N = N
-        self.L = N.bit_length() - 1
-        self.set_sources(sources)
-
-    def set_sources(self, sources: SourceSet) -> None:
-        order, leaves = leaf_order(sources.positions, self.L)
-        self._positions = sources.positions[order]
-        self._strengths = sources.strengths[order]
-        self._leaves = leaves[order]
-
-
-class ChebEngine(_SortedSources):
-    """Analytic backend: fixed rank q^d, column stages through the last level."""
+class ChebEngine:
+    """Analytic backend: fixed rank q^d, column stages through the last level.
+    It keeps its sources as given; the init bins and orders them on every
+    solve (chebyshev.init_source_weights)."""
 
     name = "cheb"
 
     def __init__(self, phase: PhaseEvaluator, d: int, N: int, q: int, sources: SourceSet):
-        super().__init__(phase, d, N, sources)
+        self.phase, self.d, self.N, self.L = phase, d, N, N.bit_length() - 1
         self.q = q
         self.r = q**d
+        self.sources = sources
 
     def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level 1, width first, (r,) + (2,)*d + (N/2,)*d,
@@ -177,7 +166,7 @@ class ChebEngine(_SortedSources):
         d = self.d
         self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
         return cheb.init_source_weights(
-            self.L, (0,) * d, (self.N,) * d, self._positions, self._strengths, self._leaves,
+            self.L, (0,) * d, (self.N,) * d, self.sources.positions, self.sources.strengths,
             self.phase, self.q, ledger, partial(self._factors.stage, 0), team_bits,
         )
 
@@ -201,7 +190,7 @@ class ChebEngine(_SortedSources):
         return PotentialField(self.phase, d, N, values, np.broadcast_to(grid, (N,) * d + grid.shape))
 
 
-class IdEngine(_SortedSources):
+class IdEngine:
     """Sampled backend: adaptive-rank skeletons of actual source points.
 
     All factorizations (leaf IDs and stacked-skeleton recompressions) are
@@ -230,23 +219,26 @@ class IdEngine(_SortedSources):
     name = "id"
 
     def __init__(self, phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, sources: SourceSet):
+        self.phase, self.d, self.N, self.L = phase, d, N, N.bit_length() - 1
         self.tol = tol
         self.rows_per_dim = rows_per_dim
-        super().__init__(phase, d, N, sources)  # set_sources runs the precompute
-
-    def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """A new Fortran-ordered kernel block, which build_id factors in place."""
-        return kernel_matrix(self.phase, xs, ys, order="F")
-
-    def set_sources(self, sources: SourceSet) -> None:
-        super().set_sources(sources)
+        # the sources sorted by leaf box in canonical order
+        # (geometry.leaf_order): each leaf's sources are one run of them
+        order, leaves = leaf_order(sources.positions, self.L)
+        self._positions = sources.positions[order]
+        self._strengths = sources.strengths[order]
+        self._leaves = leaves[order]
         # imported here, so that the cheb path never loads it
         from concurrent.futures import ThreadPoolExecutor
 
         # a worker per usable core, at most one per task of the largest
         # stage: N^d pairs, or stage 0's one source box at N = 2
-        with ThreadPoolExecutor(min(_usable_cores(), self.N**self.d if self.L > 1 else 1)) as pool:
+        with ThreadPoolExecutor(min(_usable_cores(), N**d if self.L > 1 else 1)) as pool:
             self._precompute(pool)
+
+    def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """A new Fortran-ordered kernel block, which build_id factors in place."""
+        return kernel_matrix(self.phase, xs, ys, order="F")
 
     def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
         """Skeleton points of the pairs of a level, pairs + (width, d), every
@@ -543,8 +535,9 @@ def make_engine(
     tol: float = 1e-7,
     rows_per_dim: int = 4,
 ):
-    """The engine of a backend, set up on the sources: sorted by leaf box
-    and, for id, with every factorization precomputed."""
+    """The engine of a backend, set up on the sources: for cheb only
+    checked, its init ordering them on every solve; for id sorted by leaf
+    box, with every factorization precomputed."""
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
     if phase.dim is not None and phase.dim != d:
@@ -552,7 +545,7 @@ def make_engine(
     if sources.dim != d:
         raise ValueError(f"sources have dimension {sources.dim}, the engine has dimension {d}")
     for name, value in (("q", q), ("rows_per_dim", rows_per_dim)):
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{name}={value!r} is not an integer >= 1")
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # NaN fails the comparison too
         raise ValueError(f"tol={tol!r} is not a number in (0, 1)")

@@ -137,9 +137,7 @@ def translate(stage, a_c, b_p, child_values, phase, q, led=None):
 def leaf_init(b, positions, strengths, phase, q, led=None):
     """init_source_weights on the single leaf box b, its parent's only
     child in the block: one row per target box."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, b.dim)
-    leaves = np.tile(np.asarray(b.coords), (positions.shape[0], 1))
-    out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, leaves, phase, q, led)
+    out = init_source_weights(b.level, b.coords, (1,) * b.dim, positions, strengths, phase, q, led)
     return out.reshape(q**b.dim, len(first_targets(b.level, b.dim))).T
 
 
@@ -433,11 +431,37 @@ def test_init_column_weights_reproduce_direct_sum():
 def test_init_rejects_outside_sources():
     with pytest.raises(ValueError, match="outside"):
         leaf_init(DyadicKey(2, (0,)), np.array([[0.9]]), np.ones(1, dtype=complex), FLAT, 4)
-    # sources must come sorted by leaf box, so each box is one run
-    pos = np.array([[0.6], [0.1]])
-    leaves = np.array([[1], [0]])
-    with pytest.raises(ValueError, match="sorted"):
-        init_source_weights(1, (0,), (2,), pos, np.ones(2, dtype=complex), leaves, FLAT, 4)
+    # the block of the two lower leaves of level 2 ends at 0.5
+    with pytest.raises(ValueError, match="outside"):
+        init_source_weights(2, (0,), (2,), np.array([[0.1], [0.6]]), np.ones(2, dtype=complex), FLAT, 4)
+
+
+@pytest.mark.parametrize("team_bits", [0, 1])
+@pytest.mark.parametrize("d,level,q,name", [(1, 4, 5, "fourier"), (2, 3, 3, "hyp-radon"), (3, 2, 2, "gen-radon")])
+def test_init_takes_its_sources_in_any_leaf_order(d, level, q, name, team_bits):
+    # the sources shuffled across leaves, each leaf's own kept in their
+    # order, give the bits and the ledger of the same sources sorted by leaf
+    rng = np.random.default_rng(167 + d)
+    n = 50 << d
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    flat = np.ravel_multi_index(tuple(leaf_coords(pos, level).T), (1 << level,) * d)
+    by_leaf = np.argsort(flat, kind="stable")
+    # each leaf's sources, in input order, into the slots a random
+    # permutation gives that leaf
+    mixed = rng.permutation(n)
+    mixed[np.argsort(flat[mixed], kind="stable")] = by_leaf
+    assert not np.array_equal(flat[mixed], flat[by_leaf])
+    phase = get_phase(name)
+    runs = []
+    for order in (by_leaf, mixed):
+        led = ledger()
+        out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], phase, q, led,
+                                  team_bits=team_bits)
+        runs.append((out, led))
+    (want, want_led), (got, got_led) = runs
+    assert np.array_equal(got, want)
+    assert got_led == want_led
 
 
 def test_init_flop_count():
@@ -451,12 +475,10 @@ def test_init_flop_count():
     # a block charges each occupied box alone; empty boxes cost only the
     # child sum
     led = ledger()
-    init_source_weights(2, (0,), (4,), np.array([[0.1], [0.2], [0.8]]), np.ones(3, dtype=complex),
-                        np.array([[0], [0], [3]]), FLAT, 4, led)
+    init_source_weights(2, (0,), (4,), np.array([[0.1], [0.2], [0.8]]), np.ones(3, dtype=complex), FLAT, 4, led)
     assert led.flops == 2 * ((2 * 2 * 4 + 2 + 4) + (2 * 1 * 4 + 1 + 4)) + 4 * 2 * 4
     led = ledger()
-    init_source_weights(2, (0,), (4,), np.zeros((0, 1)), np.zeros(0, dtype=complex), np.zeros((0, 1), dtype=int),
-                        FLAT, 4, led)
+    init_source_weights(2, (0,), (4,), np.zeros((0, 1)), np.zeros(0, dtype=complex), FLAT, 4, led)
     assert led.flops == 4 * 2 * 4
     # a one-leaf tree has one target box and no stage 0
     led = ledger()
@@ -471,8 +493,7 @@ def test_init_block_matches_per_leaf_oracle():
         pos = rng.uniform(size=(60, d))
         g = rng.normal(size=60) + 1j * rng.normal(size=60)
         leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
-        order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
-        out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
+        out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos, g, phase, q)
         targets = first_targets(level, d)
         a = min(level, 1)
         assert out.shape == (q**d,) + (1 << a,) * d + (1 << (level - a),) * d
@@ -504,8 +525,7 @@ def test_child_sum_stage_gives_the_column_weights_of_level_1(d, level, q):
     pos = rng.uniform(size=(n, d))
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
     leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
-    out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos[order], g[order], leaves[order], phase, q)
+    out = init_source_weights(level, (0,) * d, (1 << level,) * d, pos, g, phase, q)
     assert out.shape == (q**d,) + (2,) * d + (1 << (level - 1),) * d
     for a in first_targets(level, d):
         for bp in itertools.product(range(1 << (level - 1)), repeat=d):
@@ -521,9 +541,8 @@ def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
     # apart: 1e16 + 1 rounds back to 1e16.
     pos = np.array([[0.6, 0.1], [0.6, 0.4], [0.9, 0.1], [0.9, 0.4]])
     g = np.array([1e16, 1.0, -1e16, 1.0], dtype=complex)
-    leaves = leaf_coords(pos, 2)
     led = ledger()
-    out = init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, led)
+    out = init_source_weights(2, (0, 0), (4, 4), pos, g, FLAT, 1, led)
     assert out.shape == (1, 2, 2, 2, 2)
     assert np.all(out[0, :, :, 1, 0] == 1.0)  # ((1e16 + 1) - 1e16) + 1 for every target box
     assert np.count_nonzero(out) == 4
@@ -535,12 +554,12 @@ def test_child_sum_stage_sums_in_canonical_order_and_counts_flops():
     # and (1, *): 1e16, 1, 1, 1 sum to 1e16 + (1 + 1) there, the
     # canonical order loses every 1
     g1 = np.array([1e16, 1.0, 1.0, 1.0], dtype=complex)
-    alone = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1)
+    alone = init_source_weights(2, (0, 0), (4, 4), pos, g1, FLAT, 1)
     assert np.all(alone[0, :, :, 1, 0] == 1e16)
-    halves = init_source_weights(2, (0, 0), (4, 4), pos, g1, leaves, FLAT, 1, team_bits=1)
+    halves = init_source_weights(2, (0, 0), (4, 4), pos, g1, FLAT, 1, team_bits=1)
     assert np.all(halves[0, :, :, 1, 0] == 1e16 + 2)
     # two team bits, a member per child: the canonical order again
-    assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, leaves, FLAT, 1, team_bits=2), out)
+    assert np.array_equal(init_source_weights(2, (0, 0), (4, 4), pos, g, FLAT, 1, team_bits=2), out)
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +718,12 @@ def test_init_block_rows_are_bit_stable():
     pos = rng.uniform(size=(300, d))
     g = rng.normal(size=300) + 1j * rng.normal(size=300)
     leaves = np.minimum((pos * 8).astype(int), 7)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (8, 8)), kind="stable")
-    pos, g, leaves = pos[order], g[order], leaves[order]
-    whole = init_source_weights(level, (0, 0), (8, 8), pos, g, leaves, phase, q)
+    whole = init_source_weights(level, (0, 0), (8, 8), pos, g, phase, q)
     for runs in itertools.product(aligned_blocks(8)[8:], repeat=d):
         lo = np.array([a for a, _ in runs])
         shape = tuple(n for _, n in runs)
         inside = np.all((leaves >= lo) & (leaves < lo + shape), axis=1)
-        got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], leaves[inside], phase, q)
+        got = init_source_weights(level, tuple(lo), shape, pos[inside], g[inside], phase, q)
         assert np.array_equal(got, whole[(slice(None),) * (d + 1) + tuple(slice(a // 2, (a + n) // 2) for a, n in runs)])
 
 
@@ -758,14 +775,12 @@ def test_init_leaf_alone_matches_its_same_count_batch(d, N, q, name, k):
     pos = np.concatenate(pos + [others[~taken]])
     g = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
     leaves = leaf_coords(pos, L)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (N,) * d), kind="stable")
-    pos, g, leaves = pos[order], g[order], leaves[order]
     phase = get_phase(name)
-    whole = init_source_weights(L, (0,) * d, (N,) * d, pos, g, leaves, phase, q)
+    whole = init_source_weights(L, (0,) * d, (N,) * d, pos, g, phase, q)
     assert [np.count_nonzero(np.all(leaves == b, axis=1)) for b in lone] == [k] * 5
     for b in lone:
         inside = np.all((leaves >= b) & (leaves < np.add(b, 2)), axis=1)
-        alone = init_source_weights(L, b, (2,) * d, pos[inside], g[inside], leaves[inside], phase, q)
+        alone = init_source_weights(L, b, (2,) * d, pos[inside], g[inside], phase, q)
         parent = tuple(slice(c // 2, c // 2 + 1) for c in b)
         assert np.array_equal(alone, whole[(slice(None),) * (d + 1) + parent]), b
 
@@ -791,43 +806,38 @@ def test_init_holds_no_product_over_all_sources():
     rng = np.random.default_rng(127)
     pos = rng.uniform(size=(n, d))
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    leaves = np.minimum((pos * (1 << level)).astype(int), (1 << level) - 1)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
-    pos, g, leaves = pos[order], g[order], leaves[order]
     phase = get_phase("fourier")
-    out, peak = traced_peak(lambda: init_source_weights(level, (0,) * d, (1 << level,) * d, pos, g, leaves, phase, q))
+    out, peak = traced_peak(lambda: init_source_weights(level, (0,) * d, (1 << level,) * d, pos, g, phase, q))
     assert peak - out.nbytes < 16 * n * q**d
 
 
 @pytest.mark.parametrize("team_bits", [0, 3], ids=["split0", "split1"])
-def test_init_holds_its_output_and_one_level_0_scratch(team_bits):
+def test_init_holds_its_output_and_one_window(team_bits):
     # d = 3, N = 16, q = 3, 512 sources, its factors given. The init holds
     # its output, the level-1 array of 16 N^d r bytes; one window's moments
     # and slots (16 _INIT_CHUNK each) and child sums (1/2^d of that), and in
     # a team one member's partial sum, as much again; and arrays over the n
     # sources: the real basis and the factor it is made from (8 n r each),
-    # and the modulated strengths and exp(i Phi) (16 n 2^d each). The bound,
-    # 2.125 output + 64 n r + 32 n 2^d = 4.8 MB, is the one the init kept
-    # when it also held a level-0 scratch of the output's size (4.7 MB
-    # measured then); it holds 3.2 MB now. The 2^d level-0 arrays it
-    # returned before that, for stage 0 to add up, were 14.2 MB on their own.
+    # the modulated strengths and exp(i Phi) (16 n 2^d each), and the leaf
+    # coordinates, the positions and leaves in the init's order, the leaf
+    # indices and the sort, 8 n (3d + 3) bytes in all. That bound is
+    # 3.35 MB, and 3.14-3.20 MB are measured. A level-0 scratch of the
+    # output's size, which the init once held, would break it, as would the
+    # 2^d level-0 arrays it returned before that (14.2 MB on their own).
     d, level, q, n = 3, 4, 3, 512
     r = q**d
     rng = np.random.default_rng(137)
     pos = rng.uniform(size=(n, d))
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    leaves = leaf_coords(pos, level)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << level,) * d), kind="stable")
-    pos, g, leaves = pos[order], g[order], leaves[order]
     phase = get_phase("gen-radon")
     made = []
-    args = (level, (0,) * d, (1 << level,) * d, pos, g, leaves, phase, q)
+    args = (level, (0,) * d, (1 << level,) * d, pos, g, phase, q)
     first = init_source_weights(*args, factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made,
                                 team_bits=team_bits)
     out, peak = traced_peak(lambda: init_source_weights(*args, factors=lambda xs, grids: made, team_bits=team_bits))
     assert np.array_equal(out, first)
     assert out.nbytes == 16 * r << (level * d)
-    assert peak <= (2 + 2.0**-d) * out.nbytes + 64 * n * r + 32 * n * 2**d
+    assert peak <= out.nbytes + (2 + 2.0 ** (1 - d)) * 16 * cheb._INIT_CHUNK + 16 * n * r + 32 * n * 2**d + 8 * n * (3 * d + 3)
 
 
 def test_column_stage_holds_three_arrays_of_its_output():
@@ -861,8 +871,6 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
     pos = rng.uniform(size=(n, d))
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
     leaves = leaf_coords(pos, L)
-    order = np.argsort(np.ravel_multi_index(tuple(leaves.T), (1 << L,) * d), kind="stable")
-    pos, g, leaves = pos[order], g[order], leaves[order]
     phase = get_phase("fourier")
     whole = {}
     for runs in itertools.product(aligned_blocks(1 << L), repeat=d):
@@ -873,9 +881,9 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
             for k, h in enumerate(held):
                 if h is not None:
                     keep &= leaves[:, k] % 2 == h
-            whole[held] = init_source_weights(L, (0,) * d, (1 << L,) * d, pos[keep], g[keep], leaves[keep], phase, q)
+            whole[held] = init_source_weights(L, (0,) * d, (1 << L,) * d, pos[keep], g[keep], phase, q)
         inside = np.all((leaves >= b_lo) & (leaves < np.add(b_lo, b_shape)), axis=1)
-        got = init_source_weights(L, b_lo, b_shape, pos[inside], g[inside], leaves[inside], phase, q)
+        got = init_source_weights(L, b_lo, b_shape, pos[inside], g[inside], phase, q)
         bp_lo, bp_shape = parent_block(b_lo, b_shape)
         index = (slice(None),) * (d + 1) + tuple(slice(a, a + n) for a, n in zip(bp_lo, bp_shape))
         assert np.array_equal(got, whole[held][index])

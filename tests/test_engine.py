@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import os
+import re
 import sys
 import threading
 import time
@@ -83,8 +84,15 @@ def test_sources_reject_positions_that_are_not_a_matrix():
             SourceSet(np.full(shape, 0.5), np.ones(shape[0]))
 
 
+def test_sources_reject_strengths_that_are_not_a_vector():
+    # (5, 2) strengths for ten positions used to pass as ten strengths
+    for pos, shape in ((np.full((10, 2), 0.5), (5, 2)), (np.full((10, 1), 0.5), (10, 1)), (np.full((1, 1), 0.5), ())):
+        with pytest.raises(ValueError, match=re.escape(f"strengths have shape {shape}")):
+            SourceSet(pos, np.ones(shape))
+
+
 def leaf_bins(positions, level):
-    """{leaf coordinates: source indices} from the engines' shared leaf sort."""
+    """{leaf coordinates: source indices} from the id engine's leaf sort."""
     order, leaves = leaf_order(np.asarray(positions, dtype=float), level)
     sorted_leaves = leaves[order]
     if order.size == 0:
@@ -411,11 +419,14 @@ def test_make_engine_rejects_sources_of_another_dimension():
         (dict(backend="id", tol=-1.0), "tol"),
         (dict(backend="id", rows_per_dim=0), "rows_per_dim"),
         (dict(rows_per_dim=2.0), "rows_per_dim"),
+        (dict(q=True), "q"),
+        (dict(backend="id", rows_per_dim=True), "rows_per_dim"),
     ],
 )
 def test_make_engine_names_a_bad_argument(kwargs, name):
-    # each used to fail deep inside (q=1.5: a TypeError; id at tol=2.0: a
-    # reshape error) or to run silently at full rank (tol nan or -1)
+    # each used to fail deep inside (q=1.5 or True: a TypeError; id at
+    # tol=2.0: a reshape error) or to run silently (tol nan or -1 at full
+    # rank, rows_per_dim=True as 1)
     s = random_sources(np.random.default_rng(9), 10)
     with pytest.raises(ValueError, match=f"^{name}="):
         make_engine(get_phase("fourier"), 1, 8, s, **kwargs)

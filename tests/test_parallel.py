@@ -471,16 +471,16 @@ def block_index(lo, shape):
     return tuple(slice(a, a + n) for a, n in zip(lo, shape))
 
 
+def in_block(leaves, lo, shape):
+    """Which of the sources in leaf boxes `leaves` (n, d) lie in a block of leaves."""
+    return np.all((leaves >= np.asarray(lo)) & (leaves < np.add(lo, shape)), axis=1)
+
+
 class PerRankStages:
     """A built engine's init and stage on one rank's block of pairs."""
 
     def __init__(self, eng):
         self.eng, self.d, self.L = eng, eng.d, eng.L
-
-    def inside(self, b_lo, b_shape):
-        """Which of the engine's sorted sources lie in a block of leaves."""
-        lo = np.asarray(b_lo)
-        return np.all((self.eng._leaves >= lo) & (self.eng._leaves < lo + b_shape), axis=1)
 
     def make_field(self, values):
         return self.eng.make_field(values)
@@ -490,10 +490,10 @@ class PerRankCheb(PerRankStages):
     def init_blocks(self, b_lo, b_shape, ledger):
         """The level-1 pairs the block's leaves feed (stage 0 on the block:
         the sum over the children it holds), or the final weights if N = 1."""
-        eng, inside = self.eng, self.inside(b_lo, b_shape)
+        eng, src = self.eng, self.eng.sources
+        inside = in_block(leaf_coords(src.positions, eng.L), b_lo, b_shape)
         values = init_source_weights(
-            eng.L, b_lo, b_shape, eng._positions[inside], eng._strengths[inside], eng._leaves[inside],
-            eng.phase, eng.q, ledger,
+            eng.L, b_lo, b_shape, src.positions[inside], src.strengths[inside], eng.phase, eng.q, ledger
         )
         # in a one-leaf tree the root block is its own parent block
         return LevelBlock(min(eng.L, 1), (0,) * self.d, parent_block(b_lo, b_shape)[0], values, lead=1)
@@ -512,7 +512,7 @@ class PerRankId(PerRankStages):
     def init_blocks(self, b_lo, b_shape, ledger):
         eng, d = self.eng, self.d
         out = np.zeros(tuple(b_shape) + eng._interp.shape[1:], dtype=complex)
-        inside = self.inside(b_lo, b_shape)
+        inside = in_block(eng._leaves, b_lo, b_shape)
         flat, starts = leaf_runs(eng._leaves[inside], b_lo, b_shape)
         if starts.size:
             weighted = eng._interp[inside] * eng._strengths[inside, None]
@@ -697,8 +697,8 @@ class PerPairIdEngine(IdEngine):
     points that per_rank_simulate drives. The factorizations are the same
     calls on the same samples; the field is made from the arrays."""
 
-    def set_sources(self, sources):
-        super().set_sources(sources)
+    def __init__(self, phase, d, N, tol, rows_per_dim, sources):
+        super().__init__(phase, d, N, tol, rows_per_dim, sources)
         self._sources = sources
         d, L = self.d, self.L
         leaves = level_keys(d, L)
