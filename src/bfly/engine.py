@@ -135,6 +135,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _sampled(block: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A kernel sampler for build_translation_id that hands over a block
+    already sampled at xs and ys."""
+    return block
+
+
 def _each(pool, fn, tasks) -> None:
     """fn on every task on the pool's workers; returns when all are done.
     Every result is read in task order, so the first failing task's error
@@ -213,7 +219,8 @@ class IdEngine:
     needs only R and the pivots of a column-pivoted QR (lowrank.build_id), so
     no Q is formed and every block is factored in place, except a leaf's:
     stage 0 gathers its blocks from the leaves' sampled skeleton columns
-    instead of evaluating the phase again, and stages >= 1 sample theirs.
+    instead of evaluating the phase again, and stages >= 1 sample theirs,
+    one kernel_matrix call per sibling family (_precompute).
     """
 
     name = "id"
@@ -231,13 +238,14 @@ class IdEngine:
         # imported here, so that the cheb path never loads it
         from concurrent.futures import ThreadPoolExecutor
 
-        # a worker per usable core, at most one per task of the largest
-        # stage: N^d pairs, or stage 0's one source box at N = 2
-        with ThreadPoolExecutor(min(_usable_cores(), N**d if self.L > 1 else 1)) as pool:
+        # a worker per usable core, at most one per task of a stage: every
+        # stage has (N/2)^d, one per family, and N = 1 has one leaf
+        with ThreadPoolExecutor(min(_usable_cores(), max(1, (N >> 1) ** d))) as pool:
             self._precompute(pool)
 
     def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """A new Fortran-ordered kernel block, which build_id factors in place."""
+        """New Fortran-ordered kernel blocks, (len(xs), len(ys)) or one per
+        row set of a stack xs, which build_id factors in place."""
         return kernel_matrix(self.phase, xs, ys, order="F")
 
     def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
@@ -281,13 +289,18 @@ class IdEngine:
         return ranks, skeleton[..., :out, :], out
 
     def _precompute(self, pool) -> None:
-        """Every factorization, each stage's on the pool's workers: stage 0
-        one task per source box B_p of level L - 1, later stages one per
-        output pair. A task writes only its own slices of the ranks,
-        skeleton, interpolation and map arrays, with the arithmetic of a
-        serial loop, so the bits do not depend on the worker count, and
-        a stage's first failing task in pair order raises its error
-        (_each)."""
+        """Every factorization, each stage's on the pool's workers, one task
+        per sibling family, (N/2)^d in every stage: stage 0 one per source
+        box B_p of level L - 1, whose leaves are sampled in one kernel call,
+        later stages one per target box A of the input level and source box
+        B_p of the output level, whose 2^d output pairs (A_c, B_p) are
+        sampled in one kernel call and factored one by one. Every entry is
+        the same phase and exp(i*Phi) of the same two points as in a per-pair
+        sample, so the bits are those of sampling each pair on its own. A
+        task writes only its own slices of the ranks, skeleton,
+        interpolation and map arrays, with the arithmetic of a serial loop,
+        so the bits do not depend on the worker count, and a stage's first
+        failing task in task order raises its error (_each)."""
         d, L, N = self.d, self.L, self.N
         rows = cheb.grid_points(self.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
         all_rows = rows.reshape(-1, d)
@@ -304,15 +317,25 @@ class IdEngine:
         skeleton = self._padded_skeleton(0, room)
         interp = np.zeros((len(self._leaves), room), dtype=complex)
 
-        def leaf_id(b: tuple) -> tuple:
-            """Factor leaf b; return its sampled block, transposed and laid
-            out over the row samples as (n,) + (N,)*d + (g,) for its n
-            sources, and the indices of its skeleton columns."""
-            i, n = first[b], count[b]
-            if n == 0:
+        def sample_leaves(leaves: list) -> list:
+            """The leaves' kernel blocks against every row sample, from one
+            kernel_matrix call on their sources: for each leaf its own
+            columns, Fortran-ordered (rows, n), or None if it is empty."""
+            runs = [(first[b], count[b]) for b in leaves]
+            pos = np.concatenate([self._positions[i : i + n] for i, n in runs])
+            M = self._sampler(all_rows, pos) if len(pos) else None
+            los = np.cumsum([0] + [n for _, n in runs])
+            return [M[:, lo : lo + n] if n else None for lo, (_, n) in zip(los, runs)]
+
+        def leaf_id(b: tuple, M: Optional[np.ndarray]) -> tuple:
+            """Factor leaf b from its sampled block M; return that block,
+            transposed and laid out over the row samples as
+            (n,) + (N,)*d + (g,) for its n sources, and the indices of its
+            skeleton columns."""
+            if M is None:
                 return None, np.arange(0)
+            i, n = first[b], count[b]
             pos = self._positions[i : i + n]
-            M = self._sampler(all_rows, pos)
             dec = build_id(M, self.tol)  # on a copy: M is read again
             pair = (0,) * d + b
             ranks[pair] = dec.rank
@@ -324,21 +347,21 @@ class IdEngine:
         self._maps = []
         kids = [tuple((n >> k) & 1 for k in range(d)) for n in range(1 << d)]
         if L == 0:
-            leaf_id((0,) * d)
+            leaf_id((0,) * d, sample_leaves([(0,) * d])[0])
         else:
             # Stage 0: pair (A_c, B_p) recompresses the skeletons of the
             # leaves B_n of B_p against the row samples inside A_c. Those
             # entries are the rows of A_c of the leaves' sampled skeleton
             # columns, which the phase contract makes the same bits as a new
-            # sample, so the leaves are factored one B_p at a time and each
-            # block is gathered from their samples. Child weights get the
-            # leaf room until the leaf width is known.
+            # sample, so the leaves of one B_p are sampled together and
+            # factored, and each block is gathered from their samples. Child
+            # weights get the leaf room until the leaf width is known.
             n_b = N >> 1
             out = self._stage_arrays(0, room)
 
             def merge_leaves(bp: tuple) -> None:
                 leaves = [tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
-                sampled = [leaf_id(b) for b in leaves]
+                sampled = [leaf_id(b, M) for b, M in zip(leaves, sample_leaves(leaves))]
                 child_ranks = [len(cols) for _, cols in sampled]
                 stacked = sum(child_ranks)
                 if not stacked:
@@ -371,25 +394,34 @@ class IdEngine:
         # the benchmark's 10% bound on peak memory.
         for level in range(1, L):
             # pair (A_c, B_p) of level + 1 recompresses the skeletons of
-            # (parent(A_c), B_n), B_n the children of B_p in child order,
-            # against the row samples of the leaves inside A_c
+            # (A, B_n), A = parent(A_c) and B_n the children of B_p in child
+            # order, against the row samples of the leaves inside A_c. The
+            # 2^d children A_c of A share those columns, so the family
+            # (A, B_p) samples its blocks in one kernel_matrix call, and each
+            # child factors its own
             shift = L - level - 1
             out = self._stage_arrays(level, width)
 
-            def recompress(pair: tuple) -> None:
-                bp, ac = pair
-                ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+            def recompress(family: tuple) -> None:
+                bp, a = family
+                ins = [a + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
                 child_ranks = [ranks[p] for p in ins]
-                targets = rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d)
-                dec = build_translation_id(
-                    [skeleton[p][:r] for p, r in zip(ins, child_ranks)], targets, self._sampler, self.tol
+                points = [skeleton[p][:r] for p, r in zip(ins, child_ranks)]
+                acs = [tuple(2 * c + o for c, o in zip(a, kid)) for kid in kids]
+                targets = np.stack(
+                    [rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d) for ac in acs]
                 )
-                self._store(out, ac + bp, dec, dec.points, child_ranks)
+                # (2^d, rows of A_c, stacked), each child's block Fortran-
+                # ordered in its own memory, so factored in place
+                blocks = self._sampler(targets, np.concatenate(points)) if sum(child_ranks) else [None] * len(acs)
+                for ac, xs, block in zip(acs, targets, blocks):
+                    dec = build_translation_id(points, xs, partial(_sampled, block), self.tol)
+                    self._store(out, ac + bp, dec, dec.points, child_ranks)
 
             # _each returns once every task is done, so these read and fill
             # this stage's arrays before the names move on to the next
-            pairs = itertools.product(np.ndindex(*(1 << shift,) * d), np.ndindex(*(2 << level,) * d))
-            _each(pool, recompress, pairs)
+            families = itertools.product(np.ndindex(*(1 << shift,) * d), np.ndindex(*(1 << level,) * d))
+            _each(pool, recompress, families)
             ranks, skeleton, width = self._finish_stage(out, width)
         # the final pairs (A, root) as arrays over the target leaves, the
         # padded slots holding the leaf center and weight exactly 0

@@ -540,6 +540,18 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads  # the pool's workers are joined
+    if sparse:
+        # stage >= 1 samples one family (A, B_p) at a time: here some have no
+        # stacked skeleton at all, and some mix empty and non-empty children
+        kinds = set()
+        for ranks in eng._ranks[1:-1]:
+            n_a, n_b = ranks.shape[0], ranks.shape[-1]
+            per_child = ranks.reshape((n_a,) * d + (n_b // 2, 2) * d)
+            per_child = per_child.transpose(tuple(range(d)) + tuple(range(d, 3 * d, 2)) + tuple(range(d + 1, 3 * d, 2)))
+            empty = per_child.reshape(-1, 2**d) == 0
+            kinds |= {"empty"} if np.any(np.all(empty, axis=1)) else set()
+            kinds |= {"mixed"} if np.any(np.any(empty, axis=1) & ~np.all(empty, axis=1)) else set()
+        assert kinds == {"empty", "mixed"}
     want = per_pair_precompute(eng)
     for attr in ("_interp", "_final_ranks", "_final_skeleton"):
         got = getattr(eng, attr)
@@ -553,10 +565,10 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
-@pytest.mark.parametrize("N,tasks", [(1, 1), (2, 1), (16, 16)])
+@pytest.mark.parametrize("N,tasks", [(1, 1), (2, 1), (16, 8)])
 def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch):
-    # at most one per task of the largest stage: N^d pairs, or stage 0's
-    # one source box at N = 2
+    # at most one per task of a stage: every stage has one per family,
+    # (N/2)^d of them, and N = 1 its one leaf
     sizes = []
     pool = concurrent.futures.ThreadPoolExecutor
 
@@ -565,21 +577,26 @@ def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch):
         return pool(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", sized)
-    make_engine(get_phase("fourier"), 1, N, random_sources(np.random.default_rng(67), 40), backend="id")
-    assert sizes == [min(len(os.sched_getaffinity(0)), tasks)]
+    s = random_sources(np.random.default_rng(67), 40)
+    make_engine(get_phase("fourier"), 1, N, s, backend="id")
+    # and with more cores than families
+    monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: 64)
+    make_engine(get_phase("fourier"), 1, N, s, backend="id")
+    assert sizes == [min(len(os.sched_getaffinity(0)), tasks), tasks]
 
 
 def _nan_in_stage_1(delay):
-    """The fourier phase in d = 1, NaN in the blocks of 16 row samples
-    inside [0.5, 0.75): with N = 16 and 4 samples per leaf, those of the
-    stage 1 pairs whose target box that is (the leaves sample all 64 rows,
-    stage 0 gathers from them). The block of source box [0, 0.25), the
-    first such pair in pair order, returns after `delay` seconds."""
+    """The fourier phase in d = 1, NaN in the family blocks of the 32 row
+    samples inside [0.5, 1): with N = 16 and 4 samples per leaf, those of
+    the stage 1 families whose target box that is, each sampling its two
+    children's 16 rows at once (the leaves sample all 64 rows, stage 0
+    gathers from them). The block of source box [0, 0.25), the first such
+    family in task order, returns after `delay` seconds."""
 
     def fn(xs, ys):
         out = 2.0 * np.pi * xs[..., 0] * ys[..., 0]
         x = xs[..., 0]
-        if np.shape(xs)[-2] != 16 or not (x.min() >= 0.5 and x.max() < 0.75):
+        if x.size != 32 or not x.min() >= 0.5:
             return out
         if ys[..., 0].max() < 0.25:
             time.sleep(delay)
@@ -590,9 +607,10 @@ def _nan_in_stage_1(delay):
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 def test_id_precompute_raises_the_first_failing_pairs_error(workers, monkeypatch):
-    # the first of stage 1's four failing pairs in pair order fails last,
-    # so a pool that raised the first error to arrive would name another
-    # pair; its lone source makes its block (16, 1), the others' wider
+    # the first of stage 1's four failing families in task order fails
+    # last, so a pool that raised the first error to arrive would name
+    # another family; its lone source makes its blocks (2, 16, 1), the
+    # others' wider
     phase = _nan_in_stage_1(0.2)
     rng = np.random.default_rng(61)
     pos = np.append(0.1, rng.uniform(0.25, 1.0, size=95))
@@ -601,5 +619,5 @@ def test_id_precompute_raises_the_first_failing_pairs_error(workers, monkeypatch
     threads = threading.active_count()
     with pytest.raises(ValueError, match="^phase 'late-nan' returned a NaN or inf on points") as err:
         make_engine(phase, 1, 16, s, backend="id")
-    assert str(err.value).endswith("on points (1, 16, 1) and (1, 1, 1)")
+    assert str(err.value).endswith("on points (2, 1, 16, 1) and (1, 1, 1)")
     assert threading.active_count() == threads  # the pool's workers are joined

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -186,6 +188,12 @@ def test_kernel_matrix_fortran_order_has_the_same_bits():
         F = kernel_matrix(get_phase(name), xs, ys, order="F")
         assert F.flags.f_contiguous and F.shape == K.shape
         assert np.array_equal(F, K), name
+        # a stack of row sets gives each set's matrix, Fortran-ordered on its own
+        stack = xs[:36].reshape(3, 12, d)
+        for order in ("C", "F"):
+            S = kernel_matrix(get_phase(name), stack, ys, order=order)
+            assert S.shape == (3, 12, 11) and np.array_equal(S, K[:36].reshape(3, 12, 11)), (name, order)
+            assert order == "C" or all(block.flags.f_contiguous for block in S)
 
 
 def test_huge_finite_phase_is_accepted():
@@ -278,6 +286,39 @@ def test_expi_bits_do_not_depend_on_the_batch():
     assert np.array_equal(bits(phases._expi(wide[:, 1])), whole)  # a strided view
     square = theta[: 128 * 128].reshape(128, 128)
     assert np.array_equal(bits(phases._expi(square.T)), bits(phases._expi(square)).transpose(1, 0, 2))
+
+
+def test_expi_on_several_threads_at_once_keeps_the_serial_bits():
+    # the id precompute's workers call _expi at once: each call must keep its
+    # pass workspace to itself, which threads switching often would show.
+    # Inputs longer than three passes, ending one entry before, at and
+    # after a pass edge
+    rng = np.random.default_rng(79)
+    c = phases._CHUNK
+    thetas = [rng.uniform(-300.0, 300.0, n) for n in (3 * c + 1, 4 * c - 1, 4 * c, 4 * c + 1, 3 * c + 123)]
+    for theta in thetas:
+        theta[::97] *= 1e4  # some entries past the exact-reduction range
+    serial = [bits(phases._expi(theta)) for theta in thetas]
+    got = [None] * len(thetas)
+    start = threading.Barrier(len(thetas))
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = [bits(phases._expi(thetas[i])) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(thetas))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(serial):
+        assert got[i] is not None and all(np.array_equal(g, want) for g in got[i]), i
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 4, 2)])
