@@ -92,7 +92,7 @@ from .geometry import (
     present_children,
     sum_children,
 )
-from .phases import PhaseEvaluator, _expi
+from .phases import PhaseEvaluator, PhaseProbe, _expi
 
 
 @lru_cache(maxsize=None)
@@ -211,9 +211,9 @@ def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
 # them: a process that solves once keeps nothing, a phase that raises stores
 # nothing, and a new kept solve replaces the old. _kept and _last_key hold
 # their phase, so that its identity is not reused. A probe, Phi at two pairs
-# of every stage, is evaluated again in one call when a traversal starts: a
-# phase whose function has changed since gives other values there, and the
-# factors are made anew.
+# of every stage (phases.PhaseProbe), is evaluated again in one call when a
+# traversal starts: a phase whose function has changed since gives other
+# values there, and the factors are made anew.
 _FACTOR_BYTES = 32 << 20
 _kept: Optional["SolveFactors"] = None  # the traversal whose factors are kept
 _last_key: tuple = ((), None)  # the last traversal's key and phase
@@ -246,7 +246,7 @@ class SolveFactors:
         self.key = (id(phase), d, L, q)
         self.stages = None  # each stage's factors, of the kept solve on a hit or of this one once kept
         self.made = None  # (probe xs, probe ys, factors) of each stage, when keeping
-        if _kept is not None and _kept.key == self.key and np.array_equal(phase(_kept.px, _kept.py), _kept.probe):
+        if _kept is not None and _kept.key == self.key and _kept.probe.holds(phase):
             self.stages = _kept.stages
         elif _last_key[0] == self.key and _solve_factor_bytes(L, d, q**d) <= _FACTOR_BYTES:
             _kept = None
@@ -271,8 +271,7 @@ class SolveFactors:
         ends = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
         self.made[i] = (xs.reshape(-1, d)[[0, -1]], ends, factors)
         if i == len(self.made) - 1 and all(m is not None for m in self.made):
-            self.px, self.py = (np.concatenate([m[k] for m in self.made]) for k in (0, 1))
-            self.probe = self.phase(self.px, self.py)
+            self.probe = PhaseProbe.take(self.phase, *(np.concatenate([m[k] for m in self.made]) for k in (0, 1)))
             self.stages, _kept = tuple(m[2] for m in self.made), self
         return factors
 

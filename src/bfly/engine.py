@@ -34,6 +34,17 @@ leaves of one count are one matrix product (chebyshev.init_source_weights);
 the id engine sorts them by leaf box once, when it is built, so that its
 leaf weights are one segment sum.
 
+The id engine's set-up, the leaf order and every factorization, depends on
+the phase, the positions, N, tol and rows_per_dim, never on the strengths,
+and make_engine keeps the last one per process, read-only. A call with the
+same phase object, d, N, tol, rows_per_dim and positions of the same bytes,
+whose phase still gives the values of its probe (phases.PhaseProbe), gets
+an engine on the kept set-up and its own strengths, so its solve runs only
+the traversal; any other id call releases the kept set-up before it builds.
+So the process holds the last id set-up between solves, no more than that
+engine held: about 100 MB of padded maps on the benchmark's id-2d problem
+(d = 2, N = 16, 2048 sources), which it used to free.
+
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
 runs the init and a stage per later level on the level arrays, which the
 ranks' blocks tile; a stage that moves `team_bits` rank bits adds the
@@ -57,6 +68,7 @@ a chunk of points at a time with a few whole-chunk NumPy calls.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import numbers
 import os
@@ -80,7 +92,7 @@ from .geometry import (
     to_children,
 )
 from .lowrank import build_id, build_translation_id
-from .phases import PhaseEvaluator, _expi, kernel_matrix
+from .phases import PhaseEvaluator, PhaseProbe, _expi, kernel_matrix
 
 
 class AllZeroReferenceError(ValueError):
@@ -213,6 +225,12 @@ class IdEngine:
     initialization a segment sum over the leaf-sorted sources (_interp holds
     each source's column of its leaf's interpolation matrix).
 
+    Everything but _strengths is the set-up: it depends on the phase, the
+    positions, N, tol and rows_per_dim, never on the strengths, and is
+    read-only once built, so engines on other strengths of the same sources
+    share it (_with_strengths, which make_engine uses to reuse the last
+    set-up). The constructor always builds.
+
     Row samples are a tensor Chebyshev grid of rows_per_dim points per
     dimension in every leaf target box, and a pair's row set is all such
     samples inside its target box, with no proxy rows. Each factorization
@@ -232,8 +250,8 @@ class IdEngine:
         # the sources sorted by leaf box in canonical order
         # (geometry.leaf_order): each leaf's sources are one run of them
         order, leaves = leaf_order(sources.positions, self.L)
+        self._order = order
         self._positions = sources.positions[order]
-        self._strengths = sources.strengths[order]
         self._leaves = leaves[order]
         # imported here, so that the cheb path never loads it
         from concurrent.futures import ThreadPoolExecutor
@@ -242,6 +260,20 @@ class IdEngine:
         # stage has (N/2)^d, one per family, and N = 1 has one leaf
         with ThreadPoolExecutor(min(_usable_cores(), max(1, (N >> 1) ** d))) as pool:
             self._precompute(pool)
+        # the set-up is shared by every engine on these sources
+        # (_with_strengths), and the id field hands the last two to callers
+        shared = (order, self._positions, self._leaves, self._interp, self._final_ranks, self._final_skeleton)
+        for a in shared + tuple(self._ranks) + tuple(self._maps):
+            a.setflags(write=False)
+        self._strengths = sources.strengths[order]
+
+    def _with_strengths(self, strengths: np.ndarray) -> "IdEngine":
+        """An engine with this one's set-up and other strengths of the same
+        sources, in their input order: it shares every precomputed array and
+        runs no precompute."""
+        engine = copy.copy(self)
+        engine._strengths = strengths[self._order]
+        return engine
 
     def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """New Fortran-ordered kernel blocks, (len(xs), len(ys)) or one per
@@ -569,7 +601,17 @@ def make_engine(
 ):
     """The engine of a backend, set up on the sources: for cheb only
     checked, its init ordering them on every solve; for id sorted by leaf
-    box, with every factorization precomputed."""
+    box, with every factorization precomputed.
+
+    The id set-up is precomputed once per source set: the last one is kept
+    in the process (_kept_id), and a call with the same phase object, d, N,
+    tol, rows_per_dim and positions of the same bytes, whose phase still
+    gives the values of its probe, builds an engine on it and the new
+    strengths without a precompute. Any other id call releases it before it
+    builds, so the old set-up is freed first unless the caller still holds
+    an engine on it, and keeps its own once built; a build that raises
+    keeps nothing. There is no lock: id calls on several threads at once
+    may each build, and each gets a correct engine."""
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
     if phase.dim is not None and phase.dim != d:
@@ -584,8 +626,55 @@ def make_engine(
     if backend == "cheb":
         return ChebEngine(phase, d, N, q, sources)
     if backend == "id":
-        return IdEngine(phase, d, N, tol, rows_per_dim, sources)
+        return _id_engine(phase, d, N, tol, rows_per_dim, sources)
     raise ValueError(f"unknown backend '{backend}'")
+
+
+@dataclass(eq=False)
+class _KeptIdSetup:
+    """The last id set-up and what it was built from: the engine holds its
+    phase, so that the phase's identity is not reused, and a copy of the
+    caller's positions, which the caller may change in place."""
+
+    engine: IdEngine
+    positions: np.ndarray
+    probe: PhaseProbe  # Phi at the first and last row sample against the first and last source
+
+    def serves(self, phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, positions) -> bool:
+        """Whether the set-up is the one these inputs would build. The
+        positions are compared byte for byte: 0.0 and -0.0 compare equal as
+        numbers, but the phase can tell them apart."""
+        e = self.engine
+        return (
+            e.phase is phase
+            and (e.d, e.N, e.tol, e.rows_per_dim) == (d, N, tol, rows_per_dim)
+            and positions.shape == self.positions.shape
+            and positions.tobytes() == self.positions.tobytes()
+            and self.probe.holds(phase)
+        )
+
+
+_kept_id: Optional[_KeptIdSetup] = None  # the last id set-up make_engine built
+
+
+def _id_engine(phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, sources: SourceSet) -> IdEngine:
+    """An id engine on the kept set-up if it serves these inputs, else on a
+    new one, which is kept in its place (make_engine)."""
+    global _kept_id
+    kept = _kept_id
+    if kept is not None and kept.serves(phase, d, N, tol, rows_per_dim, sources.positions):
+        return kept.engine._with_strengths(sources.strengths)
+    # no name may hold the old set-up while the new one is built, or both
+    # would be resident at the build's peak
+    del kept
+    _kept_id = None
+    engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
+    rows = cheb.grid_points(rows_per_dim, engine.L, np.array([(0,) * d, (N - 1,) * d]))
+    xs = rows[[0, -1], [0, -1]]
+    # without sources the build never calls the phase; any pairs do
+    ys = engine._positions[[0, -1]] if len(engine._positions) else xs
+    _kept_id = _KeptIdSetup(engine, sources.positions.copy(), PhaseProbe.take(phase, xs, ys))
+    return engine
 
 
 def butterfly_apply(

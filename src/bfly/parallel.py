@@ -24,7 +24,8 @@ in ascending member order, as soon as it is made (geometry.sum_children),
 which are the adds a reduce-scatter makes; the simulated reduce-scatter
 only charges the alpha/beta cost model for them. So every stage holds one
 level array, whatever the team size, and a solve's kept factors
-(chebyshev.SolveFactors) serve every p. Communication is never performed
+(chebyshev.SolveFactors) serve every p, as does the id set-up that
+make_engine keeps for the same sources. Communication is never performed
 for real and the traversal runs on one thread, so results are
 reproducible; the id engine's precompute runs on every usable core
 (engine.IdEngine) with the same bits for any count.
@@ -178,7 +179,9 @@ def simulate_parallel(
     p = 1, where no stage communicates, and `bfly verify` solves with this
     call at every process count.
     Factorization work for the sampled backend is precomputed once and
-    shared by every rank; the ranks' blocks at each level are read off the
+    shared by every rank, and by every later call on the same sources:
+    make_engine builds their engine on its kept set-up, so such a call runs
+    only the traversal. The ranks' blocks at each level are read off the
     bisection stacks, which each stage pops and pushes. `threads` has no
     effect and does not size the id precompute's pool, which has a worker
     per usable core; it is kept for callers that still pass it.

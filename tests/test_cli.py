@@ -14,6 +14,7 @@ import pytest
 
 import bfly
 import bfly.cli
+import bfly.engine
 from bfly.cli import main
 from bfly.parallel import simulate_parallel
 
@@ -437,6 +438,33 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     _, sfour = run_to_file(tmp_path, sargs, name="s4.csv")
     assert one == four
     assert sone == sfour
+
+
+def test_scale_id_builds_one_setup_for_every_process_count(tmp_path, monkeypatch):
+    # every p solves the same sources, so the first builds the id set-up and
+    # the others take it, with the bytes of a cold build at every p
+    args = ["scale", "--dim", "2", "--log2n", "3", "--backend", "id", "--sources", "200", "--procs", "1,4,16"]
+
+    def cold(*a, **kw):
+        bfly.engine._kept_id = None
+        return simulate_parallel(*a, **kw)
+
+    monkeypatch.setattr(bfly.engine, "_kept_id", None)
+    with monkeypatch.context() as m:
+        m.setattr(bfly.cli, "simulate_parallel", cold)
+        _, want = run_to_file(tmp_path, args, name="cold.csv")
+    calls = []
+    precompute = bfly.engine.IdEngine._precompute
+
+    def counted(self, pool):
+        calls.append(None)
+        return precompute(self, pool)
+
+    monkeypatch.setattr(bfly.engine.IdEngine, "_precompute", counted)
+    bfly.engine._kept_id = None
+    code, text = run_to_file(tmp_path, args, name="kept.csv")
+    assert code == 0 and len(calls) == 1
+    assert text == want and len(text.splitlines()) == 4
 
 
 def test_module_entry_point(tmp_path):

@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bfly.engine import (
 from bfly.chebyshev import grid_points
 from bfly.costs import CostLedger, CostParams
 from bfly.geometry import DyadicKey, block_coords, leaf_coords, leaf_order, leaf_runs
+from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 from test_lowrank import economic_id
 
@@ -447,6 +449,13 @@ def test_2d_accuracy_modest_grid():
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def no_kept_id(monkeypatch):
+    """No id set-up kept for the test (make_engine), the process's own put
+    back after."""
+    monkeypatch.setattr(bfly.engine, "_kept_id", None)
+
+
 def per_pair_precompute(eng):
     """The id precompute with every factorization sampled on its own: each
     leaf and each pair of each stage evaluates its C-ordered kernel block
@@ -566,7 +575,7 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 @pytest.mark.parametrize("N,tasks", [(1, 1), (2, 1), (16, 8)])
-def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch):
+def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch, no_kept_id):
     # at most one per task of a stage: every stage has one per family,
     # (N/2)^d of them, and N = 1 its one leaf
     sizes = []
@@ -579,9 +588,10 @@ def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", sized)
     s = random_sources(np.random.default_rng(67), 40)
     make_engine(get_phase("fourier"), 1, N, s, backend="id")
-    # and with more cores than families
+    # and with more cores than families, on other sources, which
+    # make_engine does not have a set-up for
     monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: 64)
-    make_engine(get_phase("fourier"), 1, N, s, backend="id")
+    make_engine(get_phase("fourier"), 1, N, random_sources(np.random.default_rng(68), 40), backend="id")
     assert sizes == [min(len(os.sched_getaffinity(0)), tasks), tasks]
 
 
@@ -621,3 +631,177 @@ def test_id_precompute_raises_the_first_failing_pairs_error(workers, monkeypatch
         make_engine(phase, 1, 16, s, backend="id")
     assert str(err.value).endswith("on points (2, 1, 16, 1) and (1, 1, 1)")
     assert threading.active_count() == threads  # the pool's workers are joined
+
+
+# ---------------------------------------------------------------------------
+# The id set-up make_engine keeps for the next call on the same sources
+# ---------------------------------------------------------------------------
+
+
+def counted_precompute(monkeypatch):
+    """A list that grows by one on every IdEngine._precompute call."""
+    calls = []
+    precompute = IdEngine._precompute
+
+    def counted(self, pool):
+        calls.append(None)
+        return precompute(self, pool)
+
+    monkeypatch.setattr(IdEngine, "_precompute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1, 16])
+def test_a_kept_id_setup_gives_the_bits_of_a_cold_build(p, monkeypatch, no_kept_id):
+    calls = counted_precompute(monkeypatch)
+    phase = get_phase("hyp-radon")
+    rng = np.random.default_rng(71)
+    first = random_sources(rng, 300, d=2)
+    again = SourceSet(first.positions.copy(), rng.normal(size=300) + 1j * rng.normal(size=300))
+    before = simulate_parallel(first, phase, 8, p=p, backend="id")
+    hit = simulate_parallel(again, phase, 8, p=p, backend="id")
+    assert len(calls) == 1  # the second solve took the first one's set-up
+    assert not np.array_equal(hit.field.values, before.field.values)  # on its own strengths
+    bfly.engine._kept_id = None
+    cold = simulate_parallel(again, phase, 8, p=p, backend="id")
+    assert len(calls) == 2
+    for attr in ("values", "skeleton", "ranks"):
+        assert np.array_equal(getattr(hit.field, attr), getattr(cold.field, attr)), attr
+    assert hit.ledgers == cold.ledgers and hit.field.ledger == cold.field.ledger
+    assert np.array_equal(hit.owners, cold.owners) and hit.schedule == cold.schedule
+
+
+class Scaled:
+    """The fourier phase times a scale that can be changed after the
+    evaluator holding it is made."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def __call__(self, xs, ys):
+        return self.scale * get_phase("fourier").fn(xs, ys)
+
+
+def _moved_bit(inputs):
+    inputs["positions"] = inputs["positions"].copy()
+    inputs["positions"][1, 0] = np.nextafter(inputs["positions"][1, 0], 1.0)
+
+
+def _negative_zero(inputs):
+    inputs["positions"] = inputs["positions"].copy()
+    inputs["positions"][0, 0] = -0.0  # equal to 0.0 as a number
+
+
+def _permuted(inputs):
+    perm = np.random.default_rng(0).permutation(len(inputs["positions"]))
+    inputs["positions"], inputs["strengths"] = inputs["positions"][perm], inputs["strengths"][perm]
+
+
+def _edited_in_place(inputs):
+    inputs["positions"][2, 0] *= 0.5  # the array the kept set-up was built from
+
+
+def _new_phase_object(inputs):
+    inputs["phase"] = PhaseEvaluator(inputs["phase"].name, 1, inputs["phase"].fn)
+
+
+def _changed_phase_function(inputs):
+    inputs["phase"].fn.scale = 2.0
+
+
+MISSES = {
+    "one-bit-of-a-position": _moved_bit,
+    "zero-to-negative-zero": _negative_zero,
+    "permuted-sources": _permuted,
+    "positions-edited-in-place": _edited_in_place,
+    "tol": lambda inputs: inputs.update(tol=1e-5),
+    "rows_per_dim": lambda inputs: inputs.update(rows_per_dim=5),
+    "N": lambda inputs: inputs.update(N=8),
+    "phase-object": _new_phase_object,
+    "phase-function": _changed_phase_function,
+}
+
+
+@pytest.mark.parametrize("change", sorted(MISSES))
+def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept_id):
+    calls = counted_precompute(monkeypatch)
+    rng = np.random.default_rng(73)
+    positions = rng.uniform(size=(64, 1))
+    positions[0, 0] = 0.0
+    inputs = dict(
+        phase=PhaseEvaluator("scaled", 1, Scaled(1.0)), N=16, tol=1e-7, rows_per_dim=4,
+        positions=positions, strengths=rng.normal(size=64) + 1j * rng.normal(size=64),
+    )
+
+    def engine():
+        kw = dict(inputs)
+        sources = SourceSet(kw.pop("positions"), kw.pop("strengths"))
+        return make_engine(d=1, sources=sources, backend="id", **kw), sources
+
+    first, sources = engine()
+    assert np.shares_memory(sources.positions, positions)  # the caller's own array
+    # the same inputs on other strengths take the kept set-up
+    hit, _ = engine()
+    assert len(calls) == 1 and hit is not first and hit._maps is first._maps
+    MISSES[change](inputs)
+    eng, sources = engine()
+    assert len(calls) == 2 and bfly.engine._kept_id.engine is eng
+    kw = {k: inputs[k] for k in ("phase", "N", "tol", "rows_per_dim")}
+    cold = IdEngine(d=1, sources=sources, **kw)
+    for attr in ("_interp", "_final_ranks", "_final_skeleton", "_strengths"):
+        assert np.array_equal(getattr(eng, attr), getattr(cold, attr)), attr
+    for attr in ("_ranks", "_maps"):
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(eng, attr), getattr(cold, attr), strict=True)), attr
+
+
+def test_a_failing_id_build_keeps_nothing(no_kept_id):
+    rng = np.random.default_rng(61)
+    make_engine(get_phase("fourier"), 1, 16, random_sources(rng, 96), backend="id")
+    assert bfly.engine._kept_id is not None
+    pos = np.append(0.1, rng.uniform(0.25, 1.0, size=95))
+    s = SourceSet(pos[:, None], rng.normal(size=96) + 1j * rng.normal(size=96))
+    with pytest.raises(ValueError, match="^phase 'late-nan' returned a NaN or inf on points"):
+        make_engine(_nan_in_stage_1(0.0), 1, 16, s, backend="id")
+    assert bfly.engine._kept_id is None
+
+
+def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept_id):
+    field = butterfly_apply(random_sources(np.random.default_rng(79), 200, d=2), get_phase("fourier"), 8, backend="id")
+    eng = bfly.engine._kept_id.engine
+    assert field.skeleton is eng._final_skeleton and field.ranks is eng._final_ranks
+    for a in [eng._interp, *eng._ranks, *eng._maps, eng._final_ranks, eng._final_skeleton]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_kept_id):
+    # one build of d = 2, N = 8 and 256 sources on an empty slot, then the
+    # same build right after another: a set-up holds about 7 MB as traced
+    # (tracemalloc counts its maps' untouched room too), so one still held
+    # while the next is built would put the second peak far above the first.
+    # One worker, so that the peaks do not depend on how the pool's tasks
+    # overlap (about +-1.6 MB with 8 workers on 2 cores, 0.06 MB with one)
+    monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: 1)
+    slack = 1 << 20
+    phase = get_phase("fourier")
+
+    def build(seed):
+        make_engine(phase, 2, 8, random_sources(np.random.default_rng(seed), 256, d=2), backend="id")
+
+    build(80)  # scipy and the library's caches are loaded before the trace
+    bfly.engine._kept_id = None
+    tracemalloc.start()
+    try:
+        build(82)
+        _, alone = tracemalloc.get_traced_memory()
+        bfly.engine._kept_id = None
+        build(81)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        build(82)
+        _, after = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 4 * slack
+    assert after <= alone + slack
