@@ -21,11 +21,11 @@ leaf A is sum_t K(x, b_t) delta_t[A], r kernel entries over the root's grid
 evaluation costs one phase call per target; it pays only past N^d * r
 targets per solve and is not used.
 
-The leaf sources go straight onto the grids of the leaves' parents,
-demodulated at the centers of the root's children, and each parent's
-children are added up there: init_source_weights makes the pairs of level
-1 and so covers stage 0. Every later stage is a column stage, so a solve
-makes log2 N interpolations.
+The leaf sources go straight onto the grids of the leaves' parents, each
+parent's children are added up there, and the sum is demodulated at the
+centers of the root's children: init_source_weights makes the pairs of
+level 1 and so covers stage 0. Every later stage is a column stage, so a
+solve makes log2 N interpolations.
 
 Grid conventions: first-kind Chebyshev nodes mapped affinely to each box
 edge, stored in ascending order per dimension; tensor points are flattened
@@ -47,11 +47,13 @@ A column stage's kernel factors exp(+-i*Phi), between its target-box
 centers and its grid nodes, and the init's demodulation on the parent
 grids depend only on the phase, q and the tree, never on the sources: they
 are this transform's twiddles, and the weight operations take them from
-their caller. A traversal over whole levels keeps one solve's factors per
-process (SolveFactors), from the second solve in a row with one evaluator,
-d, N and q on, read-only, within _FACTOR_BYTES (32 MiB) and with the same
-bits. A warm solve then calls the phase twice: at its probe and at the
-sources. cheb-2d (d = 2, N = 32, q = 6) keeps 11.81 MiB.
+their caller. The demodulation stands outside the sum over the children,
+so it multiplies their sum, once. A traversal over whole levels keeps one
+solve's factors per process (SolveFactors), from the second solve in a row
+with one evaluator, d, N and q on, read-only, within _FACTOR_BYTES
+(32 MiB) and with the same bits. A warm solve then calls the phase twice:
+at its probe and at the sources. cheb-2d (d = 2, N = 32, q = 6) keeps
+11.81 MiB.
 
 The weight operations keep their temporaries small, with the same bits as
 whole-array products. The init's moments of a leaf are one small real
@@ -59,22 +61,23 @@ matrix product, its points-last (q^d, k) Lagrange basis times its k
 modulated strengths for every target box, real and imaginary parts side
 by side; the leaves of one source count are one np.matmul stack, in
 windows of whole parent families of about _INIT_CHUNK complex entries.
-Each window's children are added straight into the level-1 output,
-(q^d,) + (2,)*d + (N/2,)*d, rather than returning 2^d level-0 arrays for
-stage 0 to add up. A column stage modulates by broadcasting instead of
-repeating its weights onto the target children, alternates its d products
-between two arrays, and demodulates in place, so butterfly_apply at d = 3,
-N = 32, q = 5 peaks at 516 MB, not 887 MB; its column stages are now the
-peak. The init's basis and each column contribution's two level-sized
-arrays are still allocated on every solve, so how often a warm solve
-page-faults depends on the allocator's state, which differs from run to
-run. A loop that repeats the benchmark's operation (make_engine, the solve,
-and evaluate and direct_apply on two batches of 1024 targets each, fresh
-inputs, one BLAS thread) measured, per warm cheb-2d solve, either 0-4 minor
-faults or 844 and 126 by turns (844 = 444 in the init, 192 of them in
-_tensor_basis, and 400 in _column_contribution), and 224-304 per sim-1d
-solve. A loop of solves alone measured 0, or 956 and 126 by turns, on
-cheb-2d and 192-240 on sim-1d.
+Each window's children are added up and their sum demodulated straight
+into the level-1 output, (q^d,) + (2,)*d + (N/2,)*d, rather than returning
+2^d level-0 arrays for stage 0 to add up. A column stage modulates by
+broadcasting instead of repeating its weights onto the target children,
+alternates its d products between two arrays, and demodulates the
+children's sum in place, so butterfly_apply at d = 3, N = 32, q = 5 peaks
+at 516 MB, not 887 MB; its column stages are now the peak. The init's
+basis and each column contribution's two level-sized arrays are still
+allocated on every solve, so how often a warm solve page-faults depends on
+the allocator's state, which differs from run to run. A loop that repeats
+the benchmark's operation (make_engine, the solve, and evaluate and
+direct_apply on two batches of 1024 targets each, fresh inputs, one BLAS
+thread) measured, per warm cheb-2d solve, either 0-4 minor faults or 844
+and 126 by turns (844 = 444 in the init, 192 of them in _tensor_basis, and
+400 in _column_contribution), and 224-304 per sim-1d solve. A loop of
+solves alone measured 0, or 956 and 126 by turns, on cheb-2d and 192-240
+on sim-1d.
 """
 
 from __future__ import annotations
@@ -316,15 +319,16 @@ def init_source_weights(
     block's parents (geometry.parent_block), or b_shape when a = 0.
 
     A runs over the children of the root and P over the parents of the
-    block's leaves. The sources of each leaf B are interpolated onto the
-    grid of its parent P and demodulated at the center of A, for every A
-    at once; the present children of each P are then added in the order of
-    stage 0 (geometry.sum_children, the partial sums of the 2^team_bits
-    team members added in ascending member order), so this is stage 0 as
-    well. The demodulation depends only on the phase, q and the block: it is
-    the one array factors(xs, grids) gives, by default phase_factors, one
-    phase call on the parent grids. In a one-leaf tree (level 0), B is the
-    root, A the whole target domain, and these are the final weights.
+    block's leaves. The sources of each leaf B are modulated at the center
+    of A and interpolated onto the grid of its parent P, for every A at
+    once; the present children of each P are then added in the order of
+    stage 0 (geometry.sum_children, the partial sums of the 2^team_bits team
+    members added in ascending member order), so this is stage 0 as well,
+    and their sum is demodulated at the center of A, once per pair. The
+    demodulation depends only on the phase, q and the block: it is the one
+    array factors(xs, grids) gives, by default phase_factors, one phase call
+    on the parent grids. In a one-leaf tree (level 0), B is the root, A the
+    whole target domain, and these are the final weights.
 
     The sources come in any order, each inside the block
     (geometry.leaf_coords at `level`); a leaf's weights depend only on its
@@ -418,16 +422,13 @@ def init_source_weights(
         )
         if g1 < len(key) and window[g1] == window[g0]:
             continue
-        # the window's parents p0 .. p0 + width: each child's moments
-        # demodulated in place as the child sum takes them
+        # the window's parents p0 .. p0 + width: the child sum, demodulated once
         p0 = window[g0] * fam
         width = min(fam, by_pair.shape[-1] - p0)
         at = (kid[first:g1], home[first:g1] - p0)
         slots[at] = moments[: g1 - first]
-        here = demod[p0 : p0 + width]
-        parts = (np.multiply(here, slots[j, :width], out=slots[j, :width]) for j in kids)
-        sum_children(offsets, parts, team_bits, summed[:width])
-        np.copyto(by_pair[:, :, p0 : p0 + width], summed[:width].transpose(1, 2, 0))
+        sum_children(offsets, (slots[j, :width] for j in kids), team_bits, summed[:width])
+        np.multiply(demod[p0 : p0 + width], summed[:width], out=by_pair[:, :, p0 : p0 + width].transpose(2, 0, 1))
         slots[at] = 0.0
         first = g1
     return out
@@ -454,7 +455,8 @@ def column_stage(
     and the members' partial sums added in ascending member order
     (geometry.sum_children). factors(xs, grids), by default phase_factors
     with one phase call per grid, gives the demodulation on the parent grids
-    and the modulation on every present child's grid.
+    and the modulation on every present child's grid; the children are
+    added undemodulated, and their total demodulated once, in place.
     """
     d = len(a_lo)
     r = q**d
@@ -476,30 +478,27 @@ def column_stage(
     made = iter((factors or partial(phase_factors, phase))(xc, grids))
     demod = next(made)
     if ledger is not None:
-        # each pair feeds the 2^d children of its target box
+        # each pair feeds the 2^d children of its target box. 3r per child
+        # still counts a demodulation each, (2^d - 1) r per output pair more
+        # than the stage makes: left to ROADMAP item 8, so modeled_s stays
         ledger.add_flops(np.broadcast_to((2 * d * q ** (d + 1) + 3 * r) << d, values.shape[1:]))
     contribs = (
-        _column_contribution(offset, values[(slice(None),) * (d + 1) + index], mod, demod, q)
+        _column_contribution(offset, values[(slice(None),) * (d + 1) + index], mod, q)
         for (offset, index), mod in zip(kids, made)
     )
-    return sum_children([o for o, _ in kids], contribs, team_bits)
+    total = sum_children([o for o, _ in kids], contribs, team_bits)
+    return np.multiply(demod, total, out=total)
 
 
-def _column_contribution(
-    offset: Tuple[int, ...],
-    values: np.ndarray,
-    mod: np.ndarray,
-    demod: np.ndarray,
-    q: int,
-) -> np.ndarray:
-    """Child `offset`'s share of a column stage, for a whole output block.
+def _column_contribution(offset: Tuple[int, ...], values: np.ndarray, mod: np.ndarray, q: int) -> np.ndarray:
+    """Child `offset`'s undemodulated share of a column stage's output block.
 
     values[:, a..., b...] are the weights of the pairs (A, B_o), B_o the
     child `offset` of the output's B_p: point sources at the child grid
-    nodes. Each is modulated for every child A_c of A (mod), re-expanded on
-    the parent grid and demodulated (demod). The re-expansion is the
-    Kronecker product of the 1-D child matrices, applied one dimension at a
-    time (sum factorization): 2 d q^(d+1) flops per pair, not 2 q^(2d).
+    nodes. Each is modulated for every child A_c of A (mod) and re-expanded
+    on the parent grid; column_stage demodulates the children's sum. The
+    re-expansion is the Kronecker product of the 1-D child matrices, applied
+    one dimension at a time (sum factorization): 2 d q^(d+1) flops per pair.
     """
     d = len(offset)
     r = q**d
@@ -515,12 +514,11 @@ def _column_contribution(
     # one real matmul with its q nodes second to last, on float views, so
     # each pair's real and imaginary parts are two columns and a lone pair
     # still goes to gemm. The products alternate between rows and one more
-    # array of the output's size, and the demodulation is in place: two
-    # arrays in all.
+    # array of the output's size: two arrays in all.
     other = np.empty_like(rows)
     m1 = _child_matrices_1d(q)
     for k in range(d):
         shape = (q ** (d - 1 - k), q, -1)
         np.matmul(m1[offset[k]], rows.view(float).reshape(shape), out=other.view(float).reshape(shape))
         rows, other = other, rows
-    return np.multiply(demod, rows, out=rows)
+    return rows

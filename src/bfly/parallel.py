@@ -40,7 +40,9 @@ the sequential sum bit for bit. When it moves fewer bits (d = 2 with odd
 log2 p: p = 2, 8, 32, ...), a member holds a partial sum over several
 children, say (c0 + c1) + (c2 + c3) against ((c0 + c1) + c2) + c3, and the
 weights agree only to rounding (the acceptance gate holds them to 1e-12
-relative).
+relative). Members add undemodulated partials: the demodulation follows
+their ascending sum, as a distributed run would apply it to each member's
+share after the reduce-scatter.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from bfly.chebyshev import (
 )
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import PotentialField, SourceSet, butterfly_apply
-from bfly.geometry import DyadicKey, leaf_coords, offset_index, parent_block
+from bfly.geometry import DyadicKey, leaf_coords, offset_index, parent_block, present_children
 from bfly.parallel import simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
@@ -270,7 +270,7 @@ def test_grid_points_match_per_box_grids():
 
 @pytest.mark.parametrize("q,d", [(q, d) for d in (1, 2, 3) for q in range(1, 13 if d < 3 else 9)])
 def test_child_and_stage_matrices_match_per_box_construction(q, d):
-    # A stage's child contribution, with unit factors, is child n's dense
+    # A stage's child contribution, with a unit modulation, is child n's dense
     # re-interpolation matrix applied to every pair's weights. The stage
     # applies it as the 1-D child matrices one dimension at a time: the
     # same bits at d = 1, the same sums in another order past it.
@@ -282,7 +282,7 @@ def test_child_and_stage_matrices_match_per_box_construction(q, d):
     for n, m in enumerate(per_box_child_matrices(q, d)):
         offset = tuple((n >> k) & 1 for k in range(d))
         expect = m @ values.reshape(r, -1)
-        got = _column_contribution(offset, values, ones, ones, q)
+        got = _column_contribution(offset, values, ones, q)
         for child in np.ndindex(*(2,) * d):  # each child A_c of the target box gets the same weights
             each = got[(slice(None),) + child].reshape(r, -1)
             if d == 1:
@@ -859,6 +859,48 @@ def test_column_stage_holds_three_arrays_of_its_output():
                                                  factors=lambda xs, grids: made))
     assert np.array_equal(out, first)
     assert peak < 3.5 * out.nbytes
+
+
+@pytest.mark.parametrize("d,L,level,q", [(1, 5, 2, 6), (2, 4, 1, 4), (3, 3, 1, 3)])
+def test_column_stage_demodulates_the_canonical_child_sum(d, L, level, q):
+    # the children's re-expansions are added undemodulated, in canonical
+    # order, and their sum is demodulated once: demod * (((c0 + c1) + c2)
+    # + ...), bit for bit
+    rng = np.random.default_rng(167 + d)
+    shape = (q**d,) + (1 << level,) * d + (1 << (L - level),) * d
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phase = get_phase("gen-radon" if d == 3 else "fourier")
+    made = []
+    got = column_stage(level, (0,) * d, L - level, (0,) * d, values, phase, q,
+                       factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made)
+    total = None
+    for (offset, index), mod in zip(present_children((0,) * d, shape[d + 1 :]), made[1:]):
+        child = _column_contribution(offset, values[(slice(None),) * (d + 1) + index], mod, q)
+        total = child if total is None else total + child
+    # np.multiply, not *: numpy may take a large temporary right operand
+    # as the output and swap the operands, which rounds otherwise
+    assert np.array_equal(got, np.multiply(made[0], total))
+
+
+def test_init_demodulates_the_child_sum_once_at_any_team_bits():
+    # d = 2: the init's undemodulated sum, made with ones for the
+    # demodulation, times the demodulation gives its bits, and a team of a
+    # member per child adds the children in canonical order, as a local
+    # init does
+    d, level, q, n = 2, 4, 4, 600
+    rng = np.random.default_rng(173)
+    pos = rng.uniform(size=(n, d))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phase = get_phase("hyp-radon")
+    made = []
+    args = (level, (0,) * d, (1 << level,) * d, pos, g, phase, q)
+    local = init_source_weights(*args, factors=lambda xs, grids: made.extend(cheb.phase_factors(phase, xs, grids)) or made)
+    team = init_source_weights(*args, factors=lambda xs, grids: made, team_bits=2)
+    raw = init_source_weights(*args, factors=lambda xs, grids: [np.ones_like(made[0])])
+    # the demodulation is laid out (P, r, T), the output (r, T, P)
+    demod = made[0].reshape(-1, q**d, 1 << d).transpose(1, 2, 0).reshape(local.shape)
+    assert np.array_equal(local, np.multiply(demod, raw))
+    assert np.array_equal(team, local)
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 3)])

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bfly.chebyshev import column_stage, grid_points, init_source_weights, phase_factors
+from bfly.chebyshev import box_centers, column_stage, grid_points, init_source_weights, phase_factors
 from bfly.costs import CostLedger, CostParams
 from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
 from bfly.geometry import (
     DyadicKey,
     InvalidProcessCountError,
+    block_coords,
     init_bisection_stacks,
     leaf_coords,
     leaf_runs,
@@ -477,7 +478,10 @@ def in_block(leaves, lo, shape):
 
 
 class PerRankStages:
-    """A built engine's init and stage on one rank's block of pairs."""
+    """A built engine's init and stage on one rank's block of pairs. `moves`
+    is the number of rank bits the stage moves; after a stage that moves
+    some, each member holds its share of the reduce-scatter's sum, which
+    scattered(blk) finishes."""
 
     def __init__(self, eng):
         self.eng, self.d, self.L = eng, eng.d, eng.L
@@ -485,31 +489,65 @@ class PerRankStages:
     def make_field(self, values):
         return self.eng.make_field(values)
 
+    def scattered(self, blk):
+        return blk
+
 
 class PerRankCheb(PerRankStages):
-    def init_blocks(self, b_lo, b_shape, ledger):
+    """On a stage that moves rank bits each rank's block is summed
+    undemodulated, and each member demodulates its share of the
+    reduce-scatter's sum on its own pairs, as a distributed run would: the
+    demodulation follows the ascending member sum."""
+
+    def factors(self, moves):
+        """The default factors on a local stage; else phase_factors with ones
+        for the demodulation, so the weight operations give the rank's
+        partial sum undemodulated."""
+        if not moves:
+            return None
+
+        def unit(xs, grids):
+            made = phase_factors(self.eng.phase, xs, grids)
+            yield np.ones_like(next(made))
+            yield from made
+
+        return unit
+
+    def init_blocks(self, b_lo, b_shape, ledger, moves):
         """The level-1 pairs the block's leaves feed (stage 0 on the block:
         the sum over the children it holds), or the final weights if N = 1."""
         eng, src = self.eng, self.eng.sources
         inside = in_block(leaf_coords(src.positions, eng.L), b_lo, b_shape)
         values = init_source_weights(
-            eng.L, b_lo, b_shape, src.positions[inside], src.strengths[inside], eng.phase, eng.q, ledger
+            eng.L, b_lo, b_shape, src.positions[inside], src.strengths[inside], eng.phase, eng.q, ledger,
+            self.factors(moves),
         )
         # in a one-leaf tree the root block is its own parent block
         return LevelBlock(min(eng.L, 1), (0,) * self.d, parent_block(b_lo, b_shape)[0], values, lead=1)
 
-    def stage(self, level, blk, ledger):
+    def stage(self, level, blk, ledger, moves):
         """Column stages; stage 0 ran in the init and passes the block on."""
         eng = self.eng
         if level == 0:
             return blk
-        values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger)
+        values = column_stage(level, blk.a_lo, eng.L - level, blk.b_lo, blk.values, eng.phase, eng.q, ledger,
+                              factors=self.factors(moves))
         (ac_lo, _), (bp_lo, _) = blk.next_boxes()
         return LevelBlock(level + 1, ac_lo, bp_lo, values, lead=1)
 
+    def scattered(self, blk):
+        """The member's share times exp(-i*Phi) between its target-box
+        centers and its source boxes' grids."""
+        eng, d = self.eng, self.d
+        a_shape, b_shape = blk.pairs()[:d], blk.pairs()[d:]
+        xc = box_centers(blk.level, block_coords(blk.a_lo, a_shape)).reshape((1,) + a_shape + (1,) * d + (d,))
+        grid = np.moveaxis(grid_points(eng.q, self.L - blk.level, block_coords(blk.b_lo, b_shape)), -2, 0)
+        demod = next(phase_factors(eng.phase, xc, [grid[(slice(None),) + (None,) * d]]))
+        return LevelBlock(blk.level, blk.a_lo, blk.b_lo, np.multiply(demod, blk.values), blk.lead)
+
 
 class PerRankId(PerRankStages):
-    def init_blocks(self, b_lo, b_shape, ledger):
+    def init_blocks(self, b_lo, b_shape, ledger, moves):
         eng, d = self.eng, self.d
         out = np.zeros(tuple(b_shape) + eng._interp.shape[1:], dtype=complex)
         inside = in_block(eng._leaves, b_lo, b_shape)
@@ -521,7 +559,7 @@ class PerRankId(PerRankStages):
         ledger.add_flops(2 * np.sum(ranks[flat]))
         return LevelBlock(0, (0,) * d, tuple(b_lo), out.reshape((1,) * d + out.shape))
 
-    def stage(self, level, blk, ledger):
+    def stage(self, level, blk, ledger, moves):
         eng, d = self.eng, self.d
         (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
         pairs = block_index(ac_lo + bp_lo, ac_shape + bp_shape)
@@ -566,8 +604,9 @@ def region(stack, rank, d, level):
 
 def per_rank_simulate(eng, N, p):
     """simulate_parallel as a loop over ranks. eng has the block entry points
-    init_blocks(b_lo, b_shape, ledger) and stage(level, blk, ledger), and
-    make_field(values) of the final level.
+    init_blocks(b_lo, b_shape, ledger, moves), stage(level, blk, ledger,
+    moves) and scattered(blk) (PerRankStages), and make_field(values) of the
+    final level.
     Returns the field, the owners as an array, the ledgers, the schedule and
     the trace strings."""
     d, L = eng.d, eng.L
@@ -575,12 +614,12 @@ def per_rank_simulate(eng, N, p):
     dx, dy = init_bisection_stacks(d, p)
     ranks = list(range(p))
     ledgers = [CostLedger(CostParams()) for _ in ranks]
-    blocks = [eng.init_blocks(*region(dy, rank, d, L), ledgers[rank]) for rank in ranks]
+    blocks = [eng.init_blocks(*region(dy, rank, d, L), ledgers[rank], schedule[0] if schedule else 0) for rank in ranks]
     trace = []
     moved = 0
     for level in range(L):
-        outs = [eng.stage(level, blocks[rank], ledgers[rank]) for rank in ranks]
         k = schedule[level]
+        outs = [eng.stage(level, blocks[rank], ledgers[rank], k) for rank in ranks]
         if k == 0:
             blocks = outs
             continue
@@ -604,7 +643,7 @@ def per_rank_simulate(eng, N, p):
             sums = dict_sum_scatter(contributions, {m: ledgers[m] for m in members})
             for m in members:
                 (a_lo, _), (b_lo, _) = regions[m]
-                blocks[m] = LevelBlock(level + 1, a_lo, b_lo, sums[m], outs[m].lead)
+                blocks[m] = eng.scattered(LevelBlock(level + 1, a_lo, b_lo, sums[m], outs[m].lead))
                 stage_trace[m] = f"{level},{m},{k},{((1 << k) - 1) * sums[m].size}"
         trace.extend(stage_trace[r] for r in sorted(stage_trace))
         dx, dy = new_dx, new_dy
@@ -697,6 +736,8 @@ class PerPairIdEngine(IdEngine):
     points that per_rank_simulate drives. The factorizations are the same
     calls on the same samples; the field is made from the arrays."""
 
+    scattered = PerRankStages.scattered
+
     def __init__(self, phase, d, N, tol, rows_per_dim, sources):
         super().__init__(phase, d, N, tol, rows_per_dim, sources)
         self._sources = sources
@@ -736,7 +777,7 @@ class PerPairIdEngine(IdEngine):
             self._ops[level] = ops
             self._widths[level + 1] = max(matrix.shape[0] for matrix, _ in ops.values())
 
-    def init_blocks(self, b_lo, b_shape, ledger):
+    def init_blocks(self, b_lo, b_shape, ledger, moves):
         out = np.zeros(tuple(b_shape) + (self._widths[0],), dtype=complex)
         for j in np.ndindex(*b_shape):
             Z, idx = self._stage0[tuple(lo + k for lo, k in zip(b_lo, j))]
@@ -745,7 +786,7 @@ class PerPairIdEngine(IdEngine):
             ledger.add_flops(2 * Z.shape[0] * Z.shape[1])
         return LevelBlock(0, (0,) * self.d, tuple(b_lo), out.reshape((1,) * self.d + out.shape))
 
-    def stage(self, level, blk, ledger):
+    def stage(self, level, blk, ledger, moves):
         d = self.d
         (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
         out = np.zeros(ac_shape + bp_shape + (self._widths[level + 1],), dtype=complex)
