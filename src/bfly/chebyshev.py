@@ -48,12 +48,12 @@ centers and its grid nodes, and the init's demodulation on the parent
 grids depend only on the phase, q and the tree, never on the sources: they
 are this transform's twiddles, and the weight operations take them from
 their caller. The demodulation stands outside the sum over the children,
-so it multiplies their sum, once. A traversal over whole levels keeps one
-solve's factors per process (SolveFactors), from the second solve in a row
-with one evaluator, d, N and q on, read-only, within _FACTOR_BYTES
-(32 MiB) and with the same bits. A warm solve then calls the phase twice:
-at its probe and at the sources. cheb-2d (d = 2, N = 32, q = 6) keeps
-11.81 MiB.
+so it multiplies their sum, once. The engine's traversal over whole levels
+keeps one solve's factors in the process's one kept slot (engine._kept),
+from the second solve in a row with one evaluator, d, N and q on,
+read-only, within _FACTOR_BYTES (32 MiB) and with the same bits. A warm
+solve then calls the phase twice: at its probe and at the sources. cheb-2d
+(d = 2, N = 32, q = 6) keeps 11.81 MiB.
 
 The weight operations keep their temporaries small, with the same bits as
 whole-array products. The init's moments of a leaf are one small real
@@ -95,7 +95,7 @@ from .geometry import (
     present_children,
     sum_children,
 )
-from .phases import PhaseEvaluator, PhaseProbe, _expi
+from .phases import PhaseEvaluator, _expi
 
 
 @lru_cache(maxsize=None)
@@ -207,19 +207,10 @@ def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
 # The factors exp(+-i*Phi) of a column stage, between its target-box centers
 # and its grids, and the init's demodulation on the parent grids depend only
 # on the phase, q and the tree, never on the sources: they are this
-# transform's twiddles. One whole solve's factors are kept per process
-# (_kept), keyed by the phase's identity, d, L and q. A traversal keeps them
-# only if the previous one had the same key (_last_key) and they fit in
-# _FACTOR_BYTES (_solve_factor_bytes), and only once its last stage has made
-# them: a process that solves once keeps nothing, a phase that raises stores
-# nothing, and a new kept solve replaces the old. _kept and _last_key hold
-# their phase, so that its identity is not reused. A probe, Phi at two pairs
-# of every stage (phases.PhaseProbe), is evaluated again in one call when a
-# traversal starts: a phase whose function has changed since gives other
-# values there, and the factors are made anew.
+# transform's twiddles. engine.ChebEngine keeps one whole solve's factors in
+# the process's kept slot, from the second solve in a row with one key on,
+# and only if they fit in _FACTOR_BYTES (_solve_factor_bytes).
 _FACTOR_BYTES = 32 << 20
-_kept: Optional["SolveFactors"] = None  # the traversal whose factors are kept
-_last_key: tuple = ((), None)  # the last traversal's key and phase
 
 
 def _solve_factor_bytes(L: int, d: int, r: int) -> int:
@@ -237,46 +228,6 @@ def phase_factors(phase: PhaseEvaluator, xs: np.ndarray, grids: Iterable[np.ndar
     for i, y in enumerate(grids):
         theta = phase(xs, y)
         yield _expi(-theta if i == 0 else theta)
-
-
-class SolveFactors:
-    """One whole-level traversal's factors by stage (the init is stage 0,
-    column stage l stage l), kept and reused by the rules above."""
-
-    def __init__(self, phase: PhaseEvaluator, d: int, L: int, q: int):
-        global _kept, _last_key
-        self.phase = phase
-        self.key = (id(phase), d, L, q)
-        self.stages = None  # each stage's factors, of the kept solve on a hit or of this one once kept
-        self.made = None  # (probe xs, probe ys, factors) of each stage, when keeping
-        if _kept is not None and _kept.key == self.key and _kept.probe.holds(phase):
-            self.stages = _kept.stages
-        elif _last_key[0] == self.key and _solve_factor_bytes(L, d, q**d) <= _FACTOR_BYTES:
-            _kept = None
-            self.made = [None] * max(L, 1)
-        _last_key = (self.key, phase)
-
-    def stage(self, i: int, xs: np.ndarray, grids: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
-        """Stage i's factors, from the points phase_factors takes. When kept,
-        each stage's are made whole and read-only, and all are kept with the
-        last stage's, if every stage took them (an init without sources
-        takes none)."""
-        global _kept
-        if self.stages is not None:
-            return self.stages[i]
-        if self.made is None:
-            return phase_factors(self.phase, xs, grids)
-        ys = list(grids)
-        factors = tuple(phase_factors(self.phase, xs, ys))
-        for f in factors:
-            f.setflags(write=False)
-        d = xs.shape[-1]
-        ends = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
-        self.made[i] = (xs.reshape(-1, d)[[0, -1]], ends, factors)
-        if i == len(self.made) - 1 and all(m is not None for m in self.made):
-            self.probe = PhaseProbe.take(self.phase, *(np.concatenate([m[k] for m in self.made]) for k in (0, 1)))
-            self.stages, _kept = tuple(m[2] for m in self.made), self
-        return factors
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,22 @@ leaves of one count are one matrix product (chebyshev.init_source_weights);
 the id engine sorts them by leaf box once, when it is built, so that its
 leaf weights are one segment sum.
 
-The id engine's set-up, the leaf order and every factorization, depends on
-the phase, the positions, N, tol and rows_per_dim, never on the strengths,
-and make_engine keeps the last one per process, read-only. A call with the
-same phase object, d, N, tol, rows_per_dim and positions of the same bytes,
-whose phase still gives the values of its probe (phases.PhaseProbe), gets
-an engine on the kept set-up and its own strengths, so its solve runs only
-the traversal; any other id call releases the kept set-up before it builds.
-So the process holds the last id set-up between solves, no more than that
-engine held: about 100 MB of padded maps on the benchmark's id-2d problem
-(d = 2, N = 16, 2048 sources), which it used to free.
+What a solve makes from the phase and never from the strengths, like an
+FFT's twiddles, is kept for the next solve in one slot per process
+(_kept): one cheb solve's kernel factors or the last id set-up. The entry
+holds its phase object, a key of everything else the set-up depends on,
+and Phi at a few fixed point pairs, evaluated again in one call before
+reuse, so that a phase whose function has changed is seen. A lookup that
+does not match releases the slot before anything is built, whichever
+backend it comes from. id keeps every set-up make_engine builds, its key
+holding the positions' bytes, so a call on the same sources runs only the
+traversal; the process then holds about 100 MB of padded maps between
+solves on the benchmark's id-2d problem. cheb keeps a solve's factors
+from the second solve in a row with one key on, the first leaving a
+key-only marker, and only within chebyshev._FACTOR_BYTES
+(ChebEngine.init_blocks). A build that raises keeps nothing, kept arrays
+are read-only, and there is no lock: threads may each build, and each
+gets the bits of a serial solve.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
 runs the init and a stage per later level on the level arrays, which the
@@ -71,10 +77,11 @@ from __future__ import annotations
 import copy
 import itertools
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,7 +99,7 @@ from .geometry import (
     to_children,
 )
 from .lowrank import build_id, build_translation_id
-from .phases import PhaseEvaluator, PhaseProbe, _expi, kernel_matrix
+from .phases import PhaseEvaluator, _expi, kernel_matrix
 
 
 class AllZeroReferenceError(ValueError):
@@ -179,13 +186,23 @@ class ChebEngine:
         straight from the sources: stage 0, moving team_bits rank bits,
         whose team members' partial sums are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
-        (r,) + (1,)*d + (1,)*d. A traversal starts here, so here its
-        factors are looked up (chebyshev.SolveFactors)."""
-        d = self.d
-        self._factors = cheb.SolveFactors(self.phase, d, self.L, self.q)
+        (r,) + (1,)*d + (1,)*d. A traversal starts here, so here it takes
+        the kept factors (_take): a hit uses them, a solve whose key the
+        slot marks makes its own whole to keep them if they fit in
+        chebyshev._FACTOR_BYTES, and any other solve leaves a key-only
+        marker, so that the next solve with its key keeps."""
+        d, L = self.d, self.L
+        self._key = ("cheb", d, L, self.q)
+        kept = _take(self.phase, self._key)
+        self._stages = kept.setup if kept is not None else None
+        self._made = None  # each stage's probe points and factors, when keeping
+        if kept is None:
+            _keep(self.phase, self._key)
+        elif kept.setup is None and cheb._solve_factor_bytes(L, d, self.r) <= cheb._FACTOR_BYTES:
+            self._made = [None] * max(L, 1)
         return cheb.init_source_weights(
-            self.L, (0,) * d, (self.N,) * d, self.sources.positions, self.sources.strengths,
-            self.phase, self.q, ledger, partial(self._factors.stage, 0), team_bits,
+            L, (0,) * d, (self.N,) * d, self.sources.positions, self.sources.strengths,
+            self.phase, self.q, ledger, partial(self._factors, 0), team_bits,
         )
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
@@ -194,8 +211,32 @@ class ChebEngine:
         team_bits rank bits added in ascending member order
         (geometry.sum_children)."""
         lo = (0,) * self.d  # the block is the whole level
-        factors = partial(self._factors.stage, level)
+        factors = partial(self._factors, level)
         return cheb.column_stage(level, lo, self.L - level, lo, values, self.phase, self.q, ledger, team_bits, factors)
+
+    def _factors(self, i: int, xs: np.ndarray, grids) -> tuple:
+        """Stage i's factors (the init is stage 0), from the points
+        chebyshev.phase_factors takes: the kept solve's on a hit; made whole
+        and read-only when this solve keeps its own, all of them kept with
+        the last stage's if every stage took them (an init without sources
+        takes none); otherwise made one grid at a time as the stage takes
+        them. The probe is Phi at each stage's first and last target center
+        against its first grid's first node and its last grid's last."""
+        if self._stages is not None:
+            return self._stages[i]
+        if self._made is None:
+            return cheb.phase_factors(self.phase, xs, grids)
+        ys = list(grids)
+        factors = tuple(cheb.phase_factors(self.phase, xs, ys))
+        for f in factors:
+            f.setflags(write=False)
+        d = self.d
+        ends = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
+        self._made[i] = (xs.reshape(-1, d)[[0, -1]], ends, factors)
+        if i == len(self._made) - 1 and all(m is not None for m in self._made):
+            px, py = (np.concatenate([m[k] for m in self._made]) for k in (0, 1))
+            _keep(self.phase, self._key, tuple(m[2] for m in self._made), px, py)
+        return factors
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
         """The field of the final level's weights, transposed once from
@@ -589,6 +630,16 @@ class PotentialField:
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, if it is an integer and not a bool; otherwise a
+    ValueError that names it."""
+    if type(value) is int:  # skips the abstract-class check, 0.45 us a call
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return operator.index(value)
+    raise ValueError(f"{name}={value!r} is not an integer")
+
+
 def make_engine(
     phase: PhaseEvaluator,
     d: int,
@@ -603,15 +654,15 @@ def make_engine(
     checked, its init ordering them on every solve; for id sorted by leaf
     box, with every factorization precomputed.
 
-    The id set-up is precomputed once per source set: the last one is kept
-    in the process (_kept_id), and a call with the same phase object, d, N,
-    tol, rows_per_dim and positions of the same bytes, whose phase still
-    gives the values of its probe, builds an engine on it and the new
-    strengths without a precompute. Any other id call releases it before it
-    builds, so the old set-up is freed first unless the caller still holds
-    an engine on it, and keeps its own once built; a build that raises
-    keeps nothing. There is no lock: id calls on several threads at once
-    may each build, and each gets a correct engine."""
+    An id call takes the kept set-up (_take) when its phase object, d, N,
+    tol, rows_per_dim and positions' bytes are those it was built from and
+    the phase still gives the values of its probe, and builds an engine on
+    it and the new strengths without a precompute. Any other id call
+    releases the slot before it builds, so the old set-up is freed first
+    unless the caller still holds an engine on it, and keeps its own once
+    built; a build that raises keeps nothing. A cheb call neither reads nor
+    fills the slot: its traversal does (ChebEngine.init_blocks)."""
+    N = _integer("N", N)
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
     if phase.dim is not None and phase.dim != d:
@@ -626,55 +677,58 @@ def make_engine(
     if backend == "cheb":
         return ChebEngine(phase, d, N, q, sources)
     if backend == "id":
-        return _id_engine(phase, d, N, tol, rows_per_dim, sources)
+        # the positions compared byte for byte: 0.0 and -0.0 compare equal as
+        # numbers, but the phase can tell them apart
+        key = ("id", d, N, tol, rows_per_dim, sources.positions.shape, sources.positions.tobytes())
+        kept = _take(phase, key)
+        if kept is not None:
+            return kept.setup._with_strengths(sources.strengths)
+        engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
+        # the probe: Phi at the first and last row sample against the first
+        # and last source; without sources the build never calls the phase,
+        # any pairs do
+        rows = cheb.grid_points(rows_per_dim, engine.L, np.array([(0,) * d, (N - 1,) * d]))
+        xs = rows[[0, -1], [0, -1]]
+        _keep(phase, key, engine, xs, engine._positions[[0, -1]] if len(engine._positions) else xs)
+        return engine
     raise ValueError(f"unknown backend '{backend}'")
 
 
-@dataclass(eq=False)
-class _KeptIdSetup:
-    """The last id set-up and what it was built from: the engine holds its
-    phase, so that the phase's identity is not reused, and a copy of the
-    caller's positions, which the caller may change in place."""
+class _Kept(NamedTuple):
+    """The slot's entry (module docstring): a set-up and what it was made
+    from. The phase object is held, so that its identity is not reused.
+    probe holds points xs and ys and Phi(xs, ys) taken when the set-up was
+    made; a cheb key-only marker has neither set-up nor probe."""
 
-    engine: IdEngine
-    positions: np.ndarray
-    probe: PhaseProbe  # Phi at the first and last row sample against the first and last source
-
-    def serves(self, phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, positions) -> bool:
-        """Whether the set-up is the one these inputs would build. The
-        positions are compared byte for byte: 0.0 and -0.0 compare equal as
-        numbers, but the phase can tell them apart."""
-        e = self.engine
-        return (
-            e.phase is phase
-            and (e.d, e.N, e.tol, e.rows_per_dim) == (d, N, tol, rows_per_dim)
-            and positions.shape == self.positions.shape
-            and positions.tobytes() == self.positions.tobytes()
-            and self.probe.holds(phase)
-        )
+    phase: PhaseEvaluator
+    key: tuple
+    setup: object = None
+    probe: tuple = ()
 
 
-_kept_id: Optional[_KeptIdSetup] = None  # the last id set-up make_engine built
+_kept: Optional[_Kept] = None  # the one set-up kept per process
 
 
-def _id_engine(phase: PhaseEvaluator, d: int, N: int, tol: float, rows_per_dim: int, sources: SourceSet) -> IdEngine:
-    """An id engine on the kept set-up if it serves these inputs, else on a
-    new one, which is kept in its place (make_engine)."""
-    global _kept_id
-    kept = _kept_id
-    if kept is not None and kept.serves(phase, d, N, tol, rows_per_dim, sources.positions):
-        return kept.engine._with_strengths(sources.strengths)
-    # no name may hold the old set-up while the new one is built, or both
-    # would be resident at the build's peak
-    del kept
-    _kept_id = None
-    engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
-    rows = cheb.grid_points(rows_per_dim, engine.L, np.array([(0,) * d, (N - 1,) * d]))
-    xs = rows[[0, -1], [0, -1]]
-    # without sources the build never calls the phase; any pairs do
-    ys = engine._positions[[0, -1]] if len(engine._positions) else xs
-    _kept_id = _KeptIdSetup(engine, sources.positions.copy(), PhaseProbe.take(phase, xs, ys))
-    return engine
+def _take(phase: PhaseEvaluator, key: tuple) -> Optional[_Kept]:
+    """The kept entry if it was made from this phase object under this key
+    and the phase still gives its probe's values, evaluated in one call;
+    otherwise None, and the slot is emptied, so that what the caller builds
+    next is never resident beside it."""
+    global _kept
+    kept = _kept
+    if kept is not None and kept.phase is phase and kept.key == key:
+        if not kept.probe or np.array_equal(phase(*kept.probe[:2]), kept.probe[2]):
+            return kept
+    _kept = None
+    return None
+
+
+def _keep(phase: PhaseEvaluator, key: tuple, setup=None, xs=None, ys=None) -> None:
+    """Fill the slot with a set-up made from phase under key, taking its
+    probe, Phi at points xs and ys, now; without a set-up, with a key-only
+    marker."""
+    global _kept
+    _kept = _Kept(phase, key, setup, () if setup is None else (xs, ys, phase(xs, ys)))
 
 
 def butterfly_apply(

@@ -66,26 +66,6 @@ class PhaseEvaluator:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseProbe:
-    """Phi at a few fixed point pairs, taken when something is made from a
-    phase that is kept for reuse, and evaluated again in one call before it
-    is reused: a phase whose function has changed since gives other values
-    there (chebyshev.SolveFactors, engine.make_engine's id set-up)."""
-
-    xs: np.ndarray  # (m, d)
-    ys: np.ndarray  # (m, d)
-    values: np.ndarray  # (m,)
-
-    @classmethod
-    def take(cls, phase: PhaseEvaluator, xs: np.ndarray, ys: np.ndarray) -> "PhaseProbe":
-        return cls(xs, ys, phase(xs, ys))
-
-    def holds(self, phase: PhaseEvaluator) -> bool:
-        """Whether phase still gives the values the probe took."""
-        return np.array_equal(phase(self.xs, self.ys), self.values)
-
-
 def _dot(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """x . y over the last axis, summed in component order."""
     out = xs[..., 0] * ys[..., 0]

@@ -932,16 +932,8 @@ def test_child_sum_block_rows_are_bit_stable(d, L):
 
 
 # ---------------------------------------------------------------------------
-# the one kept solve of exp(+-i*Phi) factors (chebyshev.SolveFactors)
+# the one kept solve of exp(+-i*Phi) factors (engine._kept, cheb entries)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def no_factors(monkeypatch):
-    """Nothing kept and no last key for the test, the process's own put
-    back after."""
-    monkeypatch.setattr(cheb, "_kept", None)
-    monkeypatch.setattr(cheb, "_last_key", ((), None))
 
 
 def counted(phase):
@@ -956,9 +948,23 @@ def counted(phase):
     return PhaseEvaluator(phase.name, phase.dim, fn), pairs
 
 
+def kept_phase():
+    """The phase of the set-up the slot holds, or None if it holds none (it
+    is empty or holds a key-only marker)."""
+    kept = bfly.engine._kept
+    return kept.phase if kept is not None and kept.setup is not None else None
+
+
 def kept_for(phase):
     """The kept solve's factors of each stage if they are phase's, else ()."""
-    return cheb._kept.stages if cheb._kept is not None and cheb._kept.phase is phase else ()
+    return bfly.engine._kept.setup if kept_phase() is phase else ()
+
+
+def marked(phase, N, d=2, q=4):
+    """Whether the slot holds the key-only marker of a cheb solve of phase."""
+    kept = bfly.engine._kept
+    key = ("cheb", d, N.bit_length() - 1, q)
+    return kept is not None and kept.setup is None and kept.phase is phase and kept.key == key
 
 
 def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
@@ -972,13 +978,14 @@ def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
 
 
 @pytest.mark.parametrize("p", [None, 1, 4])
-def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
+def test_warm_cold_and_uncached_solves_agree(p, no_kept, monkeypatch):
     phase, pairs = counted(get_phase("hyp-radon"))
     cold = solve_bits(phase, p=p)
     # the init's call at the sources, its demodulation's on the parent
     # grids, then one call per grid: two column stages, 1 + 2^d grids each
     sources, demod, *grids = list(pairs)
-    assert len(grids) == 2 * 5 and cheb._kept is None  # a first solve keeps nothing
+    # a first solve keeps nothing but its key
+    assert len(grids) == 2 * 5 and kept_phase() is None and marked(phase, 8)
     del pairs[:]
     storing = solve_bits(phase, p=p)
     # the second keeps the init's and every stage's factors, and evaluates
@@ -996,8 +1003,23 @@ def test_warm_cold_and_uncached_solves_agree(p, no_factors, monkeypatch):
         assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
 
 
+def test_make_engine_leaves_the_cheb_slot_alone(no_kept):
+    # a cheb set-up neither calls the phase nor touches the slot: only the
+    # traversal takes the kept factors, so a hit's two calls are its own
+    phase, pairs = counted(get_phase("hyp-radon"))
+    for _ in range(2):
+        solve_bits(phase)
+    kept = bfly.engine._kept
+    rng = np.random.default_rng(5)
+    s = SourceSet(rng.uniform(size=(300, 2)), rng.normal(size=300) + 1j * rng.normal(size=300))
+    del pairs[:]
+    for other in (phase, get_phase("fourier")):
+        bfly.engine.make_engine(other, 2, 8, s, q=4)
+    assert pairs == [] and bfly.engine._kept is kept
+
+
 @pytest.mark.parametrize("budget", [6144, 7168, 9216, 1 << 20])
-def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
+def test_cache_stays_within_its_budget(budget, no_kept, monkeypatch):
     # d = 1, q = 3: the init's demodulation has N pairs x 3 nodes, 768
     # bytes at N = 16 and 384 at N = 8; a column stage has factors on 3
     # grids x N pairs x 3 nodes, 2304 and 1152 bytes. N = 16 makes three
@@ -1006,26 +1028,27 @@ def test_cache_stays_within_its_budget(budget, no_factors, monkeypatch):
     monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
     phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
     refs = [solve_bits(phase, N=n, d=1, q=3, seed=0)[0] for n in (16, 8)]
-    assert cheb._kept is None
+    assert kept_phase() is None
     for _ in range(2):
         for n, ref, nbytes in zip((16, 8), refs, (7680, 2688)):
-            before = cheb._kept
-            for _ in range(2):  # kept from the second solve in a row on
+            for i in range(2):  # kept from the second solve in a row on
                 assert np.array_equal(solve_bits(phase, N=n, d=1, q=3, seed=0)[0], ref)
+                if i == 0:  # a miss releases the other N's solve
+                    assert kept_phase() is None and marked(phase, n, d=1, q=3)
             if nbytes <= budget:
-                assert cheb._kept.key[2] == n.bit_length() - 1
+                assert bfly.engine._kept.key == ("cheb", 1, n.bit_length() - 1, 3)
                 assert sum(f.nbytes for stage in kept_for(phase) for f in stage) == nbytes
-            else:
-                assert cheb._kept is before  # nothing of a solve past the budget
-    # one solve at most: the last that fits
-    assert cheb._kept.key[2] == 3 and sum(f.nbytes for stage in kept_for(phase) for f in stage) <= budget
+            else:  # nothing of a solve past the budget, its marker left
+                assert kept_phase() is None and marked(phase, n, d=1, q=3)
+    # one solve at most: the last, which fits every budget
+    assert bfly.engine._kept.key[2] == 3 and sum(f.nbytes for stage in kept_for(phase) for f in stage) == 2688
 
 
-def test_alternating_solves_keep_one_and_give_cold_bits(no_factors):
-    resident = []  # whether a solve was kept at each phase call
+def test_alternating_solves_keep_one_and_give_cold_bits(no_kept):
+    resident = []  # whether a set-up was kept at each phase call
 
     def half(xs, ys):
-        resident.append(cheb._kept is not None)
+        resident.append(kept_phase() is not None)
         return 0.5 * get_phase("hyp-radon").fn(xs, ys)
 
     a, a_pairs = counted(get_phase("hyp-radon"))
@@ -1033,45 +1056,48 @@ def test_alternating_solves_keep_one_and_give_cold_bits(no_factors):
     cold = {a: solve_bits(a), b: solve_bits(b)}
     full = len(a_pairs)  # a cold solve's calls
     # (solve, the phase of the kept solve after it): a solve is kept from
-    # the second in a row with its phase on, and replaces the kept one
-    for phase, kept in ((a, None), (b, None), (a, None), (a, a), (b, a), (b, b), (a, b), (b, b), (a, b)):
-        before = cheb._kept and cheb._kept.phase
+    # the second in a row with its phase on, and any other solve releases
+    # the kept one
+    for phase, kept in ((a, None), (b, None), (a, None), (a, a), (b, None), (b, b), (a, None), (b, None), (a, None)):
+        before = kept_phase()
         del a_pairs[:], b_pairs[:], resident[:]
         got = solve_bits(phase)
         assert np.array_equal(got[0], cold[phase][0]) and got[1] == cold[phase][1]
-        assert (cheb._kept and cheb._kept.phase) is kept
-        if phase is b and kept is b and before is a:
-            assert not any(resident)  # a's factors go before b's are made
+        assert kept_phase() is kept
+        if phase is b:
+            # a hit runs on its kept factors; any other solve releases what
+            # was kept before its first phase call, a's too
+            assert all(resident) if before is b else not any(resident)
         # a hit is the probe and the sources; a miss makes every factor and,
         # if it keeps them, evaluates their probe
         calls = a_pairs if phase is a else b_pairs
         assert len(calls) == (2 if before is phase else full + (kept is phase))
 
 
-def test_solves_without_sources_keep_nothing_and_take_kept_stages(no_factors):
+def test_solves_without_sources_keep_nothing_and_take_kept_stages(no_kept):
     # an init without sources takes no factors, so its solve keeps none;
     # with a solve kept, it takes the kept column stages and gives zeros
     phase = get_phase("hyp-radon")
     empty = SourceSet(np.zeros((0, 2)), np.zeros(0))
     for _ in range(2):
-        assert not np.any(butterfly_apply(empty, phase, 8, q=4).values) and cheb._kept is None
+        assert not np.any(butterfly_apply(empty, phase, 8, q=4).values) and kept_phase() is None
     cold = solve_bits(phase)
     assert kept_for(phase)  # the previous solve had the same key
     assert not np.any(butterfly_apply(empty, phase, 8, q=4).values)
     assert np.array_equal(solve_bits(phase)[0], cold[0])
 
 
-def test_a_new_evaluator_is_not_taken_for_a_freed_one(no_factors):
+def test_a_new_evaluator_is_not_taken_for_a_freed_one(no_kept):
     # a new evaluator may get the identity of one freed before; solved
     # once each, none of them is kept
     for _ in range(10):
         phase = PhaseEvaluator("fresh", None, lambda x, y: 8.0 * get_phase("fourier").fn(x, y))
         solve_bits(phase)
-        assert cheb._kept is None
+        assert kept_phase() is None
         del phase
 
 
-def test_cached_factors_are_read_only(no_factors):
+def test_cached_factors_are_read_only(no_kept):
     phase = get_phase("fourier")
     for _ in range(2):
         solve_bits(phase, N=8, d=1)
@@ -1096,7 +1122,7 @@ class Failing:
         return out * np.nan if self.fail_at is not None and self.calls >= self.fail_at else out
 
 
-def test_nan_phase_raises_every_time_and_stores_nothing(no_factors):
+def test_nan_phase_raises_every_time_and_stores_nothing(no_kept):
     fn = Failing()
     phase = PhaseEvaluator("failing", None, fn)
     cold = solve_bits(phase, N=8, d=1)[0]
@@ -1105,7 +1131,7 @@ def test_nan_phase_raises_every_time_and_stores_nothing(no_factors):
         fn.calls, fn.fail_at = 0, last
         with pytest.raises(ValueError, match="NaN or inf"):
             solve_bits(phase, N=8, d=1)
-        assert cheb._kept is None
+        assert kept_phase() is None
     fn.fail_at = None
     for _ in range(2):  # kept from the first solve that finishes, then a hit
         assert np.array_equal(solve_bits(phase, N=8, d=1)[0], cold) and kept_for(phase)
@@ -1124,19 +1150,19 @@ class Unhashable:
         return self.scale * get_phase("fourier").fn(xs, ys)
 
 
-def test_phases_of_one_name_do_not_share_factors(no_factors):
+def test_phases_of_one_name_do_not_share_factors(no_kept):
     one = PhaseEvaluator("same", None, Unhashable(1.0))
     two = PhaseEvaluator("same", None, Unhashable(2.0))
     first = [solve_bits(one, N=8, d=1)[0] for _ in range(3)][-1]
     assert kept_for(one)
     second = [solve_bits(two, N=8, d=1)[0] for _ in range(3)]
     assert kept_for(two) and not kept_for(one)
-    cheb._kept = None
+    bfly.engine._kept = None
     assert all(np.array_equal(solve_bits(two, N=8, d=1)[0], got) for got in second)
     assert not np.allclose(first, second[0])
 
 
-def test_a_changed_phase_function_is_evaluated_again(no_factors):
+def test_a_changed_phase_function_is_evaluated_again(no_kept):
     fn = Unhashable(1.0)
     phase = PhaseEvaluator("mutable", None, fn)
     for _ in range(2):
@@ -1144,11 +1170,15 @@ def test_a_changed_phase_function_is_evaluated_again(no_factors):
     stale = kept_for(phase)
     assert len(stale) == 3  # the init's stage and two column stages
     fn.scale = 2.0
+    # the probe's miss releases the stale factors, and the next solve in a
+    # row keeps new ones
     got = solve_bits(phase, N=8, d=1)[0]
+    assert kept_for(phase) == () and marked(phase, 8, d=1)
+    assert np.array_equal(solve_bits(phase, N=8, d=1)[0], got)
     fresh = kept_for(phase)
     assert len(fresh) == 3
     assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
-    cheb._kept = None
+    bfly.engine._kept = None
     assert np.array_equal(got, solve_bits(PhaseEvaluator("cold", None, Unhashable(2.0)), N=8, d=1)[0])
 
 

@@ -28,7 +28,7 @@ from bfly.engine import (
 from bfly.chebyshev import grid_points
 from bfly.costs import CostLedger, CostParams
 from bfly.geometry import DyadicKey, block_coords, leaf_coords, leaf_order, leaf_runs
-from bfly.parallel import simulate_parallel
+from bfly.parallel import modeled_time, simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 from test_lowrank import economic_id
 
@@ -434,6 +434,45 @@ def test_make_engine_names_a_bad_argument(kwargs, name):
         make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["N", "p"])
+@pytest.mark.parametrize("value", [np.int64(8), np.int32(8), 8.0, True, "8", 6], ids=repr)
+def test_N_and_p_take_any_integer_and_name_anything_else(name, value):
+    # np.int64 used to raise AttributeError (no bit_length), also in
+    # modeled_time, 8.0 a TypeError from &, True as N a TypeError from
+    # range, and True as p ran as p = 1
+    s = random_sources(np.random.default_rng(11), 40, d=2)
+    phase = get_phase("fourier")
+    args = {"N": 8, "p": 8, name: value}
+
+    def solve(N, p):
+        res = simulate_parallel(s, phase, N, p=p, q=4)
+        return res.field.values, res.ledgers, res.owners, res.schedule
+
+    def model(N, p):
+        return modeled_time(16, N, 2, p, 1e-6, 1e-9, 1e-10)
+
+    if isinstance(value, np.integer):
+        got, want = solve(**args), solve(8, 8)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got[2], want[2]) and got[3] == want[3]
+        assert model(**args) == model(8, 8)
+        if name == "N":
+            f = butterfly_apply(s, phase, value, q=4)
+            assert np.array_equal(f.values, butterfly_apply(s, phase, 8, q=4).values)
+            assert type(f.N) is int and type(make_engine(phase, 2, value, s).N) is int
+    else:
+        with pytest.raises(ValueError, match=f"^{name}="):
+            solve(**args)
+        if type(value) is not int:  # modeled_time checks no power of two
+            with pytest.raises(ValueError, match=f"^{name}="):
+                model(**args)
+        if name == "N":
+            with pytest.raises(ValueError, match="^N="):
+                butterfly_apply(s, phase, value)
+            with pytest.raises(ValueError, match="^N="):
+                make_engine(phase, 2, value, s)
+
+
 def test_2d_accuracy_modest_grid():
     rng = np.random.default_rng(137)
     phase = get_phase("hyp-radon")
@@ -447,13 +486,6 @@ def test_2d_accuracy_modest_grid():
 # ---------------------------------------------------------------------------
 # The id precompute against the per-pair sampled one
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def no_kept_id(monkeypatch):
-    """No id set-up kept for the test (make_engine), the process's own put
-    back after."""
-    monkeypatch.setattr(bfly.engine, "_kept_id", None)
 
 
 def per_pair_precompute(eng):
@@ -575,7 +607,7 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 @pytest.mark.parametrize("N,tasks", [(1, 1), (2, 1), (16, 8)])
-def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch, no_kept_id):
+def test_id_precompute_pool_has_a_worker_per_usable_core(N, tasks, monkeypatch, no_kept):
     # at most one per task of a stage: every stage has one per family,
     # (N/2)^d of them, and N = 1 its one leaf
     sizes = []
@@ -652,17 +684,25 @@ def counted_precompute(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1, 16])
-def test_a_kept_id_setup_gives_the_bits_of_a_cold_build(p, monkeypatch, no_kept_id):
+def test_a_kept_id_setup_gives_the_bits_of_a_cold_build(p, monkeypatch, no_kept):
     calls = counted_precompute(monkeypatch)
-    phase = get_phase("hyp-radon")
+    phase_calls = []
+
+    def fn(xs, ys):
+        phase_calls.append(None)
+        return get_phase("hyp-radon").fn(xs, ys)
+
+    phase = PhaseEvaluator("hyp-radon", 2, fn)
     rng = np.random.default_rng(71)
     first = random_sources(rng, 300, d=2)
     again = SourceSet(first.positions.copy(), rng.normal(size=300) + 1j * rng.normal(size=300))
     before = simulate_parallel(first, phase, 8, p=p, backend="id")
+    del phase_calls[:]
     hit = simulate_parallel(again, phase, 8, p=p, backend="id")
     assert len(calls) == 1  # the second solve took the first one's set-up
+    assert len(phase_calls) == 1  # its probe
     assert not np.array_equal(hit.field.values, before.field.values)  # on its own strengths
-    bfly.engine._kept_id = None
+    bfly.engine._kept = None
     cold = simulate_parallel(again, phase, 8, p=p, backend="id")
     assert len(calls) == 2
     for attr in ("values", "skeleton", "ranks"):
@@ -723,7 +763,7 @@ MISSES = {
 
 
 @pytest.mark.parametrize("change", sorted(MISSES))
-def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept_id):
+def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept):
     calls = counted_precompute(monkeypatch)
     rng = np.random.default_rng(73)
     positions = rng.uniform(size=(64, 1))
@@ -745,7 +785,7 @@ def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept
     assert len(calls) == 1 and hit is not first and hit._maps is first._maps
     MISSES[change](inputs)
     eng, sources = engine()
-    assert len(calls) == 2 and bfly.engine._kept_id.engine is eng
+    assert len(calls) == 2 and bfly.engine._kept.setup is eng
     kw = {k: inputs[k] for k in ("phase", "N", "tol", "rows_per_dim")}
     cold = IdEngine(d=1, sources=sources, **kw)
     for attr in ("_interp", "_final_ranks", "_final_skeleton", "_strengths"):
@@ -754,20 +794,20 @@ def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept
         assert all(np.array_equal(a, b) for a, b in zip(getattr(eng, attr), getattr(cold, attr), strict=True)), attr
 
 
-def test_a_failing_id_build_keeps_nothing(no_kept_id):
+def test_a_failing_id_build_keeps_nothing(no_kept):
     rng = np.random.default_rng(61)
     make_engine(get_phase("fourier"), 1, 16, random_sources(rng, 96), backend="id")
-    assert bfly.engine._kept_id is not None
+    assert bfly.engine._kept is not None
     pos = np.append(0.1, rng.uniform(0.25, 1.0, size=95))
     s = SourceSet(pos[:, None], rng.normal(size=96) + 1j * rng.normal(size=96))
     with pytest.raises(ValueError, match="^phase 'late-nan' returned a NaN or inf on points"):
         make_engine(_nan_in_stage_1(0.0), 1, 16, s, backend="id")
-    assert bfly.engine._kept_id is None
+    assert bfly.engine._kept is None
 
 
-def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept_id):
+def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept):
     field = butterfly_apply(random_sources(np.random.default_rng(79), 200, d=2), get_phase("fourier"), 8, backend="id")
-    eng = bfly.engine._kept_id.engine
+    eng = bfly.engine._kept.setup
     assert field.skeleton is eng._final_skeleton and field.ranks is eng._final_ranks
     for a in [eng._interp, *eng._ranks, *eng._maps, eng._final_ranks, eng._final_skeleton]:
         assert not a.flags.writeable
@@ -775,7 +815,7 @@ def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept_id):
             a[...] = 0
 
 
-def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_kept_id):
+def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_kept):
     # one build of d = 2, N = 8 and 256 sources on an empty slot, then the
     # same build right after another: a set-up holds about 7 MB as traced
     # (tracemalloc counts its maps' untouched room too), so one still held
@@ -790,12 +830,12 @@ def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_k
         make_engine(phase, 2, 8, random_sources(np.random.default_rng(seed), 256, d=2), backend="id")
 
     build(80)  # scipy and the library's caches are loaded before the trace
-    bfly.engine._kept_id = None
+    bfly.engine._kept = None
     tracemalloc.start()
     try:
         build(82)
         _, alone = tracemalloc.get_traced_memory()
-        bfly.engine._kept_id = None
+        bfly.engine._kept = None
         build(81)
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -805,3 +845,102 @@ def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_k
         tracemalloc.stop()
     assert held > 4 * slack
     assert after <= alone + slack
+
+
+def cold_solve(sources, phase, backend):
+    """A solve on an empty slot; the field's arrays and the ledgers."""
+    bfly.engine._kept = None
+    return solved(simulate_parallel(sources, phase, 8, q=4, backend=backend))
+
+
+def solved(res):
+    f = res.field
+    return (f.values, f.skeleton, f.ranks), (f.ledger, res.ledgers)
+
+
+def same_bits(got, want):
+    arrays, ledgers = got
+    return ledgers == want[1] and all(
+        (a is None and b is None) or np.array_equal(a, b) for a, b in zip(arrays, want[0], strict=True)
+    )
+
+
+def test_one_slot_serves_both_backends(monkeypatch, no_kept):
+    # an id build, then two cheb solves and an id solve on the first
+    # sources: the first cheb solve releases the id set-up and leaves its
+    # key, the second keeps its factors, and the id solve builds again
+    monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: 1)
+    calls = counted_precompute(monkeypatch)
+    phase = get_phase("fourier")
+    rng = np.random.default_rng(83)
+    first, other = random_sources(rng, 256, d=2), random_sources(rng, 256, d=2)
+    runs = [(first, "id"), (other, "cheb"), (other, "cheb"), (first, "id")]
+    want = [cold_solve(s, phase, backend) for s, backend in runs]
+    bfly.engine._kept = None
+    del calls[:]
+    got = []
+    for s, backend in runs:
+        got.append(solved(simulate_parallel(s, phase, 8, q=4, backend=backend)))
+        assert bfly.engine._kept.key[0] == backend
+    assert bfly.engine._kept.setup is not None and len(calls) == 2
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    # a cheb solve right after an id build frees the id set-up before it
+    # makes anything: from its first phase call on, the traced memory
+    # stays below what the set-up alone held
+    bfly.engine._kept = None
+    first_call = []
+
+    def fn(xs, ys):
+        if not first_call:
+            first_call.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return get_phase("fourier").fn(xs, ys)
+
+    watched = PhaseEvaluator("fourier", None, fn)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        make_engine(phase, 2, 8, first, backend="id")
+        setup = tracemalloc.get_traced_memory()[0] - base
+        simulate_parallel(other, watched, 8, q=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert setup > 4 << 20
+    assert first_call[0] - base < setup / 4 and peak - base < setup
+
+
+def test_threads_solving_both_backends_get_the_serial_bits(no_kept):
+    # four threads each alternate cheb and id solves on two problems, with
+    # the interpreter switching threads as often as it can: each reads and
+    # fills the one slot, which no lock guards
+    rng = np.random.default_rng(89)
+    problems = [(random_sources(rng, 128, d=2), get_phase("fourier")), (random_sources(rng, 128, d=2), get_phase("hyp-radon"))]
+    jobs = [(i, backend) for i in range(2) for backend in ("cheb", "id")]
+    want = {job: cold_solve(*problems[job[0]], job[1]) for job in jobs}
+    bfly.engine._kept = None
+    results, errors = [], []
+
+    def run(t):
+        try:
+            for k in range(6):
+                job = (((t + k) // 2) % 2, ("cheb", "id")[(t + k) % 2])
+                s, phase = problems[job[0]]
+                results.append((job, solved(simulate_parallel(s, phase, 8, q=4, backend=job[1]))))
+        except Exception as err:  # noqa: BLE001 - reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(results) == 24
+    assert {job for job, _ in results} == set(jobs)
+    assert all(same_bits(got, want[job]) for job, got in results)
