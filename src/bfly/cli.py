@@ -351,15 +351,13 @@ def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
         if not math.isfinite(error):
             raise UsageError(f"the relative error is {error}, not a finite number: the sums overflow")
 
-    total_flops = sum(r["flops"] for r in rows)
-    total_msgs = sum(r["messages"] for r in rows)
-    total_entries = sum(r["entries_sent"] for r in rows)
+    total = field.ledger  # every rank's costs summed (parallel.RankCosts.total)
     modeled = max(r["modeled_seconds"] for r in rows)
     code = 0 if error <= cfg.threshold else 1
     if cfg.format == "csv":
         text = _csv_text(
             ["error", "flops", "messages", "entries_sent", "modeled_seconds"],
-            [[error, total_flops, total_msgs, total_entries, modeled]],
+            [[error, total.flops, total.messages, total.entries_sent, modeled]],
         )
     else:
         doc = {

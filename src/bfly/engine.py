@@ -98,7 +98,7 @@ from .geometry import (
     sum_children,
     to_children,
 )
-from .lowrank import build_id, build_translation_id
+from .lowrank import build_id
 from .phases import PhaseEvaluator, _expi, kernel_matrix
 
 
@@ -152,12 +152,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
-
-
-def _sampled(block: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """A kernel sampler for build_translation_id that hands over a block
-    already sampled at xs and ys."""
-    return block
 
 
 def _each(pool, fn, tasks) -> None:
@@ -274,12 +268,13 @@ class IdEngine:
 
     Row samples are a tensor Chebyshev grid of rows_per_dim points per
     dimension in every leaf target box, and a pair's row set is all such
-    samples inside its target box, with no proxy rows. Each factorization
-    needs only R and the pivots of a column-pivoted QR (lowrank.build_id), so
-    no Q is formed and every block is factored in place, except a leaf's:
-    stage 0 gathers its blocks from the leaves' sampled skeleton columns
-    instead of evaluating the phase again, and stages >= 1 sample theirs,
-    one kernel_matrix call per sibling family (_precompute).
+    samples inside its target box, with no proxy rows. Every factorization,
+    a leaf's or a pair's recompression of stacked child skeletons, is one
+    lowrank.build_id call, which forms no Q, on a block the precompute
+    sampled, factored in place except a leaf's: stage 0 gathers its blocks
+    from the leaves' sampled skeleton columns instead of evaluating the
+    phase again, and stages >= 1 sample theirs, one kernel_matrix call per
+    sibling family (_precompute).
     """
 
     name = "id"
@@ -316,11 +311,6 @@ class IdEngine:
         engine._strengths = strengths[self._order]
         return engine
 
-    def _sampler(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """New Fortran-ordered kernel blocks, (len(xs), len(ys)) or one per
-        row set of a stack xs, which build_id factors in place."""
-        return kernel_matrix(self.phase, xs, ys, order="F")
-
     def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
         """Skeleton points of the pairs of a level, pairs + (width, d), every
         slot holding the center of the pair's target box until filled."""
@@ -339,12 +329,13 @@ class IdEngine:
         return np.zeros(shape, dtype=int), self._padded_skeleton(level + 1, room), maps
 
     @staticmethod
-    def _store(arrays: tuple, pair: tuple, dec, points: np.ndarray, child_ranks: list) -> None:
-        """Write one pair's rank, skeleton points and interpolation matrix,
-        whose columns are the stacked child weights, into a stage's arrays."""
+    def _store(arrays: tuple, pair: tuple, dec, stacked: np.ndarray, child_ranks: list) -> None:
+        """Write one pair's rank, skeleton points (stacked[dec.column_indices])
+        and interpolation matrix, whose columns are the stacked child
+        weights, into a stage's arrays."""
         ranks, skeleton, maps = arrays
         ranks[pair] = dec.rank
-        skeleton[pair][: dec.rank] = points
+        skeleton[pair][: dec.rank] = stacked[dec.column_indices]
         rows = maps[(slice(0, dec.rank),) + pair]
         lo = 0
         for n, r in enumerate(child_ranks):
@@ -369,7 +360,9 @@ class IdEngine:
         B_p of the output level, whose 2^d output pairs (A_c, B_p) are
         sampled in one kernel call and factored one by one. Every entry is
         the same phase and exp(i*Phi) of the same two points as in a per-pair
-        sample, so the bits are those of sampling each pair on its own. A
+        sample, so the bits are those of sampling each pair on its own. Every
+        pair of either kind of stage is one build_id call on its block and a
+        _store; a family whose children all have rank 0 factors nothing. A
         task writes only its own slices of the ranks, skeleton,
         interpolation and map arrays, with the arithmetic of a serial loop,
         so the bits do not depend on the worker count, and a stage's first
@@ -396,7 +389,7 @@ class IdEngine:
             columns, Fortran-ordered (rows, n), or None if it is empty."""
             runs = [(first[b], count[b]) for b in leaves]
             pos = np.concatenate([self._positions[i : i + n] for i, n in runs])
-            M = self._sampler(all_rows, pos) if len(pos) else None
+            M = kernel_matrix(self.phase, all_rows, pos, order="F") if len(pos) else None
             los = np.cumsum([0] + [n for _, n in runs])
             return [M[:, lo : lo + n] if n else None for lo, (_, n) in zip(los, runs)]
 
@@ -451,7 +444,7 @@ class IdEngine:
                             np.take(M[in_ac], cols, axis=0, out=block[lo : lo + r], mode="clip")
                         lo += r
                     dec = build_id(block.reshape(stacked, -1).T, self.tol, overwrite=True)
-                    self._store(out, ac + bp, dec, points[dec.column_indices], child_ranks)
+                    self._store(out, ac + bp, dec, points, child_ranks)
 
             _each(pool, merge_leaves, np.ndindex(*(n_b,) * d))
         width = int(np.max(ranks))
@@ -479,17 +472,19 @@ class IdEngine:
                 bp, a = family
                 ins = [a + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
                 child_ranks = [ranks[p] for p in ins]
-                points = [skeleton[p][:r] for p, r in zip(ins, child_ranks)]
+                if not sum(child_ranks):
+                    return  # every output pair of the family keeps rank 0
+                points = np.concatenate([skeleton[p][:r] for p, r in zip(ins, child_ranks)])
                 acs = [tuple(2 * c + o for c, o in zip(a, kid)) for kid in kids]
                 targets = np.stack(
                     [rows[tuple(slice(c << shift, (c + 1) << shift) for c in ac)].reshape(-1, d) for ac in acs]
                 )
                 # (2^d, rows of A_c, stacked), each child's block Fortran-
                 # ordered in its own memory, so factored in place
-                blocks = self._sampler(targets, np.concatenate(points)) if sum(child_ranks) else [None] * len(acs)
-                for ac, xs, block in zip(acs, targets, blocks):
-                    dec = build_translation_id(points, xs, partial(_sampled, block), self.tol)
-                    self._store(out, ac + bp, dec, dec.points, child_ranks)
+                blocks = kernel_matrix(self.phase, targets, points, order="F")
+                for ac, block in zip(acs, blocks):
+                    dec = build_id(block, self.tol, overwrite=True)
+                    self._store(out, ac + bp, dec, points, child_ranks)
 
             # _each returns once every task is done, so these read and fill
             # this stage's arrays before the names move on to the next
@@ -669,8 +664,9 @@ def make_engine(
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
     if sources.dim != d:
         raise ValueError(f"sources have dimension {sources.dim}, the engine has dimension {d}")
+    q, rows_per_dim = _integer("q", q), _integer("rows_per_dim", rows_per_dim)
     for name, value in (("q", q), ("rows_per_dim", rows_per_dim)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        if value < 1:
             raise ValueError(f"{name}={value!r} is not an integer >= 1")
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # NaN fails the comparison too
         raise ValueError(f"tol={tol!r} is not a number in (0, 1)")

@@ -1,4 +1,4 @@
-"""Interpolative decompositions and skeleton-merging translation operators.
+"""Interpolative decompositions of kernel blocks.
 
 An interpolative decomposition (ID) of a matrix M picks r actual columns
 K_hat = M[:, J] and an interpolation matrix Z with M ~= K_hat @ Z, where Z
@@ -15,9 +15,10 @@ into r equivalent point sources at those locations with the guarantee
 
 Merging: when 2^d sibling source boxes combine, the stacked matrix of their
 skeleton columns, restricted to the rows of the smaller target box, is
-recompressed by a fresh ID. The resulting interpolation matrix is the
-translation operator mapping stacked child equivalent sources to the
-parent's, and the new skeleton is again a set of actual source points.
+recompressed by a fresh ID: the caller stacks the child skeleton points,
+samples the block and takes the new skeleton, again actual source points,
+from the stack at the ID's columns. The interpolation matrix maps stacked
+child equivalent sources to the parent's (the translation operator).
 
 Only R and the column pivots of the QR are needed, so Q is never formed:
 LAPACK's zgeqp3 factors a Fortran-ordered block, in place when the caller
@@ -36,7 +37,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class InterpolativeDecomposition:
 
     column_indices: np.ndarray  # (r,) indices into the original columns
     matrix: np.ndarray  # (r, n) with identity at column_indices
-    points: Optional[np.ndarray] = None  # (r, d) skeleton points
 
     @property
     def rank(self) -> int:
@@ -143,29 +142,3 @@ def build_id(M: np.ndarray, tol: float, overwrite: bool = False) -> Interpolativ
     Z[np.arange(r), perm[:r]] = 1.0
     Z[:, perm[r:]] = T
     return InterpolativeDecomposition(perm[:r], Z)
-
-
-KernelSampler = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def build_translation_id(
-    child_points: Sequence[np.ndarray],
-    target_points: np.ndarray,
-    kernel_sampler: KernelSampler,
-    tol: float,
-) -> InterpolativeDecomposition:
-    """Recompress stacked child skeletons against a finer target box's rows.
-
-    child_points are the children's skeleton points (r_n, d), in child
-    order. target_points are all the target samples of the output pair's
-    target box (no proxy rows). The returned matrix maps the concatenation
-    of the child equivalent sources to the parent pair's, whose skeleton
-    points are again child skeleton points. The sampled block is factored
-    in place, so kernel_sampler must return a new array on every call.
-    """
-    stacked = np.concatenate(child_points)
-    if stacked.shape[0] == 0:
-        return InterpolativeDecomposition(np.arange(0), np.zeros((0, 0), dtype=complex), stacked)
-    decomp = build_id(kernel_sampler(target_points, stacked), tol, overwrite=True)
-    decomp.points = stacked[decomp.column_indices]
-    return decomp

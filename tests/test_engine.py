@@ -423,15 +423,29 @@ def test_make_engine_rejects_sources_of_another_dimension():
         (dict(rows_per_dim=2.0), "rows_per_dim"),
         (dict(q=True), "q"),
         (dict(backend="id", rows_per_dim=True), "rows_per_dim"),
+        (dict(q=False), "q"),
+        (dict(backend="id", rows_per_dim=False), "rows_per_dim"),
+        (dict(q=np.int64(0)), "q"),
+        (dict(backend="id", rows_per_dim=np.int64(-2)), "rows_per_dim"),
+        (dict(q=np.int64(4)), None),
+        (dict(backend="id", rows_per_dim=np.int64(3)), None),
     ],
 )
-def test_make_engine_names_a_bad_argument(kwargs, name):
+def test_make_engine_names_a_bad_argument(kwargs, name, no_kept):
     # each used to fail deep inside (q=1.5 or True: a TypeError; id at
     # tol=2.0: a reshape error) or to run silently (tol nan or -1 at full
-    # rank, rows_per_dim=True as 1)
+    # rank, rows_per_dim=True as 1); a numpy integer is taken as the int
     s = random_sources(np.random.default_rng(9), 10)
-    with pytest.raises(ValueError, match=f"^{name}="):
+    if name is None:
+        engine = make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
+        for key, value in kwargs.items():
+            if key != "backend":
+                assert type(getattr(engine, key)) is int and getattr(engine, key) == value
+        return
+    with pytest.raises(ValueError, match=f"^{name}=") as err:
         make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
+    if isinstance(kwargs[name], (int, np.integer)) and not isinstance(kwargs[name], bool):
+        assert str(err.value).endswith("is not an integer >= 1")  # an integer below 1
 
 
 @pytest.mark.parametrize("name", ["N", "p"])
@@ -603,6 +617,45 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
             assert got.shape == ref.shape and np.array_equal(got, ref), (attr, level)
     # the stages multiply with the maps laid out as before
     assert all(m.flags.c_contiguous for m in eng._maps)
+
+
+@pytest.mark.parametrize("d,N,sparse", [(1, 32, False), (1, 16, True), (2, 8, False), (2, 16, True)])
+def test_id_stage_skeletons_are_the_identity_columns_of_the_stacked_children(d, N, sparse, monkeypatch):
+    # every stage's pair recompresses its children's stacked skeleton
+    # points: its own are some of them, and its map carries each of those
+    # stacked weights unchanged into its own slot
+    levels = {}
+    padded = IdEngine._padded_skeleton
+
+    def recorded(self, level, width):
+        levels[level] = padded(self, level, width)  # filled in place by the build
+        return levels[level]
+
+    monkeypatch.setattr(IdEngine, "_padded_skeleton", recorded)
+    rng = np.random.default_rng(83 + d + N)
+    s = sparse_leaf_sources(rng, d, N) if sparse else random_sources(rng, 6 * N**d, d=d)
+    eng = IdEngine(get_phase("fourier"), d, N, 1e-7, 4, s)
+    kids = [tuple((n >> k) & 1 for k in range(d)) for n in range(1 << d)]
+    stored = empty = 0
+    for level, maps in enumerate(eng._maps):
+        ranks, out_ranks = eng._ranks[level], eng._ranks[level + 1]
+        for pair in np.ndindex(*out_ranks.shape):
+            ac, bp = pair[:d], pair[d:]
+            ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
+            stacked = np.concatenate([levels[level][p][: ranks[p]] for p in ins])
+            rank = out_ranks[pair]
+            if not len(stacked):
+                assert rank == 0
+                empty += 1
+                continue
+            Z = np.concatenate([maps[(slice(0, rank),) + pair + (n, slice(0, ranks[p]))] for n, p in enumerate(ins)], 1)
+            # the stacked point each skeleton point is, found by its coordinates
+            same = np.all(levels[level + 1][pair][:rank, None, :] == stacked[None, :, :], axis=2)
+            assert np.all(same.sum(axis=1) == 1), (level, pair)
+            cols = np.argmax(same, axis=1)
+            assert np.array_equal(Z[:, cols], np.eye(rank)), (level, pair)
+            stored += 1
+    assert stored and (empty > 0) == sparse
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")

@@ -1,5 +1,6 @@
-"""Interpolative decompositions (truncated pivoted QR) and skeleton
-translations, verified against dense SVD and direct-multiplication oracles."""
+"""Interpolative decompositions (truncated pivoted QR), alone and as the
+recompression of stacked child skeletons, verified against dense SVD and
+direct-multiplication oracles."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bfly.lowrank import _pivoted_r, _solve_clamped, _truncation_rank, build_id, build_translation_id
+from bfly.lowrank import _pivoted_r, _solve_clamped, _truncation_rank, build_id
 
 
 def random_with_spectrum(rng, m, n, sigmas):
@@ -249,6 +250,14 @@ def _separable_sampler(xs, ys):
     return np.outer(np.exp(xs[:, 0]), 2.0 + np.sin(3.0 * ys[:, 0]))
 
 
+def _translation_id(child_points, targets, sampler, tol):
+    """A merge's recompression as the id precompute makes it, one build_id
+    on the block of the stacked child skeleton points; returns the ID and
+    the stacked points."""
+    stacked = np.concatenate(child_points)
+    return build_id(sampler(targets, stacked), tol), stacked
+
+
 def test_translation_separable_kernel_exact():
     rng = np.random.default_rng(31)
     targets = rng.uniform(0.0, 0.5, size=(9, 1))
@@ -256,16 +265,14 @@ def test_translation_separable_kernel_exact():
     child_ids = []
     gs = []
     for pts in child_pts:
-        M = _separable_sampler(targets, pts)
-        dec = build_id(M, 1e-12)
-        dec.points = pts[dec.column_indices]
-        child_ids.append(dec)
+        dec = build_id(_separable_sampler(targets, pts), 1e-12)
+        child_ids.append((dec, pts[dec.column_indices]))
         gs.append(rng.normal(size=5) + 1j * rng.normal(size=5))
-    op = build_translation_id([c.points for c in child_ids], targets, _separable_sampler, 1e-12)
-    assert op.matrix.shape[1] == sum(c.rank for c in child_ids)
-    stacked = np.concatenate([c.matrix @ g for c, g in zip(child_ids, gs)])
+    op, stacked_pts = _translation_id([p for _, p in child_ids], targets, _separable_sampler, 1e-12)
+    assert op.matrix.shape[1] == sum(c.rank for c, _ in child_ids)
+    stacked = np.concatenate([c.matrix @ g for (c, _), g in zip(child_ids, gs)])
     merged = op.matrix @ stacked
-    f_approx = _separable_sampler(targets, op.points) @ merged
+    f_approx = _separable_sampler(targets, stacked_pts[op.column_indices]) @ merged
     f_exact = sum(
         _separable_sampler(targets, pts) @ g for pts, g in zip(child_pts, gs)
     )
@@ -280,28 +287,24 @@ def test_translation_zero_weights_and_slices():
     def sampler(xs, ys):
         return np.exp(1j * np.outer(xs[:, 0], ys[:, 0]))
 
-    child_ids = []
+    child_points = []
     for lo in (0.0, 0.5):
         pts = rng.uniform(lo, lo + 0.5, size=(4, 1))
         dec = build_id(sampler(targets, pts), 1e-10)
-        dec.points = pts[dec.column_indices]
-        child_ids.append(dec)
-    op = build_translation_id([c.points for c in child_ids], targets, sampler, 1e-10)
-    total = sum(c.rank for c in child_ids)
+        child_points.append(pts[dec.column_indices])
+    op, stacked = _translation_id(child_points, targets, sampler, 1e-10)
     # one column per stacked child skeleton point, the children in order
-    assert op.matrix.shape == (op.rank, total)
-    assert np.allclose(op.matrix @ np.zeros(total), 0.0)
-    # selected points are actual child skeleton points
-    stacked = np.vstack([c.points for c in child_ids])
-    assert np.array_equal(op.points, stacked[op.column_indices])
+    assert op.matrix.shape == (op.rank, len(stacked))
+    assert np.allclose(op.matrix @ np.zeros(len(stacked)), 0.0)
+    assert np.all(op.column_indices < len(stacked))
 
 
 def test_translation_empty_children():
     empty = np.zeros((0, 1))
-    op = build_translation_id([empty, empty], np.zeros((4, 1)), _separable_sampler, 1e-8)
+    op, stacked = _translation_id([empty, empty], np.zeros((4, 1)), _separable_sampler, 1e-8)
+    assert stacked.shape == (0, 1)
     assert op.rank == 0
     assert op.matrix.shape == (0, 0)
-    assert op.points.shape == (0, 1)
 
 
 SCIPY_ON_FIRST_ID_USE = """

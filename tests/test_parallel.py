@@ -30,7 +30,7 @@ from bfly.geometry import (
     stage_schedule,
     to_children,
 )
-from bfly.lowrank import build_id, build_translation_id
+from bfly.lowrank import build_id
 from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
 from bfly.phases import get_phase, kernel_matrix
 
@@ -770,10 +770,11 @@ class PerPairIdEngine(IdEngine):
                     kids = [points[(parent(ac), bn)] for bn in children(bp)]
                     ranges = [range(c << shift, (c + 1) << shift) for c in ac.coords]
                     targets = np.vstack([row_pts[DyadicKey(L, c)] for c in itertools.product(*ranges)])
-                    dec = build_translation_id(kids, targets, sampler, self.tol)
+                    stacked = np.concatenate(kids)
+                    dec = build_id(sampler(targets, stacked), self.tol)
                     bounds = np.cumsum([0] + [len(pts) for pts in kids])
                     ops[ac.coords + bp.coords] = (dec.matrix, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
-                    points[(ac, bp)] = dec.points
+                    points[(ac, bp)] = stacked[dec.column_indices]
             self._ops[level] = ops
             self._widths[level + 1] = max(matrix.shape[0] for matrix, _ in ops.values())
 
