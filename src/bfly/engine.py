@@ -27,12 +27,12 @@ summing each output pair's 2^d children in canonical coordinate order
 return level 1, or with N = 1 the final level 0; `stage` serves levels
 1..L-1. The cheb stage is a handful of whole-level NumPy calls per child;
 the id stage is one batched matrix-vector product per child, each pair with
-its own precomputed map, kept zero-padded in one array per level
-(IdEngine). The cheb init takes the sources in any order and orders them
-itself on every solve, by window of parents and source count, so that the
-leaves of one count are one matrix product (chebyshev.init_source_weights);
-the id engine sorts them by leaf box once, when it is built, so that its
-leaf weights are one segment sum.
+its own precomputed map, kept zero-padded in one array per level laid out
+child by child (IdEngine). The cheb init takes the sources in any order
+and orders them itself on every solve, by window of parents and source
+count, so that the leaves of one count are one matrix product
+(chebyshev.init_source_weights); the id engine sorts them by leaf box once,
+when it is built, so that its leaf weights are one segment sum.
 
 What a solve makes from the phase and never from the strengths, like an
 FFT's twiddles, is kept for the next solve in one slot per process
@@ -96,7 +96,6 @@ from .geometry import (
     offset_index,
     present_children,
     sum_children,
-    to_children,
 )
 from .lowrank import build_id
 from .phases import PhaseEvaluator, _expi, kernel_matrix
@@ -243,6 +242,11 @@ class ChebEngine:
         return PotentialField(self.phase, d, N, values, np.broadcast_to(grid, (N,) * d + grid.shape))
 
 
+def _split(shape: tuple, inner: int) -> tuple:
+    """Each axis n of shape as two, (n // inner, inner)."""
+    return sum(((n // inner, inner) for n in shape), ())
+
+
 class IdEngine:
     """Sampled backend: adaptive-rank skeletons of actual source points.
 
@@ -251,11 +255,12 @@ class IdEngine:
     a worker per usable core and the same bits for any worker count
     (_precompute), into arrays over each level's pairs: _ranks[l], and
     _maps[l], the maps of stage l zero-padded to one array
-    (w_{l+1},) + pairs of level l+1 + (2^d, w_l), w_l the largest rank of
-    level l, whose entry [t, a_c..., b_p..., n, s] carries weight s of
+    (w_{l+1}, 2^d) + pairs of level l+1 + (w_l,), w_l the largest rank of
+    level l, whose entry [t, n, a_c..., b_p..., s] carries weight s of
     (parent(A_c), child n of B_p) into weight t of (A_c, B_p). Rows come
     first so the array can be filled with room for any rank and cut to the
-    level's width without a copy or touching the room.
+    level's width without a copy or touching the room, then the child, so
+    each (row, child) a stage reads is one contiguous run over the pairs.
     A stage is one batched matrix-vector product per present child, the leaf
     initialization a segment sum over the leaf-sorted sources (_interp holds
     each source's column of its leaf's interpolation matrix).
@@ -320,12 +325,12 @@ class IdEngine:
         return np.array(np.broadcast_to(centers.reshape((n,) * d + (1,) * d + (1, d)), shape))
 
     def _stage_arrays(self, level: int, width: int) -> tuple:
-        """Zeroed ranks, padded skeleton and maps of the output pairs of stage
-        `level`, with room for any output rank and child weights of width."""
+        """Zeroed ranks, padded skeleton and maps (room, 2^d) + pairs + (width,)
+        of the output pairs of stage `level`, with room for any output rank."""
         d, shift = self.d, self.L - level - 1
         room = min(self.rows_per_dim**d << (d * shift), (1 << d) * width)
         shape = (2 << level,) * d + (1 << shift,) * d
-        maps = np.zeros((room,) + shape + (1 << d, width), dtype=complex)
+        maps = np.zeros((room, 1 << d) + shape + (width,), dtype=complex)
         return np.zeros(shape, dtype=int), self._padded_skeleton(level + 1, room), maps
 
     @staticmethod
@@ -336,7 +341,7 @@ class IdEngine:
         ranks, skeleton, maps = arrays
         ranks[pair] = dec.rank
         skeleton[pair][: dec.rank] = stacked[dec.column_indices]
-        rows = maps[(slice(0, dec.rank),) + pair]
+        rows = maps[(slice(0, dec.rank), slice(None)) + pair]
         lo = 0
         for n, r in enumerate(child_ranks):
             rows[:, n, :r] = dec.matrix[:, lo : lo + r]
@@ -522,24 +527,26 @@ class IdEngine:
         order of geometry.sum_children, the partial sums of the members of a
         stage moving team_bits rank bits added in ascending member order.
         Each pair's product is its own matrix-vector product, so a block of
-        pairs gets the bits of the same pairs in the whole level."""
+        pairs gets the bits of the same pairs in the whole level. (A, B)'s
+        weights are broadcast, not copied, onto the children A_c of A."""
         d = self.d
-        maps = np.moveaxis(self._maps[level], 0, -3)
+        out_ranks, in_ranks = self._ranks[level + 1], self._ranks[level]
+        maps = self._maps[level]
+        maps = maps.reshape(maps.shape[:2] + _split(maps.shape[2 : 2 + d], 2) + maps.shape[2 + d :])
+        weights = values.reshape(_split(values.shape[:d], 1) + values.shape[d:])
 
         def contribution(offset, index):
-            child = to_children(values[(slice(None),) * d + index], d)
-            return np.matmul(maps[..., offset_index(offset), :], child[..., None])[..., 0]
+            child = weights[(slice(None),) * 2 * d + index][..., None]
+            product = np.matmul(np.moveaxis(maps[:, offset_index(offset)], 0, -2), child)
+            return product.reshape(out_ranks.shape + maps.shape[:1])
 
         kids = present_children((0,) * d, values.shape[d : 2 * d])
         out = sum_children([o for o, _ in kids], (contribution(*kid) for kid in kids), team_bits)
         # each pair (A, B) feeds the children A_c of A at the parent of B:
         # the out rank of (A_c, parent(B)) times (2 * the rank of (A, B) + 1)
-        out_ranks = self._ranks[level + 1]
-        per_a = out_ranks.reshape(sum(((n // 2, 2) for n in out_ranks.shape[:d]), ()) + out_ranks.shape[d:])
-        per_a = per_a.sum(axis=tuple(range(1, 2 * d, 2)))
-        for k in range(d):
-            per_a = np.repeat(per_a, 2, axis=d + k)
-        ledger.add_flops(per_a * (2 * self._ranks[level] + 1))
+        per_out = out_ranks.reshape(_split(out_ranks.shape[:d], 2) + _split(out_ranks.shape[d:], 1))
+        per_in = in_ranks.reshape(_split(in_ranks.shape[:d], 1) + _split(in_ranks.shape[d:], 2))
+        ledger.add_flops((per_out * (2 * per_in + 1)).sum(axis=tuple(range(1, 2 * d, 2))).reshape(in_ranks.shape))
         return out
 
     def make_field(self, values: np.ndarray) -> "PotentialField":

@@ -104,14 +104,6 @@ def parent_block(lo: Tuple[int, ...], shape: Tuple[int, ...]) -> Block:
     return tuple(a // 2 for a in lo), tuple(max(1, n // 2) for n in shape)
 
 
-def to_children(values: np.ndarray, d: int) -> np.ndarray:
-    """An array laid out over a block of boxes (axes 0..d-1) repeated onto
-    the block of their children: each box's entry goes to its 2^d children."""
-    for k in range(d):
-        values = np.repeat(values, 2, axis=k)
-    return values
-
-
 def team_member(offset: Tuple[int, ...], team_bits: int) -> int:
     """The team member holding the child at `offset` of a stage that moves
     `team_bits` rank bits: the top team_bits bits of the child's canonical

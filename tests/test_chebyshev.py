@@ -845,7 +845,7 @@ def test_column_stage_holds_three_arrays_of_its_output():
     # children, one child's modulated rows and the array its per-dimension
     # products alternate with; the re-expansion is demodulated in place:
     # three arrays of the output's size. A copy of the values repeated onto
-    # the target children (geometry.to_children), a fresh array per
+    # the target children (np.repeat), a fresh array per
     # dimension or a demodulated copy would make a fourth.
     d, q, L, level = 2, 6, 5, 2
     rng = np.random.default_rng(131)

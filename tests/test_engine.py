@@ -534,7 +534,7 @@ def per_pair_precompute(eng):
         n_a, n_b = 2 << level, 1 << shift
         out_ranks = np.zeros((n_a,) * d + (n_b,) * d, dtype=int)
         out_skeleton = eng._padded_skeleton(level + 1, room)
-        maps = np.zeros((room,) + out_ranks.shape + (len(kids), width), dtype=complex)
+        maps = np.zeros((room, len(kids)) + out_ranks.shape + (width,), dtype=complex)
         for bp in np.ndindex(*(n_b,) * d):
             for ac in np.ndindex(*(n_a,) * d):
                 ins = [tuple(c // 2 for c in ac) + tuple(2 * b + o for b, o in zip(bp, kid)) for kid in kids]
@@ -548,7 +548,7 @@ def per_pair_precompute(eng):
                 out_ranks[pair] = len(cols)
                 out_skeleton[pair][: len(cols)] = stacked[cols]
                 for n, block in enumerate(np.split(Z, np.cumsum(child_ranks)[:-1], axis=1)):
-                    maps[(slice(0, len(cols)),) + pair + (n, slice(0, block.shape[1]))] = block
+                    maps[(slice(0, len(cols)), n) + pair + (slice(0, block.shape[1]),)] = block
         ranks, width = out_ranks, int(np.max(out_ranks))
         skeleton = out_skeleton[..., :width, :]
         out["_ranks"].append(ranks)
@@ -615,8 +615,13 @@ def test_id_precompute_matches_per_pair_sampling_bits(name, d, N, tol, sparse, w
         assert len(getattr(eng, attr)) == len(want[attr]), attr
         for level, (got, ref) in enumerate(zip(getattr(eng, attr), want[attr])):
             assert got.shape == ref.shape and np.array_equal(got, ref), (attr, level)
-    # the stages multiply with the maps laid out as before
+    # the stages multiply with the maps as the precompute laid them out:
+    # rows, then children, then pairs, then the child weights, cut without
+    # a copy
     assert all(m.flags.c_contiguous for m in eng._maps)
+    for level, maps in enumerate(eng._maps):
+        width_in, width_out = (int(np.max(r, initial=0)) for r in eng._ranks[level : level + 2])
+        assert maps.shape == (width_out, 2**d) + eng._ranks[level + 1].shape + (width_in,), level
 
 
 @pytest.mark.parametrize("d,N,sparse", [(1, 32, False), (1, 16, True), (2, 8, False), (2, 16, True)])
@@ -648,7 +653,7 @@ def test_id_stage_skeletons_are_the_identity_columns_of_the_stacked_children(d, 
                 assert rank == 0
                 empty += 1
                 continue
-            Z = np.concatenate([maps[(slice(0, rank),) + pair + (n, slice(0, ranks[p]))] for n, p in enumerate(ins)], 1)
+            Z = np.concatenate([maps[(slice(0, rank), n) + pair + (slice(0, ranks[p]),)] for n, p in enumerate(ins)], 1)
             # the stacked point each skeleton point is, found by its coordinates
             same = np.all(levels[level + 1][pair][:rank, None, :] == stacked[None, :, :], axis=2)
             assert np.all(same.sum(axis=1) == 1), (level, pair)
@@ -866,6 +871,29 @@ def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_id_stage_holds_its_output_and_one_child_contribution():
+    # an id stage adds its children's products into the first one as each
+    # is made, and each child multiplies the input's weights broadcast onto
+    # the target children: the output and one child's product, which has
+    # the output's size. A copy of the weights repeated onto the target
+    # children would add about one more output. The slack holds the flop
+    # charge's integer arrays over the pairs (about 4 KB here)
+    slack = 16 << 10
+    rng = np.random.default_rng(191)
+    eng = IdEngine(get_phase("fourier"), 2, 16, 1e-7, 4, random_sources(rng, 1024, d=2))
+    values = eng.init_blocks(CostLedger(CostParams()))
+    for level in range(1, eng.L):
+        tracemalloc.start()
+        try:
+            out = eng.stage(level, values, CostLedger(CostParams()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes > 3 * slack, level
+        assert peak <= 2 * out.nbytes + slack, (level, peak, out.nbytes)
+        values = out
 
 
 def test_a_new_id_setup_releases_the_kept_one_before_it_builds(monkeypatch, no_kept):

@@ -28,7 +28,6 @@ from bfly.geometry import (
     present_children,
     region_coords,
     stage_schedule,
-    to_children,
 )
 from bfly.lowrank import build_id
 from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
@@ -546,6 +545,14 @@ class PerRankCheb(PerRankStages):
         return LevelBlock(blk.level, blk.a_lo, blk.b_lo, np.multiply(demod, blk.values), blk.lead)
 
 
+def repeat_onto_children(values, d):
+    """An array over a block of boxes (axes 0..d-1) copied onto the block
+    of their children: each box's entry goes to its 2^d children."""
+    for k in range(d):
+        values = np.repeat(values, 2, axis=k)
+    return values
+
+
 class PerRankId(PerRankStages):
     def init_blocks(self, b_lo, b_shape, ledger, moves):
         eng, d = self.eng, self.d
@@ -563,15 +570,15 @@ class PerRankId(PerRankStages):
         eng, d = self.eng, self.d
         (ac_lo, ac_shape), (bp_lo, bp_shape) = blk.next_boxes()
         pairs = block_index(ac_lo + bp_lo, ac_shape + bp_shape)
-        maps = np.moveaxis(eng._maps[level][(slice(None),) + pairs], 0, -3)
+        maps = np.moveaxis(eng._maps[level][(slice(None), slice(None)) + pairs], 0, -2)
         out_ranks = eng._ranks[level + 1][pairs]
         in_ranks = eng._ranks[level][block_index(blk.a_lo + blk.b_lo, blk.values.shape[: 2 * d])]
         out = None
         for offset, index in present_children(blk.b_lo, blk.values.shape[d : 2 * d]):
             child = (slice(None),) * d + index
-            contrib = np.matmul(maps[..., offset_index(offset), :], to_children(blk.values[child], d)[..., None])
+            contrib = np.matmul(maps[offset_index(offset)], repeat_onto_children(blk.values[child], d)[..., None])
             out = contrib[..., 0] if out is None else np.add(out, contrib[..., 0], out=out)
-            ledger.add_flops(np.sum(out_ranks * (2 * to_children(in_ranks[child], d) + 1)))
+            ledger.add_flops(np.sum(out_ranks * (2 * repeat_onto_children(in_ranks[child], d) + 1)))
         return LevelBlock(level + 1, ac_lo, bp_lo, out)
 
 
