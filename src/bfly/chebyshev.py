@@ -48,12 +48,7 @@ centers and its grid nodes, and the init's demodulation on the parent
 grids depend only on the phase, q and the tree, never on the sources: they
 are this transform's twiddles, and the weight operations take them from
 their caller. The demodulation stands outside the sum over the children,
-so it multiplies their sum, once. The engine's traversal over whole levels
-keeps one solve's factors in the process's one kept slot (engine._kept),
-from the second solve in a row with one evaluator, d, N and q on,
-read-only, within _FACTOR_BYTES (32 MiB) and with the same bits. A warm
-solve then calls the phase twice: at its probe and at the sources. cheb-2d
-(d = 2, N = 32, q = 6) keeps 11.81 MiB.
+so it multiplies their sum, once.
 
 The weight operations keep their temporaries small, with the same bits as
 whole-array products. The init's moments of a leaf are one small real
@@ -202,22 +197,6 @@ def grid_points(q: int, level: int, coords: np.ndarray) -> np.ndarray:
     for k in range(d):
         pts[..., k] = ((coords[..., k] * w)[..., None] + offsets)[..., which[k]]
     return pts
-
-
-# The factors exp(+-i*Phi) of a column stage, between its target-box centers
-# and its grids, and the init's demodulation on the parent grids depend only
-# on the phase, q and the tree, never on the sources: they are this
-# transform's twiddles. engine.ChebEngine keeps one whole solve's factors in
-# the process's kept slot, from the second solve in a row with one key on,
-# and only if they fit in _FACTOR_BYTES (_solve_factor_bytes).
-_FACTOR_BYTES = 32 << 20
-
-
-def _solve_factor_bytes(L: int, d: int, r: int) -> int:
-    """Bytes of the factors a whole solve of N = 2^L leaves per dimension
-    makes: the init's demodulation, N^d r complex entries, and L - 1 column
-    stages of (1 + 2^d) N^d r each."""
-    return 16 * (1 + max(L - 1, 0) * ((1 << d) + 1)) * (r << (L * d))
 
 
 def phase_factors(phase: PhaseEvaluator, xs: np.ndarray, grids: Iterable[np.ndarray]) -> Iterator[np.ndarray]:

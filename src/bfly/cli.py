@@ -10,9 +10,9 @@ layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 
 Exit codes: 0 success, 1 error above threshold, 2 usage or input error
-(including a file that is not UTF-8, an error that is not finite and a cheb
+(including a file that is not UTF-8, an error that is not finite, a cheb
 problem whose one level of weights and 1-D child matrices would not fit in
-the machine's memory).
+the machine's memory and a source or target count whose points would not).
 """
 
 from __future__ import annotations
@@ -207,13 +207,13 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
         q = 8 if backend == "cheb" else 1e-7
     if backend == "id" and N**dim > id_limit:
         raise UsageError(f"id backend is gated to N^d <= {id_limit}; got N^d = 2^{dim * log2n}")
+    memory = _physical_memory_bytes()
     if backend == "cheb":
         # one level of weights, 2^d N^d q^d complex entries, and the (2, q, q)
         # real 1-D child matrices; a solve holds both and at least two
         # levels, so a problem whose level and matrices pass the memory
         # cannot run
         need = 16 * (2 * N * int(q)) ** dim + 16 * int(q) ** 2
-        memory = _physical_memory_bytes()
         if need > memory:
             raise UsageError(
                 f"cheb backend at dim={dim}, log2n={log2n}, q={merged.get('q', q)}: one level of weights and"
@@ -250,12 +250,16 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
     targets = _to_int("targets", merged["targets"])
     if targets < 0:
         raise UsageError("targets must be nonnegative")
-    sources: Union[int, str]
+    # a count, or else a path: isdigit() takes superscripts, which int() does not
     src_raw = merged["sources"]
-    if src_raw.lstrip("+").isdigit():
-        sources = int(src_raw)
-    else:
-        sources = src_raw
+    sources: Union[int, str] = int(src_raw) if src_raw.removeprefix("+").isdecimal() else src_raw
+    # the drawn points alone, 8 bytes a coordinate and 16 a strength
+    for key, count, each in (("sources", sources, 8 * dim + 16), ("targets", targets, 8 * dim)):
+        if isinstance(count, int) and count * each > memory:
+            raise UsageError(
+                f"{key}={count}: the drawn points take at least {count * each} bytes, past the"
+                f" {memory / 2**30:.1f} GiB of physical memory"
+            )
     fmt = merged["format"]
     if fmt not in ("csv", "json"):
         raise UsageError(f"invalid value for format: {fmt!r} (expected csv or json)")

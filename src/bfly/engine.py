@@ -36,20 +36,19 @@ when it is built, so that its leaf weights are one segment sum.
 
 What a solve makes from the phase and never from the strengths, like an
 FFT's twiddles, is kept for the next solve in one slot per process
-(_kept): one cheb solve's kernel factors or the last id set-up. The entry
-holds its phase object, a key of everything else the set-up depends on,
-and Phi at a few fixed point pairs, evaluated again in one call before
-reuse, so that a phase whose function has changed is seen. A lookup that
-does not match releases the slot before anything is built, whichever
-backend it comes from. id keeps every set-up make_engine builds, its key
-holding the positions' bytes, so a call on the same sources runs only the
-traversal; the process then holds about 100 MB of padded maps between
-solves on the benchmark's id-2d problem. cheb keeps a solve's factors
-from the second solve in a row with one key on, the first leaving a
-key-only marker, and only within chebyshev._FACTOR_BYTES
-(ChebEngine.init_blocks). A build that raises keeps nothing, kept arrays
-are read-only, and there is no lock: threads may each build, and each
-gets the bits of a serial solve.
+(_kept), by one rule: a solve or build keeps the set-up it made, one cheb
+solve's kernel factors if they fit in _FACTOR_BYTES (ChebEngine), or an id
+set-up (make_engine). The entry holds its phase object, a key of
+everything else the set-up depends on, beginning (backend, d), and Phi at
+two fixed point pairs, evaluated again in one call before reuse, so that a
+phase whose function has changed is seen. A lookup that does not match
+releases the slot before anything is built, whichever backend it comes
+from. No key holds p, so a kept set-up serves every process count. The id
+key holds the positions' bytes, so a call on the same sources runs only
+the traversal; the process then holds about 100 MB of padded maps between
+solves on the benchmark's id-2d problem. A build that raises keeps
+nothing, kept arrays are read-only, and there is no lock: threads may each
+build, and each gets the bits of a serial solve.
 
 butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
 runs the init and a stage per later level on the level arrays, which the
@@ -180,18 +179,13 @@ class ChebEngine:
         whose team members' partial sums are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
         (r,) + (1,)*d + (1,)*d. A traversal starts here, so here it takes
-        the kept factors (_take): a hit uses them, a solve whose key the
-        slot marks makes its own whole to keep them if they fit in
-        chebyshev._FACTOR_BYTES, and any other solve leaves a key-only
-        marker, so that the next solve with its key keeps."""
+        the kept factors (_take), or, on a miss, makes its own whole to keep
+        them if they fit in _FACTOR_BYTES."""
         d, L = self.d, self.L
         self._key = ("cheb", d, L, self.q)
-        kept = _take(self.phase, self._key)
-        self._stages = kept.setup if kept is not None else None
-        self._made = None  # each stage's probe points and factors, when keeping
-        if kept is None:
-            _keep(self.phase, self._key)
-        elif kept.setup is None and cheb._solve_factor_bytes(L, d, self.r) <= cheb._FACTOR_BYTES:
+        self._stages = _take(self.phase, self._key)
+        self._made = None  # each stage's factors, when keeping
+        if self._stages is None and _solve_factor_bytes(L, d, self.r) <= _FACTOR_BYTES:
             self._made = [None] * max(L, 1)
         return cheb.init_source_weights(
             L, (0,) * d, (self.N,) * d, self.sources.positions, self.sources.strengths,
@@ -213,22 +207,17 @@ class ChebEngine:
         and read-only when this solve keeps its own, all of them kept with
         the last stage's if every stage took them (an init without sources
         takes none); otherwise made one grid at a time as the stage takes
-        them. The probe is Phi at each stage's first and last target center
-        against its first grid's first node and its last grid's last."""
+        them."""
         if self._stages is not None:
             return self._stages[i]
         if self._made is None:
             return cheb.phase_factors(self.phase, xs, grids)
-        ys = list(grids)
-        factors = tuple(cheb.phase_factors(self.phase, xs, ys))
+        factors = tuple(cheb.phase_factors(self.phase, xs, grids))
         for f in factors:
             f.setflags(write=False)
-        d = self.d
-        ends = np.stack([ys[0].reshape(-1, d)[0], ys[-1].reshape(-1, d)[-1]])
-        self._made[i] = (xs.reshape(-1, d)[[0, -1]], ends, factors)
+        self._made[i] = factors
         if i == len(self._made) - 1 and all(m is not None for m in self._made):
-            px, py = (np.concatenate([m[k] for m in self._made]) for k in (0, 1))
-            _keep(self.phase, self._key, tuple(m[2] for m in self._made), px, py)
+            _keep(self.phase, self._key, tuple(self._made))
         return factors
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
@@ -658,23 +647,21 @@ def make_engine(
 
     An id call takes the kept set-up (_take) when its phase object, d, N,
     tol, rows_per_dim and positions' bytes are those it was built from and
-    the phase still gives the values of its probe, and builds an engine on
-    it and the new strengths without a precompute. Any other id call
-    releases the slot before it builds, so the old set-up is freed first
-    unless the caller still holds an engine on it, and keeps its own once
-    built; a build that raises keeps nothing. A cheb call neither reads nor
-    fills the slot: its traversal does (ChebEngine.init_blocks)."""
-    N = _integer("N", N)
+    the phase still gives its probe's values, and builds an engine on it and
+    the new strengths without a precompute; any other id call builds and
+    keeps its own (_keep). A cheb call neither reads nor fills the slot: its
+    traversal does (ChebEngine.init_blocks)."""
+    N, d = _integer("N", N), _integer("d", d)
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N={N} is not a power of two")
+    q, rows_per_dim = _integer("q", q), _integer("rows_per_dim", rows_per_dim)
+    for name, value in (("d", d), ("q", q), ("rows_per_dim", rows_per_dim)):
+        if value < 1:
+            raise ValueError(f"{name}={value!r} is not an integer >= 1")
     if phase.dim is not None and phase.dim != d:
         raise ValueError(f"phase '{phase.name}' expects dimension {phase.dim}, got {d}")
     if sources.dim != d:
         raise ValueError(f"sources have dimension {sources.dim}, the engine has dimension {d}")
-    q, rows_per_dim = _integer("q", q), _integer("rows_per_dim", rows_per_dim)
-    for name, value in (("q", q), ("rows_per_dim", rows_per_dim)):
-        if value < 1:
-            raise ValueError(f"{name}={value!r} is not an integer >= 1")
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # NaN fails the comparison too
         raise ValueError(f"tol={tol!r} is not a number in (0, 1)")
     if backend == "cheb":
@@ -685,53 +672,63 @@ def make_engine(
         key = ("id", d, N, tol, rows_per_dim, sources.positions.shape, sources.positions.tobytes())
         kept = _take(phase, key)
         if kept is not None:
-            return kept.setup._with_strengths(sources.strengths)
+            return kept._with_strengths(sources.strengths)
         engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
-        # the probe: Phi at the first and last row sample against the first
-        # and last source; without sources the build never calls the phase,
-        # any pairs do
-        rows = cheb.grid_points(rows_per_dim, engine.L, np.array([(0,) * d, (N - 1,) * d]))
-        xs = rows[[0, -1], [0, -1]]
-        _keep(phase, key, engine, xs, engine._positions[[0, -1]] if len(engine._positions) else xs)
+        _keep(phase, key, engine)
         return engine
     raise ValueError(f"unknown backend '{backend}'")
 
 
+# the slot keeps a cheb solve's factors only if they fit in this many bytes;
+# cheb-2d's (d = 2, N = 32, q = 6) take 11.81 MiB
+_FACTOR_BYTES = 32 << 20
+
+
+def _solve_factor_bytes(L: int, d: int, r: int) -> int:
+    """Bytes of the factors a whole cheb solve of N = 2^L leaves per
+    dimension and rank r makes: the init's demodulation, N^d r complex
+    entries, and L - 1 column stages of (1 + 2^d) N^d r each."""
+    return 16 * (1 + max(L - 1, 0) * ((1 << d) + 1)) * (r << (L * d))
+
+
 class _Kept(NamedTuple):
-    """The slot's entry (module docstring): a set-up and what it was made
-    from. The phase object is held, so that its identity is not reused.
-    probe holds points xs and ys and Phi(xs, ys) taken when the set-up was
-    made; a cheb key-only marker has neither set-up nor probe."""
+    """The slot's entry (module docstring): a set-up, the phase object and
+    key it was made from, and its probe's values (_probe) when it was made.
+    The phase object is held, so that its identity is not reused."""
 
     phase: PhaseEvaluator
     key: tuple
-    setup: object = None
-    probe: tuple = ()
+    setup: object
+    probe: np.ndarray
 
 
 _kept: Optional[_Kept] = None  # the one set-up kept per process
 
 
-def _take(phase: PhaseEvaluator, key: tuple) -> Optional[_Kept]:
-    """The kept entry if it was made from this phase object under this key
-    and the phase still gives its probe's values, evaluated in one call;
-    otherwise None, and the slot is emptied, so that what the caller builds
-    next is never resident beside it."""
+def _probe(phase: PhaseEvaluator, d: int) -> np.ndarray:
+    """Phi at two fixed point pairs inside the unit cube, in one call."""
+    return phase(np.full((2, d), [[0.3], [0.8]]), np.full((2, d), [[0.6], [0.1]]))
+
+
+def _take(phase: PhaseEvaluator, key: tuple):
+    """The kept set-up if it was made from this phase object under this key
+    and the phase still gives its probe's values; otherwise None, and the
+    slot is emptied, so that what the caller builds next is never resident
+    beside it. Keys begin (backend, d)."""
     global _kept
     kept = _kept
     if kept is not None and kept.phase is phase and kept.key == key:
-        if not kept.probe or np.array_equal(phase(*kept.probe[:2]), kept.probe[2]):
-            return kept
+        if np.array_equal(_probe(phase, key[1]), kept.probe):
+            return kept.setup
     _kept = None
     return None
 
 
-def _keep(phase: PhaseEvaluator, key: tuple, setup=None, xs=None, ys=None) -> None:
+def _keep(phase: PhaseEvaluator, key: tuple, setup) -> None:
     """Fill the slot with a set-up made from phase under key, taking its
-    probe, Phi at points xs and ys, now; without a set-up, with a key-only
-    marker."""
+    probe now."""
     global _kept
-    _kept = _Kept(phase, key, setup, () if setup is None else (xs, ys, phase(xs, ys)))
+    _kept = _Kept(phase, key, setup, _probe(phase, key[1]))
 
 
 def butterfly_apply(

@@ -23,12 +23,10 @@ engine's stage adds each member's partial sum into the level's one array
 in ascending member order, as soon as it is made (geometry.sum_children),
 which are the adds a reduce-scatter makes; the simulated reduce-scatter
 only charges the alpha/beta cost model for them. So every stage holds one
-level array, whatever the team size, and what the process's one kept slot
-holds (engine._kept), a cheb solve's factors or the id set-up of the same
-sources, serves every p. Communication is never performed for real and
-the traversal runs on one thread, so results are reproducible; the id
-engine's precompute runs on every usable core (engine.IdEngine) with the
-same bits for any count.
+level array, whatever the team size. Communication is never performed for
+real and the traversal runs on one thread, so results are reproducible;
+the id engine's precompute runs on every usable core (engine.IdEngine)
+with the same bits for any count.
 
 Bit-exactness against butterfly_apply. Every stage sums the 2^d children of
 an output pair in canonical coordinate order, and a communicating stage
@@ -180,15 +178,10 @@ def simulate_parallel(
     library's one traversal loop: butterfly_apply is the same loop at
     p = 1, where no stage communicates, and `bfly verify` solves with this
     call at every process count. N and p are integers (numpy's too), not
-    bools or floats. No key of the process's one kept slot (engine._kept)
-    holds p, so what it holds serves every p: the id set-up, shared by
-    every rank and kept by make_engine from its first build, so a later
-    call on the same sources runs only the traversal, or the cheb factors,
-    kept from the second solve in a row with one phase, d, N and q on. The
-    ranks' blocks at each level are read off the bisection stacks, which
-    each stage pops and pushes. `threads` has no effect and does not size
-    the id precompute's pool, which has a worker per usable core; it is
-    kept for callers that still pass it.
+    bools or floats. The ranks' blocks at each level are read off the
+    bisection stacks, which each stage pops and pushes. `threads` has no
+    effect and does not size the id precompute's pool, which has a worker
+    per usable core; it is kept for callers that still pass it.
     """
     d, N, p = sources.dim, _integer("N", N), _integer("p", p)
     schedule = stage_schedule(N, d, p)

@@ -949,22 +949,14 @@ def counted(phase):
 
 
 def kept_phase():
-    """The phase of the set-up the slot holds, or None if it holds none (it
-    is empty or holds a key-only marker)."""
+    """The phase of the set-up the slot holds, or None if it is empty."""
     kept = bfly.engine._kept
-    return kept.phase if kept is not None and kept.setup is not None else None
+    return kept.phase if kept is not None else None
 
 
 def kept_for(phase):
     """The kept solve's factors of each stage if they are phase's, else ()."""
     return bfly.engine._kept.setup if kept_phase() is phase else ()
-
-
-def marked(phase, N, d=2, q=4):
-    """Whether the slot holds the key-only marker of a cheb solve of phase."""
-    kept = bfly.engine._kept
-    key = ("cheb", d, N.bit_length() - 1, q)
-    return kept is not None and kept.setup is None and kept.phase is phase and kept.key == key
 
 
 def solve_bits(phase, N=8, d=2, q=4, p=None, seed=5):
@@ -982,24 +974,20 @@ def test_warm_cold_and_uncached_solves_agree(p, no_kept, monkeypatch):
     phase, pairs = counted(get_phase("hyp-radon"))
     cold = solve_bits(phase, p=p)
     # the init's call at the sources, its demodulation's on the parent
-    # grids, then one call per grid: two column stages, 1 + 2^d grids each
-    sources, demod, *grids = list(pairs)
-    # a first solve keeps nothing but its key
-    assert len(grids) == 2 * 5 and kept_phase() is None and marked(phase, 8)
-    del pairs[:]
-    storing = solve_bits(phase, p=p)
-    # the second keeps the init's and every stage's factors, and evaluates
-    # their two-pair probes in one call at the end
-    assert pairs == [sources, demod, *grids, 2 * 3] and len(kept_for(phase)) == 3
+    # grids, then one call per grid: two column stages, 1 + 2^d grids each;
+    # the first solve keeps the init's and every stage's factors, and
+    # evaluates their two-pair probe at the end
+    sources, demod, *grids, probe = list(pairs)
+    assert len(grids) == 2 * 5 and probe == 2 and len(kept_for(phase)) == 3
     del pairs[:]
     warm = solve_bits(phase, p=p)
     # warm: the probe, then the init's call at the sources
-    assert pairs == [2 * 3, sources]
-    monkeypatch.setattr(cheb, "_FACTOR_BYTES", 0)
+    assert pairs == [2, sources]
+    monkeypatch.setattr(bfly.engine, "_FACTOR_BYTES", 0)
     other, other_pairs = counted(get_phase("hyp-radon"))
     uncached = [solve_bits(other, p=p) for _ in range(3)][-1]
     assert kept_for(other) == () and other_pairs == 3 * [sources, demod, *grids]
-    for got in (storing, warm, uncached):
+    for got in (warm, uncached):
         assert np.array_equal(got[0], cold[0]) and got[1] == cold[1]
 
 
@@ -1007,8 +995,7 @@ def test_make_engine_leaves_the_cheb_slot_alone(no_kept):
     # a cheb set-up neither calls the phase nor touches the slot: only the
     # traversal takes the kept factors, so a hit's two calls are its own
     phase, pairs = counted(get_phase("hyp-radon"))
-    for _ in range(2):
-        solve_bits(phase)
+    solve_bits(phase)
     kept = bfly.engine._kept
     rng = np.random.default_rng(5)
     s = SourceSet(rng.uniform(size=(300, 2)), rng.normal(size=300) + 1j * rng.normal(size=300))
@@ -1025,21 +1012,18 @@ def test_cache_stays_within_its_budget(budget, no_kept, monkeypatch):
     # grids x N pairs x 3 nodes, 2304 and 1152 bytes. N = 16 makes three
     # column stages, 7680 bytes with the init's (past 7168 only with the
     # init's counted), and N = 8 two, 2688 bytes
-    monkeypatch.setattr(cheb, "_FACTOR_BYTES", budget)
+    monkeypatch.setattr(bfly.engine, "_FACTOR_BYTES", budget)
     phase = PhaseEvaluator("fourier", None, get_phase("fourier").fn)
     refs = [solve_bits(phase, N=n, d=1, q=3, seed=0)[0] for n in (16, 8)]
-    assert kept_phase() is None
     for _ in range(2):
         for n, ref, nbytes in zip((16, 8), refs, (7680, 2688)):
-            for i in range(2):  # kept from the second solve in a row on
+            for _ in range(2):  # a miss, which releases the other N's solve, then a hit
                 assert np.array_equal(solve_bits(phase, N=n, d=1, q=3, seed=0)[0], ref)
-                if i == 0:  # a miss releases the other N's solve
-                    assert kept_phase() is None and marked(phase, n, d=1, q=3)
-            if nbytes <= budget:
-                assert bfly.engine._kept.key == ("cheb", 1, n.bit_length() - 1, 3)
-                assert sum(f.nbytes for stage in kept_for(phase) for f in stage) == nbytes
-            else:  # nothing of a solve past the budget, its marker left
-                assert kept_phase() is None and marked(phase, n, d=1, q=3)
+                if nbytes <= budget:
+                    assert bfly.engine._kept.key == ("cheb", 1, n.bit_length() - 1, 3)
+                    assert sum(f.nbytes for stage in kept_for(phase) for f in stage) == nbytes
+                else:  # nothing of a solve past the budget
+                    assert bfly.engine._kept is None
     # one solve at most: the last, which fits every budget
     assert bfly.engine._kept.key[2] == 3 and sum(f.nbytes for stage in kept_for(phase) for f in stage) == 2688
 
@@ -1054,24 +1038,22 @@ def test_alternating_solves_keep_one_and_give_cold_bits(no_kept):
     a, a_pairs = counted(get_phase("hyp-radon"))
     b, b_pairs = counted(PhaseEvaluator("half", 2, half))
     cold = {a: solve_bits(a), b: solve_bits(b)}
-    full = len(a_pairs)  # a cold solve's calls
-    # (solve, the phase of the kept solve after it): a solve is kept from
-    # the second in a row with its phase on, and any other solve releases
-    # the kept one
-    for phase, kept in ((a, None), (b, None), (a, None), (a, a), (b, None), (b, b), (a, None), (b, None), (a, None)):
+    full = len(a_pairs)  # a cold solve's calls, its factors' probe the last
+    # every solve keeps its own, and any other solve releases the kept one
+    for phase in (a, b, a, a, b, b, a, b, a):
         before = kept_phase()
         del a_pairs[:], b_pairs[:], resident[:]
         got = solve_bits(phase)
         assert np.array_equal(got[0], cold[phase][0]) and got[1] == cold[phase][1]
-        assert kept_phase() is kept
+        assert kept_phase() is phase
         if phase is b:
             # a hit runs on its kept factors; any other solve releases what
             # was kept before its first phase call, a's too
             assert all(resident) if before is b else not any(resident)
-        # a hit is the probe and the sources; a miss makes every factor and,
-        # if it keeps them, evaluates their probe
+        # a hit is the probe and the sources; a miss makes every factor and
+        # evaluates their probe
         calls = a_pairs if phase is a else b_pairs
-        assert len(calls) == (2 if before is phase else full + (kept is phase))
+        assert len(calls) == (2 if before is phase else full)
 
 
 def test_solves_without_sources_keep_nothing_and_take_kept_stages(no_kept):
@@ -1082,25 +1064,29 @@ def test_solves_without_sources_keep_nothing_and_take_kept_stages(no_kept):
     for _ in range(2):
         assert not np.any(butterfly_apply(empty, phase, 8, q=4).values) and kept_phase() is None
     cold = solve_bits(phase)
-    assert kept_for(phase)  # the previous solve had the same key
+    assert kept_for(phase)
     assert not np.any(butterfly_apply(empty, phase, 8, q=4).values)
     assert np.array_equal(solve_bits(phase)[0], cold[0])
 
 
 def test_a_new_evaluator_is_not_taken_for_a_freed_one(no_kept):
     # a new evaluator may get the identity of one freed before; solved
-    # once each, none of them is kept
+    # once each, each makes every factor (a hit makes two phase calls) and
+    # keeps its own
+    fourier = get_phase("fourier")
+    calls = []
     for _ in range(10):
-        phase = PhaseEvaluator("fresh", None, lambda x, y: 8.0 * get_phase("fourier").fn(x, y))
+        phase, pairs = counted(PhaseEvaluator("fresh", None, lambda x, y: 8.0 * fourier.fn(x, y)))
         solve_bits(phase)
-        assert kept_phase() is None
+        assert kept_phase() is phase
+        calls.append(len(pairs))
         del phase
+    assert calls == [calls[0]] * 10 and calls[0] > 2
 
 
 def test_cached_factors_are_read_only(no_kept):
     phase = get_phase("fourier")
-    for _ in range(2):
-        solve_bits(phase, N=8, d=1)
+    solve_bits(phase, N=8, d=1)
     arrays = [f for stage in kept_for(phase) for f in stage]
     assert len(arrays) == 1 + 2 * 3  # the init's demod, two column stages' demod and two mods
     for a in arrays:
@@ -1126,7 +1112,8 @@ def test_nan_phase_raises_every_time_and_stores_nothing(no_kept):
     fn = Failing()
     phase = PhaseEvaluator("failing", None, fn)
     cold = solve_bits(phase, N=8, d=1)[0]
-    last = fn.calls  # the last column stage's last grid
+    last = fn.calls - 1  # the last column stage's last grid, before the kept factors' probe
+    bfly.engine._kept = None  # so that the next solve makes its factors
     for _ in range(3):
         fn.calls, fn.fail_at = 0, last
         with pytest.raises(ValueError, match="NaN or inf"):
@@ -1165,18 +1152,16 @@ def test_phases_of_one_name_do_not_share_factors(no_kept):
 def test_a_changed_phase_function_is_evaluated_again(no_kept):
     fn = Unhashable(1.0)
     phase = PhaseEvaluator("mutable", None, fn)
-    for _ in range(2):
-        solve_bits(phase, N=8, d=1)
+    solve_bits(phase, N=8, d=1)
     stale = kept_for(phase)
     assert len(stale) == 3  # the init's stage and two column stages
     fn.scale = 2.0
-    # the probe's miss releases the stale factors, and the next solve in a
-    # row keeps new ones
+    # the probe's miss releases the stale factors, and the solve keeps new
+    # ones, which the next solve takes
     got = solve_bits(phase, N=8, d=1)[0]
-    assert kept_for(phase) == () and marked(phase, 8, d=1)
-    assert np.array_equal(solve_bits(phase, N=8, d=1)[0], got)
     fresh = kept_for(phase)
     assert len(fresh) == 3
+    assert np.array_equal(solve_bits(phase, N=8, d=1)[0], got) and kept_for(phase) is fresh
     assert not any(np.array_equal(a, b) for old, new in zip(stale, fresh) for a, b in zip(old, new))
     bfly.engine._kept = None
     assert np.array_equal(got, solve_bits(PhaseEvaluator("cold", None, Unhashable(2.0)), N=8, d=1)[0])

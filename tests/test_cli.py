@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bfly
@@ -17,6 +18,7 @@ import bfly.cli
 import bfly.engine
 from bfly.cli import main
 from bfly.parallel import simulate_parallel
+from bfly.phases import PhaseEvaluator
 
 BASE = ["--dim", "1", "--log2n", "2", "--sources", "32", "--targets", "10"]
 
@@ -80,6 +82,27 @@ def test_bad_values_name_the_key(capsys):
     assert "dim" in capsys.readouterr().err
     assert main(["verify", "--dim", "1", "--log2n", "2", "--threshold", "0"]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "scale"])
+def test_counts_past_the_memory_are_usage_errors(monkeypatch, capsys, command):
+    # rejected at the parse step, against a machine of 1 MiB: a drawn 1-D
+    # target takes 8 bytes, a source 24; --targets 1000000000000 used to
+    # end in a traceback, unable to allocate 7.28 TiB
+    def never_run(cfg):
+        raise AssertionError(f"a run of {cfg.sources} sources and {cfg.targets} targets was started")
+
+    monkeypatch.setattr(bfly.cli, "_physical_memory_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
+    monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
+    args = [command, "--dim", "1", "--log2n", "2"]
+    for key, fits in (("targets", 1 << 17), ("sources", (1 << 20) // 24)):
+        cfg, _ = bfly.cli.parse_config(args + [f"--{key}", str(fits)])
+        assert getattr(cfg, key) == fits
+        assert main(args + [f"--{key}", str(fits + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}={fits + 1}: the drawn points take at least"), err
+        assert err.endswith("past the 0.0 GiB of physical memory\n"), err
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -160,7 +183,7 @@ def test_sources_file_roundtrip(tmp_path):
     assert doc["error"] <= 1e-10
 
 
-def test_sources_file_errors(tmp_path, capsys):
+def test_sources_file_errors(tmp_path, monkeypatch, capsys):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("x,re,im\n0.5,1,0\n")
     assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", str(bad_header)]) == 2
@@ -182,6 +205,15 @@ def test_sources_file_errors(tmp_path, capsys):
     assert "unit cube" in capsys.readouterr().err
 
     assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", str(tmp_path / "missing.csv")]) == 2
+    capsys.readouterr()
+
+    # not counts: str.isdigit() takes superscript digits, which int()
+    # rejects, and "++3" passed once its "+" were stripped; each ended in a
+    # ValueError traceback with exit 1, which reads as "error above threshold"
+    monkeypatch.chdir(tmp_path)
+    for raw in ("²", "+²", "3²", "++3"):
+        assert main(["verify", "--dim", "1", "--log2n", "2", "--sources", raw]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read sources file {raw}: ")
 
 
 @pytest.mark.parametrize("which", ["config", "sources"])
@@ -464,6 +496,43 @@ def test_scale_id_builds_one_setup_for_every_process_count(tmp_path, monkeypatch
     code, text = run_to_file(tmp_path, args, name="kept.csv")
     assert code == 0 and len(calls) == 1
     assert text == want and len(text.splitlines()) == 4
+
+
+def test_scale_cheb_makes_its_factors_once_for_every_process_count(tmp_path, monkeypatch, no_kept):
+    # every p solves with the same phase, d, N and q, so the first keeps the
+    # solve's factors and the others take them, calling the phase only for
+    # the probe and the sources, with the bytes of a cold solve at every p
+    args = ["scale", "--dim", "2", "--log2n", "4", "--procs", "1,4,16"]
+
+    def cold(*a, **kw):
+        bfly.engine._kept = None
+        return simulate_parallel(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(bfly.cli, "simulate_parallel", cold)
+        _, want = run_to_file(tmp_path, args, name="cold.csv")
+    fourier = bfly.cli.REGISTRY["fourier"]
+    calls = []  # each solve's phase calls, as the number of point pairs
+
+    def fn(xs, ys):
+        calls[-1].append(int(np.prod(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))))
+        return fourier.fn(xs, ys)
+
+    def solve(*a, **kw):
+        calls.append([])
+        return simulate_parallel(*a, **kw)
+
+    monkeypatch.setitem(bfly.cli.REGISTRY, "fourier", PhaseEvaluator("fourier", fourier.dim, fn))
+    monkeypatch.setattr(bfly.cli, "simulate_parallel", solve)
+    bfly.engine._kept = None
+    code, text = run_to_file(tmp_path, args, name="kept.csv")
+    assert code == 0 and text == want and len(text.splitlines()) == 4
+    sources = 256 * 4  # the default count, against the centers of the root's children
+    # the first p: the sources, the init's demodulation, three column
+    # stages of 1 + 2^d grids each, and the kept factors' two-pair probe
+    first, *later = calls
+    assert len(first) == 2 + 3 * 5 + 1 and first[0] == sources and first[-1] == 2
+    assert later == [[2, sources]] * 2
 
 
 def test_module_entry_point(tmp_path):

@@ -429,21 +429,28 @@ def test_make_engine_rejects_sources_of_another_dimension():
         (dict(backend="id", rows_per_dim=np.int64(-2)), "rows_per_dim"),
         (dict(q=np.int64(4)), None),
         (dict(backend="id", rows_per_dim=np.int64(3)), None),
+        (dict(d=1.0), "d"),
+        (dict(backend="id", d=np.float64(1)), "d"),
+        (dict(d=True), "d"),
+        (dict(d=0), "d"),
+        (dict(d=np.int64(1)), None),
     ],
 )
 def test_make_engine_names_a_bad_argument(kwargs, name, no_kept):
     # each used to fail deep inside (q=1.5 or True: a TypeError; id at
-    # tol=2.0: a reshape error) or to run silently (tol nan or -1 at full
-    # rank, rows_per_dim=True as 1); a numpy integer is taken as the int
+    # tol=2.0: a reshape error; d=1.0 in the solve, np.float64(1) in a
+    # shift) or to run silently (tol nan or -1 at full rank,
+    # rows_per_dim=True or d=True as 1); a numpy integer is taken as the int
     s = random_sources(np.random.default_rng(9), 10)
+    args = {"d": 1, "N": 8, "sources": s, **kwargs}
     if name is None:
-        engine = make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
+        engine = make_engine(get_phase("fourier"), **args)
         for key, value in kwargs.items():
             if key != "backend":
                 assert type(getattr(engine, key)) is int and getattr(engine, key) == value
         return
     with pytest.raises(ValueError, match=f"^{name}=") as err:
-        make_engine(get_phase("fourier"), 1, 8, s, **kwargs)
+        make_engine(get_phase("fourier"), **args)
     if isinstance(kwargs[name], (int, np.integer)) and not isinstance(kwargs[name], bool):
         assert str(err.value).endswith("is not an integer >= 1")  # an integer below 1
 
@@ -948,8 +955,8 @@ def same_bits(got, want):
 
 def test_one_slot_serves_both_backends(monkeypatch, no_kept):
     # an id build, then two cheb solves and an id solve on the first
-    # sources: the first cheb solve releases the id set-up and leaves its
-    # key, the second keeps its factors, and the id solve builds again
+    # sources: the first cheb solve releases the id set-up and keeps its
+    # factors, the second takes them, and the id solve builds again
     monkeypatch.setattr(bfly.engine, "_usable_cores", lambda: 1)
     calls = counted_precompute(monkeypatch)
     phase = get_phase("fourier")
