@@ -61,18 +61,9 @@ into the level-1 output, (q^d,) + (2,)*d + (N/2,)*d, rather than returning
 2^d level-0 arrays for stage 0 to add up. A column stage modulates by
 broadcasting instead of repeating its weights onto the target children,
 alternates its d products between two arrays, and demodulates the
-children's sum in place, so butterfly_apply at d = 3, N = 32, q = 5 peaks
-at 516 MB, not 887 MB; its column stages are now the peak. The init's
-basis and each column contribution's two level-sized arrays are still
-allocated on every solve, so how often a warm solve page-faults depends on
-the allocator's state, which differs from run to run. A loop that repeats
-the benchmark's operation (make_engine, the solve, and evaluate and
-direct_apply on two batches of 1024 targets each, fresh inputs, one BLAS
-thread) measured, per warm cheb-2d solve, either 0-4 minor faults or 844
-and 126 by turns (844 = 444 in the init, 192 of them in _tensor_basis, and
-400 in _column_contribution), and 224-304 per sim-1d solve. A loop of
-solves alone measured 0, or 956 and 126 by turns, on cheb-2d and 192-240
-on sim-1d.
+children's sum in place. The init's basis and each column contribution's
+two level-sized arrays are allocated on every solve; README's cost model
+section gives the peak memory and page faults this leads to.
 """
 
 from __future__ import annotations

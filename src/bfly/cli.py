@@ -4,7 +4,8 @@ verify builds a random (or file-provided) source set, runs the simulated
 parallel butterfly at the given process count (p = 1 is the sequential
 schedule), and reports the relative sup-norm error against direct summation
 together with ledger totals. scale repeats the simulated parallel run over
-a list of process counts and emits one cost row per count. Configuration
+a list of process counts on the same sources, draws no targets, and emits
+one cost row per count. Configuration
 comes from defaults, then an optional key=value file, then flags, each
 layer overriding the last. Outputs are deterministic for a fixed config
 and seed: CSV floats use 17 significant digits and JSON keys are sorted.
@@ -12,7 +13,8 @@ and seed: CSV floats use 17 significant digits and JSON keys are sorted.
 Exit codes: 0 success, 1 error above threshold, 2 usage or input error
 (including a file that is not UTF-8, an error that is not finite, a cheb
 problem whose one level of weights and 1-D child matrices would not fit in
-the machine's memory and a source or target count whose points would not).
+the machine's memory, and a source count, or verify's target count, whose
+points would not).
 """
 
 from __future__ import annotations
@@ -32,28 +34,28 @@ from numpy.random import PCG64, Generator
 
 from .costs import CostParams
 from .engine import AllZeroReferenceError, SourceSet, direct_apply, rel_sup_error
-from .parallel import ledger_report, simulate_parallel
+from .parallel import ParallelResult, ledger_report, simulate_parallel
 from .phases import REGISTRY
 
-# keys accepted in config files and as flags; values are raw-string defaults,
-# None marks "required or backend-dependent"
-_DEFAULTS: Dict[str, Optional[str]] = {
-    "dim": None,
-    "log2n": None,
-    "q": None,
-    "phase": "fourier",
-    "backend": "cheb",
-    "procs": "1",
-    "alpha": "1e-6",
-    "beta": "1e-9",
-    "gamma": "1e-10",
-    "seed": "0",
-    "sources": "256",
-    "targets": "100",
-    "output": "-",
-    "format": "csv",
-    "threshold": "1e-3",
-    "id_limit": "4096",
+# every key of a config file and flag (--id-limit for id_limit): its raw
+# default, None where it is required or depends on the backend, and its help
+_KEYS: Dict[str, Tuple[Optional[str], str]] = {
+    "dim": (None, "spatial dimension d (required)"),
+    "log2n": (None, "log2 of boxes per dimension (required)"),
+    "q": (None, "cheb points per dimension, or id tolerance in (0,1)"),
+    "phase": ("fourier", "phase name, one of: {phases}"),
+    "backend": ("cheb", "cheb or id"),
+    "procs": ("1", "process count (verify) or comma list (scale)"),
+    "alpha": ("1e-6", "per-message latency, seconds"),
+    "beta": ("1e-9", "per-entry bandwidth cost, seconds"),
+    "gamma": ("1e-10", "per-flop cost, seconds"),
+    "seed": ("0", "PRNG seed (PCG64)"),
+    "sources": ("256", "random source count, or CSV path (y0..y{d-1},re,im)"),
+    "targets": ("100", "random evaluation point count"),
+    "output": ("-", "output path, '-' for stdout"),
+    "format": ("csv", "csv or json"),
+    "threshold": ("1e-3", "verify exits 1 when error exceeds this"),
+    "id_limit": ("4096", "largest N^d allowed for the id backend"),
 }
 
 
@@ -124,7 +126,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
         key, value = body.split("=", 1)
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value.strip()
     return out
@@ -132,23 +134,10 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, metavar="FILE", help="key=value config file")
-    common.add_argument("--dim", default=None, help="spatial dimension d (required)")
-    common.add_argument("--log2n", default=None, help="log2 of boxes per dimension (required)")
-    common.add_argument("--q", default=None, help="cheb points per dimension, or id tolerance in (0,1)")
-    common.add_argument("--phase", default=None, help=f"phase name, one of: {', '.join(sorted(REGISTRY))}")
-    common.add_argument("--backend", default=None, help="cheb or id")
-    common.add_argument("--procs", default=None, help="process count (verify) or comma list (scale)")
-    common.add_argument("--alpha", default=None, help="per-message latency, seconds")
-    common.add_argument("--beta", default=None, help="per-entry bandwidth cost, seconds")
-    common.add_argument("--gamma", default=None, help="per-flop cost, seconds")
-    common.add_argument("--seed", default=None, help="PRNG seed (PCG64)")
-    common.add_argument("--sources", default=None, help="random source count, or CSV path (y0..y{d-1},re,im)")
-    common.add_argument("--targets", default=None, help="random evaluation point count")
-    common.add_argument("--output", default=None, help="output path, '-' for stdout")
-    common.add_argument("--format", default=None, help="csv or json")
-    common.add_argument("--threshold", default=None, help="verify exits 1 when error exceeds this")
-    common.add_argument("--id-limit", dest="id_limit", default=None, help="largest N^d allowed for the id backend")
+    common.add_argument("--config", metavar="FILE", help="key=value config file")
+    phases = ", ".join(sorted(REGISTRY))
+    for key, (_, text) in _KEYS.items():
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=text.replace("{phases}", phases))
     parser = argparse.ArgumentParser(prog="bfly", description="butterfly evaluation of oscillatory sums")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common], help="compare against direct summation")
@@ -159,13 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
     """Merge defaults, config file, and flags into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
-    merged: Dict[str, str] = {k: v for k, v in _DEFAULTS.items() if v is not None}
+    merged: Dict[str, str] = {k: v for k, (v, _) in _KEYS.items() if v is not None}
     if args.config is not None:
         merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
+    merged.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
 
     for required in ("dim", "log2n"):
         if required not in merged:
@@ -254,7 +240,10 @@ def parse_config(argv: Optional[List[str]] = None) -> Tuple[RunConfig, str]:
     src_raw = merged["sources"]
     sources: Union[int, str] = int(src_raw) if src_raw.removeprefix("+").isdecimal() else src_raw
     # the drawn points alone, 8 bytes a coordinate and 16 a strength
-    for key, count, each in (("sources", sources, 8 * dim + 16), ("targets", targets, 8 * dim)):
+    drawn = [("sources", sources, 8 * dim + 16)]
+    if args.command == "verify":  # scale draws no targets
+        drawn.append(("targets", targets, 8 * dim))
+    for key, count, each in drawn:
         if isinstance(count, int) and count * each > memory:
             raise UsageError(
                 f"{key}={count}: the drawn points take at least {count * each} bytes, past the"
@@ -300,31 +289,23 @@ def _load_source_file(path: str, dim: int) -> SourceSet:
         raise UsageError(f"sources file {path}: {exc}")
 
 
+def _draw_sources(cfg: RunConfig) -> Tuple[SourceSet, Generator]:
+    """The run's sources, read from its file or drawn as positions, then
+    strengths; and the generator, left where verify draws its targets."""
+    rng = Generator(PCG64(cfg.seed))
+    if isinstance(cfg.sources, str):
+        return _load_source_file(cfg.sources, cfg.dim), rng
+    n = cfg.sources
+    positions = rng.uniform(size=(n, cfg.dim))
+    radii = np.sqrt(rng.uniform(size=n))
+    angles = rng.uniform(size=n)
+    return SourceSet(positions, radii * np.exp(2j * np.pi * angles)), rng
+
+
 def _draw_inputs(cfg: RunConfig) -> Tuple[SourceSet, np.ndarray]:
     """Fixed draw order: positions, then strengths, then targets."""
-    rng = Generator(PCG64(cfg.seed))
-    if isinstance(cfg.sources, int):
-        n = cfg.sources
-        positions = rng.uniform(size=(n, cfg.dim))
-        radii = np.sqrt(rng.uniform(size=n))
-        angles = rng.uniform(size=n)
-        src = SourceSet(positions, radii * np.exp(2j * np.pi * angles))
-    else:
-        src = _load_source_file(cfg.sources, cfg.dim)
-    tgts = rng.uniform(size=(cfg.targets, cfg.dim))
-    return src, tgts
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
-def _csv_text(header: List[str], rows: List[List]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    src, rng = _draw_sources(cfg)
+    return src, rng.uniform(size=(cfg.targets, cfg.dim))
 
 
 def _engine_kwargs(cfg: RunConfig) -> dict:
@@ -333,74 +314,61 @@ def _engine_kwargs(cfg: RunConfig) -> dict:
     return {"backend": "id", "tol": float(cfg.q)}
 
 
+def _solve(cfg: RunConfig, src: SourceSet, p: int) -> Tuple[ParallelResult, List[dict]]:
+    """The run's simulate_parallel at p, and its per-rank ledger rows."""
+    params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
+    res = simulate_parallel(src, REGISTRY[cfg.phase], 1 << cfg.log2n, p=p, params=params, **_engine_kwargs(cfg))
+    return res, ledger_report(res.ledgers)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _emit(cfg: RunConfig, header: List[str], rows: List[List], doc: dict) -> str:
+    """The CSV of header and rows, or the JSON of doc and the config."""
+    if cfg.format == "csv":
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    return json.dumps({"config": dataclasses.asdict(cfg), **doc}, sort_keys=True, indent=2) + "\n"
+
+
 def cmd_verify(cfg: RunConfig) -> Tuple[str, int]:
     src, tgts = _draw_inputs(cfg)
-    phase = REGISTRY[cfg.phase]
-    params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
-    N = 1 << cfg.log2n
-    res = simulate_parallel(src, phase, N, p=cfg.procs[0], params=params, **_engine_kwargs(cfg))
-    field = res.field
-    rows = ledger_report(res.ledgers)
-
+    res, rows = _solve(cfg, src, cfg.procs[0])
     if src.count == 0 or cfg.targets == 0:
         reason = "no sources" if src.count == 0 else "no targets"
         print(f"warning: {reason}; error reported as 0 by convention", file=sys.stderr)
         error = 0.0
     else:
         try:
-            error = rel_sup_error(field.evaluate(tgts), direct_apply(src, phase, tgts))
+            error = rel_sup_error(res.field.evaluate(tgts), direct_apply(src, REGISTRY[cfg.phase], tgts))
         except AllZeroReferenceError:
             print("warning: reference sum is identically zero; error reported as 0 by convention", file=sys.stderr)
             error = 0.0
         if not math.isfinite(error):
             raise UsageError(f"the relative error is {error}, not a finite number: the sums overflow")
 
-    total = field.ledger  # every rank's costs summed (parallel.RankCosts.total)
+    total = res.field.ledger  # every rank's costs summed (parallel.RankCosts.total)
     modeled = max(r["modeled_seconds"] for r in rows)
-    code = 0 if error <= cfg.threshold else 1
-    if cfg.format == "csv":
-        text = _csv_text(
-            ["error", "flops", "messages", "entries_sent", "modeled_seconds"],
-            [[error, total.flops, total.messages, total.entries_sent, modeled]],
-        )
-    else:
-        doc = {
-            "config": dataclasses.asdict(cfg),
-            "error": error,
-            "ledger": rows,
-            "modeled_seconds": modeled,
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return text, code
+    text = _emit(
+        cfg, ["error", "flops", "messages", "entries_sent", "modeled_seconds"],
+        [[error, total.flops, total.messages, total.entries_sent, modeled]],
+        {"error": error, "ledger": rows, "modeled_seconds": modeled},
+    )
+    return text, 0 if error <= cfg.threshold else 1
 
 
 def cmd_scale(cfg: RunConfig) -> Tuple[str, int]:
-    src, _ = _draw_inputs(cfg)
-    phase = REGISTRY[cfg.phase]
-    params = CostParams(cfg.alpha, cfg.beta, cfg.gamma)
-    N = 1 << cfg.log2n
-    kwargs = _engine_kwargs(cfg)
-
-    out_rows = []
+    src, _ = _draw_sources(cfg)
+    header = ["p", "flops_max", "messages_max", "entries_max", "modeled_seconds"]
+    rows = []
     for p in cfg.procs:
-        res = simulate_parallel(src, phase, N, p=p, params=params, **kwargs)
-        rep = ledger_report(res.ledgers)
-        out_rows.append(
-            {
-                "p": p,
-                "flops_max": max(r["flops"] for r in rep),
-                "messages_max": max(r["messages"] for r in rep),
-                "entries_max": max(r["entries_sent"] for r in rep),
-                "modeled_seconds": max(r["modeled_seconds"] for r in rep),
-            }
-        )
-    if cfg.format == "csv":
-        header = ["p", "flops_max", "messages_max", "entries_max", "modeled_seconds"]
-        text = _csv_text(header, [[row[h] for h in header] for row in out_rows])
-    else:
-        doc = {"config": dataclasses.asdict(cfg), "rows": out_rows}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return text, 0
+        _, rep = _solve(cfg, src, p)
+        rows.append([p] + [max(r[k] for r in rep) for k in ("flops", "messages", "entries_sent", "modeled_seconds")])
+    return _emit(cfg, header, rows, {"rows": [dict(zip(header, row)) for row in rows]}), 0
 
 
 def _write_output(path: str, text: str) -> None:

@@ -169,7 +169,6 @@ def simulate_parallel(
     rows_per_dim: int = 4,
     params: Optional[CostParams] = None,
     threads: int = 1,
-    trace: Optional[List[str]] = None,
 ) -> ParallelResult:
     """Run the full traversal on p simulated ranks and merge the result.
 
@@ -195,9 +194,7 @@ def simulate_parallel(
         if level:  # the init ran stage 0
             values = eng.stage(level, values, costs, k)
         if k:
-            entries = reduce_scatter(1 << k, values.size, costs)
-            if trace is not None:
-                trace.extend(f"{level},{rank},{k},{entries}" for rank in range(p))
+            reduce_scatter(1 << k, values.size, costs)
         costs.stacks, costs.shape = pop_push(*costs.stacks, k), (2 << level,) * d + (N >> (level + 1),) * d
 
     out_field = eng.make_field(values)

@@ -115,7 +115,8 @@ def get_phase(name: str) -> PhaseEvaluator:
 
 
 def register_phase(evaluator: PhaseEvaluator) -> None:
-    """Add or replace a registry entry (used by tests for custom phases)."""
+    """Add a custom phase to the registry, or replace the entry of its
+    name; get_phase(evaluator.name) returns it from then on."""
     REGISTRY[evaluator.name] = evaluator
 
 

@@ -110,14 +110,14 @@ def comm_config_pool():
     return pool
 
 
-def test_criterion_5_communication_counts():
+def test_criterion_5_communication_counts(reduce_scatter_rows):
     pool = comm_config_pool()
     q = 2
     checked = 0
     for idx, (d, N, p) in enumerate(pool):
         src, _ = drawn_problem(500 + idx, 50, d, 1)
-        trace: list[str] = []
-        par = simulate_parallel(src, get_phase("fourier"), N, p=p, q=q, trace=trace)
+        reduce_scatter_rows.clear()
+        par = simulate_parallel(src, get_phase("fourier"), N, p=p, q=q)
         # closed form: each rank's block leaves g = log2(N^d/p) bits local;
         # when g mod d is not 0, one partial stage moves d - (g mod d) bits
         logp = p.bit_length() - 1
@@ -133,7 +133,7 @@ def test_criterion_5_communication_counts():
         block = r * (N**d // p)
         nonzero = [k for k in par.schedule if k]
         assert nonzero == ([s] if s else []) + [d] * full
-        rows = [tuple(int(v) for v in line.split(",")) for line in trace]
+        rows = [tuple(int(v) for v in line.split(",")) for line in reduce_scatter_rows]
         assert len(rows) == comm * p
         for level, rank, k, entries in rows:
             assert k == par.schedule[level]

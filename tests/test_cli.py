@@ -88,18 +88,36 @@ def test_bad_values_name_the_key(capsys):
 def test_counts_past_the_memory_are_usage_errors(monkeypatch, capsys, command):
     # rejected at the parse step, against a machine of 1 MiB: a drawn 1-D
     # target takes 8 bytes, a source 24; --targets 1000000000000 used to
-    # end in a traceback, unable to allocate 7.28 TiB
+    # end in a traceback, unable to allocate 7.28 TiB. scale draws no
+    # targets, so it takes a count of them past the memory and draws none
     def never_run(cfg):
         raise AssertionError(f"a run of {cfg.sources} sources and {cfg.targets} targets was started")
 
+    sizes = []  # of every uniform draw
+
+    class Recorded(np.random.Generator):
+        def uniform(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return super().uniform(*args, size=size, **kwargs)
+
     monkeypatch.setattr(bfly.cli, "_physical_memory_bytes", lambda: 1 << 20)
-    monkeypatch.setattr(bfly.cli, "cmd_verify", never_run)
-    monkeypatch.setattr(bfly.cli, "cmd_scale", never_run)
     args = [command, "--dim", "1", "--log2n", "2"]
     for key, fits in (("targets", 1 << 17), ("sources", (1 << 20) // 24)):
         cfg, _ = bfly.cli.parse_config(args + [f"--{key}", str(fits)])
         assert getattr(cfg, key) == fits
-        assert main(args + [f"--{key}", str(fits + 1)]) == 2
+        if (command, key) == ("scale", "targets"):
+            assert main(args) == 0
+            want = capsys.readouterr().out
+            with monkeypatch.context() as m:
+                m.setattr(bfly.cli, "Generator", Recorded)
+                assert main(args + [f"--{key}", str(fits + 1)]) == 0
+            assert capsys.readouterr().out == want
+            assert sizes == [(256, 1), 256, 256]  # the sources' positions, radii and angles
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(bfly.cli, "cmd_verify", never_run)
+            m.setattr(bfly.cli, "cmd_scale", never_run)
+            assert main(args + [f"--{key}", str(fits + 1)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}={fits + 1}: the drawn points take at least"), err
         assert err.endswith("past the 0.0 GiB of physical memory\n"), err
@@ -164,6 +182,58 @@ def test_id_backend_default_tolerance(tmp_path):
 
 def test_no_subcommand_is_usage_error():
     assert main([]) == 2
+
+
+HELP_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --config FILE         key=value config file
+  --dim DIM             spatial dimension d (required)
+  --log2n LOG2N         log2 of boxes per dimension (required)
+  --q Q                 cheb points per dimension, or id tolerance in (0,1)
+  --phase PHASE         phase name, one of: fourier, gen-radon, hyp-radon
+  --backend BACKEND     cheb or id
+  --procs PROCS         process count (verify) or comma list (scale)
+  --alpha ALPHA         per-message latency, seconds
+  --beta BETA           per-entry bandwidth cost, seconds
+  --gamma GAMMA         per-flop cost, seconds
+  --seed SEED           PRNG seed (PCG64)
+  --sources SOURCES     random source count, or CSV path (y0..y{d-1},re,im)
+  --targets TARGETS     random evaluation point count
+  --output OUTPUT       output path, '-' for stdout
+  --format FORMAT       csv or json
+  --threshold THRESHOLD
+                        verify exits 1 when error exceeds this
+  --id-limit ID_LIMIT   largest N^d allowed for the id backend
+"""
+
+HELP_USAGE = {
+    "verify": """\
+usage: bfly verify [-h] [--config FILE] [--dim DIM] [--log2n LOG2N] [--q Q]
+                   [--phase PHASE] [--backend BACKEND] [--procs PROCS]
+                   [--alpha ALPHA] [--beta BETA] [--gamma GAMMA] [--seed SEED]
+                   [--sources SOURCES] [--targets TARGETS] [--output OUTPUT]
+                   [--format FORMAT] [--threshold THRESHOLD]
+                   [--id-limit ID_LIMIT]
+""",
+    "scale": """\
+usage: bfly scale [-h] [--config FILE] [--dim DIM] [--log2n LOG2N] [--q Q]
+                  [--phase PHASE] [--backend BACKEND] [--procs PROCS]
+                  [--alpha ALPHA] [--beta BETA] [--gamma GAMMA] [--seed SEED]
+                  [--sources SOURCES] [--targets TARGETS] [--output OUTPUT]
+                  [--format FORMAT] [--threshold THRESHOLD]
+                  [--id-limit ID_LIMIT]
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "scale"])
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    # the bytes an 80-column --help printed before the flags came from one
+    # table of keys; the table must not change a flag, its order or its help
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP_USAGE[command] + HELP_OPTIONS
 
 
 # ---------------------------------------------------------------------------

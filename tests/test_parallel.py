@@ -238,29 +238,27 @@ def test_parallel_id_backend_agrees():
 # ---------------------------------------------------------------------------
 
 
-def test_message_and_entry_counts_1d():
+def test_message_and_entry_counts_1d(reduce_scatter_rows):
     rng = np.random.default_rng(179)
     s = random_sources(rng, 64)
     phase = get_phase("fourier")
-    trace = []
-    par = simulate_parallel(s, phase, 8, p=4, q=4, trace=trace)
+    par = simulate_parallel(s, phase, 8, p=4, q=4)
     assert par.schedule == [0, 1, 1]
     # every rank sends log2(p) messages and (2^k - 1) * blocksize entries
     # per communicating stage, blocksize = pairs_per_rank * stage width
     for led in par.ledgers:
         assert led.messages == 2
         assert led.entries_sent == 2 * (2 * 4)
-    assert trace == [f"{lv},{m},1,8" for lv in (1, 2) for m in range(4)]
+    assert reduce_scatter_rows == [f"{lv},{m},1,8" for lv in (1, 2) for m in range(4)]
 
 
-def test_trace_matches_schedule_2d():
+def test_trace_matches_schedule_2d(reduce_scatter_rows):
     rng = np.random.default_rng(181)
     s = random_sources(rng, 128, d=2)
     phase = get_phase("fourier")
-    trace = []
-    par = simulate_parallel(s, phase, 8, p=16, q=3, trace=trace)
+    par = simulate_parallel(s, phase, 8, p=16, q=3)
     assert par.schedule == [0, 2, 2]
-    rows = [tuple(int(v) for v in line.split(",")) for line in trace]
+    rows = [tuple(int(v) for v in line.split(",")) for line in reduce_scatter_rows]
     assert rows == sorted(rows)
     pairs_per_rank = 64 // 16
     blocksize = pairs_per_rank * 9
@@ -615,7 +613,7 @@ def per_rank_simulate(eng, N, p):
     moves) and scattered(blk) (PerRankStages), and make_field(values) of the
     final level.
     Returns the field, the owners as an array, the ledgers, the schedule and
-    the trace strings."""
+    the rows "level,rank,k,entries" of every reduce-scatter."""
     d, L = eng.d, eng.L
     schedule = stage_schedule(N, d, p)
     dx, dy = init_bisection_stacks(d, p)
@@ -674,7 +672,7 @@ def tallies(ledgers):
 
 @pytest.mark.parametrize("backend", ["cheb", "id"])
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8), (3, 4)])
-def test_simulator_matches_per_rank_oracle(d, N, backend):
+def test_simulator_matches_per_rank_oracle(d, N, backend, reduce_scatter_rows):
     # every p from 1 to N^d, including the d = 2 and d = 3 counts whose
     # log2 is not a multiple of d, where members hold partial sums over
     # several children
@@ -686,13 +684,13 @@ def test_simulator_matches_per_rank_oracle(d, N, backend):
     stages = PerRankCheb(eng) if backend == "cheb" else PerRankId(eng)
     for logp in range(d * (N.bit_length() - 1) + 1):
         p = 1 << logp
-        trace = []
-        par = simulate_parallel(s, phase, N, p=p, trace=trace, **kwargs)
+        reduce_scatter_rows.clear()
+        par = simulate_parallel(s, phase, N, p=p, **kwargs)
         field, owners, ledgers, schedule, want_trace = per_rank_simulate(stages, N, p)
         assert np.array_equal(par.field.values, field.values), p
         assert tallies(par.ledgers) == tallies(ledgers), p
         assert par.schedule == schedule
-        assert trace == want_trace, p
+        assert reduce_scatter_rows == want_trace, p
         assert np.array_equal(par.owners, owners), p
 
 
