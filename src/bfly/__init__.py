@@ -8,11 +8,10 @@ from .engine import (
     AllZeroReferenceError,
     PotentialField,
     SourceSet,
-    butterfly_apply,
     direct_apply,
     rel_sup_error,
 )
-from .parallel import ParallelResult, ledger_report, modeled_time, simulate_parallel
+from .parallel import ParallelResult, butterfly_apply, ledger_report, modeled_time, simulate_parallel
 from .phases import PhaseEvaluator, get_phase, register_phase
 
 __version__ = "0.1.0"

@@ -34,31 +34,36 @@ count, so that the leaves of one count are one matrix product
 (chebyshev.init_source_weights); the id engine sorts them by leaf box once,
 when it is built, so that its leaf weights are one segment sum.
 
+An engine is a set-up on the source positions and holds no strengths: the
+traversal hands them to init_blocks, in the positions' order, so one engine
+serves any strength vector. The transform is linear in them, and what an
+engine holds depends only on Phi, the tree and the positions. A traversal
+writes nothing into an id engine, so threads may share one.
+
 What a solve makes from the phase and never from the strengths, like an
 FFT's twiddles, is kept for the next solve in one slot per process
 (_kept), by one rule: a solve or build keeps the set-up it made, one cheb
 solve's kernel factors if they fit in _FACTOR_BYTES (ChebEngine), or an id
-set-up (make_engine). The entry holds its phase object, a key of
+engine (make_engine). The entry holds its phase object, a key of
 everything else the set-up depends on, beginning (backend, d), and Phi at
 two fixed point pairs, evaluated again in one call before reuse, so that a
 phase whose function has changed is seen. A lookup that does not match
 releases the slot before anything is built, whichever backend it comes
 from. No key holds p, so a kept set-up serves every process count. The id
-key holds the positions' bytes, so a call on the same sources runs only
-the traversal; the process then holds about 100 MB of padded maps between
-solves on the benchmark's id-2d problem. A build that raises keeps
-nothing, kept arrays are read-only, and there is no lock: threads may each
-build, and each gets the bits of a serial solve.
+key holds the positions' bytes, so a call on the same positions returns
+the kept engine itself, and a solve runs only the traversal; the process
+then holds about 100 MB of padded maps between solves on the benchmark's
+id-2d problem. A build that raises keeps nothing, kept arrays are
+read-only, and there is no lock: threads may each build, and each gets the
+bits of a serial solve.
 
-butterfly_apply is simulate_parallel (bfly.parallel) at p = 1: one loop
-runs the init and a stage per later level on the level arrays, which the
-ranks' blocks tile; a stage that moves `team_bits` rank bits adds the
-partial sums of each team member into one level array in ascending member
-order (see geometry.sum_children). Every pair of a stage is computed
-independently of the other pairs, so a rank's pairs carry the bits it would
-compute on its own block. Flops are charged
-to the ledger as an array over the pairs of the level a call runs on,
-which lets the simulator charge each rank for the pairs it holds.
+A stage that moves `team_bits` rank bits adds the partial sums of each team
+member into one level array in ascending member order (see
+geometry.sum_children). Every pair of a stage is computed independently of
+the other pairs, so a rank's pairs carry the bits it would compute on its
+own block. Flops are charged to the ledger as an array over the pairs of
+the level a call runs on, which lets the simulator (bfly.parallel) charge
+each rank for the pairs it holds.
 
 The final level becomes a PotentialField: the pairs (A, root) for every
 target leaf A, each with its equivalent sources, so
@@ -73,7 +78,6 @@ a chunk of points at a time with a few whole-chunk NumPy calls.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import numbers
 import operator
@@ -162,8 +166,8 @@ def _each(pool, fn, tasks) -> None:
 
 class ChebEngine:
     """Analytic backend: fixed rank q^d, column stages through the last level.
-    It keeps its sources as given; the init bins and orders them on every
-    solve (chebyshev.init_source_weights)."""
+    It keeps the positions as given; the init bins and orders them with the
+    strengths on every solve (chebyshev.init_source_weights)."""
 
     name = "cheb"
 
@@ -171,12 +175,13 @@ class ChebEngine:
         self.phase, self.d, self.N, self.L = phase, d, N, N.bit_length() - 1
         self.q = q
         self.r = q**d
-        self.sources = sources
+        self.positions = sources.positions
 
-    def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
+    def init_blocks(self, strengths: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level 1, width first, (r,) + (2,)*d + (N/2,)*d,
-        straight from the sources: stage 0, moving team_bits rank bits,
-        whose team members' partial sums are added in ascending member order
+        straight from the sources with these strengths (n,), in the
+        positions' order: stage 0, moving team_bits rank bits, whose team
+        members' partial sums are added in ascending member order
         (chebyshev.init_source_weights). With N = 1 the final weights,
         (r,) + (1,)*d + (1,)*d. A traversal starts here, so here it takes
         the kept factors (_take), or, on a miss, makes its own whole to keep
@@ -188,8 +193,8 @@ class ChebEngine:
         if self._stages is None and _solve_factor_bytes(L, d, self.r) <= _FACTOR_BYTES:
             self._made = [None] * max(L, 1)
         return cheb.init_source_weights(
-            L, (0,) * d, (self.N,) * d, self.sources.positions, self.sources.strengths,
-            self.phase, self.q, ledger, partial(self._factors, 0), team_bits,
+            L, (0,) * d, (self.N,) * d, self.positions, strengths, self.phase, self.q, ledger,
+            partial(self._factors, 0), team_bits,
         )
 
     def stage(self, level: int, values: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
@@ -252,13 +257,14 @@ class IdEngine:
     each (row, child) a stage reads is one contiguous run over the pairs.
     A stage is one batched matrix-vector product per present child, the leaf
     initialization a segment sum over the leaf-sorted sources (_interp holds
-    each source's column of its leaf's interpolation matrix).
+    each source's column of its leaf's interpolation matrix), and each charges
+    a flop array kept with the maps (_init_flops, _flops).
 
-    Everything but _strengths is the set-up: it depends on the phase, the
-    positions, N, tol and rows_per_dim, never on the strengths, and is
-    read-only once built, so engines on other strengths of the same sources
-    share it (_with_strengths, which make_engine uses to reuse the last
-    set-up). The constructor always builds.
+    The engine is the set-up: it depends on the phase, the positions, N, tol
+    and rows_per_dim, never on the strengths, which init_blocks takes, and
+    every array of it is read-only once built, so one engine serves every
+    solve on these positions (make_engine returns the kept one). The
+    constructor always builds.
 
     Row samples are a tensor Chebyshev grid of rows_per_dim points per
     dimension in every leaf target box, and a pair's row set is all such
@@ -290,20 +296,12 @@ class IdEngine:
         # stage has (N/2)^d, one per family, and N = 1 has one leaf
         with ThreadPoolExecutor(min(_usable_cores(), max(1, (N >> 1) ** d))) as pool:
             self._precompute(pool)
-        # the set-up is shared by every engine on these sources
-        # (_with_strengths), and the id field hands the last two to callers
+        # every solve on these positions shares the set-up, and the id field
+        # hands the final ranks and skeleton to callers
         shared = (order, self._positions, self._leaves, self._interp, self._final_ranks, self._final_skeleton)
-        for a in shared + tuple(self._ranks) + tuple(self._maps):
+        shared += self._runs + (self._init_flops,) + tuple(self._ranks + self._maps + self._flops)
+        for a in shared:
             a.setflags(write=False)
-        self._strengths = sources.strengths[order]
-
-    def _with_strengths(self, strengths: np.ndarray) -> "IdEngine":
-        """An engine with this one's set-up and other strengths of the same
-        sources, in their input order: it shares every precomputed array and
-        runs no precompute."""
-        engine = copy.copy(self)
-        engine._strengths = strengths[self._order]
-        return engine
 
     def _padded_skeleton(self, level: int, width: int) -> np.ndarray:
         """Skeleton points of the pairs of a level, pairs + (width, d), every
@@ -364,12 +362,15 @@ class IdEngine:
         d, L, N = self.d, self.L, self.N
         rows = cheb.grid_points(self.rows_per_dim, L, block_coords((0,) * d, (N,) * d))
         all_rows = rows.reshape(-1, d)
-        # each leaf's run of the leaf-sorted sources
+        # each leaf's run of the leaf-sorted sources; the init sums each
+        # occupied leaf's run, starts[i] on, into its flat index occupied[i]
         flat, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
+        occupied = flat[starts]
+        self._runs = (occupied, starts)
         first = np.zeros(N**d, dtype=int)
         count = np.zeros(N**d, dtype=int)
-        first[flat[starts]] = starts
-        count[flat[starts]] = np.diff(np.append(starts, len(flat)))
+        first[occupied] = starts
+        count[occupied] = np.diff(np.append(starts, len(flat)))
         first, count = first.reshape((N,) * d), count.reshape((N,) * d)
         # leaf IDs against every row sample, written into room for any rank
         room = min(int(np.max(count, initial=0)), len(all_rows))
@@ -489,20 +490,31 @@ class IdEngine:
         # padded slots holding the leaf center and weight exactly 0
         self._final_ranks = ranks.reshape((N,) * d)
         self._final_skeleton = skeleton.reshape((N,) * d + skeleton.shape[-2:])
+        # the flops of the init's leaf weights and of each stage, over the
+        # pairs each runs on: a stage's pair (A, B) feeds the children A_c
+        # of A at the parent of B, the out rank of (A_c, parent(B)) times
+        # (2 * the rank of (A, B) + 1)
+        self._init_flops = 2 * self._ranks[0] * count.reshape(self._ranks[0].shape)
+        self._flops = []
+        for in_ranks, out_ranks in zip(self._ranks, self._ranks[1:]):
+            per_out = out_ranks.reshape(_split(out_ranks.shape[:d], 2) + _split(out_ranks.shape[d:], 1))
+            per_in = in_ranks.reshape(_split(in_ranks.shape[:d], 1) + _split(in_ranks.shape[d:], 2))
+            per_pair = (per_out * (2 * per_in + 1)).sum(axis=tuple(range(1, 2 * d, 2)))
+            self._flops.append(per_pair.reshape(in_ranks.shape))
 
-    def init_blocks(self, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
+    def init_blocks(self, strengths: np.ndarray, ledger: CostLedger, team_bits: int = 0) -> np.ndarray:
         """The weights of level 1, (2,)*d + (N/2,)*d + (width,): the leaf
-        weights Z @ g of every leaf box, as one segment sum, through stage
-        0's maps (_apply_maps). With N = 1 the leaf weights are the final
-        ones, (1,)*d + (1,)*d + (width,)."""
+        weights Z @ g of every leaf box for the strengths g (n,), in the
+        positions' order, as one segment sum, through stage 0's maps
+        (_apply_maps). With N = 1 the leaf weights are the final ones,
+        (1,)*d + (1,)*d + (width,)."""
         d, N = self.d, self.N
         out = np.zeros((N,) * d + self._interp.shape[1:], dtype=complex)
-        flat, starts = leaf_runs(self._leaves, (0,) * d, (N,) * d)
+        occupied, starts = self._runs
         if starts.size:
-            weighted = self._interp * self._strengths[:, None]
-            out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
-        counts = np.bincount(flat, minlength=N**d).reshape(self._ranks[0].shape)
-        ledger.add_flops(2 * self._ranks[0] * counts)
+            weighted = self._interp * strengths[self._order, None]
+            out.reshape(-1, out.shape[-1])[occupied] = np.add.reduceat(weighted, starts, axis=0)
+        ledger.add_flops(self._init_flops)
         out = out.reshape((1,) * d + out.shape)
         return self._apply_maps(0, out, ledger, team_bits) if self.L else out
 
@@ -519,7 +531,7 @@ class IdEngine:
         pairs gets the bits of the same pairs in the whole level. (A, B)'s
         weights are broadcast, not copied, onto the children A_c of A."""
         d = self.d
-        out_ranks, in_ranks = self._ranks[level + 1], self._ranks[level]
+        out_ranks = self._ranks[level + 1]
         maps = self._maps[level]
         maps = maps.reshape(maps.shape[:2] + _split(maps.shape[2 : 2 + d], 2) + maps.shape[2 + d :])
         weights = values.reshape(_split(values.shape[:d], 1) + values.shape[d:])
@@ -531,11 +543,7 @@ class IdEngine:
 
         kids = present_children((0,) * d, values.shape[d : 2 * d])
         out = sum_children([o for o, _ in kids], (contribution(*kid) for kid in kids), team_bits)
-        # each pair (A, B) feeds the children A_c of A at the parent of B:
-        # the out rank of (A_c, parent(B)) times (2 * the rank of (A, B) + 1)
-        per_out = out_ranks.reshape(_split(out_ranks.shape[:d], 2) + _split(out_ranks.shape[d:], 1))
-        per_in = in_ranks.reshape(_split(in_ranks.shape[:d], 1) + _split(in_ranks.shape[d:], 2))
-        ledger.add_flops((per_out * (2 * per_in + 1)).sum(axis=tuple(range(1, 2 * d, 2))).reshape(in_ranks.shape))
+        ledger.add_flops(self._flops[level])
         return out
 
     def make_field(self, values: np.ndarray) -> "PotentialField":
@@ -641,14 +649,14 @@ def make_engine(
     tol: float = 1e-7,
     rows_per_dim: int = 4,
 ):
-    """The engine of a backend, set up on the sources: for cheb only
-    checked, its init ordering them on every solve; for id sorted by leaf
-    box, with every factorization precomputed.
+    """The engine of a backend, set up on the sources' positions, whose
+    init_blocks takes their strengths: for cheb only checked, its init
+    ordering them on every solve; for id sorted by leaf box, with every
+    factorization precomputed.
 
-    An id call takes the kept set-up (_take) when its phase object, d, N,
+    An id call returns the kept engine (_take) when its phase object, d, N,
     tol, rows_per_dim and positions' bytes are those it was built from and
-    the phase still gives its probe's values, and builds an engine on it and
-    the new strengths without a precompute; any other id call builds and
+    the phase still gives its probe's values; any other id call builds and
     keeps its own (_keep). A cheb call neither reads nor fills the slot: its
     traversal does (ChebEngine.init_blocks)."""
     N, d = _integer("N", N), _integer("d", d)
@@ -670,11 +678,10 @@ def make_engine(
         # the positions compared byte for byte: 0.0 and -0.0 compare equal as
         # numbers, but the phase can tell them apart
         key = ("id", d, N, tol, rows_per_dim, sources.positions.shape, sources.positions.tobytes())
-        kept = _take(phase, key)
-        if kept is not None:
-            return kept._with_strengths(sources.strengths)
-        engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
-        _keep(phase, key, engine)
+        engine = _take(phase, key)
+        if engine is None:
+            engine = IdEngine(phase, d, N, tol, rows_per_dim, sources)
+            _keep(phase, key, engine)
         return engine
     raise ValueError(f"unknown backend '{backend}'")
 
@@ -729,22 +736,6 @@ def _keep(phase: PhaseEvaluator, key: tuple, setup) -> None:
     probe now."""
     global _kept
     _kept = _Kept(phase, key, setup, _probe(phase, key[1]))
-
-
-def butterfly_apply(
-    sources: SourceSet,
-    phase: PhaseEvaluator,
-    N: int,
-    q: int = 8,
-    backend: str = "cheb",
-    tol: float = 1e-7,
-    rows_per_dim: int = 4,
-) -> PotentialField:
-    """Sequential butterfly evaluation; returns a field with a flop ledger.
-    It is the same loop at p = 1: the field of simulate_parallel(p=1)."""
-    from .parallel import simulate_parallel  # parallel imports this module
-
-    return simulate_parallel(sources, phase, N, 1, q, backend, tol, rows_per_dim).field
 
 
 def _rows_times(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:

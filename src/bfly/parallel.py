@@ -1,4 +1,5 @@
-"""Deterministic simulator of the distributed butterfly traversal.
+"""The butterfly traversal, as a deterministic simulator of its distributed
+form on p virtual processes, and butterfly_apply, the same loop at p = 1.
 
 Each of p virtual processes owns N^d/p pairs of the current level, described
 by two bisection stacks (target side D_X, source side D_Y). Its pairs are
@@ -7,10 +8,12 @@ the product of two dyadic regions, a rectangular block of the level array
 tile the level: each stack entry halves one axis of the level array on one
 rank bit, so the blocks form a regular grid with a binary axis per rank
 bit. So the ranks are not a loop: the simulator holds each level as the
-one array the sequential engine uses, runs one engine init (which makes
-level 1: stage 0 is in it) and one stage per later level on it, and keeps
-only the current level's stacks (RankCosts), which move from D_Y to D_X
-stage by stage (geometry.pop_push), to charge each rank for its block.
+one array the sequential engine uses, runs one engine init (which takes the
+strengths and makes level 1: stage 0 is in it) and one stage per later
+level on it, and keeps only the current level's stacks (RankCosts), which
+move from D_Y to D_X stage by stage (geometry.pop_push), to charge each
+rank for its block. This is the library's one traversal loop:
+butterfly_apply is simulate_parallel at p = 1, where no stage communicates.
 
 A stage either stays local (enough source bits remain on every rank) or
 moves k bits of ownership from D_Y to D_X, which regroups the ranks into
@@ -173,12 +176,11 @@ def simulate_parallel(
     """Run the full traversal on p simulated ranks and merge the result.
 
     Each level is one array over all ranks' pairs: one engine init, which
-    makes level 1, and one stage per later level, whatever p. This is the
-    library's one traversal loop: butterfly_apply is the same loop at
-    p = 1, where no stage communicates, and `bfly verify` solves with this
-    call at every process count. N and p are integers (numpy's too), not
-    bools or floats. The ranks' blocks at each level are read off the
-    bisection stacks, which each stage pops and pushes. `threads` has no
+    takes the strengths and makes level 1, and one stage per later level,
+    whatever p. `bfly verify` solves with this call at every process count.
+    N and p are integers (numpy's too), not bools or floats. The ranks'
+    blocks at each level are read off the bisection stacks, which each
+    stage pops and pushes. `threads` has no
     effect and does not size the id precompute's pool, which has a worker
     per usable core; it is kept for callers that still pass it.
     """
@@ -189,7 +191,7 @@ def simulate_parallel(
 
     costs = RankCosts(p)
     costs.stacks, costs.shape = init_bisection_stacks(d, p), (1,) * d + (N,) * d
-    values = eng.init_blocks(costs, schedule[0] if schedule else 0)
+    values = eng.init_blocks(sources.strengths, costs, schedule[0] if schedule else 0)
     for level, k in enumerate(schedule):
         if level:  # the init ran stage 0
             values = eng.stage(level, values, costs, k)
@@ -200,6 +202,20 @@ def simulate_parallel(
     out_field = eng.make_field(values)
     out_field.ledger = costs.total(cost_params)
     return ParallelResult(out_field, costs.owners(), costs.ledgers(cost_params), schedule)
+
+
+def butterfly_apply(
+    sources: SourceSet,
+    phase: PhaseEvaluator,
+    N: int,
+    q: int = 8,
+    backend: str = "cheb",
+    tol: float = 1e-7,
+    rows_per_dim: int = 4,
+) -> PotentialField:
+    """Sequential butterfly evaluation; returns a field with a flop ledger:
+    the field of simulate_parallel at p = 1."""
+    return simulate_parallel(sources, phase, N, 1, q, backend, tol, rows_per_dim).field
 
 
 def modeled_time(

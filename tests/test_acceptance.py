@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from bfly.cli import main
-from bfly.engine import SourceSet, butterfly_apply, direct_apply, rel_sup_error
+from bfly.engine import SourceSet, direct_apply, rel_sup_error
 from bfly.geometry import (
     init_bisection_stacks,
     pop_push,
@@ -20,7 +20,7 @@ from bfly.geometry import (
     stage_schedule,
 )
 from bfly.lowrank import build_id
-from bfly.parallel import simulate_parallel
+from bfly.parallel import butterfly_apply, simulate_parallel
 from bfly.phases import get_phase
 
 

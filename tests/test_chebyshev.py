@@ -23,9 +23,9 @@ from bfly.chebyshev import (
     init_source_weights,
 )
 from bfly.costs import CostLedger, CostParams
-from bfly.engine import PotentialField, SourceSet, butterfly_apply
+from bfly.engine import PotentialField, SourceSet
 from bfly.geometry import DyadicKey, leaf_coords, offset_index, parent_block, present_children
-from bfly.parallel import simulate_parallel
+from bfly.parallel import butterfly_apply, simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 
 FLAT = PhaseEvaluator("flat", None, lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]))

@@ -20,7 +20,6 @@ from bfly.engine import (
     ChebEngine,
     IdEngine,
     SourceSet,
-    butterfly_apply,
     direct_apply,
     make_engine,
     rel_sup_error,
@@ -28,7 +27,7 @@ from bfly.engine import (
 from bfly.chebyshev import grid_points
 from bfly.costs import CostLedger, CostParams
 from bfly.geometry import DyadicKey, block_coords, leaf_coords, leaf_order, leaf_runs
-from bfly.parallel import modeled_time, simulate_parallel
+from bfly.parallel import butterfly_apply, modeled_time, simulate_parallel
 from bfly.phases import PhaseEvaluator, get_phase, kernel_matrix
 from test_lowrank import economic_id
 
@@ -388,7 +387,7 @@ def test_make_engine_dispatch():
     for backend, cls, pairs in (("cheb", ChebEngine, slice(1, 3)), ("id", IdEngine, slice(0, 2))):
         eng = make_engine(phase, 1, 8, s, q=4, backend=backend)
         assert isinstance(eng, cls)
-        values = eng.init_blocks(CostLedger(CostParams()))
+        values = eng.init_blocks(s.strengths, CostLedger(CostParams()))
         assert values.shape[pairs] == (2, 4)
     eng = make_engine(phase, 1, 16, s, q=6)
     assert eng.L == 4 and eng.r == 6
@@ -845,16 +844,24 @@ def test_a_kept_id_setup_serves_only_its_own_inputs(change, monkeypatch, no_kept
 
     first, sources = engine()
     assert np.shares_memory(sources.positions, positions)  # the caller's own array
-    # the same inputs on other strengths take the kept set-up
+    # the same inputs take the kept engine itself
     hit, _ = engine()
-    assert len(calls) == 1 and hit is not first and hit._maps is first._maps
+    assert len(calls) == 1 and hit is first
     MISSES[change](inputs)
     eng, sources = engine()
     assert len(calls) == 2 and bfly.engine._kept.setup is eng
     kw = {k: inputs[k] for k in ("phase", "N", "tol", "rows_per_dim")}
     cold = IdEngine(d=1, sources=sources, **kw)
-    for attr in ("_interp", "_final_ranks", "_final_skeleton", "_strengths"):
+    for attr in ("_interp", "_final_ranks", "_final_skeleton"):
         assert np.array_equal(getattr(eng, attr), getattr(cold, attr)), attr
+
+    def field(e):
+        values = e.init_blocks(sources.strengths, CostLedger(CostParams()))
+        for level in range(1, e.L):
+            values = e.stage(level, values, CostLedger(CostParams()))
+        return e.make_field(values).values
+
+    assert np.array_equal(field(eng), field(cold))
     for attr in ("_ranks", "_maps"):
         assert all(np.array_equal(a, b) for a, b in zip(getattr(eng, attr), getattr(cold, attr), strict=True)), attr
 
@@ -880,6 +887,52 @@ def test_kept_id_arrays_and_the_id_field_refuse_writes(no_kept):
             a[...] = 0
 
 
+def test_threads_share_the_kept_id_engine(no_kept):
+    # four threads, more than the cores, solve at once on the positions of
+    # one kept id engine, two on each of two strength vectors, the
+    # interpreter switching threads as often as it can: each gets the bits
+    # of its solve run alone, none builds, and no solve writes into the
+    # engine, so no interleaving could mix them
+    rng = np.random.default_rng(97)
+    positions = rng.uniform(size=(256, 2))
+    problems = [SourceSet(positions, rng.normal(size=256) + 1j * rng.normal(size=256)) for _ in range(2)]
+    phase = get_phase("fourier")
+    alone = [butterfly_apply(s, phase, 8, backend="id") for s in problems]
+    assert not np.array_equal(alone[0].values, alone[1].values)
+    kept = bfly.engine._kept.setup
+    assert make_engine(phase, 2, 8, problems[1], backend="id") is kept
+    for a in (*kept._runs, kept._init_flops, *kept._flops):
+        assert not a.flags.writeable
+    state = dict(vars(kept))
+    barrier = threading.Barrier(4)
+    results, errors = {}, []
+
+    def run(t):
+        try:
+            barrier.wait(timeout=60)
+            results[t] = [butterfly_apply(problems[t % 2], phase, 8, backend="id") for _ in range(4)]
+        except Exception as err:  # noqa: BLE001 - reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and sorted(results) == [0, 1, 2, 3]
+    assert bfly.engine._kept.setup is kept
+    assert vars(kept).keys() == state.keys() and all(vars(kept)[k] is v for k, v in state.items())
+    for t, fields in results.items():
+        for field in fields:
+            assert np.array_equal(field.values, alone[t % 2].values) and field.ledger == alone[t % 2].ledger
+
+
 def test_id_stage_holds_its_output_and_one_child_contribution():
     # an id stage adds its children's products into the first one as each
     # is made, and each child multiplies the input's weights broadcast onto
@@ -889,8 +942,9 @@ def test_id_stage_holds_its_output_and_one_child_contribution():
     # charge's integer arrays over the pairs (about 4 KB here)
     slack = 16 << 10
     rng = np.random.default_rng(191)
-    eng = IdEngine(get_phase("fourier"), 2, 16, 1e-7, 4, random_sources(rng, 1024, d=2))
-    values = eng.init_blocks(CostLedger(CostParams()))
+    s = random_sources(rng, 1024, d=2)
+    eng = IdEngine(get_phase("fourier"), 2, 16, 1e-7, 4, s)
+    values = eng.init_blocks(s.strengths, CostLedger(CostParams()))
     for level in range(1, eng.L):
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ import pytest
 
 from bfly.chebyshev import box_centers, column_stage, grid_points, init_source_weights, phase_factors
 from bfly.costs import CostLedger, CostParams
-from bfly.engine import ChebEngine, IdEngine, SourceSet, butterfly_apply, make_engine, rel_sup_error
+from bfly.engine import ChebEngine, IdEngine, SourceSet, make_engine, rel_sup_error
 from bfly.geometry import (
     DyadicKey,
     InvalidProcessCountError,
@@ -30,7 +30,7 @@ from bfly.geometry import (
     stage_schedule,
 )
 from bfly.lowrank import build_id
-from bfly.parallel import RankCosts, ledger_report, modeled_time, reduce_scatter, simulate_parallel
+from bfly.parallel import RankCosts, butterfly_apply, ledger_report, modeled_time, reduce_scatter, simulate_parallel
 from bfly.phases import get_phase, kernel_matrix
 
 
@@ -475,13 +475,14 @@ def in_block(leaves, lo, shape):
 
 
 class PerRankStages:
-    """A built engine's init and stage on one rank's block of pairs. `moves`
-    is the number of rank bits the stage moves; after a stage that moves
-    some, each member holds its share of the reduce-scatter's sum, which
-    scattered(blk) finishes."""
+    """A built engine's init, on strengths in the positions' order, and its
+    stage on one rank's block of pairs. `moves` is the number of rank bits
+    the stage moves; after a stage that moves some, each member holds its
+    share of the reduce-scatter's sum, which scattered(blk) finishes."""
 
-    def __init__(self, eng):
+    def __init__(self, eng, strengths):
         self.eng, self.d, self.L = eng, eng.d, eng.L
+        self.strengths = strengths
 
     def make_field(self, values):
         return self.eng.make_field(values)
@@ -513,10 +514,10 @@ class PerRankCheb(PerRankStages):
     def init_blocks(self, b_lo, b_shape, ledger, moves):
         """The level-1 pairs the block's leaves feed (stage 0 on the block:
         the sum over the children it holds), or the final weights if N = 1."""
-        eng, src = self.eng, self.eng.sources
-        inside = in_block(leaf_coords(src.positions, eng.L), b_lo, b_shape)
+        eng, pos = self.eng, self.eng.positions
+        inside = in_block(leaf_coords(pos, eng.L), b_lo, b_shape)
         values = init_source_weights(
-            eng.L, b_lo, b_shape, src.positions[inside], src.strengths[inside], eng.phase, eng.q, ledger,
+            eng.L, b_lo, b_shape, pos[inside], self.strengths[inside], eng.phase, eng.q, ledger,
             self.factors(moves),
         )
         # in a one-leaf tree the root block is its own parent block
@@ -558,7 +559,7 @@ class PerRankId(PerRankStages):
         inside = in_block(eng._leaves, b_lo, b_shape)
         flat, starts = leaf_runs(eng._leaves[inside], b_lo, b_shape)
         if starts.size:
-            weighted = eng._interp[inside] * eng._strengths[inside, None]
+            weighted = eng._interp[inside] * self.strengths[eng._order][inside, None]
             out.reshape(-1, out.shape[-1])[flat[starts]] = np.add.reduceat(weighted, starts, axis=0)
         ranks = eng._ranks[0][(0,) * d + block_index(b_lo, b_shape)].reshape(-1)
         ledger.add_flops(2 * np.sum(ranks[flat]))
@@ -681,7 +682,7 @@ def test_simulator_matches_per_rank_oracle(d, N, backend, reduce_scatter_rows):
     phase = get_phase("fourier")
     kwargs = {"q": 3} if backend == "cheb" else {"backend": "id", "tol": 1e-6}
     eng = make_engine(phase, d, N, sources=s, **kwargs)
-    stages = PerRankCheb(eng) if backend == "cheb" else PerRankId(eng)
+    stages = PerRankCheb(eng, s.strengths) if backend == "cheb" else PerRankId(eng, s.strengths)
     for logp in range(d * (N.bit_length() - 1) + 1):
         p = 1 << logp
         reduce_scatter_rows.clear()

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from bfly import phases
-from bfly.engine import SourceSet, butterfly_apply, direct_apply
-from bfly.parallel import simulate_parallel
+from bfly.engine import SourceSet, direct_apply
+from bfly.parallel import butterfly_apply, simulate_parallel
 from bfly.phases import (
     PhaseEvaluator,
     REGISTRY,
